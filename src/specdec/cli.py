@@ -27,7 +27,7 @@ from .exact import (
     expected_rejections_sd,
     limit_rejections,
 )
-from .models import MarkovModel, ModelPair, pair_from_descriptor
+from .models import MarkovModel, ModelPair, _as_int, pair_from_descriptor
 from .montecarlo import Campaign, batch_scan, report_header, run_campaign
 from .tradeoff import pareto_front, tradeoff_identity_gap
 
@@ -73,8 +73,8 @@ def _int_field(config: dict, key: str, default=None, minimum: int = 1) -> int:
     if value is None:
         raise ConfigError(f"config is missing required key {key!r}")
     try:
-        value = int(value)
-    except (TypeError, ValueError):
+        value = _as_int(value)
+    except TypeError:
         raise ConfigError(f"config key {key!r} must be an integer") from None
     if value < minimum:
         raise ConfigError(f"config key {key!r} must be >= {minimum}")
@@ -185,8 +185,8 @@ def cmd_batch_scan(config: dict, fmt: str, out_path: str | None) -> int:
     if not isinstance(sizes, list) or not sizes:
         raise ConfigError('config key "batch_sizes" must be a nonempty list')
     try:
-        sizes = [int(m) for m in sizes]
-    except (TypeError, ValueError):
+        sizes = [_as_int(m) for m in sizes]
+    except TypeError:
         raise ConfigError('config key "batch_sizes" must contain integers') from None
     if any(m < 1 for m in sizes):
         raise ConfigError('config key "batch_sizes" entries must be >= 1')

@@ -129,7 +129,8 @@ def speculative_decode(pair: ModelPair, rng: np.random.Generator) -> tuple[Traje
             p_row = p.step(t, history)
             q_row = q.step(t, history)
             p_cand = float(p_row[candidate])
-            assert p_cand > 0.0, "draft produced a token outside p's support"
+            if p_cand <= 0.0:
+                raise RuntimeError(f"draft token {candidate} outside p's support at position {t}")
             u = rng.random()
             if u <= min(1.0, float(q_row[candidate]) / p_cand):
                 history += (candidate,)
@@ -166,7 +167,8 @@ def generic_decode(
         draft = _draft_to_horizon(p, history, n, horizon, rng)
         for offset, t in enumerate(range(n, horizon + 1)):
             candidate = draft[offset]
-            assert float(p.step(t, history)[candidate]) > 0.0
+            if float(p.step(t, history)[candidate]) <= 0.0:
+                raise RuntimeError(f"draft token {candidate} outside p's support at position {t}")
             b = policy_acceptance(policy, t, history, candidate)
             u = rng.random()
             if u <= b:
@@ -218,7 +220,8 @@ def batch_decode(
         for m in range(batch_size):
             candidate = responses[m][0]
             p_cand = float(p_root[candidate])
-            assert p_cand > 0.0
+            if p_cand <= 0.0:
+                raise RuntimeError(f"draft token {candidate} outside p's support at position {n0}")
             u = rng.random()
             if u <= min(1.0, float(q_iter[candidate]) / p_cand):
                 accepted_root = True
@@ -228,7 +231,8 @@ def batch_decode(
                     cand = responses[m][offset]
                     p_row = p.step(t, history)
                     q_row = q.step(t, history)
-                    assert float(p_row[cand]) > 0.0
+                    if float(p_row[cand]) <= 0.0:
+                        raise RuntimeError(f"draft token {cand} outside p's support at position {t}")
                     u = rng.random()
                     if u <= min(1.0, float(q_row[cand]) / float(p_row[cand])):
                         history += (cand,)

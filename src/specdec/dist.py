@@ -97,8 +97,13 @@ class Dist:
         return f"Dist({self._probs.tolist()!r})"
 
 
+def _tv_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tv over the last axis: one value per row when a and b are tables."""
+    return 0.5 * np.abs(a - b).sum(axis=-1)
+
+
 def _tv_arrays(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * float(np.abs(a - b).sum())
+    return float(_tv_rows(a, b))
 
 
 def _as_array(d) -> np.ndarray:

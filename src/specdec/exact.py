@@ -3,13 +3,45 @@
 Speculative decoding rejects at position n with probability
 tv(p_n(.|prefix), q_n(.|prefix)), so its expected rejection count is the sum of
 per-position total variations under the target's prefix law. Batch decoding
-improves on that by an amount driven by the residual iterates
-q^{m+1} = [q^m - p]_+ at round roots: a root only charges a rejection after all
-M draft responses fail, an event of probability prod_m tv(q^m, p).
+improves on that at round roots. Response m's first token is verified against
+the residual iterate q^m, where q^1 = q and q^{m+1} = [q^m - p]_+, so it
+rejects with probability r_m = tv(q^m, p). A root charges a rejection only
+after all M responses fail, an event of probability prod_{m<=M} r_m, and its
+token is then drawn from q^{M+1}.
+
+Closed form of the iterates. Put S_0 = 0, P_0 = 1 and, for m >= 0,
+
+    W_{m+1} = (q - S_m p)_+,    P_m = sum_x W_{m+1}(x),    S_{m+1} = S_m + P_m,
+
+so P_1 = tv(q, p), S_1 = 1 and W_2 = (q - p)_+. Then for every M >= 1
+
+    prod_{m<=M} r_m = P_M    and    P_M q^{M+1} = W_{M+1}.
+
+Proof, by induction on m, that P_{m-1} q^m = W_m with P_{m-1} = prod_{k<m} r_k.
+At m = 1 both sides are q. Given the claim at m, r_m = sum_x (q^m - p)_+(x)
+because q^m and p are distributions, and for b >= 0, (a_+ - b)_+ = (a - b)_+, so
+
+    P_{m-1} (q^m - p)_+ = (W_m - P_{m-1} p)_+ = (q - (S_{m-1} + P_{m-1}) p)_+ = W_{m+1}.
+
+Summing over x gives P_{m-1} r_m = P_m, and dividing by r_m gives
+P_m q^{m+1} = P_{m-1} (q^m - p)_+ / r_m = W_{m+1}.
+
+The limit M -> inf. W_{m+1} = q wherever p = 0, so P_m >= q(p = 0), and S_m
+increases. If S_m -> inf then W_{m+1}(x) -> q(x) where p(x) = 0 and -> 0
+elsewhere. If S_m stays bounded, the P_m are the terms of a convergent series
+and tend to 0, which forces q(p = 0) = 0 and W_{m+1} -> 0. Either way the
+limiting product is q(x : p(x) = 0) and the limiting tail W is q restricted
+to {p = 0}.
+
+A root whose r_m falls below ZERO_TV_TOL for some m <= M is treated as
+unable to reject and contributes product and tail zero; the mass dropped is
+P_M <= P_m < ZERO_TV_TOL. r_1 is the very tv value the SD term uses, so M = 1
+reproduces speculative decoding with improvement exactly zero.
 
 Two implementations of the batch formula are kept deliberately separate:
 a history-level recursion over explicit prefixes (any model) and an O(T V^2)
-state-marginalized recursion (Markov chains). Tests require them to agree.
+state-marginalized recursion that works on all V states at once (Markov
+chains). Tests require them to agree.
 """
 
 from __future__ import annotations
@@ -19,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ZERO_TV_TOL, _tv_arrays
-from .models import MarkovModel, ModelPair, target_marginals
+from .dist import ZERO_TV_TOL, _tv_arrays, _tv_rows
+from .models import MarkovModel, ModelPair
 
 
 @dataclass(frozen=True)
@@ -35,19 +67,27 @@ def _is_markov_pair(pair: ModelPair) -> bool:
     return isinstance(pair.p, MarkovModel) and isinstance(pair.q, MarkovModel)
 
 
+def _positions(pair: ModelPair):
+    """Per position n of a Markov pair: (mu_{n-1}, p_n rows, q_n rows, tv per state).
+
+    mu_{n-1} is the target's law of x_{n-1} and tv[s] = tv(p_n(.|s), q_n(.|s)).
+    """
+    mu = pair.q.prompt.probs
+    for p_step, q_step in zip(pair.p.steps, pair.q.steps):
+        p_rows, q_rows = p_step.rows, q_step.rows
+        yield mu, p_rows, q_rows, _tv_rows(q_rows, p_rows)
+        mu = mu @ q_rows
+
+
+def _sd_terms_markov(pair: ModelPair) -> list[np.ndarray]:
+    """Per position n, the vector mu_{n-1}(s) * tv(p_n(.|s), q_n(.|s)) over states s."""
+    return [mu * tv for mu, _, _, tv in _positions(pair)]
+
+
 def expected_rejections_sd(pair: ModelPair) -> float:
     """Exact E[rejections] of speculative decoding: sum_n E_q[tv(p_n, q_n)]."""
     if _is_markov_pair(pair):
-        terms = []
-        mu = pair.q.prompt.probs
-        for n in range(1, pair.horizon + 1):
-            p_rows = pair.p.steps[n - 1].rows
-            q_rows = pair.q.steps[n - 1].rows
-            for s in range(pair.vocab_size):
-                if mu[s] > 0.0:
-                    terms.append(mu[s] * _tv_arrays(p_rows[s], q_rows[s]))
-            mu = mu @ q_rows
-        return math.fsum(terms)
+        return math.fsum(np.concatenate(_sd_terms_markov(pair)))
 
     terms = []
 
@@ -78,100 +118,53 @@ def acceleration_rate(expected_rejections: float, horizon: int) -> float:
     return horizon / expected_rejections
 
 
-def _root_iterates(q_row: np.ndarray, p_row: np.ndarray, batch_size: int):
-    """(prod_{m<=M} r_m, q^{M+1}) for the residual iteration at one round root.
+def _root_iterates(q, p, tv, batch_size: int | None):
+    """(P_M, W_{M+1}) over the last axis of q and p, for one row or a block of rows.
 
-    The product short-circuits to zero at the first r_m below ZERO_TV_TOL:
-    once an iterate matches p, that root can no longer reject.
+    ``tv`` is tv(q, p) per row and becomes P_1 unchanged. batch_size None
+    gives the M -> inf limit (q(p = 0), q restricted to {p = 0}). Rows with
+    some r_m = P_m / P_{m-1} below ZERO_TV_TOL, m <= M, get zero product and tail.
+    The limit tests r_1 only: r_m >= P_m >= q(p = 0), so a later r_m falls
+    below ZERO_TV_TOL only where the limiting product is below it too.
     """
-    cur = q_row
-    prod = 1.0
-    for _ in range(batch_size):
-        r = _tv_arrays(cur, p_row)
-        if r < ZERO_TV_TOL:
-            return 0.0, None
-        prod *= r
-        weights = np.maximum(cur - p_row, 0.0)
-        cur = weights / weights.sum()
-    return prod, cur
+    alive = tv >= ZERO_TV_TOL
+    if batch_size is None:
+        tail = np.where(p == 0.0, q, 0.0)
+        prod = tail.sum(axis=-1)
+    else:
+        prod, level = tv, 1.0
+        tail = np.maximum(q - p, 0.0)
+        for _ in range(batch_size - 1):
+            level = level + prod
+            tail = np.maximum(q - np.expand_dims(level, -1) * p, 0.0)
+            nxt = tail.sum(axis=-1)
+            alive = alive & (nxt >= ZERO_TV_TOL * prod)
+            prod = nxt
+    return np.where(alive, prod, 0.0), np.where(np.expand_dims(alive, -1), tail, 0.0)
 
 
-def _limit_product(q_row: np.ndarray, p_row: np.ndarray):
-    """lim_{M->inf} prod_m tv(q^m, p) and the limiting iterate.
+def _gain_markov(pair: ModelPair, batch_size: int | None) -> float:
+    """Batch improvement by the marginalized recursion, all V states at once.
 
-    The support of q^m can only shrink. While the support is stable the map
-    q -> (q - p)/r is affine with constant r = 1 - p(S) and expands deviations
-    from its fixed point p|_S / p(S) by 1/r per step, so the iteration either
-    sits at the fixed point (product decays geometrically to zero), escapes to
-    a smaller support after a computable number of steps, or reaches a support
-    where p has no mass at all, freezing r at 1 and the product at its current
-    value. Only that last case yields a nonzero limit.
+    g(s) is the probability that position n is a round root and x_{n-1} = s.
+    A root contributes tv - P_M; the next position is a root after a rejection
+    within a round, (mu - g) @ (q - p)_+, or after a root fails all M
+    responses, g @ W_{M+1}.
     """
-    cur = np.array(q_row, dtype=np.float64)
-    prod = 1.0
-    while True:
-        supp = cur > 0.0
-        overlap = float(p_row[supp].sum())
-        if overlap == 0.0:
-            return prod, cur
-        r = _tv_arrays(cur, p_row)
-        if r < ZERO_TV_TOL or prod < 1e-300:
-            return 0.0, None
-        weights = np.maximum(cur - p_row, 0.0)
-        if not np.array_equal(weights > 0.0, supp):
-            prod *= r
-            cur = weights / weights.sum()
-            continue
-        qstar = np.where(supp, p_row / overlap, 0.0)
-        diff = cur - qstar
-        growth = 1.0 / r
-        crossing = None
-        for x in np.flatnonzero(supp):
-            gap = float(qstar[x] - p_row[x])
-            d = float(diff[x])
-            if d >= 0.0 or gap <= 0.0:
-                continue
-            k = max(1, math.ceil(math.log(gap / -d) / math.log(growth)))
-            crossing = k if crossing is None else min(crossing, k)
-        if crossing is None:
-            # No coordinate ever drops to p: constant r < 1 forever.
-            return 0.0, None
-        prod *= r**crossing
-        cur = qstar + diff * growth**crossing
+    g = pair.q.prompt.probs
+    gain_terms = []
+    for mu, p_rows, q_rows, tv in _positions(pair):
+        prod, tail = _root_iterates(q_rows, p_rows, tv, batch_size)
+        gain_terms.append(g * (tv - prod))
+        g = (mu - g) @ np.maximum(q_rows - p_rows, 0.0) + g @ tail
+    return math.fsum(np.concatenate(gain_terms))
 
 
-def _batch_terms_markov(pair: ModelPair, root_fn):
-    """Shared marginalized recursion: root_fn(q_row, p_row) -> (prod, iterate)."""
-    v = pair.vocab_size
-    mu = pair.q.prompt.probs.copy()
-    g = pair.q.prompt.probs.copy()
-    sd_terms: list[float] = []
-    gain_terms: list[float] = []
-    for n in range(1, pair.horizon + 1):
-        p_rows = pair.p.steps[n - 1].rows
-        q_rows = pair.q.steps[n - 1].rows
-        g_next = np.zeros(v)
-        for s in range(v):
-            p_row, q_row = p_rows[s], q_rows[s]
-            tv = _tv_arrays(q_row, p_row)
-            prod, tail = root_fn(q_row, p_row)
-            sd_terms.append(mu[s] * tv)
-            gain_terms.append(g[s] * (tv - prod))
-            residual_mass = np.maximum(q_row - p_row, 0.0)
-            g_next += residual_mass * (mu[s] - g[s])
-            if prod > 0.0:
-                g_next += prod * g[s] * tail
-        mu = mu @ q_rows
-        g = g_next
-    return math.fsum(sd_terms), math.fsum(gain_terms)
-
-
-def _batch_terms_general(pair: ModelPair, root_fn):
-    """Shared history-level recursion over explicit prefixes (any model kind)."""
+def _gain_general(pair: ModelPair, batch_size: int | None) -> float:
+    """Batch improvement by the history-level recursion over explicit prefixes (any model)."""
     v = pair.vocab_size
     q_mass = {(x0,): pair.prompt[x0] for x0 in range(v)}
     f_mass = dict(q_mass)
-    sd_terms: list[float] = []
     gain_terms: list[float] = []
     for n in range(1, pair.horizon + 1):
         q_next: dict[tuple[int, ...], float] = {}
@@ -181,19 +174,20 @@ def _batch_terms_general(pair: ModelPair, root_fn):
             p_row = pair.p.step(n, history)
             q_row = pair.q.step(n, history)
             tv = _tv_arrays(q_row, p_row)
-            prod, tail = root_fn(q_row, p_row)
-            sd_terms.append(qh * tv)
-            gain_terms.append(fh * (tv - prod))
-            residual_mass = np.maximum(q_row - p_row, 0.0)
-            f_row = residual_mass * (qh - fh)
-            if prod > 0.0:
-                f_row = f_row + prod * fh * tail
+            prod, tail = _root_iterates(q_row, p_row, tv, batch_size)
+            gain_terms.append(fh * (tv - float(prod)))
+            f_row = np.maximum(q_row - p_row, 0.0) * (qh - fh) + fh * tail
             for token in range(v):
                 key = history + (token,)
                 q_next[key] = qh * float(q_row[token])
                 f_next[key] = float(f_row[token])
         q_mass, f_mass = q_next, f_next
-    return math.fsum(sd_terms), math.fsum(gain_terms)
+    return math.fsum(gain_terms)
+
+
+def _gain(pair: ModelPair, batch_size: int | None) -> float:
+    gain = _gain_markov if _is_markov_pair(pair) else _gain_general
+    return gain(pair, batch_size)
 
 
 def expected_rejections_batch(pair: ModelPair, batch_size: int) -> BatchRejections:
@@ -205,21 +199,13 @@ def expected_rejections_batch(pair: ModelPair, batch_size: int) -> BatchRejectio
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    root_fn = lambda q_row, p_row: _root_iterates(q_row, p_row, batch_size)
-    if _is_markov_pair(pair):
-        sd, gain = _batch_terms_markov(pair, root_fn)
-    else:
-        sd, gain = _batch_terms_general(pair, root_fn)
-    return BatchRejections(total=sd - gain, improvement=gain)
+    gain = _gain(pair, batch_size)
+    return BatchRejections(total=expected_rejections_sd(pair) - gain, improvement=gain)
 
 
 def limit_rejections(pair: ModelPair) -> float:
     """Infimum of expected batch rejections as the batch size grows without bound."""
-    if _is_markov_pair(pair):
-        sd, gain = _batch_terms_markov(pair, _limit_product)
-    else:
-        sd, gain = _batch_terms_general(pair, _limit_product)
-    return sd - gain
+    return expected_rejections_sd(pair) - _gain(pair, None)
 
 
 def batch_improvement_uniform(ratio: float, batch_size: int) -> float:
@@ -254,17 +240,4 @@ def sd_marginal_terms(pair: ModelPair) -> list[float]:
     """Per-position speculative rejection probabilities E_q[tv(p_n, q_n)] (Markov)."""
     if not _is_markov_pair(pair):
         raise TypeError("sd_marginal_terms requires a Markov pair")
-    mu_list = [pair.q.prompt] + target_marginals(pair.q)
-    out = []
-    for n in range(1, pair.horizon + 1):
-        mu = mu_list[n - 1].probs
-        p_rows = pair.p.steps[n - 1].rows
-        q_rows = pair.q.steps[n - 1].rows
-        out.append(
-            math.fsum(
-                mu[s] * _tv_arrays(p_rows[s], q_rows[s])
-                for s in range(pair.vocab_size)
-                if mu[s] > 0.0
-            )
-        )
-    return out
+    return [math.fsum(terms) for terms in _sd_terms_markov(pair)]

@@ -25,7 +25,10 @@ FULL_TABLE_CAP = 1_000_000
 
 
 class CondDist:
-    """One decoding step: a V x V table whose row s is the law of x_n given s."""
+    """One decoding step: a V x V table whose row s is the law of x_n given s.
+
+    Every row is validated and renormalized exactly as :class:`Dist` does it.
+    """
 
     __slots__ = ("_rows",)
 
@@ -33,7 +36,18 @@ class CondDist:
         arr = np.asarray(rows, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("a conditional table must be square")
-        normalized = np.stack([Dist(row).probs for row in arr])
+        if arr.size == 0:
+            raise ValueError("a distribution must be a nonempty 1-D vector")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("distribution entries must be finite")
+        if np.any(arr < 0.0):
+            raise ValueError("distribution entries must be nonnegative")
+        totals = arr.sum(axis=1)
+        bad = np.flatnonzero(np.abs(totals - 1.0) > NORMALIZE_TOL)
+        if bad.size:
+            total = float(totals[bad[0]])
+            raise ValueError(f"distribution sums to {total!r}, outside tolerance {NORMALIZE_TOL}")
+        normalized = arr / totals[:, None]
         normalized.flags.writeable = False
         self._rows = normalized
 
@@ -350,13 +364,29 @@ def model_to_descriptor(model: MarkovModel) -> dict:
     }
 
 
-def _require_positive_int(desc: dict, key: str) -> int:
+def _as_int(value) -> int:
+    """An integer config value; raises TypeError for bools, strings and non-integral numbers.
+
+    Integral floats such as 4.0 are accepted, since JSON writers may emit them.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _require_int(desc: dict, key: str) -> int:
     try:
-        value = int(desc[key])
+        return _as_int(desc[key])
     except KeyError:
         raise ValueError(f"model descriptor is missing {key!r}") from None
-    except (TypeError, ValueError):
+    except TypeError:
         raise ValueError(f"model descriptor field {key!r} must be an integer") from None
+
+
+def _require_positive_int(desc: dict, key: str) -> int:
+    value = _require_int(desc, key)
     if value < 1:
         raise ValueError(f"model descriptor field {key!r} must be >= 1")
     return value
@@ -373,7 +403,7 @@ def model_from_descriptor(desc: dict) -> MarkovModel:
             raise ValueError(f"unknown generator {desc['generator']!r}")
         if "seed" not in desc:
             raise ValueError("generator-form descriptor requires a seed")
-        return random_markov_model(vocab_size, horizon, seed=int(desc["seed"]))
+        return random_markov_model(vocab_size, horizon, seed=_require_int(desc, "seed"))
     try:
         prompt = Dist(desc["prompt"])
         steps = [CondDist(step) for step in desc["steps"]]
@@ -402,7 +432,7 @@ def pair_from_descriptor(desc: dict) -> ModelPair:
         return random_model_pair(
             _require_positive_int(desc, "vocab_size"),
             _require_positive_int(desc, "horizon"),
-            int(desc["seed"]),
+            _require_int(desc, "seed"),
         )
     if "p" not in desc or "q" not in desc:
         raise ValueError('pair descriptor requires "p" and "q" models')

@@ -134,6 +134,29 @@ class TestConfigErrors:
         assert proc.returncode == 2
         assert "batch_sizes" in proc.stderr
 
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    @pytest.mark.parametrize(
+        "command,key",
+        [("simulate", "runs"), ("simulate", "seed"), ("exact", "batch_size"),
+         ("batch-scan", "batch_sizes"), ("exact", "pair.seed"), ("exact", "pair.vocab_size")],
+    )
+    def test_non_integer_values_rejected(self, tmp_path, capsys, command, key, value):
+        config = {
+            "pair": {"generator": "random", "seed": 1, "vocab_size": 2, "horizon": 2},
+            "runs": 10,
+            "seed": 0,
+        }
+        if key.startswith("pair."):
+            config["pair"][key[len("pair."):]] = value
+        else:
+            config[key] = [value] if key == "batch_sizes" else value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "integer" in err
+
     def test_unknown_subcommand(self):
         proc = run_cli("explain", "--config", "x.json")
         assert proc.returncode == 2

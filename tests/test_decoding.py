@@ -39,6 +39,34 @@ def identical_pair(horizon: int) -> ModelPair:
     return ModelPair(model, model)
 
 
+class OffSupportDraft:
+    """Draft model whose sampler emits token 1 from position ``start`` on.
+
+    Its probability rows there put no mass on token 1, so the verifier must
+    refuse the drafted token; the check has to hold under ``python -O`` too.
+    """
+
+    def __init__(self, model: MarkovModel, start: int) -> None:
+        self._model = model
+        self._start = start
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def step_cumsum(self, n, history):
+        if n >= self._start:
+            return np.zeros(2)
+        return self._model.step_cumsum(n, history)
+
+
+def off_support_pair(start: int) -> ModelPair:
+    """p equals q before ``start``, so roots there always accept, and is a point mass on 0 after."""
+    q = constant_chain(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 3)
+    point = CondDist([[1.0, 0.0], [1.0, 0.0]])
+    steps = [q.steps[n] if n + 1 < start else point for n in range(3)]
+    return ModelPair(OffSupportDraft(MarkovModel(q.prompt, steps), start), q)
+
+
 class TestDeterminism:
     def test_same_seed_same_run(self):
         pair = random_model_pair(4, 6, seed=11)
@@ -132,6 +160,22 @@ class TestGenericFramework:
         policy = sd_policy(pair)
         assert policy.acceptance(1, (0,), 1) == 1.0
         assert policy.acceptance(1, (0,), 0) == 0.0
+
+
+class TestSupportInvariant:
+    @pytest.mark.parametrize("start", [1, 2])
+    @pytest.mark.parametrize(
+        "decode",
+        [
+            speculative_decode,
+            lambda pair, rng: generic_decode(pair, sd_policy(pair), rng),
+            lambda pair, rng: batch_decode(pair, 2, rng),
+        ],
+        ids=["sd", "generic", "batch"],
+    )
+    def test_off_support_draft_raises(self, decode, start):
+        with pytest.raises(RuntimeError, match=f"outside p's support at position {start}"):
+            decode(off_support_pair(start), make_rng(0))
 
 
 class TestBatch:

@@ -25,9 +25,12 @@ from specdec import (
     limit_rejections,
     markov_to_full,
     random_model_pair,
+    rejection_iterate,
     sd_marginal_terms,
     tv_distance,
 )
+from specdec.dist import ZERO_TV_TOL, ZeroResidual, _tv_arrays, _tv_rows
+from specdec.exact import _root_iterates
 
 from helpers import constant_chain, random_full_pair, seeded_small_pairs
 
@@ -47,6 +50,40 @@ BERNOULLI_PAIR = ModelPair(
 
 def full_pair(pair: ModelPair) -> ModelPair:
     return ModelPair(markov_to_full(pair.p), markov_to_full(pair.q))
+
+
+def sparse_rows(rng: np.random.Generator, vocab: int, count: int) -> np.ndarray:
+    """Random distributions with about a third of their entries zeroed."""
+    raw = rng.uniform(size=(count, vocab))
+    raw[rng.random(raw.shape) < 0.35] = 0.0
+    raw[np.arange(count), rng.integers(vocab, size=count)] += 0.1
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def sparse_draft_pair(vocab: int, horizon: int, seed: int) -> ModelPair:
+    """Random pair whose draft rows have zeros where the target keeps mass."""
+    base = random_model_pair(vocab, horizon, seed=seed)
+    rng = np.random.default_rng(seed)
+    steps = []
+    for step in base.p.steps:
+        rows = step.rows.copy()
+        drop = rng.random(rows.shape) < 0.35
+        drop[np.arange(vocab), rows.argmax(axis=1)] = False
+        rows[drop] = 0.0
+        steps.append(CondDist(rows / rows.sum(axis=1, keepdims=True)))
+    return ModelPair(MarkovModel(base.p.prompt, steps), base.q)
+
+
+def iterated_root(q: np.ndarray, p: np.ndarray, batch_size: int):
+    """(prod_{m<=M} r_m, prod * q^{M+1}) by chaining rejection_iterate; zero once r_m vanishes."""
+    cur, prod = q, 1.0
+    for _ in range(batch_size):
+        try:
+            cur, r = rejection_iterate(cur, p)
+        except ZeroResidual:
+            return 0.0, np.zeros(q.size)
+        prod *= r
+    return prod, prod * cur.probs
 
 
 def disjoint_pair(horizon: int) -> ModelPair:
@@ -169,6 +206,36 @@ class TestBatchRecursions:
             expected_rejections_batch(PAIRS[0], 0)
 
 
+class TestRootIterateClosedForm:
+    def test_matches_iterated_residuals(self):
+        rng = np.random.default_rng(41)
+        for vocab in (2, 3, 5, 8):
+            q = sparse_rows(rng, vocab, 40)
+            p = sparse_rows(rng, vocab, 40)
+            # Rows 0-9 sit at or within ZERO_TV_TOL of q: the short-circuit at m = 1.
+            p[:10] = q[:10]
+            top = q[5:10].argmax(axis=1)
+            p[np.arange(5, 10), top] -= 4e-13
+            p[np.arange(5, 10), (top + 1) % vocab] += 4e-13
+            tv = _tv_rows(q, p)
+            assert np.all(tv[:10] < ZERO_TV_TOL)
+            for m in range(1, 9):
+                prods, tails = _root_iterates(q, p, tv, m)
+                for i in range(len(q)):
+                    want_prod, want_tail = iterated_root(q[i], p[i], m)
+                    prod, tail = _root_iterates(q[i], p[i], _tv_arrays(q[i], p[i]), m)
+                    for got_prod, got_tail in ((prods[i], tails[i]), (prod, tail)):
+                        assert abs(got_prod - want_prod) <= 1e-14
+                        np.testing.assert_allclose(got_tail, want_tail, rtol=0.0, atol=1e-14)
+            assert np.all(_root_iterates(q, p, tv, 8)[0][:10] == 0.0)
+
+    def test_first_factor_is_the_sd_tv_bit_for_bit(self):
+        rng = np.random.default_rng(42)
+        q, p = sparse_rows(rng, 6, 50), sparse_rows(rng, 6, 50)
+        tv = _tv_rows(q, p)
+        assert np.array_equal(_root_iterates(q, p, tv, 1)[0], tv)
+
+
 class TestClosedForms:
     def test_uniform_literal_value(self):
         assert batch_improvement_uniform(2.0, 2) == pytest.approx(0.25, abs=1e-15)
@@ -257,6 +324,29 @@ class TestLimit:
         assert limit_rejections(BERNOULLI_PAIR) == pytest.approx(0.0, abs=1e-15)
         big_m = expected_rejections_batch(BERNOULLI_PAIR, 140).total
         assert big_m == pytest.approx(0.0, abs=1e-12)
+
+    def test_sparse_draft_limit_is_target_mass_off_draft_support(self):
+        # One position: each root's limiting rejection is q(x : p(x) = 0).
+        pair = sparse_draft_pair(4, 1, seed=3)
+        p_rows, q_rows = pair.p.steps[0].rows, pair.q.steps[0].rows
+        off_support = np.where(p_rows == 0.0, q_rows, 0.0).sum(axis=1)
+        assert off_support.max() > 0.1
+        want = math.fsum(pair.prompt.probs * off_support)
+        assert limit_rejections(pair) == pytest.approx(want, abs=1e-15)
+
+    def test_sparse_draft_batch_totals_fall_to_limit(self):
+        pair = sparse_draft_pair(3, 3, seed=2)
+        lim = limit_rejections(pair)
+        assert lim > 0.5
+        assert lim == pytest.approx(limit_rejections(full_pair(pair)), abs=1e-12)
+        for m in (1, 2, 3):
+            enum = enumerate_expected_rejections(pair, "batch", batch_size=m)
+            assert expected_rejections_batch(pair, m).total == pytest.approx(enum, abs=1e-12)
+        gaps = [expected_rejections_batch(pair, m).total - lim for m in (4, 16, 64, 256)]
+        assert all(g >= -1e-12 for g in gaps)
+        assert gaps[-1] < 1e-9
+        for a, b in zip(gaps, gaps[1:]):
+            assert b <= a + 1e-13
 
     def test_markov_and_history_limits_agree(self):
         for pair in PAIRS[:6]:

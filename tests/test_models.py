@@ -49,8 +49,24 @@ class TestCondDist:
             CondDist([[0.5, 0.5]])
 
     def test_rejects_bad_row(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sums to 1.2"):
             CondDist([[0.9, 0.3], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            CondDist([[0.5, 0.5], [1.5, -0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            CondDist([[0.5, 0.5], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="nonempty"):
+            CondDist(np.zeros((0, 0)))
+
+    def test_rows_match_per_row_dists_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for v in (1, 2, 7, 50, 333):
+            raw = rng.uniform(size=(v, v))
+            raw[rng.random((v, v)) < 0.3] = 0.0
+            raw[:, 0] += 1e-3
+            table = raw / raw.sum(axis=1, keepdims=True)
+            expected = np.stack([Dist(row).probs for row in table])
+            assert np.array_equal(CondDist(table).rows, expected)
 
     def test_rows_immutable(self):
         c = CondDist([[0.5, 0.5], [0.2, 0.8]])
@@ -204,6 +220,17 @@ class TestDescriptors:
             model_from_descriptor(
                 {"generator": "markov", "seed": 1, "vocab_size": 2, "horizon": 2}
             )
+
+    def test_integer_fields_are_strict(self):
+        base = {"generator": "random", "seed": 10, "vocab_size": 2, "horizon": 3}
+        for key in ("seed", "vocab_size", "horizon"):
+            for value in (2.5, True, "3", None):
+                with pytest.raises(ValueError, match=f"{key}' must be an integer"):
+                    model_from_descriptor(dict(base, **{key: value}))
+        integral = model_from_descriptor(dict(base, vocab_size=2.0, seed=10.0))
+        np.testing.assert_array_equal(
+            integral.steps[0].rows, model_from_descriptor(base).steps[0].rows
+        )
 
     def test_shape_mismatches_rejected(self):
         desc = model_to_descriptor(random_markov_model(2, 2, seed=1))
