@@ -28,7 +28,7 @@ from .exact import (
     limit_rejections,
 )
 from .models import MarkovModel, ModelPair, _as_int, pair_from_descriptor
-from .montecarlo import Campaign, batch_scan, report_header, run_campaign
+from .montecarlo import Campaign, batch_scan, csv_document, report_header, run_campaign
 from .tradeoff import pareto_front, tradeoff_identity_gap
 
 EXIT_OK = 0
@@ -43,10 +43,6 @@ class ConfigError(ValueError):
 
 class GuardViolation(RuntimeError):
     pass
-
-
-def _fmt(x) -> str:
-    return "" if x is None else f"{x:.12g}"
 
 
 def _load_config(path: str) -> dict:
@@ -94,14 +90,6 @@ def _emit(text: str, out_path: str | None) -> None:
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _csv_document(command: str, config: dict, columns: list[str], rows: list[list]) -> str:
-    lines = [f"# {line}" for line in report_header(command, config)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
 
 
 def _json_document(command: str, config: dict, results) -> str:
@@ -153,7 +141,7 @@ def cmd_exact(config: dict, fmt: str, out_path: str | None) -> int:
         columns = list(results.keys())
         row = [pair.vocab_size, pair.horizon, sd, rate,
                batch_size, batch_total, batch_improvement]
-        _emit(_csv_document("exact", config, columns, [row]), out_path)
+        _emit(csv_document(report_header("exact", config), columns, [row]), out_path)
     return EXIT_OK
 
 
@@ -214,8 +202,8 @@ def cmd_batch_scan(config: dict, fmt: str, out_path: str | None) -> int:
         ]
         _emit(_json_document("batch-scan", config, results), out_path)
     else:
-        _emit(_csv_document("batch-scan", config, ["batch_size", "exact", "mean", "stderr"], table),
-              out_path)
+        _emit(csv_document(report_header("batch-scan", config),
+                           ["batch_size", "exact", "mean", "stderr"], table), out_path)
     return EXIT_OK
 
 
@@ -267,7 +255,7 @@ def cmd_pareto(config: dict, fmt: str, out_path: str | None) -> int:
                 f"pareto identity violated at eps={point.epsilon!r}: "
                 f"reject={point.reject_prob!r} loss={point.loss_star!r} tv={tv!r}"
             )
-    rows = [[_fmt(pt.epsilon), pt.reject_prob, pt.loss_star, tv] for pt in points]
+    rows = [[pt.epsilon, pt.reject_prob, pt.loss_star, tv] for pt in points]
     if fmt == "json":
         results = [
             {"eps": pt.epsilon, "reject_prob": pt.reject_prob,
@@ -276,8 +264,8 @@ def cmd_pareto(config: dict, fmt: str, out_path: str | None) -> int:
         ]
         _emit(_json_document("pareto", config, results), out_path)
     else:
-        _emit(_csv_document("pareto", config, ["eps", "reject_prob", "loss_star", "tv"], rows),
-              out_path)
+        _emit(csv_document(report_header("pareto", config),
+                           ["eps", "reject_prob", "loss_star", "tv"], rows), out_path)
     return EXIT_OK
 
 

@@ -12,17 +12,33 @@ generic_decode under the speculative policy:
 Rejections and oracle calls coincide: each rejection triggers exactly one
 fresh target evaluation, and neither the initial drafting pass nor a final
 fully-accepted round is charged.
+
+Stream-index contract. Number a run's uniforms u[0], u[1], ... in the order
+its generator yields them. u[0] draws x_0. A batch round with M responses
+that starts at position n0 with its cursor at ``base`` owns the draft block
+u[base : base + M*L], L = T - n0 + 1: response m's token at position t is
+drawn from u[base + m*L + (t - n0)]. Root tests, within-round verifies and the
+replacement then read u[base + M*L], u[base + M*L + 1], ... in turn, and the
+next round starts where they stop. Speculative decoding is the case M = 1.
+A draft token is needed only where it is verified, and it is drawn from the
+same index whether that happens eagerly or lazily, so
+:func:`decode_markov_runs` advances many Markov runs in lockstep, one position
+at a time, and returns exactly the scalar samplers' trajectories, rejections
+and flags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dist import ZeroResidual
-from .models import ModelPair
+from .models import MarkovModel, ModelPair, _as_int
+from .rng import split_rng
+
+BLOCK_RUNS = 1024
 
 
 class InvalidPolicy(ValueError):
@@ -262,3 +278,186 @@ def batch_decode(
             history += (token,)
             n = n0 + 1
     return Trajectory(x0, history[1:]), RunStats(rejections, rejections, tuple(flags))
+
+
+class MarkovRuns(NamedTuple):
+    """Runs of :func:`decode_markov_runs`, one row per run in run order.
+
+    ``tokens[i]`` and ``flags[i]`` have length T and ``flags.sum(axis=1)``
+    equals ``rejections``, as in :class:`RunStats`.
+    """
+
+    prompt_tokens: np.ndarray
+    tokens: np.ndarray
+    rejections: np.ndarray
+    flags: np.ndarray
+
+
+def _sample_rows(cumsums: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """``_sample_index`` of row k of ``cumsums`` (or one shared row) at ``us[k]``.
+
+    A cumsum row is nondecreasing, so searchsorted(side="right") is the count
+    of its entries <= u.
+    """
+    counts = (cumsums <= us[:, None]).sum(axis=-1)
+    return np.minimum(counts, cumsums.shape[-1] - 1)
+
+
+def _iterate_tables(q_rows: np.ndarray, p_rows: np.ndarray, batch_size: int):
+    """Iterates q^1..q^{M+1} of every state row and the M normalisers between them.
+
+    Row s is computed by batch_decode's own float operations on that row,
+    q^{m+1} = max(q^m - p, 0) / sum, so the tables are bit-equal to its
+    ``q_iter``. A zero normaliser leaves NaN rows, which are read only after
+    the ZeroResidual check has already raised.
+    """
+    iterates, totals = [q_rows], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(batch_size):
+            weights = np.maximum(iterates[-1] - p_rows, 0.0)
+            totals.append(weights.sum(axis=1))
+            iterates.append(weights / totals[-1][:, None])
+    return iterates, totals
+
+
+class _Lockstep:
+    """One block of runs advanced together, one position at a time.
+
+    Each run keeps a window of its uniform stream: ``window[i, cursor[i]]`` is
+    its next unread uniform. The window holds twice the most one round can
+    read (M*L drafts, M root tests, L - 1 verifies, one replacement), and a run
+    whose window is short at a round start slides it down and tops it up from
+    its own generator, so the working memory is fixed per block.
+    """
+
+    def __init__(self, pair: ModelPair, batch_size: int, rngs: list) -> None:
+        self.p, self.q, self.horizon, self.batch_size = pair.p, pair.q, pair.horizon, batch_size
+        self.rngs = rngs
+        count = len(rngs)
+        width = 2 * (batch_size * self.horizon + batch_size + self.horizon)
+        self.window = np.empty((count, width))
+        for row, rng in zip(self.window, rngs):
+            rng.random(out=row)
+        self.cursor = np.zeros(count, dtype=np.int64)
+        self.state = _sample_rows(self.q.prompt_cumsum, self._read(np.arange(count)))
+        self.prompt_tokens = self.state.copy()
+        self.follow = np.full(count, -1, dtype=np.int64)  # -1: the run opens a round
+        self.base = np.zeros(count, dtype=np.int64)
+        self.round_start = np.zeros(count, dtype=np.int64)
+        self.tokens = np.empty((count, self.horizon), dtype=np.int64)
+        self.flags = np.zeros((count, self.horizon), dtype=np.int8)
+
+    def _read(self, runs: np.ndarray) -> np.ndarray:
+        us = self.window[runs, self.cursor[runs]]
+        self.cursor[runs] += 1
+        return us
+
+    def _top_up(self, runs: np.ndarray, need: int) -> None:
+        width = self.window.shape[1]
+        for i in runs[width - self.cursor[runs] < need].tolist():
+            used = int(self.cursor[i])
+            row = self.window[i]
+            row[: width - used] = row[used:]
+            self.rngs[i].random(out=row[width - used:])
+            self.cursor[i] = 0
+
+    def _draft(self, runs, columns, t, p_rows, p_cums):
+        """Draft tokens of ``runs`` at position t from window ``columns``, with their p mass."""
+        states = self.state[runs]
+        candidates = _sample_rows(p_cums[states], self.window[runs, columns])
+        p_cand = p_rows[states, candidates]
+        off = p_cand <= 0.0
+        if off.any():
+            token = int(candidates[np.argmax(off)])
+            raise RuntimeError(f"draft token {token} outside p's support at position {t}")
+        return states, candidates, p_cand
+
+    def _emit(self, runs, t, tokens, rejected: bool) -> None:
+        self.tokens[runs, t - 1] = tokens
+        self.state[runs] = tokens
+        if rejected:
+            self.flags[runs, t - 1] = 1
+            self.follow[runs] = -1
+
+    def advance(self, t: int) -> None:
+        """Emit every run's token at position t."""
+        p_rows, q_rows = self.p.steps[t - 1].rows, self.q.steps[t - 1].rows
+        p_cums = self.p.step_cumsums[t - 1]
+        iterates, totals = _iterate_tables(q_rows, p_rows, self.batch_size)
+        inside = np.flatnonzero(self.follow >= 0)
+        opening = np.flatnonzero(self.follow < 0)
+
+        if inside.size:
+            span = self.horizon - self.round_start[inside] + 1
+            offset = t - self.round_start[inside]
+            columns = self.base[inside] + self.follow[inside] * span + offset
+            states, candidates, p_cand = self._draft(inside, columns, t, p_rows, p_cums)
+            accept = self._read(inside) <= q_rows[states, candidates] / p_cand
+            self._emit(inside[accept], t, candidates[accept], rejected=False)
+            missed, states = inside[~accept], states[~accept]
+            if missed.size:
+                if np.any(totals[0][states] <= 0.0):
+                    raise ZeroResidual(f"rejection at position {t} with tv(q, p) = 0")
+                residual = np.cumsum(iterates[1][states], axis=1)
+                self._emit(missed, t, _sample_rows(residual, self._read(missed)), rejected=True)
+
+        if opening.size:
+            span = self.horizon - t + 1
+            self._top_up(opening, (self.batch_size + 1) * (span + 1) - 1)
+            self.base[opening] = self.cursor[opening]
+            self.cursor[opening] += self.batch_size * span
+            self.round_start[opening] = t
+            pending = opening
+            for m in range(self.batch_size):
+                columns = self.base[pending] + m * span
+                states, candidates, p_cand = self._draft(pending, columns, t, p_rows, p_cums)
+                accept = self._read(pending) <= iterates[m][states, candidates] / p_cand
+                self._emit(pending[accept], t, candidates[accept], rejected=False)
+                self.follow[pending[accept]] = m
+                pending, states = pending[~accept], states[~accept]
+                if np.any(totals[m][states] <= 0.0):
+                    raise ZeroResidual(f"root rejection at position {t} with tv(q^m, p) = 0")
+                if not pending.size:
+                    break
+            if pending.size:
+                final = np.cumsum(iterates[-1][states], axis=1)
+                self._emit(pending, t, _sample_rows(final, self._read(pending)), rejected=True)
+
+
+def decode_markov_runs(
+    pair: ModelPair, batch_size: int, seed: int, start: int, count: int
+) -> MarkovRuns:
+    """Runs start, ..., start + count - 1 of a campaign on a Markov pair, in lockstep.
+
+    Run i uses the stream ``split_rng(seed, start + i)`` and, by the
+    stream-index contract in the module docstring, returns bit-for-bit what
+    ``batch_decode(pair, batch_size, split_rng(seed, start + i))`` returns
+    (``speculative_decode`` at batch_size 1). Runs advance in blocks of at
+    most BLOCK_RUNS, so working memory does not grow with ``count``.
+    Raises RuntimeError on a draft outside p's support and ZeroResidual where
+    the scalar samplers do.
+    """
+    if not isinstance(pair.p, MarkovModel) or not isinstance(pair.q, MarkovModel):
+        raise TypeError("decode_markov_runs requires a pair of MarkovModels")
+    batch_size, seed, start, count = (_as_int(v) for v in (batch_size, seed, start, count))
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if seed < 0 or start < 0 or count < 0:
+        raise ValueError("seed, start and count must be >= 0")
+    horizon = pair.horizon
+    out = MarkovRuns(
+        np.empty(count, dtype=np.int64),
+        np.empty((count, horizon), dtype=np.int64),
+        np.empty(count, dtype=np.int64),
+        np.empty((count, horizon), dtype=np.int8),
+    )
+    for lo in range(0, count, BLOCK_RUNS):
+        hi = min(count, lo + BLOCK_RUNS)
+        block = _Lockstep(pair, batch_size, [split_rng(seed, start + i) for i in range(lo, hi)])
+        for t in range(1, horizon + 1):
+            block.advance(t)
+        out.prompt_tokens[lo:hi] = block.prompt_tokens
+        out.tokens[lo:hi] = block.tokens
+        out.flags[lo:hi] = block.flags
+        out.rejections[lo:hi] = block.flags.sum(axis=1)
+    return out

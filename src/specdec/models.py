@@ -108,6 +108,11 @@ class MarkovModel:
     def step_cumsum(self, n: int, history: tuple[int, ...]) -> np.ndarray:
         return self._step_cumsums[n - 1, history[-1]]
 
+    @property
+    def step_cumsums(self) -> np.ndarray:
+        """Read-only (T, V, V) row cumsums; ``[n - 1, s]`` is ``step_cumsum(n, (.., s))``."""
+        return self._step_cumsums
+
     def context_key(self, n: int, history: tuple[int, ...]):
         """Hashable key identifying the conditional at (n, history)."""
         return (n, history[-1])

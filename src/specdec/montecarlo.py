@@ -1,10 +1,14 @@
 """Monte Carlo campaigns cross-checking the samplers against the exact formulas.
 
-Each run gets its own child stream split from the master seed, so campaigns
-are reproducible run-for-run, independent of execution order, and safe to
-parallelize; the report is assembled in run-index order either way. Reports
-carry the matching closed-form reference value so empirical means can be
-judged against their standard errors at every checkpoint.
+Run i of a campaign decodes on its own child stream ``split_rng(seed, i)``, so
+campaigns are reproducible run-for-run and any run can be replayed alone.
+Runs are decoded in blocks of at most BLOCK_RUNS, in run order: for sd and
+batch on a Markov pair a block is one call of the lockstep engine
+``decode_markov_runs``, otherwise a loop over the scalar samplers. Both give
+the same runs, so the choice changes speed and not results, and working
+memory is set by the block size, not by the number of runs. Reports carry the
+matching closed-form reference value so empirical means can be judged against
+their standard errors at every checkpoint.
 """
 
 from __future__ import annotations
@@ -15,20 +19,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import enumeration
 from .decoding import (
+    BLOCK_RUNS,
     Policy,
     autoregressive_decode,
     batch_decode,
+    decode_markov_runs,
     generic_decode,
     speculative_decode,
 )
 from .enumeration import enumerate_expected_rejections
 from .exact import expected_rejections_batch, expected_rejections_sd, limit_rejections
-from .models import FULL_TABLE_CAP, ModelPair, joint_distribution, trajectory_index
+from .models import FULL_TABLE_CAP, MarkovModel, ModelPair, _as_int, joint_distribution
 from .rng import split_rng
 
-ALGORITHMS = ("sd", "batch", "autoregressive", "generic")
+ALGORITHMS = (*enumeration.ALGORITHMS, "autoregressive")
 TABULATION_CAP = 10_000
+
+
+def _int_arg(name: str, value, minimum: int) -> int:
+    try:
+        value = _as_int(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -50,12 +67,8 @@ class Campaign:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name, minimum in (("runs", 1), ("seed", 0), ("batch_size", 1), ("checkpoint_every", 1)):
+            object.__setattr__(self, name, _int_arg(name, getattr(self, name), minimum))
         if self.algorithm == "generic" and self.policy is None:
             raise ValueError("algorithm 'generic' requires a policy")
 
@@ -100,16 +113,11 @@ class CampaignReport:
         }
 
     def to_csv(self, header_lines=()) -> str:
-        def fmt(x) -> str:
-            return "" if x is None else f"{x:.12g}"
-
-        lines = [f"# {line}" for line in header_lines]
-        lines.append("checkpoint,mean,stderr,exact,rel_dev")
-        for c in self.checkpoints:
-            lines.append(
-                f"{c.runs},{fmt(c.mean)},{fmt(c.stderr)},{fmt(c.exact)},{fmt(c.rel_dev)}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_document(
+            header_lines,
+            ("checkpoint", "mean", "stderr", "exact", "rel_dev"),
+            [(c.runs, c.mean, c.stderr, c.exact, c.rel_dev) for c in self.checkpoints],
+        )
 
 
 @dataclass(frozen=True)
@@ -131,15 +139,38 @@ class BatchScanRow:
     stderr: float | None
 
 
-def _run_once(campaign: Campaign, rng: np.random.Generator) -> int:
-    if campaign.algorithm == "sd":
-        return speculative_decode(campaign.pair, rng)[1].rejections
-    if campaign.algorithm == "batch":
-        return batch_decode(campaign.pair, campaign.batch_size, rng)[1].rejections
-    if campaign.algorithm == "generic":
-        return generic_decode(campaign.pair, campaign.policy, rng)[1].rejections
-    autoregressive_decode(campaign.pair.q, rng)
-    return 0
+def _decode_blocks(campaign: Campaign):
+    """Yield (tokens, rejections) arrays for the campaign's runs, block by block in run order.
+
+    sd and batch on a pair of MarkovModels go through the lockstep engine;
+    everything else runs the scalar samplers on the same per-run streams.
+    """
+    pair, algorithm = campaign.pair, campaign.algorithm
+    batch_size = campaign.batch_size if algorithm == "batch" else 1
+    lockstep = algorithm in ("sd", "batch") and all(
+        isinstance(model, MarkovModel) for model in (pair.p, pair.q)
+    )
+    for start in range(0, campaign.runs, BLOCK_RUNS):
+        count = min(BLOCK_RUNS, campaign.runs - start)
+        if lockstep:
+            runs = decode_markov_runs(pair, batch_size, campaign.seed, start, count)
+            yield runs.tokens, runs.rejections
+            continue
+        tokens = np.empty((count, pair.horizon), dtype=np.int64)
+        rejections = np.zeros(count, dtype=np.int64)
+        for i in range(count):
+            rng = split_rng(campaign.seed, start + i)
+            if algorithm == "autoregressive":
+                tokens[i] = autoregressive_decode(pair.q, rng).tokens
+                continue
+            if algorithm == "sd":
+                trajectory, stats = speculative_decode(pair, rng)
+            elif algorithm == "batch":
+                trajectory, stats = batch_decode(pair, batch_size, rng)
+            else:
+                trajectory, stats = generic_decode(pair, campaign.policy, rng)
+            tokens[i], rejections[i] = trajectory.tokens, stats.rejections
+        yield tokens, rejections
 
 
 def _exact_reference(campaign: Campaign) -> float | None:
@@ -171,9 +202,10 @@ def _checkpoint(counts: np.ndarray, k: int, exact: float | None) -> Checkpoint:
 def run_campaign(campaign: Campaign) -> CampaignReport:
     """Execute all runs on split per-run streams and summarize at checkpoints."""
     exact = _exact_reference(campaign)
-    counts = np.empty(campaign.runs, dtype=np.int64)
-    for i in range(campaign.runs):
-        counts[i] = _run_once(campaign, split_rng(campaign.seed, i))
+    if campaign.algorithm == "autoregressive":
+        counts = np.zeros(campaign.runs, dtype=np.int64)  # never rejects, nothing to sample
+    else:
+        counts = np.concatenate([rejections for _, rejections in _decode_blocks(campaign)])
     marks = list(range(campaign.checkpoint_every, campaign.runs + 1, campaign.checkpoint_every))
     if not marks or marks[-1] != campaign.runs:
         marks.append(campaign.runs)
@@ -210,21 +242,13 @@ def unbiasedness_check(
         pair=pair, algorithm=algorithm, runs=runs, seed=seed,
         batch_size=batch_size, policy=policy,
     )
+    place = pair.vocab_size ** np.arange(pair.horizon - 1, -1, -1, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
-    for i in range(runs):
-        rng = split_rng(seed, i)
-        if algorithm == "sd":
-            trajectory = speculative_decode(pair, rng)[0]
-        elif algorithm == "batch":
-            trajectory = batch_decode(pair, campaign.batch_size, rng)[0]
-        elif algorithm == "generic":
-            trajectory = generic_decode(pair, campaign.policy, rng)[0]
-        else:
-            trajectory = autoregressive_decode(pair.q, rng)
-        counts[trajectory_index(trajectory.tokens, pair.vocab_size)] += 1
-    l1 = float(np.abs(counts / runs - joint_distribution(pair.q)).sum())
+    for tokens, _ in _decode_blocks(campaign):
+        counts += np.bincount(tokens @ place, minlength=size)
+    l1 = float(np.abs(counts / campaign.runs - joint_distribution(pair.q)).sum())
     return UnbiasednessReport(
-        algorithm=algorithm, runs=runs, l1=l1, threshold=l1_threshold,
+        algorithm=algorithm, runs=campaign.runs, l1=l1, threshold=l1_threshold,
         passed=bool(l1 <= l1_threshold),
     )
 
@@ -235,17 +259,33 @@ def batch_scan(pair: ModelPair, batch_sizes, runs: int, seed: int) -> list[Batch
     Every batch size reuses the same master seed, so scans are reproducible
     and positively paired across rows.
     """
+    sizes = [_int_arg("batch size", m, 1) for m in batch_sizes]
     rows = []
-    for m in batch_sizes:
-        exact = expected_rejections_batch(pair, int(m)).total
+    for m in sizes:
+        exact = expected_rejections_batch(pair, m).total
         report = run_campaign(
-            Campaign(pair=pair, algorithm="batch", runs=runs, seed=seed, batch_size=int(m),
-                     checkpoint_every=max(runs, 1))
+            Campaign(pair=pair, algorithm="batch", runs=runs, seed=seed, batch_size=m,
+                     checkpoint_every=runs)
         )
         final = report.checkpoints[-1]
-        rows.append(BatchScanRow(int(m), exact, final.mean, final.stderr))
+        rows.append(BatchScanRow(m, exact, final.mean, final.stderr))
     rows.append(BatchScanRow(None, limit_rejections(pair), None, None))
     return rows
+
+
+def csv_document(header_lines, columns, rows) -> str:
+    """CSV text: ``# `` header lines, the column line, then one line per row.
+
+    Cells are strings verbatim, None as blank, numbers to 12 significant digits.
+    """
+    lines = [f"# {line}" for line in header_lines]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(
+            "" if cell is None else cell if isinstance(cell, str) else f"{cell:.12g}"
+            for cell in row
+        ))
+    return "\n".join(lines) + "\n"
 
 
 def report_header(command: str, config: dict) -> list[str]:

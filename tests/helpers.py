@@ -43,3 +43,17 @@ def random_full_pair(vocab: int, horizon: int, seed: int) -> ModelPair:
         return FullModel.from_function(Dist.uniform(vocab), horizon, fn)
 
     return ModelPair(build(seq_p), build(seq_q))
+
+
+def sparse_draft_pair(vocab: int, horizon: int, seed: int) -> ModelPair:
+    """Random pair whose draft rows have zeros where the target keeps mass."""
+    base = random_model_pair(vocab, horizon, seed=seed)
+    rng = np.random.default_rng(seed)
+    steps = []
+    for step in base.p.steps:
+        rows = step.rows.copy()
+        drop = rng.random(rows.shape) < 0.35
+        drop[np.arange(vocab), rows.argmax(axis=1)] = False
+        rows[drop] = 0.0
+        steps.append(CondDist(rows / rows.sum(axis=1, keepdims=True)))
+    return ModelPair(MarkovModel(base.p.prompt, steps), base.q)

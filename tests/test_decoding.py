@@ -20,9 +20,11 @@ from specdec import (
     speculative_decode,
     split_rng,
 )
+from specdec.decoding import BLOCK_RUNS, decode_markov_runs
+from specdec.dist import ZeroResidual
 from specdec.models import trajectory_index
 
-from helpers import constant_chain
+from helpers import constant_chain, random_full_pair, seeded_small_pairs, sparse_draft_pair
 
 
 def disjoint_pair(horizon: int) -> ModelPair:
@@ -39,24 +41,29 @@ def identical_pair(horizon: int) -> ModelPair:
     return ModelPair(model, model)
 
 
-class OffSupportDraft:
+class OffSupportDraft(MarkovModel):
     """Draft model whose sampler emits token 1 from position ``start`` on.
 
     Its probability rows there put no mass on token 1, so the verifier must
     refuse the drafted token; the check has to hold under ``python -O`` too.
+    Both the scalar samplers' ``step_cumsum`` and the lockstep engine's
+    ``step_cumsums`` table are overridden.
     """
 
     def __init__(self, model: MarkovModel, start: int) -> None:
-        self._model = model
+        super().__init__(model.prompt, model.steps)
         self._start = start
-
-    def __getattr__(self, name):
-        return getattr(self._model, name)
 
     def step_cumsum(self, n, history):
         if n >= self._start:
             return np.zeros(2)
-        return self._model.step_cumsum(n, history)
+        return super().step_cumsum(n, history)
+
+    @property
+    def step_cumsums(self):
+        cums = super().step_cumsums.copy()
+        cums[self._start - 1:] = 0.0
+        return cums
 
 
 def off_support_pair(start: int) -> ModelPair:
@@ -170,12 +177,124 @@ class TestSupportInvariant:
             speculative_decode,
             lambda pair, rng: generic_decode(pair, sd_policy(pair), rng),
             lambda pair, rng: batch_decode(pair, 2, rng),
+            lambda pair, rng: decode_markov_runs(pair, 1, 0, 0, 8),
+            lambda pair, rng: decode_markov_runs(pair, 2, 0, 0, 8),
         ],
-        ids=["sd", "generic", "batch"],
+        ids=["sd", "generic", "batch", "lockstep-sd", "lockstep-batch"],
     )
     def test_off_support_draft_raises(self, decode, start):
         with pytest.raises(RuntimeError, match=f"outside p's support at position {start}"):
             decode(off_support_pair(start), make_rng(0))
+
+
+def unnormalized_step(rows) -> CondDist:
+    """A step table that skips CondDist's validation, to reach float-rounding guards on purpose."""
+    step = CondDist.__new__(CondDist)
+    step._rows = np.asarray(rows, dtype=np.float64)
+    return step
+
+
+def zero_residual_pair() -> ModelPair:
+    """q's rows sum to 0.8 and lie below p's, so every rejection finds max(q - p, 0) = 0."""
+    prompt = Dist([0.5, 0.5])
+    p = MarkovModel(prompt, [CondDist([[0.5, 0.5], [0.5, 0.5]])] * 2)
+    q = MarkovModel(prompt, [unnormalized_step([[0.4, 0.4], [0.4, 0.4]])] * 2)
+    return ModelPair(p, q)
+
+
+def scalar_run(pair, batch_size, rng):
+    if batch_size == 1:
+        return speculative_decode(pair, rng)
+    return batch_decode(pair, batch_size, rng)
+
+
+def assert_path_identical(pair, batch_size, seed, start, count):
+    """The engine's runs equal the scalar samplers' on the same streams, field by field."""
+    runs = decode_markov_runs(pair, batch_size, seed, start, count)
+    assert runs.tokens.shape == runs.flags.shape == (count, pair.horizon)
+    for i in range(count):
+        trajectory, stats = scalar_run(pair, batch_size, split_rng(seed, start + i))
+        assert runs.prompt_tokens[i] == trajectory.prompt_token
+        assert tuple(runs.tokens[i].tolist()) == trajectory.tokens
+        assert runs.rejections[i] == stats.rejections
+        assert tuple(runs.flags[i].tolist()) == stats.flags
+    return runs
+
+
+def drafted_tokens(flags, horizon: int, batch_size: int) -> int:
+    """Draft uniforms a run reads: a round opened at n drafts M * (T - n + 1) tokens."""
+    total, start = 0, 1
+    for position, flag in enumerate(flags, start=1):
+        if flag:
+            total += batch_size * (horizon - start + 1)
+            start = position + 1
+    if start <= horizon:
+        total += batch_size * (horizon - start + 1)
+    return total
+
+
+class TestLockstepEngine:
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 8])
+    def test_small_battery_matches_scalar_samplers(self, batch_size):
+        for k, pair in enumerate(seeded_small_pairs()):
+            assert_path_identical(pair, batch_size, seed=k, start=3, count=12)
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 8])
+    def test_sparse_support_pair_matches_scalar_samplers(self, batch_size):
+        pair = sparse_draft_pair(5, 8, seed=41)
+        rows = pair.p.steps[0].rows
+        assert np.any(rows == 0.0)  # flat cumsum stretches
+        assert np.any(pair.q.steps[0].rows[rows == 0.0] > 0.0)  # q keeps mass where p = 0
+        assert_path_identical(pair, batch_size, seed=3, start=0, count=200)
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4, 8])
+    def test_long_runs_that_refill_their_windows(self, batch_size):
+        pair = random_model_pair(7, 50, seed=10)
+        runs = assert_path_identical(pair, batch_size, seed=2024, start=0, count=20)
+        window = 2 * (batch_size * 50 + batch_size + 50)
+        assert max(drafted_tokens(f.tolist(), 50, batch_size) for f in runs.flags) > window
+
+    def test_runs_across_a_block_boundary_with_an_offset(self):
+        pair = random_model_pair(2, 3, seed=2024)
+        runs = assert_path_identical(pair, 2, seed=1, start=7, count=BLOCK_RUNS + 5)
+        tail = decode_markov_runs(pair, 2, 1, 7 + BLOCK_RUNS - 3, 8)
+        for full, part in zip(runs, tail):
+            assert np.array_equal(full[BLOCK_RUNS - 3:], part)
+        assert np.array_equal(runs.rejections, runs.flags.sum(axis=1))
+
+    def test_zero_runs(self):
+        runs = decode_markov_runs(random_model_pair(3, 4, seed=1), 2, 0, 0, 0)
+        assert runs.tokens.shape == (0, 4) and runs.rejections.shape == (0,)
+
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_zero_residual_raised_where_the_scalar_path_raises(self, batch_size):
+        pair = zero_residual_pair()
+        outcomes = []
+        for i in range(40):
+            raised = []
+            for decode in (
+                lambda: scalar_run(pair, batch_size, split_rng(8, i)),
+                lambda: decode_markov_runs(pair, batch_size, 8, i, 1),
+            ):
+                try:
+                    decode()
+                    raised.append(False)
+                except ZeroResidual:
+                    raised.append(True)
+            assert raised[0] == raised[1], f"run {i}"
+            outcomes.append(raised[0])
+        assert any(outcomes) and not all(outcomes)
+
+    def test_input_validation(self):
+        with pytest.raises(TypeError, match="MarkovModel"):
+            decode_markov_runs(random_full_pair(2, 2, seed=0), 1, 0, 0, 4)
+        pair = random_model_pair(2, 2, seed=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            decode_markov_runs(pair, 0, 0, 0, 4)
+        with pytest.raises(ValueError, match=">= 0"):
+            decode_markov_runs(pair, 1, 0, -1, 4)
+        with pytest.raises(TypeError):
+            decode_markov_runs(pair, True, 0, 0, 4)
 
 
 class TestBatch:

@@ -32,7 +32,7 @@ from specdec import (
 from specdec.dist import ZERO_TV_TOL, ZeroResidual, _tv_arrays, _tv_rows
 from specdec.exact import _root_iterates
 
-from helpers import constant_chain, random_full_pair, seeded_small_pairs
+from helpers import constant_chain, random_full_pair, seeded_small_pairs, sparse_draft_pair
 
 PAIRS = seeded_small_pairs(count=12, master=31)
 
@@ -58,20 +58,6 @@ def sparse_rows(rng: np.random.Generator, vocab: int, count: int) -> np.ndarray:
     raw[rng.random(raw.shape) < 0.35] = 0.0
     raw[np.arange(count), rng.integers(vocab, size=count)] += 0.1
     return raw / raw.sum(axis=1, keepdims=True)
-
-
-def sparse_draft_pair(vocab: int, horizon: int, seed: int) -> ModelPair:
-    """Random pair whose draft rows have zeros where the target keeps mass."""
-    base = random_model_pair(vocab, horizon, seed=seed)
-    rng = np.random.default_rng(seed)
-    steps = []
-    for step in base.p.steps:
-        rows = step.rows.copy()
-        drop = rng.random(rows.shape) < 0.35
-        drop[np.arange(vocab), rows.argmax(axis=1)] = False
-        rows[drop] = 0.0
-        steps.append(CondDist(rows / rows.sum(axis=1, keepdims=True)))
-    return ModelPair(MarkovModel(base.p.prompt, steps), base.q)
 
 
 def iterated_root(q: np.ndarray, p: np.ndarray, batch_size: int):

@@ -10,12 +10,16 @@ from specdec import (
     Campaign,
     ModelPair,
     batch_scan,
+    markov_to_full,
     random_model_pair,
     report_header,
     run_campaign,
     sd_policy,
     unbiasedness_check,
 )
+
+from specdec import montecarlo
+from specdec.decoding import BLOCK_RUNS
 
 from helpers import constant_chain
 
@@ -38,6 +42,74 @@ class TestCampaignValidation:
     def test_generic_needs_policy(self):
         with pytest.raises(ValueError, match="policy"):
             Campaign(pair=PAIR, algorithm="generic", runs=10, seed=0)
+
+
+class TestStrictInputs:
+    def test_bool_batch_size_rejected(self):
+        with pytest.raises(TypeError, match="batch_size"):
+            Campaign(pair=PAIR, algorithm="batch", runs=10, seed=0, batch_size=True)
+
+    @pytest.mark.parametrize("field", ["runs", "seed", "batch_size", "checkpoint_every"])
+    def test_fractional_counts_rejected(self, field):
+        settings = {"pair": PAIR, "algorithm": "sd", "runs": 10, "seed": 0, field: 2.5}
+        with pytest.raises(TypeError, match=field):
+            Campaign(**settings)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            Campaign(pair=PAIR, algorithm="sd", runs=10, seed=-1)
+
+    def test_integral_floats_become_ints(self):
+        campaign = Campaign(pair=PAIR, algorithm="sd", runs=20.0, seed=3.0, checkpoint_every=10.0)
+        assert (campaign.runs, campaign.seed, campaign.checkpoint_every) == (20, 3, 10)
+        assert type(campaign.runs) is int and type(campaign.seed) is int
+        assert run_campaign(campaign) == run_campaign(
+            Campaign(pair=PAIR, algorithm="sd", runs=20, seed=3, checkpoint_every=10)
+        )
+
+    def test_batch_scan_rejects_non_integer_sizes(self):
+        with pytest.raises(TypeError, match="batch size"):
+            batch_scan(PAIR, [True, 2.0], runs=10, seed=0)
+        with pytest.raises(TypeError, match="batch size"):
+            batch_scan(PAIR, [2, 1.5], runs=10, seed=0)
+
+    def test_unbiasedness_check_validates_its_counts(self):
+        pair = random_model_pair(2, 3, seed=21)
+        with pytest.raises(TypeError, match="runs"):
+            unbiasedness_check(pair, "sd", runs=2.5)
+        with pytest.raises(ValueError, match="seed"):
+            unbiasedness_check(pair, "sd", runs=10, seed=-1)
+        with pytest.raises(TypeError, match="batch_size"):
+            unbiasedness_check(pair, "batch", runs=10, batch_size=True)
+
+
+class TestDispatch:
+    """sd and batch on Markov pairs take the lockstep engine; the same pair as
+    history tables takes the scalar samplers. Both read the same streams."""
+
+    @pytest.mark.parametrize("algorithm, batch_size", [("sd", 1), ("batch", 3)])
+    def test_engine_and_scalar_paths_agree(self, algorithm, batch_size):
+        pair = random_model_pair(2, 3, seed=5)
+        full = ModelPair(markov_to_full(pair.p), markov_to_full(pair.q))
+
+        def summary(p):
+            report = run_campaign(Campaign(pair=p, algorithm=algorithm, runs=BLOCK_RUNS + 40,
+                                           seed=4, batch_size=batch_size, checkpoint_every=500))
+            return [(c.runs, c.mean, c.stderr) for c in report.checkpoints]
+
+        assert summary(pair) == summary(full)
+        l1 = [unbiasedness_check(p, algorithm, runs=BLOCK_RUNS + 40, seed=6,
+                                 batch_size=batch_size).l1 for p in (pair, full)]
+        assert l1[0] == l1[1]
+
+    def test_autoregressive_campaign_samples_nothing(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("autoregressive campaigns need no samples")
+
+        monkeypatch.setattr(montecarlo, "autoregressive_decode", fail)
+        report = run_campaign(Campaign(pair=PAIR, algorithm="autoregressive", runs=50, seed=1))
+        final = report.checkpoints[-1]
+        assert (final.runs, final.mean, final.stderr, final.rel_dev) == (50, 0.0, 0.0, 0.0)
 
 
 class TestRunCampaign:
