@@ -27,7 +27,7 @@ from .exact import (
     expected_rejections_sd,
     limit_rejections,
 )
-from .models import MarkovModel, ModelPair, _as_int, pair_from_descriptor
+from .models import MarkovModel, ModelPair, _as_int, _real_array, pair_from_descriptor
 from .montecarlo import Campaign, batch_scan, csv_document, report_header, run_campaign
 from .tradeoff import pareto_front, tradeoff_identity_gap
 
@@ -215,16 +215,22 @@ def _pareto_dists(config: dict) -> tuple[Dist, Dist, list[float]]:
     if not isinstance(grid, list) or not grid:
         raise ConfigError('config key "pareto.eps_grid" must be a nonempty list')
     try:
-        grid = [float(e) for e in grid]
-    except (TypeError, ValueError):
-        raise ConfigError('config key "pareto.eps_grid" must contain numbers') from None
-    if any(e < 0 for e in grid):
+        grid = _real_array(grid, 1, 'config key "pareto.eps_grid"')
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError('config key "pareto.eps_grid" must contain finite numbers')
+    if np.any(grid < 0):
         raise ConfigError("eps grid entries must be nonnegative")
+    grid = grid.tolist()
     if "p" in section and "q" in section:
         try:
-            return Dist(section["p"]), Dist(section["q"]), grid
+            p, q = (Dist(_real_array(section[k], 1, f'config key "pareto.{k}"')) for k in "pq")
         except ValueError as exc:
             raise ConfigError(f"invalid pareto distributions: {exc}") from None
+        if len(p) != len(q):
+            raise ConfigError("invalid pareto distributions: p and q differ in length")
+        return p, q, grid
     if "pair" in section:
         try:
             pair = pair_from_descriptor(section["pair"])

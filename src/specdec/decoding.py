@@ -24,11 +24,16 @@ A draft token is needed only where it is verified, and it is drawn from the
 same index whether that happens eagerly or lazily, so
 :func:`decode_markov_runs` advances many Markov runs in lockstep, one position
 at a time, and returns exactly the scalar samplers' trajectories, rejections
-and flags.
+and flags. generic_decode reads its stream exactly as speculative decoding
+does, so the engine also runs generic policies, as the M = 1 round with each
+acceptance threshold and replacement row taken from the policy's callbacks
+(called with the run's full history, as often per run as generic_decode calls
+them) instead of from q's tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -36,7 +41,7 @@ import numpy as np
 
 from .dist import ZeroResidual
 from .models import MarkovModel, ModelPair, _as_int
-from .rng import split_rng
+from .rng import split_rngs
 
 BLOCK_RUNS = 1024
 
@@ -85,22 +90,34 @@ def _sample_index(cumsum: np.ndarray, u: float) -> int:
     return min(idx, cumsum.size - 1)
 
 
+def policy_residual_rows(policy: Policy, n: int, histories, vocab_size: int) -> np.ndarray:
+    """Policy residuals at position n for each history, stacked, validated and normalised.
+
+    Calls ``policy.residual`` once per history; raises InvalidPolicy unless
+    every row is a length-V nonnegative vector summing to 1 within 1e-9.
+    """
+    rows = [np.asarray(policy.residual(n, history), dtype=np.float64) for history in histories]
+    for row in rows:
+        if row.shape != (vocab_size,):
+            raise InvalidPolicy(f"residual at position {n} has shape {row.shape}")
+    rows = np.array(rows)
+    if not (np.isfinite(rows).all() and (rows >= 0.0).all()):
+        raise InvalidPolicy(f"residual at position {n} is not a distribution")
+    totals = rows.sum(axis=1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > 1e-9)
+    if off.size:
+        raise InvalidPolicy(f"residual at position {n} sums to {float(totals[off[0]])!r}")
+    return rows / totals[:, None]
+
+
 def policy_residual_row(policy: Policy, n: int, history: tuple[int, ...], vocab_size: int):
     """Fetch and validate a policy residual; raises InvalidPolicy on bad output."""
-    row = np.asarray(policy.residual(n, history), dtype=np.float64)
-    if row.shape != (vocab_size,):
-        raise InvalidPolicy(f"residual at position {n} has shape {row.shape}")
-    if not np.all(np.isfinite(row)) or np.any(row < 0.0):
-        raise InvalidPolicy(f"residual at position {n} is not a distribution")
-    total = float(row.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise InvalidPolicy(f"residual at position {n} sums to {total!r}")
-    return row / total
+    return policy_residual_rows(policy, n, [history], vocab_size)[0]
 
 
 def policy_acceptance(policy: Policy, n: int, history: tuple[int, ...], candidate: int) -> float:
     b = float(policy.acceptance(n, history, candidate))
-    if not np.isfinite(b):
+    if not math.isfinite(b):
         raise InvalidPolicy(f"acceptance at position {n} is not finite")
     return min(1.0, max(0.0, b))
 
@@ -328,11 +345,17 @@ class _Lockstep:
     read (M*L drafts, M root tests, L - 1 verifies, one replacement), and a run
     whose window is short at a round start slides it down and tops it up from
     its own generator, so the working memory is fixed per block.
+
+    Without a policy, candidates are tested against the root iterates of q
+    and replaced from them. With a policy (M = 1), thresholds and replacement
+    rows come from its callbacks instead, called as generic_decode calls them:
+    acceptance once per verified run and residual once per rejected run, each
+    with the run's full history.
     """
 
-    def __init__(self, pair: ModelPair, batch_size: int, rngs: list) -> None:
+    def __init__(self, pair: ModelPair, batch_size: int, rngs: list, policy=None) -> None:
         self.p, self.q, self.horizon, self.batch_size = pair.p, pair.q, pair.horizon, batch_size
-        self.rngs = rngs
+        self.vocab_size, self.policy, self.rngs = pair.vocab_size, policy, rngs
         count = len(rngs)
         width = 2 * (batch_size * self.horizon + batch_size + self.horizon)
         self.window = np.empty((count, width))
@@ -361,6 +384,11 @@ class _Lockstep:
             self.rngs[i].random(out=row[width - used:])
             self.cursor[i] = 0
 
+    def _histories(self, runs, t) -> list[tuple[int, ...]]:
+        """History tuples (x_0, ..., x_{t-1}) of ``runs``."""
+        prefix = np.column_stack((self.prompt_tokens[runs], self.tokens[runs, : t - 1]))
+        return [tuple(row) for row in prefix.tolist()]
+
     def _draft(self, runs, columns, t, p_rows, p_cums):
         """Draft tokens of ``runs`` at position t from window ``columns``, with their p mass."""
         states = self.state[runs]
@@ -372,6 +400,17 @@ class _Lockstep:
             raise RuntimeError(f"draft token {token} outside p's support at position {t}")
         return states, candidates, p_cand
 
+    def _accept(self, runs, t, m, states, candidates, p_cand) -> np.ndarray:
+        """Which of ``runs``' candidates at t pass the test against iterate m (q at m = 0)."""
+        if self.policy is None:
+            threshold = self.iterates[m][states, candidates] / p_cand
+        else:
+            threshold = np.array([
+                policy_acceptance(self.policy, t, history, candidate)
+                for history, candidate in zip(self._histories(runs, t), candidates.tolist())
+            ])
+        return self._read(runs) <= threshold
+
     def _emit(self, runs, t, tokens, rejected: bool) -> None:
         self.tokens[runs, t - 1] = tokens
         self.state[runs] = tokens
@@ -379,11 +418,23 @@ class _Lockstep:
             self.flags[runs, t - 1] = 1
             self.follow[runs] = -1
 
+    def _replace(self, runs, t, m, states) -> None:
+        """Emit the tokens of ``runs`` rejected at t, drawn from iterate m or the policy."""
+        if self.policy is None:
+            if np.any(self.totals[m - 1][states] <= 0.0):
+                raise ZeroResidual(f"rejection at position {t} with tv(q^{m}, p) = 0")
+            rows = self.iterates[m][states]
+        else:
+            rows = policy_residual_rows(self.policy, t, self._histories(runs, t), self.vocab_size)
+        self._emit(runs, t, _sample_rows(np.cumsum(rows, axis=1), self._read(runs)), rejected=True)
+
     def advance(self, t: int) -> None:
         """Emit every run's token at position t."""
-        p_rows, q_rows = self.p.steps[t - 1].rows, self.q.steps[t - 1].rows
-        p_cums = self.p.step_cumsums[t - 1]
-        iterates, totals = _iterate_tables(q_rows, p_rows, self.batch_size)
+        p_rows, p_cums = self.p.steps[t - 1].rows, self.p.step_cumsums[t - 1]
+        if self.policy is None:
+            self.iterates, self.totals = _iterate_tables(
+                self.q.steps[t - 1].rows, p_rows, self.batch_size
+            )
         inside = np.flatnonzero(self.follow >= 0)
         opening = np.flatnonzero(self.follow < 0)
 
@@ -392,14 +443,10 @@ class _Lockstep:
             offset = t - self.round_start[inside]
             columns = self.base[inside] + self.follow[inside] * span + offset
             states, candidates, p_cand = self._draft(inside, columns, t, p_rows, p_cums)
-            accept = self._read(inside) <= q_rows[states, candidates] / p_cand
+            accept = self._accept(inside, t, 0, states, candidates, p_cand)
             self._emit(inside[accept], t, candidates[accept], rejected=False)
-            missed, states = inside[~accept], states[~accept]
-            if missed.size:
-                if np.any(totals[0][states] <= 0.0):
-                    raise ZeroResidual(f"rejection at position {t} with tv(q, p) = 0")
-                residual = np.cumsum(iterates[1][states], axis=1)
-                self._emit(missed, t, _sample_rows(residual, self._read(missed)), rejected=True)
+            if not accept.all():
+                self._replace(inside[~accept], t, 1, states[~accept])
 
         if opening.size:
             span = self.horizon - t + 1
@@ -411,37 +458,45 @@ class _Lockstep:
             for m in range(self.batch_size):
                 columns = self.base[pending] + m * span
                 states, candidates, p_cand = self._draft(pending, columns, t, p_rows, p_cums)
-                accept = self._read(pending) <= iterates[m][states, candidates] / p_cand
+                accept = self._accept(pending, t, m, states, candidates, p_cand)
                 self._emit(pending[accept], t, candidates[accept], rejected=False)
                 self.follow[pending[accept]] = m
                 pending, states = pending[~accept], states[~accept]
-                if np.any(totals[m][states] <= 0.0):
-                    raise ZeroResidual(f"root rejection at position {t} with tv(q^m, p) = 0")
                 if not pending.size:
                     break
+                if m + 1 < self.batch_size and np.any(self.totals[m][states] <= 0.0):
+                    raise ZeroResidual(f"root rejection at position {t} with tv(q^{m + 1}, p) = 0")
             if pending.size:
-                final = np.cumsum(iterates[-1][states], axis=1)
-                self._emit(pending, t, _sample_rows(final, self._read(pending)), rejected=True)
+                self._replace(pending, t, self.batch_size, states)
 
 
 def decode_markov_runs(
-    pair: ModelPair, batch_size: int, seed: int, start: int, count: int
+    pair: ModelPair,
+    batch_size: int,
+    seed: int,
+    start: int,
+    count: int,
+    policy: Policy | None = None,
 ) -> MarkovRuns:
     """Runs start, ..., start + count - 1 of a campaign on a Markov pair, in lockstep.
 
     Run i uses the stream ``split_rng(seed, start + i)`` and, by the
     stream-index contract in the module docstring, returns bit-for-bit what
     ``batch_decode(pair, batch_size, split_rng(seed, start + i))`` returns
-    (``speculative_decode`` at batch_size 1). Runs advance in blocks of at
-    most BLOCK_RUNS, so working memory does not grow with ``count``.
-    Raises RuntimeError on a draft outside p's support and ZeroResidual where
-    the scalar samplers do.
+    (``speculative_decode`` at batch_size 1), or with a ``policy`` what
+    ``generic_decode(pair, policy, split_rng(seed, start + i))`` returns
+    (batch_size must then be 1). Runs advance in blocks of at most
+    BLOCK_RUNS, so working memory does not grow with ``count``.
+    Raises RuntimeError on a draft outside p's support, and ZeroResidual or
+    InvalidPolicy where the scalar samplers do.
     """
     if not isinstance(pair.p, MarkovModel) or not isinstance(pair.q, MarkovModel):
         raise TypeError("decode_markov_runs requires a pair of MarkovModels")
     batch_size, seed, start, count = (_as_int(v) for v in (batch_size, seed, start, count))
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if policy is not None and batch_size != 1:
+        raise ValueError("policy runs need batch_size 1")
     if seed < 0 or start < 0 or count < 0:
         raise ValueError("seed, start and count must be >= 0")
     horizon = pair.horizon
@@ -453,7 +508,7 @@ def decode_markov_runs(
     )
     for lo in range(0, count, BLOCK_RUNS):
         hi = min(count, lo + BLOCK_RUNS)
-        block = _Lockstep(pair, batch_size, [split_rng(seed, start + i) for i in range(lo, hi)])
+        block = _Lockstep(pair, batch_size, split_rngs(seed, start + lo, hi - lo), policy)
         for t in range(1, horizon + 1):
             block.advance(t)
         out.prompt_tokens[lo:hi] = block.prompt_tokens

@@ -381,6 +381,29 @@ def _as_int(value) -> int:
     return int(value)
 
 
+def _real_array(value, depth: int, what: str) -> np.ndarray:
+    """A config value nested ``depth`` lists deep around real numbers, as a float array.
+
+    Raises ValueError naming ``what`` for anything else, bools and numeric
+    strings included, so config values are never coerced.
+    """
+
+    def check(item, level: int) -> None:
+        if level:
+            if not isinstance(item, list):
+                raise ValueError(f"{what} must be {depth}-deep nested lists of numbers")
+            for entry in item:
+                check(entry, level - 1)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{what} must contain only numbers, got {item!r}")
+
+    check(value, depth)
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} is not a regular array of floats: {exc}") from None
+
+
 def _require_int(desc: dict, key: str) -> int:
     try:
         return _as_int(desc[key])
@@ -410,10 +433,11 @@ def model_from_descriptor(desc: dict) -> MarkovModel:
             raise ValueError("generator-form descriptor requires a seed")
         return random_markov_model(vocab_size, horizon, seed=_require_int(desc, "seed"))
     try:
-        prompt = Dist(desc["prompt"])
-        steps = [CondDist(step) for step in desc["steps"]]
+        prompt = Dist(_real_array(desc["prompt"], 1, "model descriptor field 'prompt'"))
+        tables = _real_array(desc["steps"], 3, "model descriptor field 'steps'")
     except KeyError as exc:
         raise ValueError(f"model descriptor is missing {exc.args[0]!r}") from None
+    steps = [CondDist(rows) for rows in tables]
     if len(prompt) != vocab_size:
         raise ValueError("prompt length does not match vocab_size")
     if len(steps) != horizon:

@@ -2,8 +2,8 @@
 
 Run i of a campaign decodes on its own child stream ``split_rng(seed, i)``, so
 campaigns are reproducible run-for-run and any run can be replayed alone.
-Runs are decoded in blocks of at most BLOCK_RUNS, in run order: for sd and
-batch on a Markov pair a block is one call of the lockstep engine
+Runs are decoded in blocks of at most BLOCK_RUNS, in run order: for sd,
+batch and generic on a Markov pair a block is one call of the lockstep engine
 ``decode_markov_runs``, otherwise a loop over the scalar samplers. Both give
 the same runs, so the choice changes speed and not results, and working
 memory is set by the block size, not by the number of runs. Reports carry the
@@ -142,18 +142,19 @@ class BatchScanRow:
 def _decode_blocks(campaign: Campaign):
     """Yield (tokens, rejections) arrays for the campaign's runs, block by block in run order.
 
-    sd and batch on a pair of MarkovModels go through the lockstep engine;
-    everything else runs the scalar samplers on the same per-run streams.
+    sd, batch and generic on a pair of MarkovModels go through the lockstep
+    engine; everything else runs the scalar samplers on the same per-run streams.
     """
     pair, algorithm = campaign.pair, campaign.algorithm
     batch_size = campaign.batch_size if algorithm == "batch" else 1
-    lockstep = algorithm in ("sd", "batch") and all(
+    policy = campaign.policy if algorithm == "generic" else None
+    lockstep = algorithm != "autoregressive" and all(
         isinstance(model, MarkovModel) for model in (pair.p, pair.q)
     )
     for start in range(0, campaign.runs, BLOCK_RUNS):
         count = min(BLOCK_RUNS, campaign.runs - start)
         if lockstep:
-            runs = decode_markov_runs(pair, batch_size, campaign.seed, start, count)
+            runs = decode_markov_runs(pair, batch_size, campaign.seed, start, count, policy)
             yield runs.tokens, runs.rejections
             continue
         tokens = np.empty((count, pair.horizon), dtype=np.int64)

@@ -1,11 +1,17 @@
 """CLI behavior: golden outputs, overrides, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdec import ParetoPoint, cli
 
@@ -165,6 +171,19 @@ class TestConfigErrors:
         proc = run_cli("exact")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[float("nan")], [0.1, float("inf")], [True, "0.5"], [0.5, "0.5"], [False], [10**400]],
+    )
+    def test_pareto_eps_grid_must_be_finite_numbers(self, tmp_path, capsys, grid):
+        path = tmp_path / "cfg.json"
+        config = {"pareto": {"p": [0.7, 0.3], "q": [0.4, 0.6], "eps_grid": grid}}
+        path.write_text(json.dumps(config))
+        assert cli.main(["pareto", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specdec: config error:")
+        assert "pareto.eps_grid" in err
+
     def test_pareto_needs_dists_or_pair(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"pareto": {"eps_grid": [0.0]}}))
@@ -206,3 +225,166 @@ class TestGuardViolations:
         code = cli.main(["batch-scan", "--config", str(path)])
         assert code == 3
         assert "increased along the scan" in capsys.readouterr().err
+
+
+# -- config fuzzing ------------------------------------------------------
+
+GOOD_PAIR = {"generator": "random", "seed": 1, "vocab_size": 2, "horizon": 2}
+GOOD_MODEL = {"vocab_size": 2, "horizon": 1, "prompt": [0.5, 0.5],
+              "steps": [[[0.9, 0.1], [0.2, 0.8]]]}
+EXPLICIT_PAIR = {"p": GOOD_MODEL, "q": {**GOOD_MODEL, "steps": [[[0.3, 0.7], [0.6, 0.4]]]}}
+VALID_CONFIGS = {
+    "exact": {"pair": GOOD_PAIR, "batch_size": 2},
+    "exact-explicit": {"pair": EXPLICIT_PAIR},
+    "simulate": {"pair": GOOD_PAIR, "algorithm": "batch", "batch_size": 2, "runs": 4,
+                 "seed": 0, "checkpoint_every": 2},
+    "batch-scan": {"pair": GOOD_PAIR, "batch_sizes": [1, 2], "runs": 4, "seed": 0},
+    "pareto": {"pareto": {"p": [0.7, 0.3], "q": [0.4, 0.6], "eps_grid": [0.0, 0.5]}},
+    "pareto-pair": {"pareto": {"pair": GOOD_PAIR, "step": 1, "state": 0, "eps_grid": [0.2]}},
+}
+DELETE = object()
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+containers = st.one_of(st.lists(scalars, max_size=3),
+                       st.dictionaries(st.text(max_size=3), scalars, max_size=3))
+not_int = st.one_of(st.booleans(), st.text(max_size=4), containers,
+                    st.floats().filter(lambda x: not x.is_integer()))
+not_real = st.one_of(st.none(), st.booleans(), st.text(max_size=4), containers,
+                     st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
+not_list = st.one_of(scalars, st.dictionaries(st.text(max_size=3), scalars, max_size=3))
+not_object = st.one_of(scalars, st.lists(scalars, max_size=3))
+
+
+def bad_int(minimum: int):
+    return not_int | st.integers(max_value=minimum - 1)
+
+
+def with_bad_entry(good: list, bad):
+    """``good`` with one entry replaced by a draw from ``bad``."""
+    return st.tuples(st.integers(0, len(good) - 1), bad).map(
+        lambda drawn: [drawn[1] if i == drawn[0] else v for i, v in enumerate(good)])
+
+
+def bad_list(good: list, bad_entry):
+    return st.one_of(not_list, st.just([]), with_bad_entry(good, bad_entry))
+
+
+def bad_dist(good: list):
+    """Never a distribution of ``good``'s length: wrong type, length, sign or total."""
+    return st.one_of(
+        bad_list(good, not_real),
+        st.lists(st.floats(0, 1), min_size=len(good) + 1, max_size=len(good) + 2)
+        .map(lambda row: [x / (sum(row) or 1) for x in row]),
+        with_bad_entry(good, st.floats(max_value=-1e-6)),
+        st.just([2 * x for x in good]),
+    )
+
+
+PAIR_FIELDS = {
+    ("pair",): not_object,
+    ("pair", "generator"): st.one_of(st.text(max_size=6).filter(lambda s: s != "random"),
+                                     st.integers(), containers),
+    ("pair", "seed"): bad_int(0) | st.just(DELETE),
+    ("pair", "vocab_size"): bad_int(1) | st.just(DELETE),
+    ("pair", "horizon"): bad_int(1) | st.just(DELETE),
+}
+EXPLICIT_FIELDS = {
+    ("pair", "p"): not_object | st.just(DELETE),
+    ("pair", "q", "prompt"): bad_dist([0.5, 0.5]) | st.just(DELETE),
+    ("pair", "p", "steps"): st.one_of(
+        st.just(DELETE), bad_list(GOOD_MODEL["steps"], not_list),
+        st.just([[[0.9, 0.1]]]), st.just([[[0.9, "0.1"], [0.2, 0.8]]]),
+        st.just([[[1.9, 0.1], [0.2, 0.8]]]), st.just(GOOD_MODEL["steps"] * 2),
+        st.lists(bad_dist([0.9, 0.1]), min_size=2, max_size=2).map(lambda rows: [rows])),
+    ("pair", "q", "vocab_size"): bad_int(1) | st.integers(3, 10**6),
+    ("pair", "p", "horizon"): bad_int(1) | st.integers(2, 10**6),
+}
+FIELDS = {
+    "exact": {**PAIR_FIELDS, ("batch_size",): bad_int(1), ("pair",): not_object | st.just(DELETE)},
+    "exact-explicit": EXPLICIT_FIELDS,
+    "simulate": {
+        **PAIR_FIELDS,
+        ("algorithm",): st.one_of(
+            st.text(max_size=8).filter(lambda s: s not in ("sd", "batch", "autoregressive")),
+            st.none(), st.integers(), containers),
+        ("runs",): bad_int(1) | st.just(DELETE) | st.none(),
+        ("seed",): bad_int(0) | st.just(DELETE) | st.none(),
+        ("batch_size",): bad_int(1) | st.none(),
+        ("checkpoint_every",): bad_int(1) | st.none(),
+    },
+    "batch-scan": {
+        **PAIR_FIELDS,
+        ("batch_sizes",): bad_list([1, 2], bad_int(1)),
+        ("runs",): bad_int(1) | st.just(DELETE),
+        ("seed",): bad_int(0) | st.just(DELETE),
+    },
+    "pareto": {
+        ("pareto",): not_object | st.just(DELETE),
+        ("pareto", "eps_grid"): bad_list([0.0, 0.5], not_real | st.floats(max_value=-1e-6)),
+        ("pareto", "p"): bad_dist([0.7, 0.3]) | st.just(DELETE),
+        ("pareto", "q"): bad_dist([0.4, 0.6]),
+    },
+    "pareto-pair": {
+        **{("pareto", *path): bad for path, bad in PAIR_FIELDS.items()},
+        ("pareto", "pair"): not_object | st.just(EXPLICIT_PAIR | {"q": "x"}),
+        ("pareto", "step"): bad_int(1) | st.integers(3, 10**9) | st.just(DELETE),
+        ("pareto", "state"): bad_int(0) | st.integers(2, 10**9) | st.just(DELETE),
+    },
+}
+
+
+def subcommand(name: str) -> str:
+    """The subcommand a VALID_CONFIGS entry is for: its name up to a variant suffix."""
+    return name if name == "batch-scan" else name.split("-")[0]
+
+
+def corrupted(config: dict, path: tuple, value) -> dict:
+    config = json.loads(json.dumps(config))
+    *parents, key = path
+    node = config
+    for parent in parents:
+        node = node[parent]
+    if value is DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    return config
+
+
+@st.composite
+def malformed_configs(draw):
+    """(subcommand, config text): a valid config with one field made invalid, or a bad root."""
+    name = draw(st.sampled_from(sorted(VALID_CONFIGS)))
+    command = subcommand(name)
+    choice = draw(st.integers(0, 9))
+    if choice == 0:
+        return command, json.dumps(draw(not_object))
+    if choice == 1:
+        return command, draw(st.sampled_from(["", "{", "{'runs': 1}", "[1,", "nul"]))
+    fields = FIELDS[name]
+    path = draw(st.sampled_from(sorted(fields)))
+    return command, json.dumps(corrupted(VALID_CONFIGS[name], path, draw(fields[path])))
+
+
+@pytest.mark.parametrize("name", sorted(VALID_CONFIGS))
+def test_fuzzer_base_configs_are_valid(name):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(VALID_CONFIGS[name]))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([subcommand(name), "--config", str(path)]) == 0
+
+
+@given(malformed_configs())
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+def test_malformed_configs_exit_2_with_a_message(case):
+    command, text = case
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(text)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([command, "--config", str(path)])
+    assert code == 2, (command, text, stdout.getvalue())
+    assert stderr.getvalue().startswith("specdec: config error: ")
+    assert stdout.getvalue() == ""

@@ -10,12 +10,15 @@ from specdec import (
     MarkovModel,
     ModelPair,
     Policy,
+    always_accept_policy,
     autoregressive_decode,
     batch_decode,
     generic_decode,
     joint_distribution,
     make_rng,
+    over_acceptance_policy,
     random_model_pair,
+    random_unbiased_policy,
     sd_policy,
     speculative_decode,
     split_rng,
@@ -179,8 +182,9 @@ class TestSupportInvariant:
             lambda pair, rng: batch_decode(pair, 2, rng),
             lambda pair, rng: decode_markov_runs(pair, 1, 0, 0, 8),
             lambda pair, rng: decode_markov_runs(pair, 2, 0, 0, 8),
+            lambda pair, rng: decode_markov_runs(pair, 1, 0, 0, 8, sd_policy(pair)),
         ],
-        ids=["sd", "generic", "batch", "lockstep-sd", "lockstep-batch"],
+        ids=["sd", "generic", "batch", "lockstep-sd", "lockstep-batch", "lockstep-generic"],
     )
     def test_off_support_draft_raises(self, decode, start):
         with pytest.raises(RuntimeError, match=f"outside p's support at position {start}"):
@@ -295,6 +299,128 @@ class TestLockstepEngine:
             decode_markov_runs(pair, 1, 0, -1, 4)
         with pytest.raises(TypeError):
             decode_markov_runs(pair, True, 0, 0, 4)
+
+
+def history_policy(pair) -> Policy:
+    """A policy that reads the prompt token and the history length, which no Markov state holds."""
+
+    def acceptance(n, history, candidate):
+        return (1 + history[0] + candidate) / (2 + len(history) + pair.vocab_size)
+
+    def residual(n, history):
+        row = pair.q.step(n, history) + history[0] + len(history)
+        return row / row.sum()
+
+    return Policy(acceptance, residual)
+
+
+def recording(policy: Policy) -> tuple[Policy, list]:
+    """The policy with its callbacks logged, and the log."""
+    calls = []
+
+    def acceptance(n, history, candidate):
+        calls.append(("acceptance", n, history, candidate))
+        return policy.acceptance(n, history, candidate)
+
+    def residual(n, history):
+        calls.append(("residual", n, history))
+        return policy.residual(n, history)
+
+    return Policy(acceptance, residual), calls
+
+
+def assert_generic_identical(pair, policy, seed, start, count):
+    """The engine's policy runs equal generic_decode's on the same streams, field by field."""
+    runs = decode_markov_runs(pair, 1, seed, start, count, policy)
+    assert runs.tokens.shape == runs.flags.shape == (count, pair.horizon)
+    for i in range(count):
+        trajectory, stats = generic_decode(pair, policy, split_rng(seed, start + i))
+        assert runs.prompt_tokens[i] == trajectory.prompt_token
+        assert tuple(runs.tokens[i].tolist()) == trajectory.tokens
+        assert runs.rejections[i] == stats.rejections
+        assert tuple(runs.flags[i].tolist()) == stats.flags
+    return runs
+
+
+POLICIES = {
+    "random-unbiased": lambda pair: random_unbiased_policy(pair, make_rng(17)),
+    "always-accept": always_accept_policy,
+    "sd": sd_policy,
+    "over-acceptance-opt": lambda pair: over_acceptance_policy(pair, 0.1, "opt"),
+    "over-acceptance-uno": lambda pair: over_acceptance_policy(pair, 0.1, "uno"),
+    "history": history_policy,
+}
+
+
+class TestLockstepPolicies:
+    @pytest.mark.parametrize("name", POLICIES)
+    def test_small_battery_matches_generic_decode(self, name):
+        for k, pair in enumerate(seeded_small_pairs()):
+            assert_generic_identical(pair, POLICIES[name](pair), seed=k, start=3, count=12)
+
+    @pytest.mark.parametrize("name", POLICIES)
+    def test_sparse_support_pair_matches_generic_decode(self, name):
+        pair = sparse_draft_pair(5, 8, seed=41)
+        assert_generic_identical(pair, POLICIES[name](pair), seed=3, start=0, count=200)
+
+    @pytest.mark.parametrize("name", ["random-unbiased", "over-acceptance-opt", "history"])
+    def test_long_runs_that_refill_their_windows(self, name):
+        pair = random_model_pair(7, 50, seed=10)
+        runs = assert_generic_identical(pair, POLICIES[name](pair), seed=2024, start=0, count=20)
+        assert max(drafted_tokens(f.tolist(), 50, 1) for f in runs.flags) > 2 * (50 + 1 + 50)
+
+    def test_runs_across_a_block_boundary_with_an_offset(self):
+        pair = random_model_pair(2, 3, seed=2024)
+        policy = random_unbiased_policy(pair, make_rng(5))
+        runs = assert_generic_identical(pair, policy, seed=1, start=7, count=BLOCK_RUNS + 5)
+        assert runs.rejections.sum() > 0
+
+    def test_callbacks_see_the_scalar_arguments(self):
+        pair = random_model_pair(3, 4, seed=8)
+        engine, engine_calls = recording(history_policy(pair))
+        scalar, scalar_calls = recording(history_policy(pair))
+        decode_markov_runs(pair, 1, 6, 0, 60, engine)
+        for i in range(60):
+            generic_decode(pair, scalar, split_rng(6, i))
+        assert any(call[0] == "residual" for call in scalar_calls)
+        assert sorted(engine_calls) == sorted(scalar_calls)
+
+    @pytest.mark.parametrize(
+        "acceptance, residual",
+        [
+            (lambda n, h, c: float("nan"), None),
+            (lambda n, h, c: 0.0, lambda n, h: np.array([0.5, 0.3, 0.2])),
+            (lambda n, h, c: 0.0, lambda n, h: np.array([-0.1, 1.1])),
+            (lambda n, h, c: 0.0, lambda n, h: np.array([0.5, 0.6])),
+            (lambda n, h, c: 0.3, lambda n, h: np.array([0.5, 0.6 if h[-1] else 0.5])),
+        ],
+        ids=["non-finite-acceptance", "shape", "negative", "sum", "some-contexts"],
+    )
+    def test_invalid_policy_raised_where_generic_decode_raises(self, acceptance, residual):
+        pair = random_model_pair(2, 3, seed=4)
+        policy = Policy(acceptance, residual or (lambda n, h: pair.q.step(n, h)))
+        outcomes = []
+        for i in range(30):
+            errors = []
+            for decode in (
+                lambda: generic_decode(pair, policy, split_rng(8, i)),
+                lambda: decode_markov_runs(pair, 1, 8, i, 1, policy),
+            ):
+                try:
+                    decode()
+                    errors.append(None)
+                except InvalidPolicy as exc:
+                    errors.append(str(exc))
+            assert errors[0] == errors[1], f"run {i}"
+            outcomes.append(errors[0] is not None)
+        assert any(outcomes)
+        with pytest.raises(InvalidPolicy):
+            decode_markov_runs(pair, 1, 8, 0, 30, policy)
+
+    def test_policy_needs_batch_size_one(self):
+        pair = random_model_pair(2, 3, seed=4)
+        with pytest.raises(ValueError, match="batch_size 1"):
+            decode_markov_runs(pair, 2, 0, 0, 4, sd_policy(pair))
 
 
 class TestBatch:

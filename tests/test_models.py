@@ -241,6 +241,17 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="steps"):
             model_from_descriptor(bad)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("prompt", {}), ("prompt", ["0.5", "0.5"]), ("prompt", [True, False]),
+         ("prompt", [10**400, 0]), ("steps", None), ("steps", [[[0.5, "0.5"], [0.5, 0.5]]] * 2),
+         ("steps", [[0.5, 0.5], [0.5, 0.5]]), ("steps", [[[0.5, 0.5], [1.0]]] * 2)],
+    )
+    def test_table_values_are_strict(self, key, value):
+        desc = model_to_descriptor(random_markov_model(2, 2, seed=1))
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            model_from_descriptor(dict(desc, **{key: value}))
+
     def test_pair_descriptor_explicit_and_generator(self):
         explicit = pair_from_descriptor(
             {

@@ -12,6 +12,7 @@ from specdec import (
     batch_scan,
     markov_to_full,
     random_model_pair,
+    random_unbiased_policy,
     report_header,
     run_campaign,
     sd_policy,
@@ -84,22 +85,24 @@ class TestStrictInputs:
 
 
 class TestDispatch:
-    """sd and batch on Markov pairs take the lockstep engine; the same pair as
-    history tables takes the scalar samplers. Both read the same streams."""
+    """sd, batch and generic on Markov pairs take the lockstep engine; the same
+    pair as history tables takes the scalar samplers. Both read the same streams."""
 
-    @pytest.mark.parametrize("algorithm, batch_size", [("sd", 1), ("batch", 3)])
+    @pytest.mark.parametrize("algorithm, batch_size", [("sd", 1), ("batch", 3), ("generic", 1)])
     def test_engine_and_scalar_paths_agree(self, algorithm, batch_size):
         pair = random_model_pair(2, 3, seed=5)
         full = ModelPair(markov_to_full(pair.p), markov_to_full(pair.q))
+        policy = random_unbiased_policy(pair, np.random.default_rng(3))
 
         def summary(p):
             report = run_campaign(Campaign(pair=p, algorithm=algorithm, runs=BLOCK_RUNS + 40,
-                                           seed=4, batch_size=batch_size, checkpoint_every=500))
+                                           seed=4, batch_size=batch_size, policy=policy,
+                                           checkpoint_every=500))
             return [(c.runs, c.mean, c.stderr) for c in report.checkpoints]
 
         assert summary(pair) == summary(full)
         l1 = [unbiasedness_check(p, algorithm, runs=BLOCK_RUNS + 40, seed=6,
-                                 batch_size=batch_size).l1 for p in (pair, full)]
+                                 batch_size=batch_size, policy=policy).l1 for p in (pair, full)]
         assert l1[0] == l1[1]
 
     def test_autoregressive_campaign_samples_nothing(self, monkeypatch):
