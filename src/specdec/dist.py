@@ -22,6 +22,18 @@ class ZeroResidual(ValueError):
     """Raised when a residual [q - p]_+ is requested but tv(q, p) is zero."""
 
 
+def _float_array(values) -> np.ndarray:
+    """``values`` as a float64 array; raises ValueError unless they are integers or floats.
+
+    Bools, strings, bytes, objects and complex numbers are refused rather than
+    coerced, so ``[True, False]`` and ``["0.5", "0.5"]`` are not distributions.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"distribution entries must be real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 class Dist:
     """Immutable probability vector over a finite vocabulary {0, ..., V-1}.
 
@@ -33,7 +45,7 @@ class Dist:
     __slots__ = ("_probs",)
 
     def __init__(self, probs) -> None:
-        arr = np.asarray(probs, dtype=np.float64)
+        arr = _float_array(probs)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("a distribution must be a nonempty 1-D vector")
         if not np.all(np.isfinite(arr)):
@@ -50,7 +62,7 @@ class Dist:
     @classmethod
     def from_weights(cls, weights) -> "Dist":
         """Normalize nonnegative weights into a Dist. Zero total mass is an error."""
-        arr = np.asarray(weights, dtype=np.float64)
+        arr = _float_array(weights)
         total = float(arr.sum())
         if total <= 0.0:
             raise ValueError("cannot normalize zero total mass")
@@ -104,6 +116,18 @@ def _tv_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _tv_arrays(a: np.ndarray, b: np.ndarray) -> float:
     return float(_tv_rows(a, b))
+
+
+def _residual_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise residuals [q - p]_+ and tv(q, p) over the last axis.
+
+    A row with no positive part (tv zero, for distributions) has no residual
+    and comes back as zeros, so callers can weight every row by its tv.
+    """
+    weights = np.maximum(q - p, 0.0)
+    totals = weights.sum(axis=-1, keepdims=True)
+    rows = np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0.0)
+    return rows, _tv_rows(q, p)
 
 
 def _as_array(d) -> np.ndarray:

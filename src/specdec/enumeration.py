@@ -1,4 +1,4 @@
-"""Exact decision-tree oracles for the decoding algorithms.
+"""Exact decision-tree oracles for the decoding algorithms, expanded level by level.
 
 Every probabilistic branch an algorithm can take (draft token, accept or
 reject, replacement token) is expanded with its exact probability, no
@@ -7,8 +7,32 @@ examined; with lookahead to the horizon this is equivalent to drafting the
 whole round eagerly, because unexamined drafts are discarded and the
 conditioning histories coincide.
 
-These walkers are the ground truth the closed-form recursions are tested
-against, so they share nothing with exact.py beyond the distribution helpers.
+Branch paths are merged by state, a (prefix, phase) pair. The prefix is the
+history (x_0, ..., x_{n-1}) before position n. SD and generic policies have
+one phase. Batch SD has two: ``root``, where a round of M responses starts at
+position n, and ``within``, where the round's first token was accepted and
+position n is verified against q itself. What an algorithm does from position
+n on depends only on the state, so each state carries two numbers: the mass
+of the paths reaching it and their rejection moment, the sum of mass times
+rejections so far. A branch of probability w that adds k rejections maps
+(mass, moment) to (w * mass, w * (moment + k * mass)). The map is linear, so
+merging paths before branching gives the leaves the same mass and moment as
+expanding every path, and the law and E[rejections] stay exact.
+
+For each prompt token x_0 the frontier at position n is, per phase, a dense
+array over the codes of x_1..x_{n-1} (x_1 the most significant digit). The
+child of code c at token x has code c * V + x, so an (N, V) child table ravels
+into the next level. Model rows and policy callbacks are read once per
+(n, history) with positive mass, the histories the algorithm can reach. Each
+of the at most V**n histories at position n is built once, so a walk costs
+O((T + M * V) * V**T) against (2V)**T branch paths for a path-by-path
+expansion, and holds O(V**T) floats, the size of the law.
+
+These oracles are the ground truth the closed-form recursions are tested
+against, so they share nothing with exact.py beyond the distribution helpers:
+they keep full histories (FullModel pairs run unchanged), never aggregate by
+Markov state, and build the batch root by chaining the M rejection iterates
+rather than by a closed form.
 """
 
 from __future__ import annotations
@@ -17,11 +41,13 @@ import math
 
 import numpy as np
 
-from .decoding import Policy, policy_acceptance, policy_residual_row
-from .dist import _tv_arrays
+from .decoding import Policy, policy_acceptance, policy_residual_rows
+from .dist import _residual_rows
 from .models import FULL_TABLE_CAP, ModelPair
 
 ALGORITHMS = ("sd", "batch", "generic")
+
+ROOT, WITHIN = 0, 1
 
 
 def _check_size(pair: ModelPair) -> None:
@@ -31,164 +57,114 @@ def _check_size(pair: ModelPair) -> None:
         )
 
 
-class _Accumulator:
-    """Collects leaf masses; compensated sums keep 1e-12 comparisons honest."""
-
-    def __init__(self, vocab_size: int, horizon: int) -> None:
-        self.vocab_size = vocab_size
-        self.law = np.zeros(vocab_size**horizon)
-        self.rejection_terms: list[float] = []
-
-    def leaf(self, history: tuple[int, ...], mass: float, rejections: int) -> None:
-        index = 0
-        for token in history[1:]:
-            index = index * self.vocab_size + token
-        self.law[index] += mass
-        if rejections:
-            self.rejection_terms.append(mass * rejections)
-
-    def expected_rejections(self) -> float:
-        return math.fsum(self.rejection_terms)
+def _histories(x0: int, codes: np.ndarray, v: int, length: int) -> list[tuple[int, ...]]:
+    """History (x_0, x_1, ..., x_length) for each code of x_1..x_length."""
+    digits = codes[:, None] // v ** np.arange(length - 1, -1, -1) % v
+    return [(x0, *row) for row in digits.tolist()]
 
 
-def _walk_per_position(pair: ModelPair, accept_reject_fn, acc: _Accumulator) -> None:
-    """Expand algorithms whose branching at position n depends only on the prefix.
+def _rows(model, n: int, histories) -> np.ndarray:
+    """Stacked ``model.step(n, history)`` rows, shape (len(histories), V)."""
+    return np.array([model.step(n, h) for h in histories]).reshape(-1, model.vocab_size)
 
-    accept_reject_fn(n, history) -> (accept_weights, reject_weight, replacement)
-    where accept_weights[x] is the joint probability of drafting x and keeping
-    it, and replacement is the distribution of the token emitted after a
-    rejection (probability reject_weight).
+
+def _walk(pair: ModelPair, phases: int, level) -> tuple[np.ndarray, float]:
+    """Expand every branch breadth first; returns the output law and E[rejections].
+
+    level(n, histories) -> [(src, dst, rejections, table), ...] lists the
+    branches at position n: table[i, x] is the probability that a path in
+    phase src at histories[i] emits token x, lands in phase dst at n + 1 and
+    adds ``rejections`` (0 or 1). Paths start in phase 0.
     """
     v, horizon = pair.vocab_size, pair.horizon
-
-    def expand(history: tuple[int, ...], n: int, mass: float, rejections: int) -> None:
-        if mass == 0.0:
-            return
-        if n > horizon:
-            acc.leaf(history, mass, rejections)
-            return
-        accept_w, reject_w, replacement = accept_reject_fn(n, history)
-        for token in range(v):
-            expand(history + (token,), n + 1, mass * float(accept_w[token]), rejections)
-        if reject_w > 0.0:
-            for token in range(v):
-                expand(
-                    history + (token,),
-                    n + 1,
-                    mass * reject_w * float(replacement[token]),
-                    rejections + 1,
-                )
-
+    law = np.zeros(v**horizon)
+    moments = []
     for x0 in range(v):
-        expand((x0,), 1, pair.prompt[x0], 0)
+        if pair.prompt[x0] == 0.0:
+            continue
+        mass = np.zeros((phases, 1))
+        mass[0, 0] = pair.prompt[x0]
+        moment = np.zeros((phases, 1))
+        for n in range(1, horizon + 1):
+            live = np.flatnonzero((mass > 0.0).any(axis=0))
+            child_mass = np.zeros((phases, mass.shape[1], v))
+            child_moment = np.zeros_like(child_mass)
+            for src, dst, rejections, table in level(n, _histories(x0, live, v, n - 1)):
+                m, r = mass[src, live, None], moment[src, live, None]
+                child_mass[dst, live] += m * table
+                child_moment[dst, live] += (r + rejections * m) * table
+            mass, moment = child_mass.reshape(phases, -1), child_moment.reshape(phases, -1)
+        law += mass.sum(axis=0)
+        moments.append(math.fsum(moment.ravel().tolist()))
+    return law, math.fsum(moments)
 
 
-def _sd_branches(pair: ModelPair):
-    def fn(n: int, history: tuple[int, ...]):
-        p_row = pair.p.step(n, history)
-        q_row = pair.q.step(n, history)
-        accept_w = np.minimum(p_row, q_row)
-        reject_w = _tv_arrays(p_row, q_row)
-        if reject_w <= 0.0:
-            return accept_w, 0.0, None
-        weights = np.maximum(q_row - p_row, 0.0)
-        return accept_w, reject_w, weights / weights.sum()
+def _sd_level(pair: ModelPair):
+    def level(n: int, histories):
+        p, q = _rows(pair.p, n, histories), _rows(pair.q, n, histories)
+        replacement, reject = _residual_rows(q, p)
+        return [(0, 0, 0, np.minimum(p, q)), (0, 0, 1, reject[:, None] * replacement)]
 
-    return fn
+    return level
 
 
-def _generic_branches(pair: ModelPair, policy: Policy):
+def _generic_level(pair: ModelPair, policy: Policy):
     v = pair.vocab_size
 
-    def fn(n: int, history: tuple[int, ...]):
-        p_row = pair.p.step(n, history)
-        b_row = np.array(
-            [policy_acceptance(policy, n, history, token) for token in range(v)]
-        )
-        accept_w = p_row * b_row
-        reject_w = float((p_row * (1.0 - b_row)).sum())
-        if reject_w <= 0.0:
-            return accept_w, 0.0, None
-        return accept_w, reject_w, policy_residual_row(policy, n, history, v)
+    def level(n: int, histories):
+        p = _rows(pair.p, n, histories)
+        b = np.array(
+            [[policy_acceptance(policy, n, h, token) for token in range(v)] for h in histories]
+        ).reshape(-1, v)
+        reject = (p * (1.0 - b)).sum(axis=1)
+        replacement = np.zeros_like(p)
+        rejecting = np.flatnonzero(reject > 0.0)
+        if rejecting.size:
+            replacement[rejecting] = policy_residual_rows(
+                policy, n, [histories[i] for i in rejecting], v
+            )
+        return [(0, 0, 0, p * b), (0, 0, 1, reject[:, None] * replacement)]
 
-    return fn
+    return level
 
 
-def _walk_batch(pair: ModelPair, batch_size: int, acc: _Accumulator) -> None:
-    v, horizon = pair.vocab_size, pair.horizon
+def _batch_level(pair: ModelPair, batch_size: int):
+    def level(n: int, histories):
+        p, q = _rows(pair.p, n, histories), _rows(pair.q, n, histories)
+        # Response m's first token is tested against iterate q^m, reached when
+        # the m - 1 responses before it were rejected (probability r_1..r_{m-1}).
+        # After all M, the round emits from q^{M+1} and is charged one call.
+        accept, reached, q_m = np.zeros_like(p), np.ones(len(histories)), q
+        for _ in range(batch_size):
+            accept += reached[:, None] * np.minimum(p, q_m)
+            q_m, r_m = _residual_rows(q_m, p)
+            reached = reached * r_m
+        replacement, reject = _residual_rows(q, p)
+        return [
+            (ROOT, WITHIN, 0, accept),
+            (ROOT, ROOT, 1, reached[:, None] * q_m),
+            (WITHIN, WITHIN, 0, np.minimum(p, q)),
+            (WITHIN, ROOT, 1, reject[:, None] * replacement),
+        ]
 
-    def new_round(history: tuple[int, ...], n: int, mass: float, rejections: int) -> None:
-        if mass == 0.0:
-            return
-        if n > horizon:
-            acc.leaf(history, mass, rejections)
-            return
-        root(history, n, mass, rejections, pair.q.step(n, history), 1)
-
-    def root(history, n, mass, rejections, q_iter, m) -> None:
-        """Response m's first token at round root n, tested against iterate q^m."""
-        if m > batch_size:
-            # All M first tokens rejected: emit from q^{M+1}, charge one call.
-            for token in range(v):
-                new_round(
-                    history + (token,), n + 1, mass * float(q_iter[token]), rejections + 1
-                )
-            return
-        p_row = pair.p.step(n, history)
-        accept_w = np.minimum(p_row, q_iter)
-        for token in range(v):
-            within(history + (token,), n + 1, mass * float(accept_w[token]), rejections)
-        r_m = _tv_arrays(q_iter, p_row)
-        if r_m > 0.0:
-            weights = np.maximum(q_iter - p_row, 0.0)
-            root(history, n, mass * r_m, rejections, weights / weights.sum(), m + 1)
-
-    def within(history, n, mass, rejections) -> None:
-        """Positions after the round's first acceptance, verified against q itself."""
-        if mass == 0.0:
-            return
-        if n > horizon:
-            acc.leaf(history, mass, rejections)
-            return
-        p_row = pair.p.step(n, history)
-        q_row = pair.q.step(n, history)
-        accept_w = np.minimum(p_row, q_row)
-        for token in range(v):
-            within(history + (token,), n + 1, mass * float(accept_w[token]), rejections)
-        reject_w = _tv_arrays(p_row, q_row)
-        if reject_w > 0.0:
-            weights = np.maximum(q_row - p_row, 0.0)
-            replacement = weights / weights.sum()
-            for token in range(v):
-                new_round(
-                    history + (token,),
-                    n + 1,
-                    mass * reject_w * float(replacement[token]),
-                    rejections + 1,
-                )
-
-    for x0 in range(v):
-        new_round((x0,), 1, pair.prompt[x0], 0)
+    return level
 
 
 def _enumerate(
     pair: ModelPair, algorithm: str, batch_size: int, policy: Policy | None
-) -> _Accumulator:
+) -> tuple[np.ndarray, float]:
     _check_size(pair)
-    acc = _Accumulator(pair.vocab_size, pair.horizon)
     if algorithm == "sd":
-        _walk_per_position(pair, _sd_branches(pair), acc)
-    elif algorithm == "generic":
+        return _walk(pair, 1, _sd_level(pair))
+    if algorithm == "generic":
         if policy is None:
             raise ValueError("algorithm 'generic' requires a policy")
-        _walk_per_position(pair, _generic_branches(pair, policy), acc)
-    elif algorithm == "batch":
+        return _walk(pair, 1, _generic_level(pair, policy))
+    if algorithm == "batch":
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        _walk_batch(pair, batch_size, acc)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    return acc
+        return _walk(pair, 2, _batch_level(pair, batch_size))
+    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
 
 def enumerate_output_distribution(
@@ -199,11 +175,11 @@ def enumerate_output_distribution(
     Returned flat array uses the joint_distribution indexing (x_1 most
     significant digit). Requires V**T <= FULL_TABLE_CAP.
     """
-    return _enumerate(pair, algorithm, batch_size, policy).law
+    return _enumerate(pair, algorithm, batch_size, policy)[0]
 
 
 def enumerate_expected_rejections(
     pair: ModelPair, algorithm: str = "sd", *, batch_size: int = 1, policy: Policy | None = None
 ) -> float:
     """Exact E[rejections] of a decoding algorithm by full branch expansion."""
-    return _enumerate(pair, algorithm, batch_size, policy).expected_rejections()
+    return _enumerate(pair, algorithm, batch_size, policy)[1]

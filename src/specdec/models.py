@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dist import NORMALIZE_TOL, Dist
+from .dist import NORMALIZE_TOL, Dist, _float_array
 
 FULL_TABLE_CAP = 1_000_000
 
@@ -33,7 +33,7 @@ class CondDist:
     __slots__ = ("_rows",)
 
     def __init__(self, rows) -> None:
-        arr = np.asarray(rows, dtype=np.float64)
+        arr = _float_array(rows)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("a conditional table must be square")
         if arr.size == 0:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdec import Dist, ZeroResidual, rejection_iterate, residual_plus, tv_distance
+from specdec import CondDist, Dist, ZeroResidual, rejection_iterate, residual_plus, tv_distance
+from specdec.dist import _residual_rows
 
 # Ground truth evaluated by hand:
 #   tv([0.7,0.3],[0.4,0.6])   = (|0.3| + |-0.3|)/2 = 0.3
@@ -59,6 +60,43 @@ class TestDist:
         assert Dist.uniform(4)[2] == 0.25
         d = Dist.point(3, 1)
         assert tuple(d.support) == (1,)
+
+
+NOT_REAL = {
+    "str": ["0.5", "0.5"],
+    "bool": [True, False],
+    "bytes": [b"1", b"0"],
+    "complex": [0.5 + 0j, 0.5],
+    "none": [0.5, None],
+    "object": np.array([0.5, 0.5], dtype=object),
+}
+
+
+class TestNoCoercion:
+    @pytest.mark.parametrize("kind", NOT_REAL)
+    def test_dist_and_weights_refuse_non_real_entries(self, kind):
+        values = NOT_REAL[kind]
+        with pytest.raises(ValueError, match="real numbers"):
+            Dist(values)
+        with pytest.raises(ValueError, match="real numbers"):
+            Dist.from_weights(values)
+
+    @pytest.mark.parametrize("kind", NOT_REAL)
+    def test_cond_dist_refuses_non_real_tables(self, kind):
+        row = np.asarray(NOT_REAL[kind])
+        with pytest.raises(ValueError, match="real numbers"):
+            CondDist(np.stack([row, row]))
+
+    def test_integer_and_float_inputs_still_accepted(self):
+        assert Dist([0, 1]) == Dist.point(2, 1)
+        assert Dist(np.array([1, 3], dtype=np.uint8) / 4) == Dist([0.25, 0.75])
+        assert Dist(np.array([0.25, 0.75], dtype=np.float32)) == Dist([0.25, 0.75])
+        assert Dist.from_weights([1, 3]) == Dist([0.25, 0.75])
+        np.testing.assert_array_equal(CondDist([[1, 0], [0, 1]]).rows, np.eye(2))
+
+    def test_mixed_bool_and_float_lists_become_floats(self):
+        # numpy gives [True, 0.5] a float dtype, so the bool reads as 1.0.
+        assert Dist.from_weights([True, 0.5, 0.5]) == Dist([0.5, 0.25, 0.25])
 
 
 class TestTvDistance:
@@ -116,6 +154,18 @@ class TestResidualPlus:
         assert np.all(res[q <= p] == 0.0)
         # accept mass plus rejection mass rebuilds the target law exactly
         np.testing.assert_allclose(np.minimum(p, q) + tv * res, q, atol=1e-12)
+
+
+class TestResidualRows:
+    def test_rows_match_residual_plus_and_zero_tv_rows_are_zero(self):
+        q = np.array([[0.4, 0.6], [0.5, 0.5], [0.9, 0.1]])
+        p = np.array([[0.7, 0.3], [0.5, 0.5], [0.5, 0.5]])
+        rows, tv = _residual_rows(q, p)
+        np.testing.assert_array_equal(rows[1], [0.0, 0.0])
+        assert tv[1] == 0.0
+        for i in (0, 2):
+            np.testing.assert_allclose(rows[i], residual_plus(q[i], p[i]).probs, atol=1e-15)
+            assert tv[i] == tv_distance(q[i], p[i])
 
 
 class TestRejectionIterate:

@@ -2,19 +2,28 @@
 
 These tests pin the oracles against facts that need no other machinery: exact
 unbiasedness of the output laws, the per-position rejection identity, and the
-generic-policy lower bound. Agreement with the closed-form recursions lives in
-test_exact so the two routes stay independently validated.
+generic-policy lower bound. Agreement with the closed-form recursions on Markov
+pairs lives in test_exact so the two routes stay independently validated; the
+history-dependent pairs and the long horizon here are compared with them too.
+The callback tests pin which histories the level-by-level expansion reads.
 """
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from specdec import (
+    InvalidPolicy,
     ModelPair,
+    Policy,
     enumerate_expected_rejections,
     enumerate_output_distribution,
+    expected_rejections_batch,
+    expected_rejections_sd,
+    generic_decode,
     joint_distribution,
     make_rng,
     random_model_pair,
@@ -26,7 +35,7 @@ from specdec import (
     tv_distance,
 )
 
-from helpers import random_full_pair, seeded_small_pairs
+from helpers import random_full_pair, seeded_small_pairs, sparse_draft_pair
 
 PAIRS = seeded_small_pairs(count=12, master=77)
 
@@ -131,3 +140,118 @@ class TestGuards:
         pair = random_model_pair(2, 2, seed=1)
         with pytest.raises(ValueError, match="batch_size"):
             enumerate_expected_rejections(pair, "batch", batch_size=0)
+
+
+class TestHistoryDependentPairs:
+    PAIR = random_full_pair(3, 3, seed=19)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_batch_law_and_rejections(self, m):
+        law = enumerate_output_distribution(self.PAIR, "batch", batch_size=m)
+        np.testing.assert_allclose(law, joint_distribution(self.PAIR.q), atol=1e-13)
+        enum = enumerate_expected_rejections(self.PAIR, "batch", batch_size=m)
+        assert enum == pytest.approx(expected_rejections_batch(self.PAIR, m).total, abs=1e-12)
+
+    def test_generic_laws_and_rejections(self):
+        sd = expected_rejections_sd(self.PAIR)
+        target = joint_distribution(self.PAIR.q)
+        law = enumerate_output_distribution(self.PAIR, "generic", policy=sd_policy(self.PAIR))
+        np.testing.assert_allclose(law, target, atol=1e-13)
+        enum = enumerate_expected_rejections(self.PAIR, "generic", policy=sd_policy(self.PAIR))
+        assert enum == pytest.approx(sd, abs=1e-12)
+        policy = random_unbiased_policy(self.PAIR, make_rng(4))
+        law = enumerate_output_distribution(self.PAIR, "generic", policy=policy)
+        np.testing.assert_allclose(law, target, atol=1e-12)
+        assert enumerate_expected_rejections(self.PAIR, "generic", policy=policy) > sd
+
+
+def _counting(policy: Policy):
+    """The policy plus Counters of its acceptance and residual calls by arguments."""
+    accepts, residuals = Counter(), Counter()
+
+    def acceptance(n, history, candidate):
+        accepts[n, history, candidate] += 1
+        return policy.acceptance(n, history, candidate)
+
+    def residual(n, history):
+        residuals[n, history] += 1
+        return policy.residual(n, history)
+
+    return Policy(acceptance, residual), accepts, residuals
+
+
+class TestCallbacks:
+    def test_unreachable_histories_are_never_read(self):
+        # Keep or replace the draft with probability 1/2 each, replacing from p:
+        # the output law is p's, so histories outside p's support are never reached.
+        pair = sparse_draft_pair(3, 4, seed=5)
+
+        def check_reached(n, history):
+            for k, token in enumerate(history[1:], start=1):
+                if pair.p.step(k, history[:k])[token] == 0.0:
+                    raise AssertionError(f"callback at position {n} on unreachable {history}")
+
+        def acceptance(n, history, candidate):
+            check_reached(n, history)
+            return 0.5
+
+        def residual(n, history):
+            check_reached(n, history)
+            return pair.p.step(n, history)
+
+        policy = Policy(acceptance, residual)
+        assert (joint_distribution(pair.p) == 0.0).any()
+        law = enumerate_output_distribution(pair, "generic", policy=policy)
+        np.testing.assert_allclose(law, joint_distribution(pair.p), atol=1e-13)
+        assert enumerate_expected_rejections(pair, "generic", policy=policy) == pytest.approx(
+            pair.horizon / 2, abs=1e-13
+        )
+
+    def test_each_reached_history_is_read_once(self):
+        pair = random_model_pair(3, 3, seed=23)
+        policy, accepts, residuals = _counting(random_unbiased_policy(pair, make_rng(1)))
+        enumerate_output_distribution(pair, "generic", policy=policy)
+        v = pair.vocab_size
+        histories = [
+            (n, h) for n in range(1, pair.horizon + 1) for h in itertools.product(range(v), repeat=n)
+        ]
+        assert accepts == Counter((n, h, x) for n, h in histories for x in range(v))
+        assert residuals == Counter(histories)
+
+    BAD_RESIDUALS = {
+        "shape": lambda pair, n, h: np.array([0.5, 0.3, 0.2]),
+        "negative": lambda pair, n, h: np.array([-0.1, 1.1]),
+        "sum": lambda pair, n, h: np.array([0.5, 0.6]),
+        "later-position": lambda pair, n, h: np.array([0.5, 0.6]) if n == 2 else pair.q.step(n, h),
+    }
+
+    @pytest.mark.parametrize("kind", ["non-finite-acceptance", *BAD_RESIDUALS])
+    def test_invalid_policy_message_matches_generic_decode(self, kind):
+        pair = random_model_pair(2, 3, seed=4)
+        if kind == "non-finite-acceptance":
+            policy = Policy(lambda n, h, c: float("nan"), pair.q.step)
+        else:
+            bad = self.BAD_RESIDUALS[kind]
+            policy = Policy(lambda n, h, c: 0.0, lambda n, h: bad(pair, n, h))
+        with pytest.raises(InvalidPolicy) as scalar:
+            generic_decode(pair, policy, split_rng(8, 0))
+        for enumerate_fn in (enumerate_output_distribution, enumerate_expected_rejections):
+            with pytest.raises(InvalidPolicy) as enum:
+                enumerate_fn(pair, "generic", policy=policy)
+            assert str(enum.value) == str(scalar.value)
+
+
+class TestLongHorizon:
+    def test_two_tokens_to_horizon_twelve(self):
+        # 4096 outputs; a path-by-path expansion would walk about 16.7M branch paths.
+        pair = random_model_pair(2, 12, seed=31)
+        joint = joint_distribution(pair.q)
+        law = enumerate_output_distribution(pair, "sd")
+        assert np.abs(law - joint).sum() <= 1e-10
+        enum = enumerate_expected_rejections(pair, "sd")
+        assert enum == pytest.approx(expected_rejections_sd(pair), abs=1e-12)
+        for m in (2, 3):
+            law = enumerate_output_distribution(pair, "batch", batch_size=m)
+            assert np.abs(law - joint).sum() <= 1e-10
+            enum = enumerate_expected_rejections(pair, "batch", batch_size=m)
+            assert enum == pytest.approx(expected_rejections_batch(pair, m).total, abs=1e-12)
