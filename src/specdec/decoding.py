@@ -25,21 +25,23 @@ same index whether that happens eagerly or lazily, so
 :func:`decode_markov_runs` advances many Markov runs in lockstep, one position
 at a time, and returns exactly the scalar samplers' trajectories, rejections
 and flags. generic_decode reads its stream exactly as speculative decoding
-does, so the engine also runs generic policies, as the M = 1 round with each
-acceptance threshold and replacement row taken from the policy's callbacks
-(called with the run's full history, as often per run as generic_decode calls
-them) instead of from q's tables.
+does, so the engine also runs generic policies as the M = 1 round. Each
+position's acceptance thresholds and replacement cumsums come from one
+source: q's root iterates for sd and batch, or a Markov policy's (T, V, V)
+tables (see :class:`Policy`). Only a policy without tables, such as one that
+reads more of the history than x_{n-1}, is asked through its callbacks, with
+the run's full history and as often per run as generic_decode asks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dist import ZeroResidual
+from .dist import ZeroResidual, _float_array
 from .models import MarkovModel, ModelPair, _as_int
 from .rng import split_rngs
 
@@ -79,10 +81,75 @@ class Policy:
     candidate at position n; values are clamped to [0, 1].
     residual(n, history) -> replacement distribution sampled after a rejection
     at position n. ``history`` is (x_0, ..., x_{n-1}) in both callbacks.
+
+    ``tables``, for a policy that depends on the history through x_{n-1} only,
+    is the pair of (T, V, V) arrays (acceptance, residual) with
+    ``acceptance[n - 1, s, x]`` and ``residual[n - 1, s]`` what the callbacks
+    return at a history ending in s. They are stored as policy_acceptance and
+    policy_residual_rows return those values, so invalid tables raise
+    InvalidPolicy here, with generic_decode's messages. decode_markov_runs
+    reads the tables; generic_decode and the enumeration oracle call the
+    callbacks. Build such a policy with :meth:`from_tables`.
     """
 
     acceptance: Callable[[int, tuple[int, ...], int], float]
     residual: Callable[[int, tuple[int, ...]], np.ndarray]
+    tables: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.tables is not None:
+            object.__setattr__(self, "tables", _validated_tables(*self.tables))
+
+    @classmethod
+    def from_tables(cls, acceptance, residual) -> "Policy":
+        """Markov policy b_n(x | s) = acceptance[n - 1, s, x], P_n(. | s) = residual[n - 1, s].
+
+        The callbacks read read-only copies of the two (T, V, V) arrays.
+        """
+        acceptance, residual = (_frozen(table) for table in (acceptance, residual))
+        return cls(*_table_readers(acceptance, residual), (acceptance, residual))
+
+
+def _frozen(values) -> np.ndarray:
+    arr = _float_array(values).copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def _table_readers(acceptance: np.ndarray, residual: np.ndarray):
+    """Policy callbacks that look up history[-1]'s entries of the (T, V, V) tables."""
+    return (
+        lambda n, history, candidate: acceptance[n - 1, history[-1], candidate],
+        lambda n, history: residual[n - 1, history[-1]],
+    )
+
+
+def _validated_tables(acceptance, residual) -> tuple[np.ndarray, np.ndarray]:
+    """(T, V, V) tables as policy_acceptance and policy_residual_rows return their entries.
+
+    Every entry goes through the two validators at history (s,), so the
+    stored values, and any InvalidPolicy raised, are generic_decode's.
+    """
+    acceptance, residual = _float_array(acceptance), _float_array(residual)
+    shape = acceptance.shape
+    if len(shape) != 3 or shape[1] != shape[2] or residual.shape[:2] != shape[:2]:
+        raise InvalidPolicy(
+            f"policy tables have shapes {shape} and {residual.shape}, expected (T, V, V)"
+        )
+    horizon, vocab_size = shape[:2]
+    reader = Policy(*_table_readers(acceptance, residual))
+    states = [(s,) for s in range(vocab_size)]
+    positions = range(1, horizon + 1)
+    tables = (
+        np.array([
+            [[policy_acceptance(reader, n, h, x) for x in range(vocab_size)] for h in states]
+            for n in positions
+        ]),
+        np.array([policy_residual_rows(reader, n, states, vocab_size) for n in positions]),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _sample_index(cumsum: np.ndarray, u: float) -> int:
@@ -346,16 +413,24 @@ class _Lockstep:
     whose window is short at a round start slides it down and tops it up from
     its own generator, so the working memory is fixed per block.
 
-    Without a policy, candidates are tested against the root iterates of q
-    and replaced from them. With a policy (M = 1), thresholds and replacement
-    rows come from its callbacks instead, called as generic_decode calls them:
-    acceptance once per verified run and residual once per rejected run, each
-    with the run's full history.
+    At each position, ``thresholds[m]`` and ``residual_cums[m]`` are (V, V)
+    tables over (x_{n-1}, x): the acceptance threshold of a candidate tested
+    against iterate m + 1, and the cumsum of the replacement row drawn after
+    that test fails. Without a policy they come from the root iterates of q;
+    with a tabular policy (M = 1) from its tables. A policy without tables
+    leaves them None and is asked through its callbacks as generic_decode asks
+    them: acceptance once per verified run and residual once per rejected run,
+    each with the run's full history.
     """
 
     def __init__(self, pair: ModelPair, batch_size: int, rngs: list, policy=None) -> None:
         self.p, self.q, self.horizon, self.batch_size = pair.p, pair.q, pair.horizon, batch_size
         self.vocab_size, self.policy, self.rngs = pair.vocab_size, policy, rngs
+        self.policy_tables = None
+        if policy is not None and policy.tables is not None:
+            acceptance, residual = policy.tables
+            self.policy_tables = acceptance, np.cumsum(residual, axis=-1)
+        self.thresholds = self.residual_cums = self.totals = None
         count = len(rngs)
         width = 2 * (batch_size * self.horizon + batch_size + self.horizon)
         self.window = np.empty((count, width))
@@ -390,25 +465,24 @@ class _Lockstep:
         return [tuple(row) for row in prefix.tolist()]
 
     def _draft(self, runs, columns, t, p_rows, p_cums):
-        """Draft tokens of ``runs`` at position t from window ``columns``, with their p mass."""
+        """States and draft tokens of ``runs`` at position t, from window ``columns``."""
         states = self.state[runs]
         candidates = _sample_rows(p_cums[states], self.window[runs, columns])
-        p_cand = p_rows[states, candidates]
-        off = p_cand <= 0.0
+        off = p_rows[states, candidates] <= 0.0
         if off.any():
             token = int(candidates[np.argmax(off)])
             raise RuntimeError(f"draft token {token} outside p's support at position {t}")
-        return states, candidates, p_cand
+        return states, candidates
 
-    def _accept(self, runs, t, m, states, candidates, p_cand) -> np.ndarray:
-        """Which of ``runs``' candidates at t pass the test against iterate m (q at m = 0)."""
-        if self.policy is None:
-            threshold = self.iterates[m][states, candidates] / p_cand
-        else:
+    def _accept(self, runs, t, m, states, candidates) -> np.ndarray:
+        """Which of ``runs``' candidates at t pass the test against iterate m + 1 (q at m = 0)."""
+        if self.thresholds is None:
             threshold = np.array([
                 policy_acceptance(self.policy, t, history, candidate)
                 for history, candidate in zip(self._histories(runs, t), candidates.tolist())
             ])
+        else:
+            threshold = self.thresholds[m][states, candidates]
         return self._read(runs) <= threshold
 
     def _emit(self, runs, t, tokens, rejected: bool) -> None:
@@ -419,22 +493,33 @@ class _Lockstep:
             self.follow[runs] = -1
 
     def _replace(self, runs, t, m, states) -> None:
-        """Emit the tokens of ``runs`` rejected at t, drawn from iterate m or the policy."""
-        if self.policy is None:
-            if np.any(self.totals[m - 1][states] <= 0.0):
-                raise ZeroResidual(f"rejection at position {t} with tv(q^{m}, p) = 0")
-            rows = self.iterates[m][states]
-        else:
+        """Emit the tokens of ``runs`` rejected at t by the test against iterate m."""
+        if self.thresholds is None:
             rows = policy_residual_rows(self.policy, t, self._histories(runs, t), self.vocab_size)
-        self._emit(runs, t, _sample_rows(np.cumsum(rows, axis=1), self._read(runs)), rejected=True)
+            cums = np.cumsum(rows, axis=1)
+        else:
+            if self.totals is not None and np.any(self.totals[m - 1][states] <= 0.0):
+                raise ZeroResidual(f"rejection at position {t} with tv(q^{m}, p) = 0")
+            cums = self.residual_cums[m - 1][states]
+        self._emit(runs, t, _sample_rows(cums, self._read(runs)), rejected=True)
+
+    def _tables_at(self, t: int, p_rows: np.ndarray) -> None:
+        """Set position t's threshold and residual-cumsum tables, from q's iterates or the policy."""
+        if self.policy is None:
+            iterates, self.totals = _iterate_tables(
+                self.q.steps[t - 1].rows, p_rows, self.batch_size
+            )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self.thresholds = [iterate / p_rows for iterate in iterates[:-1]]
+            self.residual_cums = [np.cumsum(iterate, axis=1) for iterate in iterates[1:]]
+        elif self.policy_tables is not None:
+            acceptance, residual_cums = self.policy_tables
+            self.thresholds, self.residual_cums = [acceptance[t - 1]], [residual_cums[t - 1]]
 
     def advance(self, t: int) -> None:
         """Emit every run's token at position t."""
         p_rows, p_cums = self.p.steps[t - 1].rows, self.p.step_cumsums[t - 1]
-        if self.policy is None:
-            self.iterates, self.totals = _iterate_tables(
-                self.q.steps[t - 1].rows, p_rows, self.batch_size
-            )
+        self._tables_at(t, p_rows)
         inside = np.flatnonzero(self.follow >= 0)
         opening = np.flatnonzero(self.follow < 0)
 
@@ -442,8 +527,8 @@ class _Lockstep:
             span = self.horizon - self.round_start[inside] + 1
             offset = t - self.round_start[inside]
             columns = self.base[inside] + self.follow[inside] * span + offset
-            states, candidates, p_cand = self._draft(inside, columns, t, p_rows, p_cums)
-            accept = self._accept(inside, t, 0, states, candidates, p_cand)
+            states, candidates = self._draft(inside, columns, t, p_rows, p_cums)
+            accept = self._accept(inside, t, 0, states, candidates)
             self._emit(inside[accept], t, candidates[accept], rejected=False)
             if not accept.all():
                 self._replace(inside[~accept], t, 1, states[~accept])
@@ -457,8 +542,8 @@ class _Lockstep:
             pending = opening
             for m in range(self.batch_size):
                 columns = self.base[pending] + m * span
-                states, candidates, p_cand = self._draft(pending, columns, t, p_rows, p_cums)
-                accept = self._accept(pending, t, m, states, candidates, p_cand)
+                states, candidates = self._draft(pending, columns, t, p_rows, p_cums)
+                accept = self._accept(pending, t, m, states, candidates)
                 self._emit(pending[accept], t, candidates[accept], rejected=False)
                 self.follow[pending[accept]] = m
                 pending, states = pending[~accept], states[~accept]
@@ -488,7 +573,8 @@ def decode_markov_runs(
     (batch_size must then be 1). Runs advance in blocks of at most
     BLOCK_RUNS, so working memory does not grow with ``count``.
     Raises RuntimeError on a draft outside p's support, and ZeroResidual or
-    InvalidPolicy where the scalar samplers do.
+    InvalidPolicy where the scalar samplers do; InvalidPolicy also when a
+    policy's tables are not (T, V, V) for this pair.
     """
     if not isinstance(pair.p, MarkovModel) or not isinstance(pair.q, MarkovModel):
         raise TypeError("decode_markov_runs requires a pair of MarkovModels")
@@ -500,6 +586,9 @@ def decode_markov_runs(
     if seed < 0 or start < 0 or count < 0:
         raise ValueError("seed, start and count must be >= 0")
     horizon = pair.horizon
+    shape = (horizon, pair.vocab_size, pair.vocab_size)
+    if policy is not None and policy.tables is not None and policy.tables[0].shape != shape:
+        raise InvalidPolicy(f"policy tables have shape {policy.tables[0].shape}, expected {shape}")
     out = MarkovRuns(
         np.empty(count, dtype=np.int64),
         np.empty((count, horizon), dtype=np.int64),

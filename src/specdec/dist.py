@@ -15,20 +15,20 @@ from __future__ import annotations
 import numpy as np
 
 NORMALIZE_TOL = 1e-9
-ZERO_TV_TOL = 1e-12
 
 
 class ZeroResidual(ValueError):
-    """Raised when a residual [q - p]_+ is requested but tv(q, p) is zero."""
+    """Raised when a residual [q - p]_+ is requested but max(q - p, 0) sums to zero."""
 
 
 def _float_array(values) -> np.ndarray:
-    """``values`` as a float64 array; raises ValueError unless they are integers or floats.
+    """``values`` (or a Dist's probabilities) as a float64 array of integers or floats.
 
-    Bools, strings, bytes, objects and complex numbers are refused rather than
-    coerced, so ``[True, False]`` and ``["0.5", "0.5"]`` are not distributions.
+    Raises ValueError for bools, strings, bytes, objects and complex numbers
+    rather than coercing them, so ``[True, False]`` and ``["0.5", "0.5"]`` are
+    not distributions.
     """
-    arr = np.asarray(values)
+    arr = values.probs if isinstance(values, Dist) else np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"distribution entries must be real numbers, got dtype {arr.dtype}")
     return arr.astype(np.float64, copy=False)
@@ -130,8 +130,24 @@ def _residual_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return rows, _tv_rows(q, p)
 
 
-def _as_array(d) -> np.ndarray:
-    return d.probs if isinstance(d, Dist) else np.asarray(d, dtype=np.float64)
+def _vector_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two Dists or real vectors as float64 arrays of one shape; ValueError otherwise."""
+    av, bv = _float_array(a), _float_array(b)
+    if av.shape != bv.shape:
+        raise ValueError(f"length mismatch: {av.shape} vs {bv.shape}")
+    return av, bv
+
+
+def _positive_part(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """max(q - p, 0); raises ZeroResidual when it sums to <= 0.
+
+    The samplers use the same rule: a residual is zero only when its weights
+    sum to zero, however small a positive sum is.
+    """
+    weights = np.maximum(q - p, 0.0)
+    if float(weights.sum()) <= 0.0:
+        raise ZeroResidual("max(q - p, 0) sums to zero, residual undefined")
+    return weights
 
 
 def tv_distance(a, b) -> float:
@@ -139,37 +155,25 @@ def tv_distance(a, b) -> float:
 
     Accepts Dist objects or raw vectors of equal length.
     """
-    av, bv = _as_array(a), _as_array(b)
-    if av.shape != bv.shape:
-        raise ValueError(f"length mismatch: {av.shape} vs {bv.shape}")
-    return _tv_arrays(av, bv)
+    return _tv_arrays(*_vector_pair(a, b))
 
 
 def residual_plus(q, p) -> Dist:
     """Normalized positive residual [q - p]_+.
 
-    Raises ZeroResidual when tv(q, p) < ZERO_TV_TOL, where the residual is
+    Raises ZeroResidual when max(q - p, 0) sums to zero, where the residual is
     undefined. Decoding only requests a residual after a rejection, an event
     of probability tv(q, p), so the guard is unreachable from the samplers.
     """
-    qv, pv = _as_array(q), _as_array(p)
-    if qv.shape != pv.shape:
-        raise ValueError(f"length mismatch: {qv.shape} vs {pv.shape}")
-    if _tv_arrays(qv, pv) < ZERO_TV_TOL:
-        raise ZeroResidual("tv(q, p) is zero, residual undefined")
-    return Dist.from_weights(np.maximum(qv - pv, 0.0))
+    return Dist.from_weights(_positive_part(*_vector_pair(q, p)))
 
 
 def rejection_iterate(q_m, p) -> tuple[Dist, float]:
     """One step of the residual iteration q^{m+1} = [q^m - p]_+.
 
     Returns (q^{m+1}, r_m) with r_m = tv(q^m, p), the rejection probability of
-    a draft from p verified against q^m. Raises ZeroResidual when r_m is zero.
+    a draft from p verified against q^m. Raises ZeroResidual when
+    max(q^m - p, 0) sums to zero.
     """
-    qv, pv = _as_array(q_m), _as_array(p)
-    if qv.shape != pv.shape:
-        raise ValueError(f"length mismatch: {qv.shape} vs {pv.shape}")
-    r = _tv_arrays(qv, pv)
-    if r < ZERO_TV_TOL:
-        raise ZeroResidual("tv(q^m, p) is zero, iterate undefined")
-    return Dist.from_weights(np.maximum(qv - pv, 0.0)), r
+    qv, pv = _vector_pair(q_m, p)
+    return Dist.from_weights(_positive_part(qv, pv)), _tv_arrays(qv, pv)

@@ -33,10 +33,10 @@ and tend to 0, which forces q(p = 0) = 0 and W_{m+1} -> 0. Either way the
 limiting product is q(x : p(x) = 0) and the limiting tail W is q restricted
 to {p = 0}.
 
-A root whose r_m falls below ZERO_TV_TOL for some m <= M is treated as
-unable to reject and contributes product and tail zero; the mass dropped is
-P_M <= P_m < ZERO_TV_TOL. r_1 is the very tv value the SD term uses, so M = 1
-reproduces speculative decoding with improvement exactly zero.
+The recursion never divides, so a row with some r_m = 0 needs no special
+case: from there on W and P are zero, however small the earlier r_m were.
+r_1 is the very tv value the SD term uses, so M = 1 reproduces speculative
+decoding with improvement exactly zero.
 
 Two implementations of the batch formula are kept deliberately separate:
 a history-level recursion over explicit prefixes (any model) and an O(T V^2)
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ZERO_TV_TOL, _tv_arrays, _tv_rows
+from .dist import _tv_arrays, _tv_rows
 from .models import MarkovModel, ModelPair
 
 
@@ -122,25 +122,18 @@ def _root_iterates(q, p, tv, batch_size: int | None):
     """(P_M, W_{M+1}) over the last axis of q and p, for one row or a block of rows.
 
     ``tv`` is tv(q, p) per row and becomes P_1 unchanged. batch_size None
-    gives the M -> inf limit (q(p = 0), q restricted to {p = 0}). Rows with
-    some r_m = P_m / P_{m-1} below ZERO_TV_TOL, m <= M, get zero product and tail.
-    The limit tests r_1 only: r_m >= P_m >= q(p = 0), so a later r_m falls
-    below ZERO_TV_TOL only where the limiting product is below it too.
+    gives the M -> inf limit (q(p = 0), q restricted to {p = 0}).
     """
-    alive = tv >= ZERO_TV_TOL
     if batch_size is None:
         tail = np.where(p == 0.0, q, 0.0)
+        return tail.sum(axis=-1), tail
+    prod, level = tv, 1.0
+    tail = np.maximum(q - p, 0.0)
+    for _ in range(batch_size - 1):
+        level = level + prod
+        tail = np.maximum(q - np.expand_dims(level, -1) * p, 0.0)
         prod = tail.sum(axis=-1)
-    else:
-        prod, level = tv, 1.0
-        tail = np.maximum(q - p, 0.0)
-        for _ in range(batch_size - 1):
-            level = level + prod
-            tail = np.maximum(q - np.expand_dims(level, -1) * p, 0.0)
-            nxt = tail.sum(axis=-1)
-            alive = alive & (nxt >= ZERO_TV_TOL * prod)
-            prod = nxt
-    return np.where(alive, prod, 0.0), np.where(np.expand_dims(alive, -1), tail, 0.0)
+    return prod, tail
 
 
 def _gain_markov(pair: ModelPair, batch_size: int | None) -> float:

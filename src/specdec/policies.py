@@ -6,6 +6,14 @@ after a rejection. The factories here cover the cases studied analytically:
 the speculative rule, its unique-unbiased relaxations with b below min{1,q/p},
 and the over-acceptance family with either the bias-minimizing residual
 ("opt") or the target itself ("uno").
+
+Each factory computes its acceptance and residual rows for every context at
+once, as arrays over (context, x). On a Markov pair the contexts are the
+(position, x_{n-1}) pairs, so the rows are (T, V, V) tables and the factory
+returns :meth:`Policy.from_tables`, which the lockstep engine reads without
+calling back. On other pairs the callbacks look the rows up per history.
+A context where rejection has probability zero gets q's row as its residual:
+it is never sampled, and any distribution serves.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import numpy as np
 
 from .decoding import Policy
 from .models import FullModel, MarkovModel, ModelPair
-from .tradeoff import epsilon_acceptance, optimal_residual
+from .tradeoff import DEGENERATE_TOL, _coefficient_rows, epsilon_acceptance
 
 
 def _iter_contexts(model):
@@ -31,20 +39,38 @@ def _iter_contexts(model):
         raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
+def _rows_policy(pair: ModelPair, rule) -> Policy:
+    """Policy whose rows over every context are ``rule(p_rows, q_rows)`` -> (b, residual)."""
+    if isinstance(pair.p, MarkovModel) and isinstance(pair.q, MarkovModel):
+        p, q = (np.array([step.rows for step in model.steps]) for model in (pair.p, pair.q))
+        return Policy.from_tables(*rule(p, q))
+    contexts = list(_iter_contexts(pair.q))
+    p, q = (np.array([model.step(n, h) for n, h in contexts]) for model in (pair.p, pair.q))
+    acceptance, residual = rule(p, q)
+    slots = {pair.q.context_key(n, h): i for i, (n, h) in enumerate(contexts)}
+    return Policy(
+        lambda n, history, candidate: acceptance[slots[pair.q.context_key(n, history)], candidate],
+        lambda n, history: residual[slots[pair.q.context_key(n, history)]],
+    )
+
+
+def _normalized_or_q(weights: np.ndarray, q: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Rows ``weights / sum`` where ``live``, q's row elsewhere."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = weights / weights.sum(axis=-1, keepdims=True)
+    return np.where(live[..., None], rows, q)
+
+
 def sd_policy(pair: ModelPair) -> Policy:
     """Speculative decoding as a generic policy: b = min{1, q/p}, P = [q - p]_+."""
 
-    def acceptance(n: int, history: tuple[int, ...], candidate: int) -> float:
-        p_val = float(pair.p.step(n, history)[candidate])
-        if p_val <= 0.0:
-            return 1.0
-        return min(1.0, float(pair.q.step(n, history)[candidate]) / p_val)
+    def rule(p, q):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            acceptance = np.where(p > 0.0, np.minimum(1.0, q / p), 1.0)
+        weights = np.maximum(q - p, 0.0)
+        return acceptance, _normalized_or_q(weights, q, weights.sum(axis=-1) > 0.0)
 
-    def residual(n: int, history: tuple[int, ...]) -> np.ndarray:
-        weights = np.maximum(pair.q.step(n, history) - pair.p.step(n, history), 0.0)
-        return weights / weights.sum()
-
-    return Policy(acceptance, residual)
+    return _rows_policy(pair, rule)
 
 
 def over_acceptance_policy(pair: ModelPair, eps: float, residual_kind: str = "opt") -> Policy:
@@ -56,27 +82,21 @@ def over_acceptance_policy(pair: ModelPair, eps: float, residual_kind: str = "op
     if residual_kind not in ("opt", "uno"):
         raise ValueError("residual_kind must be 'opt' or 'uno'")
 
-    def acceptance(n: int, history: tuple[int, ...], candidate: int) -> float:
-        b = epsilon_acceptance(pair.p.step(n, history), pair.q.step(n, history), eps)
-        return float(b[candidate])
-
-    def residual(n: int, history: tuple[int, ...]) -> np.ndarray:
-        p_row = pair.p.step(n, history)
-        q_row = pair.q.step(n, history)
+    def rule(p, q):
+        acceptance = epsilon_acceptance(p, q, eps)
         if residual_kind == "uno":
-            return q_row
-        b = epsilon_acceptance(p_row, q_row, eps)
-        return optimal_residual(b, p_row, q_row).canonical.probs
+            return acceptance, q
+        coefficients, denom = _coefficient_rows(acceptance, p, q)
+        return acceptance, _normalized_or_q(
+            np.maximum(coefficients, 0.0), q, denom > DEGENERATE_TOL
+        )
 
-    return Policy(acceptance, residual)
+    return _rows_policy(pair, rule)
 
 
 def always_accept_policy(pair: ModelPair) -> Policy:
     """b = 1 everywhere: the decoder keeps every draft, emitting p's law exactly."""
-    return Policy(
-        lambda n, history, candidate: 1.0,
-        lambda n, history: pair.q.step(n, history),
-    )
+    return _rows_policy(pair, lambda p, q: (np.ones_like(p), q))
 
 
 def random_unbiased_policy(pair: ModelPair, rng: np.random.Generator) -> Policy:
@@ -85,26 +105,18 @@ def random_unbiased_policy(pair: ModelPair, rng: np.random.Generator) -> Policy:
     Each context draws b(x) = u(x) * min{1, q(x)/p(x)} with u uniform on
     [0, 1], then takes the unique residual that restores the target law,
     (q - b p) / sum((1 - b) p). Such policies can only reject more often than
-    speculative decoding.
+    speculative decoding. The uniforms are drawn context by context in
+    position order.
     """
-    tables: dict = {}
-    for n, history in _iter_contexts(pair.q):
-        p_row = pair.p.step(n, history)
-        q_row = pair.q.step(n, history)
+
+    def rule(p, q):
         with np.errstate(divide="ignore", invalid="ignore"):
-            cap = np.minimum(1.0, np.where(p_row > 0.0, q_row / p_row, np.inf))
-        b_row = rng.uniform(size=pair.vocab_size) * cap
-        denom = float(((1.0 - b_row) * p_row).sum())
-        if denom > 1e-15:
-            residual_row = (q_row - b_row * p_row) / denom
-        else:
-            residual_row = q_row  # rejection unreachable, any distribution serves
-        tables[pair.q.context_key(n, history)] = (b_row, residual_row)
+            cap = np.minimum(1.0, np.where(p > 0.0, q / p, np.inf))
+        acceptance = rng.uniform(size=p.shape) * cap
+        denom = ((1.0 - acceptance) * p).sum(axis=-1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            residual = (q - acceptance * p) / denom
+        # Rejection is unreachable where denom vanishes; any distribution serves.
+        return acceptance, np.where(denom > 1e-15, residual, q)
 
-    def acceptance(n: int, history: tuple[int, ...], candidate: int) -> float:
-        return float(tables[pair.q.context_key(n, history)][0][candidate])
-
-    def residual(n: int, history: tuple[int, ...]) -> np.ndarray:
-        return tables[pair.q.context_key(n, history)][1]
-
-    return Policy(acceptance, residual)
+    return _rows_policy(pair, rule)

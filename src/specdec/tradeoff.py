@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Dist, _as_array, _tv_arrays
+from .dist import Dist, _float_array, _tv_arrays
 
 DEGENERATE_TOL = 1e-15
 MEMBERSHIP_TOL = 1e-9
@@ -53,7 +53,7 @@ class ParetoPoint:
 
 
 def _validate_acceptance(b, size: int) -> np.ndarray:
-    arr = np.asarray(b, dtype=np.float64)
+    arr = _float_array(b)
     if arr.shape != (size,):
         raise ValueError(f"acceptance vector has shape {arr.shape}, expected ({size},)")
     if not np.all(np.isfinite(arr)) or np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
@@ -65,7 +65,7 @@ def epsilon_acceptance(p, q, eps: float) -> np.ndarray:
     """Over-acceptance rule b(x) = min{1, (q(x) + eps) / p(x)}, b = 1 off p's support."""
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    pv, qv = _as_array(p), _as_array(q)
+    pv, qv = _float_array(p), _float_array(q)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(pv > 0.0, (qv + eps) / pv, np.inf)
     return np.minimum(1.0, ratio)
@@ -73,7 +73,7 @@ def epsilon_acceptance(p, q, eps: float) -> np.ndarray:
 
 def rejection_probability(b, p) -> float:
     """Probability sum_x (1 - b(x)) p(x) that a draft from p is rejected."""
-    pv = _as_array(p)
+    pv = _float_array(p)
     bv = _validate_acceptance(b, pv.size)
     return float(((1.0 - bv) * pv).sum())
 
@@ -83,9 +83,20 @@ def loss_tv_star(b, p, q) -> float:
 
     Zero exactly when b <= min{1, q/p} pointwise; equals tv(p, q) at b = 1.
     """
-    pv, qv = _as_array(p), _as_array(q)
+    pv, qv = _float_array(p), _float_array(q)
     bv = _validate_acceptance(b, pv.size)
     return 0.5 * float(np.abs(qv - bv * pv).sum()) - 0.5 * float(((1.0 - bv) * pv).sum())
+
+
+def _coefficient_rows(b: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """Over the last axis: A = (q - b p) / sum((1 - b) p) and that denominator.
+
+    Rows with a zero denominator come back as infinities or NaN; callers test
+    the denominator against DEGENERATE_TOL before they use A.
+    """
+    denom = ((1.0 - b) * p).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (q - b * p) / np.expand_dims(denom, -1), denom
 
 
 def optimal_residual(b, p, q) -> ResidualCharacterization:
@@ -94,12 +105,11 @@ def optimal_residual(b, p, q) -> ResidualCharacterization:
     Raises DegenerateRejection when sum (1 - b) p = 0: rejection never occurs
     and the residual is immaterial.
     """
-    pv, qv = _as_array(p), _as_array(q)
+    pv, qv = _float_array(p), _float_array(q)
     bv = _validate_acceptance(b, pv.size)
-    denom = float(((1.0 - bv) * pv).sum())
+    coeff, denom = _coefficient_rows(bv, pv, qv)
     if denom <= DEGENERATE_TOL:
         raise DegenerateRejection("rejection probability is zero under this acceptance rule")
-    coeff = (qv - bv * pv) / denom
     coeff.flags.writeable = False
     plus = tuple(int(x) for x in np.flatnonzero(coeff >= 0.0))
     minus = tuple(int(x) for x in np.flatnonzero(coeff < 0.0))
@@ -114,7 +124,7 @@ def optimal_residual(b, p, q) -> ResidualCharacterization:
 def is_optimal_residual(candidate, b, p, q, tol: float = MEMBERSHIP_TOL) -> bool:
     """Whether a distribution attains loss*(b), via the A-coefficient test."""
     char = optimal_residual(b, p, q)
-    rv = _as_array(candidate)
+    rv = _float_array(candidate)
     if rv.shape != char.coefficients.shape:
         raise ValueError("residual length does not match the vocabulary")
     if np.any(rv < -tol) or abs(float(rv.sum()) - 1.0) > max(tol, 1e-9):
@@ -126,9 +136,9 @@ def is_optimal_residual(candidate, b, p, q, tol: float = MEMBERSHIP_TOL) -> bool
 
 def induced_output_distribution(b, residual, p) -> Dist:
     """Single-token law of accept-or-replace decoding: b p + P * sum (1 - b) p."""
-    pv = _as_array(p)
+    pv = _float_array(p)
     bv = _validate_acceptance(b, pv.size)
-    rv = _as_array(residual)
+    rv = _float_array(residual)
     if rv.shape != pv.shape:
         raise ValueError("residual length does not match the vocabulary")
     return Dist(bv * pv + rv * float(((1.0 - bv) * pv).sum()))
@@ -140,7 +150,7 @@ def pareto_front(p, q, eps_grid) -> list[ParetoPoint]:
     Each point satisfies reject_prob + loss_star = tv(p, q) exactly; eps = 0
     gives (tv, 0) and saturating eps gives (0, tv).
     """
-    pv, qv = _as_array(p), _as_array(q)
+    pv, qv = _float_array(p), _float_array(q)
     points = []
     for eps in eps_grid:
         b = epsilon_acceptance(pv, qv, float(eps))
@@ -156,4 +166,4 @@ def pareto_front(p, q, eps_grid) -> list[ParetoPoint]:
 
 def tradeoff_identity_gap(point: ParetoPoint, p, q) -> float:
     """|reject_prob + loss_star - tv(p, q)| for one Pareto point (a guard value)."""
-    return abs(point.reject_prob + point.loss_star - _tv_arrays(_as_array(p), _as_array(q)))
+    return abs(point.reject_prob + point.loss_star - _tv_arrays(_float_array(p), _float_array(q)))

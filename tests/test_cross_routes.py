@@ -1,0 +1,117 @@
+"""The three routes held to each other on fuzzed Markov pairs.
+
+A derandomized Hypothesis strategy builds pairs with V <= 4 and T <= 6 whose
+rows mix dense draws, sparse supports, p = q, and p within about 1e-12 of q in
+total variation, the rows where a tolerance on "zero residual" would show.
+On each pair the closed forms must match the enumeration oracle to 1e-12, the
+batch limit must sit at or below the M = 8 total, and the lockstep engine must
+return the scalar samplers' runs, for sd, batch and every table policy.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specdec import (
+    CondDist,
+    Dist,
+    MarkovModel,
+    ModelPair,
+    always_accept_policy,
+    batch_decode,
+    enumerate_expected_rejections,
+    expected_rejections_batch,
+    expected_rejections_sd,
+    generic_decode,
+    limit_rejections,
+    make_rng,
+    over_acceptance_policy,
+    random_unbiased_policy,
+    sd_policy,
+    split_rng,
+)
+from specdec.decoding import decode_markov_runs
+
+ROW_KINDS = ("dense", "sparse", "equal", "near", "disjoint")
+
+
+def _unit(rng: np.random.Generator, vocab: int, sparse: bool) -> np.ndarray:
+    raw = rng.uniform(size=vocab)
+    if sparse:
+        raw[rng.random(vocab) < 0.5] = 0.0
+        raw[rng.integers(vocab)] += 0.1
+    return raw / raw.sum()
+
+
+def _rows(rng: np.random.Generator, vocab: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """One (p, q) row pair of the given kind."""
+    if kind == "disjoint":
+        p, q = np.zeros(vocab), np.zeros(vocab)
+        tokens = rng.permutation(vocab)
+        p[tokens[0]], q[tokens[1]] = 1.0, 1.0
+        return p, q
+    q = _unit(rng, vocab, sparse=kind == "sparse")
+    if kind in ("dense", "sparse"):
+        return _unit(rng, vocab, sparse=kind == "sparse"), q
+    p = q.copy()
+    if kind == "near":
+        # tv between 1e-13 and 1e-11, either side of the old 1e-12 cut-off
+        shift = 10.0 ** rng.uniform(-13.0, -11.0)
+        top, other = np.argmax(q), rng.integers(vocab - 1)
+        p[top] -= shift
+        p[other + (other >= top)] += shift
+    return p, q
+
+
+@st.composite
+def markov_pairs(draw) -> ModelPair:
+    """Each position's rows share one kind, or with "mixed" draw their own."""
+    vocab = draw(st.integers(2, 4))
+    horizon = draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from((*ROW_KINDS, "mixed")), min_size=horizon,
+                          max_size=horizon))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_steps, q_steps = [], []
+    for kind in kinds:
+        rows = [_rows(rng, vocab, ROW_KINDS[rng.integers(len(ROW_KINDS))] if kind == "mixed"
+                      else kind) for _ in range(vocab)]
+        p_steps.append(CondDist([p for p, _ in rows]))
+        q_steps.append(CondDist([q for _, q in rows]))
+    prompt = Dist(_unit(rng, vocab, sparse=False))
+    return ModelPair(MarkovModel(prompt, p_steps), MarkovModel(prompt, q_steps))
+
+
+def _assert_runs_equal(runs, scalar_runs):
+    for i, (trajectory, stats) in enumerate(scalar_runs):
+        assert runs.prompt_tokens[i] == trajectory.prompt_token
+        assert tuple(runs.tokens[i].tolist()) == trajectory.tokens
+        assert tuple(runs.flags[i].tolist()) == stats.flags
+
+
+@given(markov_pairs())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_closed_forms_enumeration_and_engine_agree(pair):
+    sd = expected_rejections_sd(pair)
+    assert abs(sd - enumerate_expected_rejections(pair, "sd")) <= 1e-12
+    for m in range(1, 5):
+        want = enumerate_expected_rejections(pair, "batch", batch_size=m)
+        assert abs(expected_rejections_batch(pair, m).total - want) <= 1e-12
+    assert limit_rejections(pair) <= expected_rejections_batch(pair, 8).total + 1e-12
+
+    seed, count = 11, 12
+    for m in (1, 2, 4):
+        runs = decode_markov_runs(pair, m, seed, 0, count)
+        _assert_runs_equal(runs, [batch_decode(pair, m, split_rng(seed, i)) for i in range(count)])
+    policies = [
+        sd_policy(pair),
+        random_unbiased_policy(pair, make_rng(3)),
+        always_accept_policy(pair),
+        over_acceptance_policy(pair, 0.05, "opt"),
+        over_acceptance_policy(pair, 0.05, "uno"),
+    ]
+    for policy in policies:
+        assert policy.tables is not None
+        runs = decode_markov_runs(pair, 1, seed, 0, count, policy)
+        _assert_runs_equal(
+            runs, [generic_decode(pair, policy, split_rng(seed, i)) for i in range(count)]
+        )

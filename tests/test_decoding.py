@@ -23,7 +23,12 @@ from specdec import (
     speculative_decode,
     split_rng,
 )
-from specdec.decoding import BLOCK_RUNS, decode_markov_runs
+from specdec.decoding import (
+    BLOCK_RUNS,
+    decode_markov_runs,
+    policy_acceptance,
+    policy_residual_rows,
+)
 from specdec.dist import ZeroResidual
 from specdec.models import trajectory_index
 
@@ -372,6 +377,7 @@ class TestLockstepPolicies:
     def test_runs_across_a_block_boundary_with_an_offset(self):
         pair = random_model_pair(2, 3, seed=2024)
         policy = random_unbiased_policy(pair, make_rng(5))
+        assert policy.tables is not None
         runs = assert_generic_identical(pair, policy, seed=1, start=7, count=BLOCK_RUNS + 5)
         assert runs.rejections.sum() > 0
 
@@ -421,6 +427,104 @@ class TestLockstepPolicies:
         pair = random_model_pair(2, 3, seed=4)
         with pytest.raises(ValueError, match="batch_size 1"):
             decode_markov_runs(pair, 2, 0, 0, 4, sd_policy(pair))
+
+
+TABLE_POLICIES = [name for name in POLICIES if name != "history"]
+
+
+def table_reader(acceptance, residual) -> Policy:
+    """A callback-only policy that reads the (T, V, V) arrays at history[-1]."""
+    return Policy(
+        lambda n, h, x: acceptance[n - 1, h[-1], x], lambda n, h: residual[n - 1, h[-1]]
+    )
+
+
+class TestPolicyTables:
+    @pytest.mark.parametrize("name", TABLE_POLICIES)
+    def test_tables_are_the_validated_callbacks_bit_for_bit(self, name):
+        pairs = [*seeded_small_pairs(), sparse_draft_pair(5, 8, seed=41),
+                 random_model_pair(7, 50, seed=10)]
+        for pair in pairs:
+            policy = POLICIES[name](pair)
+            acceptance, residual = policy.tables
+            v, states = pair.vocab_size, [(s,) for s in range(pair.vocab_size)]
+            assert acceptance.shape == residual.shape == (pair.horizon, v, v)
+            for n in range(1, pair.horizon + 1):
+                want = np.array(
+                    [[policy_acceptance(policy, n, h, x) for x in range(v)] for h in states]
+                )
+                assert acceptance[n - 1].tobytes() == want.tobytes()
+                want = policy_residual_rows(policy, n, states, v)
+                assert residual[n - 1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", TABLE_POLICIES)
+    def test_full_model_pairs_keep_callbacks_only(self, name):
+        assert POLICIES[name](random_full_pair(3, 3, seed=5)).tables is None
+
+    @pytest.mark.parametrize("name", TABLE_POLICIES)
+    def test_callback_path_gives_the_table_path_runs(self, name):
+        pairs = [*seeded_small_pairs(count=20), random_model_pair(7, 50, seed=10)]
+        for k, pair in enumerate(pairs):
+            policy = POLICIES[name](pair)
+            tables = decode_markov_runs(pair, 1, k, 5, 40, policy)
+            callback_only = Policy(policy.acceptance, policy.residual)
+            callbacks = decode_markov_runs(pair, 1, k, 5, 40, callback_only)
+            for got, want in zip(tables, callbacks):
+                np.testing.assert_array_equal(got, want)
+
+    def test_rejection_free_contexts_get_q_rows(self):
+        # With eps = 0.3 some contexts of this pair accept every draft, where
+        # optimal_residual raises DegenerateRejection; others still reject.
+        pair = random_model_pair(2, 3, seed=2024)
+        policy = over_acceptance_policy(pair, 0.3, "opt")
+        p = np.array([step.rows for step in pair.p.steps])
+        q = np.array([step.rows for step in pair.q.steps])
+        acceptance, residual = policy.tables
+        never = ((1.0 - acceptance) * p).sum(axis=-1) == 0.0
+        assert never.any() and not never.all()
+        np.testing.assert_array_equal(residual[never], q[never])
+        identical = ModelPair(pair.q, pair.q)
+        np.testing.assert_array_equal(sd_policy(identical).tables[1], q)
+        assert_generic_identical(pair, policy, seed=4, start=0, count=300)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda acc, res: (acc, np.concatenate([res, res[..., :1]], axis=-1)),
+            lambda acc, res: (acc.__setitem__(1, np.nan) or acc, res),
+            lambda acc, res: (acc, res.__setitem__(1, [-0.1, 1.1]) or res),
+            lambda acc, res: (acc, res.__setitem__(1, [0.5, 0.6]) or res),
+        ],
+        ids=["shape", "nan-acceptance", "negative-row", "row-sum"],
+    )
+    def test_bad_tables_raise_generic_decodes_messages(self, corrupt):
+        pair = random_model_pair(2, 3, seed=4)
+        q = np.array([step.rows for step in pair.q.steps])
+        acceptance, residual = corrupt(np.zeros_like(q), q.copy())
+        with pytest.raises(InvalidPolicy) as table_error:
+            Policy.from_tables(acceptance, residual)
+        with pytest.raises(InvalidPolicy) as scalar_error:
+            generic_decode(pair, table_reader(acceptance, residual), split_rng(8, 0))
+        assert str(table_error.value) == str(scalar_error.value)
+
+    def test_tables_must_fit_the_pair(self):
+        pair = random_model_pair(2, 3, seed=4)
+        longer = sd_policy(random_model_pair(2, 4, seed=4))
+        with pytest.raises(InvalidPolicy, match="expected"):
+            decode_markov_runs(pair, 1, 0, 0, 4, longer)
+        with pytest.raises(InvalidPolicy, match="expected"):
+            Policy.from_tables(np.zeros((3, 2)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="real numbers"):
+            Policy.from_tables(np.zeros((3, 2, 2), dtype=bool), np.full((3, 2, 2), 0.5))
+
+    def test_tables_are_read_only_copies(self):
+        pair = random_model_pair(2, 3, seed=4)
+        q = np.array([step.rows for step in pair.q.steps])
+        acceptance = np.full_like(q, 0.5)
+        policy = Policy.from_tables(acceptance, q)
+        acceptance[:] = 0.0
+        assert policy.acceptance(1, (0,), 0) == 0.5
+        assert not any(table.flags.writeable for table in policy.tables)
 
 
 class TestBatch:

@@ -87,12 +87,23 @@ class TestNoCoercion:
         with pytest.raises(ValueError, match="real numbers"):
             CondDist(np.stack([row, row]))
 
+    @pytest.mark.parametrize("kind", NOT_REAL)
+    def test_residual_calculus_refuses_non_real_vectors(self, kind):
+        values = NOT_REAL[kind]
+        for call in (tv_distance, residual_plus, rejection_iterate):
+            with pytest.raises(ValueError, match="real numbers"):
+                call(values, [0.25, 0.75])
+            with pytest.raises(ValueError, match="real numbers"):
+                call([0.25, 0.75], values)
+
     def test_integer_and_float_inputs_still_accepted(self):
         assert Dist([0, 1]) == Dist.point(2, 1)
         assert Dist(np.array([1, 3], dtype=np.uint8) / 4) == Dist([0.25, 0.75])
         assert Dist(np.array([0.25, 0.75], dtype=np.float32)) == Dist([0.25, 0.75])
         assert Dist.from_weights([1, 3]) == Dist([0.25, 0.75])
         np.testing.assert_array_equal(CondDist([[1, 0], [0, 1]]).rows, np.eye(2))
+        assert tv_distance([1, 0], [0.5, 0.5]) == 0.5
+        assert residual_plus([0, 1], Dist([0.5, 0.5])) == Dist([0.0, 1.0])
 
     def test_mixed_bool_and_float_lists_become_floats(self):
         # numpy gives [True, 0.5] a float dtype, so the bool reads as 1.0.
@@ -141,6 +152,13 @@ class TestResidualPlus:
     def test_zero_residual_raises(self):
         with pytest.raises(ZeroResidual):
             residual_plus([0.5, 0.5], [0.5, 0.5])
+
+    def test_tiny_positive_residual_is_kept(self):
+        # tv = 4e-13: the samplers would draw from this residual, so it is defined.
+        q, p = [0.5 + 4e-13, 0.5 - 4e-13], [0.5, 0.5]
+        assert residual_plus(q, p) == Dist([1.0, 0.0])
+        d, r = rejection_iterate(q, p)
+        assert d == Dist([1.0, 0.0]) and 0.0 < r < 1e-12
 
     @given(_dist_weights(4), _dist_weights(4))
     @settings(max_examples=100, deadline=None, derandomize=True)

@@ -29,7 +29,7 @@ from specdec import (
     sd_marginal_terms,
     tv_distance,
 )
-from specdec.dist import ZERO_TV_TOL, ZeroResidual, _tv_arrays, _tv_rows
+from specdec.dist import ZeroResidual, _tv_arrays, _tv_rows
 from specdec.exact import _root_iterates
 
 from helpers import constant_chain, random_full_pair, seeded_small_pairs, sparse_draft_pair
@@ -198,13 +198,14 @@ class TestRootIterateClosedForm:
         for vocab in (2, 3, 5, 8):
             q = sparse_rows(rng, vocab, 40)
             p = sparse_rows(rng, vocab, 40)
-            # Rows 0-9 sit at or within ZERO_TV_TOL of q: the short-circuit at m = 1.
+            # Rows 0-4 equal q and rows 5-9 sit within 1e-12 of it: rows 5-9 keep
+            # their tiny residuals, as the samplers do.
             p[:10] = q[:10]
             top = q[5:10].argmax(axis=1)
             p[np.arange(5, 10), top] -= 4e-13
             p[np.arange(5, 10), (top + 1) % vocab] += 4e-13
             tv = _tv_rows(q, p)
-            assert np.all(tv[:10] < ZERO_TV_TOL)
+            assert np.all(tv[:10] < 1e-12)
             for m in range(1, 9):
                 prods, tails = _root_iterates(q, p, tv, m)
                 for i in range(len(q)):
@@ -213,7 +214,22 @@ class TestRootIterateClosedForm:
                     for got_prod, got_tail in ((prods[i], tails[i]), (prod, tail)):
                         assert abs(got_prod - want_prod) <= 1e-14
                         np.testing.assert_allclose(got_tail, want_tail, rtol=0.0, atol=1e-14)
-            assert np.all(_root_iterates(q, p, tv, 8)[0][:10] == 0.0)
+            assert np.all(_root_iterates(q, p, tv, 8)[0][:5] == 0.0)
+
+    def test_many_tiny_roots_keep_their_mass(self):
+        # Odd positions always reject; every even position is then a round root
+        # with tv 9e-13. Dropping each such root's mass lost 7.2e-12 over eight.
+        tiny = np.array([9e-13, 1.0 - 9e-13])
+        p_steps, q_steps = [], []
+        for n in range(1, 17):
+            p_row, q_row = ([1.0, 0.0], [0.0, 1.0]) if n % 2 else ([0.0, 1.0], tiny)
+            p_steps.append(CondDist([p_row, p_row]))
+            q_steps.append(CondDist([q_row, q_row]))
+        prompt = Dist([0.5, 0.5])
+        pair = ModelPair(MarkovModel(prompt, p_steps), MarkovModel(prompt, q_steps))
+        for m in (2, 3):
+            want = enumerate_expected_rejections(pair, "batch", batch_size=m)
+            assert abs(expected_rejections_batch(pair, m).total - want) <= 1e-12
 
     def test_first_factor_is_the_sd_tv_bit_for_bit(self):
         rng = np.random.default_rng(42)

@@ -178,6 +178,39 @@ class TestOptimalResidual:
         assert best <= target + 1.0 / steps
 
 
+NOT_REAL = {
+    "bool": [True, False],
+    "str": ["0.5", "0.5"],
+    "object": np.array([0.5, 0.5], dtype=object),
+    "complex": [0.5 + 0j, 0.5],
+}
+
+
+class TestNoCoercion:
+    @pytest.mark.parametrize("kind", NOT_REAL)
+    def test_every_vector_argument_refuses_non_real_entries(self, kind):
+        bad = NOT_REAL[kind]
+        p, q, b = P_HAND, Q_HAND, B_HAND
+        point = pareto_front(p, q, [0.1])[0]
+        calls = [
+            lambda: epsilon_acceptance(bad, q, 0.1),
+            lambda: epsilon_acceptance(p, bad, 0.1),
+            lambda: rejection_probability(bad, p),
+            lambda: rejection_probability(b, bad),
+            lambda: loss_tv_star(bad, p, q),
+            lambda: loss_tv_star(b, p, bad),
+            lambda: optimal_residual(b, bad, q),
+            lambda: optimal_residual(b, p, bad),
+            lambda: is_optimal_residual(bad, b, p, q),
+            lambda: induced_output_distribution(b, bad, p),
+            lambda: pareto_front(bad, q, [0.1]),
+            lambda: tradeoff_identity_gap(point, p, bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="real numbers"):
+                call()
+
+
 class TestParetoFront:
     def test_identity_holds_across_grid(self):
         grid = [i / 10 for i in range(11)]
