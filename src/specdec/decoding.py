@@ -1,8 +1,12 @@
 """Decoding algorithms: autoregressive, speculative, generic rejection, batch.
 
-All samplers share one drawing discipline per round so that runs are
-reproducible from a seed and speculative_decode is path-identical to
-generic_decode under the speculative policy:
+Speculative, batch and generic decoding are one scalar loop, ``_decode``,
+with three entry points: speculative_decode runs its M = 1 round against q,
+batch_decode its M-response round against q's iterates, and generic_decode
+its M = 1 round under a policy's acceptance and residual rules. All three
+therefore share one drawing discipline per round, so runs are reproducible
+from a seed and speculative_decode is path-identical to batch_decode at M = 1
+and to generic_decode under the speculative policy:
 
     1. one uniform for x_0 (first round only),
     2. one uniform per drafted token, drafts drawn eagerly to the horizon,
@@ -209,6 +213,72 @@ def _draft_to_horizon(p, history: tuple[int, ...], start: int, horizon: int, rng
     return tokens
 
 
+def _no_residual(t: int, m: int) -> ZeroResidual:
+    """The error for a rejection at position t by the test against iterate q^m (q^1 = q)."""
+    return ZeroResidual(f"rejection at position {t} with tv(q^{m}, p) = 0")
+
+
+def _decode(
+    pair: ModelPair, batch_size: int, policy: Policy | None, rng
+) -> tuple[Trajectory, RunStats]:
+    """One run of batch speculative sampling, or of a policy's rejection rule at M = 1.
+
+    Round structure at position n0 with prefix h:
+      * M = batch_size responses are drafted from p to the horizon, one
+        oracle batch.
+      * Response m's first token is tested against the iterate q^m, where
+        q^1 = q(.|h) and q^{m+1} = [q^m - p]_+. A first-token rejection moves
+        to response m+1 without emitting or counting anything.
+      * Once a first token is accepted the round follows that response only;
+        a later rejection replaces the token from the target residual
+        [q_t - p_t]_+, counts one rejection, and ends the round.
+      * If all M first tokens reject, the token is drawn from q^{M+1} itself
+        and one rejection is counted.
+
+    With a policy the test is b_n(x | h) and the replacement row P_n(. | h):
+    acceptance is asked once per verified position, residual once per
+    rejection.
+    """
+    p, q, horizon = pair.p, pair.q, pair.horizon
+    history = (_sample_index(q.prompt_cumsum, rng.random()),)
+    flags = [0] * horizon
+    while len(history) <= horizon:
+        start = len(history)
+        responses = [_draft_to_horizon(p, history, start, horizon, rng) for _ in range(batch_size)]
+        for t in range(start, horizon + 1):
+            p_row = p.step(t, history)
+            target = q.step(t, history) if policy is None else None
+            for m, response in enumerate(responses, start=1):
+                candidate = response[t - start]
+                p_cand = float(p_row[candidate])
+                if p_cand <= 0.0:
+                    raise RuntimeError(
+                        f"draft token {candidate} outside p's support at position {t}"
+                    )
+                if policy is None:
+                    threshold = min(1.0, float(target[candidate]) / p_cand)
+                else:
+                    threshold = policy_acceptance(policy, t, history, candidate)
+                if rng.random() <= threshold:
+                    responses = [response]
+                    history += (candidate,)
+                    break
+                if policy is None:
+                    weights = np.maximum(target - p_row, 0.0)
+                    total = float(weights.sum())
+                    if total <= 0.0:
+                        raise _no_residual(t, m)
+                    target = weights / total
+                else:
+                    target = policy_residual_row(policy, t, history, pair.vocab_size)
+            else:
+                flags[t - 1] = 1
+                history += (_sample_index(np.cumsum(target), rng.random()),)
+                break
+    rejections = sum(flags)
+    return Trajectory(history[0], history[1:]), RunStats(rejections, rejections, tuple(flags))
+
+
 def speculative_decode(pair: ModelPair, rng: np.random.Generator) -> tuple[Trajectory, RunStats]:
     """Speculative decoding with lookahead equal to the remaining horizon.
 
@@ -216,37 +286,7 @@ def speculative_decode(pair: ModelPair, rng: np.random.Generator) -> tuple[Traje
     probability min(1, q(x)/p(x)), and on the first rejection replaces the
     token with a draw from [q - p]_+ before re-drafting.
     """
-    p, q, horizon = pair.p, pair.q, pair.horizon
-    x0 = _sample_index(pair.q.prompt_cumsum, rng.random())
-    history = (x0,)
-    flags = [0] * horizon
-    rejections = 0
-    n = 1
-    while n <= horizon:
-        draft = _draft_to_horizon(p, history, n, horizon, rng)
-        for offset, t in enumerate(range(n, horizon + 1)):
-            candidate = draft[offset]
-            p_row = p.step(t, history)
-            q_row = q.step(t, history)
-            p_cand = float(p_row[candidate])
-            if p_cand <= 0.0:
-                raise RuntimeError(f"draft token {candidate} outside p's support at position {t}")
-            u = rng.random()
-            if u <= min(1.0, float(q_row[candidate]) / p_cand):
-                history += (candidate,)
-                n = t + 1
-                continue
-            rejections += 1
-            flags[t - 1] = 1
-            weights = np.maximum(q_row - p_row, 0.0)
-            total = float(weights.sum())
-            if total <= 0.0:
-                raise ZeroResidual(f"rejection at position {t} with tv(q, p) = 0")
-            token = _sample_index(np.cumsum(weights / total), rng.random())
-            history += (token,)
-            n = t + 1
-            break
-    return Trajectory(x0, history[1:]), RunStats(rejections, rejections, tuple(flags))
+    return _decode(pair, 1, None, rng)
 
 
 def generic_decode(
@@ -257,32 +297,9 @@ def generic_decode(
     Draws uniforms in the same order as speculative_decode, so the speculative
     policy reproduces its trajectories path-for-path under a shared seed.
     """
-    p, horizon, vocab = pair.p, pair.horizon, pair.vocab_size
-    x0 = _sample_index(pair.q.prompt_cumsum, rng.random())
-    history = (x0,)
-    flags = [0] * horizon
-    rejections = 0
-    n = 1
-    while n <= horizon:
-        draft = _draft_to_horizon(p, history, n, horizon, rng)
-        for offset, t in enumerate(range(n, horizon + 1)):
-            candidate = draft[offset]
-            if float(p.step(t, history)[candidate]) <= 0.0:
-                raise RuntimeError(f"draft token {candidate} outside p's support at position {t}")
-            b = policy_acceptance(policy, t, history, candidate)
-            u = rng.random()
-            if u <= b:
-                history += (candidate,)
-                n = t + 1
-                continue
-            rejections += 1
-            flags[t - 1] = 1
-            row = policy_residual_row(policy, t, history, vocab)
-            token = _sample_index(np.cumsum(row), rng.random())
-            history += (token,)
-            n = t + 1
-            break
-    return Trajectory(x0, history[1:]), RunStats(rejections, rejections, tuple(flags))
+    if not isinstance(policy, Policy):
+        raise TypeError(f"{policy!r} is not a Policy")
+    return _decode(pair, 1, policy, rng)
 
 
 def batch_decode(
@@ -290,78 +307,13 @@ def batch_decode(
 ) -> tuple[Trajectory, RunStats]:
     """Batch speculative sampling with M = batch_size draft responses per round.
 
-    Round structure at position n0 with prefix h:
-      * M responses are drafted from p to the horizon, one oracle batch.
-      * Response m's first token is tested against the iterate q^m, where
-        q^1 = q(.|h) and q^{m+1} = [q^m - p]_+. A first-token rejection moves
-        to response m+1 without emitting or counting anything.
-      * Once a first token is accepted the round follows that response only;
-        a later rejection replaces the token from the target residual
-        [q_t - p_t]_+, counts one rejection, and ends the round.
-      * If all M first tokens reject, the token is drawn from q^{M+1} itself
-        and one rejection is counted.
-
-    With batch_size=1 this is speculative decoding exactly.
+    Rounds are as described in ``_decode``. With batch_size=1 this is
+    speculative decoding exactly.
     """
+    batch_size = _as_int(batch_size)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    p, q, horizon = pair.p, pair.q, pair.horizon
-    x0 = _sample_index(pair.q.prompt_cumsum, rng.random())
-    history = (x0,)
-    flags = [0] * horizon
-    rejections = 0
-    n = 1
-    while n <= horizon:
-        n0 = n
-        responses = [_draft_to_horizon(p, history, n0, horizon, rng) for _ in range(batch_size)]
-        p_root = p.step(n0, history)
-        q_iter = q.step(n0, history).copy()
-        accepted_root = False
-        for m in range(batch_size):
-            candidate = responses[m][0]
-            p_cand = float(p_root[candidate])
-            if p_cand <= 0.0:
-                raise RuntimeError(f"draft token {candidate} outside p's support at position {n0}")
-            u = rng.random()
-            if u <= min(1.0, float(q_iter[candidate]) / p_cand):
-                accepted_root = True
-                history += (candidate,)
-                n = n0 + 1
-                for offset, t in enumerate(range(n0 + 1, horizon + 1), start=1):
-                    cand = responses[m][offset]
-                    p_row = p.step(t, history)
-                    q_row = q.step(t, history)
-                    if float(p_row[cand]) <= 0.0:
-                        raise RuntimeError(f"draft token {cand} outside p's support at position {t}")
-                    u = rng.random()
-                    if u <= min(1.0, float(q_row[cand]) / float(p_row[cand])):
-                        history += (cand,)
-                        n = t + 1
-                        continue
-                    rejections += 1
-                    flags[t - 1] = 1
-                    weights = np.maximum(q_row - p_row, 0.0)
-                    total = float(weights.sum())
-                    if total <= 0.0:
-                        raise ZeroResidual(f"rejection at position {t} with tv(q, p) = 0")
-                    token = _sample_index(np.cumsum(weights / total), rng.random())
-                    history += (token,)
-                    n = t + 1
-                    break
-                break
-            # First-token rejection: advance the iterate, no emission yet.
-            weights = np.maximum(q_iter - p_root, 0.0)
-            total = float(weights.sum())
-            if total <= 0.0:
-                raise ZeroResidual(f"root rejection at position {n0} with tv(q^m, p) = 0")
-            q_iter = weights / total
-        if not accepted_root:
-            rejections += 1
-            flags[n0 - 1] = 1
-            token = _sample_index(np.cumsum(q_iter), rng.random())
-            history += (token,)
-            n = n0 + 1
-    return Trajectory(x0, history[1:]), RunStats(rejections, rejections, tuple(flags))
+    return _decode(pair, batch_size, None, rng)
 
 
 class MarkovRuns(NamedTuple):
@@ -390,10 +342,11 @@ def _sample_rows(cumsums: np.ndarray, us: np.ndarray) -> np.ndarray:
 def _iterate_tables(q_rows: np.ndarray, p_rows: np.ndarray, batch_size: int):
     """Iterates q^1..q^{M+1} of every state row and the M normalisers between them.
 
-    Row s is computed by batch_decode's own float operations on that row,
-    q^{m+1} = max(q^m - p, 0) / sum, so the tables are bit-equal to its
-    ``q_iter``. A zero normaliser leaves NaN rows, which are read only after
-    the ZeroResidual check has already raised.
+    Row s is computed by the scalar loop's own float operations on that row,
+    q^{m+1} = max(q^m - p, 0) / sum, so the tables are bit-equal to the
+    iterates ``_decode`` tests a round's first tokens against. A zero
+    normaliser leaves NaN rows, which are read only after the ZeroResidual
+    check has already raised.
     """
     iterates, totals = [q_rows], []
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -499,7 +452,7 @@ class _Lockstep:
             cums = np.cumsum(rows, axis=1)
         else:
             if self.totals is not None and np.any(self.totals[m - 1][states] <= 0.0):
-                raise ZeroResidual(f"rejection at position {t} with tv(q^{m}, p) = 0")
+                raise _no_residual(t, m)
             cums = self.residual_cums[m - 1][states]
         self._emit(runs, t, _sample_rows(cums, self._read(runs)), rejected=True)
 
@@ -550,7 +503,7 @@ class _Lockstep:
                 if not pending.size:
                     break
                 if m + 1 < self.batch_size and np.any(self.totals[m][states] <= 0.0):
-                    raise ZeroResidual(f"root rejection at position {t} with tv(q^{m + 1}, p) = 0")
+                    raise _no_residual(t, m + 1)
             if pending.size:
                 self._replace(pending, t, self.batch_size, states)
 

@@ -280,19 +280,22 @@ class TestLockstepEngine:
         pair = zero_residual_pair()
         outcomes = []
         for i in range(40):
-            raised = []
+            errors = []
             for decode in (
                 lambda: scalar_run(pair, batch_size, split_rng(8, i)),
                 lambda: decode_markov_runs(pair, batch_size, 8, i, 1),
             ):
                 try:
                     decode()
-                    raised.append(False)
-                except ZeroResidual:
-                    raised.append(True)
-            assert raised[0] == raised[1], f"run {i}"
-            outcomes.append(raised[0])
+                    errors.append(None)
+                except ZeroResidual as exc:
+                    errors.append(str(exc))
+            assert errors[0] == errors[1], f"run {i}"
+            outcomes.append(errors[0])
         assert any(outcomes) and not all(outcomes)
+        assert set(outcomes) - {None} <= {
+            f"rejection at position {t} with tv(q^1, p) = 0" for t in (1, 2)
+        }
 
     def test_input_validation(self):
         with pytest.raises(TypeError, match="MarkovModel"):
@@ -390,6 +393,21 @@ class TestLockstepPolicies:
             generic_decode(pair, scalar, split_rng(6, i))
         assert any(call[0] == "residual" for call in scalar_calls)
         assert sorted(engine_calls) == sorted(scalar_calls)
+
+    @pytest.mark.parametrize("name", POLICIES)
+    def test_scalar_loop_asks_once_per_position_and_rejection(self, name):
+        pairs = [*seeded_small_pairs(), random_full_pair(3, 4, seed=5)]
+        rejections = 0
+        for k, pair in enumerate(pairs):
+            policy, calls = recording(POLICIES[name](pair))
+            for i in range(8):
+                calls.clear()
+                _, stats = generic_decode(pair, policy, split_rng(k, i))
+                kinds = [call[0] for call in calls]
+                assert kinds.count("acceptance") == pair.horizon
+                assert kinds.count("residual") == stats.rejections
+                rejections += stats.rejections
+        assert rejections > 0 or name == "always-accept"
 
     @pytest.mark.parametrize(
         "acceptance, residual",
@@ -532,6 +550,12 @@ class TestBatch:
         pair = random_model_pair(2, 2, seed=0)
         with pytest.raises(ValueError, match="batch_size"):
             batch_decode(pair, 0, make_rng(0))
+        for bad in (True, "2", 1.5, None):
+            with pytest.raises(TypeError, match="not an integer"):
+                batch_decode(pair, bad, make_rng(0))
+        assert batch_decode(pair, 2.0, make_rng(3)) == batch_decode(pair, 2, make_rng(3))
+        with pytest.raises(TypeError, match="not a Policy"):
+            generic_decode(pair, None, make_rng(0))
 
     def test_single_response_is_speculative_decoding(self):
         pair = random_model_pair(3, 5, seed=5)
