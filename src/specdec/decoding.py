@@ -35,6 +35,14 @@ source: q's root iterates for sd and batch, or a Markov policy's (T, V, V)
 tables (see :class:`Policy`). Only a policy without tables, such as one that
 reads more of the history than x_{n-1}, is asked through its callbacks, with
 the run's full history and as often per run as generic_decode asks.
+
+Stream sources. No run reads more than S(M, T) = 1 + M*T(T+1)/2 + (M+1)*T
+uniforms (proved in :func:`decode_markov_runs`). Where S fits the engine's
+top-up window of 2*(M*T + M + T) uniforms, that is for T <= 2, or T = 3 with
+M <= 2, a block of runs draws its runs' whole streams at once with
+``rng.split_uniforms``. Longer runs build one generator per run with
+``rng.split_rngs`` and top their windows up from it. Both give every run the
+uniforms of ``split_rng(seed, index)``, so the source changes no result.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ import numpy as np
 
 from .dist import ZeroResidual, _float_array
 from .models import MarkovModel, ModelPair, _as_int
-from .rng import split_rngs
+from .rng import split_rngs, split_uniforms
 
 BLOCK_RUNS = 1024
 
@@ -131,8 +139,12 @@ def _table_readers(acceptance: np.ndarray, residual: np.ndarray):
 def _validated_tables(acceptance, residual) -> tuple[np.ndarray, np.ndarray]:
     """(T, V, V) tables as policy_acceptance and policy_residual_rows return their entries.
 
-    Every entry goes through the two validators at history (s,), so the
-    stored values, and any InvalidPolicy raised, are generic_decode's.
+    Checked and stored over whole tables, but entry for entry as those two
+    validators check and return them at history (s,): every acceptance entry
+    first, then the residual rows, each position by position. So the stored
+    values, signed zeros included, are what generic_decode reads, and an
+    InvalidPolicy raised has the validators' message for the first bad
+    position.
     """
     acceptance, residual = _float_array(acceptance), _float_array(residual)
     shape = acceptance.shape
@@ -140,16 +152,15 @@ def _validated_tables(acceptance, residual) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidPolicy(
             f"policy tables have shapes {shape} and {residual.shape}, expected (T, V, V)"
         )
-    horizon, vocab_size = shape[:2]
-    reader = Policy(*_table_readers(acceptance, residual))
-    states = [(s,) for s in range(vocab_size)]
-    positions = range(1, horizon + 1)
+    infinite = ~np.isfinite(acceptance)
+    if infinite.any():
+        raise _not_finite(int(np.argmax(infinite.any(axis=(1, 2)))) + 1)
+    if residual.shape[2:] != shape[2:] and shape[0] and shape[1]:
+        raise _bad_shape(1, residual.shape[2:])
     tables = (
-        np.array([
-            [[policy_acceptance(reader, n, h, x) for x in range(vocab_size)] for h in states]
-            for n in positions
-        ]),
-        np.array([policy_residual_rows(reader, n, states, vocab_size) for n in positions]),
+        # min(1, max(0, b)) as policy_acceptance takes it: -0.0 becomes 0.0.
+        np.where(acceptance > 0.0, np.minimum(acceptance, 1.0), 0.0),
+        _distributions(np.ascontiguousarray(residual), range(1, shape[0] + 1)),
     )
     for table in tables:
         table.flags.writeable = False
@@ -161,6 +172,31 @@ def _sample_index(cumsum: np.ndarray, u: float) -> int:
     return min(idx, cumsum.size - 1)
 
 
+def _not_finite(n: int) -> InvalidPolicy:
+    return InvalidPolicy(f"acceptance at position {n} is not finite")
+
+
+def _bad_shape(n: int, shape) -> InvalidPolicy:
+    return InvalidPolicy(f"residual at position {n} has shape {shape}")
+
+
+def _distributions(rows: np.ndarray, positions) -> np.ndarray:
+    """(K, H, V) blocks of residual rows, block k at ``positions[k]``, checked and normalised.
+
+    Raises InvalidPolicy for the first block with a row that is not a
+    nonnegative vector summing to 1 within 1e-9.
+    """
+    valid = (np.isfinite(rows) & (rows >= 0.0)).all(axis=(1, 2))
+    totals = rows.sum(axis=2)
+    off = np.abs(totals - 1.0) > 1e-9
+    for k in np.flatnonzero(~valid | off.any(axis=1))[:1].tolist():
+        if not valid[k]:
+            raise InvalidPolicy(f"residual at position {positions[k]} is not a distribution")
+        total = float(totals[k][off[k]][0])
+        raise InvalidPolicy(f"residual at position {positions[k]} sums to {total!r}")
+    return rows / totals[..., None]
+
+
 def policy_residual_rows(policy: Policy, n: int, histories, vocab_size: int) -> np.ndarray:
     """Policy residuals at position n for each history, stacked, validated and normalised.
 
@@ -170,15 +206,8 @@ def policy_residual_rows(policy: Policy, n: int, histories, vocab_size: int) -> 
     rows = [np.asarray(policy.residual(n, history), dtype=np.float64) for history in histories]
     for row in rows:
         if row.shape != (vocab_size,):
-            raise InvalidPolicy(f"residual at position {n} has shape {row.shape}")
-    rows = np.array(rows)
-    if not (np.isfinite(rows).all() and (rows >= 0.0).all()):
-        raise InvalidPolicy(f"residual at position {n} is not a distribution")
-    totals = rows.sum(axis=1)
-    off = np.flatnonzero(np.abs(totals - 1.0) > 1e-9)
-    if off.size:
-        raise InvalidPolicy(f"residual at position {n} sums to {float(totals[off[0]])!r}")
-    return rows / totals[:, None]
+            raise _bad_shape(n, row.shape)
+    return _distributions(np.array(rows).reshape(1, len(rows), vocab_size), [n])[0]
 
 
 def policy_residual_row(policy: Policy, n: int, history: tuple[int, ...], vocab_size: int):
@@ -189,7 +218,7 @@ def policy_residual_row(policy: Policy, n: int, history: tuple[int, ...], vocab_
 def policy_acceptance(policy: Policy, n: int, history: tuple[int, ...], candidate: int) -> float:
     b = float(policy.acceptance(n, history, candidate))
     if not math.isfinite(b):
-        raise InvalidPolicy(f"acceptance at position {n} is not finite")
+        raise _not_finite(n)
     return min(1.0, max(0.0, b))
 
 
@@ -361,10 +390,12 @@ class _Lockstep:
     """One block of runs advanced together, one position at a time.
 
     Each run keeps a window of its uniform stream: ``window[i, cursor[i]]`` is
-    its next unread uniform. The window holds twice the most one round can
-    read (M*L drafts, M root tests, L - 1 verifies, one replacement), and a run
-    whose window is short at a round start slides it down and tops it up from
-    its own generator, so the working memory is fixed per block.
+    its next unread uniform. With ``rngs`` None the window holds every
+    uniform a run can read. Otherwise it holds twice the most one round can
+    read (M*L drafts, M root tests, L - 1 verifies, one replacement), and a
+    run whose window is short at a round start slides it down and tops it up
+    from its own generator ``rngs[i]``, so the working memory is fixed per
+    block.
 
     At each position, ``thresholds[m]`` and ``residual_cums[m]`` are (V, V)
     tables over (x_{n-1}, x): the acceptance threshold of a candidate tested
@@ -376,7 +407,7 @@ class _Lockstep:
     each with the run's full history.
     """
 
-    def __init__(self, pair: ModelPair, batch_size: int, rngs: list, policy=None) -> None:
+    def __init__(self, pair: ModelPair, batch_size: int, window, rngs, policy=None) -> None:
         self.p, self.q, self.horizon, self.batch_size = pair.p, pair.q, pair.horizon, batch_size
         self.vocab_size, self.policy, self.rngs = pair.vocab_size, policy, rngs
         self.policy_tables = None
@@ -384,11 +415,7 @@ class _Lockstep:
             acceptance, residual = policy.tables
             self.policy_tables = acceptance, np.cumsum(residual, axis=-1)
         self.thresholds = self.residual_cums = self.totals = None
-        count = len(rngs)
-        width = 2 * (batch_size * self.horizon + batch_size + self.horizon)
-        self.window = np.empty((count, width))
-        for row, rng in zip(self.window, rngs):
-            rng.random(out=row)
+        self.window, count = window, len(window)
         self.cursor = np.zeros(count, dtype=np.int64)
         self.state = _sample_rows(self.q.prompt_cumsum, self._read(np.arange(count)))
         self.prompt_tokens = self.state.copy()
@@ -488,7 +515,8 @@ class _Lockstep:
 
         if opening.size:
             span = self.horizon - t + 1
-            self._top_up(opening, (self.batch_size + 1) * (span + 1) - 1)
+            if self.rngs is not None:
+                self._top_up(opening, (self.batch_size + 1) * (span + 1) - 1)
             self.base[opening] = self.cursor[opening]
             self.cursor[opening] += self.batch_size * span
             self.round_start[opening] = t
@@ -508,6 +536,28 @@ class _Lockstep:
                 self._replace(pending, t, self.batch_size, states)
 
 
+def _stream_length(batch_size: int, horizon: int) -> int:
+    """S(M, T) = 1 + M*T(T+1)/2 + (M+1)*T, the most uniforms one run can read."""
+    return 1 + batch_size * horizon * (horizon + 1) // 2 + (batch_size + 1) * horizon
+
+
+def _window_width(batch_size: int, horizon: int) -> int:
+    """Twice the most one round can read: the width of a window that tops up."""
+    return 2 * (batch_size * horizon + batch_size + horizon)
+
+
+def _block_streams(seed: int, start: int, count: int, batch_size: int, horizon: int):
+    """Filled windows of runs start, ..., start + count - 1, and their generators if they top up."""
+    reads, width = _stream_length(batch_size, horizon), _window_width(batch_size, horizon)
+    if reads <= width:
+        return split_uniforms(seed, start, count, reads), None
+    rngs = split_rngs(seed, start, count)
+    window = np.empty((count, width))
+    for row, rng in zip(window, rngs):
+        rng.random(out=row)
+    return window, rngs
+
+
 def decode_markov_runs(
     pair: ModelPair,
     batch_size: int,
@@ -525,6 +575,26 @@ def decode_markov_runs(
     ``generic_decode(pair, policy, split_rng(seed, start + i))`` returns
     (batch_size must then be 1). Runs advance in blocks of at most
     BLOCK_RUNS, so working memory does not grow with ``count``.
+
+    Stream source. No run reads more than S(M, T) = 1 + M*T(T+1)/2 + (M+1)*T
+    uniforms. Proof: take a round that opens at position t, with
+    L = T - t + 1, and emits positions t, ..., e, w = e - t + 1 of them. It
+    reads M*L drafts, at most M root tests, e - t verifies and at most one
+    replacement, so at most M*L + M + w uniforms. The rounds' w sum to T and
+    they open at distinct positions, so with the prompt's uniform a run reads
+    at most 1 + T + (sum over rounds of M*(L + 1)). Every term is positive,
+    so that sum is largest when every position opens a round:
+    sum_{t=1..T} M*(T - t + 2) = M*T(T+1)/2 + M*T, and the bound is S. A run
+    in which every round rejects all M root tests reads exactly S.
+
+    When S is at most the top-up window width 2*(M*T + M + T) (T <= 2, or
+    T = 3 with M <= 2), a block's windows are
+    ``split_uniforms(seed, start + lo, n, S)``, its runs' whole streams drawn
+    at once, and never top up. Otherwise the block builds its runs'
+    generators with ``split_rngs`` and tops windows of that width up from
+    them. Both sources give every run the same uniforms, so the choice,
+    which depends only on (M, T), changes no result.
+
     Raises RuntimeError on a draft outside p's support, and ZeroResidual or
     InvalidPolicy where the scalar samplers do; InvalidPolicy also when a
     policy's tables are not (T, V, V) for this pair.
@@ -550,7 +620,8 @@ def decode_markov_runs(
     )
     for lo in range(0, count, BLOCK_RUNS):
         hi = min(count, lo + BLOCK_RUNS)
-        block = _Lockstep(pair, batch_size, split_rngs(seed, start + lo, hi - lo), policy)
+        streams = _block_streams(seed, start + lo, hi - lo, batch_size, horizon)
+        block = _Lockstep(pair, batch_size, *streams, policy)
         for t in range(1, horizon + 1):
             block.advance(t)
         out.prompt_tokens[lo:hi] = block.prompt_tokens

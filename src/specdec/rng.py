@@ -16,6 +16,31 @@ whatever the data, so ``_pcg64_seeds`` runs numpy's algorithm on a whole
 column of spawn keys at once. Each PCG64 then reads its four words through
 ``_SeedWords``, a minimal implementation of numpy's documented ISeedSequence
 interface, and so starts in the state SeedSequence would have given it.
+
+``split_uniforms`` skips the generators: it returns a block of runs' first
+``width`` uniforms, row k bit for bit ``split_rng(master_seed, start +
+k).random(width)``, by running numpy's PCG64 (O'Neill, 2014; numpy's
+``pcg64.h``) on the seed words of every run at once. Each step is integer
+arithmetic modulo 2**128 or 2**64, which uint64 arrays carry out exactly
+(numpy array arithmetic wraps silently), so the kernel reproduces numpy's
+C code operation for operation:
+
+* seeding, as ``pcg64_set_seed``: with words (w0, w1, w2, w3), state 0 and
+  inc = (w2 * 2**64 + w3) * 2 + 1 mod 2**128, one LCG step, then state +=
+  w0 * 2**64 + w1, then another step;
+* the LCG step state * MULT + inc mod 2**128 on (hi, lo) uint64 halves:
+  lo' = lo * MULT_lo, hi' = hi * MULT_lo + lo * MULT_hi + the high half of
+  lo * MULT_lo, which comes from 32-bit limbs so no partial product
+  overflows; adding inc carries from the low half into the high;
+* each output steps first, then takes XSL-RR, hi ^ lo rotated right by the
+  state's top six bits;
+* ``random()`` maps a 64-bit output x to (x >> 11) * 2**-53, exactly as
+  numpy's ``next_double``: x >> 11 < 2**53 converts to float64 exactly, and
+  the scaling is by a power of two.
+
+The kernel costs a fixed number of numpy calls per uniform over the whole
+block, so it beats per-run generators on short streams and loses on long
+ones; :func:`specdec.decoding.decode_markov_runs` picks between them.
 """
 
 from __future__ import annotations
@@ -31,6 +56,14 @@ INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 MASK32 = 0xFFFFFFFF
+
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h) in 64-bit
+# halves, and the low half's 32-bit limbs. The kernel's shift counts and
+# masks are uint64 scalars too, so every operation stays in uint64.
+PCG_MULT_HI, PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+MULT_LO_LIMBS = (np.uint64(0x9FCCF645), np.uint64(0x4385DF64))
+MASK32_U64 = np.uint64(MASK32)
+U1, U11, U32, U58, U63, U64 = (np.uint64(v) for v in (1, 11, 32, 58, 63, 64))
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -99,8 +132,8 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
-def split_rngs(master_seed: int, start: int, count: int) -> list[np.random.Generator]:
-    """``[split_rng(master_seed, i) for i in range(start, start + count)]``, bit for bit.
+def _split_seed_words(master_seed: int, start: int, count: int) -> np.ndarray:
+    """Row k: the four uint64 words PCG64 seeds ``split_rng(master_seed, start + k)`` from.
 
     ``master_seed``, ``start`` and ``count`` are nonnegative integers.
     """
@@ -109,7 +142,7 @@ def split_rngs(master_seed: int, start: int, count: int) -> list[np.random.Gener
         raise ValueError("master_seed, start and count must be >= 0")
     seed_words = [(master_seed >> (32 * j)) & MASK32 for j in range(_word_count(master_seed))]
     seed_words += [0] * (POOL_SIZE - len(seed_words))
-    rngs = []
+    groups = [np.empty((0, 4), dtype=np.uint64)]
     index, stop = start, start + count
     while index < stop:
         # Spawn keys of one word count share an entropy length.
@@ -119,9 +152,61 @@ def split_rngs(master_seed: int, start: int, count: int) -> list[np.random.Gener
             b"".join(i.to_bytes(4 * words, "little") for i in range(index, end)), dtype="<u4"
         ).reshape(end - index, words)
         seeds = np.tile(np.array(seed_words, dtype=np.uint32), (end - index, 1))
-        entropy = np.hstack([seeds, keys])
-        rngs.extend(
-            np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in _pcg64_seeds(entropy)
-        )
+        groups.append(_pcg64_seeds(np.hstack([seeds, keys])))
         index = end
-    return rngs
+    return np.concatenate(groups)
+
+
+def split_rngs(master_seed: int, start: int, count: int) -> list[np.random.Generator]:
+    """``[split_rng(master_seed, i) for i in range(start, start + count)]``, bit for bit.
+
+    ``master_seed``, ``start`` and ``count`` are nonnegative integers.
+    """
+    words = _split_seed_words(master_seed, start, count)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
+
+
+def _mul_hi(a: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit product a * PCG_MULT_LO, from 32-bit limbs.
+
+    With limbs a = a1 * 2**32 + a0 and b1, b0 of the constant, neither
+    a1*b0 + (a0*b0 >> 32) nor its low limb plus a0*b1 exceeds 2**64 - 1.
+    """
+    a0, a1 = a & MASK32_U64, a >> U32
+    middle = a1 * MULT_LO_LIMBS[0] + ((a0 * MULT_LO_LIMBS[0]) >> U32)
+    low_carry = (middle & MASK32_U64) + a0 * MULT_LO_LIMBS[1]
+    return a1 * MULT_LO_LIMBS[1] + (middle >> U32) + (low_carry >> U32)
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """state * PCG_MULT + inc mod 2**128 for every run, with (hi, lo) uint64 halves."""
+    product_lo = lo * PCG_MULT_LO
+    product_hi = hi * PCG_MULT_LO + lo * PCG_MULT_HI + _mul_hi(lo)
+    lo = product_lo + inc_lo
+    return product_hi + inc_hi + (lo < product_lo), lo
+
+
+def split_uniforms(master_seed: int, start: int, count: int, width: int) -> np.ndarray:
+    """(count, width) array whose row k is ``split_rng(master_seed, start + k).random(width)``.
+
+    Bit for bit, by numpy's PCG64 arithmetic run over the whole block (see
+    the module docstring). The arguments are nonnegative integers.
+    """
+    width = operator.index(width)
+    if width < 0:
+        raise ValueError("width must be >= 0")
+    words = _split_seed_words(master_seed, start, count)
+    seed_hi, seed_lo, seq_hi, seq_lo = words.T
+    # pcg64_set_seed: state 0, inc = (seq << 1) | 1, step (which takes state 0
+    # to inc), add the seed, step.
+    inc_hi = (seq_hi << U1) | (seq_lo >> U63)
+    inc_lo = (seq_lo << U1) | U1
+    lo = inc_lo + seed_lo
+    hi, lo = _lcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    bits = np.empty((width, len(words)), dtype=np.uint64)
+    for column in bits:
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR: rotate hi ^ lo right by the state's top six bits.
+        value, rotation = hi ^ lo, hi >> U58
+        column[:] = (value >> rotation) | (value << ((U64 - rotation) & U63))
+    return (bits >> U11).T * 2.0**-53

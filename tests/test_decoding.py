@@ -25,6 +25,10 @@ from specdec import (
 )
 from specdec.decoding import (
     BLOCK_RUNS,
+    _block_streams,
+    _Lockstep,
+    _stream_length,
+    _window_width,
     decode_markov_runs,
     policy_acceptance,
     policy_residual_rows,
@@ -271,6 +275,49 @@ class TestLockstepEngine:
             assert np.array_equal(full[BLOCK_RUNS - 3:], part)
         assert np.array_equal(runs.rejections, runs.flags.sum(axis=1))
 
+    @pytest.mark.parametrize(
+        "batch_size, reads, width, cursor",
+        # (1, 3) and (2, 3) read whole streams of S uniforms; at (3, 3),
+        # S = 31 > 30 and every run tops up once, before the round at t = 3,
+        # whose 7 uniforms are then read from a refilled window.
+        [(1, 13, 13, 13), (2, 22, 22, 22), (3, 31, 30, 7)],
+    )
+    def test_stream_source_boundary(self, batch_size, reads, width, cursor):
+        pair = disjoint_pair(3)
+        assert _stream_length(batch_size, 3) == reads
+        window, rngs = _block_streams(5, 2, 50, batch_size, 3)
+        assert window.shape == (50, width) and (rngs is None) == (reads <= width)
+        block = _Lockstep(pair, batch_size, window, rngs)
+        for t in (1, 2, 3):
+            block.advance(t)
+        assert (block.flags == 1).all()  # every round rejects every root test
+        assert (block.cursor == cursor).all()
+        assert_path_identical(pair, batch_size, seed=5, start=2, count=50)
+
+    def test_stream_length_is_the_most_a_run_reads(self):
+        def most_reads(batch_size, horizon):
+            """x_0's uniform plus best[1]; best[t] is the most read from a round opened at t on."""
+            best = [0] * (horizon + 2)
+            for t in range(horizon, 0, -1):
+                opened = batch_size * (horizon - t + 1) + batch_size  # drafts, root tests
+                outcomes = [opened + 1 + best[t + 1], opened + horizon - t]
+                outcomes += [opened + e - t + 1 + best[e + 1] for e in range(t + 1, horizon + 1)]
+                best[t] = max(outcomes)
+            return 1 + best[1]
+
+        for batch_size in range(1, 7):
+            for horizon in range(1, 13):
+                assert _stream_length(batch_size, horizon) == most_reads(batch_size, horizon)
+        fast = [
+            (batch_size, horizon)
+            for batch_size in range(1, 65)
+            for horizon in range(1, 65)
+            if _block_streams(0, 0, 0, batch_size, horizon)[1] is None
+        ]
+        assert {(m, t) for m, t in fast if t > 2} == {(1, 3), (2, 3)}
+        for batch_size, horizon in fast:
+            assert _stream_length(batch_size, horizon) <= _window_width(batch_size, horizon)
+
     def test_zero_runs(self):
         runs = decode_markov_runs(random_model_pair(3, 4, seed=1), 2, 0, 0, 0)
         assert runs.tokens.shape == (0, 4) and runs.rejections.shape == (0,)
@@ -512,8 +559,11 @@ class TestPolicyTables:
             lambda acc, res: (acc.__setitem__(1, np.nan) or acc, res),
             lambda acc, res: (acc, res.__setitem__(1, [-0.1, 1.1]) or res),
             lambda acc, res: (acc, res.__setitem__(1, [0.5, 0.6]) or res),
+            lambda acc, res: (acc.__setitem__(2, np.nan) or acc, res),
+            lambda acc, res: (acc, res.__setitem__(2, [np.nan, 1.0]) or res),
         ],
-        ids=["shape", "nan-acceptance", "negative-row", "row-sum"],
+        ids=["shape", "nan-acceptance", "negative-row", "row-sum", "late-nan-acceptance",
+             "late-nan-residual"],
     )
     def test_bad_tables_raise_generic_decodes_messages(self, corrupt):
         pair = random_model_pair(2, 3, seed=4)
@@ -524,6 +574,59 @@ class TestPolicyTables:
         with pytest.raises(InvalidPolicy) as scalar_error:
             generic_decode(pair, table_reader(acceptance, residual), split_rng(8, 0))
         assert str(table_error.value) == str(scalar_error.value)
+
+    def test_clamped_entries_and_signed_zeros_are_the_validators(self):
+        pair = random_model_pair(2, 3, seed=4)
+        q = np.array([step.rows for step in pair.q.steps])
+        acceptance = np.full_like(q, 0.5)
+        acceptance[0] = [[-0.0, 1.5], [-0.2, 0.0]]
+        acceptance[2] = [[1.0, -7.0], [2.0, -1e-300]]
+        residual = q.copy()
+        residual[1] = [[-0.0, 1.0], [1.0, -0.0]]
+        policy = Policy.from_tables(acceptance, residual)
+        stored_acceptance, stored_residual = policy.tables
+        reader = table_reader(acceptance, residual)
+        states = [(0,), (1,)]
+        for n in (1, 2, 3):
+            want = np.array([[policy_acceptance(reader, n, h, x) for x in (0, 1)] for h in states])
+            assert stored_acceptance[n - 1].tobytes() == want.tobytes()
+            want = policy_residual_rows(reader, n, states, 2)
+            assert stored_residual[n - 1].tobytes() == want.tobytes()
+        assert stored_acceptance[0].tolist() == [[0.0, 1.0], [0.0, 0.0]]
+        assert not np.signbit(stored_acceptance).any()  # -0.0 is stored as 0.0
+        assert np.signbit(stored_residual[1]).tolist() == [[True, False], [False, True]]
+
+    def test_strided_tables_store_the_validators_rows(self):
+        # Rows of 40 are summed pairwise; a Fortran-ordered table must be too.
+        q = np.array([step.rows for step in random_model_pair(40, 2, seed=6).q.steps])
+        acceptance = np.asfortranarray(np.clip(q * 30.0, 0.0, 1.0))
+        residual = np.asfortranarray(q)
+        reader = table_reader(acceptance, residual)
+        policy = Policy(reader.acceptance, reader.residual, (acceptance, residual))
+        stored_residual = policy.tables[1]
+        states = [(s,) for s in range(40)]
+        for n in (1, 2):
+            want = policy_residual_rows(reader, n, states, 40)
+            assert stored_residual[n - 1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({(2, 1, 0): np.nan}, "acceptance at position 3 is not finite"),
+            ({(2, 1, 0): np.nan, (1, 0, 1): np.inf}, "acceptance at position 2 is not finite"),
+            ({(2, 0, 0): -np.inf}, "acceptance at position 3 is not finite"),
+        ],
+    )
+    def test_first_non_finite_position_is_named(self, entries, message):
+        pair = random_model_pair(2, 3, seed=4)
+        q = np.array([step.rows for step in pair.q.steps])
+        acceptance = np.full_like(q, 0.5)
+        residual = q.copy()
+        residual[0, 0] = [0.5, 0.6]  # a bad residual row, checked after every acceptance entry
+        for index, value in entries.items():
+            acceptance[index] = value
+        with pytest.raises(InvalidPolicy, match=f"^{message}$"):
+            Policy.from_tables(acceptance, residual)
 
     def test_tables_must_fit_the_pair(self):
         pair = random_model_pair(2, 3, seed=4)

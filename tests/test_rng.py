@@ -1,9 +1,12 @@
-"""Batched stream splitting: split_rngs returns split_rng's generators, bit for bit."""
+"""Batched stream splitting: split_rngs returns split_rng's generators, and
+split_uniforms their uniforms, bit for bit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specdec.rng import split_rng, split_rngs
+from specdec.rng import split_rng, split_rngs, split_uniforms
 
 
 def assert_same_streams(seed: int, start: int, count: int) -> None:
@@ -45,3 +48,46 @@ def test_input_validation():
         split_rngs(0, 0, -1)
     with pytest.raises(TypeError):
         split_rngs(0, 1.5, 3)
+
+
+def test_split_uniforms_input_validation():
+    for args in [(-1, 0, 3, 2), (0, -1, 3, 2), (0, 0, -1, 2)]:
+        with pytest.raises(ValueError, match="master_seed, start and count must be >= 0"):
+            split_uniforms(*args)
+    with pytest.raises(ValueError, match="width must be >= 0"):
+        split_uniforms(0, 0, 3, -1)
+    for args in [(0, 1.5, 3, 2), (2.0, 0, 3, 2), (0, 0, 3.0, 2), (0, 0, 3, 2.5)]:
+        with pytest.raises(TypeError):
+            split_uniforms(*args)
+
+
+def assert_same_uniforms(seed: int, start: int, count: int, width: int) -> None:
+    block = split_uniforms(seed, start, count, width)
+    assert block.shape == (count, width) and block.dtype == np.float64
+    for row, index in zip(block, range(start, start + count)):
+        assert row.tobytes() == split_rng(seed, index).random(width).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**70 + 1, 2**160 + 9])
+def test_split_uniforms_match_split_rng(seed):
+    assert_same_uniforms(seed, 0, 40, 22)
+    assert_same_uniforms(seed, 123_456, 5, 70)
+    assert_same_uniforms(seed, 2**32 - 3, 6, 13)  # one- and two-word spawn keys
+    assert_same_uniforms(seed, 2**64 - 2, 4, 9)  # two- and three-word spawn keys
+
+
+def test_split_uniforms_empty_blocks():
+    assert split_uniforms(7, 5, 0, 4).shape == (0, 4)
+    assert split_uniforms(7, 5, 3, 0).shape == (3, 0)
+    assert split_uniforms(7, 2**64 - 1, 0, 0).shape == (0, 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**130 - 1),
+    start=st.integers(0, 2**66 - 1),
+    count=st.integers(0, 40),
+    width=st.integers(0, 40),
+)
+def test_split_uniforms_property(seed, start, count, width):
+    assert_same_uniforms(seed, start, count, width)
