@@ -19,14 +19,20 @@ rejections so far. A branch of probability w that adds k rejections maps
 merging paths before branching gives the leaves the same mass and moment as
 expanding every path, and the law and E[rejections] stay exact.
 
-For each prompt token x_0 the frontier at position n is, per phase, a dense
-array over the codes of x_1..x_{n-1} (x_1 the most significant digit). The
-child of code c at token x has code c * V + x, so an (N, V) child table ravels
-into the next level. Model rows and policy callbacks are read once per
-(n, history) with positive mass, the histories the algorithm can reach. Each
-of the at most V**n histories at position n is built once, so a walk costs
-O((T + M * V) * V**T) against (2V)**T branch paths for a path-by-path
-expansion, and holds O(V**T) floats, the size of the law.
+The frontier at position n is, per phase, a dense array over the codes of
+the history (x_0, ..., x_{n-1}), x_0 the most significant digit. The child of
+code c at token x has code c * V + x, so an (N, V) child table ravels into the
+next level, and a walk makes one level call per position. To bound memory the
+prompt tokens walk together in blocks of B = max(1, FULL_TABLE_CAP //
+V**(T + 1)) consecutive tokens, so a block's last child table holds at most
+FULL_TABLE_CAP entries per phase; where B = 1 each prompt token walks alone.
+Histories with no mass, those of prompt tokens with no mass among them, drop
+out of each level, and a block with no prompt mass is skipped. Model rows and
+policy callbacks are read once per (n, history) with positive mass, the
+histories the algorithm can reach. Each of the at most V**n histories at
+position n is built once, so a walk costs O((T + M * V) * V**T) against
+(2V)**T branch paths for a path-by-path expansion, and holds
+O(min(V, B) * V**T) floats per phase.
 
 These oracles are the ground truth the closed-form recursions are tested
 against, so they share nothing with exact.py beyond the distribution helpers:
@@ -43,7 +49,7 @@ import numpy as np
 
 from .decoding import Policy, policy_acceptance, policy_residual_rows
 from .dist import _residual_rows
-from .models import FULL_TABLE_CAP, ModelPair
+from .models import FULL_TABLE_CAP, ModelPair, _as_int
 
 ALGORITHMS = ("sd", "batch", "generic")
 
@@ -57,10 +63,10 @@ def _check_size(pair: ModelPair) -> None:
         )
 
 
-def _histories(x0: int, codes: np.ndarray, v: int, length: int) -> list[tuple[int, ...]]:
-    """History (x_0, x_1, ..., x_length) for each code of x_1..x_length."""
+def _histories(codes: np.ndarray, v: int, length: int) -> list[tuple[int, ...]]:
+    """History (x_0, ..., x_{length-1}) for each code, x_0 the most significant digit."""
     digits = codes[:, None] // v ** np.arange(length - 1, -1, -1) % v
-    return [(x0, *row) for row in digits.tolist()]
+    return [tuple(row) for row in digits.tolist()]
 
 
 def _rows(model, n: int, histories) -> np.ndarray:
@@ -77,24 +83,26 @@ def _walk(pair: ModelPair, phases: int, level) -> tuple[np.ndarray, float]:
     adds ``rejections`` (0 or 1). Paths start in phase 0.
     """
     v, horizon = pair.vocab_size, pair.horizon
+    block = max(1, FULL_TABLE_CAP // v ** (horizon + 1))
     law = np.zeros(v**horizon)
     moments = []
-    for x0 in range(v):
-        if pair.prompt[x0] == 0.0:
+    for lo in range(0, v, block):
+        prompt = pair.prompt.probs[lo : lo + block]
+        if not prompt.any():
             continue
-        mass = np.zeros((phases, 1))
-        mass[0, 0] = pair.prompt[x0]
-        moment = np.zeros((phases, 1))
+        mass = np.zeros((phases, prompt.size))
+        mass[0] = prompt
+        moment = np.zeros_like(mass)
         for n in range(1, horizon + 1):
             live = np.flatnonzero((mass > 0.0).any(axis=0))
             child_mass = np.zeros((phases, mass.shape[1], v))
             child_moment = np.zeros_like(child_mass)
-            for src, dst, rejections, table in level(n, _histories(x0, live, v, n - 1)):
+            for src, dst, rejections, table in level(n, _histories(live + lo * v ** (n - 1), v, n)):
                 m, r = mass[src, live, None], moment[src, live, None]
                 child_mass[dst, live] += m * table
                 child_moment[dst, live] += (r + rejections * m) * table
             mass, moment = child_mass.reshape(phases, -1), child_moment.reshape(phases, -1)
-        law += mass.sum(axis=0)
+        law += mass.sum(axis=0).reshape(-1, law.size).sum(axis=0)
         moments.append(math.fsum(moment.ravel().tolist()))
     return law, math.fsum(moments)
 
@@ -159,8 +167,11 @@ def _enumerate(
     if algorithm == "generic":
         if policy is None:
             raise ValueError("algorithm 'generic' requires a policy")
+        if not isinstance(policy, Policy):
+            raise TypeError(f"{policy!r} is not a Policy")
         return _walk(pair, 1, _generic_level(pair, policy))
     if algorithm == "batch":
+        batch_size = _as_int(batch_size)
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         return _walk(pair, 2, _batch_level(pair, batch_size))

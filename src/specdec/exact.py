@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import _tv_arrays, _tv_rows
-from .models import MarkovModel, ModelPair
+from .models import MarkovModel, ModelPair, _as_int
 
 
 @dataclass(frozen=True)
@@ -190,6 +190,7 @@ def expected_rejections_batch(pair: ModelPair, batch_size: int) -> BatchRejectio
     is sum_n E_q[tv] minus the improvement, and batch_size = 1 recovers
     speculative decoding with improvement exactly zero.
     """
+    batch_size = _as_int(batch_size)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     gain = _gain(pair, batch_size)

@@ -29,8 +29,18 @@ def constant_chain(prompt_row: np.ndarray, row: np.ndarray, horizon: int) -> Mar
     return MarkovModel(Dist(prompt_row), [CondDist(table)] * horizon)
 
 
-def random_full_pair(vocab: int, horizon: int, seed: int) -> ModelPair:
-    """Non-Markov pair: every history gets its own random conditional."""
+def with_prompt(pair: ModelPair, prompt) -> ModelPair:
+    """The Markov pair with its prompt distribution replaced."""
+    prompt = Dist(prompt)
+    return ModelPair(MarkovModel(prompt, pair.p.steps), MarkovModel(prompt, pair.q.steps))
+
+
+def random_full_pair(vocab: int, horizon: int, seed: int, prompt=None) -> ModelPair:
+    """Non-Markov pair: every history gets its own random conditional.
+
+    The prompt distribution is uniform unless given.
+    """
+    prompt = Dist.uniform(vocab) if prompt is None else Dist(prompt)
     seq_p, seq_q = np.random.SeedSequence(seed).spawn(2)
 
     def build(seq):
@@ -40,7 +50,7 @@ def random_full_pair(vocab: int, horizon: int, seed: int) -> ModelPair:
             raw = rng.uniform(size=vocab)
             return raw / raw.sum()
 
-        return FullModel.from_function(Dist.uniform(vocab), horizon, fn)
+        return FullModel.from_function(prompt, horizon, fn)
 
     return ModelPair(build(seq_p), build(seq_q))
 

@@ -3,6 +3,8 @@
 A derandomized Hypothesis strategy builds pairs with V <= 4 and T <= 6 whose
 rows mix dense draws, sparse supports, p = q, and p within about 1e-12 of q in
 total variation, the rows where a tolerance on "zero residual" would show.
+Prompts are dense or sparse, so the oracle's pruning of prompt tokens with
+no mass is checked too.
 On each pair the closed forms must match the enumeration oracle to 1e-12, the
 batch limit must sit at or below the M = 8 total, and the lockstep engine must
 return the scalar samplers' runs, for sd, batch and every table policy.
@@ -77,7 +79,7 @@ def markov_pairs(draw) -> ModelPair:
                       else kind) for _ in range(vocab)]
         p_steps.append(CondDist([p for p, _ in rows]))
         q_steps.append(CondDist([q for _, q in rows]))
-    prompt = Dist(_unit(rng, vocab, sparse=False))
+    prompt = Dist(_unit(rng, vocab, sparse=rng.random() < 0.5))
     return ModelPair(MarkovModel(prompt, p_steps), MarkovModel(prompt, q_steps))
 
 

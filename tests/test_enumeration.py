@@ -5,11 +5,13 @@ unbiasedness of the output laws, the per-position rejection identity, and the
 generic-policy lower bound. Agreement with the closed-form recursions on Markov
 pairs lives in test_exact so the two routes stay independently validated; the
 history-dependent pairs and the long horizon here are compared with them too.
-The callback tests pin which histories the level-by-level expansion reads.
+The callback tests pin which histories the level-by-level expansion reads, and
+the prompt-block tests its pruning of prompt tokens and its memory bound.
 """
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -35,7 +37,7 @@ from specdec import (
     tv_distance,
 )
 
-from helpers import random_full_pair, seeded_small_pairs, sparse_draft_pair
+from helpers import random_full_pair, seeded_small_pairs, sparse_draft_pair, with_prompt
 
 PAIRS = seeded_small_pairs(count=12, master=77)
 
@@ -135,11 +137,22 @@ class TestGuards:
         pair = random_model_pair(2, 2, seed=1)
         with pytest.raises(ValueError, match="policy"):
             enumerate_expected_rejections(pair, "generic")
+        for enumerate_fn in (enumerate_output_distribution, enumerate_expected_rejections):
+            with pytest.raises(TypeError, match="not a Policy"):
+                enumerate_fn(pair, "generic", policy="x")
 
     def test_batch_size_validated(self):
         pair = random_model_pair(2, 2, seed=1)
         with pytest.raises(ValueError, match="batch_size"):
             enumerate_expected_rejections(pair, "batch", batch_size=0)
+        for enumerate_fn in (enumerate_output_distribution, enumerate_expected_rejections):
+            for bad in (True, "2", 2.5, None):
+                with pytest.raises(TypeError, match="not an integer"):
+                    enumerate_fn(pair, "batch", batch_size=bad)
+        law = enumerate_output_distribution(pair, "batch", batch_size=2.0)
+        np.testing.assert_array_equal(law, enumerate_output_distribution(pair, "batch", batch_size=2))
+        enum = enumerate_expected_rejections(pair, "batch", batch_size=2.0)
+        assert enum == enumerate_expected_rejections(pair, "batch", batch_size=2)
 
 
 class TestHistoryDependentPairs:
@@ -239,6 +252,73 @@ class TestCallbacks:
             with pytest.raises(InvalidPolicy) as enum:
                 enumerate_fn(pair, "generic", policy=policy)
             assert str(enum.value) == str(scalar.value)
+
+
+def _sparse_prompt(vocab: int, dead: list[int]) -> np.ndarray:
+    weights = np.arange(1.0, vocab + 1.0)
+    weights[dead] = 0.0
+    return weights / weights.sum()
+
+
+class TestPromptBlocks:
+    # At (V, T) = (40, 2) the prompt tokens walk in blocks of 15, 15 and 10,
+    # and the middle block has no prompt mass; at (4, 3) they walk in one block.
+    SPARSE = {
+        "markov": with_prompt(
+            random_model_pair(40, 2, seed=13), _sparse_prompt(40, [2, 7, *range(15, 30), 33])
+        ),
+        "full": random_full_pair(4, 3, seed=13, prompt=_sparse_prompt(4, [1, 2])),
+    }
+
+    @pytest.mark.parametrize("kind", SPARSE)
+    def test_zero_mass_prompt_tokens_are_never_read(self, kind):
+        pair = self.SPARSE[kind]
+        dead = {x0 for x0 in range(pair.vocab_size) if pair.prompt[x0] == 0.0}
+        sd_rule = sd_policy(pair)
+
+        def check_live(n, history):
+            if history[0] in dead:
+                raise AssertionError(f"callback at position {n} on unreachable {history}")
+
+        def acceptance(n, history, candidate):
+            check_live(n, history)
+            return sd_rule.acceptance(n, history, candidate)
+
+        def residual(n, history):
+            check_live(n, history)
+            return sd_rule.residual(n, history)
+
+        target = joint_distribution(pair.q)
+        sd = expected_rejections_sd(pair)
+        runs = [("sd", {}, sd), ("generic", {"policy": Policy(acceptance, residual)}, sd)]
+        runs += [
+            ("batch", {"batch_size": m}, expected_rejections_batch(pair, m).total) for m in (1, 2, 3)
+        ]
+        for algorithm, kwargs, closed_form in runs:
+            law = enumerate_output_distribution(pair, algorithm, **kwargs)
+            np.testing.assert_allclose(law, target, atol=1e-13)
+            enum = enumerate_expected_rejections(pair, algorithm, **kwargs)
+            assert enum == pytest.approx(closed_form, abs=1e-12)
+
+    def test_tokens_walk_one_at_a_time_above_the_cap(self):
+        # V**(T + 1) > FULL_TABLE_CAP, so each prompt token walks alone: a
+        # merged walk would hold a 1001 x 1001 child table, 8 MB. The prompt
+        # keeps three tokens so that the traced walk stays short, as
+        # tracemalloc traces each Python float the leaf sums build; a block
+        # that walks is as large as with a dense prompt.
+        base = random_model_pair(1001, 1, seed=2)
+        prompt = np.zeros(1001)
+        prompt[[0, 500, 1000]] = [0.2, 0.5, 0.3]
+        pair = with_prompt(base, prompt)
+        for algorithm, kwargs in (("sd", {}), ("batch", {"batch_size": 3})):
+            tracemalloc.start()
+            try:
+                law = enumerate_output_distribution(pair, algorithm, **kwargs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 512 * 1024
+            np.testing.assert_allclose(law, joint_distribution(pair.q), atol=1e-13)
 
 
 class TestLongHorizon:

@@ -190,6 +190,10 @@ class TestBatchRecursions:
     def test_batch_size_validated(self):
         with pytest.raises(ValueError, match="batch_size"):
             expected_rejections_batch(PAIRS[0], 0)
+        for bad in (True, "2", 2.5, None):
+            with pytest.raises(TypeError, match="not an integer"):
+                expected_rejections_batch(PAIRS[0], bad)
+        assert expected_rejections_batch(PAIRS[0], 2.0) == expected_rejections_batch(PAIRS[0], 2)
 
 
 class TestRootIterateClosedForm:
