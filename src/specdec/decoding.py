@@ -29,20 +29,28 @@ same index whether that happens eagerly or lazily, so
 :func:`decode_markov_runs` advances many Markov runs in lockstep, one position
 at a time, and returns exactly the scalar samplers' trajectories, rejections
 and flags. generic_decode reads its stream exactly as speculative decoding
-does, so the engine also runs generic policies as the M = 1 round. Each
-position's acceptance thresholds and replacement cumsums come from one
-source: q's root iterates for sd and batch, or a Markov policy's (T, V, V)
-tables (see :class:`Policy`). Only a policy without tables, such as one that
-reads more of the history than x_{n-1}, is asked through its callbacks, with
-the run's full history and as often per run as generic_decode asks.
+does, so the engine also runs generic policies as the M = 1 round. The
+acceptance thresholds and replacement cumsums of every position come from
+one source, built once per call over the stacked (T, V, V) rows: q's root
+iterates for sd and batch, or a Markov policy's tables (see :class:`Policy`).
+Only a policy without tables, such as one that reads more of the history
+than x_{n-1}, is asked through its callbacks, with the run's full history and
+as often per run as generic_decode asks. At each position every run tests
+one candidate against q, the token of the response it follows or, when it
+opens a round, response 0's, so one verify pass covers all runs; only opening
+runs that reject it go on to responses 1, ..., M - 1.
 
 Stream sources. No run reads more than S(M, T) = 1 + M*T(T+1)/2 + (M+1)*T
 uniforms (proved in :func:`decode_markov_runs`). Where S fits the engine's
 top-up window of 2*(M*T + M + T) uniforms, that is for T <= 2, or T = 3 with
-M <= 2, a block of runs draws its runs' whole streams at once with
-``rng.split_uniforms``. Longer runs build one generator per run with
-``rng.split_rngs`` and top their windows up from it. Both give every run the
-uniforms of ``split_rng(seed, index)``, so the source changes no result.
+M <= 2, a block of max(BLOCK_RUNS, STREAM_BUDGET // S) runs draws its runs'
+whole streams at once with ``rng.split_uniforms``: about STREAM_BUDGET = 2**16
+uniforms, 512 KB, whatever S is, so the fixed numpy cost of seeding and of
+each position is shared by thousands of short runs. Longer runs advance in
+blocks of BLOCK_RUNS, build one generator per run with ``rng.split_rngs`` and
+top their windows up from it. Both give every run the uniforms of
+``split_rng(seed, index)``, so neither the source nor the block size changes
+a result.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from .models import MarkovModel, ModelPair, _as_int
 from .rng import split_rngs, split_uniforms
 
 BLOCK_RUNS = 1024
+STREAM_BUDGET = 2**16
 
 
 class InvalidPolicy(ValueError):
@@ -371,19 +380,55 @@ def _sample_rows(cumsums: np.ndarray, us: np.ndarray) -> np.ndarray:
 def _iterate_tables(q_rows: np.ndarray, p_rows: np.ndarray, batch_size: int):
     """Iterates q^1..q^{M+1} of every state row and the M normalisers between them.
 
-    Row s is computed by the scalar loop's own float operations on that row,
-    q^{m+1} = max(q^m - p, 0) / sum, so the tables are bit-equal to the
-    iterates ``_decode`` tests a round's first tokens against. A zero
-    normaliser leaves NaN rows, which are read only after the ZeroResidual
-    check has already raised.
+    Rows run along the last axis. Row s is computed by the scalar loop's own
+    float operations on that row, q^{m+1} = max(q^m - p, 0) / sum, so the
+    tables are bit-equal to the iterates ``_decode`` tests a round's first
+    tokens against. A zero normaliser leaves NaN rows, which are read only
+    after the ZeroResidual check has already raised.
     """
     iterates, totals = [q_rows], []
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(batch_size):
             weights = np.maximum(iterates[-1] - p_rows, 0.0)
-            totals.append(weights.sum(axis=1))
-            iterates.append(weights / totals[-1][:, None])
+            totals.append(weights.sum(axis=-1))
+            iterates.append(weights / totals[-1][..., None])
     return iterates, totals
+
+
+class _Tables(NamedTuple):
+    """Every position's tables for one :func:`decode_markov_runs` call, stacked over n.
+
+    ``p_rows`` and ``p_cums`` are p's (T, V, V) rows and their cumsums.
+    ``thresholds[m][n - 1]`` and ``residual_cums[m][n - 1]`` are (V, V)
+    tables over (x_{n-1}, x): the acceptance threshold of a candidate tested
+    against iterate m + 1 at position n, and the cumsum of the replacement
+    row drawn after that test fails; ``totals[m][n - 1]`` is the normaliser
+    of iterate m + 2. Without a policy they come from the root iterates of q;
+    with a tabular policy (M = 1) from its tables, and ``totals`` is None. A
+    policy without tables leaves all three None and is asked through its
+    callbacks.
+    """
+
+    p_rows: np.ndarray
+    p_cums: np.ndarray
+    thresholds: list | None
+    residual_cums: list | None
+    totals: list | None
+
+
+def _tables(pair: ModelPair, batch_size: int, policy: Policy | None) -> _Tables:
+    p_rows, p_cums = np.stack([step.rows for step in pair.p.steps]), pair.p.step_cumsums
+    if policy is None:
+        q_rows = np.stack([step.rows for step in pair.q.steps])
+        iterates, totals = _iterate_tables(q_rows, p_rows, batch_size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            thresholds = [iterate / p_rows for iterate in iterates[:-1]]
+        residual_cums = [np.cumsum(iterate, axis=-1) for iterate in iterates[1:]]
+        return _Tables(p_rows, p_cums, thresholds, residual_cums, totals)
+    if policy.tables is not None:
+        acceptance, residual = policy.tables
+        return _Tables(p_rows, p_cums, [acceptance], [np.cumsum(residual, axis=-1)], None)
+    return _Tables(p_rows, p_cums, None, None, None)
 
 
 class _Lockstep:
@@ -397,27 +442,20 @@ class _Lockstep:
     from its own generator ``rngs[i]``, so the working memory is fixed per
     block.
 
-    At each position, ``thresholds[m]`` and ``residual_cums[m]`` are (V, V)
-    tables over (x_{n-1}, x): the acceptance threshold of a candidate tested
-    against iterate m + 1, and the cumsum of the replacement row drawn after
-    that test fails. Without a policy they come from the root iterates of q;
-    with a tabular policy (M = 1) from its tables. A policy without tables
-    leaves them None and is asked through its callbacks as generic_decode asks
-    them: acceptance once per verified run and residual once per rejected run,
-    each with the run's full history.
+    Thresholds and replacement rows come from ``tables`` (see
+    :class:`_Tables`). A policy without tables is asked through its callbacks
+    as generic_decode asks them: acceptance once per verified run and
+    residual once per rejected run, each with the run's full history.
     """
 
-    def __init__(self, pair: ModelPair, batch_size: int, window, rngs, policy=None) -> None:
-        self.p, self.q, self.horizon, self.batch_size = pair.p, pair.q, pair.horizon, batch_size
+    def __init__(self, pair: ModelPair, batch_size: int, tables: _Tables, window, rngs,
+                 policy=None) -> None:
+        self.horizon, self.batch_size, self.tables = pair.horizon, batch_size, tables
         self.vocab_size, self.policy, self.rngs = pair.vocab_size, policy, rngs
-        self.policy_tables = None
-        if policy is not None and policy.tables is not None:
-            acceptance, residual = policy.tables
-            self.policy_tables = acceptance, np.cumsum(residual, axis=-1)
-        self.thresholds = self.residual_cums = self.totals = None
         self.window, count = window, len(window)
+        self.runs = np.arange(count)
         self.cursor = np.zeros(count, dtype=np.int64)
-        self.state = _sample_rows(self.q.prompt_cumsum, self._read(np.arange(count)))
+        self.state = _sample_rows(pair.q.prompt_cumsum, self._read(self.runs))
         self.prompt_tokens = self.state.copy()
         self.follow = np.full(count, -1, dtype=np.int64)  # -1: the run opens a round
         self.base = np.zeros(count, dtype=np.int64)
@@ -444,11 +482,11 @@ class _Lockstep:
         prefix = np.column_stack((self.prompt_tokens[runs], self.tokens[runs, : t - 1]))
         return [tuple(row) for row in prefix.tolist()]
 
-    def _draft(self, runs, columns, t, p_rows, p_cums):
+    def _draft(self, runs, columns, t):
         """States and draft tokens of ``runs`` at position t, from window ``columns``."""
         states = self.state[runs]
-        candidates = _sample_rows(p_cums[states], self.window[runs, columns])
-        off = p_rows[states, candidates] <= 0.0
+        candidates = _sample_rows(self.tables.p_cums[t - 1, states], self.window[runs, columns])
+        off = self.tables.p_rows[t - 1, states, candidates] <= 0.0
         if off.any():
             token = int(candidates[np.argmax(off)])
             raise RuntimeError(f"draft token {token} outside p's support at position {t}")
@@ -456,13 +494,13 @@ class _Lockstep:
 
     def _accept(self, runs, t, m, states, candidates) -> np.ndarray:
         """Which of ``runs``' candidates at t pass the test against iterate m + 1 (q at m = 0)."""
-        if self.thresholds is None:
+        if self.tables.thresholds is None:
             threshold = np.array([
                 policy_acceptance(self.policy, t, history, candidate)
                 for history, candidate in zip(self._histories(runs, t), candidates.tolist())
             ])
         else:
-            threshold = self.thresholds[m][states, candidates]
+            threshold = self.tables.thresholds[m][t - 1, states, candidates]
         return self._read(runs) <= threshold
 
     def _emit(self, runs, t, tokens, rejected: bool) -> None:
@@ -472,68 +510,65 @@ class _Lockstep:
             self.flags[runs, t - 1] = 1
             self.follow[runs] = -1
 
+    def _check_residual(self, t, m, states) -> None:
+        """Raise the scalar loop's ZeroResidual if a row of iterate m + 1 at ``states`` is empty."""
+        totals = self.tables.totals
+        if totals is not None and np.any(totals[m - 1][t - 1, states] <= 0.0):
+            raise _no_residual(t, m)
+
     def _replace(self, runs, t, m, states) -> None:
         """Emit the tokens of ``runs`` rejected at t by the test against iterate m."""
-        if self.thresholds is None:
+        if self.tables.thresholds is None:
             rows = policy_residual_rows(self.policy, t, self._histories(runs, t), self.vocab_size)
             cums = np.cumsum(rows, axis=1)
         else:
-            if self.totals is not None and np.any(self.totals[m - 1][states] <= 0.0):
-                raise _no_residual(t, m)
-            cums = self.residual_cums[m - 1][states]
+            self._check_residual(t, m, states)
+            cums = self.tables.residual_cums[m - 1][t - 1, states]
         self._emit(runs, t, _sample_rows(cums, self._read(runs)), rejected=True)
 
-    def _tables_at(self, t: int, p_rows: np.ndarray) -> None:
-        """Set position t's threshold and residual-cumsum tables, from q's iterates or the policy."""
-        if self.policy is None:
-            iterates, self.totals = _iterate_tables(
-                self.q.steps[t - 1].rows, p_rows, self.batch_size
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                self.thresholds = [iterate / p_rows for iterate in iterates[:-1]]
-            self.residual_cums = [np.cumsum(iterate, axis=1) for iterate in iterates[1:]]
-        elif self.policy_tables is not None:
-            acceptance, residual_cums = self.policy_tables
-            self.thresholds, self.residual_cums = [acceptance[t - 1]], [residual_cums[t - 1]]
-
     def advance(self, t: int) -> None:
-        """Emit every run's token at position t."""
-        p_rows, p_cums = self.p.steps[t - 1].rows, self.p.step_cumsums[t - 1]
-        self._tables_at(t, p_rows)
-        inside = np.flatnonzero(self.follow >= 0)
+        """Emit every run's token at position t.
+
+        Every run tests one candidate against q at t: a run inside a round
+        its followed response's token, a run that opens a round response 0's.
+        So one draft/accept pass covers all runs, and only the opening runs
+        that reject it go on to test responses 1, ..., M - 1.
+        """
+        span = self.horizon - t + 1
         opening = np.flatnonzero(self.follow < 0)
-
-        if inside.size:
-            span = self.horizon - self.round_start[inside] + 1
-            offset = t - self.round_start[inside]
-            columns = self.base[inside] + self.follow[inside] * span + offset
-            states, candidates = self._draft(inside, columns, t, p_rows, p_cums)
-            accept = self._accept(inside, t, 0, states, candidates)
-            self._emit(inside[accept], t, candidates[accept], rejected=False)
-            if not accept.all():
-                self._replace(inside[~accept], t, 1, states[~accept])
-
         if opening.size:
-            span = self.horizon - t + 1
             if self.rngs is not None:
                 self._top_up(opening, (self.batch_size + 1) * (span + 1) - 1)
             self.base[opening] = self.cursor[opening]
             self.cursor[opening] += self.batch_size * span
             self.round_start[opening] = t
-            pending = opening
-            for m in range(self.batch_size):
-                columns = self.base[pending] + m * span
-                states, candidates = self._draft(pending, columns, t, p_rows, p_cums)
-                accept = self._accept(pending, t, m, states, candidates)
-                self._emit(pending[accept], t, candidates[accept], rejected=False)
-                self.follow[pending[accept]] = m
-                pending, states = pending[~accept], states[~accept]
-                if not pending.size:
-                    break
-                if m + 1 < self.batch_size and np.any(self.totals[m][states] <= 0.0):
-                    raise _no_residual(t, m + 1)
-            if pending.size:
-                self._replace(pending, t, self.batch_size, states)
+            self.follow[opening] = 0
+
+        runs, offset = self.runs, t - self.round_start
+        columns = self.base + self.follow * (offset + span) + offset
+        states, candidates = self._draft(runs, columns, t)
+        accept = self._accept(runs, t, 0, states, candidates)
+        self._emit(runs[accept], t, candidates[accept], rejected=False)
+        rejected = np.flatnonzero(~accept)
+        # With M > 1, opening runs (offset 0) that reject response 0 test response 1.
+        opened = (offset[rejected] == 0) & (self.batch_size > 1)
+        pending, rejected = rejected[opened], rejected[~opened]
+        if rejected.size:
+            self._replace(rejected, t, 1, states[rejected])
+        if not pending.size:
+            return
+        states = states[pending]
+        for m in range(1, self.batch_size):
+            self._check_residual(t, m, states)
+            columns = self.base[pending] + m * span
+            states, candidates = self._draft(pending, columns, t)
+            accept = self._accept(pending, t, m, states, candidates)
+            self._emit(pending[accept], t, candidates[accept], rejected=False)
+            self.follow[pending[accept]] = m
+            pending, states = pending[~accept], states[~accept]
+            if not pending.size:
+                return
+        self._replace(pending, t, self.batch_size, states)
 
 
 def _stream_length(batch_size: int, horizon: int) -> int:
@@ -546,13 +581,24 @@ def _window_width(batch_size: int, horizon: int) -> int:
     return 2 * (batch_size * horizon + batch_size + horizon)
 
 
+def _whole_streams(batch_size: int, horizon: int) -> bool:
+    """Whether a block draws its runs' whole streams: S(M, T) fits the top-up window."""
+    return _stream_length(batch_size, horizon) <= _window_width(batch_size, horizon)
+
+
+def _block_runs(batch_size: int, horizon: int) -> int:
+    """Runs per engine block: about STREAM_BUDGET uniforms of whole streams, else BLOCK_RUNS."""
+    if _whole_streams(batch_size, horizon):
+        return max(BLOCK_RUNS, STREAM_BUDGET // _stream_length(batch_size, horizon))
+    return BLOCK_RUNS
+
+
 def _block_streams(seed: int, start: int, count: int, batch_size: int, horizon: int):
     """Filled windows of runs start, ..., start + count - 1, and their generators if they top up."""
-    reads, width = _stream_length(batch_size, horizon), _window_width(batch_size, horizon)
-    if reads <= width:
-        return split_uniforms(seed, start, count, reads), None
+    if _whole_streams(batch_size, horizon):
+        return split_uniforms(seed, start, count, _stream_length(batch_size, horizon)), None
     rngs = split_rngs(seed, start, count)
-    window = np.empty((count, width))
+    window = np.empty((count, _window_width(batch_size, horizon)))
     for row, rng in zip(window, rngs):
         rng.random(out=row)
     return window, rngs
@@ -573,8 +619,11 @@ def decode_markov_runs(
     ``batch_decode(pair, batch_size, split_rng(seed, start + i))`` returns
     (``speculative_decode`` at batch_size 1), or with a ``policy`` what
     ``generic_decode(pair, policy, split_rng(seed, start + i))`` returns
-    (batch_size must then be 1). Runs advance in blocks of at most
-    BLOCK_RUNS, so working memory does not grow with ``count``.
+    (batch_size must then be 1). Runs advance in blocks (see below), so
+    working memory does not grow with ``count``. Every position's threshold,
+    residual-cumsum and normaliser tables are built once per call, over the
+    stacked (T, V, V) rows, and each position makes one verify pass over the
+    block's runs (see the module docstring).
 
     Stream source. No run reads more than S(M, T) = 1 + M*T(T+1)/2 + (M+1)*T
     uniforms. Proof: take a round that opens at position t, with
@@ -588,12 +637,13 @@ def decode_markov_runs(
     in which every round rejects all M root tests reads exactly S.
 
     When S is at most the top-up window width 2*(M*T + M + T) (T <= 2, or
-    T = 3 with M <= 2), a block's windows are
+    T = 3 with M <= 2), blocks hold max(BLOCK_RUNS, STREAM_BUDGET // S) runs
+    (5041 at (M, T) = (1, 3), 2978 at (2, 3)). A block's windows are
     ``split_uniforms(seed, start + lo, n, S)``, its runs' whole streams drawn
-    at once, and never top up. Otherwise the block builds its runs'
-    generators with ``split_rngs`` and tops windows of that width up from
-    them. Both sources give every run the same uniforms, so the choice,
-    which depends only on (M, T), changes no result.
+    at once, and never top up. Otherwise blocks hold BLOCK_RUNS runs, and
+    each builds its runs' generators with ``split_rngs`` and tops windows of
+    that width up from them. Both sources give every run the same uniforms,
+    so the choice, which depends only on (M, T), changes no result.
 
     Raises RuntimeError on a draft outside p's support, and ZeroResidual or
     InvalidPolicy where the scalar samplers do; InvalidPolicy also when a
@@ -618,10 +668,12 @@ def decode_markov_runs(
         np.empty(count, dtype=np.int64),
         np.empty((count, horizon), dtype=np.int8),
     )
-    for lo in range(0, count, BLOCK_RUNS):
-        hi = min(count, lo + BLOCK_RUNS)
+    tables = _tables(pair, batch_size, policy)
+    step = _block_runs(batch_size, horizon)
+    for lo in range(0, count, step):
+        hi = min(count, lo + step)
         streams = _block_streams(seed, start + lo, hi - lo, batch_size, horizon)
-        block = _Lockstep(pair, batch_size, *streams, policy)
+        block = _Lockstep(pair, batch_size, tables, *streams, policy)
         for t in range(1, horizon + 1):
             block.advance(t)
         out.prompt_tokens[lo:hi] = block.prompt_tokens

@@ -103,7 +103,7 @@ def _walk(pair: ModelPair, phases: int, level) -> tuple[np.ndarray, float]:
                 child_moment[dst, live] += (r + rejections * m) * table
             mass, moment = child_mass.reshape(phases, -1), child_moment.reshape(phases, -1)
         law += mass.sum(axis=0).reshape(-1, law.size).sum(axis=0)
-        moments.append(math.fsum(moment.ravel().tolist()))
+        moments.append(math.fsum(moment[moment != 0.0].tolist()))
     return law, math.fsum(moments)
 
 
@@ -162,6 +162,13 @@ def _enumerate(
     pair: ModelPair, algorithm: str, batch_size: int, policy: Policy | None
 ) -> tuple[np.ndarray, float]:
     _check_size(pair)
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if algorithm != "batch" and batch_size != 1:
+        raise ValueError(f"{algorithm} runs need batch_size 1")
+    if algorithm != "generic" and policy is not None:
+        raise ValueError(f"{algorithm} runs take no policy")
+    batch_size = _as_int(batch_size)
     if algorithm == "sd":
         return _walk(pair, 1, _sd_level(pair))
     if algorithm == "generic":
@@ -170,12 +177,9 @@ def _enumerate(
         if not isinstance(policy, Policy):
             raise TypeError(f"{policy!r} is not a Policy")
         return _walk(pair, 1, _generic_level(pair, policy))
-    if algorithm == "batch":
-        batch_size = _as_int(batch_size)
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        return _walk(pair, 2, _batch_level(pair, batch_size))
-    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    return _walk(pair, 2, _batch_level(pair, batch_size))
 
 
 def enumerate_output_distribution(

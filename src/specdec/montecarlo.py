@@ -2,13 +2,14 @@
 
 Run i of a campaign decodes on its own child stream ``split_rng(seed, i)``, so
 campaigns are reproducible run-for-run and any run can be replayed alone.
-Runs are decoded in blocks of at most BLOCK_RUNS, in run order: for sd,
-batch and generic on a Markov pair a block is one call of the lockstep engine
-``decode_markov_runs``, otherwise a loop over the scalar samplers. Both give
-the same runs, so the choice changes speed and not results, and working
-memory is set by the block size, not by the number of runs. Reports carry the
-matching closed-form reference value so empirical means can be judged against
-their standard errors at every checkpoint.
+Runs are decoded in blocks, in run order: for sd, batch and generic on a
+Markov pair a block is one call of the lockstep engine ``decode_markov_runs``
+at the engine's own block size (about STREAM_BUDGET uniforms of short runs,
+else BLOCK_RUNS runs), otherwise a loop over at most BLOCK_RUNS runs of the
+scalar samplers. Both give the same runs, so the choice changes speed and not
+results, and working memory is set by the block size, not by the number of
+runs. Reports carry the matching closed-form reference value so empirical
+means can be judged against their standard errors at every checkpoint.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import enumeration
 from .decoding import (
     BLOCK_RUNS,
     Policy,
+    _block_runs,
     autoregressive_decode,
     batch_decode,
     decode_markov_runs,
@@ -151,8 +153,9 @@ def _decode_blocks(campaign: Campaign):
     lockstep = algorithm != "autoregressive" and all(
         isinstance(model, MarkovModel) for model in (pair.p, pair.q)
     )
-    for start in range(0, campaign.runs, BLOCK_RUNS):
-        count = min(BLOCK_RUNS, campaign.runs - start)
+    step = _block_runs(batch_size, pair.horizon) if lockstep else BLOCK_RUNS
+    for start in range(0, campaign.runs, step):
+        count = min(step, campaign.runs - start)
         if lockstep:
             runs = decode_markov_runs(pair, batch_size, campaign.seed, start, count, policy)
             yield runs.tokens, runs.rejections
@@ -263,13 +266,12 @@ def batch_scan(pair: ModelPair, batch_sizes, runs: int, seed: int) -> list[Batch
     sizes = [_int_arg("batch size", m, 1) for m in batch_sizes]
     rows = []
     for m in sizes:
-        exact = expected_rejections_batch(pair, m).total
         report = run_campaign(
             Campaign(pair=pair, algorithm="batch", runs=runs, seed=seed, batch_size=m,
                      checkpoint_every=runs)
         )
         final = report.checkpoints[-1]
-        rows.append(BatchScanRow(m, exact, final.mean, final.stderr))
+        rows.append(BatchScanRow(m, report.exact, final.mean, final.stderr))
     rows.append(BatchScanRow(None, limit_rejections(pair), None, None))
     return rows
 

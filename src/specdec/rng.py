@@ -38,9 +38,12 @@ C code operation for operation:
   numpy's ``next_double``: x >> 11 < 2**53 converts to float64 exactly, and
   the scaling is by a power of two.
 
-The kernel costs a fixed number of numpy calls per uniform over the whole
-block, so it beats per-run generators on short streams and loses on long
-ones; :func:`specdec.decoding.decode_markov_runs` picks between them.
+The kernel steps every run's state one column at a time and writes the
+column's doubles straight into the (count, width) result, so it holds no
+copy of the block beyond the result. It costs a fixed number of numpy calls
+per uniform over the whole block, so it beats per-run generators on short
+streams and loses on long ones; :func:`specdec.decoding.decode_markov_runs`
+picks between them.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
         hash_const = (hash_const * MULT_B) & MASK32
         value = value * np.uint32(hash_const)
         state[:, i] = value ^ (value >> np.uint32(16))
-    return state.view("<u8").astype(np.uint64)
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
 def _split_seed_words(master_seed: int, start: int, count: int) -> np.ndarray:
@@ -142,19 +145,24 @@ def _split_seed_words(master_seed: int, start: int, count: int) -> np.ndarray:
         raise ValueError("master_seed, start and count must be >= 0")
     seed_words = [(master_seed >> (32 * j)) & MASK32 for j in range(_word_count(master_seed))]
     seed_words += [0] * (POOL_SIZE - len(seed_words))
-    groups = [np.empty((0, 4), dtype=np.uint64)]
+    out = np.empty((count, 4), dtype=np.uint64)
     index, stop = start, start + count
     while index < stop:
         # Spawn keys of one word count share an entropy length.
         words = _word_count(index)
         end = min(stop, 1 << (32 * words))
-        keys = np.frombuffer(
-            b"".join(i.to_bytes(4 * words, "little") for i in range(index, end)), dtype="<u4"
-        ).reshape(end - index, words)
+        if words <= 2:
+            # Little-endian 4- or 8-byte integers are their own 32-bit words, low first.
+            keys = np.arange(index, end, dtype=f"<u{4 * words}").view("<u4")
+        else:
+            keys = np.frombuffer(
+                b"".join(i.to_bytes(4 * words, "little") for i in range(index, end)), dtype="<u4"
+            )
+        keys = keys.reshape(end - index, words)
         seeds = np.tile(np.array(seed_words, dtype=np.uint32), (end - index, 1))
-        groups.append(_pcg64_seeds(np.hstack([seeds, keys])))
+        out[index - start : end - start] = _pcg64_seeds(np.hstack([seeds, keys]))
         index = end
-    return np.concatenate(groups)
+    return out
 
 
 def split_rngs(master_seed: int, start: int, count: int) -> list[np.random.Generator]:
@@ -186,6 +194,20 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
     return product_hi + inc_hi + (lo < product_lo), lo
 
 
+def _seeded_states(words: np.ndarray):
+    """(hi, lo, inc_hi, inc_lo) of the PCG64 states ``pcg64_set_seed`` builds from each row of words.
+
+    pcg64_set_seed: state 0, inc = (seq << 1) | 1, step (which takes state 0
+    to inc), add the seed, step.
+    """
+    seed_hi, seed_lo, seq_hi, seq_lo = words.T
+    inc_hi = (seq_hi << U1) | (seq_lo >> U63)
+    inc_lo = (seq_lo << U1) | U1
+    lo = inc_lo + seed_lo
+    hi, lo = _lcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
 def split_uniforms(master_seed: int, start: int, count: int, width: int) -> np.ndarray:
     """(count, width) array whose row k is ``split_rng(master_seed, start + k).random(width)``.
 
@@ -195,18 +217,12 @@ def split_uniforms(master_seed: int, start: int, count: int, width: int) -> np.n
     width = operator.index(width)
     if width < 0:
         raise ValueError("width must be >= 0")
-    words = _split_seed_words(master_seed, start, count)
-    seed_hi, seed_lo, seq_hi, seq_lo = words.T
-    # pcg64_set_seed: state 0, inc = (seq << 1) | 1, step (which takes state 0
-    # to inc), add the seed, step.
-    inc_hi = (seq_hi << U1) | (seq_lo >> U63)
-    inc_lo = (seq_lo << U1) | U1
-    lo = inc_lo + seed_lo
-    hi, lo = _lcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-    bits = np.empty((width, len(words)), dtype=np.uint64)
-    for column in bits:
+    hi, lo, inc_hi, inc_lo = _seeded_states(_split_seed_words(master_seed, start, count))
+    out = np.empty((len(hi), width))
+    for column in out.T:
         hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
         # XSL-RR: rotate hi ^ lo right by the state's top six bits.
         value, rotation = hi ^ lo, hi >> U58
-        column[:] = (value >> rotation) | (value << ((U64 - rotation) & U63))
-    return (bits >> U11).T * 2.0**-53
+        value = (value >> rotation) | (value << ((U64 - rotation) & U63))
+        np.multiply(value >> U11, 2.0**-53, out=column)
+    return out

@@ -25,9 +25,12 @@ from specdec import (
 )
 from specdec.decoding import (
     BLOCK_RUNS,
+    STREAM_BUDGET,
+    _block_runs,
     _block_streams,
     _Lockstep,
     _stream_length,
+    _tables,
     _window_width,
     decode_markov_runs,
     policy_acceptance,
@@ -215,6 +218,26 @@ def zero_residual_pair() -> ModelPair:
     return ModelPair(p, q)
 
 
+def mixed_rounds_pair(kind: str) -> ModelPair:
+    """Runs that reject at position 1 open a round at 2 while the rest verify inside theirs.
+
+    At position 2, with ``kind`` "zero-residual", q's rows sum to 0.8, so every
+    rejection there finds max(q - p, 0) = 0; with "off-support", every run
+    drafts token 1, where p has no mass.
+    """
+    prompt = Dist([0.5, 0.5])
+    first = CondDist([[0.8, 0.2], [0.8, 0.2]])
+    half = CondDist([[0.5, 0.5], [0.5, 0.5]])
+    if kind == "zero-residual":
+        p = MarkovModel(prompt, [first, half, half])
+        q = MarkovModel(prompt, [half, unnormalized_step([[0.4, 0.4], [0.4, 0.4]]), half])
+    else:
+        point = CondDist([[1.0, 0.0], [1.0, 0.0]])
+        p = OffSupportDraft(MarkovModel(prompt, [first, point, point]), 2)
+        q = MarkovModel(prompt, [half] * 3)
+    return ModelPair(p, q)
+
+
 def scalar_run(pair, batch_size, rng):
     if batch_size == 1:
         return speculative_decode(pair, rng)
@@ -269,10 +292,11 @@ class TestLockstepEngine:
 
     def test_runs_across_a_block_boundary_with_an_offset(self):
         pair = random_model_pair(2, 3, seed=2024)
-        runs = assert_path_identical(pair, 2, seed=1, start=7, count=BLOCK_RUNS + 5)
-        tail = decode_markov_runs(pair, 2, 1, 7 + BLOCK_RUNS - 3, 8)
+        block = _block_runs(2, 3)
+        runs = assert_path_identical(pair, 2, seed=1, start=7, count=block + 5)
+        tail = decode_markov_runs(pair, 2, 1, 7 + block - 3, 8)
         for full, part in zip(runs, tail):
-            assert np.array_equal(full[BLOCK_RUNS - 3:], part)
+            assert np.array_equal(full[block - 3:], part)
         assert np.array_equal(runs.rejections, runs.flags.sum(axis=1))
 
     @pytest.mark.parametrize(
@@ -287,7 +311,7 @@ class TestLockstepEngine:
         assert _stream_length(batch_size, 3) == reads
         window, rngs = _block_streams(5, 2, 50, batch_size, 3)
         assert window.shape == (50, width) and (rngs is None) == (reads <= width)
-        block = _Lockstep(pair, batch_size, window, rngs)
+        block = _Lockstep(pair, batch_size, _tables(pair, batch_size, None), window, rngs)
         for t in (1, 2, 3):
             block.advance(t)
         assert (block.flags == 1).all()  # every round rejects every root test
@@ -317,6 +341,39 @@ class TestLockstepEngine:
         assert {(m, t) for m, t in fast if t > 2} == {(1, 3), (2, 3)}
         for batch_size, horizon in fast:
             assert _stream_length(batch_size, horizon) <= _window_width(batch_size, horizon)
+
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    @pytest.mark.parametrize(
+        "kind, error", [("zero-residual", ZeroResidual), ("off-support", RuntimeError)]
+    )
+    def test_opening_and_inside_runs_raise_the_scalar_error(self, kind, error, batch_size):
+        pair, count = mixed_rounds_pair(kind), 200
+        failing = []
+        for i in range(count):
+            try:
+                scalar_run(pair, batch_size, split_rng(9, i))
+            except error as exc:
+                failing.append((i, str(exc)))
+        tables = _tables(pair, batch_size, None)
+        block = _Lockstep(pair, batch_size, tables, *_block_streams(9, 0, count, batch_size, 3))
+        block.advance(1)
+        opening = block.flags[[i for i, _ in failing], 0] == 1
+        assert opening.any() and not opening.all()  # both kinds of run fail at position 2
+        assert {message for _, message in failing} == {failing[0][1]}
+        assert "position 2" in failing[0][1]
+        with pytest.raises(error) as caught:
+            block.advance(2)
+        assert type(caught.value) is error and str(caught.value) == failing[0][1]
+        with pytest.raises(error) as caught:
+            decode_markov_runs(pair, batch_size, 9, 0, count)
+        assert type(caught.value) is error and str(caught.value) == failing[0][1]
+
+    def test_block_sizes(self):
+        # Whole-stream blocks hold about STREAM_BUDGET uniforms, top-up blocks BLOCK_RUNS runs.
+        assert (_block_runs(1, 3), _block_runs(2, 3)) == (5041, 2978)
+        assert _block_runs(1, 3) * _stream_length(1, 3) <= STREAM_BUDGET
+        assert _block_runs(1, 1) == STREAM_BUDGET // _stream_length(1, 1)
+        assert _block_runs(3, 3) == _block_runs(1, 50) == BLOCK_RUNS
 
     def test_zero_runs(self):
         runs = decode_markov_runs(random_model_pair(3, 4, seed=1), 2, 0, 0, 0)
@@ -428,7 +485,7 @@ class TestLockstepPolicies:
         pair = random_model_pair(2, 3, seed=2024)
         policy = random_unbiased_policy(pair, make_rng(5))
         assert policy.tables is not None
-        runs = assert_generic_identical(pair, policy, seed=1, start=7, count=BLOCK_RUNS + 5)
+        runs = assert_generic_identical(pair, policy, seed=1, start=7, count=_block_runs(1, 3) + 5)
         assert runs.rejections.sum() > 0
 
     def test_callbacks_see_the_scalar_arguments(self):

@@ -37,6 +37,8 @@ from specdec import (
     tv_distance,
 )
 
+from specdec.dist import _residual_rows
+
 from helpers import random_full_pair, seeded_small_pairs, sparse_draft_pair, with_prompt
 
 PAIRS = seeded_small_pairs(count=12, master=77)
@@ -140,6 +142,29 @@ class TestGuards:
         for enumerate_fn in (enumerate_output_distribution, enumerate_expected_rejections):
             with pytest.raises(TypeError, match="not a Policy"):
                 enumerate_fn(pair, "generic", policy="x")
+
+    @pytest.mark.parametrize("algorithm", ["sd", "generic"])
+    def test_single_response_algorithms_need_batch_size_1(self, algorithm):
+        pair = random_model_pair(2, 2, seed=1)
+        policy = sd_policy(pair) if algorithm == "generic" else None
+        for enumerate_fn in (enumerate_output_distribution, enumerate_expected_rejections):
+            for bad in ("x", 5, 2.0, 0, None):
+                with pytest.raises(ValueError, match="need batch_size 1"):
+                    enumerate_fn(pair, algorithm, batch_size=bad, policy=policy)
+            with pytest.raises(TypeError, match="not an integer"):
+                enumerate_fn(pair, algorithm, batch_size=True, policy=policy)
+            assert np.array_equal(
+                enumerate_fn(pair, algorithm, batch_size=1.0, policy=policy),
+                enumerate_fn(pair, algorithm, policy=policy),
+            )
+
+    @pytest.mark.parametrize("algorithm, batch_size", [("sd", 1), ("batch", 1), ("batch", 3)])
+    def test_sd_and_batch_take_no_policy(self, algorithm, batch_size):
+        pair = random_model_pair(2, 2, seed=1)
+        for enumerate_fn in (enumerate_output_distribution, enumerate_expected_rejections):
+            for policy in (sd_policy(pair), "x"):
+                with pytest.raises(ValueError, match="take no policy"):
+                    enumerate_fn(pair, algorithm, batch_size=batch_size, policy=policy)
 
     def test_batch_size_validated(self):
         pair = random_model_pair(2, 2, seed=1)
@@ -319,6 +344,26 @@ class TestPromptBlocks:
                 tracemalloc.stop()
             assert peak < 512 * 1024
             np.testing.assert_allclose(law, joint_distribution(pair.q), atol=1e-13)
+
+    def test_leaf_sums_skip_zero_moments(self, monkeypatch):
+        # Each prompt token walks alone at (1001, 1); about half of its leaf
+        # moments are zero, where q <= p. fsum is exactly rounded, so summing
+        # only the nonzero leaves gives the fsum of them all.
+        pair = random_model_pair(1001, 1, seed=2)
+        p_rows, q_rows = pair.p.steps[0].rows, pair.q.steps[0].rows
+        replacement, reject = _residual_rows(q_rows, p_rows)
+        leaves = pair.prompt.probs[:, None] * (reject[:, None] * replacement)
+        expected = math.fsum([math.fsum(row.tolist()) for row in leaves])
+        fsum, summed = math.fsum, []
+
+        def counted(values):
+            summed.append(len(values))
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", counted)
+        assert enumerate_expected_rejections(pair, "sd") == expected
+        assert 0 < np.count_nonzero(leaves) < 0.6 * leaves.size
+        assert sum(summed) == np.count_nonzero(leaves) + 1001
 
 
 class TestLongHorizon:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from specdec import (
     unbiasedness_check,
 )
 
-from specdec import montecarlo
-from specdec.decoding import BLOCK_RUNS
+from specdec import exact, montecarlo
+from specdec.decoding import _block_runs
 
 from helpers import constant_chain
 
@@ -93,15 +94,16 @@ class TestDispatch:
         pair = random_model_pair(2, 3, seed=5)
         full = ModelPair(markov_to_full(pair.p), markov_to_full(pair.q))
         policy = random_unbiased_policy(pair, np.random.default_rng(3))
+        runs = _block_runs(batch_size, 3) + 40  # crosses an engine block boundary
 
         def summary(p):
-            report = run_campaign(Campaign(pair=p, algorithm=algorithm, runs=BLOCK_RUNS + 40,
+            report = run_campaign(Campaign(pair=p, algorithm=algorithm, runs=runs,
                                            seed=4, batch_size=batch_size, policy=policy,
                                            checkpoint_every=500))
             return [(c.runs, c.mean, c.stderr) for c in report.checkpoints]
 
         assert summary(pair) == summary(full)
-        l1 = [unbiasedness_check(p, algorithm, runs=BLOCK_RUNS + 40, seed=6,
+        l1 = [unbiasedness_check(p, algorithm, runs=runs, seed=6,
                                  batch_size=batch_size, policy=policy).l1 for p in (pair, full)]
         assert l1[0] == l1[1]
 
@@ -235,6 +237,26 @@ class TestUnbiasednessCheck:
         assert not report.passed
         assert report.l1 > 0.2  # the draft law is far from the target law
 
+    @pytest.mark.parametrize("algorithm, batch_size", [("sd", 1), ("batch", 2), ("generic", 1)])
+    def test_memory_is_bounded_by_the_block(self, algorithm, batch_size):
+        # c8's pair. A block holds about 2**16 uniforms (512 KB), drawn
+        # straight into its window, and peaks at 1.2-1.8 MB. Blocks of 8192
+        # runs whose kernel stages its output as uint64 and transposes it
+        # peak at 3.8-5.5 MB, and blocks of 2**17 uniforms at 2.4-3.5 MB.
+        pair = random_model_pair(2, 3, seed=2024)
+        policy = random_unbiased_policy(pair, np.random.default_rng(3))
+        runs = 2 * _block_runs(batch_size, 3) + 100
+        unbiasedness_check(pair, "sd", runs=10, seed=1)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            report = unbiasedness_check(pair, algorithm, runs=runs, seed=1,
+                                        batch_size=batch_size, policy=policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 2.5 * 2**20
+
     def test_tabulation_cap(self):
         pair = random_model_pair(10, 5, seed=1)  # 10**5 tables exceed the cap
         with pytest.raises(ValueError, match="cap"):
@@ -251,6 +273,21 @@ class TestBatchScan:
         limit = rows[-1]
         assert limit.mean is None and limit.stderr is None
         assert all(limit.exact <= r.exact + 1e-12 for r in rows[:-1])
+
+    def test_each_closed_form_is_computed_once(self, monkeypatch):
+        pair = random_model_pair(2, 3, seed=24)
+        gain, gains = exact._gain, []
+
+        def counted(pair, batch_size):
+            gains.append(batch_size)
+            return gain(pair, batch_size)
+
+        monkeypatch.setattr(exact, "_gain", counted)
+        rows = batch_scan(pair, [1, 2, 4], runs=50, seed=7)
+        assert sorted(gains, key=str) == [1, 2, 4, None]
+        assert [r.exact for r in rows[:-1]] == [
+            exact.expected_rejections_batch(pair, m).total for m in (1, 2, 4)
+        ]
 
     def test_scan_is_reproducible(self):
         pair = random_model_pair(2, 3, seed=24)
