@@ -15,6 +15,7 @@ config in their header, so identical configs yield byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -275,7 +276,9 @@ def cmd_pareto(config: dict, fmt: str, out_path: str | None) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="specdec",
         description="Exact analysis and simulation of rejection-based decoding.",
@@ -293,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "exact": cmd_exact,
         "simulate": cmd_simulate,

@@ -417,10 +417,9 @@ class _Tables(NamedTuple):
 
 
 def _tables(pair: ModelPair, batch_size: int, policy: Policy | None) -> _Tables:
-    p_rows, p_cums = np.stack([step.rows for step in pair.p.steps]), pair.p.step_cumsums
+    p_rows, p_cums = pair.p.step_rows, pair.p.step_cumsums
     if policy is None:
-        q_rows = np.stack([step.rows for step in pair.q.steps])
-        iterates, totals = _iterate_tables(q_rows, p_rows, batch_size)
+        iterates, totals = _iterate_tables(pair.q.step_rows, p_rows, batch_size)
         with np.errstate(divide="ignore", invalid="ignore"):
             thresholds = [iterate / p_rows for iterate in iterates[:-1]]
         residual_cums = [np.cumsum(iterate, axis=-1) for iterate in iterates[1:]]

@@ -42,6 +42,15 @@ Two implementations of the batch formula are kept deliberately separate:
 a history-level recursion over explicit prefixes (any model) and an O(T V^2)
 state-marginalized recursion that works on all V states at once (Markov
 chains). Tests require them to agree.
+
+Position blocks. On a Markov pair the recursions read the models' (T, V, V)
+row stacks in blocks of B = max(1, BLOCK_FLOATS // V^2) positions. A block's
+tv, root iterates and (q - p)_+ are computed at once as (B, V, V) arrays;
+only the mat-vecs that carry mu and g from one position to the next run
+position by position. One walk yields both the SD terms and the gain terms,
+so a batch or limit value costs one pass, not an SD pass and a gain pass.
+Every term is the value the position-by-position recursion computes, and
+``math.fsum`` is exact, so the results do not depend on B.
 """
 
 from __future__ import annotations
@@ -53,6 +62,9 @@ import numpy as np
 
 from .dist import _tv_arrays, _tv_rows
 from .models import MarkovModel, ModelPair, _as_int
+
+# Floats per (B, V, V) array of a position block: B = max(1, BLOCK_FLOATS // V^2).
+BLOCK_FLOATS = 2**14
 
 
 @dataclass(frozen=True)
@@ -67,27 +79,50 @@ def _is_markov_pair(pair: ModelPair) -> bool:
     return isinstance(pair.p, MarkovModel) and isinstance(pair.q, MarkovModel)
 
 
-def _positions(pair: ModelPair):
-    """Per position n of a Markov pair: (mu_{n-1}, p_n rows, q_n rows, tv per state).
+def _markov_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = False):
+    """(T, V) term tables of a Markov pair: SD's, and the batch gain's when ``gain``.
 
-    mu_{n-1} is the target's law of x_{n-1} and tv[s] = tv(p_n(.|s), q_n(.|s)).
+    Row n - 1 of the SD table is mu_{n-1}(s) * tv(p_n(.|s), q_n(.|s)) over
+    states s, mu_{n-1} the target's law of x_{n-1}; the gain table is None
+    unless ``gain``, and then holds g_n(s) * (tv - P_M), g_n as in ``_sd_and_gain``.
+    Positions are walked in blocks of about BLOCK_FLOATS floats per (B, V, V)
+    array: tv, the root iterates and (q - p)_+ of a block are computed at once,
+    and only the mu and g mat-vecs run position by position.
     """
-    mu = pair.q.prompt.probs
-    for p_step, q_step in zip(pair.p.steps, pair.q.steps):
-        p_rows, q_rows = p_step.rows, q_step.rows
-        yield mu, p_rows, q_rows, _tv_rows(q_rows, p_rows)
-        mu = mu @ q_rows
+    p_rows, q_rows = pair.p.step_rows, pair.q.step_rows
+    horizon, v = q_rows.shape[:2]
+    mu = np.empty((horizon, v))
+    tv = np.empty((horizon, v))
+    g = np.empty((horizon, v)) if gain else None
+    drop = np.empty((horizon, v)) if gain else None
+    mu_n = g_n = pair.q.prompt.probs
+    size = max(1, BLOCK_FLOATS // (v * v))
+    for start in range(0, horizon, size):
+        block = slice(start, start + size)
+        p, q = p_rows[block], q_rows[block]
+        tv[block] = _tv_rows(q, p)
+        if gain:
+            plus = q - p
+            np.maximum(plus, 0.0, out=plus)
+            prod, tail = _root_iterates(q, p, tv[block], batch_size, plus)
+            drop[block] = tv[block] - prod
+        for k in range(len(q)):
+            mu[start + k] = mu_n
+            if gain:
+                g[start + k] = g_n
+                g_n = (mu_n - g_n) @ plus[k] + g_n @ tail[k]
+            mu_n = mu_n @ q[k]
+    return mu * tv, g * drop if gain else None
 
 
-def _sd_terms_markov(pair: ModelPair) -> list[np.ndarray]:
-    """Per position n, the vector mu_{n-1}(s) * tv(p_n(.|s), q_n(.|s)) over states s."""
-    return [mu * tv for mu, _, _, tv in _positions(pair)]
+def _fsum(terms: np.ndarray) -> float:
+    return math.fsum(terms.ravel().tolist())
 
 
 def expected_rejections_sd(pair: ModelPair) -> float:
     """Exact E[rejections] of speculative decoding: sum_n E_q[tv(p_n, q_n)]."""
     if _is_markov_pair(pair):
-        return math.fsum(np.concatenate(_sd_terms_markov(pair)))
+        return _fsum(_markov_terms(pair)[0])
 
     terms = []
 
@@ -118,39 +153,24 @@ def acceleration_rate(expected_rejections: float, horizon: int) -> float:
     return horizon / expected_rejections
 
 
-def _root_iterates(q, p, tv, batch_size: int | None):
+def _root_iterates(q, p, tv, batch_size: int | None, plus=None):
     """(P_M, W_{M+1}) over the last axis of q and p, for one row or a block of rows.
 
-    ``tv`` is tv(q, p) per row and becomes P_1 unchanged. batch_size None
+    ``tv`` is tv(q, p) per row and becomes P_1 unchanged; ``plus``, when the
+    caller has it, is (q - p)_+ and becomes W_2 unchanged. batch_size None
     gives the M -> inf limit (q(p = 0), q restricted to {p = 0}).
     """
     if batch_size is None:
         tail = np.where(p == 0.0, q, 0.0)
         return tail.sum(axis=-1), tail
     prod, level = tv, 1.0
-    tail = np.maximum(q - p, 0.0)
+    tail = np.maximum(q - p, 0.0) if plus is None else plus
     for _ in range(batch_size - 1):
         level = level + prod
-        tail = np.maximum(q - np.expand_dims(level, -1) * p, 0.0)
+        tail = np.expand_dims(level, -1) * p
+        np.maximum(np.subtract(q, tail, out=tail), 0.0, out=tail)
         prod = tail.sum(axis=-1)
     return prod, tail
-
-
-def _gain_markov(pair: ModelPair, batch_size: int | None) -> float:
-    """Batch improvement by the marginalized recursion, all V states at once.
-
-    g(s) is the probability that position n is a round root and x_{n-1} = s.
-    A root contributes tv - P_M; the next position is a root after a rejection
-    within a round, (mu - g) @ (q - p)_+, or after a root fails all M
-    responses, g @ W_{M+1}.
-    """
-    g = pair.q.prompt.probs
-    gain_terms = []
-    for mu, p_rows, q_rows, tv in _positions(pair):
-        prod, tail = _root_iterates(q_rows, p_rows, tv, batch_size)
-        gain_terms.append(g * (tv - prod))
-        g = (mu - g) @ np.maximum(q_rows - p_rows, 0.0) + g @ tail
-    return math.fsum(np.concatenate(gain_terms))
 
 
 def _gain_general(pair: ModelPair, batch_size: int | None) -> float:
@@ -178,9 +198,20 @@ def _gain_general(pair: ModelPair, batch_size: int | None) -> float:
     return math.fsum(gain_terms)
 
 
-def _gain(pair: ModelPair, batch_size: int | None) -> float:
-    gain = _gain_markov if _is_markov_pair(pair) else _gain_general
-    return gain(pair, batch_size)
+def _sd_and_gain(pair: ModelPair, batch_size: int | None) -> tuple[float, float]:
+    """(SD's E[rejections], the batch improvement) at M = batch_size (None: the limit).
+
+    A Markov pair gets both from one walk, where the improvement is the
+    marginalized recursion over all V states at once. g(s) is the probability
+    that position n is a round root and x_{n-1} = s. A root contributes
+    tv - P_M; the next position is a root after a rejection within a round,
+    (mu - g) @ (q - p)_+, or after a root fails all M responses, g @ W_{M+1}.
+    Other pairs take the history-level recursion.
+    """
+    if _is_markov_pair(pair):
+        sd, gain = _markov_terms(pair, batch_size, gain=True)
+        return _fsum(sd), _fsum(gain)
+    return expected_rejections_sd(pair), _gain_general(pair, batch_size)
 
 
 def expected_rejections_batch(pair: ModelPair, batch_size: int) -> BatchRejections:
@@ -193,13 +224,14 @@ def expected_rejections_batch(pair: ModelPair, batch_size: int) -> BatchRejectio
     batch_size = _as_int(batch_size)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    gain = _gain(pair, batch_size)
-    return BatchRejections(total=expected_rejections_sd(pair) - gain, improvement=gain)
+    sd, gain = _sd_and_gain(pair, batch_size)
+    return BatchRejections(total=sd - gain, improvement=gain)
 
 
 def limit_rejections(pair: ModelPair) -> float:
     """Infimum of expected batch rejections as the batch size grows without bound."""
-    return expected_rejections_sd(pair) - _gain(pair, None)
+    sd, gain = _sd_and_gain(pair, None)
+    return sd - gain
 
 
 def batch_improvement_uniform(ratio: float, batch_size: int) -> float:
@@ -234,4 +266,4 @@ def sd_marginal_terms(pair: ModelPair) -> list[float]:
     """Per-position speculative rejection probabilities E_q[tv(p_n, q_n)] (Markov)."""
     if not _is_markov_pair(pair):
         raise TypeError("sd_marginal_terms requires a Markov pair")
-    return [math.fsum(terms) for terms in _sd_terms_markov(pair)]
+    return [math.fsum(terms) for terms in _markov_terms(pair)[0].tolist()]

@@ -13,6 +13,13 @@ JSON descriptors (the on-disk form consumed by the CLI):
 
 The generator form draws every transition row as normalized uniform variates
 from a seeded stream and uses a uniform prompt.
+
+A MarkovModel holds its transition rows once, as one read-only (T, V, V) stack
+``step_rows``; its ``steps`` are CondDist views into that stack, and the row
+cumsums ``step_cumsums`` are built when a sampler first asks for them.
+Generated and descriptor-built chains check and renormalise the whole stack
+in one pass, entry for entry as T CondDist tables would, and raise the first
+bad step's CondDist error.
 """
 
 from __future__ import annotations
@@ -62,11 +69,43 @@ class CondDist:
     def row(self, state: int) -> np.ndarray:
         return self._rows[state]
 
+    @classmethod
+    def _view(cls, rows: np.ndarray) -> "CondDist":
+        """A step over already checked, read-only rows, held without a copy."""
+        step = cls.__new__(cls)
+        step._rows = rows
+        return step
+
+
+def _normalized_stack(arr: np.ndarray) -> np.ndarray:
+    """The caller's own float64 (T, V, V) stack of step tables, checked and renormalised in place.
+
+    Entry for entry what T CondDist tables would hold, checked in one pass. A
+    row total within NORMALIZE_TOL of 1 is finite only if every entry is, so
+    the total and sign checks cover CondDist's. An invalid stack raises its
+    first bad step's CondDist error; a stack of no steps is returned as is.
+    """
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.size == 0:
+        for step in arr:
+            CondDist(step)
+        return arr
+    with np.errstate(all="ignore"):
+        totals = arr.sum(axis=2)
+        good = (np.abs(totals - 1.0) <= NORMALIZE_TOL).all(axis=1)
+        good &= (arr >= 0.0).all(axis=(1, 2))
+    if not good.all():
+        CondDist(arr[np.argmin(good)])
+    return np.divide(arr, totals[..., None], out=arr)
+
 
 class MarkovModel:
-    """Nonstationary Markov chain: x_0 ~ prompt, x_n ~ steps[n-1].row(x_{n-1})."""
+    """Nonstationary Markov chain: x_0 ~ prompt, x_n ~ steps[n-1].row(x_{n-1}).
 
-    __slots__ = ("_prompt", "_steps", "_prompt_cumsum", "_step_cumsums")
+    The rows of all T steps are one read-only (T, V, V) stack, ``step_rows``;
+    each of ``steps`` is a CondDist view into it.
+    """
+
+    __slots__ = ("_prompt", "_steps", "_step_rows", "_prompt_cumsum", "_step_cumsums")
 
     def __init__(self, prompt: Dist, steps) -> None:
         steps = tuple(steps)
@@ -78,12 +117,33 @@ class MarkovModel:
                 raise TypeError("steps must be CondDist tables")
             if step.vocab_size != v:
                 raise ValueError("all steps must share the prompt's vocabulary size")
+        self._hold(prompt, np.stack([step.rows for step in steps]))
+
+    @classmethod
+    def _from_stack(cls, prompt: Dist, rows: np.ndarray) -> "MarkovModel":
+        """Chain over a (T, V, V) stack that ``_normalized_stack`` has checked."""
+        if not len(rows):
+            raise ValueError("horizon must be at least 1")
+        if rows.shape[1] != len(prompt):
+            raise ValueError("all steps must share the prompt's vocabulary size")
+        model = cls.__new__(cls)
+        model._hold(prompt, rows)
+        return model
+
+    def _hold(self, prompt: Dist, rows: np.ndarray) -> None:
+        rows.flags.writeable = False
         self._prompt = prompt
-        self._steps = steps
+        self._step_rows = rows
+        self._steps = tuple(CondDist._view(step) for step in rows)
         self._prompt_cumsum = np.cumsum(prompt.probs)
-        cums = np.stack([np.cumsum(s.rows, axis=1) for s in steps])
-        cums.flags.writeable = False
-        self._step_cumsums = cums
+        self._step_cumsums = None
+
+    def _cumsums(self) -> np.ndarray:
+        if self._step_cumsums is None:
+            cums = np.cumsum(self._step_rows, axis=2)
+            cums.flags.writeable = False
+            self._step_cumsums = cums
+        return self._step_cumsums
 
     @property
     def prompt(self) -> Dist:
@@ -103,15 +163,23 @@ class MarkovModel:
 
     def step(self, n: int, history: tuple[int, ...]) -> np.ndarray:
         """Probability row of x_n given history (x_0, ..., x_{n-1})."""
-        return self._steps[n - 1].row(history[-1])
+        return self._step_rows[n - 1, history[-1]]
 
     def step_cumsum(self, n: int, history: tuple[int, ...]) -> np.ndarray:
-        return self._step_cumsums[n - 1, history[-1]]
+        return self._cumsums()[n - 1, history[-1]]
+
+    @property
+    def step_rows(self) -> np.ndarray:
+        """Read-only (T, V, V) transition rows; ``[n - 1, s]`` is ``step(n, (.., s))``."""
+        return self._step_rows
 
     @property
     def step_cumsums(self) -> np.ndarray:
-        """Read-only (T, V, V) row cumsums; ``[n - 1, s]`` is ``step_cumsum(n, (.., s))``."""
-        return self._step_cumsums
+        """Read-only (T, V, V) row cumsums; ``[n - 1, s]`` is ``step_cumsum(n, (.., s))``.
+
+        Only the samplers read them, so they are built on first use.
+        """
+        return self._cumsums()
 
     def context_key(self, n: int, history: tuple[int, ...]):
         """Hashable key identifying the conditional at (n, history)."""
@@ -344,11 +412,11 @@ def random_markov_model(
     """Seeded random chain: uniform prompt, transition rows = normalized uniforms."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    steps = []
-    for _ in range(horizon):
-        raw = rng.uniform(size=(vocab_size, vocab_size))
-        steps.append(CondDist(raw / raw.sum(axis=1, keepdims=True)))
-    return MarkovModel(Dist.uniform(vocab_size), steps)
+    # random() is uniform(0, 1) bit for bit on the same stream, and fills faster.
+    raw = rng.random(size=(max(horizon, 0), vocab_size, vocab_size))
+    raw /= raw.sum(axis=2, keepdims=True)
+    rows = _normalized_stack(raw)
+    return MarkovModel._from_stack(Dist.uniform(vocab_size), rows)
 
 
 def random_model_pair(vocab_size: int, horizon: int, seed) -> ModelPair:
@@ -365,7 +433,7 @@ def model_to_descriptor(model: MarkovModel) -> dict:
         "vocab_size": model.vocab_size,
         "horizon": model.horizon,
         "prompt": model.prompt.probs.tolist(),
-        "steps": [step.rows.tolist() for step in model.steps],
+        "steps": model.step_rows.tolist(),
     }
 
 
@@ -437,12 +505,12 @@ def model_from_descriptor(desc: dict) -> MarkovModel:
         tables = _real_array(desc["steps"], 3, "model descriptor field 'steps'")
     except KeyError as exc:
         raise ValueError(f"model descriptor is missing {exc.args[0]!r}") from None
-    steps = [CondDist(rows) for rows in tables]
+    rows = _normalized_stack(tables)
     if len(prompt) != vocab_size:
         raise ValueError("prompt length does not match vocab_size")
-    if len(steps) != horizon:
+    if len(rows) != horizon:
         raise ValueError("number of steps does not match horizon")
-    return MarkovModel(prompt, steps)
+    return MarkovModel._from_stack(prompt, rows)
 
 
 def pair_from_descriptor(desc: dict) -> ModelPair:

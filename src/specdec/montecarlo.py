@@ -55,7 +55,9 @@ class Campaign:
     """Specification of one simulation campaign.
 
     ``checkpoint_every`` sets the reporting cadence in runs; a final
-    checkpoint at ``runs`` is always included.
+    checkpoint at ``runs`` is always included. Only batch campaigns take a
+    ``batch_size`` other than 1 and only generic ones a ``policy``; other
+    algorithms refuse them, as the engine and the oracle do.
     """
 
     pair: ModelPair
@@ -71,6 +73,10 @@ class Campaign:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         for name, minimum in (("runs", 1), ("seed", 0), ("batch_size", 1), ("checkpoint_every", 1)):
             object.__setattr__(self, name, _int_arg(name, getattr(self, name), minimum))
+        if self.algorithm != "batch" and self.batch_size != 1:
+            raise ValueError(f"{self.algorithm} runs need batch_size 1")
+        if self.algorithm != "generic" and self.policy is not None:
+            raise ValueError(f"{self.algorithm} runs take no policy")
         if self.algorithm == "generic" and self.policy is None:
             raise ValueError("algorithm 'generic' requires a policy")
 
@@ -148,8 +154,7 @@ def _decode_blocks(campaign: Campaign):
     engine; everything else runs the scalar samplers on the same per-run streams.
     """
     pair, algorithm = campaign.pair, campaign.algorithm
-    batch_size = campaign.batch_size if algorithm == "batch" else 1
-    policy = campaign.policy if algorithm == "generic" else None
+    batch_size, policy = campaign.batch_size, campaign.policy
     lockstep = algorithm != "autoregressive" and all(
         isinstance(model, MarkovModel) for model in (pair.p, pair.q)
     )
@@ -172,7 +177,7 @@ def _decode_blocks(campaign: Campaign):
             elif algorithm == "batch":
                 trajectory, stats = batch_decode(pair, batch_size, rng)
             else:
-                trajectory, stats = generic_decode(pair, campaign.policy, rng)
+                trajectory, stats = generic_decode(pair, policy, rng)
             tokens[i], rejections[i] = trajectory.tokens, stats.rejections
         yield tokens, rejections
 

@@ -42,8 +42,7 @@ def _iter_contexts(model):
 def _rows_policy(pair: ModelPair, rule) -> Policy:
     """Policy whose rows over every context are ``rule(p_rows, q_rows)`` -> (b, residual)."""
     if isinstance(pair.p, MarkovModel) and isinstance(pair.q, MarkovModel):
-        p, q = (np.array([step.rows for step in model.steps]) for model in (pair.p, pair.q))
-        return Policy.from_tables(*rule(p, q))
+        return Policy.from_tables(*rule(pair.p.step_rows, pair.q.step_rows))
     contexts = list(_iter_contexts(pair.q))
     p, q = (np.array([model.step(n, h) for n, h in contexts]) for model in (pair.p, pair.q))
     acceptance, residual = rule(p, q)

@@ -1,5 +1,6 @@
 """CLI behavior: golden outputs, overrides, exit codes, reproducibility."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -163,6 +165,40 @@ class TestConfigErrors:
         assert "config error" in err
         assert "integer" in err
 
+    @pytest.mark.parametrize("algorithm", ["sd", "autoregressive"])
+    def test_simulate_refuses_a_batch_size_its_algorithm_ignores(self, tmp_path, capsys,
+                                                                 algorithm):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**VALID_CONFIGS["simulate"], "algorithm": algorithm}))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"specdec: config error: {algorithm} runs need batch_size 1\n")
+
+    def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        class Counted(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=Counted))
+        cli._parser.cache_clear()
+        try:
+            errors = []
+            for _ in range(2):
+                with pytest.raises(SystemExit) as exit_info:
+                    cli.main(["explain", "--config", "x.json"])
+                errors.append((exit_info.value.code, capsys.readouterr().err))
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(VALID_CONFIGS["pareto"]))
+            assert cli.main(["pareto", "--config", str(path)]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built.count("specdec") == 1
+        assert errors[0] == errors[1]
+        assert errors[0][0] == 2 and "invalid choice: 'explain'" in errors[0][1]
+
     def test_unknown_subcommand(self):
         proc = run_cli("explain", "--config", "x.json")
         assert proc.returncode == 2
@@ -305,7 +341,8 @@ FIELDS = {
     "simulate": {
         **PAIR_FIELDS,
         ("algorithm",): st.one_of(
-            st.text(max_size=8).filter(lambda s: s not in ("sd", "batch", "autoregressive")),
+            st.text(max_size=8).filter(lambda s: s != "batch"),
+            st.sampled_from(["sd", "generic", "autoregressive"]),
             st.none(), st.integers(), containers),
         ("runs",): bad_int(1) | st.just(DELETE) | st.none(),
         ("seed",): bad_int(0) | st.just(DELETE) | st.none(),

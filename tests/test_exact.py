@@ -30,6 +30,7 @@ from specdec import (
     tv_distance,
 )
 from specdec.dist import ZeroResidual, _tv_arrays, _tv_rows
+from specdec import exact
 from specdec.exact import _root_iterates
 
 from helpers import constant_chain, random_full_pair, seeded_small_pairs, sparse_draft_pair
@@ -359,3 +360,74 @@ class TestLimit:
             markov = limit_rejections(pair)
             general = limit_rejections(full_pair(pair))
             assert markov == pytest.approx(general, abs=1e-12)
+
+
+def stepwise_closed_forms(pair: ModelPair, batch_size):
+    """(SD terms per position, SD total, improvement) walked one (V, V) position at a time.
+
+    The marginalized recursion as written before position blocks, on fresh
+    copies of each step's rows; batch_size None gives the limit's improvement.
+    """
+    mu = g = pair.q.prompt.probs
+    sd_terms, gain_terms = [], []
+    for p_step, q_step in zip(pair.p.steps, pair.q.steps):
+        p_rows, q_rows = p_step.rows.copy(), q_step.rows.copy()
+        tv = _tv_rows(q_rows, p_rows)
+        prod, tail = _root_iterates(q_rows, p_rows, tv, batch_size)
+        sd_terms.append(mu * tv)
+        gain_terms.append(g * (tv - prod))
+        g = (mu - g) @ np.maximum(q_rows - p_rows, 0.0) + g @ tail
+        mu = mu @ q_rows
+    return (
+        [math.fsum(terms) for terms in sd_terms],
+        math.fsum(np.concatenate(sd_terms)),
+        math.fsum(np.concatenate(gain_terms)),
+    )
+
+
+def sparse_pair(vocab: int, horizon: int, seed: int) -> ModelPair:
+    """Markov pair whose draft and target rows both have about a third of their entries zero."""
+    rng = np.random.default_rng(seed)
+    models = [
+        MarkovModel(Dist.uniform(vocab),
+                    [CondDist(sparse_rows(rng, vocab, vocab)) for _ in range(horizon)])
+        for _ in range(2)
+    ]
+    return ModelPair(*models)
+
+
+class TestPositionBlocks:
+    """The block walk equals the position-by-position recursion exactly (==)."""
+
+    CASES = [
+        # (pair, blocks at BLOCK_FLOATS = 2**14)
+        (random_model_pair(2, 6, seed=1), 1),
+        (random_model_pair(7, 50, seed=10), 1),
+        (random_model_pair(50, 50, seed=0), 9),
+        (random_model_pair(130, 3, seed=2), 3),
+        (sparse_draft_pair(7, 20, seed=3), 1),
+        (sparse_draft_pair(50, 13, seed=4), 3),
+        (sparse_pair(40, 30, seed=5), 3),
+    ]
+
+    @pytest.mark.parametrize("pair, blocks", CASES)
+    def test_equals_the_stepwise_recursion(self, pair, blocks):
+        size = max(1, exact.BLOCK_FLOATS // pair.vocab_size**2)
+        assert -(-pair.horizon // size) == blocks
+        terms, sd, _ = stepwise_closed_forms(pair, 1)
+        assert expected_rejections_sd(pair) == sd
+        assert sd_marginal_terms(pair) == terms
+        for m in (1, 2, 8):
+            _, _, gain = stepwise_closed_forms(pair, m)
+            assert expected_rejections_batch(pair, m) == BatchRejections(sd - gain, gain)
+        _, _, gain = stepwise_closed_forms(pair, None)
+        assert limit_rejections(pair) == sd - gain
+
+    @pytest.mark.parametrize("block_floats", [1, 2**10, 2**13, 2**20])
+    def test_block_size_changes_no_value(self, monkeypatch, block_floats):
+        pair = sparse_pair(20, 12, seed=6)
+        want = [expected_rejections_sd(pair), limit_rejections(pair),
+                *(expected_rejections_batch(pair, m) for m in (2, 5))]
+        monkeypatch.setattr(exact, "BLOCK_FLOATS", block_floats)
+        assert [expected_rejections_sd(pair), limit_rejections(pair),
+                *(expected_rejections_batch(pair, m) for m in (2, 5))] == want

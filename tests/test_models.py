@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,109 @@ class TestMarkovModel:
     def test_requires_a_step(self):
         with pytest.raises(ValueError, match="horizon"):
             MarkovModel(Dist.uniform(2), [])
+
+
+def per_step_pair(vocab: int, horizon: int, seed: int) -> list[list[CondDist]]:
+    """The steps of ``random_model_pair`` as it drew them: one (V, V) draw and CondDist per step."""
+    models = []
+    for child in np.random.SeedSequence(seed).spawn(2):
+        rng = np.random.default_rng(child)
+        steps = []
+        for _ in range(horizon):
+            raw = rng.uniform(size=(vocab, vocab))
+            steps.append(CondDist(raw / raw.sum(axis=1, keepdims=True)))
+        models.append(steps)
+    return models
+
+
+def bits(arr: np.ndarray) -> bytes:
+    return np.ascontiguousarray(arr).tobytes()
+
+
+class TestStepRows:
+    @pytest.mark.parametrize(
+        "vocab, horizon, seed", [(2, 3, 0), (7, 50, 10), (50, 50, 0), (1, 4, 3), (13, 9, 8)]
+    )
+    def test_random_stack_matches_the_per_step_draws(self, vocab, horizon, seed):
+        pair = random_model_pair(vocab, horizon, seed=seed)
+        for model, steps in zip((pair.p, pair.q), per_step_pair(vocab, horizon, seed)):
+            assert model.step_rows.shape == (horizon, vocab, vocab)
+            assert bits(model.step_rows) == bits(np.stack([step.rows for step in steps]))
+            cums = np.stack([np.cumsum(step.rows, axis=1) for step in steps])
+            assert bits(model.step_cumsums) == bits(cums)
+
+    def test_descriptor_stack_matches_per_step_tables(self):
+        rng = np.random.default_rng(5)
+        raw = rng.uniform(size=(6, 9, 9))
+        raw[rng.random(raw.shape) < 0.3] = 0.0
+        raw[..., 0] += 1e-3
+        tables = raw / raw.sum(axis=2, keepdims=True) * (1.0 + 5e-10)  # off by tolerance
+        desc = {"vocab_size": 9, "horizon": 6, "prompt": [1 / 9] * 9, "steps": tables.tolist()}
+        model = model_from_descriptor(desc)
+        expected = np.stack([CondDist(table).rows for table in tables.tolist()])
+        assert bits(model.step_rows) == bits(expected)
+
+    @pytest.mark.parametrize(
+        "bad_rows, message",
+        [
+            # a bad row sum at step 2 and a NaN at step 3: step 2's message
+            ({1: [0.9, 0.3, 0.0], 2: [np.nan, 0.5, 0.5]}, "sums to 1.2"),
+            ({1: [np.nan, 0.5, 0.5], 2: [0.9, 0.3, 0.0]}, "finite"),
+            ({1: [1.5, -0.5, 0.0], 3: [0.9, 0.3, 0.0]}, "nonnegative"),
+            # inf - inf in a later step is never summed by the per-step tables
+            ({1: [0.5, 0.6, 0.0], 2: [np.inf, -np.inf, 1.0]}, "sums to 1.1"),
+        ],
+    )
+    def test_first_bad_step_raises_its_own_error(self, bad_rows, message):
+        tables = np.tile(np.full(3, 1 / 3), (4, 3, 1))
+        for step, row in bad_rows.items():
+            tables[step, 1] = row
+        first = min(bad_rows)
+        with pytest.raises(ValueError, match=message) as per_step:
+            CondDist(tables[first])
+        desc = {"vocab_size": 3, "horizon": 4, "prompt": [1 / 3] * 3, "steps": tables.tolist()}
+        with pytest.raises(ValueError) as stacked:
+            model_from_descriptor(desc)
+        assert str(stacked.value) == str(per_step.value)
+
+    def test_irregular_descriptor_tables_keep_their_errors(self):
+        base = {"vocab_size": 2, "horizon": 1, "prompt": [0.5, 0.5]}
+        for steps, message in (([[[0.5, 0.5]]], "square"), ([[[]]], "square"),
+                               ([[]], "square"), ([], "number of steps")):
+            with pytest.raises(ValueError, match=message):
+                model_from_descriptor(dict(base, steps=steps))
+
+    def test_steps_are_views_into_one_stack(self):
+        steps = [CondDist([[0.5, 0.5], [0.2, 0.8]]), CondDist([[0.1, 0.9], [0.7, 0.3]])]
+        models = [
+            random_markov_model(4, 5, seed=3),
+            model_from_descriptor(model_to_descriptor(random_markov_model(3, 2, seed=1))),
+            MarkovModel(Dist([0.5, 0.5]), steps),
+        ]
+        for model in models:
+            assert not model.step_rows.flags.writeable
+            for k, step in enumerate(model.steps):
+                assert np.shares_memory(step.rows, model.step_rows)
+                assert np.array_equal(step.rows, model.step_rows[k])
+                assert np.array_equal(model.step(k + 1, (0, 1)), step.row(1))
+        with pytest.raises(ValueError):
+            models[0].steps[0].rows[0, 0] = 1.0
+        # a model built from CondDist tables holds a copy, not the caller's arrays
+        assert not np.shares_memory(models[2].step_rows, steps[0].rows)
+
+    def test_pair_build_holds_each_row_once(self):
+        # Each model's rows take 1 MB at (50, 50). Drawn and checked step by
+        # step, then stacked again for cumsums built up front, the pair peaked
+        # at 4.8 MiB; one draw per model, checked in place, peaks at 2.1 MiB.
+        random_model_pair(50, 50, seed=0)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            pair = random_model_pair(50, 50, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pair.horizon == 50
+        assert peak < 3 * 2**20
 
 
 class TestTargetMarginals:

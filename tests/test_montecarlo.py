@@ -45,6 +45,27 @@ class TestCampaignValidation:
         with pytest.raises(ValueError, match="policy"):
             Campaign(pair=PAIR, algorithm="generic", runs=10, seed=0)
 
+    @pytest.mark.parametrize("algorithm", ["sd", "generic", "autoregressive"])
+    def test_only_batch_takes_a_batch_size(self, algorithm):
+        policy = sd_policy(PAIR) if algorithm == "generic" else None
+        with pytest.raises(ValueError, match=f"^{algorithm} runs need batch_size 1$"):
+            Campaign(pair=PAIR, algorithm=algorithm, runs=10, seed=0, batch_size=2, policy=policy)
+        campaign = Campaign(pair=PAIR, algorithm=algorithm, runs=10, seed=0, batch_size=1.0,
+                            policy=policy)
+        assert campaign.batch_size == 1
+
+    @pytest.mark.parametrize("algorithm", ["sd", "batch", "autoregressive"])
+    def test_only_generic_takes_a_policy(self, algorithm):
+        with pytest.raises(ValueError, match=f"^{algorithm} runs take no policy$"):
+            Campaign(pair=PAIR, algorithm=algorithm, runs=10, seed=0, policy=sd_policy(PAIR))
+
+    def test_unbiasedness_check_refuses_unused_arguments(self):
+        with pytest.raises(ValueError, match="sd runs need batch_size 1"):
+            unbiasedness_check(PAIR, "sd", runs=10, seed=1, batch_size=5)
+        with pytest.raises(ValueError, match="batch runs take no policy"):
+            unbiasedness_check(PAIR, "batch", runs=10, seed=1, batch_size=2,
+                               policy=sd_policy(PAIR))
+
 
 class TestStrictInputs:
     def test_bool_batch_size_rejected(self):
@@ -93,7 +114,8 @@ class TestDispatch:
     def test_engine_and_scalar_paths_agree(self, algorithm, batch_size):
         pair = random_model_pair(2, 3, seed=5)
         full = ModelPair(markov_to_full(pair.p), markov_to_full(pair.q))
-        policy = random_unbiased_policy(pair, np.random.default_rng(3))
+        policy = (random_unbiased_policy(pair, np.random.default_rng(3))
+                  if algorithm == "generic" else None)
         runs = _block_runs(batch_size, 3) + 40  # crosses an engine block boundary
 
         def summary(p):
@@ -244,7 +266,8 @@ class TestUnbiasednessCheck:
         # runs whose kernel stages its output as uint64 and transposes it
         # peak at 3.8-5.5 MB, and blocks of 2**17 uniforms at 2.4-3.5 MB.
         pair = random_model_pair(2, 3, seed=2024)
-        policy = random_unbiased_policy(pair, np.random.default_rng(3))
+        policy = (random_unbiased_policy(pair, np.random.default_rng(3))
+                  if algorithm == "generic" else None)
         runs = 2 * _block_runs(batch_size, 3) + 100
         unbiasedness_check(pair, "sd", runs=10, seed=1)  # warm caches outside the trace
         tracemalloc.start()
@@ -276,13 +299,13 @@ class TestBatchScan:
 
     def test_each_closed_form_is_computed_once(self, monkeypatch):
         pair = random_model_pair(2, 3, seed=24)
-        gain, gains = exact._gain, []
+        closed_form, gains = exact._sd_and_gain, []
 
         def counted(pair, batch_size):
             gains.append(batch_size)
-            return gain(pair, batch_size)
+            return closed_form(pair, batch_size)
 
-        monkeypatch.setattr(exact, "_gain", counted)
+        monkeypatch.setattr(exact, "_sd_and_gain", counted)
         rows = batch_scan(pair, [1, 2, 4], runs=50, seed=7)
         assert sorted(gains, key=str) == [1, 2, 4, None]
         assert [r.exact for r in rows[:-1]] == [
