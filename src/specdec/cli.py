@@ -22,12 +22,7 @@ import sys
 import numpy as np
 
 from .dist import Dist, tv_distance
-from .exact import (
-    acceleration_rate,
-    expected_rejections_batch,
-    expected_rejections_sd,
-    limit_rejections,
-)
+from .exact import _sd_and_gain, acceleration_rate, expected_rejections_sd
 from .models import MarkovModel, ModelPair, _as_int, _real_array, pair_from_descriptor
 from .montecarlo import Campaign, batch_scan, csv_document, report_header, run_campaign
 from .tradeoff import pareto_front, tradeoff_identity_gap
@@ -118,15 +113,15 @@ def _effective_config(config: dict, args) -> dict:
 
 def cmd_exact(config: dict, fmt: str, out_path: str | None) -> int:
     pair = _build_pair(config)
-    sd = expected_rejections_sd(pair)
-    rate = acceleration_rate(sd, pair.horizon)
     batch_size = config.get("batch_size")
     if batch_size is not None:
         batch_size = _int_field(config, "batch_size")
-        batch = expected_rejections_batch(pair, batch_size)
-        batch_total, batch_improvement = batch.total, batch.improvement
+        sd, batch_improvement = _sd_and_gain(pair, batch_size)
+        batch_total = sd - batch_improvement
     else:
+        sd = expected_rejections_sd(pair)
         batch_total = batch_improvement = None
+    rate = acceleration_rate(sd, pair.horizon)
     results = {
         "vocab_size": pair.vocab_size,
         "horizon": pair.horizon,

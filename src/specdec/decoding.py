@@ -29,16 +29,15 @@ same index whether that happens eagerly or lazily, so
 :func:`decode_markov_runs` advances many Markov runs in lockstep, one position
 at a time, and returns exactly the scalar samplers' trajectories, rejections
 and flags. generic_decode reads its stream exactly as speculative decoding
-does, so the engine also runs generic policies as the M = 1 round. The
-acceptance thresholds and replacement cumsums of every position come from
-one source, built once per call over the stacked (T, V, V) rows: q's root
-iterates for sd and batch, or a Markov policy's tables (see :class:`Policy`).
-Only a policy without tables, such as one that reads more of the history
-than x_{n-1}, is asked through its callbacks, with the run's full history and
-as often per run as generic_decode asks. At each position every run tests
-one candidate against q, the token of the response it follows or, when it
-opens a round, response 0's, so one verify pass covers all runs; only opening
-runs that reject it go on to responses 1, ..., M - 1.
+does, so the engine also runs generic policies as the M = 1 round. The engine
+reads tables only: the acceptance thresholds and replacement cumsums of every
+position come from one source, built once per call over the stacked (T, V, V)
+rows, q's root iterates for sd and batch or a Markov policy's tables (see
+:class:`Policy`). A policy without tables, such as one that reads more of the
+history than x_{n-1}, runs through generic_decode. At each position every run
+tests one candidate against q, the token of the response it follows or, when
+it opens a round, response 0's, so one verify pass covers all runs; only
+opening runs that reject it go on to responses 1, ..., M - 1.
 
 Stream sources. No run reads more than S(M, T) = 1 + M*T(T+1)/2 + (M+1)*T
 uniforms (proved in :func:`decode_markov_runs`). Where S fits the engine's
@@ -61,7 +60,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dist import ZeroResidual, _float_array
+from .dist import ZeroResidual, _float_array, _int_arg
 from .models import MarkovModel, ModelPair, _as_int
 from .rng import split_rngs, split_uniforms
 
@@ -109,8 +108,9 @@ class Policy:
     return at a history ending in s. They are stored as policy_acceptance and
     policy_residual_rows return those values, so invalid tables raise
     InvalidPolicy here, with generic_decode's messages. decode_markov_runs
-    reads the tables; generic_decode and the enumeration oracle call the
-    callbacks. Build such a policy with :meth:`from_tables`.
+    reads the tables and refuses a policy without them; generic_decode and the
+    enumeration oracle call the callbacks. Build such a policy with
+    :meth:`from_tables`.
     """
 
     acceptance: Callable[[int, tuple[int, ...], int], float]
@@ -340,6 +340,26 @@ def generic_decode(
     return _decode(pair, 1, policy, rng)
 
 
+def _run_args(algorithm: str, batch_size, policy) -> tuple[int, Policy | None]:
+    """The (batch_size, policy) that ``_decode`` takes for a run of ``algorithm``.
+
+    Only batch runs take a batch_size other than 1, and generic runs, and
+    only they, take a policy, which must be a Policy (else TypeError).
+    """
+    batch_size = _int_arg("batch_size", batch_size)
+    if algorithm != "batch" and batch_size != 1:
+        raise ValueError(f"{algorithm} runs need batch_size 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if algorithm != "generic" and policy is not None:
+        raise ValueError(f"{algorithm} runs take no policy")
+    if algorithm == "generic" and policy is None:
+        raise ValueError("algorithm 'generic' requires a policy")
+    if policy is not None and not isinstance(policy, Policy):
+        raise TypeError(f"{policy!r} is not a Policy")
+    return batch_size, policy
+
+
 def batch_decode(
     pair: ModelPair, batch_size: int, rng: np.random.Generator
 ) -> tuple[Trajectory, RunStats]:
@@ -348,10 +368,7 @@ def batch_decode(
     Rounds are as described in ``_decode``. With batch_size=1 this is
     speculative decoding exactly.
     """
-    batch_size = _as_int(batch_size)
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    return _decode(pair, batch_size, None, rng)
+    return _decode(pair, *_run_args("batch", batch_size, None), rng)
 
 
 class MarkovRuns(NamedTuple):
@@ -404,30 +421,26 @@ class _Tables(NamedTuple):
     against iterate m + 1 at position n, and the cumsum of the replacement
     row drawn after that test fails; ``totals[m][n - 1]`` is the normaliser
     of iterate m + 2. Without a policy they come from the root iterates of q;
-    with a tabular policy (M = 1) from its tables, and ``totals`` is None. A
-    policy without tables leaves all three None and is asked through its
-    callbacks.
+    with a tabular policy (M = 1) from its tables, and ``totals`` is None.
     """
 
     p_rows: np.ndarray
     p_cums: np.ndarray
-    thresholds: list | None
-    residual_cums: list | None
+    thresholds: list
+    residual_cums: list
     totals: list | None
 
 
 def _tables(pair: ModelPair, batch_size: int, policy: Policy | None) -> _Tables:
     p_rows, p_cums = pair.p.step_rows, pair.p.step_cumsums
-    if policy is None:
-        iterates, totals = _iterate_tables(pair.q.step_rows, p_rows, batch_size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            thresholds = [iterate / p_rows for iterate in iterates[:-1]]
-        residual_cums = [np.cumsum(iterate, axis=-1) for iterate in iterates[1:]]
-        return _Tables(p_rows, p_cums, thresholds, residual_cums, totals)
-    if policy.tables is not None:
+    if policy is not None:
         acceptance, residual = policy.tables
         return _Tables(p_rows, p_cums, [acceptance], [np.cumsum(residual, axis=-1)], None)
-    return _Tables(p_rows, p_cums, None, None, None)
+    iterates, totals = _iterate_tables(pair.q.step_rows, p_rows, batch_size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        thresholds = [iterate / p_rows for iterate in iterates[:-1]]
+    residual_cums = [np.cumsum(iterate, axis=-1) for iterate in iterates[1:]]
+    return _Tables(p_rows, p_cums, thresholds, residual_cums, totals)
 
 
 class _Lockstep:
@@ -442,16 +455,12 @@ class _Lockstep:
     block.
 
     Thresholds and replacement rows come from ``tables`` (see
-    :class:`_Tables`). A policy without tables is asked through its callbacks
-    as generic_decode asks them: acceptance once per verified run and
-    residual once per rejected run, each with the run's full history.
+    :class:`_Tables`).
     """
 
-    def __init__(self, pair: ModelPair, batch_size: int, tables: _Tables, window, rngs,
-                 policy=None) -> None:
+    def __init__(self, pair: ModelPair, batch_size: int, tables: _Tables, window, rngs) -> None:
         self.horizon, self.batch_size, self.tables = pair.horizon, batch_size, tables
-        self.vocab_size, self.policy, self.rngs = pair.vocab_size, policy, rngs
-        self.window, count = window, len(window)
+        self.rngs, self.window, count = rngs, window, len(window)
         self.runs = np.arange(count)
         self.cursor = np.zeros(count, dtype=np.int64)
         self.state = _sample_rows(pair.q.prompt_cumsum, self._read(self.runs))
@@ -476,11 +485,6 @@ class _Lockstep:
             self.rngs[i].random(out=row[width - used:])
             self.cursor[i] = 0
 
-    def _histories(self, runs, t) -> list[tuple[int, ...]]:
-        """History tuples (x_0, ..., x_{t-1}) of ``runs``."""
-        prefix = np.column_stack((self.prompt_tokens[runs], self.tokens[runs, : t - 1]))
-        return [tuple(row) for row in prefix.tolist()]
-
     def _draft(self, runs, columns, t):
         """States and draft tokens of ``runs`` at position t, from window ``columns``."""
         states = self.state[runs]
@@ -493,14 +497,7 @@ class _Lockstep:
 
     def _accept(self, runs, t, m, states, candidates) -> np.ndarray:
         """Which of ``runs``' candidates at t pass the test against iterate m + 1 (q at m = 0)."""
-        if self.tables.thresholds is None:
-            threshold = np.array([
-                policy_acceptance(self.policy, t, history, candidate)
-                for history, candidate in zip(self._histories(runs, t), candidates.tolist())
-            ])
-        else:
-            threshold = self.tables.thresholds[m][t - 1, states, candidates]
-        return self._read(runs) <= threshold
+        return self._read(runs) <= self.tables.thresholds[m][t - 1, states, candidates]
 
     def _emit(self, runs, t, tokens, rejected: bool) -> None:
         self.tokens[runs, t - 1] = tokens
@@ -517,12 +514,8 @@ class _Lockstep:
 
     def _replace(self, runs, t, m, states) -> None:
         """Emit the tokens of ``runs`` rejected at t by the test against iterate m."""
-        if self.tables.thresholds is None:
-            rows = policy_residual_rows(self.policy, t, self._histories(runs, t), self.vocab_size)
-            cums = np.cumsum(rows, axis=1)
-        else:
-            self._check_residual(t, m, states)
-            cums = self.tables.residual_cums[m - 1][t - 1, states]
+        self._check_residual(t, m, states)
+        cums = self.tables.residual_cums[m - 1][t - 1, states]
         self._emit(runs, t, _sample_rows(cums, self._read(runs)), rejected=True)
 
     def advance(self, t: int) -> None:
@@ -618,11 +611,12 @@ def decode_markov_runs(
     ``batch_decode(pair, batch_size, split_rng(seed, start + i))`` returns
     (``speculative_decode`` at batch_size 1), or with a ``policy`` what
     ``generic_decode(pair, policy, split_rng(seed, start + i))`` returns
-    (batch_size must then be 1). Runs advance in blocks (see below), so
-    working memory does not grow with ``count``. Every position's threshold,
-    residual-cumsum and normaliser tables are built once per call, over the
-    stacked (T, V, V) rows, and each position makes one verify pass over the
-    block's runs (see the module docstring).
+    (batch_size must then be 1, and the policy must have tables). Runs
+    advance in blocks (see below), so working memory does not grow with
+    ``count``. Every position's threshold, residual-cumsum and normaliser
+    tables are built once per call, over the stacked (T, V, V) rows, and each
+    position makes one verify pass over the block's runs (see the module
+    docstring).
 
     Stream source. No run reads more than S(M, T) = 1 + M*T(T+1)/2 + (M+1)*T
     uniforms. Proof: take a round that opens at position t, with
@@ -644,22 +638,23 @@ def decode_markov_runs(
     that width up from them. Both sources give every run the same uniforms,
     so the choice, which depends only on (M, T), changes no result.
 
-    Raises RuntimeError on a draft outside p's support, and ZeroResidual or
-    InvalidPolicy where the scalar samplers do; InvalidPolicy also when a
-    policy's tables are not (T, V, V) for this pair.
+    Raises RuntimeError on a draft outside p's support and ZeroResidual where
+    the scalar samplers do, TypeError for a policy that is not a Policy or has
+    no tables, and InvalidPolicy when its tables are not (T, V, V) for this
+    pair.
     """
     if not isinstance(pair.p, MarkovModel) or not isinstance(pair.q, MarkovModel):
         raise TypeError("decode_markov_runs requires a pair of MarkovModels")
-    batch_size, seed, start, count = (_as_int(v) for v in (batch_size, seed, start, count))
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if policy is not None and batch_size != 1:
-        raise ValueError("policy runs need batch_size 1")
+    algorithm = "batch" if policy is None else "generic"
+    batch_size, policy = _run_args(algorithm, batch_size, policy)
+    if policy is not None and policy.tables is None:
+        raise TypeError("decode_markov_runs reads policy tables; this policy has none")
+    seed, start, count = (_as_int(v) for v in (seed, start, count))
     if seed < 0 or start < 0 or count < 0:
         raise ValueError("seed, start and count must be >= 0")
     horizon = pair.horizon
     shape = (horizon, pair.vocab_size, pair.vocab_size)
-    if policy is not None and policy.tables is not None and policy.tables[0].shape != shape:
+    if policy is not None and policy.tables[0].shape != shape:
         raise InvalidPolicy(f"policy tables have shape {policy.tables[0].shape}, expected {shape}")
     out = MarkovRuns(
         np.empty(count, dtype=np.int64),
@@ -672,7 +667,7 @@ def decode_markov_runs(
     for lo in range(0, count, step):
         hi = min(count, lo + step)
         streams = _block_streams(seed, start + lo, hi - lo, batch_size, horizon)
-        block = _Lockstep(pair, batch_size, tables, *streams, policy)
+        block = _Lockstep(pair, batch_size, tables, *streams)
         for t in range(1, horizon + 1):
             block.advance(t)
         out.prompt_tokens[lo:hi] = block.prompt_tokens

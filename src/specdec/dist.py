@@ -12,6 +12,8 @@ For distributions the two normalizers agree: sum_x max(0, q - p) = tv(q, p).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 NORMALIZE_TOL = 1e-9
@@ -32,6 +34,30 @@ def _float_array(values) -> np.ndarray:
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"distribution entries must be real numbers, got dtype {arr.dtype}")
     return arr.astype(np.float64, copy=False)
+
+
+def _as_int(value) -> int:
+    """An integer config value; raises TypeError for bools, strings and non-integral numbers.
+
+    Integral floats such as 4.0 are accepted, since JSON writers may emit them,
+    and so are numpy integers, such as a token read from an array.
+    """
+    if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)):
+        raise TypeError(f"{value!r} is not an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _int_arg(name: str, value, minimum: int | None = None) -> int:
+    """Argument ``name`` as an integer (TypeError if it is not one), >= ``minimum`` if given."""
+    try:
+        value = _as_int(value)
+    except TypeError:
+        raise TypeError(f"{name} {value!r} is not an integer") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
 
 
 class Dist:
@@ -70,10 +96,16 @@ class Dist:
 
     @classmethod
     def uniform(cls, size: int) -> "Dist":
+        """Uniform over {0, ..., size - 1}; size must be an integer >= 1."""
+        size = _int_arg("size", size, 1)
         return cls(np.full(size, 1.0 / size))
 
     @classmethod
     def point(cls, size: int, token: int) -> "Dist":
+        """Point mass on ``token`` in {0, ..., size - 1}; both must be integers."""
+        size, token = _int_arg("size", size, 1), _int_arg("token", token)
+        if not 0 <= token < size:
+            raise ValueError(f"token {token} is outside 0..{size - 1}")
         arr = np.zeros(size)
         arr[token] = 1.0
         return cls(arr)

@@ -47,9 +47,9 @@ import math
 
 import numpy as np
 
-from .decoding import Policy, policy_acceptance, policy_residual_rows
+from .decoding import Policy, _run_args, policy_acceptance, policy_residual_rows
 from .dist import _residual_rows
-from .models import FULL_TABLE_CAP, ModelPair, _as_int
+from .models import FULL_TABLE_CAP, ModelPair
 
 ALGORITHMS = ("sd", "batch", "generic")
 
@@ -164,21 +164,11 @@ def _enumerate(
     _check_size(pair)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    if algorithm != "batch" and batch_size != 1:
-        raise ValueError(f"{algorithm} runs need batch_size 1")
-    if algorithm != "generic" and policy is not None:
-        raise ValueError(f"{algorithm} runs take no policy")
-    batch_size = _as_int(batch_size)
+    batch_size, policy = _run_args(algorithm, batch_size, policy)
     if algorithm == "sd":
         return _walk(pair, 1, _sd_level(pair))
     if algorithm == "generic":
-        if policy is None:
-            raise ValueError("algorithm 'generic' requires a policy")
-        if not isinstance(policy, Policy):
-            raise TypeError(f"{policy!r} is not a Policy")
         return _walk(pair, 1, _generic_level(pair, policy))
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     return _walk(pair, 2, _batch_level(pair, batch_size))
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dist import NORMALIZE_TOL, Dist, _float_array
+from .dist import NORMALIZE_TOL, Dist, _as_int, _float_array, _int_arg
 
 FULL_TABLE_CAP = 1_000_000
 
@@ -409,11 +409,16 @@ def target_marginals(model: MarkovModel) -> list[Dist]:
 def random_markov_model(
     vocab_size: int, horizon: int, seed=None, rng: np.random.Generator | None = None
 ) -> MarkovModel:
-    """Seeded random chain: uniform prompt, transition rows = normalized uniforms."""
+    """Seeded random chain: uniform prompt, transition rows = normalized uniforms.
+
+    Raises TypeError unless ``vocab_size`` and ``horizon`` are integers and
+    ValueError unless both are >= 1, before anything is drawn.
+    """
+    vocab_size, horizon = _int_arg("vocab_size", vocab_size, 1), _int_arg("horizon", horizon, 1)
     if rng is None:
         rng = np.random.default_rng(seed)
     # random() is uniform(0, 1) bit for bit on the same stream, and fills faster.
-    raw = rng.random(size=(max(horizon, 0), vocab_size, vocab_size))
+    raw = rng.random(size=(horizon, vocab_size, vocab_size))
     raw /= raw.sum(axis=2, keepdims=True)
     rows = _normalized_stack(raw)
     return MarkovModel._from_stack(Dist.uniform(vocab_size), rows)
@@ -435,18 +440,6 @@ def model_to_descriptor(model: MarkovModel) -> dict:
         "prompt": model.prompt.probs.tolist(),
         "steps": model.step_rows.tolist(),
     }
-
-
-def _as_int(value) -> int:
-    """An integer config value; raises TypeError for bools, strings and non-integral numbers.
-
-    Integral floats such as 4.0 are accepted, since JSON writers may emit them.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not an integer")
-    if isinstance(value, float) and not value.is_integer():
-        raise TypeError(f"{value!r} is not an integer")
-    return int(value)
 
 
 def _real_array(value, depth: int, what: str) -> np.ndarray:

@@ -2,14 +2,15 @@
 
 Run i of a campaign decodes on its own child stream ``split_rng(seed, i)``, so
 campaigns are reproducible run-for-run and any run can be replayed alone.
-Runs are decoded in blocks, in run order: for sd, batch and generic on a
-Markov pair a block is one call of the lockstep engine ``decode_markov_runs``
-at the engine's own block size (about STREAM_BUDGET uniforms of short runs,
-else BLOCK_RUNS runs), otherwise a loop over at most BLOCK_RUNS runs of the
-scalar samplers. Both give the same runs, so the choice changes speed and not
-results, and working memory is set by the block size, not by the number of
-runs. Reports carry the matching closed-form reference value so empirical
-means can be judged against their standard errors at every checkpoint.
+Runs are decoded in blocks, in run order. Dispatch rule: sd, batch and
+generic runs on a pair of MarkovModels, under no policy or one with tables,
+take the lockstep engine ``decode_markov_runs`` in blocks of its own size;
+every other run is one call of the scalar loop ``_decode`` (of
+``autoregressive_decode`` for autoregressive runs), in blocks of BLOCK_RUNS.
+Both routes give the same runs, so the choice changes speed and not results,
+and working memory is set by the block size, not by the number of runs.
+Reports carry the matching closed-form reference value so empirical means can
+be judged against their standard errors at every checkpoint.
 """
 
 from __future__ import annotations
@@ -25,29 +26,19 @@ from .decoding import (
     BLOCK_RUNS,
     Policy,
     _block_runs,
+    _decode,
+    _run_args,
     autoregressive_decode,
-    batch_decode,
     decode_markov_runs,
-    generic_decode,
-    speculative_decode,
 )
+from .dist import _int_arg
 from .enumeration import enumerate_expected_rejections
 from .exact import expected_rejections_batch, expected_rejections_sd, limit_rejections
-from .models import FULL_TABLE_CAP, MarkovModel, ModelPair, _as_int, joint_distribution
+from .models import FULL_TABLE_CAP, MarkovModel, ModelPair, joint_distribution
 from .rng import split_rng
 
 ALGORITHMS = (*enumeration.ALGORITHMS, "autoregressive")
 TABULATION_CAP = 10_000
-
-
-def _int_arg(name: str, value, minimum: int) -> int:
-    try:
-        value = _as_int(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -57,7 +48,7 @@ class Campaign:
     ``checkpoint_every`` sets the reporting cadence in runs; a final
     checkpoint at ``runs`` is always included. Only batch campaigns take a
     ``batch_size`` other than 1 and only generic ones a ``policy``; other
-    algorithms refuse them, as the engine and the oracle do.
+    algorithms refuse them by the rule the engine and the oracle share.
     """
 
     pair: ModelPair
@@ -71,14 +62,10 @@ class Campaign:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        for name, minimum in (("runs", 1), ("seed", 0), ("batch_size", 1), ("checkpoint_every", 1)):
+        for name, minimum in (("runs", 1), ("seed", 0), ("checkpoint_every", 1)):
             object.__setattr__(self, name, _int_arg(name, getattr(self, name), minimum))
-        if self.algorithm != "batch" and self.batch_size != 1:
-            raise ValueError(f"{self.algorithm} runs need batch_size 1")
-        if self.algorithm != "generic" and self.policy is not None:
-            raise ValueError(f"{self.algorithm} runs take no policy")
-        if self.algorithm == "generic" and self.policy is None:
-            raise ValueError("algorithm 'generic' requires a policy")
+        batch_size, _ = _run_args(self.algorithm, self.batch_size, self.policy)
+        object.__setattr__(self, "batch_size", batch_size)
 
 
 @dataclass(frozen=True)
@@ -150,13 +137,15 @@ class BatchScanRow:
 def _decode_blocks(campaign: Campaign):
     """Yield (tokens, rejections) arrays for the campaign's runs, block by block in run order.
 
-    sd, batch and generic on a pair of MarkovModels go through the lockstep
-    engine; everything else runs the scalar samplers on the same per-run streams.
+    The engine or the scalar loop, by the dispatch rule in the module
+    docstring; both read run i from ``split_rng(seed, i)``.
     """
     pair, algorithm = campaign.pair, campaign.algorithm
     batch_size, policy = campaign.batch_size, campaign.policy
-    lockstep = algorithm != "autoregressive" and all(
-        isinstance(model, MarkovModel) for model in (pair.p, pair.q)
+    lockstep = (
+        algorithm != "autoregressive"
+        and all(isinstance(model, MarkovModel) for model in (pair.p, pair.q))
+        and (policy is None or policy.tables is not None)
     )
     step = _block_runs(batch_size, pair.horizon) if lockstep else BLOCK_RUNS
     for start in range(0, campaign.runs, step):
@@ -172,12 +161,7 @@ def _decode_blocks(campaign: Campaign):
             if algorithm == "autoregressive":
                 tokens[i] = autoregressive_decode(pair.q, rng).tokens
                 continue
-            if algorithm == "sd":
-                trajectory, stats = speculative_decode(pair, rng)
-            elif algorithm == "batch":
-                trajectory, stats = batch_decode(pair, batch_size, rng)
-            else:
-                trajectory, stats = generic_decode(pair, policy, rng)
+            trajectory, stats = _decode(pair, batch_size, policy, rng)
             tokens[i], rejections[i] = trajectory.tokens, stats.rejections
         yield tokens, rejections
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdec import ParetoPoint, cli
+from specdec import ParetoPoint, cli, exact
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -47,6 +47,32 @@ class TestGoldenOutputs:
         )
         assert proc.returncode == 0
         assert proc.stdout == (GOLDEN / "exact_out.json").read_text()
+
+
+class TestExactJob:
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    def test_one_walk_per_job(self, tmp_path, capsys, monkeypatch, batch_size):
+        walks = []
+        markov_terms = exact._markov_terms
+
+        def counted(*args, **kwargs):
+            walks.append(args)
+            return markov_terms(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "_markov_terms", counted)
+        config = json.loads((GOLDEN / "exact_config.json").read_text())
+        if batch_size is None:
+            del config["batch_size"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        outputs = []
+        for fmt in ("csv", "json"):
+            walks.clear()
+            assert cli.main(["exact", "--config", str(path), "--format", fmt]) == 0
+            assert len(walks) == 1
+            outputs.append(capsys.readouterr().out)
+        if batch_size is not None:
+            assert outputs == [(GOLDEN / f"exact_out.{fmt}").read_text() for fmt in ("csv", "json")]
 
 
 class TestOutputHandling:

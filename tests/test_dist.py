@@ -60,6 +60,30 @@ class TestDist:
         assert Dist.uniform(4)[2] == 0.25
         d = Dist.point(3, 1)
         assert tuple(d.support) == (1,)
+        assert Dist.point(3.0, 2.0) == Dist.point(3, np.int64(2)) == Dist.point(3, 2)
+        assert Dist.uniform(2.0) == Dist.uniform(2)
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: Dist.point(3, -1), ValueError, "token -1 is outside 0..2"),
+            (lambda: Dist.point(3, 3), ValueError, "token 3 is outside 0..2"),
+            (lambda: Dist.point(0, 0), ValueError, "size must be >= 1"),
+            (lambda: Dist.uniform(0), ValueError, "size must be >= 1"),
+            (lambda: Dist.uniform(-2), ValueError, "size must be >= 1"),
+            (lambda: Dist.point(3, True), TypeError, "not an integer"),
+            (lambda: Dist.point(True, 0), TypeError, "not an integer"),
+            (lambda: Dist.point(3, 1.5), TypeError, "not an integer"),
+            (lambda: Dist.uniform(2.5), TypeError, "not an integer"),
+            (lambda: Dist.uniform("2"), TypeError, "not an integer"),
+        ],
+        ids=["negative-token", "token-past-end", "empty-point", "empty-uniform",
+             "negative-uniform", "bool-token", "bool-size", "fractional-token",
+             "fractional-size", "str-size"],
+    )
+    def test_uniform_and_point_refuse_bad_arguments(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
 
 
 NOT_REAL = {

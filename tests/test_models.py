@@ -119,6 +119,24 @@ class TestStepRows:
             cums = np.stack([np.cumsum(step.rows, axis=1) for step in steps])
             assert bits(model.step_cumsums) == bits(cums)
 
+    @pytest.mark.parametrize(
+        "vocab, horizon, error, message",
+        [
+            (0, 0, ValueError, "vocab_size must be >= 1"),
+            (-1, 3, ValueError, "vocab_size must be >= 1"),
+            (3, 0, ValueError, "horizon must be >= 1"),
+            (3, -2, ValueError, "horizon must be >= 1"),
+            (True, 3, TypeError, "not an integer"),
+            (3, 2.5, TypeError, "not an integer"),
+        ],
+    )
+    def test_random_model_refuses_bad_sizes_before_drawing(self, vocab, horizon, error, message):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(error, match=message):
+            random_markov_model(vocab, horizon, rng=rng)
+        assert rng.bit_generator.state == state
+
     def test_descriptor_stack_matches_per_step_tables(self):
         rng = np.random.default_rng(5)
         raw = rng.uniform(size=(6, 9, 9))

@@ -10,6 +10,7 @@ import pytest
 from specdec import (
     Campaign,
     ModelPair,
+    Policy,
     batch_scan,
     markov_to_full,
     random_model_pair,
@@ -44,6 +45,11 @@ class TestCampaignValidation:
     def test_generic_needs_policy(self):
         with pytest.raises(ValueError, match="policy"):
             Campaign(pair=PAIR, algorithm="generic", runs=10, seed=0)
+        for policy in ("x", object()):
+            with pytest.raises(TypeError, match="not a Policy"):
+                Campaign(pair=PAIR, algorithm="generic", runs=10, seed=0, policy=policy)
+            with pytest.raises(TypeError, match="not a Policy"):
+                unbiasedness_check(PAIR, "generic", runs=10, policy=policy)
 
     @pytest.mark.parametrize("algorithm", ["sd", "generic", "autoregressive"])
     def test_only_batch_takes_a_batch_size(self, algorithm):
@@ -64,6 +70,9 @@ class TestCampaignValidation:
             unbiasedness_check(PAIR, "sd", runs=10, seed=1, batch_size=5)
         with pytest.raises(ValueError, match="batch runs take no policy"):
             unbiasedness_check(PAIR, "batch", runs=10, seed=1, batch_size=2,
+                               policy=sd_policy(PAIR))
+        with pytest.raises(ValueError, match="^generic runs need batch_size 1$"):
+            unbiasedness_check(PAIR, "generic", runs=10, seed=1, batch_size=2,
                                policy=sd_policy(PAIR))
 
 
@@ -108,7 +117,8 @@ class TestStrictInputs:
 
 class TestDispatch:
     """sd, batch and generic on Markov pairs take the lockstep engine; the same
-    pair as history tables takes the scalar samplers. Both read the same streams."""
+    pair as history tables, or a policy without tables, takes the scalar loop.
+    Both read the same streams."""
 
     @pytest.mark.parametrize("algorithm, batch_size", [("sd", 1), ("batch", 3), ("generic", 1)])
     def test_engine_and_scalar_paths_agree(self, algorithm, batch_size):
@@ -116,18 +126,23 @@ class TestDispatch:
         full = ModelPair(markov_to_full(pair.p), markov_to_full(pair.q))
         policy = (random_unbiased_policy(pair, np.random.default_rng(3))
                   if algorithm == "generic" else None)
+        inputs = [(pair, policy), (full, policy)]
+        if policy is not None:
+            assert policy.tables is not None
+            inputs.append((pair, Policy(policy.acceptance, policy.residual)))
         runs = _block_runs(batch_size, 3) + 40  # crosses an engine block boundary
 
-        def summary(p):
+        def summary(p, pol):
             report = run_campaign(Campaign(pair=p, algorithm=algorithm, runs=runs,
-                                           seed=4, batch_size=batch_size, policy=policy,
+                                           seed=4, batch_size=batch_size, policy=pol,
                                            checkpoint_every=500))
             return [(c.runs, c.mean, c.stderr) for c in report.checkpoints]
 
-        assert summary(pair) == summary(full)
+        summaries = [summary(p, pol) for p, pol in inputs]
+        assert all(other == summaries[0] for other in summaries[1:])
         l1 = [unbiasedness_check(p, algorithm, runs=runs, seed=6,
-                                 batch_size=batch_size, policy=policy).l1 for p in (pair, full)]
-        assert l1[0] == l1[1]
+                                 batch_size=batch_size, policy=pol).l1 for p, pol in inputs]
+        assert all(other == l1[0] for other in l1[1:])
 
     def test_autoregressive_campaign_samples_nothing(self, monkeypatch):
         def fail(*args):
