@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dist import ZeroResidual, _float_array, _int_arg
+from .dist import ZeroResidual, _float_array, _int_arg, _residual_rows
 from .models import MarkovModel, ModelPair, _as_int
 from .rng import split_rngs, split_uniforms
 
@@ -302,11 +302,9 @@ def _decode(
                     history += (candidate,)
                     break
                 if policy is None:
-                    weights = np.maximum(target - p_row, 0.0)
-                    total = float(weights.sum())
+                    target, total = _residual_rows(target, p_row)
                     if total <= 0.0:
                         raise _no_residual(t, m)
-                    target = weights / total
                 else:
                     target = policy_residual_row(policy, t, history, pair.vocab_size)
             else:
@@ -334,10 +332,10 @@ def generic_decode(
 
     Draws uniforms in the same order as speculative_decode, so the speculative
     policy reproduces its trajectories path-for-path under a shared seed.
+    A missing policy raises ValueError and a non-Policy TypeError, as for
+    campaigns and the enumeration oracle.
     """
-    if not isinstance(policy, Policy):
-        raise TypeError(f"{policy!r} is not a Policy")
-    return _decode(pair, 1, policy, rng)
+    return _decode(pair, *_run_args("generic", 1, policy), rng)
 
 
 def _run_args(algorithm: str, batch_size, policy) -> tuple[int, Policy | None]:
@@ -394,24 +392,6 @@ def _sample_rows(cumsums: np.ndarray, us: np.ndarray) -> np.ndarray:
     return np.minimum(counts, cumsums.shape[-1] - 1)
 
 
-def _iterate_tables(q_rows: np.ndarray, p_rows: np.ndarray, batch_size: int):
-    """Iterates q^1..q^{M+1} of every state row and the M normalisers between them.
-
-    Rows run along the last axis. Row s is computed by the scalar loop's own
-    float operations on that row, q^{m+1} = max(q^m - p, 0) / sum, so the
-    tables are bit-equal to the iterates ``_decode`` tests a round's first
-    tokens against. A zero normaliser leaves NaN rows, which are read only
-    after the ZeroResidual check has already raised.
-    """
-    iterates, totals = [q_rows], []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(batch_size):
-            weights = np.maximum(iterates[-1] - p_rows, 0.0)
-            totals.append(weights.sum(axis=-1))
-            iterates.append(weights / totals[-1][..., None])
-    return iterates, totals
-
-
 class _Tables(NamedTuple):
     """Every position's tables for one :func:`decode_markov_runs` call, stacked over n.
 
@@ -420,8 +400,11 @@ class _Tables(NamedTuple):
     tables over (x_{n-1}, x): the acceptance threshold of a candidate tested
     against iterate m + 1 at position n, and the cumsum of the replacement
     row drawn after that test fails; ``totals[m][n - 1]`` is the normaliser
-    of iterate m + 2. Without a policy they come from the root iterates of q;
-    with a tabular policy (M = 1) from its tables, and ``totals`` is None.
+    of iterate m + 2. Without a policy they come from the root iterates of q,
+    q^1 = q and q^{m+1} = [q^m - p]_+, formed row by row by the scalar loop's
+    own kernel, so they are bit-equal to the iterates ``_decode`` tests a
+    round's first tokens against. With a tabular policy (M = 1) they come from
+    its tables, and ``totals`` is None.
     """
 
     p_rows: np.ndarray
@@ -436,7 +419,11 @@ def _tables(pair: ModelPair, batch_size: int, policy: Policy | None) -> _Tables:
     if policy is not None:
         acceptance, residual = policy.tables
         return _Tables(p_rows, p_cums, [acceptance], [np.cumsum(residual, axis=-1)], None)
-    iterates, totals = _iterate_tables(pair.q.step_rows, p_rows, batch_size)
+    iterates, totals = [pair.q.step_rows], []
+    for _ in range(batch_size):
+        iterate, total = _residual_rows(iterates[-1], p_rows)
+        iterates.append(iterate)
+        totals.append(total)
     with np.errstate(divide="ignore", invalid="ignore"):
         thresholds = [iterate / p_rows for iterate in iterates[:-1]]
     residual_cums = [np.cumsum(iterate, axis=-1) for iterate in iterates[1:]]

@@ -5,9 +5,15 @@ through the helpers here, so total variation and residuals are computed by one
 definition each:
 
     tv(a, b)        = (1/2) * sum_x |a(x) - b(x)|
-    [q - p]_+ (x)   = max(0, q(x) - p(x)) / tv(q, p)
+    [q - p]_+ (x)   = max(0, q(x) - p(x)) / sum_y max(0, q(y) - p(y))
 
-For distributions the two normalizers agree: sum_x max(0, q - p) = tv(q, p).
+For distributions the residual's normalizer equals tv(q, p). Every residual
+row in the package, the samplers' replacement rows, the batch iterates
+q^{m+1} = [q^m - p]_+, the oracles' branch weights and the policies' rows
+[q - b p]_+, is formed by one kernel, ``_residual_rows``. Its one
+zero-residual rule: a row whose weights max(q - p, 0) sum to zero (however
+small a positive sum is, it is not zero) has no residual, and the kernel
+returns it as a row of zeros with normalizer 0.
 """
 
 from __future__ import annotations
@@ -151,15 +157,15 @@ def _tv_arrays(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _residual_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise residuals [q - p]_+ and tv(q, p) over the last axis.
+    """Row-wise residuals [q - p]_+ and their normalizers sum max(q - p, 0) over the last axis.
 
-    A row with no positive part (tv zero, for distributions) has no residual
-    and comes back as zeros, so callers can weight every row by its tv.
+    A row whose normalizer is zero has no residual and comes back as zeros, so
+    callers can weight every row by its normalizer.
     """
     weights = np.maximum(q - p, 0.0)
     totals = weights.sum(axis=-1, keepdims=True)
-    rows = np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0.0)
-    return rows, _tv_rows(q, p)
+    np.divide(weights, totals, out=weights, where=totals > 0.0)
+    return weights, totals[..., 0]
 
 
 def _vector_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -168,18 +174,6 @@ def _vector_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     if av.shape != bv.shape:
         raise ValueError(f"length mismatch: {av.shape} vs {bv.shape}")
     return av, bv
-
-
-def _positive_part(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """max(q - p, 0); raises ZeroResidual when it sums to <= 0.
-
-    The samplers use the same rule: a residual is zero only when its weights
-    sum to zero, however small a positive sum is.
-    """
-    weights = np.maximum(q - p, 0.0)
-    if float(weights.sum()) <= 0.0:
-        raise ZeroResidual("max(q - p, 0) sums to zero, residual undefined")
-    return weights
 
 
 def tv_distance(a, b) -> float:
@@ -197,7 +191,10 @@ def residual_plus(q, p) -> Dist:
     undefined. Decoding only requests a residual after a rejection, an event
     of probability tv(q, p), so the guard is unreachable from the samplers.
     """
-    return Dist.from_weights(_positive_part(*_vector_pair(q, p)))
+    row, total = _residual_rows(*_vector_pair(q, p))
+    if total <= 0.0:
+        raise ZeroResidual("max(q - p, 0) sums to zero, residual undefined")
+    return Dist(row)
 
 
 def rejection_iterate(q_m, p) -> tuple[Dist, float]:
@@ -208,4 +205,4 @@ def rejection_iterate(q_m, p) -> tuple[Dist, float]:
     max(q^m - p, 0) sums to zero.
     """
     qv, pv = _vector_pair(q_m, p)
-    return Dist.from_weights(_positive_part(qv, pv)), _tv_arrays(qv, pv)
+    return residual_plus(qv, pv), _tv_arrays(qv, pv)

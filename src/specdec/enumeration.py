@@ -34,6 +34,12 @@ position n is built once, so a walk costs O((T + M * V) * V**T) against
 (2V)**T branch paths for a path-by-path expansion, and holds
 O(min(V, B) * V**T) floats per phase.
 
+Rejecting branches come from the samplers' own residual kernel,
+``dist._residual_rows``: a rejection against q^m has probability
+sum max(q^m - p, 0), the kernel's normalizer, and its replacement row is the
+kernel's row, so the sd and batch branch weights are formed exactly as the
+samplers form their replacement rows.
+
 These oracles are the ground truth the closed-form recursions are tested
 against, so they share nothing with exact.py beyond the distribution helpers:
 they keep full histories (FullModel pairs run unchanged), never aggregate by

@@ -121,23 +121,8 @@ def _fsum(terms: np.ndarray) -> float:
 
 def expected_rejections_sd(pair: ModelPair) -> float:
     """Exact E[rejections] of speculative decoding: sum_n E_q[tv(p_n, q_n)]."""
-    if _is_markov_pair(pair):
-        return _fsum(_markov_terms(pair)[0])
-
-    terms = []
-
-    def expand(history: tuple[int, ...], n: int, mass: float) -> None:
-        if mass == 0.0 or n > pair.horizon:
-            return
-        p_row = pair.p.step(n, history)
-        q_row = pair.q.step(n, history)
-        terms.append(mass * _tv_arrays(p_row, q_row))
-        for token in range(pair.vocab_size):
-            expand(history + (token,), n + 1, mass * float(q_row[token]))
-
-    for x0 in range(pair.vocab_size):
-        expand((x0,), 1, pair.prompt[x0])
-    return math.fsum(terms)
+    terms = _markov_terms if _is_markov_pair(pair) else _history_terms
+    return _fsum(terms(pair)[0])
 
 
 def acceleration_rate(expected_rejections: float, horizon: int) -> float:
@@ -173,29 +158,38 @@ def _root_iterates(q, p, tv, batch_size: int | None, plus=None):
     return prod, tail
 
 
-def _gain_general(pair: ModelPair, batch_size: int | None) -> float:
-    """Batch improvement by the history-level recursion over explicit prefixes (any model)."""
+def _history_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = False):
+    """SD and (when ``gain``) batch gain terms of any pair, walked over explicit histories.
+
+    The history-level twin of ``_markov_terms``: one walk over every prefix
+    (x_0, ..., x_{n-1}) with its target mass q_h and its round-root mass f_h.
+    The SD term is q_h * tv(p_n, q_n) and the gain term f_h * (tv - P_M).
+    """
     v = pair.vocab_size
     q_mass = {(x0,): pair.prompt[x0] for x0 in range(v)}
     f_mass = dict(q_mass)
+    sd_terms: list[float] = []
     gain_terms: list[float] = []
     for n in range(1, pair.horizon + 1):
         q_next: dict[tuple[int, ...], float] = {}
         f_next: dict[tuple[int, ...], float] = {}
         for history, qh in q_mass.items():
-            fh = f_mass[history]
             p_row = pair.p.step(n, history)
             q_row = pair.q.step(n, history)
             tv = _tv_arrays(q_row, p_row)
-            prod, tail = _root_iterates(q_row, p_row, tv, batch_size)
-            gain_terms.append(fh * (tv - float(prod)))
-            f_row = np.maximum(q_row - p_row, 0.0) * (qh - fh) + fh * tail
+            sd_terms.append(qh * tv)
+            if gain:
+                fh = f_mass[history]
+                prod, tail = _root_iterates(q_row, p_row, tv, batch_size)
+                gain_terms.append(fh * (tv - float(prod)))
+                f_row = np.maximum(q_row - p_row, 0.0) * (qh - fh) + fh * tail
             for token in range(v):
                 key = history + (token,)
                 q_next[key] = qh * float(q_row[token])
-                f_next[key] = float(f_row[token])
+                if gain:
+                    f_next[key] = float(f_row[token])
         q_mass, f_mass = q_next, f_next
-    return math.fsum(gain_terms)
+    return np.array(sd_terms), np.array(gain_terms) if gain else None
 
 
 def _sd_and_gain(pair: ModelPair, batch_size: int | None) -> tuple[float, float]:
@@ -208,10 +202,9 @@ def _sd_and_gain(pair: ModelPair, batch_size: int | None) -> tuple[float, float]
     (mu - g) @ (q - p)_+, or after a root fails all M responses, g @ W_{M+1}.
     Other pairs take the history-level recursion.
     """
-    if _is_markov_pair(pair):
-        sd, gain = _markov_terms(pair, batch_size, gain=True)
-        return _fsum(sd), _fsum(gain)
-    return expected_rejections_sd(pair), _gain_general(pair, batch_size)
+    terms = _markov_terms if _is_markov_pair(pair) else _history_terms
+    sd, gain = terms(pair, batch_size, gain=True)
+    return _fsum(sd), _fsum(gain)
 
 
 def expected_rejections_batch(pair: ModelPair, batch_size: int) -> BatchRejections:

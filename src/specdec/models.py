@@ -181,10 +181,6 @@ class MarkovModel:
         """
         return self._cumsums()
 
-    def context_key(self, n: int, history: tuple[int, ...]):
-        """Hashable key identifying the conditional at (n, history)."""
-        return (n, history[-1])
-
     @property
     def prompt_cumsum(self) -> np.ndarray:
         return self._prompt_cumsum
@@ -257,6 +253,9 @@ class FullModel:
         return self._horizon
 
     def step(self, n: int, history: tuple[int, ...]) -> np.ndarray:
+        """Probability row of x_n given history (x_0, ..., x_{n-1}); KeyError unless len is n."""
+        if len(history) != n:
+            raise KeyError(f"position {n} needs a history of length {n}, got {history}")
         row = self._table.get(history)
         if row is None:
             raise KeyError(f"no table entry for history {history}")
@@ -272,9 +271,6 @@ class FullModel:
     def histories(self, n: int):
         """All conditioning histories of x_n, in deterministic (sorted) order."""
         return (key for key in sorted(self._table) if len(key) == n)
-
-    def context_key(self, n: int, history: tuple[int, ...]):
-        return (n, history)
 
     @property
     def prompt_cumsum(self) -> np.ndarray:

@@ -11,52 +11,48 @@ Each factory computes its acceptance and residual rows for every context at
 once, as arrays over (context, x). On a Markov pair the contexts are the
 (position, x_{n-1}) pairs, so the rows are (T, V, V) tables and the factory
 returns :meth:`Policy.from_tables`, which the lockstep engine reads without
-calling back. On other pairs the callbacks look the rows up per history.
-A context where rejection has probability zero gets q's row as its residual:
-it is never sampled, and any distribution serves.
+calling back. On other pairs the contexts are the histories
+(x_0, ..., x_{n-1}), n = 1..T, in lexicographic order, and the callbacks look
+the rows up by history. Every residual row comes from the package's one
+residual kernel, ``dist._residual_rows``: the speculative rule's is
+[q - p]_+, opt's and random-unbiased's [q - b p]_+. A context where rejection
+has probability sum_x (1 - b(x)) p(x) <= DEGENERATE_TOL gets q's row as its
+residual: it is never sampled, and any distribution serves.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .decoding import Policy
-from .models import FullModel, MarkovModel, ModelPair
-from .tradeoff import DEGENERATE_TOL, _coefficient_rows, epsilon_acceptance
-
-
-def _iter_contexts(model):
-    """Every distinct conditional context (n, representative history) once."""
-    if isinstance(model, MarkovModel):
-        for n in range(1, model.horizon + 1):
-            for state in range(model.vocab_size):
-                yield n, (state,)
-    elif isinstance(model, FullModel):
-        for n in range(1, model.horizon + 1):
-            for history in model.histories(n):
-                yield n, history
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
+from .dist import _residual_rows
+from .models import MarkovModel, ModelPair
+from .tradeoff import DEGENERATE_TOL, epsilon_acceptance
 
 
 def _rows_policy(pair: ModelPair, rule) -> Policy:
     """Policy whose rows over every context are ``rule(p_rows, q_rows)`` -> (b, residual)."""
     if isinstance(pair.p, MarkovModel) and isinstance(pair.q, MarkovModel):
         return Policy.from_tables(*rule(pair.p.step_rows, pair.q.step_rows))
-    contexts = list(_iter_contexts(pair.q))
-    p, q = (np.array([model.step(n, h) for n, h in contexts]) for model in (pair.p, pair.q))
+    histories = [
+        history
+        for n in range(1, pair.horizon + 1)
+        for history in itertools.product(range(pair.vocab_size), repeat=n)
+    ]
+    p, q = (np.array([model.step(len(h), h) for h in histories]) for model in (pair.p, pair.q))
     acceptance, residual = rule(p, q)
-    slots = {pair.q.context_key(n, h): i for i, (n, h) in enumerate(contexts)}
+    slots = {history: i for i, history in enumerate(histories)}
     return Policy(
-        lambda n, history, candidate: acceptance[slots[pair.q.context_key(n, history)], candidate],
-        lambda n, history: residual[slots[pair.q.context_key(n, history)]],
+        lambda n, history, candidate: acceptance[slots[history], candidate],
+        lambda n, history: residual[slots[history]],
     )
 
 
-def _normalized_or_q(weights: np.ndarray, q: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Rows ``weights / sum`` where ``live``, q's row elsewhere."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rows = weights / weights.sum(axis=-1, keepdims=True)
+def _rejectable_or_q(rows: np.ndarray, q: np.ndarray, b: np.ndarray, p: np.ndarray):
+    """``rows`` where a draft can be rejected, sum (1 - b) p > DEGENERATE_TOL; q's row elsewhere."""
+    live = ((1.0 - b) * p).sum(axis=-1) > DEGENERATE_TOL
     return np.where(live[..., None], rows, q)
 
 
@@ -66,8 +62,7 @@ def sd_policy(pair: ModelPair) -> Policy:
     def rule(p, q):
         with np.errstate(divide="ignore", invalid="ignore"):
             acceptance = np.where(p > 0.0, np.minimum(1.0, q / p), 1.0)
-        weights = np.maximum(q - p, 0.0)
-        return acceptance, _normalized_or_q(weights, q, weights.sum(axis=-1) > 0.0)
+        return acceptance, _rejectable_or_q(_residual_rows(q, p)[0], q, acceptance, p)
 
     return _rows_policy(pair, rule)
 
@@ -85,10 +80,7 @@ def over_acceptance_policy(pair: ModelPair, eps: float, residual_kind: str = "op
         acceptance = epsilon_acceptance(p, q, eps)
         if residual_kind == "uno":
             return acceptance, q
-        coefficients, denom = _coefficient_rows(acceptance, p, q)
-        return acceptance, _normalized_or_q(
-            np.maximum(coefficients, 0.0), q, denom > DEGENERATE_TOL
-        )
+        return acceptance, _rejectable_or_q(_residual_rows(q, acceptance * p)[0], q, acceptance, p)
 
     return _rows_policy(pair, rule)
 
@@ -112,10 +104,6 @@ def random_unbiased_policy(pair: ModelPair, rng: np.random.Generator) -> Policy:
         with np.errstate(divide="ignore", invalid="ignore"):
             cap = np.minimum(1.0, np.where(p > 0.0, q / p, np.inf))
         acceptance = rng.uniform(size=p.shape) * cap
-        denom = ((1.0 - acceptance) * p).sum(axis=-1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            residual = (q - acceptance * p) / denom
-        # Rejection is unreachable where denom vanishes; any distribution serves.
-        return acceptance, np.where(denom > 1e-15, residual, q)
+        return acceptance, _rejectable_or_q(_residual_rows(q, acceptance * p)[0], q, acceptance, p)
 
     return _rows_policy(pair, rule)

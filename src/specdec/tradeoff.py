@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Dist, _float_array, _tv_arrays
+from .dist import Dist, _float_array, _residual_rows, _tv_arrays
 
 DEGENERATE_TOL = 1e-15
 MEMBERSHIP_TOL = 1e-9
@@ -88,17 +88,6 @@ def loss_tv_star(b, p, q) -> float:
     return 0.5 * float(np.abs(qv - bv * pv).sum()) - 0.5 * float(((1.0 - bv) * pv).sum())
 
 
-def _coefficient_rows(b: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """Over the last axis: A = (q - b p) / sum((1 - b) p) and that denominator.
-
-    Rows with a zero denominator come back as infinities or NaN; callers test
-    the denominator against DEGENERATE_TOL before they use A.
-    """
-    denom = ((1.0 - b) * p).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (q - b * p) / np.expand_dims(denom, -1), denom
-
-
 def optimal_residual(b, p, q) -> ResidualCharacterization:
     """Characterize every bias-minimizing residual for acceptance rule b.
 
@@ -107,9 +96,10 @@ def optimal_residual(b, p, q) -> ResidualCharacterization:
     """
     pv, qv = _float_array(p), _float_array(q)
     bv = _validate_acceptance(b, pv.size)
-    coeff, denom = _coefficient_rows(bv, pv, qv)
+    denom = float(((1.0 - bv) * pv).sum())
     if denom <= DEGENERATE_TOL:
         raise DegenerateRejection("rejection probability is zero under this acceptance rule")
+    coeff = (qv - bv * pv) / denom
     coeff.flags.writeable = False
     plus = tuple(int(x) for x in np.flatnonzero(coeff >= 0.0))
     minus = tuple(int(x) for x in np.flatnonzero(coeff < 0.0))
@@ -117,7 +107,7 @@ def optimal_residual(b, p, q) -> ResidualCharacterization:
         coefficients=coeff,
         plus_set=plus,
         minus_set=minus,
-        canonical=Dist.from_weights(np.maximum(coeff, 0.0)),
+        canonical=Dist(_residual_rows(qv, bv * pv)[0]),
     )
 
 

@@ -16,6 +16,7 @@ from specdec import (
     generic_decode,
     joint_distribution,
     make_rng,
+    optimal_residual,
     over_acceptance_policy,
     random_model_pair,
     random_unbiased_policy,
@@ -38,6 +39,7 @@ from specdec.decoding import (
 )
 from specdec.dist import ZeroResidual
 from specdec.models import trajectory_index
+from specdec.tradeoff import DEGENERATE_TOL
 
 from helpers import constant_chain, random_full_pair, seeded_small_pairs, sparse_draft_pair
 
@@ -540,6 +542,25 @@ def table_reader(acceptance, residual) -> Policy:
 
 
 class TestPolicyTables:
+    def test_opt_and_unbiased_rows_are_the_residuals_they_define(self):
+        # At every context that can reject, opt's row is optimal_residual's
+        # canonical [A]_+ and random-unbiased's is (q - b p) / sum (1 - b) p.
+        rng = make_rng(5)
+        for pair in [*seeded_small_pairs(), sparse_draft_pair(5, 8, 41)]:
+            p, q = pair.p.step_rows, pair.q.step_rows
+            acceptance, residual = over_acceptance_policy(pair, 0.05, "opt").tables
+            live = ((1.0 - acceptance) * p).sum(-1) > DEGENERATE_TOL
+            assert live.any()
+            for n, s in zip(*np.nonzero(live)):
+                want = optimal_residual(acceptance[n, s], p[n, s], q[n, s]).canonical.probs
+                np.testing.assert_allclose(residual[n, s], want, rtol=0.0, atol=1e-15)
+            acceptance, residual = random_unbiased_policy(pair, rng).tables
+            denom = ((1.0 - acceptance) * p).sum(-1)
+            live = denom > DEGENERATE_TOL
+            assert live.any()
+            want = (q[live] - acceptance[live] * p[live]) / denom[live][:, None]
+            np.testing.assert_allclose(residual[live], want, rtol=0.0, atol=1e-15)
+
     @pytest.mark.parametrize("name", TABLE_POLICIES)
     def test_tables_are_the_validated_callbacks_bit_for_bit(self, name):
         pairs = [*seeded_small_pairs(), sparse_draft_pair(5, 8, seed=41),
@@ -691,8 +712,10 @@ class TestBatch:
             with pytest.raises(TypeError, match="not an integer"):
                 batch_decode(pair, bad, make_rng(0))
         assert batch_decode(pair, 2.0, make_rng(3)) == batch_decode(pair, 2, make_rng(3))
-        with pytest.raises(TypeError, match="not a Policy"):
+        with pytest.raises(ValueError, match="requires a policy"):
             generic_decode(pair, None, make_rng(0))
+        with pytest.raises(TypeError, match="not a Policy"):
+            generic_decode(pair, object(), make_rng(0))
 
     def test_single_response_is_speculative_decoding(self):
         pair = random_model_pair(3, 5, seed=5)

@@ -202,12 +202,31 @@ class TestResidualRows:
     def test_rows_match_residual_plus_and_zero_tv_rows_are_zero(self):
         q = np.array([[0.4, 0.6], [0.5, 0.5], [0.9, 0.1]])
         p = np.array([[0.7, 0.3], [0.5, 0.5], [0.5, 0.5]])
-        rows, tv = _residual_rows(q, p)
+        rows, totals = _residual_rows(q, p)
+        # The second value is the kernel's own normaliser, not a second tv pass.
+        np.testing.assert_array_equal(totals, np.maximum(q - p, 0.0).sum(-1))
         np.testing.assert_array_equal(rows[1], [0.0, 0.0])
-        assert tv[1] == 0.0
+        assert totals[1] == 0.0
         for i in (0, 2):
             np.testing.assert_allclose(rows[i], residual_plus(q[i], p[i]).probs, atol=1e-15)
-            assert tv[i] == tv_distance(q[i], p[i])
+
+    def test_zero_total_rows_are_zeros_in_any_shape(self):
+        # A (2, 2, 3) stack with a zero-total row in each block, and one row alone.
+        rng = np.random.default_rng(3)
+        q = rng.random((2, 2, 3))
+        q /= q.sum(-1, keepdims=True)
+        p = q.copy()
+        p[:, 1] = rng.random((2, 3))
+        p[:, 1] /= p[:, 1].sum(-1, keepdims=True)
+        rows, totals = _residual_rows(q, p)
+        assert rows.shape == (2, 2, 3) and totals.shape == (2, 2)
+        np.testing.assert_array_equal(totals, np.maximum(q - p, 0.0).sum(-1))
+        np.testing.assert_array_equal(rows[:, 0], 0.0)
+        assert np.all(totals[:, 1] > 0.0)
+        np.testing.assert_allclose(rows[:, 1].sum(-1), 1.0, atol=1e-15)
+        row, total = _residual_rows(q[0, 0], p[0, 0])
+        np.testing.assert_array_equal(row, 0.0)
+        assert total.shape == () and total == 0.0
 
 
 class TestRejectionIterate:

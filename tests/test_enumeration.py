@@ -28,6 +28,7 @@ from specdec import (
     generic_decode,
     joint_distribution,
     make_rng,
+    markov_to_full,
     random_model_pair,
     random_unbiased_policy,
     sd_policy,
@@ -102,6 +103,14 @@ class TestExpectedRejections:
             sd = enumerate_expected_rejections(pair, "sd")
             gen = enumerate_expected_rejections(pair, "generic", policy=sd_policy(pair))
             assert gen == pytest.approx(sd, abs=1e-12)
+
+    def test_generic_sd_policy_matches_sd_on_a_mixed_pair(self):
+        # A history-table draft against a Markov target: the policy's rows
+        # must be read per history, not per (position, x_{n-1}).
+        markov = random_model_pair(2, 3, seed=1)
+        pair = ModelPair(markov_to_full(markov.p), markov.q)
+        gen = enumerate_expected_rejections(pair, "generic", policy=sd_policy(pair))
+        assert gen == pytest.approx(expected_rejections_sd(pair), abs=1e-12)
 
     def test_unbiased_policies_never_beat_sd(self):
         rng = make_rng(7)

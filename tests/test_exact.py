@@ -14,6 +14,7 @@ from specdec import (
     BatchRejections,
     CondDist,
     Dist,
+    FullModel,
     MarkovModel,
     ModelPair,
     acceleration_rate,
@@ -157,6 +158,17 @@ class TestBatchRecursions:
         for m in (1, 2, 3):
             enum = enumerate_expected_rejections(pair, "batch", batch_size=m)
             assert expected_rejections_batch(pair, m).total == pytest.approx(enum, abs=1e-12)
+
+    def test_history_recursion_walks_once(self, monkeypatch):
+        # The SD and gain terms of a non-Markov pair come from one walk that
+        # reads p's and q's row once per history: 2 * sum_n V**n step calls.
+        pair = full_pair(random_model_pair(2, 4, seed=3))
+        calls, step = [], FullModel.step
+        monkeypatch.setattr(
+            FullModel, "step", lambda model, n, history: calls.append(n) or step(model, n, history)
+        )
+        expected_rejections_batch(pair, 2)
+        assert len(calls) == 2 * sum(2**n for n in range(1, 5))
 
     def test_single_response_is_sd_exactly(self):
         for pair in PAIRS:

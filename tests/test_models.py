@@ -274,6 +274,14 @@ class TestFullModel:
                 full.step(len(history), history), model.step(len(history), history)
             )
 
+    def test_step_refuses_a_history_of_another_position(self):
+        # step(2, (1,)) once returned position 1's row for history (1,).
+        full = markov_to_full(random_markov_model(2, 3, seed=6))
+        with pytest.raises(KeyError, match="position 2"):
+            full.step(2, (1,))
+        with pytest.raises(KeyError, match="position 1"):
+            full.step_cumsum(1, (0, 1))
+
     def test_missing_history_rejected(self):
         with pytest.raises(ValueError, match="every history"):
             FullModel(Dist.uniform(2), 2, {(0,): [0.5, 0.5]})
