@@ -161,16 +161,11 @@ def _validated_tables(acceptance, residual) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidPolicy(
             f"policy tables have shapes {shape} and {residual.shape}, expected (T, V, V)"
         )
-    infinite = ~np.isfinite(acceptance)
-    if infinite.any():
-        raise _not_finite(int(np.argmax(infinite.any(axis=(1, 2)))) + 1)
+    positions = range(1, shape[0] + 1)
+    acceptance = _acceptances(acceptance, positions)
     if residual.shape[2:] != shape[2:] and shape[0] and shape[1]:
         raise _bad_shape(1, residual.shape[2:])
-    tables = (
-        # min(1, max(0, b)) as policy_acceptance takes it: -0.0 becomes 0.0.
-        np.where(acceptance > 0.0, np.minimum(acceptance, 1.0), 0.0),
-        _distributions(np.ascontiguousarray(residual), range(1, shape[0] + 1)),
-    )
+    tables = (acceptance, _distributions(np.ascontiguousarray(residual), positions))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -187,6 +182,19 @@ def _not_finite(n: int) -> InvalidPolicy:
 
 def _bad_shape(n: int, shape) -> InvalidPolicy:
     return InvalidPolicy(f"residual at position {n} has shape {shape}")
+
+
+def _acceptances(values: np.ndarray, positions) -> np.ndarray:
+    """(K, H, V) blocks of acceptance values, block k at ``positions[k]``, clamped to [0, 1].
+
+    min(1, max(0, b)) entry for entry as policy_acceptance takes it, so -0.0
+    becomes 0.0. Raises policy_acceptance's InvalidPolicy for the first block
+    with a value that is not finite.
+    """
+    infinite = ~np.isfinite(values)
+    if infinite.any():
+        raise _not_finite(positions[int(np.argmax(infinite.any(axis=(1, 2))))])
+    return np.where(values > 0.0, np.minimum(values, 1.0), 0.0)
 
 
 def _distributions(rows: np.ndarray, positions) -> np.ndarray:

@@ -92,6 +92,13 @@ class Dist:
         self._probs = arr
 
     @classmethod
+    def _view(cls, probs: np.ndarray) -> "Dist":
+        """A Dist over an already checked, read-only vector, held without a copy."""
+        dist = cls.__new__(cls)
+        dist._probs = probs
+        return dist
+
+    @classmethod
     def from_weights(cls, weights) -> "Dist":
         """Normalize nonnegative weights into a Dist. Zero total mass is an error."""
         arr = _float_array(weights)

@@ -27,12 +27,20 @@ prompt tokens walk together in blocks of B = max(1, FULL_TABLE_CAP //
 V**(T + 1)) consecutive tokens, so a block's last child table holds at most
 FULL_TABLE_CAP entries per phase; where B = 1 each prompt token walks alone.
 Histories with no mass, those of prompt tokens with no mass among them, drop
-out of each level, and a block with no prompt mass is skipped. Model rows and
-policy callbacks are read once per (n, history) with positive mass, the
-histories the algorithm can reach. Each of the at most V**n histories at
-position n is built once, so a walk costs O((T + M * V) * V**T) against
-(2V)**T branch paths for a path-by-path expansion, and holds
-O(min(V, B) * V**T) floats per phase.
+out of each level, and a block with no prompt mass is skipped. Each level
+works on its live histories only: it gathers their mass and moment once,
+accumulates every branch into (phases, live, V) arrays, and scatters those
+into the child table once, or takes them as the child table when every
+history is live. Model rows and policy callbacks are read once per
+(n, history) with positive mass, the histories the algorithm can reach. A
+MarkovModel's rows are read from its (T, V, V) stack by the last digit of
+each live code, with no per-history call; history tuples are built only for
+the callbacks that take them, a FullModel's ``step`` and a policy's
+acceptance and residual. A policy's acceptance values are clamped to [0, 1]
+over the whole level at once, as the samplers clamp each one. Each of the at
+most V**n histories at position n is built once, so a walk costs
+O((T + M * V) * V**T) against (2V)**T branch paths for a path-by-path
+expansion, and holds O(min(V, B) * V**T) floats per phase.
 
 Rejecting branches come from the samplers' own residual kernel,
 ``dist._residual_rows``: a rejection against q^m has probability
@@ -49,13 +57,14 @@ rather than by a closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .decoding import Policy, _run_args, policy_acceptance, policy_residual_rows
+from .decoding import Policy, _acceptances, _run_args, policy_residual_rows
 from .dist import _residual_rows
-from .models import FULL_TABLE_CAP, ModelPair
+from .models import FULL_TABLE_CAP, MarkovModel, ModelPair
 
 ALGORITHMS = ("sd", "batch", "generic")
 
@@ -75,17 +84,33 @@ def _histories(codes: np.ndarray, v: int, length: int) -> list[tuple[int, ...]]:
     return [tuple(row) for row in digits.tolist()]
 
 
-def _rows(model, n: int, histories) -> np.ndarray:
-    """Stacked ``model.step(n, history)`` rows, shape (len(histories), V)."""
-    return np.array([model.step(n, h) for h in histories]).reshape(-1, model.vocab_size)
+class _Live:
+    """The histories with positive mass before position n, by code.
+
+    Their tuples are built on first use, for callbacks only.
+    """
+
+    def __init__(self, n: int, codes: np.ndarray, vocab_size: int) -> None:
+        self.n, self.codes, self.vocab_size = n, codes, vocab_size
+
+    @functools.cached_property
+    def histories(self) -> list[tuple[int, ...]]:
+        return _histories(self.codes, self.vocab_size, self.n)
+
+    def rows(self, model) -> np.ndarray:
+        """Rows of x_n, shape (len(codes), V): a Markov chain's by last digit, else ``step``'s."""
+        if isinstance(model, MarkovModel):
+            return model.step_rows[self.n - 1, self.codes % self.vocab_size]
+        rows = [model.step(self.n, h) for h in self.histories]
+        return np.array(rows).reshape(-1, self.vocab_size)
 
 
 def _walk(pair: ModelPair, phases: int, level) -> tuple[np.ndarray, float]:
     """Expand every branch breadth first; returns the output law and E[rejections].
 
-    level(n, histories) -> [(src, dst, rejections, table), ...] lists the
-    branches at position n: table[i, x] is the probability that a path in
-    phase src at histories[i] emits token x, lands in phase dst at n + 1 and
+    level(live) -> [(src, dst, rejections, table), ...] lists the branches at
+    position live.n: table[i, x] is the probability that a path in phase src
+    at the i-th live history emits token x, lands in phase dst at n + 1 and
     adds ``rejections`` (0 or 1). Paths start in phase 0.
     """
     v, horizon = pair.vocab_size, pair.horizon
@@ -100,22 +125,34 @@ def _walk(pair: ModelPair, phases: int, level) -> tuple[np.ndarray, float]:
         mass[0] = prompt
         moment = np.zeros_like(mass)
         for n in range(1, horizon + 1):
+            size = mass.shape[1]
             live = np.flatnonzero((mass > 0.0).any(axis=0))
-            child_mass = np.zeros((phases, mass.shape[1], v))
+            live_mass, live_moment = mass[:, live, None], moment[:, live, None]
+            child_mass = np.zeros((phases, live.size, v))
             child_moment = np.zeros_like(child_mass)
-            for src, dst, rejections, table in level(n, _histories(live + lo * v ** (n - 1), v, n)):
-                m, r = mass[src, live, None], moment[src, live, None]
-                child_mass[dst, live] += m * table
-                child_moment[dst, live] += (r + rejections * m) * table
+            for src, dst, rejections, table in level(_Live(n, live + lo * v ** (n - 1), v)):
+                m, r = live_mass[src], live_moment[src]
+                child_mass[dst] += m * table
+                child_moment[dst] += (r + m if rejections else r) * table
+            if live.size < size:
+                child_mass = _scatter(child_mass, live, size)
+                child_moment = _scatter(child_moment, live, size)
             mass, moment = child_mass.reshape(phases, -1), child_moment.reshape(phases, -1)
         law += mass.sum(axis=0).reshape(-1, law.size).sum(axis=0)
         moments.append(math.fsum(moment[moment != 0.0].tolist()))
     return law, math.fsum(moments)
 
 
+def _scatter(table: np.ndarray, live: np.ndarray, size: int) -> np.ndarray:
+    """The (phases, size, V) child table: ``table``'s rows at ``live``, zeros elsewhere."""
+    full = np.zeros((table.shape[0], size, table.shape[2]))
+    full[:, live] = table
+    return full
+
+
 def _sd_level(pair: ModelPair):
-    def level(n: int, histories):
-        p, q = _rows(pair.p, n, histories), _rows(pair.q, n, histories)
+    def level(live: _Live):
+        p, q = live.rows(pair.p), live.rows(pair.q)
         replacement, reject = _residual_rows(q, p)
         return [(0, 0, 0, np.minimum(p, q)), (0, 0, 1, reject[:, None] * replacement)]
 
@@ -125,11 +162,11 @@ def _sd_level(pair: ModelPair):
 def _generic_level(pair: ModelPair, policy: Policy):
     v = pair.vocab_size
 
-    def level(n: int, histories):
-        p = _rows(pair.p, n, histories)
-        b = np.array(
-            [[policy_acceptance(policy, n, h, token) for token in range(v)] for h in histories]
-        ).reshape(-1, v)
+    def level(live: _Live):
+        n, histories = live.n, live.histories
+        p = live.rows(pair.p)
+        b = [[float(policy.acceptance(n, h, x)) for x in range(v)] for h in histories]
+        b = _acceptances(np.array(b).reshape(1, -1, v), (n,))[0]
         reject = (p * (1.0 - b)).sum(axis=1)
         replacement = np.zeros_like(p)
         rejecting = np.flatnonzero(reject > 0.0)
@@ -143,12 +180,12 @@ def _generic_level(pair: ModelPair, policy: Policy):
 
 
 def _batch_level(pair: ModelPair, batch_size: int):
-    def level(n: int, histories):
-        p, q = _rows(pair.p, n, histories), _rows(pair.q, n, histories)
+    def level(live: _Live):
+        p, q = live.rows(pair.p), live.rows(pair.q)
         # Response m's first token is tested against iterate q^m, reached when
         # the m - 1 responses before it were rejected (probability r_1..r_{m-1}).
         # After all M, the round emits from q^{M+1} and is charged one call.
-        accept, reached, q_m = np.zeros_like(p), np.ones(len(histories)), q
+        accept, reached, q_m = np.zeros_like(p), np.ones(len(p)), q
         for _ in range(batch_size):
             accept += reached[:, None] * np.minimum(p, q_m)
             q_m, r_m = _residual_rows(q_m, p)

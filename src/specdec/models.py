@@ -37,7 +37,7 @@ class CondDist:
     Every row is validated and renormalized exactly as :class:`Dist` does it.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_stack", "_index")
 
     def __init__(self, rows) -> None:
         arr = _float_array(rows)
@@ -57,6 +57,7 @@ class CondDist:
         normalized = arr / totals[:, None]
         normalized.flags.writeable = False
         self._rows = normalized
+        self._stack = self._index = None
 
     @property
     def rows(self) -> np.ndarray:
@@ -70,10 +71,10 @@ class CondDist:
         return self._rows[state]
 
     @classmethod
-    def _view(cls, rows: np.ndarray) -> "CondDist":
-        """A step over already checked, read-only rows, held without a copy."""
+    def _view(cls, stack: np.ndarray, index: int) -> "CondDist":
+        """Step ``stack[index]`` of an already checked, read-only stack, held without a copy."""
         step = cls.__new__(cls)
-        step._rows = rows
+        step._rows, step._stack, step._index = stack[index], stack, index
         return step
 
 
@@ -98,11 +99,24 @@ def _normalized_stack(arr: np.ndarray) -> np.ndarray:
     return np.divide(arr, totals[..., None], out=arr)
 
 
+def _stack_of(steps: tuple[CondDist, ...]) -> np.ndarray | None:
+    """The stack whose views ``steps`` are, one per step in order; None if there is none."""
+    stack = getattr(steps[0], "_stack", None)
+    if stack is None or len(stack) != len(steps):
+        return None
+    for k, step in enumerate(steps):
+        if getattr(step, "_stack", None) is not stack or step._index != k:
+            return None
+    return stack
+
+
 class MarkovModel:
     """Nonstationary Markov chain: x_0 ~ prompt, x_n ~ steps[n-1].row(x_{n-1}).
 
     The rows of all T steps are one read-only (T, V, V) stack, ``step_rows``;
-    each of ``steps`` is a CondDist view into it.
+    each of ``steps`` is a CondDist view into it. A chain built from the T
+    views of one stack, in order, such as another chain's ``steps``, holds
+    that stack rather than a copy.
     """
 
     __slots__ = ("_prompt", "_steps", "_step_rows", "_prompt_cumsum", "_step_cumsums")
@@ -117,7 +131,8 @@ class MarkovModel:
                 raise TypeError("steps must be CondDist tables")
             if step.vocab_size != v:
                 raise ValueError("all steps must share the prompt's vocabulary size")
-        self._hold(prompt, np.stack([step.rows for step in steps]))
+        stack = _stack_of(steps)
+        self._hold(prompt, np.stack([step.rows for step in steps]) if stack is None else stack)
 
     @classmethod
     def _from_stack(cls, prompt: Dist, rows: np.ndarray) -> "MarkovModel":
@@ -134,7 +149,7 @@ class MarkovModel:
         rows.flags.writeable = False
         self._prompt = prompt
         self._step_rows = rows
-        self._steps = tuple(CondDist._view(step) for step in rows)
+        self._steps = tuple(CondDist._view(rows, k) for k in range(len(rows)))
         self._prompt_cumsum = np.cumsum(prompt.probs)
         self._step_cumsums = None
 
@@ -278,9 +293,12 @@ class FullModel:
 
 
 def markov_to_full(model: MarkovModel) -> FullModel:
-    """Expand a Markov chain into explicit history tables (oracle cross-checks)."""
+    """Expand a Markov chain into explicit history tables (oracle cross-checks).
+
+    Each history's row is the chain's own read-only row, bit for bit.
+    """
     return FullModel.from_function(
-        model.prompt, model.horizon, lambda n, h: model.step(n, h).copy()
+        model.prompt, model.horizon, lambda n, h: Dist._view(model.step(n, h))
     )
 
 

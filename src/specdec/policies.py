@@ -13,7 +13,8 @@ once, as arrays over (context, x). On a Markov pair the contexts are the
 returns :meth:`Policy.from_tables`, which the lockstep engine reads without
 calling back. On other pairs the contexts are the histories
 (x_0, ..., x_{n-1}), n = 1..T, in lexicographic order, and the callbacks look
-the rows up by history. Every residual row comes from the package's one
+the rows up by history, raising KeyError, as ``FullModel.step`` does, for a
+history whose length is not n. Every residual row comes from the package's one
 residual kernel, ``dist._residual_rows``: the speculative rule's is
 [q - p]_+, opt's and random-unbiased's [q - b p]_+. A context where rejection
 has probability sum_x (1 - b(x)) p(x) <= DEGENERATE_TOL gets q's row as its
@@ -44,9 +45,15 @@ def _rows_policy(pair: ModelPair, rule) -> Policy:
     p, q = (np.array([model.step(len(h), h) for h in histories]) for model in (pair.p, pair.q))
     acceptance, residual = rule(p, q)
     slots = {history: i for i, history in enumerate(histories)}
+
+    def slot(n, history):
+        if len(history) != n:
+            raise KeyError(f"position {n} needs a history of length {n}, got {history}")
+        return slots[history]
+
     return Policy(
-        lambda n, history, candidate: acceptance[slots[history], candidate],
-        lambda n, history: residual[slots[history]],
+        lambda n, history, candidate: acceptance[slot(n, history), candidate],
+        lambda n, history: residual[slot(n, history)],
     )
 
 

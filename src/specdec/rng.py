@@ -12,10 +12,13 @@ pool size of 4 because a spawn key is present, then the index's words) into a
 pool of four uint32 words, and PCG64 seeds itself from the first four uint64
 words of ``generate_state``. Both steps use only uint32 xor, multiply and
 shift with fixed constants, and the hash constants advance the same way
-whatever the data, so ``_pcg64_seeds`` runs numpy's algorithm on a whole
-column of spawn keys at once. Each PCG64 then reads its four words through
-``_SeedWords``, a minimal implementation of numpy's documented ISeedSequence
-interface, and so starts in the state SeedSequence would have given it.
+whatever the data. The seed's words come first and are the same for every
+index, so ``_seed_pool`` hashes and mixes them once, on Python ints, and
+``_pcg64_seeds`` runs the rest of numpy's algorithm, the spawn-key words and
+the eight output words, on a whole column of spawn keys at once. Each PCG64
+then reads its four words through ``_SeedWords``, a minimal implementation of
+numpy's documented ISeedSequence interface, and so starts in the state
+SeedSequence would have given it.
 
 ``split_uniforms`` skips the generators: it returns a block of runs' first
 ``width`` uniforms, row k bit for bit ``split_rng(master_seed, start +
@@ -97,36 +100,63 @@ def _word_count(value: int) -> int:
     return max(1, -(-value.bit_length() // 32))
 
 
-def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
-    """Row k: ``generate_state(4, np.uint64)`` of the SeedSequence with entropy ``entropy[k]``.
+def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
+    """SeedSequence's hashmix on one Python int word: (hashed word, next hash constant)."""
+    value ^= hash_const
+    hash_const = (hash_const * MULT_A) & MASK32
+    value = (value * hash_const) & MASK32
+    return value ^ (value >> 16), hash_const
 
-    ``entropy`` is a (count, L) uint32 array with L > POOL_SIZE, each row
-    being numpy's assembled entropy words (seed words, zero padding, spawn key).
+
+def _mix(x: int, y: int) -> int:
+    result = (MIX_MULT_L * x - MIX_MULT_R * y) & MASK32
+    return result ^ (result >> 16)
+
+
+def _seed_pool(seed_words: list[int]) -> tuple[list[int], int]:
+    """SeedSequence's pool after it has mixed in ``seed_words``, and its hash constant then.
+
+    ``seed_words`` are the master seed's 32-bit words padded to at least
+    POOL_SIZE, the entropy that every spawn key of one seed shares, so this
+    part of the hash runs once per seed, on Python ints.
     """
-    hash_const = INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * MULT_A) & MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    pool = [hashmix(entropy[:, i]) for i in range(POOL_SIZE)]
+    hash_const, pool = INIT_A, []
+    for word in seed_words[:POOL_SIZE]:
+        word, hash_const = _hashmix(word, hash_const)
+        pool.append(word)
     for src in range(POOL_SIZE):
         for dst in range(POOL_SIZE):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(POOL_SIZE, entropy.shape[1]):
+                word, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], word)
+    for word in seed_words[POOL_SIZE:]:
         for dst in range(POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+            hashed, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], hashed)
+    return pool, hash_const
+
+
+def _pcg64_seeds(seed_pool: tuple[list[int], int], keys: np.ndarray) -> np.ndarray:
+    """Row k: ``generate_state(4, np.uint64)`` of the SeedSequence with spawn key ``keys[k]``.
+
+    ``seed_pool`` is ``_seed_pool`` of the seed's words and ``keys`` a
+    (count, L) uint32 array of spawn-key words. Only the key words and the
+    output words are hashed over columns; the seed's pool words are length-1
+    columns that broadcast against them.
+    """
+    words, hash_const = seed_pool
+    pool = [np.array([word], dtype=np.uint32) for word in words]
+    for column in keys.T:
+        for dst in range(POOL_SIZE):
+            value = column ^ np.uint32(hash_const)
+            hash_const = (hash_const * MULT_A) & MASK32
+            value = value * np.uint32(hash_const)
+            value ^= value >> np.uint32(16)
+            mixed = np.uint32(MIX_MULT_L) * pool[dst] - np.uint32(MIX_MULT_R) * value
+            pool[dst] = mixed ^ (mixed >> np.uint32(16))
 
     hash_const = INIT_B
-    state = np.empty((entropy.shape[0], 2 * POOL_SIZE), dtype="<u4")
+    state = np.empty((keys.shape[0], 2 * POOL_SIZE), dtype="<u4")
     for i in range(2 * POOL_SIZE):
         value = pool[i % POOL_SIZE] ^ np.uint32(hash_const)
         hash_const = (hash_const * MULT_B) & MASK32
@@ -144,7 +174,7 @@ def _split_seed_words(master_seed: int, start: int, count: int) -> np.ndarray:
     if master_seed < 0 or start < 0 or count < 0:
         raise ValueError("master_seed, start and count must be >= 0")
     seed_words = [(master_seed >> (32 * j)) & MASK32 for j in range(_word_count(master_seed))]
-    seed_words += [0] * (POOL_SIZE - len(seed_words))
+    seed_pool = _seed_pool(seed_words + [0] * (POOL_SIZE - len(seed_words)))
     out = np.empty((count, 4), dtype=np.uint64)
     index, stop = start, start + count
     while index < stop:
@@ -159,8 +189,7 @@ def _split_seed_words(master_seed: int, start: int, count: int) -> np.ndarray:
                 b"".join(i.to_bytes(4 * words, "little") for i in range(index, end)), dtype="<u4"
             )
         keys = keys.reshape(end - index, words)
-        seeds = np.tile(np.array(seed_words, dtype=np.uint32), (end - index, 1))
-        out[index - start : end - start] = _pcg64_seeds(np.hstack([seeds, keys]))
+        out[index - start : end - start] = _pcg64_seeds(seed_pool, keys)
         index = end
     return out
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Dist, _float_array, _residual_rows, _tv_arrays
+from .dist import Dist, _float_array, _residual_rows, _tv_arrays, _vector_pair
 
 DEGENERATE_TOL = 1e-15
 MEMBERSHIP_TOL = 1e-9
@@ -83,7 +83,7 @@ def loss_tv_star(b, p, q) -> float:
 
     Zero exactly when b <= min{1, q/p} pointwise; equals tv(p, q) at b = 1.
     """
-    pv, qv = _float_array(p), _float_array(q)
+    pv, qv = _vector_pair(p, q)
     bv = _validate_acceptance(b, pv.size)
     return 0.5 * float(np.abs(qv - bv * pv).sum()) - 0.5 * float(((1.0 - bv) * pv).sum())
 
@@ -94,7 +94,7 @@ def optimal_residual(b, p, q) -> ResidualCharacterization:
     Raises DegenerateRejection when sum (1 - b) p = 0: rejection never occurs
     and the residual is immaterial.
     """
-    pv, qv = _float_array(p), _float_array(q)
+    pv, qv = _vector_pair(p, q)
     bv = _validate_acceptance(b, pv.size)
     denom = float(((1.0 - bv) * pv).sum())
     if denom <= DEGENERATE_TOL:

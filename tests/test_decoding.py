@@ -16,6 +16,7 @@ from specdec import (
     generic_decode,
     joint_distribution,
     make_rng,
+    markov_to_full,
     optimal_residual,
     over_acceptance_policy,
     random_model_pair,
@@ -581,6 +582,17 @@ class TestPolicyTables:
     @pytest.mark.parametrize("name", TABLE_POLICIES)
     def test_full_model_pairs_keep_callbacks_only(self, name):
         assert POLICIES[name](random_full_pair(3, 3, seed=5)).tables is None
+
+    @pytest.mark.parametrize("name", TABLE_POLICIES)
+    def test_history_callbacks_refuse_a_history_of_another_position(self, name):
+        # They once answered acceptance(3, (0,), 1) with position 1's value.
+        base = random_model_pair(2, 3, seed=1)
+        policy = POLICIES[name](ModelPair(markov_to_full(base.p), base.q))
+        with pytest.raises(KeyError, match="position 3"):
+            policy.acceptance(3, (0,), 1)
+        with pytest.raises(KeyError, match="position 1"):
+            policy.residual(1, (0, 1))
+        assert policy.acceptance(1, (0,), 1) == POLICIES[name](base).acceptance(1, (0,), 1)
 
     @pytest.mark.parametrize("name", TABLE_POLICIES)
     def test_callback_path_gives_the_table_path_runs(self, name):

@@ -38,6 +38,7 @@ from specdec import (
     tv_distance,
 )
 
+from specdec.decoding import policy_acceptance
 from specdec.dist import _residual_rows
 
 from helpers import random_full_pair, seeded_small_pairs, sparse_draft_pair, with_prompt
@@ -293,6 +294,49 @@ def _sparse_prompt(vocab: int, dead: list[int]) -> np.ndarray:
     weights = np.arange(1.0, vocab + 1.0)
     weights[dead] = 0.0
     return weights / weights.sum()
+
+
+class TestMarkovRows:
+    # A Markov pair's rows are read by the last digit of each live code; its
+    # markov_to_full copy holds the same rows and is read history by history.
+    PAIRS = {
+        "dense": random_model_pair(4, 3, seed=8),
+        "sparse": with_prompt(
+            random_model_pair(40, 2, seed=13), _sparse_prompt(40, [2, 7, *range(15, 30), 33])
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", PAIRS)
+    def test_markov_pair_matches_its_history_tables_exactly(self, kind):
+        pair = self.PAIRS[kind]
+        full = ModelPair(markov_to_full(pair.p), markov_to_full(pair.q))
+        runs = [("sd", {}), *(("batch", {"batch_size": m}) for m in (1, 2, 3))]
+        runs.append(("generic", {"policy": random_unbiased_policy(pair, make_rng(3))}))
+        for algorithm, kwargs in runs:
+            law = enumerate_output_distribution(pair, algorithm, **kwargs)
+            assert (law == enumerate_output_distribution(full, algorithm, **kwargs)).all()
+            rejections = enumerate_expected_rejections(pair, algorithm, **kwargs)
+            assert rejections == enumerate_expected_rejections(full, algorithm, **kwargs)
+
+    def test_acceptance_values_are_clamped_as_the_sampler_clamps_them(self):
+        pair = random_model_pair(3, 3, seed=6)
+        values = [-0.0, 1.5, -2, np.float32(0.3), 1]
+
+        def raw(n, history, candidate):
+            return values[(n + sum(history) + candidate) % len(values)]
+
+        policy = Policy(raw, pair.q.step)
+        clamped = Policy(
+            lambda n, history, candidate: policy_acceptance(policy, n, history, candidate),
+            pair.q.step,
+        )
+        law = enumerate_output_distribution(pair, "generic", policy=policy)
+        assert law.tobytes() == enumerate_output_distribution(
+            pair, "generic", policy=clamped
+        ).tobytes()
+        assert enumerate_expected_rejections(
+            pair, "generic", policy=policy
+        ) == enumerate_expected_rejections(pair, "generic", policy=clamped)
 
 
 class TestPromptBlocks:

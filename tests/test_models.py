@@ -196,6 +196,22 @@ class TestStepRows:
         # a model built from CondDist tables holds a copy, not the caller's arrays
         assert not np.shares_memory(models[2].step_rows, steps[0].rows)
 
+    def test_a_chain_over_another_chains_steps_holds_its_stack(self):
+        model = random_markov_model(3, 4, seed=2)
+        for steps in (model.steps, list(model.steps)):
+            chain = MarkovModel(Dist.uniform(3), steps)
+            assert np.shares_memory(chain.step_rows, model.step_rows)
+            assert not chain.step_rows.flags.writeable
+        other = random_markov_model(3, 4, seed=3)
+        # other orders, subsets and mixtures of steps are stacked anew
+        for steps in (model.steps[::-1], model.steps[:2], model.steps[1:],
+                      (*model.steps[:3], other.steps[3])):
+            chain = MarkovModel(model.prompt, steps)
+            assert not np.shares_memory(chain.step_rows, model.step_rows)
+            assert np.array_equal(chain.step_rows, np.stack([step.rows for step in steps]))
+        with pytest.raises(ValueError, match="vocabulary size"):
+            MarkovModel(Dist.uniform(2), model.steps)
+
     def test_pair_build_holds_each_row_once(self):
         # Each model's rows take 1 MB at (50, 50). Drawn and checked step by
         # step, then stacked again for cumsums built up front, the pair peaked

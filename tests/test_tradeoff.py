@@ -211,6 +211,19 @@ class TestNoCoercion:
                 call()
 
 
+class TestLengths:
+    def test_q_of_another_length_is_refused(self):
+        # numpy would broadcast a length-1 q against p.
+        p, b = np.array([0.5, 0.5]), np.ones(2)
+        for q in ([1.0], [0.2, 0.3, 0.5]):
+            with pytest.raises(ValueError, match="length mismatch"):
+                optimal_residual(0.5 * b, p, q)
+            with pytest.raises(ValueError, match="length mismatch"):
+                loss_tv_star(b, p, q)
+            with pytest.raises(ValueError, match="length mismatch"):
+                is_optimal_residual(p, 0.5 * b, p, q)
+
+
 class TestParetoFront:
     def test_identity_holds_across_grid(self):
         grid = [i / 10 for i in range(11)]
