@@ -37,7 +37,13 @@ rows, q's root iterates for sd and batch or a Markov policy's tables (see
 history than x_{n-1}, runs through generic_decode. At each position every run
 tests one candidate against q, the token of the response it follows or, when
 it opens a round, response 0's, so one verify pass covers all runs; only
-opening runs that reject it go on to responses 1, ..., M - 1.
+opening runs that reject it go on to responses 1, ..., M - 1. A run's state
+between positions is its next-uniform index and a draft pointer to the
+followed response's next draft uniform; a run opens a round where its last
+token was a replacement. Uniforms are read by flat index into the block's
+window and table entries by x_{n-1}*V + x, and the off-support and
+zero-residual checks run only at the positions (and iterates) where the
+call's tables show they can fire (see :class:`_Lockstep`).
 
 Stream sources. No run reads more than S(M, T) = 1 + M*T(T+1)/2 + (M+1)*T
 uniforms (proved in :func:`decode_markov_runs`). Where S fits the engine's
@@ -55,6 +61,7 @@ a result.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -214,13 +221,22 @@ def _distributions(rows: np.ndarray, positions) -> np.ndarray:
     return rows / totals[..., None]
 
 
+def _residual_value(row, n: int) -> np.ndarray:
+    """A residual callback's row as ``dist._float_array`` takes it; InvalidPolicy if it refuses."""
+    try:
+        return _float_array(row)
+    except ValueError as exc:
+        raise InvalidPolicy(f"residual at position {n}: {exc}") from None
+
+
 def policy_residual_rows(policy: Policy, n: int, histories, vocab_size: int) -> np.ndarray:
     """Policy residuals at position n for each history, stacked, validated and normalised.
 
     Calls ``policy.residual`` once per history; raises InvalidPolicy unless
-    every row is a length-V nonnegative vector summing to 1 within 1e-9.
+    every row is a length-V vector of reals (no bools or strings),
+    nonnegative and summing to 1 within 1e-9.
     """
-    rows = [np.asarray(policy.residual(n, history), dtype=np.float64) for history in histories]
+    rows = [_residual_value(policy.residual(n, history), n) for history in histories]
     for row in rows:
         if row.shape != (vocab_size,):
             raise _bad_shape(n, row.shape)
@@ -232,8 +248,21 @@ def policy_residual_row(policy: Policy, n: int, history: tuple[int, ...], vocab_
     return policy_residual_rows(policy, n, [history], vocab_size)[0]
 
 
+def _acceptance_value(value, n: int) -> float:
+    """An acceptance callback's value as a float; InvalidPolicy for a bool or a non-real.
+
+    Ints, floats and their numpy kinds pass; a float (np.float64 is one)
+    passes as it is, without a conversion.
+    """
+    if isinstance(value, float):
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidPolicy(f"acceptance at position {n} is {value!r}, not a real number")
+    return float(value)
+
+
 def policy_acceptance(policy: Policy, n: int, history: tuple[int, ...], candidate: int) -> float:
-    b = float(policy.acceptance(n, history, candidate))
+    b = _acceptance_value(policy.acceptance(n, history, candidate), n)
     if not math.isfinite(b):
         raise _not_finite(n)
     return min(1.0, max(0.0, b))
@@ -390,172 +419,244 @@ class MarkovRuns(NamedTuple):
     flags: np.ndarray
 
 
-def _sample_rows(cumsums: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """``_sample_index`` of row k of ``cumsums`` (or one shared row) at ``us[k]``.
+def _sample_rows(columns: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """``_sample_index`` of cumsum column k (or one shared column) at ``us[k]``.
 
-    A cumsum row is nondecreasing, so searchsorted(side="right") is the count
-    of its entries <= u.
+    ``columns`` holds entries 0, ..., V - 2 of each cumsum, one column per
+    draw: shape (V - 1, K), or (V - 1, 1) for a shared one. A cumsum is
+    nondecreasing, so searchsorted(side="right") is the count of its entries
+    <= u, and that count clamped to V - 1 is the count among the first V - 1.
     """
-    counts = (cumsums <= us[:, None]).sum(axis=-1)
-    return np.minimum(counts, cumsums.shape[-1] - 1)
+    return (columns <= us).sum(axis=0)
+
+
+def _cum_columns(cums: np.ndarray) -> np.ndarray:
+    """(T, V, V) row cumsums as (T, V - 1, V) columns for ``_sample_rows``: ``[n - 1, k, s]``."""
+    return np.ascontiguousarray(cums[..., :-1].swapaxes(1, 2))
+
+
+def _where_needed(masks, needed: np.ndarray) -> list:
+    """``masks[n - 1]`` at each position n with ``needed[n - 1]``, None at the others."""
+    return [mask if need else None for mask, need in zip(masks, needed.tolist())]
 
 
 class _Tables(NamedTuple):
     """Every position's tables for one :func:`decode_markov_runs` call, stacked over n.
 
-    ``p_rows`` and ``p_cums`` are p's (T, V, V) rows and their cumsums.
-    ``thresholds[m][n - 1]`` and ``residual_cums[m][n - 1]`` are (V, V)
-    tables over (x_{n-1}, x): the acceptance threshold of a candidate tested
-    against iterate m + 1 at position n, and the cumsum of the replacement
-    row drawn after that test fails; ``totals[m][n - 1]`` is the normaliser
-    of iterate m + 2. Without a policy they come from the root iterates of q,
-    q^1 = q and q^{m+1} = [q^m - p]_+, formed row by row by the scalar loop's
-    own kernel, so they are bit-equal to the iterates ``_decode`` tests a
-    round's first tokens against. With a tabular policy (M = 1) they come from
-    its tables, and ``totals`` is None.
+    A table over (x_{n-1}, x) = (s, x) is a (T, V*V) array keyed s*V + x, and
+    a table of rows to sample is a stack of (V - 1, V) cumsum columns (see
+    ``_cum_columns``). ``p_cums`` are p's. ``thresholds[m]`` is the acceptance
+    threshold of a candidate tested against iterate m + 1, and
+    ``residual_cums[m]`` the replacement row drawn after that test fails.
+    Without a policy they come from the root iterates of q, q^1 = q and
+    q^{m+1} = [q^m - p]_+, formed row by row by the scalar loop's own kernel,
+    so they are bit-equal to the iterates ``_decode`` tests a round's first
+    tokens against. With a tabular policy (M = 1) they come from its tables.
+
+    The check tables say where :class:`_Lockstep` must check.
+    ``off_support[n - 1]`` is the (V*V,) mask of p_n(x | s) <= 0 at a
+    position n where some row of p has no mass on token V - 1, and None
+    elsewhere.
+    ``empty_residuals[m - 1][n - 1]`` is the (V,) mask of the states s whose
+    max(q^m - p, 0) sums to <= 0, at an (m, n) with such a state, and None
+    elsewhere; it is always None for a policy.
     """
 
-    p_rows: np.ndarray
     p_cums: np.ndarray
     thresholds: list
     residual_cums: list
-    totals: list | None
+    off_support: list
+    empty_residuals: list
 
 
 def _tables(pair: ModelPair, batch_size: int, policy: Policy | None) -> _Tables:
-    p_rows, p_cums = pair.p.step_rows, pair.p.step_cumsums
+    p_rows = pair.p.step_rows
+    horizon, vocab = p_rows.shape[:2]
     if policy is not None:
-        acceptance, residual = policy.tables
-        return _Tables(p_rows, p_cums, [acceptance], [np.cumsum(residual, axis=-1)], None)
-    iterates, totals = [pair.q.step_rows], []
-    for _ in range(batch_size):
-        iterate, total = _residual_rows(iterates[-1], p_rows)
-        iterates.append(iterate)
-        totals.append(total)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        thresholds = [iterate / p_rows for iterate in iterates[:-1]]
-    residual_cums = [np.cumsum(iterate, axis=-1) for iterate in iterates[1:]]
-    return _Tables(p_rows, p_cums, thresholds, residual_cums, totals)
+        thresholds, residuals = ([table] for table in policy.tables)
+        empty = [np.zeros((horizon, vocab), dtype=bool)]
+    else:
+        iterates, empty = [pair.q.step_rows], []
+        for _ in range(batch_size):
+            iterate, total = _residual_rows(iterates[-1], p_rows)
+            iterates.append(iterate)
+            empty.append(total <= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            thresholds = [iterate / p_rows for iterate in iterates[:-1]]
+        residuals = iterates[1:]
+    keyed, off = (horizon, vocab * vocab), p_rows <= 0.0
+    return _Tables(
+        _cum_columns(pair.p.step_cumsums),
+        [threshold.reshape(keyed) for threshold in thresholds],
+        [_cum_columns(np.cumsum(rows, axis=-1)) for rows in residuals],
+        _where_needed(off.reshape(keyed), off[:, :, -1].any(axis=1)),
+        [_where_needed(mask, mask.any(axis=1)) for mask in empty],
+    )
+
+
+def _overrun(width: int) -> RuntimeError:
+    return RuntimeError(f"a run read past the end of its {width}-uniform window")
 
 
 class _Lockstep:
     """One block of runs advanced together, one position at a time.
 
-    Each run keeps a window of its uniform stream: ``window[i, cursor[i]]`` is
-    its next unread uniform. With ``rngs`` None the window holds every
-    uniform a run can read. Otherwise it holds twice the most one round can
-    read (M*L drafts, M root tests, L - 1 verifies, one replacement), and a
-    run whose window is short at a round start slides it down and tops it up
-    from its own generator ``rngs[i]``, so the working memory is fixed per
-    block.
+    Each run keeps a row of a (runs, width) window of its uniform stream, read
+    through the flat ``uniforms`` (a view of a C-contiguous window, as
+    ``_block_streams`` makes them) by absolute index: ``next[i]`` is run i's
+    next unread uniform, and ``cursor`` the same index relative to its row.
+    With ``rngs`` None the row holds every uniform a run can read. Otherwise
+    it holds twice the most one round can read (M*L drafts, M root tests,
+    L - 1 verifies, one replacement), and a run whose row is short at a round
+    opening slides it down and tops it up from its own generator ``rngs[i]``,
+    so the working memory is fixed per block.
 
-    Thresholds and replacement rows come from ``tables`` (see
-    :class:`_Tables`).
+    Draft pointers. A run opens a round at position 1 and after each
+    replacement (its flag at t - 1). At an opening, ``draft[i]`` is set to
+    the cursor, the M*L draft uniforms are reserved, and it then moves
+    forward one per emitted position, so it always points at the followed
+    response's draft uniform for the current position; when a root accepts
+    response m, it becomes ``base + m*L`` (base being the opening cursor).
+
+    Checks. Thresholds, replacement rows and check tables come from ``tables``
+    (see :class:`_Tables`); each check runs only where its table asks.
+    Off-support: ``_sample_rows`` lands on a token k < V - 1 only when
+    cums[k - 1] <= u < cums[k], so cums[k] > cums[k - 1] and p[k] > 0 (for
+    k = 0, u < cums[0] = p[0]); only its clamp to V - 1 can land on a token
+    without mass, so the check is needed only at positions where some p row
+    has no mass on token V - 1. Zero residual: a rejection against iterate m
+    at state s needs [q^m - p]_+ there, which is empty only where its
+    normaliser is <= 0. Both raise the scalar loop's errors, in its order.
+
+    Window guard. A read past a row's end would read the next run's stream
+    (or be clipped to the block's last uniform) rather than fail, so a
+    RuntimeError is raised when a run's cursor has passed the window width.
+    Every read index is below the cursor, and a cursor only moves back at a
+    top-up, so checking at each top-up and at the block's last position
+    covers every read.
     """
 
     def __init__(self, pair: ModelPair, batch_size: int, tables: _Tables, window, rngs) -> None:
-        self.horizon, self.batch_size, self.tables = pair.horizon, batch_size, tables
-        self.rngs, self.window, count = rngs, window, len(window)
-        self.runs = np.arange(count)
-        self.cursor = np.zeros(count, dtype=np.int64)
-        self.state = _sample_rows(pair.q.prompt_cumsum, self._read(self.runs))
-        self.prompt_tokens = self.state.copy()
-        self.follow = np.full(count, -1, dtype=np.int64)  # -1: the run opens a round
-        self.base = np.zeros(count, dtype=np.int64)
-        self.round_start = np.zeros(count, dtype=np.int64)
+        self.horizon, self.batch_size, self.vocab = pair.horizon, batch_size, pair.vocab_size
+        self.tables, self.rngs, self.uniforms = tables, rngs, window.reshape(-1)
+        count, self.width = window.shape
+        self.row_starts = np.arange(count) * self.width
+        self.row_ends = self.row_starts + self.width
+        self.next = self.row_starts.copy()
+        self.prompt_tokens = _sample_rows(pair.q.prompt_cumsum[:-1, None], self._take(slice(None)))
+        self.draft = np.zeros(count, dtype=np.int64)
         self.tokens = np.empty((count, self.horizon), dtype=np.int64)
-        self.flags = np.zeros((count, self.horizon), dtype=np.int8)
+        self.flags = np.zeros((count, self.horizon), dtype=bool)
 
-    def _read(self, runs: np.ndarray) -> np.ndarray:
-        us = self.window[runs, self.cursor[runs]]
-        self.cursor[runs] += 1
+    @property
+    def cursor(self) -> np.ndarray:
+        """Each run's next unread uniform as a column of its window row."""
+        return self.next - self.row_starts
+
+    def _read(self, indices: np.ndarray) -> np.ndarray:
+        """The uniforms at absolute ``indices``; one past the block's end reads its last."""
+        return self.uniforms.take(indices, mode="clip")
+
+    def _take(self, runs) -> np.ndarray:
+        """The next unread uniform of each of ``runs`` (all at slice(None)); cursors move on."""
+        us = self._read(self.next[runs])
+        self.next[runs] += 1
         return us
 
     def _top_up(self, runs: np.ndarray, need: int) -> None:
-        width = self.window.shape[1]
-        for i in runs[width - self.cursor[runs] < need].tolist():
-            used = int(self.cursor[i])
-            row = self.window[i]
+        """Slide down and refill each row of ``runs`` with fewer than ``need`` unread uniforms."""
+        width = self.width
+        for i in runs[self.next[runs] + need > self.row_ends[runs]].tolist():
+            start = i * width
+            used = int(self.next[i]) - start
+            if used > width:
+                raise _overrun(width)
+            row = self.uniforms[start : start + width]
             row[: width - used] = row[used:]
             self.rngs[i].random(out=row[width - used:])
-            self.cursor[i] = 0
+            self.next[i] = start
 
-    def _draft(self, runs, columns, t):
-        """States and draft tokens of ``runs`` at position t, from window ``columns``."""
-        states = self.state[runs]
-        candidates = _sample_rows(self.tables.p_cums[t - 1, states], self.window[runs, columns])
-        off = self.tables.p_rows[t - 1, states, candidates] <= 0.0
-        if off.any():
-            token = int(candidates[np.argmax(off)])
+    def _draft(self, t, states, pointers):
+        """Draft tokens at position t from ``states``, drawn at ``pointers``, and their keys."""
+        columns = self.tables.p_cums[t - 1].take(states, axis=1)
+        candidates = _sample_rows(columns, self._read(pointers))
+        keys = states * self.vocab + candidates
+        off = self.tables.off_support[t - 1]
+        if off is not None and off[keys].any():
+            token = int(candidates[np.argmax(off[keys])])
             raise RuntimeError(f"draft token {token} outside p's support at position {t}")
-        return states, candidates
+        return candidates, keys
 
-    def _accept(self, runs, t, m, states, candidates) -> np.ndarray:
+    def _verify(self, runs, t, m, keys) -> np.ndarray:
         """Which of ``runs``' candidates at t pass the test against iterate m + 1 (q at m = 0)."""
-        return self._read(runs) <= self.tables.thresholds[m][t - 1, states, candidates]
-
-    def _emit(self, runs, t, tokens, rejected: bool) -> None:
-        self.tokens[runs, t - 1] = tokens
-        self.state[runs] = tokens
-        if rejected:
-            self.flags[runs, t - 1] = 1
-            self.follow[runs] = -1
+        return self._take(runs) <= self.tables.thresholds[m][t - 1][keys]
 
     def _check_residual(self, t, m, states) -> None:
         """Raise the scalar loop's ZeroResidual if a row of iterate m + 1 at ``states`` is empty."""
-        totals = self.tables.totals
-        if totals is not None and np.any(totals[m - 1][t - 1, states] <= 0.0):
+        empty = self.tables.empty_residuals[m - 1][t - 1]
+        if empty is not None and empty[states].any():
             raise _no_residual(t, m)
 
     def _replace(self, runs, t, m, states) -> None:
         """Emit the tokens of ``runs`` rejected at t by the test against iterate m."""
         self._check_residual(t, m, states)
-        cums = self.tables.residual_cums[m - 1][t - 1, states]
-        self._emit(runs, t, _sample_rows(cums, self._read(runs)), rejected=True)
+        columns = self.tables.residual_cums[m - 1][t - 1].take(states, axis=1)
+        self.tokens[runs, t - 1] = _sample_rows(columns, self._take(runs))
+        self.flags[runs, t - 1] = True
+
+    def _respond(self, t, span, pending, states) -> None:
+        """Test responses 1, ..., M - 1 for the opening runs ``pending`` that rejected response 0.
+
+        Their draft pointers are at base + 1; response m's draft at t is base + m*L.
+        """
+        for m in range(1, self.batch_size):
+            self._check_residual(t, m, states)
+            pointers = self.draft[pending] + (m * span - 1)
+            candidates, keys = self._draft(t, states, pointers)
+            accept = self._verify(pending, t, m, keys)
+            accepted = pending[accept]
+            self.tokens[accepted, t - 1] = candidates[accept]
+            self.draft[accepted] = pointers[accept] + 1
+            pending, states = pending[~accept], states[~accept]
+            if not pending.size:
+                return
+        self._replace(pending, t, self.batch_size, states)
 
     def advance(self, t: int) -> None:
         """Emit every run's token at position t.
 
         Every run tests one candidate against q at t: a run inside a round
         its followed response's token, a run that opens a round response 0's.
-        So one draft/accept pass covers all runs, and only the opening runs
+        So one draft/verify pass covers all runs, and only the opening runs
         that reject it go on to test responses 1, ..., M - 1.
         """
-        span = self.horizon - t + 1
-        opening = np.flatnonzero(self.follow < 0)
-        if opening.size:
+        span, batch_size = self.horizon - t + 1, self.batch_size
+        opening = self.flags[:, t - 2] if t > 1 else np.ones(len(self.draft), dtype=bool)
+        opened = opening.nonzero()[0]
+        if opened.size:
             if self.rngs is not None:
-                self._top_up(opening, (self.batch_size + 1) * (span + 1) - 1)
-            self.base[opening] = self.cursor[opening]
-            self.cursor[opening] += self.batch_size * span
-            self.round_start[opening] = t
-            self.follow[opening] = 0
+                self._top_up(opened, (batch_size + 1) * (span + 1) - 1)
+            cursor = self.next[opened]
+            self.draft[opened] = cursor
+            self.next[opened] = cursor + batch_size * span
 
-        runs, offset = self.runs, t - self.round_start
-        columns = self.base + self.follow * (offset + span) + offset
-        states, candidates = self._draft(runs, columns, t)
-        accept = self._accept(runs, t, 0, states, candidates)
-        self._emit(runs[accept], t, candidates[accept], rejected=False)
-        rejected = np.flatnonzero(~accept)
-        # With M > 1, opening runs (offset 0) that reject response 0 test response 1.
-        opened = (offset[rejected] == 0) & (self.batch_size > 1)
-        pending, rejected = rejected[opened], rejected[~opened]
+        states = self.tokens[:, t - 2] if t > 1 else self.prompt_tokens
+        candidates, keys = self._draft(t, states, self.draft)
+        accept = self._verify(slice(None), t, 0, keys)
+        self.draft += 1
+        self.tokens[:, t - 1] = candidates
+        rejected = (~accept).nonzero()[0]
+        pending = rejected[:0]
+        if batch_size > 1 and rejected.size:
+            # Opening runs that reject response 0 test response 1.
+            first = opening[rejected]
+            pending, rejected = rejected[first], rejected[~first]
         if rejected.size:
             self._replace(rejected, t, 1, states[rejected])
-        if not pending.size:
-            return
-        states = states[pending]
-        for m in range(1, self.batch_size):
-            self._check_residual(t, m, states)
-            columns = self.base[pending] + m * span
-            states, candidates = self._draft(pending, columns, t)
-            accept = self._accept(pending, t, m, states, candidates)
-            self._emit(pending[accept], t, candidates[accept], rejected=False)
-            self.follow[pending[accept]] = m
-            pending, states = pending[~accept], states[~accept]
-            if not pending.size:
-                return
-        self._replace(pending, t, self.batch_size, states)
+        if pending.size:
+            self._respond(t, span, pending, states[pending])
+        if t == self.horizon and np.any(self.next > self.row_ends):
+            raise _overrun(self.width)
 
 
 def _stream_length(batch_size: int, horizon: int) -> int:

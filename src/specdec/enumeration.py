@@ -62,7 +62,7 @@ import math
 
 import numpy as np
 
-from .decoding import Policy, _acceptances, _run_args, policy_residual_rows
+from .decoding import Policy, _acceptance_value, _acceptances, _run_args, policy_residual_rows
 from .dist import _residual_rows
 from .models import FULL_TABLE_CAP, MarkovModel, ModelPair
 
@@ -165,7 +165,15 @@ def _generic_level(pair: ModelPair, policy: Policy):
     def level(live: _Live):
         n, histories = live.n, live.histories
         p = live.rows(pair.p)
-        b = [[float(policy.acceptance(n, h, x)) for x in range(v)] for h in histories]
+        # A float (np.float64 is one) is taken as it is, without a call.
+        b = [
+            [
+                value if isinstance(value := policy.acceptance(n, h, x), float)
+                else _acceptance_value(value, n)
+                for x in range(v)
+            ]
+            for h in histories
+        ]
         b = _acceptances(np.array(b).reshape(1, -1, v), (n,))[0]
         reject = (p * (1.0 - b)).sum(axis=1)
         replacement = np.zeros_like(p)

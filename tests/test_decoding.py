@@ -1,5 +1,7 @@
 """Sampler contracts: determinism, path equivalences, rejection accounting."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,35 @@ class TestGenericFramework:
         with pytest.raises(InvalidPolicy):
             generic_decode(pair, policy, make_rng(0))
 
+    @pytest.mark.parametrize(
+        "value", ["0.5", True, np.True_, None, 0.5 + 0j],
+        ids=["str", "bool", "numpy-bool", "none", "complex"],
+    )
+    def test_acceptance_values_must_be_real_numbers(self, value):
+        pair = random_model_pair(2, 3, seed=4)
+        policy = Policy(lambda n, h, c: value, pair.q.step)
+        with pytest.raises(InvalidPolicy, match="acceptance at position 1 is .*not a real number"):
+            generic_decode(pair, policy, make_rng(0))
+
+    @pytest.mark.parametrize(
+        "row", [["0.5", "0.5"], [True, False], [None, 1.0]], ids=["str", "bool", "none"]
+    )
+    def test_residual_rows_must_be_real_numbers(self, row):
+        pair = random_model_pair(2, 3, seed=4)
+        policy = Policy(lambda n, h, c: 0.0, lambda n, h: row)
+        with pytest.raises(InvalidPolicy, match="residual at position 1: .*real numbers"):
+            generic_decode(pair, policy, make_rng(0))
+
+    def test_ints_and_numpy_reals_are_taken_as_their_floats(self):
+        pair = random_model_pair(2, 4, seed=3)
+        for value in (1, 0, np.int64(1), np.float32(0.25), np.float64(0.5), Fraction(1, 3)):
+            exact = Policy(lambda n, h, c: value, lambda n, h: list(pair.q.step(n, h)))
+            floats = Policy(lambda n, h, c: float(value), pair.q.step)
+            for i in range(5):
+                assert generic_decode(pair, exact, split_rng(3, i)) == generic_decode(
+                    pair, floats, split_rng(3, i)
+                )
+
     def test_sd_policy_accepts_off_support_drafts(self):
         pair = disjoint_pair(2)
         # q(0)=0 but so is p's alternative: acceptance at p-support-only token is 0,
@@ -241,6 +272,24 @@ def mixed_rounds_pair(kind: str) -> ModelPair:
     return ModelPair(p, q)
 
 
+def empty_third_iterate_pair() -> ModelPair:
+    """The first empty iterate is q^3 = [q^2 - p]_+, at position 2 only.
+
+    There p's rows sum to 1.8 and q's to 2.2, so q's residual is
+    q^2 = [0, 0.5, 0.5] <= p: an opening run that rejects response 0 (tested
+    against q) and then token 0 of response 1 (against q^2) finds
+    max(q^2 - p, 0) = 0. Runs inside a round test against q only.
+    """
+    prompt, uniform = Dist.uniform(3), CondDist(np.full((3, 3), 1 / 3))
+    p = MarkovModel(prompt, [
+        CondDist([[0.9, 0.05, 0.05]] * 3), unnormalized_step([[0.8, 0.5, 0.5]] * 3), uniform,
+    ])
+    q = MarkovModel(prompt, [
+        uniform, unnormalized_step([[0.2, 1.0, 1.0]] * 3), CondDist([[0.2, 0.3, 0.5]] * 3),
+    ])
+    return ModelPair(p, q)
+
+
 def scalar_run(pair, batch_size, rng):
     if batch_size == 1:
         return speculative_decode(pair, rng)
@@ -258,6 +307,58 @@ def assert_path_identical(pair, batch_size, seed, start, count):
         assert runs.rejections[i] == stats.rejections
         assert tuple(runs.flags[i].tolist()) == stats.flags
     return runs
+
+
+def outcome(decode):
+    """(``decode()``, None), or (None, (type, message)) of the error it raises."""
+    try:
+        return decode(), None
+    except (RuntimeError, ValueError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_outcomes_identical(pair, batch_size, seed, count):
+    """Run by run, the engine returns the scalar samplers' run or raises their error.
+
+    Each run is decoded alone, so one run's error cannot hide another's.
+    Returns the scalar errors, None for a run that completes.
+    """
+    errors = []
+    for i in range(count):
+        scalar, error = outcome(lambda: scalar_run(pair, batch_size, split_rng(seed, i)))
+        runs, engine_error = outcome(lambda: decode_markov_runs(pair, batch_size, seed, i, 1))
+        assert engine_error == error, f"run {i}"
+        if error is None:
+            trajectory, stats = scalar
+            assert runs.prompt_tokens[0] == trajectory.prompt_token, f"run {i}"
+            assert tuple(runs.tokens[0].tolist()) == trajectory.tokens, f"run {i}"
+            assert tuple(runs.flags[0].tolist()) == stats.flags, f"run {i}"
+        errors.append(error)
+    return errors
+
+
+def partly_off_support_pair() -> ModelPair:
+    """p has no mass on token V - 1 = 2 in one row only: state 0 at position 2.
+
+    That row sums to 0.9, so a draft from it lands on token 2 through the
+    sampler's clamp when u >= 0.9; every other p row puts mass on token 2.
+    """
+    base = random_model_pair(3, 3, seed=5)
+    rows = base.p.step_rows[1].copy()
+    rows[0] = [0.45, 0.45, 0.0]
+    steps = [base.p.steps[0], unnormalized_step(rows), base.p.steps[2]]
+    return ModelPair(MarkovModel(base.p.prompt, steps), base.q)
+
+
+def interior_zeros_pair() -> ModelPair:
+    """p has zero mass only on interior tokens 1 and 2 of V = 4, in about a third of its rows."""
+    base = random_model_pair(4, 6, seed=12)
+    rows = base.p.step_rows.copy()
+    drop = np.random.default_rng(12).random(rows.shape) < 0.35
+    drop[..., [0, 3]] = False
+    rows[drop] = 0.0
+    steps = [CondDist(step / step.sum(axis=1, keepdims=True)) for step in rows]
+    return ModelPair(MarkovModel(base.p.prompt, steps), base.q)
 
 
 def drafted_tokens(flags, horizon: int, batch_size: int) -> int:
@@ -345,12 +446,15 @@ class TestLockstepEngine:
         for batch_size, horizon in fast:
             assert _stream_length(batch_size, horizon) <= _window_width(batch_size, horizon)
 
-    @pytest.mark.parametrize("batch_size", [1, 2])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
     @pytest.mark.parametrize(
         "kind, error", [("zero-residual", ZeroResidual), ("off-support", RuntimeError)]
     )
     def test_opening_and_inside_runs_raise_the_scalar_error(self, kind, error, batch_size):
-        pair, count = mixed_rounds_pair(kind), 200
+        # At M = 3 the zero-residual pair's first empty iterate is q^3 = [q^2 - p]_+,
+        # reached by opening runs alone, after two root rejections.
+        third = kind == "zero-residual" and batch_size == 3
+        pair, count = empty_third_iterate_pair() if third else mixed_rounds_pair(kind), 200
         failing = []
         for i in range(count):
             try:
@@ -361,7 +465,10 @@ class TestLockstepEngine:
         block = _Lockstep(pair, batch_size, tables, *_block_streams(9, 0, count, batch_size, 3))
         block.advance(1)
         opening = block.flags[[i for i, _ in failing], 0] == 1
-        assert opening.any() and not opening.all()  # both kinds of run fail at position 2
+        if third:
+            assert opening.all() and failing[0][1].endswith("tv(q^2, p) = 0")
+        else:
+            assert opening.any() and not opening.all()  # both kinds of run fail at position 2
         assert {message for _, message in failing} == {failing[0][1]}
         assert "position 2" in failing[0][1]
         with pytest.raises(error) as caught:
@@ -370,6 +477,37 @@ class TestLockstepEngine:
         with pytest.raises(error) as caught:
             decode_markov_runs(pair, batch_size, 9, 0, count)
         assert type(caught.value) is error and str(caught.value) == failing[0][1]
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_drafts_off_support_in_some_rows_only(self, batch_size):
+        pair = partly_off_support_pair()
+        errors = assert_outcomes_identical(pair, batch_size, seed=4, count=60)
+        off = (RuntimeError, "draft token 2 outside p's support at position 2")
+        assert set(errors) == {None, off}
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_zero_mass_on_interior_tokens_needs_no_support_check(self, batch_size):
+        # A draft lands on token k < V - 1 only if cums[k] > cums[k - 1], that is p[k] > 0.
+        pair = interior_zeros_pair()
+        rows = pair.p.step_rows
+        assert (rows[..., 1:3] == 0.0).any() and (rows[..., [0, 3]] > 0.0).all()
+        assert _tables(pair, batch_size, None).off_support == [None] * pair.horizon
+        assert_path_identical(pair, batch_size, seed=6, start=0, count=300)
+
+    @pytest.mark.parametrize(
+        "batch_size, width",
+        # Whole streams one uniform short of S, and a top-up window narrower
+        # than a round at t = 1 reads (13 uniforms at (3, 3)).
+        [(1, 12), (2, 21), (3, 12)],
+    )
+    def test_a_window_short_of_the_reads_raises(self, batch_size, width):
+        pair = disjoint_pair(3)  # every run reads as much as it can
+        window, rngs = _block_streams(5, 2, 50, batch_size, 3)
+        tables = _tables(pair, batch_size, None)
+        block = _Lockstep(pair, batch_size, tables, window[:, :width], rngs)
+        with pytest.raises(RuntimeError, match=f"past the end of its {width}-uniform window"):
+            for t in (1, 2, 3):
+                block.advance(t)
 
     def test_block_sizes(self):
         # Whole-stream blocks hold about STREAM_BUDGET uniforms, top-up blocks BLOCK_RUNS runs.

@@ -267,18 +267,27 @@ class TestCallbacks:
         assert accepts == Counter((n, h, x) for n, h in histories for x in range(v))
         assert residuals == Counter(histories)
 
+    BAD_ACCEPTANCES = {
+        "non-finite-acceptance": float("nan"),
+        "string-acceptance": "0.5",
+        "bool-acceptance": True,
+        "numpy-bool-acceptance": np.True_,
+    }
     BAD_RESIDUALS = {
         "shape": lambda pair, n, h: np.array([0.5, 0.3, 0.2]),
         "negative": lambda pair, n, h: np.array([-0.1, 1.1]),
         "sum": lambda pair, n, h: np.array([0.5, 0.6]),
         "later-position": lambda pair, n, h: np.array([0.5, 0.6]) if n == 2 else pair.q.step(n, h),
+        "string-residual": lambda pair, n, h: ["0.5", "0.5"],
+        "bool-residual": lambda pair, n, h: [True, False],
     }
 
-    @pytest.mark.parametrize("kind", ["non-finite-acceptance", *BAD_RESIDUALS])
+    @pytest.mark.parametrize("kind", [*BAD_ACCEPTANCES, *BAD_RESIDUALS])
     def test_invalid_policy_message_matches_generic_decode(self, kind):
         pair = random_model_pair(2, 3, seed=4)
-        if kind == "non-finite-acceptance":
-            policy = Policy(lambda n, h, c: float("nan"), pair.q.step)
+        if kind in self.BAD_ACCEPTANCES:
+            value = self.BAD_ACCEPTANCES[kind]
+            policy = Policy(lambda n, h, c: value, pair.q.step)
         else:
             bad = self.BAD_RESIDUALS[kind]
             policy = Policy(lambda n, h, c: 0.0, lambda n, h: bad(pair, n, h))

@@ -9,6 +9,7 @@ import pytest
 
 from specdec import (
     Campaign,
+    InvalidPolicy,
     ModelPair,
     Policy,
     batch_scan,
@@ -104,6 +105,17 @@ class TestStrictInputs:
             batch_scan(PAIR, [True, 2.0], runs=10, seed=0)
         with pytest.raises(TypeError, match="batch size"):
             batch_scan(PAIR, [2, 1.5], runs=10, seed=0)
+
+    @pytest.mark.parametrize("value", ["0.5", True])
+    def test_scalar_route_refuses_policy_values_that_are_not_real(self, value):
+        # A policy without tables takes the scalar loop, which checks each callback value.
+        pair = random_model_pair(2, 3, seed=4)
+        policy = Policy(lambda n, h, c: value, pair.q.step)
+        campaign = Campaign(pair=pair, algorithm="generic", runs=5, seed=0, policy=policy)
+        with pytest.raises(InvalidPolicy, match="not a real number"):
+            next(montecarlo._decode_blocks(campaign))  # the runs alone, without the oracle
+        with pytest.raises(InvalidPolicy, match="not a real number"):
+            run_campaign(campaign)
 
     def test_unbiasedness_check_validates_its_counts(self):
         pair = random_model_pair(2, 3, seed=21)
