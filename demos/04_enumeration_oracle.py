@@ -10,6 +10,7 @@ import numpy as np
 
 from specdec import (
     enumerate_expected_rejections,
+    enumerate_law_and_rejections,
     enumerate_output_distribution,
     expected_rejections_batch,
     expected_rejections_sd,
@@ -47,7 +48,6 @@ rng = make_rng(101)
 print("random unbiased policies (law L1 vs target, rejections vs sd)")
 for i in range(5):
     policy = random_unbiased_policy(pair, rng)
-    law = enumerate_output_distribution(pair, "generic", policy=policy)
-    rej = enumerate_expected_rejections(pair, "generic", policy=policy)
+    law, rej = enumerate_law_and_rejections(pair, "generic", policy=policy)
     print(f"  policy {i}: L1 {np.abs(law - target).sum():.2e}   "
           f"rejections {rej:.6f} (sd {sd_exact:.6f}, excess {rej - sd_exact:+.6f})")

@@ -9,7 +9,8 @@ from a seed and speculative_decode is path-identical to batch_decode at M = 1
 and to generic_decode under the speculative policy:
 
     1. one uniform for x_0 (first round only),
-    2. one uniform per drafted token, drafts drawn eagerly to the horizon,
+    2. one uniform per drafted token, drawn for every response to the
+       horizon at the round's start, read or not,
     3. one uniform per verified position,
     4. one uniform for the replacement token after a rejection.
 
@@ -278,16 +279,6 @@ def autoregressive_decode(model, rng: np.random.Generator) -> Trajectory:
     return Trajectory(x0, history[1:])
 
 
-def _draft_to_horizon(p, history: tuple[int, ...], start: int, horizon: int, rng) -> list[int]:
-    us = rng.random(horizon - start + 1)
-    tokens: list[int] = []
-    for offset, t in enumerate(range(start, horizon + 1)):
-        token = _sample_index(p.step_cumsum(t, history), us[offset])
-        tokens.append(token)
-        history += (token,)
-    return tokens
-
-
 def _no_residual(t: int, m: int) -> ZeroResidual:
     """The error for a rejection at position t by the test against iterate q^m (q^1 = q)."""
     return ZeroResidual(f"rejection at position {t} with tv(q^{m}, p) = 0")
@@ -300,7 +291,9 @@ def _decode(
 
     Round structure at position n0 with prefix h:
       * M = batch_size responses are drafted from p to the horizon, one
-        oracle batch.
+        oracle batch. Their uniforms are drawn at the round's start and a
+        draft token is sampled where it is tested, from the same prefix and
+        uniform, so it is the token that drafting the round eagerly gives.
       * Response m's first token is tested against the iterate q^m, where
         q^1 = q(.|h) and q^{m+1} = [q^m - p]_+. A first-token rejection moves
         to response m+1 without emitting or counting anything.
@@ -319,12 +312,14 @@ def _decode(
     flags = [0] * horizon
     while len(history) <= horizon:
         start = len(history)
-        responses = [_draft_to_horizon(p, history, start, horizon, rng) for _ in range(batch_size)]
+        # Each response's draft uniforms to the horizon, drawn up front; a
+        # token is sampled from its own prefix only where the loop tests it.
+        responses = [rng.random(horizon - start + 1) for _ in range(batch_size)]
         for t in range(start, horizon + 1):
-            p_row = p.step(t, history)
+            p_row, p_cumsum = p.step(t, history), p.step_cumsum(t, history)
             target = q.step(t, history) if policy is None else None
-            for m, response in enumerate(responses, start=1):
-                candidate = response[t - start]
+            for m, us in enumerate(responses, start=1):
+                candidate = _sample_index(p_cumsum, us[t - start])
                 p_cand = float(p_row[candidate])
                 if p_cand <= 0.0:
                     raise RuntimeError(
@@ -335,7 +330,7 @@ def _decode(
                 else:
                     threshold = policy_acceptance(policy, t, history, candidate)
                 if rng.random() <= threshold:
-                    responses = [response]
+                    responses = [us]
                     history += (candidate,)
                     break
                 if policy is None:

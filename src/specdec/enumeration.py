@@ -12,12 +12,12 @@ history (x_0, ..., x_{n-1}) before position n. SD and generic policies have
 one phase. Batch SD has two: ``root``, where a round of M responses starts at
 position n, and ``within``, where the round's first token was accepted and
 position n is verified against q itself. What an algorithm does from position
-n on depends only on the state, so each state carries two numbers: the mass
-of the paths reaching it and their rejection moment, the sum of mass times
-rejections so far. A branch of probability w that adds k rejections maps
-(mass, moment) to (w * mass, w * (moment + k * mass)). The map is linear, so
-merging paths before branching gives the leaves the same mass and moment as
-expanding every path, and the law and E[rejections] stay exact.
+n on depends only on the state, so each state carries one number, the mass of
+the paths reaching it, and a branch of probability w maps it to w * mass. The
+map is linear, so merging paths before branching gives the leaves the same
+mass as expanding every path, and the law stays exact. E[rejections] is
+sum_n P(a rejection at n), and P(a rejection at n) is the mass that level n
+sends down its rejecting branches, so only mass goes from level to level.
 
 The frontier at position n is, per phase, a dense array over the codes of
 the history (x_0, ..., x_{n-1}), x_0 the most significant digit. The child of
@@ -28,10 +28,11 @@ V**(T + 1)) consecutive tokens, so a block's last child table holds at most
 FULL_TABLE_CAP entries per phase; where B = 1 each prompt token walks alone.
 Histories with no mass, those of prompt tokens with no mass among them, drop
 out of each level, and a block with no prompt mass is skipped. Each level
-works on its live histories only: it gathers their mass and moment once,
-accumulates every branch into (phases, live, V) arrays, and scatters those
-into the child table once, or takes them as the child table when every
-history is live. Model rows and policy callbacks are read once per
+works on its live histories only: it gathers their mass once, accumulates
+every branch into a (phases, live, V) array and scatters that into the child
+table once; when every history is live it does neither. One ``math.fsum``
+sums the level's nonzero rejecting-branch masses, and E[rejections] is the
+fsum of the level sums. Model rows and policy callbacks are read once per
 (n, history) with positive mass, the histories the algorithm can reach. A
 MarkovModel's rows are read from its (T, V, V) stack by the last digit of
 each live code, with no per-history call; history tuples are built only for
@@ -108,53 +109,47 @@ class _Live:
 def _walk(pair: ModelPair, phases: int, level) -> tuple[np.ndarray, float]:
     """Expand every branch breadth first; returns the output law and E[rejections].
 
-    level(live) -> [(src, dst, rejections, table), ...] lists the branches at
+    level(live) -> [(src, dst, rejects, table), ...] lists the branches at
     position live.n: table[i, x] is the probability that a path in phase src
-    at the i-th live history emits token x, lands in phase dst at n + 1 and
-    adds ``rejections`` (0 or 1). Paths start in phase 0.
+    at the i-th live history emits token x and lands in phase dst at n + 1,
+    by a rejection if ``rejects``. Paths start in phase 0.
     """
     v, horizon = pair.vocab_size, pair.horizon
     block = max(1, FULL_TABLE_CAP // v ** (horizon + 1))
     law = np.zeros(v**horizon)
-    moments = []
+    rejected = []  # P(a rejection at n) of each (block, position n)
     for lo in range(0, v, block):
         prompt = pair.prompt.probs[lo : lo + block]
         if not prompt.any():
             continue
         mass = np.zeros((phases, prompt.size))
         mass[0] = prompt
-        moment = np.zeros_like(mass)
         for n in range(1, horizon + 1):
             size = mass.shape[1]
             live = np.flatnonzero((mass > 0.0).any(axis=0))
-            live_mass, live_moment = mass[:, live, None], moment[:, live, None]
-            child_mass = np.zeros((phases, live.size, v))
-            child_moment = np.zeros_like(child_mass)
-            for src, dst, rejections, table in level(_Live(n, live + lo * v ** (n - 1), v)):
-                m, r = live_mass[src], live_moment[src]
-                child_mass[dst] += m * table
-                child_moment[dst] += (r + m if rejections else r) * table
+            held = mass[:, live, None] if live.size < size else mass[:, :, None]
+            child = np.zeros((phases, live.size, v))
+            rejecting = []
+            for src, dst, rejects, table in level(_Live(n, live + lo * v ** (n - 1), v)):
+                branch = held[src] * table
+                child[dst] += branch
+                if rejects:
+                    rejecting.append(branch[branch != 0.0])
+            rejected.append(math.fsum(np.concatenate(rejecting).tolist()))
             if live.size < size:
-                child_mass = _scatter(child_mass, live, size)
-                child_moment = _scatter(child_moment, live, size)
-            mass, moment = child_mass.reshape(phases, -1), child_moment.reshape(phases, -1)
+                full = np.zeros((phases, size, v))
+                full[:, live] = child
+                child = full
+            mass = child.reshape(phases, -1)
         law += mass.sum(axis=0).reshape(-1, law.size).sum(axis=0)
-        moments.append(math.fsum(moment[moment != 0.0].tolist()))
-    return law, math.fsum(moments)
-
-
-def _scatter(table: np.ndarray, live: np.ndarray, size: int) -> np.ndarray:
-    """The (phases, size, V) child table: ``table``'s rows at ``live``, zeros elsewhere."""
-    full = np.zeros((table.shape[0], size, table.shape[2]))
-    full[:, live] = table
-    return full
+    return law, math.fsum(rejected)
 
 
 def _sd_level(pair: ModelPair):
     def level(live: _Live):
         p, q = live.rows(pair.p), live.rows(pair.q)
         replacement, reject = _residual_rows(q, p)
-        return [(0, 0, 0, np.minimum(p, q)), (0, 0, 1, reject[:, None] * replacement)]
+        return [(0, 0, False, np.minimum(p, q)), (0, 0, True, reject[:, None] * replacement)]
 
     return level
 
@@ -182,7 +177,7 @@ def _generic_level(pair: ModelPair, policy: Policy):
             replacement[rejecting] = policy_residual_rows(
                 policy, n, [histories[i] for i in rejecting], v
             )
-        return [(0, 0, 0, p * b), (0, 0, 1, reject[:, None] * replacement)]
+        return [(0, 0, False, p * b), (0, 0, True, reject[:, None] * replacement)]
 
     return level
 
@@ -193,25 +188,33 @@ def _batch_level(pair: ModelPair, batch_size: int):
         # Response m's first token is tested against iterate q^m, reached when
         # the m - 1 responses before it were rejected (probability r_1..r_{m-1}).
         # After all M, the round emits from q^{M+1} and is charged one call.
-        accept, reached, q_m = np.zeros_like(p), np.ones(len(p)), q
-        for _ in range(batch_size):
-            accept += reached[:, None] * np.minimum(p, q_m)
+        # m = 1 tests against q, as the within phase does.
+        kept = np.minimum(p, q)
+        replacement, reject = _residual_rows(q, p)
+        accept, reached, q_m = kept, reject, replacement
+        for _ in range(batch_size - 1):
+            accept = accept + reached[:, None] * np.minimum(p, q_m)
             q_m, r_m = _residual_rows(q_m, p)
             reached = reached * r_m
-        replacement, reject = _residual_rows(q, p)
         return [
-            (ROOT, WITHIN, 0, accept),
-            (ROOT, ROOT, 1, reached[:, None] * q_m),
-            (WITHIN, WITHIN, 0, np.minimum(p, q)),
-            (WITHIN, ROOT, 1, reject[:, None] * replacement),
+            (ROOT, WITHIN, False, accept),
+            (ROOT, ROOT, True, reached[:, None] * q_m),
+            (WITHIN, WITHIN, False, kept),
+            (WITHIN, ROOT, True, reject[:, None] * replacement),
         ]
 
     return level
 
 
-def _enumerate(
-    pair: ModelPair, algorithm: str, batch_size: int, policy: Policy | None
+def enumerate_law_and_rejections(
+    pair: ModelPair, algorithm: str = "sd", *, batch_size: int = 1, policy: Policy | None = None
 ) -> tuple[np.ndarray, float]:
+    """Exact output law and E[rejections] of a decoding algorithm, from one walk.
+
+    The law is a flat array over all V**T trajectories in the
+    joint_distribution indexing (x_1 most significant digit). Requires
+    V**T <= FULL_TABLE_CAP.
+    """
     _check_size(pair)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -226,16 +229,12 @@ def _enumerate(
 def enumerate_output_distribution(
     pair: ModelPair, algorithm: str = "sd", *, batch_size: int = 1, policy: Policy | None = None
 ) -> np.ndarray:
-    """Exact output law of a decoding algorithm over all V**T trajectories.
-
-    Returned flat array uses the joint_distribution indexing (x_1 most
-    significant digit). Requires V**T <= FULL_TABLE_CAP.
-    """
-    return _enumerate(pair, algorithm, batch_size, policy)[0]
+    """The law of :func:`enumerate_law_and_rejections`."""
+    return enumerate_law_and_rejections(pair, algorithm, batch_size=batch_size, policy=policy)[0]
 
 
 def enumerate_expected_rejections(
     pair: ModelPair, algorithm: str = "sd", *, batch_size: int = 1, policy: Policy | None = None
 ) -> float:
-    """Exact E[rejections] of a decoding algorithm by full branch expansion."""
-    return _enumerate(pair, algorithm, batch_size, policy)[1]
+    """The E[rejections] of :func:`enumerate_law_and_rejections`."""
+    return enumerate_law_and_rejections(pair, algorithm, batch_size=batch_size, policy=policy)[1]

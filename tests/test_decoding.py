@@ -40,7 +40,7 @@ from specdec.decoding import (
     policy_acceptance,
     policy_residual_rows,
 )
-from specdec.dist import ZeroResidual
+from specdec.dist import ZeroResidual, _residual_rows
 from specdec.models import trajectory_index
 from specdec.tradeoff import DEGENERATE_TOL
 
@@ -756,6 +756,23 @@ class TestPolicyTables:
         identical = ModelPair(pair.q, pair.q)
         np.testing.assert_array_equal(sd_policy(identical).tables[1], q)
         assert_generic_identical(pair, policy, seed=4, start=0, count=300)
+
+    def test_rows_that_reject_at_most_degenerate_tol_get_q_rows(self):
+        # State 0's rows differ by one ulp per entry, so a draft there is
+        # rejected with probability about 8e-17, above 0 but within
+        # DEGENERATE_TOL: its residual is q's row, not [q - p]_+'s [1, 0].
+        prompt = Dist([0.5, 0.5])
+        p = MarkovModel(prompt, [CondDist([[0.25, 0.75], [0.5, 0.5]])])
+        near = [np.nextafter(0.25, 1.0), np.nextafter(0.75, 0.0)]
+        q = MarkovModel(prompt, [CondDist([near, [0.4, 0.6]])])
+        pair = ModelPair(p, q)
+        acceptance, residual = sd_policy(pair).tables
+        rejection = ((1.0 - acceptance) * p.step_rows).sum(axis=-1)
+        assert 0.0 < rejection[0, 0] <= DEGENERATE_TOL < rejection[0, 1]
+        np.testing.assert_array_equal(_residual_rows(q.step_rows, p.step_rows)[0][0, 0], [1.0, 0.0])
+        np.testing.assert_array_equal(residual[0], [q.step_rows[0, 0], [0.0, 1.0]])
+        full = sd_policy(ModelPair(markov_to_full(p), markov_to_full(q)))
+        np.testing.assert_array_equal(full.residual(1, (0,)), q.step_rows[0, 0])
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -22,6 +22,7 @@ from specdec import (
     ModelPair,
     Policy,
     enumerate_expected_rejections,
+    enumerate_law_and_rejections,
     enumerate_output_distribution,
     expected_rejections_batch,
     expected_rejections_sd,
@@ -191,6 +192,21 @@ class TestGuards:
         assert enum == enumerate_expected_rejections(pair, "batch", batch_size=2)
 
 
+class TestOneWalk:
+    def test_law_and_rejections_meet_the_closed_forms(self):
+        pair = PAIRS[0]
+        target = joint_distribution(pair.q)
+        runs = [
+            ("sd", {}, expected_rejections_sd(pair)),
+            ("batch", {"batch_size": 2}, expected_rejections_batch(pair, 2).total),
+            ("generic", {"policy": sd_policy(pair)}, expected_rejections_sd(pair)),
+        ]
+        for algorithm, kwargs, rejections in runs:
+            law, enum = enumerate_law_and_rejections(pair, algorithm, **kwargs)
+            np.testing.assert_allclose(law, target, atol=1e-13)
+            assert enum == pytest.approx(rejections, abs=1e-12)
+
+
 class TestHistoryDependentPairs:
     PAIR = random_full_pair(3, 3, seed=19)
 
@@ -280,6 +296,9 @@ class TestCallbacks:
         "later-position": lambda pair, n, h: np.array([0.5, 0.6]) if n == 2 else pair.q.step(n, h),
         "string-residual": lambda pair, n, h: ["0.5", "0.5"],
         "bool-residual": lambda pair, n, h: [True, False],
+        "row-of-one": lambda pair, n, h: np.array([[0.5, 0.5]]),
+        "list-row-of-one": lambda pair, n, h: [[0.5, 0.5]],
+        "float32-sum": lambda pair, n, h: np.array([0.1, 0.9], dtype=np.float32),
     }
 
     @pytest.mark.parametrize("kind", [*BAD_ACCEPTANCES, *BAD_RESIDUALS])
@@ -297,6 +316,39 @@ class TestCallbacks:
             with pytest.raises(InvalidPolicy) as enum:
                 enumerate_fn(pair, "generic", policy=policy)
             assert str(enum.value) == str(scalar.value)
+
+    # Residual rows of other real types are taken as their float64 values.
+    RESIDUAL_ROWS = {
+        "float32": np.array([0.25, 0.75], dtype=np.float32),
+        "int": np.array([0, 1]),
+        "list": [0.25, 0.75],
+    }
+
+    @pytest.mark.parametrize("kind", RESIDUAL_ROWS)
+    def test_residual_rows_are_taken_as_their_float64_values(self, kind):
+        pair = random_model_pair(2, 3, seed=4)
+        row = self.RESIDUAL_ROWS[kind]
+        floats = np.array(row, dtype=np.float64)
+        policy = Policy(lambda n, h, c: 0.5, lambda n, h: row)
+        reference = Policy(lambda n, h, c: 0.5, lambda n, h: floats)
+        for i in range(20):
+            assert generic_decode(pair, policy, split_rng(6, i)) == generic_decode(
+                pair, reference, split_rng(6, i)
+            )
+        law, rejections = enumerate_law_and_rejections(pair, "generic", policy=policy)
+        want_law, want_rejections = enumerate_law_and_rejections(pair, "generic", policy=reference)
+        assert law.tobytes() == want_law.tobytes()
+        assert rejections == want_rejections
+
+    def test_a_row_that_cannot_be_read_is_named_before_a_bad_shape(self):
+        # Every history's row is read before any shape is checked, so the
+        # second history's string row is named, not the first one's shape.
+        pair = random_model_pair(2, 3, seed=4)
+        rows = {(0,): np.array([0.25, 0.25, 0.5]), (1,): ["0.5", "0.5"]}
+        policy = Policy(lambda n, h, c: 0.0, lambda n, h: rows.get(h, pair.q.step(n, h)))
+        assert pair.prompt.probs.all()
+        with pytest.raises(InvalidPolicy, match="^residual at position 1: .*real numbers"):
+            enumerate_law_and_rejections(pair, "generic", policy=policy)
 
 
 def _sparse_prompt(vocab: int, dead: list[int]) -> np.ndarray:
@@ -392,7 +444,7 @@ class TestPromptBlocks:
         # V**(T + 1) > FULL_TABLE_CAP, so each prompt token walks alone: a
         # merged walk would hold a 1001 x 1001 child table, 8 MB. The prompt
         # keeps three tokens so that the traced walk stays short, as
-        # tracemalloc traces each Python float the leaf sums build; a block
+        # tracemalloc traces each Python float the level sums build; a block
         # that walks is as large as with a dense prompt.
         base = random_model_pair(1001, 1, seed=2)
         prompt = np.zeros(1001)
@@ -409,9 +461,11 @@ class TestPromptBlocks:
             np.testing.assert_allclose(law, joint_distribution(pair.q), atol=1e-13)
 
     def test_leaf_sums_skip_zero_moments(self, monkeypatch):
-        # Each prompt token walks alone at (1001, 1); about half of its leaf
-        # moments are zero, where q <= p. fsum is exactly rounded, so summing
-        # only the nonzero leaves gives the fsum of them all.
+        # Each prompt token walks alone at (1001, 1), one level per walk, so a
+        # level's rejecting-branch masses are its leaves'; about half of them
+        # are zero, where q <= p. fsum is exactly rounded, so summing only the
+        # nonzero ones gives the fsum of them all: one fsum per level and one
+        # over the level sums.
         pair = random_model_pair(1001, 1, seed=2)
         p_rows, q_rows = pair.p.steps[0].rows, pair.q.steps[0].rows
         replacement, reject = _residual_rows(q_rows, p_rows)
@@ -426,6 +480,7 @@ class TestPromptBlocks:
         monkeypatch.setattr(math, "fsum", counted)
         assert enumerate_expected_rejections(pair, "sd") == expected
         assert 0 < np.count_nonzero(leaves) < 0.6 * leaves.size
+        assert len(summed) == 1001 + 1
         assert sum(summed) == np.count_nonzero(leaves) + 1001
 
 

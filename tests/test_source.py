@@ -36,3 +36,32 @@ def test_one_residual_kernel():
         and node.value.id == "np"
     }
     assert found <= {"dist.py", "exact.py"}
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """Dotted names of the modules an import node reads, ``from . import x`` giving x."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        if node.module is None:
+            return [alias.name for alias in node.names]
+        return [node.module]
+    return []
+
+
+def test_the_oracle_stays_on_callbacks():
+    # The enumeration oracle is the third route, held against the closed forms
+    # and the samplers' campaigns, so it imports neither, and it reads a policy
+    # through its callbacks only, never through Policy.tables.
+    nodes = [node for path, node in source_nodes() if path == Path("enumeration.py")]
+    assert nodes
+    imported = {part for node in nodes for name in _imported_modules(node) for part in name.split(".")}
+    assert "decoding" in imported
+    assert not imported & {"exact", "montecarlo"}
+    tables = [
+        node.lineno
+        for node in nodes
+        if (isinstance(node, ast.Attribute) and node.attr == "tables")
+        or (isinstance(node, ast.Constant) and node.value == "tables")
+    ]
+    assert tables == []
