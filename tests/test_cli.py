@@ -41,12 +41,19 @@ class TestGoldenOutputs:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / golden).read_text()
 
-    def test_json_matches_golden(self):
-        proc = run_cli(
-            "exact", "--config", str(GOLDEN / "exact_config.json"), "--format", "json"
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == (GOLDEN / "exact_out.json").read_text()
+    @pytest.mark.parametrize(
+        "command,config,golden",
+        [
+            ("exact", "exact_config.json", "exact_out.json"),
+            ("simulate", "simulate_config.json", "simulate_out.json"),
+            ("batch-scan", "batch_scan_config.json", "batch_scan_out.json"),
+            ("pareto", "pareto_config.json", "pareto_out.json"),
+        ],
+    )
+    def test_json_matches_golden(self, command, config, golden):
+        proc = run_cli(command, "--config", str(GOLDEN / config), "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / golden).read_text()
 
 
 class TestExactJob:
