@@ -7,6 +7,12 @@ Four subcommands, all driven by one JSON config plus flag overrides:
     specdec batch-scan --config cfg.json            exact vs empirical over batch sizes
     specdec pareto     --config cfg.json            rejection/bias front for one token
 
+Each ``cmd_*`` handler takes the effective config and returns
+``(results, columns, rows)``: the JSON results, and the CSV table as its
+column names and rows. ``main`` alone writes one of the two, through
+``_json_document`` or ``csv_document``, so the output formats live here and
+nowhere else.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical guard violation.
 Floats are printed with 12 significant digits and outputs carry the effective
 config in their header, so identical configs yield byte-identical files.
@@ -18,13 +24,14 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .dist import Dist, tv_distance
 from .exact import _sd_and_gain, acceleration_rate, expected_rejections_sd
-from .models import MarkovModel, ModelPair, _as_int, _real_array, pair_from_descriptor
-from .montecarlo import Campaign, batch_scan, csv_document, report_header, run_campaign
+from .models import ModelPair, _as_int, _real_array, pair_from_descriptor
+from .montecarlo import Campaign, batch_scan, run_campaign
 from .tradeoff import pareto_front, tradeoff_identity_gap
 
 EXIT_OK = 0
@@ -102,6 +109,29 @@ def _json_document(command: str, config: dict, results) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def csv_document(header_lines, columns, rows) -> str:
+    """CSV text: ``# `` header lines, the column line, then one line per row.
+
+    Cells are strings verbatim, None as blank, numbers to 12 significant digits.
+    """
+    lines = [f"# {line}" for line in header_lines]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(
+            "" if cell is None else cell if isinstance(cell, str) else f"{cell:.12g}"
+            for cell in row
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def report_header(command: str, config: dict) -> list[str]:
+    """Standard two-line header echoed into CSV outputs."""
+    return [
+        f"specdec {command}",
+        "config " + json.dumps(config, sort_keys=True, separators=(",", ":")),
+    ]
+
+
 def _effective_config(config: dict, args) -> dict:
     merged = dict(config)
     if getattr(args, "seed", None) is not None:
@@ -111,7 +141,7 @@ def _effective_config(config: dict, args) -> dict:
     return merged
 
 
-def cmd_exact(config: dict, fmt: str, out_path: str | None) -> int:
+def cmd_exact(config: dict) -> tuple:
     pair = _build_pair(config)
     batch_size = config.get("batch_size")
     if batch_size is not None:
@@ -131,17 +161,10 @@ def cmd_exact(config: dict, fmt: str, out_path: str | None) -> int:
         "batch_total": batch_total,
         "batch_improvement": batch_improvement,
     }
-    if fmt == "json":
-        _emit(_json_document("exact", config, results), out_path)
-    else:
-        columns = list(results.keys())
-        row = [pair.vocab_size, pair.horizon, sd, rate,
-               batch_size, batch_total, batch_improvement]
-        _emit(csv_document(report_header("exact", config), columns, [row]), out_path)
-    return EXIT_OK
+    return results, list(results), [list(results.values())]
 
 
-def cmd_simulate(config: dict, fmt: str, out_path: str | None) -> int:
+def cmd_simulate(config: dict) -> tuple:
     pair = _build_pair(config)
     algorithm = config.get("algorithm", "sd")
     try:
@@ -156,14 +179,11 @@ def cmd_simulate(config: dict, fmt: str, out_path: str | None) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     report = run_campaign(campaign)
-    if fmt == "json":
-        _emit(_json_document("simulate", config, report.to_json_dict()), out_path)
-    else:
-        _emit(report.to_csv(report_header("simulate", config)), out_path)
-    return EXIT_OK
+    rows = [(c.runs, c.mean, c.stderr, c.exact, c.rel_dev) for c in report.checkpoints]
+    return asdict(report), ("checkpoint", "mean", "stderr", "exact", "rel_dev"), rows
 
 
-def cmd_batch_scan(config: dict, fmt: str, out_path: str | None) -> int:
+def cmd_batch_scan(config: dict) -> tuple:
     pair = _build_pair(config)
     sizes = config.get("batch_sizes", [1, 2, 3, 4])
     if not isinstance(sizes, list) or not sizes:
@@ -186,21 +206,10 @@ def cmd_batch_scan(config: dict, fmt: str, out_path: str | None) -> int:
     if any(limit > e + GUARD_TOL for e in exacts):
         raise GuardViolation("limit rejections exceed a finite batch size's exact value")
     table = [
-        ["limit" if row.batch_size is None else str(row.batch_size),
-         row.exact, row.mean, row.stderr]
+        ["limit" if row.batch_size is None else row.batch_size, row.exact, row.mean, row.stderr]
         for row in rows
     ]
-    if fmt == "json":
-        results = [
-            {"batch_size": row.batch_size, "exact": row.exact,
-             "mean": row.mean, "stderr": row.stderr}
-            for row in rows
-        ]
-        _emit(_json_document("batch-scan", config, results), out_path)
-    else:
-        _emit(csv_document(report_header("batch-scan", config),
-                           ["batch_size", "exact", "mean", "stderr"], table), out_path)
-    return EXIT_OK
+    return [asdict(row) for row in rows], ("batch_size", "exact", "mean", "stderr"), table
 
 
 def _pareto_dists(config: dict) -> tuple[Dist, Dist, list[float]]:
@@ -232,8 +241,6 @@ def _pareto_dists(config: dict) -> tuple[Dist, Dist, list[float]]:
             pair = pair_from_descriptor(section["pair"])
         except ValueError as exc:
             raise ConfigError(f"invalid model pair: {exc}") from None
-        if not isinstance(pair.p, MarkovModel) or not isinstance(pair.q, MarkovModel):
-            raise ConfigError("pareto pair selection requires Markov models")
         step = _int_field(section, "step")
         state = _int_field(section, "state", minimum=0)
         if step > pair.horizon or state >= pair.vocab_size:
@@ -247,7 +254,7 @@ def _pareto_dists(config: dict) -> tuple[Dist, Dist, list[float]]:
     raise ConfigError('config key "pareto" needs either "p"/"q" vectors or a "pair" selection')
 
 
-def cmd_pareto(config: dict, fmt: str, out_path: str | None) -> int:
+def cmd_pareto(config: dict) -> tuple:
     p, q, grid = _pareto_dists(config)
     tv = tv_distance(p, q)
     points = pareto_front(p, q, grid)
@@ -257,18 +264,9 @@ def cmd_pareto(config: dict, fmt: str, out_path: str | None) -> int:
                 f"pareto identity violated at eps={point.epsilon!r}: "
                 f"reject={point.reject_prob!r} loss={point.loss_star!r} tv={tv!r}"
             )
+    columns = ("eps", "reject_prob", "loss_star", "tv")
     rows = [[pt.epsilon, pt.reject_prob, pt.loss_star, tv] for pt in points]
-    if fmt == "json":
-        results = [
-            {"eps": pt.epsilon, "reject_prob": pt.reject_prob,
-             "loss_star": pt.loss_star, "tv": tv}
-            for pt in points
-        ]
-        _emit(_json_document("pareto", config, results), out_path)
-    else:
-        _emit(csv_document(report_header("pareto", config),
-                           ["eps", "reject_prob", "loss_star", "tv"], rows), out_path)
-    return EXIT_OK
+    return [dict(zip(columns, row)) for row in rows], columns, rows
 
 
 @functools.cache
@@ -300,13 +298,19 @@ def main(argv=None) -> int:
     }
     try:
         config = _effective_config(_load_config(args.config), args)
-        return handlers[args.command](config, args.format, args.out)
+        results, columns, rows = handlers[args.command](config)
     except ConfigError as exc:
         print(f"specdec: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardViolation as exc:
         print(f"specdec: numerical guard violation: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    if args.format == "json":
+        text = _json_document(args.command, config, results)
+    else:
+        text = csv_document(report_header(args.command, config), columns, rows)
+    _emit(text, args.out)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dist import ZeroResidual, _float_array, _int_arg, _residual_rows
+from .dist import NORMALIZE_TOL, ZeroResidual, _float_array, _int_arg, _residual_rows
 from .models import MarkovModel, ModelPair, _as_int
 from .rng import split_rngs, split_uniforms
 
@@ -115,19 +115,17 @@ class Policy:
     ``acceptance[n - 1, s, x]`` and ``residual[n - 1, s]`` what the callbacks
     return at a history ending in s. They are stored as policy_acceptance and
     policy_residual_rows return those values, so invalid tables raise
-    InvalidPolicy here, with generic_decode's messages. decode_markov_runs
-    reads the tables and refuses a policy without them; generic_decode and the
-    enumeration oracle call the callbacks. Build such a policy with
-    :meth:`from_tables`.
+    InvalidPolicy, with generic_decode's messages. decode_markov_runs reads the
+    tables and refuses a policy without them; generic_decode and the
+    enumeration oracle call the callbacks. Only :meth:`from_tables` sets
+    ``tables``, with callbacks that read them, so both routes decode the same
+    runs for one policy.
     """
 
     acceptance: Callable[[int, tuple[int, ...], int], float]
     residual: Callable[[int, tuple[int, ...]], np.ndarray]
-    tables: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.tables is not None:
-            object.__setattr__(self, "tables", _validated_tables(*self.tables))
+    tables: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_tables(cls, acceptance, residual) -> "Policy":
@@ -136,7 +134,9 @@ class Policy:
         The callbacks read read-only copies of the two (T, V, V) arrays.
         """
         acceptance, residual = (_frozen(table) for table in (acceptance, residual))
-        return cls(*_table_readers(acceptance, residual), (acceptance, residual))
+        policy = cls(*_table_readers(acceptance, residual))
+        object.__setattr__(policy, "tables", _validated_tables(acceptance, residual))
+        return policy
 
 
 def _frozen(values) -> np.ndarray:
@@ -209,11 +209,11 @@ def _distributions(rows: np.ndarray, positions) -> np.ndarray:
     """(K, H, V) blocks of residual rows, block k at ``positions[k]``, checked and normalised.
 
     Raises InvalidPolicy for the first block with a row that is not a
-    nonnegative vector summing to 1 within 1e-9.
+    nonnegative vector summing to 1 within NORMALIZE_TOL.
     """
     valid = (np.isfinite(rows) & (rows >= 0.0)).all(axis=(1, 2))
     totals = rows.sum(axis=2)
-    off = np.abs(totals - 1.0) > 1e-9
+    off = np.abs(totals - 1.0) > NORMALIZE_TOL
     for k in np.flatnonzero(~valid | off.any(axis=1))[:1].tolist():
         if not valid[k]:
             raise InvalidPolicy(f"residual at position {positions[k]} is not a distribution")

@@ -60,8 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import _tv_arrays, _tv_rows
-from .models import MarkovModel, ModelPair, _as_int
+from .dist import _int_arg, _tv_arrays, _tv_rows
+from .models import MarkovModel, ModelPair
 
 # Floats per (B, V, V) array of a position block: B = max(1, BLOCK_FLOATS // V^2).
 BLOCK_FLOATS = 2**14
@@ -214,10 +214,7 @@ def expected_rejections_batch(pair: ModelPair, batch_size: int) -> BatchRejectio
     is sum_n E_q[tv] minus the improvement, and batch_size = 1 recovers
     speculative decoding with improvement exactly zero.
     """
-    batch_size = _as_int(batch_size)
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    sd, gain = _sd_and_gain(pair, batch_size)
+    sd, gain = _sd_and_gain(pair, _int_arg("batch_size", batch_size, 1))
     return BatchRejections(total=sd - gain, improvement=gain)
 
 
@@ -236,8 +233,7 @@ def batch_improvement_uniform(ratio: float, batch_size: int) -> float:
     """
     if ratio < 1.0:
         raise ValueError("ratio must be >= 1 (the draft support contains the target's)")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    batch_size = _int_arg("batch_size", batch_size, 1)
     base = 1.0 - 1.0 / ratio
     return base - base**batch_size
 
@@ -250,8 +246,7 @@ def batch_improvement_bernoulli(u: float, v: float, batch_size: int) -> float:
     """
     if not 0.0 <= v <= u <= 1.0:
         raise ValueError("requires 0 <= v <= u <= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    batch_size = _int_arg("batch_size", batch_size, 1)
     return abs(u - v) * (1.0 - u ** (batch_size - 1))
 
 

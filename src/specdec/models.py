@@ -495,17 +495,24 @@ def _require_positive_int(desc: dict, key: str) -> int:
     return value
 
 
+def _generator_form(desc: dict) -> bool:
+    """Whether ``desc`` is {"generator": "random", "seed": s, ...}; ValueError if half of one."""
+    if "generator" not in desc:
+        return False
+    if desc["generator"] != "random":
+        raise ValueError(f"unknown generator {desc['generator']!r}")
+    if "seed" not in desc:
+        raise ValueError("generator-form descriptor requires a seed")
+    return True
+
+
 def model_from_descriptor(desc: dict) -> MarkovModel:
     """Build a MarkovModel from an explicit or generator-form descriptor."""
     if not isinstance(desc, dict):
         raise ValueError("model descriptor must be a JSON object")
     vocab_size = _require_positive_int(desc, "vocab_size")
     horizon = _require_positive_int(desc, "horizon")
-    if "generator" in desc:
-        if desc["generator"] != "random":
-            raise ValueError(f"unknown generator {desc['generator']!r}")
-        if "seed" not in desc:
-            raise ValueError("generator-form descriptor requires a seed")
+    if _generator_form(desc):
         return random_markov_model(vocab_size, horizon, seed=_require_int(desc, "seed"))
     try:
         prompt = Dist(_real_array(desc["prompt"], 1, "model descriptor field 'prompt'"))
@@ -528,11 +535,7 @@ def pair_from_descriptor(desc: dict) -> ModelPair:
     """
     if not isinstance(desc, dict):
         raise ValueError("pair descriptor must be a JSON object")
-    if "generator" in desc:
-        if desc["generator"] != "random":
-            raise ValueError(f"unknown generator {desc['generator']!r}")
-        if "seed" not in desc:
-            raise ValueError("generator-form descriptor requires a seed")
+    if _generator_form(desc):
         return random_model_pair(
             _require_positive_int(desc, "vocab_size"),
             _require_positive_int(desc, "horizon"),

@@ -15,7 +15,6 @@ be judged against their standard errors at every checkpoint.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -87,32 +86,6 @@ class CampaignReport:
     batch_size: int
     exact: float | None
     checkpoints: tuple[Checkpoint, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "runs": self.runs,
-            "seed": self.seed,
-            "batch_size": self.batch_size,
-            "exact": self.exact,
-            "checkpoints": [
-                {
-                    "runs": c.runs,
-                    "mean": c.mean,
-                    "stderr": c.stderr,
-                    "exact": c.exact,
-                    "rel_dev": c.rel_dev,
-                }
-                for c in self.checkpoints
-            ],
-        }
-
-    def to_csv(self, header_lines=()) -> str:
-        return csv_document(
-            header_lines,
-            ("checkpoint", "mean", "stderr", "exact", "rel_dev"),
-            [(c.runs, c.mean, c.stderr, c.exact, c.rel_dev) for c in self.checkpoints],
-        )
 
 
 @dataclass(frozen=True)
@@ -264,25 +237,3 @@ def batch_scan(pair: ModelPair, batch_sizes, runs: int, seed: int) -> list[Batch
     rows.append(BatchScanRow(None, limit_rejections(pair), None, None))
     return rows
 
-
-def csv_document(header_lines, columns, rows) -> str:
-    """CSV text: ``# `` header lines, the column line, then one line per row.
-
-    Cells are strings verbatim, None as blank, numbers to 12 significant digits.
-    """
-    lines = [f"# {line}" for line in header_lines]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(
-            "" if cell is None else cell if isinstance(cell, str) else f"{cell:.12g}"
-            for cell in row
-        ))
-    return "\n".join(lines) + "\n"
-
-
-def report_header(command: str, config: dict) -> list[str]:
-    """Standard two-line header echoed into CSV outputs."""
-    return [
-        f"specdec {command}",
-        "config " + json.dumps(config, sort_keys=True, separators=(",", ":")),
-    ]

@@ -35,6 +35,7 @@ from specdec.decoding import (
     _Lockstep,
     _stream_length,
     _tables,
+    _validated_tables,
     _window_width,
     decode_markov_runs,
     policy_acceptance,
@@ -633,11 +634,13 @@ class TestLockstepPolicies:
         runs = assert_generic_identical(pair, policy, seed=1, start=7, count=_block_runs(1, 3) + 5)
         assert runs.rejections.sum() > 0
 
-    def test_engine_never_calls_the_callbacks(self):
+    def test_engine_never_calls_the_callbacks(self, monkeypatch):
         pair = random_model_pair(3, 4, seed=8)
         policy = random_unbiased_policy(pair, make_rng(5))
         recorded, calls = recording(policy)
-        with_tables = Policy(recorded.acceptance, recorded.residual, policy.tables)
+        monkeypatch.setattr("specdec.decoding._table_readers",
+                            lambda *tables: (recorded.acceptance, recorded.residual))
+        with_tables = Policy.from_tables(*policy.tables)
         runs = decode_markov_runs(pair, 1, 6, 0, 60, with_tables)
         assert calls == [] and runs.rejections.sum() > 0
 
@@ -681,6 +684,14 @@ def table_reader(acceptance, residual) -> Policy:
 
 
 class TestPolicyTables:
+    def test_only_from_tables_sets_tables(self):
+        policy = sd_policy(random_model_pair(2, 3, seed=4))
+        with pytest.raises(TypeError):
+            Policy(policy.acceptance, policy.residual, policy.tables)
+        with pytest.raises(TypeError):
+            Policy(policy.acceptance, policy.residual, tables=policy.tables)
+        assert Policy(policy.acceptance, policy.residual).tables is None
+
     def test_opt_and_unbiased_rows_are_the_residuals_they_define(self):
         # At every context that can reject, opt's row is optimal_residual's
         # canonical [A]_+ and random-unbiased's is (q - b p) / sum (1 - b) p.
@@ -824,8 +835,7 @@ class TestPolicyTables:
         acceptance = np.asfortranarray(np.clip(q * 30.0, 0.0, 1.0))
         residual = np.asfortranarray(q)
         reader = table_reader(acceptance, residual)
-        policy = Policy(reader.acceptance, reader.residual, (acceptance, residual))
-        stored_residual = policy.tables[1]
+        stored_residual = _validated_tables(acceptance, residual)[1]
         states = [(s,) for s in range(40)]
         for n in (1, 2):
             want = policy_residual_rows(reader, n, states, 40)

@@ -204,7 +204,7 @@ class TestBatchRecursions:
         with pytest.raises(ValueError, match="batch_size"):
             expected_rejections_batch(PAIRS[0], 0)
         for bad in (True, "2", 2.5, None):
-            with pytest.raises(TypeError, match="not an integer"):
+            with pytest.raises(TypeError, match=f"^batch_size {bad!r} is not an integer$"):
                 expected_rejections_batch(PAIRS[0], bad)
         assert expected_rejections_batch(PAIRS[0], 2.0) == expected_rejections_batch(PAIRS[0], 2)
 
@@ -290,6 +290,19 @@ class TestClosedForms:
             batch_improvement_bernoulli(0.4, 0.7, 2)
         with pytest.raises(ValueError, match="batch_size"):
             batch_improvement_bernoulli(0.7, 0.4, 0)
+
+    @pytest.mark.parametrize(
+        "closed_form",
+        [lambda m: batch_improvement_uniform(2.0, m),
+         lambda m: batch_improvement_bernoulli(0.8, 0.5, m)],
+        ids=["uniform", "bernoulli"],
+    )
+    def test_batch_size_is_a_strict_integer(self, closed_form):
+        for bad in (2.5, True):
+            with pytest.raises(TypeError, match=f"^batch_size {bad!r} is not an integer$"):
+                closed_form(bad)
+        with pytest.raises(ValueError, match="^batch_size must be >= 1$"):
+            closed_form(0)
 
 
 class TestLimit:

@@ -1,6 +1,5 @@
 """Campaign harness: reproducibility, checkpoint math, statistical agreement."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -16,13 +15,13 @@ from specdec import (
     markov_to_full,
     random_model_pair,
     random_unbiased_policy,
-    report_header,
     run_campaign,
     sd_policy,
     unbiasedness_check,
 )
 
 from specdec import exact, montecarlo
+from specdec.cli import report_header
 from specdec.decoding import _block_runs
 
 from helpers import constant_chain
@@ -230,35 +229,6 @@ class TestRunCampaign:
             final = report.checkpoints[-1]
             hits += abs(final.mean - final.exact) <= 3.0 * final.stderr
         assert hits >= 29
-
-
-class TestReportSerialization:
-    def test_json_dict_roundtrips_fields(self):
-        report = run_campaign(Campaign(pair=PAIR, algorithm="sd", runs=120, seed=4))
-        doc = report.to_json_dict()
-        assert doc["algorithm"] == "sd"
-        assert doc["runs"] == 120
-        assert len(doc["checkpoints"]) == len(report.checkpoints)
-        assert doc["checkpoints"][-1]["mean"] == report.checkpoints[-1].mean
-
-    def test_csv_layout(self):
-        report = run_campaign(Campaign(pair=PAIR, algorithm="sd", runs=100, seed=4))
-        text = report.to_csv(header_lines=report_header("simulate", {"seed": 4}))
-        lines = text.splitlines()
-        assert lines[0] == "# specdec simulate"
-        assert lines[1] == '# config {"seed":4}'
-        assert lines[2] == "checkpoint,mean,stderr,exact,rel_dev"
-        assert len(lines) == 3 + len(report.checkpoints)
-        assert text.endswith("\n")
-
-    def test_csv_blank_for_missing_reference(self):
-        report = run_campaign(Campaign(pair=PAIR, algorithm="sd", runs=10, seed=4))
-        patched = dataclasses.replace(
-            report,
-            checkpoints=(dataclasses.replace(report.checkpoints[-1], exact=None, rel_dev=None),),
-        )
-        row = patched.to_csv().splitlines()[-1]
-        assert row.endswith(",,")
 
 
 class TestUnbiasednessCheck:

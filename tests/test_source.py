@@ -65,3 +65,14 @@ def test_the_oracle_stays_on_callbacks():
         or (isinstance(node, ast.Constant) and node.value == "tables")
     ]
     assert tables == []
+
+
+def test_only_the_cli_knows_output_formats():
+    # Commands return their results and CSV table; cli.main alone writes them.
+    found = {
+        str(path)
+        for path, node in source_nodes()
+        if "json" in _imported_modules(node)
+        or (isinstance(node, ast.FunctionDef) and node.name in ("csv_document", "report_header"))
+    }
+    assert found == {"cli.py"}
