@@ -68,8 +68,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dist import NORMALIZE_TOL, ZeroResidual, _float_array, _int_arg, _residual_rows
-from .models import MarkovModel, ModelPair, _as_int
+from .dist import ZeroResidual, _float_array, _int_arg, _normalized_rows, _residual_rows
+from .models import ModelPair, _as_int, _is_markov_pair
 from .rng import split_rngs, split_uniforms
 
 BLOCK_RUNS = 1024
@@ -109,6 +109,8 @@ class Policy:
     candidate at position n; values are clamped to [0, 1].
     residual(n, history) -> replacement distribution sampled after a rejection
     at position n. ``history`` is (x_0, ..., x_{n-1}) in both callbacks.
+    A residual row is held to Dist's rule, ``dist._normalized_rows``, and an
+    InvalidPolicy names the position of the first bad row.
 
     ``tables``, for a policy that depends on the history through x_{n-1} only,
     is the pair of (T, V, V) arrays (acceptance, residual) with
@@ -205,43 +207,41 @@ def _acceptances(values: np.ndarray, positions) -> np.ndarray:
     return np.where(values > 0.0, np.minimum(values, 1.0), 0.0)
 
 
-def _distributions(rows: np.ndarray, positions) -> np.ndarray:
-    """(K, H, V) blocks of residual rows, block k at ``positions[k]``, checked and normalised.
-
-    Raises InvalidPolicy for the first block with a row that is not a
-    nonnegative vector summing to 1 within NORMALIZE_TOL.
-    """
-    valid = (np.isfinite(rows) & (rows >= 0.0)).all(axis=(1, 2))
-    totals = rows.sum(axis=2)
-    off = np.abs(totals - 1.0) > NORMALIZE_TOL
-    for k in np.flatnonzero(~valid | off.any(axis=1))[:1].tolist():
-        if not valid[k]:
-            raise InvalidPolicy(f"residual at position {positions[k]} is not a distribution")
-        total = float(totals[k][off[k]][0])
-        raise InvalidPolicy(f"residual at position {positions[k]} sums to {total!r}")
-    return rows / totals[..., None]
-
-
-def _residual_value(row, n: int) -> np.ndarray:
-    """A residual callback's row as ``dist._float_array`` takes it; InvalidPolicy if it refuses."""
+def _residual_check(n: int, check, value):
+    """``check(value)``, a ValueError raised as InvalidPolicy ``residual at position n: ...``."""
     try:
-        return _float_array(row)
+        return check(value)
     except ValueError as exc:
         raise InvalidPolicy(f"residual at position {n}: {exc}") from None
+
+
+def _distributions(rows: np.ndarray, positions) -> np.ndarray:
+    """(K, H, V) blocks of residual rows, block k at ``positions[k]``, by ``dist._normalized_rows``.
+
+    An error is the kernel's for the first bad row in C order, raised by
+    ``_residual_check`` at the position of the block that holds it.
+    """
+    try:
+        return _normalized_rows(rows)
+    except ValueError:
+        for n, block in zip(positions, rows):
+            _residual_check(n, _normalized_rows, block)
+        raise
 
 
 def policy_residual_rows(policy: Policy, n: int, histories, vocab_size: int) -> np.ndarray:
     """Policy residuals at position n for each history, stacked, validated and normalised.
 
     Calls ``policy.residual`` once per history; raises InvalidPolicy unless
-    every row is a length-V vector of reals (no bools or strings),
-    nonnegative and summing to 1 within 1e-9.
+    every row is a length-V vector of reals (no bools or strings) that
+    ``dist._normalized_rows`` takes, with its error for the first bad row
+    prefixed ``residual at position n:``.
     """
-    rows = [_residual_value(policy.residual(n, history), n) for history in histories]
+    rows = [_residual_check(n, _float_array, policy.residual(n, h)) for h in histories]
     for row in rows:
         if row.shape != (vocab_size,):
             raise _bad_shape(n, row.shape)
-    return _distributions(np.array(rows).reshape(1, len(rows), vocab_size), [n])[0]
+    return _residual_check(n, _normalized_rows, np.array(rows).reshape(len(rows), vocab_size))
 
 
 def policy_residual_row(policy: Policy, n: int, history: tuple[int, ...], vocab_size: int):
@@ -734,7 +734,7 @@ def decode_markov_runs(
     no tables, and InvalidPolicy when its tables are not (T, V, V) for this
     pair.
     """
-    if not isinstance(pair.p, MarkovModel) or not isinstance(pair.q, MarkovModel):
+    if not _is_markov_pair(pair):
         raise TypeError("decode_markov_runs requires a pair of MarkovModels")
     algorithm = "batch" if policy is None else "generic"
     batch_size, policy = _run_args(algorithm, batch_size, policy)

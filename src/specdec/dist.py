@@ -66,12 +66,48 @@ def _int_arg(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
+def _token(token, vocab_size: int) -> int:
+    """``token`` as an int in 0..vocab_size - 1: TypeError unless an integer, ValueError outside."""
+    token = _int_arg("token", token)
+    if not 0 <= token < vocab_size:
+        raise ValueError(f"token {token} is outside 0..{vocab_size - 1}")
+    return token
+
+
+def _normalized_rows(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Every row of the float64 ``arr`` along its last axis, checked and divided by its total.
+
+    The package's one rule for "this row is a distribution", used by Dist,
+    CondDist, chain step stacks and policy residual rows: its entries are
+    finite and nonnegative and sum to 1 within NORMALIZE_TOL. Rows are checked
+    in C order, and the first bad row raises ValueError for its first failing
+    check: a non-finite entry, then a negative entry, then a total off 1. A
+    total within NORMALIZE_TOL of 1 is finite only if every entry is, so the
+    totals and one sign test over the whole array pass a valid ``arr``. Each
+    row is divided by its own total, so a row is stored bit for bit as if it
+    were normalised alone; ``out=arr`` normalises in place.
+    """
+    with np.errstate(all="ignore"):
+        totals = arr.sum(axis=-1)
+        off = ~(np.abs(totals - 1.0) <= NORMALIZE_TOL)
+    if off.any() or (arr < 0.0).any():
+        rows = arr.reshape(-1, arr.shape[-1])
+        first = int(np.argmax(off.reshape(-1) | (rows < 0.0).any(axis=1)))
+        if not np.isfinite(rows[first]).all():
+            raise ValueError("distribution entries must be finite")
+        if (rows[first] < 0.0).any():
+            raise ValueError("distribution entries must be nonnegative")
+        total = float(totals.reshape(-1)[first])
+        raise ValueError(f"distribution sums to {total!r}, outside tolerance {NORMALIZE_TOL}")
+    return np.divide(arr, totals[..., None], out=out)
+
+
 class Dist:
     """Immutable probability vector over a finite vocabulary {0, ..., V-1}.
 
-    Entries must be nonnegative and sum to 1 within ``NORMALIZE_TOL``; the
-    stored vector is renormalized exactly so config files may carry rounded
-    decimals. Use :meth:`from_weights` to build one from unnormalized mass.
+    The vector must pass ``_normalized_rows``; the stored vector is
+    renormalized exactly so config files may carry rounded decimals. Use
+    :meth:`from_weights` to build one from unnormalized mass.
     """
 
     __slots__ = ("_probs",)
@@ -80,14 +116,7 @@ class Dist:
         arr = _float_array(probs)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("a distribution must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("distribution entries must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("distribution entries must be nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORMALIZE_TOL:
-            raise ValueError(f"distribution sums to {total!r}, outside tolerance {NORMALIZE_TOL}")
-        arr = arr / total
+        arr = _normalized_rows(arr)
         arr.flags.writeable = False
         self._probs = arr
 
@@ -116,11 +145,9 @@ class Dist:
     @classmethod
     def point(cls, size: int, token: int) -> "Dist":
         """Point mass on ``token`` in {0, ..., size - 1}; both must be integers."""
-        size, token = _int_arg("size", size, 1), _int_arg("token", token)
-        if not 0 <= token < size:
-            raise ValueError(f"token {token} is outside 0..{size - 1}")
+        size = _int_arg("size", size, 1)
         arr = np.zeros(size)
-        arr[token] = 1.0
+        arr[_token(token, size)] = 1.0
         return cls(arr)
 
     @property

@@ -8,16 +8,17 @@ whole round eagerly, because unexamined drafts are discarded and the
 conditioning histories coincide.
 
 Branch paths are merged by state, a (prefix, phase) pair. The prefix is the
-history (x_0, ..., x_{n-1}) before position n. SD and generic policies have
-one phase. Batch SD has two: ``root``, where a round of M responses starts at
-position n, and ``within``, where the round's first token was accepted and
-position n is verified against q itself. What an algorithm does from position
-n on depends only on the state, so each state carries one number, the mass of
-the paths reaching it, and a branch of probability w maps it to w * mass. The
-map is linear, so merging paths before branching gives the leaves the same
-mass as expanding every path, and the law stays exact. E[rejections] is
-sum_n P(a rejection at n), and P(a rejection at n) is the mass that level n
-sends down its rejecting branches, so only mass goes from level to level.
+history (x_0, ..., x_{n-1}) before position n. SD, the batch round at M = 1,
+and generic policies have one phase. Batch SD at M > 1 has two: ``root``,
+where a round of M responses starts at position n, and ``within``, where the
+round's first token was accepted and position n is verified against q itself.
+What an algorithm does from position n on depends only on the state, so each
+state carries one number, the mass of the paths reaching it, and a branch of
+probability w maps it to w * mass. The map is linear, so merging paths
+before branching gives the leaves the same mass as expanding every path, and
+the law stays exact. E[rejections] is sum_n P(a rejection at n), and P(a
+rejection at n) is the mass that level n sends down its rejecting branches,
+so only mass goes from level to level.
 
 The frontier at position n is, per phase, a dense array over the codes of
 the history (x_0, ..., x_{n-1}), x_0 the most significant digit. The child of
@@ -145,15 +146,6 @@ def _walk(pair: ModelPair, phases: int, level) -> tuple[np.ndarray, float]:
     return law, math.fsum(rejected)
 
 
-def _sd_level(pair: ModelPair):
-    def level(live: _Live):
-        p, q = live.rows(pair.p), live.rows(pair.q)
-        replacement, reject = _residual_rows(q, p)
-        return [(0, 0, False, np.minimum(p, q)), (0, 0, True, reject[:, None] * replacement)]
-
-    return level
-
-
 def _generic_level(pair: ModelPair, policy: Policy):
     v = pair.vocab_size
 
@@ -183,14 +175,24 @@ def _generic_level(pair: ModelPair, policy: Policy):
 
 
 def _batch_level(pair: ModelPair, batch_size: int):
+    """Branches of a batch round of M = batch_size responses; at M = 1, of speculative decoding.
+
+    With one response the root tests against q as the within phase does, so
+    the phases coincide: the level returns the within-round branches in phase
+    0, and the walk runs one phase.
+    """
+
     def level(live: _Live):
         p, q = live.rows(pair.p), live.rows(pair.q)
+        kept = np.minimum(p, q)
+        replacement, reject = _residual_rows(q, p)
+        replaced = reject[:, None] * replacement
+        if batch_size == 1:
+            return [(ROOT, ROOT, False, kept), (ROOT, ROOT, True, replaced)]
         # Response m's first token is tested against iterate q^m, reached when
         # the m - 1 responses before it were rejected (probability r_1..r_{m-1}).
         # After all M, the round emits from q^{M+1} and is charged one call.
         # m = 1 tests against q, as the within phase does.
-        kept = np.minimum(p, q)
-        replacement, reject = _residual_rows(q, p)
         accept, reached, q_m = kept, reject, replacement
         for _ in range(batch_size - 1):
             accept = accept + reached[:, None] * np.minimum(p, q_m)
@@ -200,7 +202,7 @@ def _batch_level(pair: ModelPair, batch_size: int):
             (ROOT, WITHIN, False, accept),
             (ROOT, ROOT, True, reached[:, None] * q_m),
             (WITHIN, WITHIN, False, kept),
-            (WITHIN, ROOT, True, reject[:, None] * replacement),
+            (WITHIN, ROOT, True, replaced),
         ]
 
     return level
@@ -219,11 +221,9 @@ def enumerate_law_and_rejections(
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     batch_size, policy = _run_args(algorithm, batch_size, policy)
-    if algorithm == "sd":
-        return _walk(pair, 1, _sd_level(pair))
-    if algorithm == "generic":
+    if policy is not None:
         return _walk(pair, 1, _generic_level(pair, policy))
-    return _walk(pair, 2, _batch_level(pair, batch_size))
+    return _walk(pair, 1 if batch_size == 1 else 2, _batch_level(pair, batch_size))
 
 
 def enumerate_output_distribution(

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import _int_arg, _tv_arrays, _tv_rows
-from .models import MarkovModel, ModelPair
+from .models import ModelPair, _is_markov_pair
 
 # Floats per (B, V, V) array of a position block: B = max(1, BLOCK_FLOATS // V^2).
 BLOCK_FLOATS = 2**14
@@ -73,10 +73,6 @@ class BatchRejections:
 
     total: float
     improvement: float
-
-
-def _is_markov_pair(pair: ModelPair) -> bool:
-    return isinstance(pair.p, MarkovModel) and isinstance(pair.q, MarkovModel)
 
 
 def _markov_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = False):

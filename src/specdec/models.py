@@ -17,16 +17,17 @@ from a seeded stream and uses a uniform prompt.
 A MarkovModel holds its transition rows once, as one read-only (T, V, V) stack
 ``step_rows``; its ``steps`` are CondDist views into that stack, and the row
 cumsums ``step_cumsums`` are built when a sampler first asks for them.
-Generated and descriptor-built chains check and renormalise the whole stack
-in one pass, entry for entry as T CondDist tables would, and raise the first
-bad step's CondDist error.
+Every row, of a CondDist or of a generated or descriptor-built stack, is
+checked and renormalised by ``dist._normalized_rows``, so a bad stack raises
+the error of its first bad row in C order, the one that T CondDist tables
+would raise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dist import NORMALIZE_TOL, Dist, _as_int, _float_array, _int_arg
+from .dist import NORMALIZE_TOL, Dist, _as_int, _float_array, _int_arg, _normalized_rows, _token
 
 FULL_TABLE_CAP = 1_000_000
 
@@ -34,7 +35,8 @@ FULL_TABLE_CAP = 1_000_000
 class CondDist:
     """One decoding step: a V x V table whose row s is the law of x_n given s.
 
-    Every row is validated and renormalized exactly as :class:`Dist` does it.
+    Every row is validated and renormalized by ``dist._normalized_rows``, as
+    :class:`Dist` is.
     """
 
     __slots__ = ("_rows", "_stack", "_index")
@@ -45,16 +47,7 @@ class CondDist:
             raise ValueError("a conditional table must be square")
         if arr.size == 0:
             raise ValueError("a distribution must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("distribution entries must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("distribution entries must be nonnegative")
-        totals = arr.sum(axis=1)
-        bad = np.flatnonzero(np.abs(totals - 1.0) > NORMALIZE_TOL)
-        if bad.size:
-            total = float(totals[bad[0]])
-            raise ValueError(f"distribution sums to {total!r}, outside tolerance {NORMALIZE_TOL}")
-        normalized = arr / totals[:, None]
+        normalized = _normalized_rows(arr)
         normalized.flags.writeable = False
         self._rows = normalized
         self._stack = self._index = None
@@ -79,24 +72,18 @@ class CondDist:
 
 
 def _normalized_stack(arr: np.ndarray) -> np.ndarray:
-    """The caller's own float64 (T, V, V) stack of step tables, checked and renormalised in place.
+    """The caller's own float64 (T, V, V) stack of step tables, renormalised in place.
 
-    Entry for entry what T CondDist tables would hold, checked in one pass. A
-    row total within NORMALIZE_TOL of 1 is finite only if every entry is, so
-    the total and sign checks cover CondDist's. An invalid stack raises its
-    first bad step's CondDist error; a stack of no steps is returned as is.
+    Its rows go through ``dist._normalized_rows`` in one pass, so it holds
+    entry for entry what T CondDist tables would, and a bad row raises their
+    error. An array that is not a stack of square tables raises CondDist's
+    shape error; a stack of no steps is returned as is.
     """
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.size == 0:
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         for step in arr:
             CondDist(step)
         return arr
-    with np.errstate(all="ignore"):
-        totals = arr.sum(axis=2)
-        good = (np.abs(totals - 1.0) <= NORMALIZE_TOL).all(axis=1)
-        good &= (arr >= 0.0).all(axis=(1, 2))
-    if not good.all():
-        CondDist(arr[np.argmin(good)])
-    return np.divide(arr, totals[..., None], out=arr)
+    return _normalized_rows(arr, out=arr)
 
 
 def _stack_of(steps: tuple[CondDist, ...]) -> np.ndarray | None:
@@ -136,9 +123,7 @@ class MarkovModel:
 
     @classmethod
     def _from_stack(cls, prompt: Dist, rows: np.ndarray) -> "MarkovModel":
-        """Chain over a (T, V, V) stack that ``_normalized_stack`` has checked."""
-        if not len(rows):
-            raise ValueError("horizon must be at least 1")
+        """Chain over a nonempty (T, V, V) stack that ``_normalized_stack`` has checked."""
         if rows.shape[1] != len(prompt):
             raise ValueError("all steps must share the prompt's vocabulary size")
         model = cls.__new__(cls)
@@ -206,7 +191,8 @@ class FullModel:
 
     The table maps every history (x_0, ..., x_{n-1}) for 1 <= n <= horizon to
     the law of x_n. Intended for brute-force oracles; construction enforces
-    V**horizon <= FULL_TABLE_CAP.
+    V**horizon <= FULL_TABLE_CAP, and a history's tokens must be integers
+    (TypeError) in 0..V-1 (ValueError), as :meth:`Dist.point` takes a token.
     """
 
     __slots__ = ("_prompt", "_horizon", "_table", "_cumsum_cache")
@@ -219,7 +205,7 @@ class FullModel:
             raise ValueError(f"V**T = {v**horizon} exceeds the table cap {FULL_TABLE_CAP}")
         frozen: dict[tuple[int, ...], np.ndarray] = {}
         for key, row in table.items():
-            key = tuple(int(t) for t in key)
+            key = tuple(_token(t, v) for t in key)
             if not 1 <= len(key) <= horizon:
                 raise ValueError(f"history {key} has length outside 1..{horizon}")
             probs = row.probs if isinstance(row, Dist) else Dist(row).probs
@@ -302,6 +288,11 @@ def markov_to_full(model: MarkovModel) -> FullModel:
     )
 
 
+def _is_markov_pair(pair) -> bool:
+    """Whether both models of ``pair`` are MarkovModels."""
+    return isinstance(pair.p, MarkovModel) and isinstance(pair.q, MarkovModel)
+
+
 class ModelPair:
     """Draft model p and target model q over a shared vocabulary, horizon, prompt.
 
@@ -347,12 +338,13 @@ def joint_probability(model, tokens) -> float:
 
     Args:
         model: MarkovModel or FullModel.
-        tokens: sequence of T token ids.
+        tokens: sequence of T token ids, integers in 0..V-1 (TypeError if
+            one is not an integer, ValueError if it is outside).
 
     Returns:
         sum_{x_0} prompt(x_0) * prod_n model(x_n | x_0, x_{1:n-1}).
     """
-    tokens = tuple(int(t) for t in tokens)
+    tokens = tuple(_token(t, model.vocab_size) for t in tokens)
     if len(tokens) != model.horizon:
         raise ValueError(f"trajectory length {len(tokens)} != horizon {model.horizon}")
     total = 0.0
@@ -397,10 +389,13 @@ def joint_distribution(model) -> np.ndarray:
 
 
 def trajectory_index(tokens, vocab_size: int) -> int:
-    """Flat index of a trajectory under the joint_distribution ordering."""
+    """Flat index of a trajectory under the joint_distribution ordering.
+
+    Tokens must be integers in 0..vocab_size-1, as for :func:`joint_probability`.
+    """
     index = 0
     for token in tokens:
-        index = index * vocab_size + int(token)
+        index = index * vocab_size + _token(token, vocab_size)
     return index
 
 

@@ -33,7 +33,7 @@ from .decoding import (
 from .dist import _int_arg
 from .enumeration import enumerate_expected_rejections
 from .exact import expected_rejections_batch, expected_rejections_sd, limit_rejections
-from .models import FULL_TABLE_CAP, MarkovModel, ModelPair, joint_distribution
+from .models import FULL_TABLE_CAP, ModelPair, _is_markov_pair, joint_distribution
 from .rng import split_rng
 
 ALGORITHMS = (*enumeration.ALGORITHMS, "autoregressive")
@@ -117,7 +117,7 @@ def _decode_blocks(campaign: Campaign):
     batch_size, policy = campaign.batch_size, campaign.policy
     lockstep = (
         algorithm != "autoregressive"
-        and all(isinstance(model, MarkovModel) for model in (pair.p, pair.q))
+        and _is_markov_pair(pair)
         and (policy is None or policy.tables is not None)
     )
     step = _block_runs(batch_size, pair.horizon) if lockstep else BLOCK_RUNS

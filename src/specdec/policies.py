@@ -29,13 +29,13 @@ import numpy as np
 
 from .decoding import Policy
 from .dist import _residual_rows
-from .models import MarkovModel, ModelPair
+from .models import ModelPair, _is_markov_pair
 from .tradeoff import DEGENERATE_TOL, epsilon_acceptance
 
 
 def _rows_policy(pair: ModelPair, rule) -> Policy:
     """Policy whose rows over every context are ``rule(p_rows, q_rows)`` -> (b, residual)."""
-    if isinstance(pair.p, MarkovModel) and isinstance(pair.q, MarkovModel):
+    if _is_markov_pair(pair):
         return Policy.from_tables(*rule(pair.p.step_rows, pair.q.step_rows))
     histories = [
         history

@@ -945,3 +945,49 @@ class TestAutoregressive:
         rng = make_rng(7)
         hits = sum(autoregressive_decode(q, rng).prompt_token == 0 for _ in range(5000))
         assert abs(hits / 5000 - 0.9) < 0.02
+
+
+class TestResidualRowRule:
+    """Policy residual rows are held to Dist's rule, prefixed with their position."""
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([np.nan, 1.0], "distribution entries must be finite"),
+            ([-0.1, 1.1], "distribution entries must be nonnegative"),
+            ([0.5, 0.6], "distribution sums to 1.1, outside tolerance 1e-09"),
+        ],
+    )
+    def test_messages_are_dists_with_the_position(self, row, message):
+        pair = random_model_pair(2, 3, seed=4)
+        acceptance = np.zeros((3, 2, 2))
+        residual = np.array([step.rows for step in pair.q.steps])
+        residual[1] = row
+        want = f"residual at position 2: {message}"
+        with pytest.raises(InvalidPolicy, match=f"^{want}$"):
+            Policy.from_tables(acceptance, residual)
+        with pytest.raises(InvalidPolicy, match=f"^{want}$"):
+            generic_decode(pair, table_reader(acceptance, residual), split_rng(8, 0))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.5, 0.6], [np.nan, 1.0]], "sums to 1.1"),
+            ([[np.nan, 1.0], [0.5, 0.6]], "entries must be finite"),
+            ([[0.5, 0.5], [0.5, 0.6]], "sums to 1.1"),
+        ],
+    )
+    def test_first_bad_row_of_a_position_is_named(self, rows, message):
+        pair = random_model_pair(2, 3, seed=4)
+        acceptance = np.zeros((3, 2, 2))
+        residual = np.array([step.rows for step in pair.q.steps])
+        residual[2] = rows
+        residual[1, 1] = [0.25, 0.25]  # an earlier position's error comes first
+        with pytest.raises(InvalidPolicy, match="^residual at position 2: .*sums to 0.5"):
+            Policy.from_tables(acceptance, residual)
+        residual[1, 1] = [0.25, 0.75]
+        with pytest.raises(InvalidPolicy, match=f"^residual at position 3: .*{message}"):
+            Policy.from_tables(acceptance, residual)
+        reader = table_reader(acceptance, residual)
+        with pytest.raises(InvalidPolicy, match=f"^residual at position 3: .*{message}"):
+            policy_residual_rows(reader, 3, [(0, 1, 0), (0, 1, 1)], 2)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec import CondDist, Dist, ZeroResidual, rejection_iterate, residual_plus, tv_distance
-from specdec.dist import _residual_rows
+from specdec.dist import _normalized_rows, _residual_rows
 
 # Ground truth evaluated by hand:
 #   tv([0.7,0.3],[0.4,0.6])   = (|0.3| + |-0.3|)/2 = 0.3
@@ -266,3 +266,57 @@ class TestRejectionIterate:
             new_support = set(np.flatnonzero(nxt.probs > 0))
             assert new_support <= support
             support, q = new_support, nxt.probs
+
+
+class TestOneRowRule:
+    """``dist._normalized_rows``: the one check behind Dist, CondDist, stacks and policy rows."""
+
+    @pytest.mark.parametrize("probs", [[[0.5, 0.5]], [], np.zeros((2, 0))],
+                             ids=["2-d", "empty", "empty-2-d"])
+    def test_dist_is_a_nonempty_vector(self, probs):
+        with pytest.raises(ValueError, match="nonempty 1-D vector"):
+            Dist(probs)
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([np.inf, -np.inf], "entries must be finite"),
+            ([1e308, 1e308], "sums to inf"),
+            ([np.nan, -1.0], "entries must be finite"),
+            ([1.5, -0.5], "entries must be nonnegative"),
+        ],
+    )
+    def test_unsummable_rows_raise_the_rule_not_a_warning(self, probs, message):
+        # Warnings are errors under this suite, so an overflow or inf - inf
+        # in a row total would surface as a RuntimeWarning.
+        with pytest.raises(ValueError, match=message):
+            Dist(probs)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.9, 0.3], [np.nan, 1.0]], "sums to 1.2"),
+            ([[0.5, 0.5], [np.nan, 1.0]], "finite"),
+            ([[0.5, 0.6], [-0.5, 1.5]], "sums to 1.1"),
+            ([[-0.5, 1.5], [0.5, 0.6]], "nonnegative"),
+        ],
+    )
+    def test_first_bad_row_in_c_order_is_named(self, rows, message):
+        stack = np.array([[[0.5, 0.5], [0.5, 0.5]], rows])
+        for arr in (np.array(rows), stack, stack.reshape(1, 2, 2, 2)):
+            with pytest.raises(ValueError, match=message):
+                _normalized_rows(arr)
+        with pytest.raises(ValueError, match=message):
+            CondDist(rows)
+
+    def test_rows_are_divided_alone_and_in_place_on_request(self):
+        rng = np.random.default_rng(3)
+        raw = rng.uniform(size=(4, 5, 6))
+        arr = raw / raw.sum(axis=-1, keepdims=True) * (1.0 + 4e-10)
+        out = _normalized_rows(arr)
+        assert not np.shares_memory(out, arr)
+        for index in np.ndindex(arr.shape[:-1]):
+            assert out[index].tobytes() == Dist(arr[index]).probs.tobytes()
+        same = arr.copy()
+        assert _normalized_rows(same, out=same) is same
+        assert same.tobytes() == out.tobytes()

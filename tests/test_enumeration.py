@@ -498,3 +498,14 @@ class TestLongHorizon:
             assert np.abs(law - joint).sum() <= 1e-10
             enum = enumerate_expected_rejections(pair, "batch", batch_size=m)
             assert enum == pytest.approx(expected_rejections_batch(pair, m).total, abs=1e-12)
+
+
+class TestOnePhaseRound:
+    def test_batch_at_one_response_is_sd_bit_for_bit(self):
+        # Speculative decoding is the batch round at M = 1, walked in one phase.
+        pairs = [*PAIRS, random_full_pair(2, 3, seed=9), sparse_draft_pair(3, 3, seed=2)]
+        for pair in pairs:
+            law, rejections = enumerate_law_and_rejections(pair, "batch", batch_size=1)
+            sd_law, sd_rejections = enumerate_law_and_rejections(pair, "sd")
+            assert law.tobytes() == sd_law.tobytes()
+            assert rejections == sd_rejections

@@ -426,3 +426,78 @@ class TestDescriptors:
         np.testing.assert_array_equal(
             rebuilt.steps[0].rows, model_from_descriptor(desc).steps[0].rows
         )
+
+
+class TestUnreachedBranches:
+    """Guards that no other test reaches, one case each."""
+
+    def test_markov_steps_must_be_conddists(self):
+        with pytest.raises(TypeError, match="CondDist"):
+            MarkovModel(Dist.uniform(2), [np.eye(2)])
+
+    def test_descriptor_steps_of_another_vocabulary(self):
+        # The prompt matches vocab_size, the 3 x 3 steps do not.
+        desc = {"vocab_size": 2, "horizon": 1, "prompt": [0.5, 0.5], "steps": [np.eye(3).tolist()]}
+        with pytest.raises(ValueError, match="share the prompt's vocabulary size"):
+            model_from_descriptor(desc)
+
+    @pytest.mark.parametrize(
+        "horizon, table, message",
+        [
+            (0, {}, "horizon must be at least 1"),
+            (20, {}, "exceeds the table cap"),
+            (1, {(0,): [0.5, 0.5], (0, 1): [0.5, 0.5]}, "length outside 1..1"),
+            (1, {(): [0.5, 0.5]}, "length outside 1..1"),
+            (1, {(0,): [0.5, 0.5], (1,): [1.0]}, "match the vocabulary size"),
+        ],
+        ids=["horizon-0", "over-cap", "long-key", "empty-key", "short-row"],
+    )
+    def test_full_model_guards(self, horizon, table, message):
+        with pytest.raises(ValueError, match=message):
+            FullModel(Dist.uniform(2), horizon, table)
+
+
+class TestOneTokenRule:
+    """Tokens are integers in 0..V-1 wherever a model or a trajectory takes them."""
+
+    @pytest.mark.parametrize(
+        "key, error, message",
+        [
+            ((5,), ValueError, "token 5 is outside 0..1"),
+            ((-1,), ValueError, "token -1 is outside 0..1"),
+            ((1.7,), TypeError, "not an integer"),
+            ((True,), TypeError, "not an integer"),
+            (("1",), TypeError, "not an integer"),
+        ],
+    )
+    def test_full_model_keys(self, key, error, message):
+        # A key outside the vocabulary fails here, not as a KeyError at step
+        # time, and a fractional key is refused rather than truncated.
+        with pytest.raises(error, match=message):
+            FullModel(Dist.uniform(2), 1, {(0,): [0.5, 0.5], key: [0.5, 0.5]})
+
+    def test_integral_keys_are_their_ints(self):
+        table = {(np.int64(0),): [0.5, 0.5], (1.0,): [0.2, 0.8]}
+        full = FullModel(Dist.uniform(2), 1, table)
+        np.testing.assert_array_equal(full.step(1, (1,)), [0.2, 0.8])
+
+    @pytest.mark.parametrize(
+        "tokens, error",
+        [((0, 1, -1), ValueError), ((0, 2, 1), ValueError), ((0, True, 1), TypeError),
+         ((0, 0.5, 1), TypeError)],
+    )
+    def test_joint_probability_tokens(self, tokens, error):
+        # A negative token must not index a row from its end.
+        model = random_markov_model(2, 3, seed=3)
+        with pytest.raises(error):
+            joint_probability(model, tokens)
+
+    @pytest.mark.parametrize(
+        "tokens, error",
+        [((0, 5, 1), ValueError), ((0, -1, 1), ValueError), ((0, "1", 1), TypeError)],
+    )
+    def test_trajectory_index_tokens(self, tokens, error):
+        # An out-of-range token would alias another trajectory: (0, 5, 1) and
+        # (1, 2, 1) both map to 16 over V = 3.
+        with pytest.raises(error):
+            trajectory_index(tokens, 3)

@@ -76,3 +76,15 @@ def test_only_the_cli_knows_output_formats():
         or (isinstance(node, ast.FunctionDef) and node.name in ("csv_document", "report_header"))
     }
     assert found == {"cli.py"}
+
+
+def test_one_row_check():
+    # Every "this row is a distribution" check is dist._normalized_rows. The
+    # one other reader of NORMALIZE_TOL is ModelPair's prompt agreement.
+    found = [
+        str(path)
+        for path, node in source_nodes()
+        if isinstance(node, ast.Name) and node.id == "NORMALIZE_TOL"
+    ]
+    assert set(found) == {"dist.py", "models.py"}
+    assert found.count("models.py") == 1

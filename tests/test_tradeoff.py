@@ -18,7 +18,9 @@ from specdec import (
     is_optimal_residual,
     loss_tv_star,
     optimal_residual,
+    over_acceptance_policy,
     pareto_front,
+    random_model_pair,
     rejection_probability,
     tradeoff_identity_gap,
     tv_distance,
@@ -251,3 +253,15 @@ class TestParetoFront:
     def test_gap_flags_corrupted_point(self):
         bad = ParetoPoint(epsilon=0.0, reject_prob=0.5, loss_star=0.5)
         assert tradeoff_identity_gap(bad, P_HAND, Q_HAND) > 0.1
+
+
+class TestUnreachedBranches:
+    def test_induced_law_refuses_a_residual_of_another_length(self):
+        # numpy would broadcast a length-1 residual against p.
+        for residual in ([1.0], [0.2, 0.3, 0.5]):
+            with pytest.raises(ValueError, match="residual length does not match"):
+                induced_output_distribution(B_HAND, residual, P_HAND)
+
+    def test_over_acceptance_refuses_an_unknown_residual_kind(self):
+        with pytest.raises(ValueError, match="residual_kind must be 'opt' or 'uno'"):
+            over_acceptance_policy(random_model_pair(2, 2, seed=1), 0.1, "target")
