@@ -43,19 +43,24 @@ a history-level recursion over explicit prefixes (any model) and an O(T V^2)
 state-marginalized recursion that works on all V states at once (Markov
 chains). Tests require them to agree.
 
-Position blocks. On a Markov pair the recursions read the models' (T, V, V)
-row stacks in blocks of B = max(1, BLOCK_FLOATS // V^2) positions. A block's
-tv, root iterates and (q - p)_+ are computed at once as (B, V, V) arrays;
-only the mat-vecs that carry mu and g from one position to the next run
-position by position. One walk yields both the SD terms and the gain terms,
-so a batch or limit value costs one pass, not an SD pass and a gain pass.
-Every term is the value the position-by-position recursion computes, and
-``math.fsum`` is exact, so the results do not depend on B.
+Position blocks and the SD record. On a Markov pair the recursions read the
+models' (T, V, V) row stacks in blocks of B = max(1, BLOCK_FLOATS // V^2)
+positions. A block's tv, root iterates and (q - p)_+ are computed at once as
+(B, V, V) arrays; only the mat-vec that carries g from one position to the
+next runs position by position, and mu is read from the target's
+``marginals``. Every closed form contains the same SD part: the (T, V) tv
+table and SD's total sum_n E_q[tv]. The first walk on a pair computes it,
+fused into that walk, and keeps it on the pair as its SD record. After that,
+SD and its per-position terms make no walk, and a batch or limit walk
+computes only (q - p)_+, the root iterates and g. Every term is the value the
+position-by-position recursion computes, and ``math.fsum`` is exact, so the
+results depend neither on B nor on which closed form a pair meets first.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,49 +81,77 @@ class BatchRejections:
 
 
 def _markov_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = False):
-    """(T, V) term tables of a Markov pair: SD's, and the batch gain's when ``gain``.
+    """The (T, V) batch gain table of a Markov pair when ``gain``, else None.
 
-    Row n - 1 of the SD table is mu_{n-1}(s) * tv(p_n(.|s), q_n(.|s)) over
-    states s, mu_{n-1} the target's law of x_{n-1}; the gain table is None
-    unless ``gain``, and then holds g_n(s) * (tv - P_M), g_n as in ``_sd_and_gain``.
-    Positions are walked in blocks of about BLOCK_FLOATS floats per (B, V, V)
-    array: tv, the root iterates and (q - p)_+ of a block are computed at once,
-    and only the mu and g mat-vecs run position by position.
+    Row n - 1 of the gain table is g_n(s) * (tv - P_M) over states s, with
+    tv = tv(p_n(.|s), q_n(.|s)) and g_n as in ``_sd_and_gain``. The first walk
+    on a pair also fills its SD record: the read-only (T, V) tv table and SD's
+    total, the fsum of mu_{n-1}(s) * tv, mu_{n-1} the target's law of x_{n-1}.
+    Later walks read tv from the record. Positions are walked in blocks of
+    about BLOCK_FLOATS floats per (B, V, V) array: tv, the root iterates and
+    (q - p)_+ of a block are computed at once, and only the g mat-vecs run
+    position by position.
     """
     p_rows, q_rows = pair.p.step_rows, pair.q.step_rows
     horizon, v = q_rows.shape[:2]
-    mu = np.empty((horizon, v))
-    tv = np.empty((horizon, v))
+    mu = pair.q.marginals
+    record = getattr(pair, "_sd_record", None)
+    tv = np.empty((horizon, v)) if record is None else record[0]
     g = np.empty((horizon, v)) if gain else None
     drop = np.empty((horizon, v)) if gain else None
-    mu_n = g_n = pair.q.prompt.probs
+    g_n = pair.q.prompt.probs
     size = max(1, BLOCK_FLOATS // (v * v))
     for start in range(0, horizon, size):
         block = slice(start, start + size)
         p, q = p_rows[block], q_rows[block]
-        tv[block] = _tv_rows(q, p)
+        if record is None:
+            tv[block] = _tv_rows(q, p)
         if gain:
             plus = q - p
             np.maximum(plus, 0.0, out=plus)
             prod, tail = _root_iterates(q, p, tv[block], batch_size, plus)
             drop[block] = tv[block] - prod
-        for k in range(len(q)):
-            mu[start + k] = mu_n
-            if gain:
+            for k in range(len(q)):
                 g[start + k] = g_n
-                g_n = (mu_n - g_n) @ plus[k] + g_n @ tail[k]
-            mu_n = mu_n @ q[k]
-    return mu * tv, g * drop if gain else None
+                g_n = (mu[start + k] - g_n) @ plus[k] + g_n @ tail[k]
+    if record is None:
+        tv.flags.writeable = False
+        pair._sd_record = (tv, _fsum(mu[:-1] * tv))
+    return g * drop if gain else None
+
+
+def _sd_part(pair: ModelPair) -> tuple[np.ndarray, float]:
+    """(tv table, SD's total) of a Markov pair, walked for only if the pair has no record yet."""
+    if getattr(pair, "_sd_record", None) is None:
+        _markov_terms(pair)
+    return pair._sd_record
 
 
 def _fsum(terms: np.ndarray) -> float:
     return math.fsum(terms.ravel().tolist())
 
 
+def _pair_arg(pair) -> ModelPair:
+    if not isinstance(pair, ModelPair):
+        raise TypeError(f"the closed forms take a ModelPair, not {type(pair).__name__}")
+    return pair
+
+
+def _real_arg(name: str, value) -> float:
+    """Argument ``name`` as a float: TypeError for a bool or a non-real, ValueError unless finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} {value!r} is not a real number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def expected_rejections_sd(pair: ModelPair) -> float:
     """Exact E[rejections] of speculative decoding: sum_n E_q[tv(p_n, q_n)]."""
-    terms = _markov_terms if _is_markov_pair(pair) else _history_terms
-    return _fsum(terms(pair)[0])
+    if _is_markov_pair(_pair_arg(pair)):
+        return _sd_part(pair)[1]
+    return _fsum(_history_terms(pair)[0])
 
 
 def acceleration_rate(expected_rejections: float, horizon: int) -> float:
@@ -127,6 +160,8 @@ def acceleration_rate(expected_rejections: float, horizon: int) -> float:
     A rejection-free decoder produces the whole horizon in the single pass,
     so the rate is reported as T when the expectation is zero.
     """
+    expected_rejections = _real_arg("expected_rejections", expected_rejections)
+    horizon = _int_arg("horizon", horizon, 1)
     if expected_rejections < 0.0:
         raise ValueError("expected_rejections must be nonnegative")
     if expected_rejections == 0.0:
@@ -191,15 +226,18 @@ def _history_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = Fal
 def _sd_and_gain(pair: ModelPair, batch_size: int | None) -> tuple[float, float]:
     """(SD's E[rejections], the batch improvement) at M = batch_size (None: the limit).
 
-    A Markov pair gets both from one walk, where the improvement is the
-    marginalized recursion over all V states at once. g(s) is the probability
-    that position n is a round root and x_{n-1} = s. A root contributes
+    A Markov pair's improvement is the marginalized recursion over all V
+    states at once, and its SD value is its record, filled by that walk if it
+    was the pair's first. g(s) is the probability that position n is a round
+    root and x_{n-1} = s. A root contributes
     tv - P_M; the next position is a root after a rejection within a round,
     (mu - g) @ (q - p)_+, or after a root fails all M responses, g @ W_{M+1}.
     Other pairs take the history-level recursion.
     """
-    terms = _markov_terms if _is_markov_pair(pair) else _history_terms
-    sd, gain = terms(pair, batch_size, gain=True)
+    if _is_markov_pair(_pair_arg(pair)):
+        gain = _markov_terms(pair, batch_size, gain=True)
+        return _sd_part(pair)[1], _fsum(gain)
+    sd, gain = _history_terms(pair, batch_size, gain=True)
     return _fsum(sd), _fsum(gain)
 
 
@@ -227,7 +265,7 @@ def batch_improvement_uniform(ratio: float, batch_size: int) -> float:
     with probability 1 - 1/ratio and the improvement telescopes to
     (1 - 1/ratio) - (1 - 1/ratio)**M.
     """
-    if ratio < 1.0:
+    if _real_arg("ratio", ratio) < 1.0:
         raise ValueError("ratio must be >= 1 (the draft support contains the target's)")
     batch_size = _int_arg("batch_size", batch_size, 1)
     base = 1.0 - 1.0 / ratio
@@ -240,6 +278,7 @@ def batch_improvement_bernoulli(u: float, v: float, batch_size: int) -> float:
     The first iterate collapses onto the token where q exceeds p, after which
     every response rejects with probability u, giving |u - v| * (1 - u**(M-1)).
     """
+    u, v = _real_arg("u", u), _real_arg("v", v)
     if not 0.0 <= v <= u <= 1.0:
         raise ValueError("requires 0 <= v <= u <= 1")
     batch_size = _int_arg("batch_size", batch_size, 1)
@@ -248,6 +287,7 @@ def batch_improvement_bernoulli(u: float, v: float, batch_size: int) -> float:
 
 def sd_marginal_terms(pair: ModelPair) -> list[float]:
     """Per-position speculative rejection probabilities E_q[tv(p_n, q_n)] (Markov)."""
-    if not _is_markov_pair(pair):
+    if not _is_markov_pair(_pair_arg(pair)):
         raise TypeError("sd_marginal_terms requires a Markov pair")
-    return [math.fsum(terms) for terms in _markov_terms(pair)[0].tolist()]
+    tv, _ = _sd_part(pair)
+    return [math.fsum(terms) for terms in (pair.q.marginals[:-1] * tv).tolist()]

@@ -16,7 +16,8 @@ from a seeded stream and uses a uniform prompt.
 
 A MarkovModel holds its transition rows once, as one read-only (T, V, V) stack
 ``step_rows``; its ``steps`` are CondDist views into that stack, and the row
-cumsums ``step_cumsums`` are built when a sampler first asks for them.
+cumsums ``step_cumsums`` and the (T + 1, V) target laws ``marginals`` are built
+when a sampler or a closed form first asks for them.
 Every row, of a CondDist or of a generated or descriptor-built stack, is
 checked and renormalised by ``dist._normalized_rows``, so a bad stack raises
 the error of its first bad row in C order, the one that T CondDist tables
@@ -106,7 +107,9 @@ class MarkovModel:
     that stack rather than a copy.
     """
 
-    __slots__ = ("_prompt", "_steps", "_step_rows", "_prompt_cumsum", "_step_cumsums")
+    __slots__ = (
+        "_prompt", "_steps", "_step_rows", "_prompt_cumsum", "_step_cumsums", "_marginals"
+    )
 
     def __init__(self, prompt: Dist, steps) -> None:
         steps = tuple(steps)
@@ -136,7 +139,7 @@ class MarkovModel:
         self._step_rows = rows
         self._steps = tuple(CondDist._view(rows, k) for k in range(len(rows)))
         self._prompt_cumsum = np.cumsum(prompt.probs)
-        self._step_cumsums = None
+        self._step_cumsums = self._marginals = None
 
     def _cumsums(self) -> np.ndarray:
         if self._step_cumsums is None:
@@ -144,6 +147,16 @@ class MarkovModel:
             cums.flags.writeable = False
             self._step_cumsums = cums
         return self._step_cumsums
+
+    def _laws(self) -> np.ndarray:
+        if self._marginals is None:
+            laws = np.empty((len(self._step_rows) + 1, self.vocab_size))
+            laws[0] = self._prompt.probs
+            for n, rows in enumerate(self._step_rows):
+                laws[n + 1] = laws[n] @ rows
+            laws.flags.writeable = False
+            self._marginals = laws
+        return self._marginals
 
     @property
     def prompt(self) -> Dist:
@@ -180,6 +193,14 @@ class MarkovModel:
         Only the samplers read them, so they are built on first use.
         """
         return self._cumsums()
+
+    @property
+    def marginals(self) -> np.ndarray:
+        """Read-only (T + 1, V) laws of x_0..x_T; row 0 is the prompt, row n the law of x_n.
+
+        Row n is row n - 1 times ``step_rows[n - 1]``, built on first use.
+        """
+        return self._laws()
 
     @property
     def prompt_cumsum(self) -> np.ndarray:
@@ -297,10 +318,11 @@ class ModelPair:
     """Draft model p and target model q over a shared vocabulary, horizon, prompt.
 
     Decoding draws a single x_0 that conditions both models, so the prompts
-    must agree (within the Dist normalization tolerance).
+    must agree (within the Dist normalization tolerance). The last slot holds
+    a Markov pair's SD record once ``exact`` has walked it; nothing else reads it.
     """
 
-    __slots__ = ("_p", "_q")
+    __slots__ = ("_p", "_q", "_sd_record")
 
     def __init__(self, p, q) -> None:
         if p.vocab_size != q.vocab_size:
@@ -400,19 +422,14 @@ def trajectory_index(tokens, vocab_size: int) -> int:
 
 
 def target_marginals(model: MarkovModel) -> list[Dist]:
-    """Per-position marginals mu_1..mu_T of a Markov chain.
+    """Per-position marginals mu_1..mu_T of a Markov chain: rows 1..T of its ``marginals``.
 
     The recursion starts from mu_0 = prompt and applies
     mu_n(x) = sum_s mu_{n-1}(s) * step_n(x | s).
     """
     if not isinstance(model, MarkovModel):
         raise TypeError("target_marginals requires a MarkovModel")
-    out = []
-    mu = model.prompt.probs
-    for step in model.steps:
-        mu = mu @ step.rows
-        out.append(Dist(mu))
-    return out
+    return [Dist(mu) for mu in model.marginals[1:]]
 
 
 def random_markov_model(

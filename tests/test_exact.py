@@ -28,6 +28,7 @@ from specdec import (
     random_model_pair,
     rejection_iterate,
     sd_marginal_terms,
+    target_marginals,
     tv_distance,
 )
 from specdec.dist import ZeroResidual, _tv_arrays, _tv_rows
@@ -135,6 +136,53 @@ class TestAccelerationRate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             acceleration_rate(-0.1, 10)
+
+    def test_numpy_numbers_and_integral_floats_pass(self):
+        assert acceleration_rate(np.float64(25.0), np.int64(50)) == 2.0
+        assert acceleration_rate(25, 50.0) == 2.0
+
+    @pytest.mark.parametrize("horizon, error", [
+        (2.5, TypeError), (True, TypeError), ("5", TypeError), (None, TypeError),
+        (-4, ValueError), (0, ValueError),
+    ])
+    def test_horizon_is_a_positive_integer(self, horizon, error):
+        for rejections in (1.0, 0.0):
+            with pytest.raises(error, match="horizon"):
+                acceleration_rate(rejections, horizon)
+
+
+class TestScalarArguments:
+    """The scalar closed forms take finite reals: no bool, no string, no nan or inf."""
+
+    @staticmethod
+    def calls(value):
+        return [
+            lambda: acceleration_rate(value, 5),
+            lambda: batch_improvement_uniform(value, 2),
+            lambda: batch_improvement_bernoulli(value, 0.5, 2),
+            lambda: batch_improvement_bernoulli(0.9, value, 2),
+        ]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_values_are_refused(self, value):
+        for call in self.calls(value):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, 1j])
+    def test_non_reals_are_refused(self, value):
+        for call in self.calls(value):
+            with pytest.raises(TypeError, match="is not a real number"):
+                call()
+
+
+class TestPairArgument:
+    @pytest.mark.parametrize("value", ["x", 3, None, random_model_pair(2, 2, seed=0).q])
+    def test_closed_forms_refuse_anything_but_a_model_pair(self, value):
+        for call in (expected_rejections_sd, limit_rejections, sd_marginal_terms,
+                     lambda pair: expected_rejections_batch(pair, 2)):
+            with pytest.raises(TypeError, match="ModelPair"):
+                call(value)
 
 
 class TestBatchRecursions:
@@ -450,9 +498,106 @@ class TestPositionBlocks:
 
     @pytest.mark.parametrize("block_floats", [1, 2**10, 2**13, 2**20])
     def test_block_size_changes_no_value(self, monkeypatch, block_floats):
-        pair = sparse_pair(20, 12, seed=6)
-        want = [expected_rejections_sd(pair), limit_rejections(pair),
-                *(expected_rejections_batch(pair, m) for m in (2, 5))]
+        def values():
+            # A new pair has no SD record, so its values come from walks at
+            # the block size in force.
+            pair = sparse_pair(20, 12, seed=6)
+            return [expected_rejections_sd(pair), limit_rejections(pair),
+                    *(expected_rejections_batch(pair, m) for m in (2, 5))]
+
+        want = values()
         monkeypatch.setattr(exact, "BLOCK_FLOATS", block_floats)
-        assert [expected_rejections_sd(pair), limit_rejections(pair),
-                *(expected_rejections_batch(pair, m) for m in (2, 5))] == want
+        assert values() == want
+
+
+def fresh(pair: ModelPair) -> ModelPair:
+    """The pair's rows in new models and a new pair: no marginals and no SD record yet."""
+    return ModelPair(*(MarkovModel(model.prompt, model.steps) for model in (pair.p, pair.q)))
+
+
+def closed_forms(pair: ModelPair, order) -> dict:
+    """The named closed forms of ``pair``, called in ``order``."""
+    calls = {
+        "sd": lambda: expected_rejections_sd(pair),
+        "terms": lambda: sd_marginal_terms(pair),
+        "batch8": lambda: expected_rejections_batch(pair, 8),
+        "limit": lambda: limit_rejections(pair),
+    }
+    return {name: calls[name]() for name in order}
+
+
+RECORD_PAIRS = [pair for pair, _ in TestPositionBlocks.CASES] + [sparse_pair(30, 7, seed=8)]
+
+
+class TestSdRecord:
+    """SD's part is walked once per Markov pair and read by every later closed form."""
+
+    NAMES = ["sd", "terms", "batch8", "limit"]
+
+    @pytest.mark.parametrize("pair", RECORD_PAIRS)
+    def test_call_order_changes_no_value(self, pair):
+        want = closed_forms(fresh(pair), self.NAMES)
+        assert {name: closed_forms(fresh(pair), [name])[name] for name in self.NAMES} == want
+        for first in ("batch8", "limit"):
+            order = [first] + [name for name in self.NAMES if name != first]
+            assert closed_forms(fresh(pair), order) == want
+
+    @pytest.mark.parametrize("pair", RECORD_PAIRS)
+    def test_only_the_first_walk_computes_tv(self, monkeypatch, pair):
+        pair = fresh(pair)
+        walks, tv_blocks = [], []
+        markov_terms, tv_rows = exact._markov_terms, exact._tv_rows
+
+        def counted_walk(*args, **kwargs):
+            walks.append(args)
+            return markov_terms(*args, **kwargs)
+
+        def counted_tv(*args):
+            tv_blocks.append(args)
+            return tv_rows(*args)
+
+        monkeypatch.setattr(exact, "_markov_terms", counted_walk)
+        monkeypatch.setattr(exact, "_tv_rows", counted_tv)
+        expected_rejections_batch(pair, 2)
+        assert len(walks) == 1 and tv_blocks
+        tv_blocks.clear()
+        expected_rejections_sd(pair)
+        sd_marginal_terms(pair)
+        assert len(walks) == 1
+        limit_rejections(pair)
+        expected_rejections_batch(pair, 8)
+        assert len(walks) == 3 and tv_blocks == []
+
+    @pytest.mark.parametrize("pair", RECORD_PAIRS)
+    def test_record_and_marginals_are_read_only(self, pair):
+        pair = fresh(pair)
+        limit_rejections(pair)
+        tv, total = exact._sd_part(pair)
+        assert tv.shape == (pair.horizon, pair.vocab_size)
+        assert total == expected_rejections_sd(pair)
+        marginals = pair.q.marginals
+        assert marginals.shape == (pair.horizon + 1, pair.vocab_size)
+        for table in (tv, marginals):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.5
+
+    @pytest.mark.parametrize("pair", RECORD_PAIRS)
+    def test_target_marginals_equal_the_stepwise_recursion(self, pair):
+        for model in (pair.p, pair.q):
+            mu, laws = model.prompt.probs, [model.prompt.probs.tolist()]
+            for step in model.steps:
+                mu = mu @ step.rows.copy()
+                laws.append(mu.tolist())
+            assert model.marginals.tolist() == laws
+            assert [law.probs.tolist() for law in target_marginals(model)] == [
+                Dist(law).probs.tolist() for law in laws[1:]
+            ]
+
+    def test_other_pairs_get_no_record(self):
+        markov = random_model_pair(3, 3, seed=5)
+        full = full_pair(markov)
+        for pair in (full, ModelPair(markov.p, full.q), ModelPair(full.p, markov.q)):
+            want = closed_forms(pair, ["sd", "batch8", "limit"])
+            assert getattr(pair, "_sd_record", None) is None
+            assert closed_forms(pair, ["sd", "batch8", "limit"]) == want

@@ -1,6 +1,7 @@
 """Rules every module of the package keeps, checked on its source."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import specdec
@@ -88,3 +89,35 @@ def test_one_row_check():
     ]
     assert set(found) == {"dist.py", "models.py"}
     assert found.count("models.py") == 1
+
+
+def test_one_sd_record():
+    # A Markov pair's SD record lives in a ModelPair slot that exact.py alone
+    # reads and writes; models.py only declares the slot.
+    found = [
+        str(path)
+        for path, node in source_nodes()
+        if (isinstance(node, ast.Attribute) and node.attr == "_sd_record")
+        or (isinstance(node, ast.Constant) and node.value == "_sd_record")
+    ]
+    assert "exact.py" in found
+    assert set(found) == {"exact.py", "models.py"}
+    assert found.count("models.py") == 1
+
+
+def test_one_marginal_recursion():
+    # The target laws mu_n come from MarkovModel.marginals alone. The other
+    # matrix products are exact.py's root-law recursion g, two products, and
+    # montecarlo's flat trajectory index.
+    found = Counter(
+        str(path)
+        for path, node in source_nodes()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+    )
+    assert found == {"models.py": 1, "exact.py": 2, "montecarlo.py": 1}
+    calls = {
+        node.func.attr
+        for path, node in source_nodes()
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert not calls & {"dot", "matmul", "einsum", "tensordot", "vdot", "inner"}
