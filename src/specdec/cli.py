@@ -26,11 +26,9 @@ import json
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
-from .dist import Dist, tv_distance
-from .exact import _sd_and_gain, acceleration_rate, expected_rejections_sd
-from .models import ModelPair, _as_int, _real_array, pair_from_descriptor
+from .dist import Dist, _int_arg, _real_arg, tv_distance
+from .exact import acceleration_rate, expected_rejections_batch, expected_rejections_sd
+from .models import ModelPair, _real_array, pair_from_descriptor
 from .montecarlo import Campaign, batch_scan, run_campaign
 from .tradeoff import pareto_front, tradeoff_identity_gap
 
@@ -67,17 +65,19 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _config_value(read, name: str, value, minimum):
+    """``read(name, value, minimum)``, one of dist's value rules, raising ConfigError."""
+    try:
+        return read(name, value, minimum)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _int_field(config: dict, key: str, default=None, minimum: int = 1) -> int:
     value = config.get(key, default)
     if value is None:
         raise ConfigError(f"config is missing required key {key!r}")
-    try:
-        value = _as_int(value)
-    except TypeError:
-        raise ConfigError(f"config key {key!r} must be an integer") from None
-    if value < minimum:
-        raise ConfigError(f"config key {key!r} must be >= {minimum}")
-    return value
+    return _config_value(_int_arg, f"config key {key!r}", value, minimum)
 
 
 def _build_pair(config: dict) -> ModelPair:
@@ -146,8 +146,9 @@ def cmd_exact(config: dict) -> tuple:
     batch_size = config.get("batch_size")
     if batch_size is not None:
         batch_size = _int_field(config, "batch_size")
-        sd, batch_improvement = _sd_and_gain(pair, batch_size)
-        batch_total = sd - batch_improvement
+        batch = expected_rejections_batch(pair, batch_size)
+        sd = expected_rejections_sd(pair)
+        batch_total, batch_improvement = batch.total, batch.improvement
     else:
         sd = expected_rejections_sd(pair)
         batch_total = batch_improvement = None
@@ -188,12 +189,7 @@ def cmd_batch_scan(config: dict) -> tuple:
     sizes = config.get("batch_sizes", [1, 2, 3, 4])
     if not isinstance(sizes, list) or not sizes:
         raise ConfigError('config key "batch_sizes" must be a nonempty list')
-    try:
-        sizes = [_as_int(m) for m in sizes]
-    except TypeError:
-        raise ConfigError('config key "batch_sizes" must contain integers') from None
-    if any(m < 1 for m in sizes):
-        raise ConfigError('config key "batch_sizes" entries must be >= 1')
+    sizes = [_config_value(_int_arg, 'config key "batch_sizes" entry', m, 1) for m in sizes]
     rows = batch_scan(pair, sizes, _int_field(config, "runs"), _int_field(config, "seed", minimum=0))
     exacts = [row.exact for row in rows[:-1]]
     if sorted(sizes) == sizes:
@@ -219,15 +215,7 @@ def _pareto_dists(config: dict) -> tuple[Dist, Dist, list[float]]:
     grid = section.get("eps_grid", [i / 10 for i in range(11)])
     if not isinstance(grid, list) or not grid:
         raise ConfigError('config key "pareto.eps_grid" must be a nonempty list')
-    try:
-        grid = _real_array(grid, 1, 'config key "pareto.eps_grid"')
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if not np.all(np.isfinite(grid)):
-        raise ConfigError('config key "pareto.eps_grid" must contain finite numbers')
-    if np.any(grid < 0):
-        raise ConfigError("eps grid entries must be nonnegative")
-    grid = grid.tolist()
+    grid = [_config_value(_real_arg, 'config key "pareto.eps_grid" entry', e, 0.0) for e in grid]
     if "p" in section and "q" in section:
         try:
             p, q = (Dist(_real_array(section[k], 1, f'config key "pareto.{k}"')) for k in "pq")

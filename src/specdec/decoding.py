@@ -69,7 +69,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dist import ZeroResidual, _float_array, _int_arg, _normalized_rows, _residual_rows
-from .models import ModelPair, _as_int, _is_markov_pair
+from .models import ModelPair, _is_markov_pair
 from .rng import split_rngs, split_uniforms
 
 BLOCK_RUNS = 1024
@@ -740,9 +740,9 @@ def decode_markov_runs(
     batch_size, policy = _run_args(algorithm, batch_size, policy)
     if policy is not None and policy.tables is None:
         raise TypeError("decode_markov_runs reads policy tables; this policy has none")
-    seed, start, count = (_as_int(v) for v in (seed, start, count))
-    if seed < 0 or start < 0 or count < 0:
-        raise ValueError("seed, start and count must be >= 0")
+    seed = _int_arg("seed", seed, 0)
+    start = _int_arg("start", start, 0)
+    count = _int_arg("count", count, 0)
     horizon = pair.horizon
     shape = (horizon, pair.vocab_size, pair.vocab_size)
     if policy is not None and policy.tables[0].shape != shape:

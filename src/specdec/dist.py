@@ -14,10 +14,30 @@ q^{m+1} = [q^m - p]_+, the oracles' branch weights and the policies' rows
 zero-residual rule: a row whose weights max(q - p, 0) sum to zero (however
 small a positive sum is, it is not zero) has no residual, and the kernel
 returns it as a row of zeros with normalizer 0.
+
+Values have one rule too. Next to the row rule, ``_normalized_rows``, which
+decides "this row is a distribution", the value rule below decides "this is
+an integer, a real, an array of reals", and every module asks it rather than
+deciding for itself:
+
+* ``_float_array``: an array of reals is a Dist, an ndarray of integer or
+  float dtype, or nested lists and tuples of real numbers. A bool anywhere,
+  a string, None or a complex number is refused with ValueError; it is
+  never coerced, so ``[True, 0.0]`` is not a distribution.
+* ``_as_int`` and ``_int_arg``: an integer is an int, a numpy integer or an
+  integral float such as 4.0 (JSON writers emit them), never a bool; TypeError
+  otherwise, and ValueError below a given minimum.
+* ``_real_arg``: a real is an int, a float or a numpy real, never a bool
+  (TypeError); it must be finite and fit a float, and not fall below a given
+  minimum (ValueError).
+
+Seeds and stream indices of ``rng`` keep numpy's stricter index rule, which
+also refuses integral floats.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -33,13 +53,28 @@ def _float_array(values) -> np.ndarray:
     """``values`` (or a Dist's probabilities) as a float64 array of integers or floats.
 
     Raises ValueError for bools, strings, bytes, objects and complex numbers
-    rather than coercing them, so ``[True, False]`` and ``["0.5", "0.5"]`` are
-    not distributions.
+    rather than coercing them, so ``[True, False]``, ``[True, 0.0]`` and
+    ``["0.5", "0.5"]`` are not distributions. An ndarray is judged by its
+    dtype alone; nested lists and tuples are also searched for bools, which
+    numpy would turn into 1 and 0.
     """
     arr = values.probs if isinstance(values, Dist) else np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"distribution entries must be real numbers, got dtype {arr.dtype}")
+    if isinstance(values, (list, tuple)):
+        _refuse_bools(values)
     return arr.astype(np.float64, copy=False)
+
+
+def _refuse_bools(values) -> None:
+    """ValueError for a bool, a numpy bool or a bool array anywhere in nested lists and tuples."""
+    if set(map(type, values)) <= {float, int}:
+        return
+    for item in values:
+        if isinstance(item, (list, tuple)):
+            _refuse_bools(item)
+        elif isinstance(item, (bool, np.bool_)) or getattr(item, "dtype", None) == np.bool_:
+            raise ValueError(f"distribution entries must be real numbers, got {item!r}")
 
 
 def _as_int(value) -> int:
@@ -61,6 +96,25 @@ def _int_arg(name: str, value, minimum: int | None = None) -> int:
         value = _as_int(value)
     except TypeError:
         raise TypeError(f"{name} {value!r} is not an integer") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
+
+
+def _real_arg(name: str, value, minimum: float | None = None) -> float:
+    """Argument ``name`` as a finite float, >= ``minimum`` if given.
+
+    TypeError for a bool or a non-real; ValueError for nan, inf, an int too
+    large for a float, or a value below ``minimum``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} {value!r} is not a real number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
     return value
@@ -129,9 +183,12 @@ class Dist:
 
     @classmethod
     def from_weights(cls, weights) -> "Dist":
-        """Normalize nonnegative weights into a Dist. Zero total mass is an error."""
+        """Normalize nonnegative weights into a Dist. Zero or non-finite total mass is an error."""
         arr = _float_array(weights)
-        total = float(arr.sum())
+        with np.errstate(all="ignore"):
+            total = float(arr.sum())
+        if not math.isfinite(total):
+            raise ValueError(f"weights sum to {total!r}, not a finite total")
         if total <= 0.0:
             raise ValueError("cannot normalize zero total mass")
         return cls(arr / total)

@@ -66,18 +66,11 @@ import numpy as np
 
 from .decoding import Policy, _acceptance_value, _acceptances, _run_args, policy_residual_rows
 from .dist import _residual_rows
-from .models import FULL_TABLE_CAP, MarkovModel, ModelPair
+from .models import FULL_TABLE_CAP, MarkovModel, ModelPair, _check_table_size
 
 ALGORITHMS = ("sd", "batch", "generic")
 
 ROOT, WITHIN = 0, 1
-
-
-def _check_size(pair: ModelPair) -> None:
-    if pair.vocab_size**pair.horizon > FULL_TABLE_CAP:
-        raise ValueError(
-            f"V**T = {pair.vocab_size**pair.horizon} exceeds the enumeration cap {FULL_TABLE_CAP}"
-        )
 
 
 def _histories(codes: np.ndarray, v: int, length: int) -> list[tuple[int, ...]]:
@@ -217,7 +210,7 @@ def enumerate_law_and_rejections(
     joint_distribution indexing (x_1 most significant digit). Requires
     V**T <= FULL_TABLE_CAP.
     """
-    _check_size(pair)
+    _check_table_size(pair.vocab_size, pair.horizon)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     batch_size, policy = _run_args(algorithm, batch_size, policy)

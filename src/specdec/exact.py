@@ -60,12 +60,11 @@ results depend neither on B nor on which closed form a pair meets first.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import _int_arg, _tv_arrays, _tv_rows
+from .dist import _int_arg, _real_arg, _tv_arrays, _tv_rows
 from .models import ModelPair, _is_markov_pair
 
 # Floats per (B, V, V) array of a position block: B = max(1, BLOCK_FLOATS // V^2).
@@ -137,16 +136,6 @@ def _pair_arg(pair) -> ModelPair:
     return pair
 
 
-def _real_arg(name: str, value) -> float:
-    """Argument ``name`` as a float: TypeError for a bool or a non-real, ValueError unless finite."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} {value!r} is not a real number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def expected_rejections_sd(pair: ModelPair) -> float:
     """Exact E[rejections] of speculative decoding: sum_n E_q[tv(p_n, q_n)]."""
     if _is_markov_pair(_pair_arg(pair)):
@@ -160,10 +149,8 @@ def acceleration_rate(expected_rejections: float, horizon: int) -> float:
     A rejection-free decoder produces the whole horizon in the single pass,
     so the rate is reported as T when the expectation is zero.
     """
-    expected_rejections = _real_arg("expected_rejections", expected_rejections)
+    expected_rejections = _real_arg("expected_rejections", expected_rejections, 0.0)
     horizon = _int_arg("horizon", horizon, 1)
-    if expected_rejections < 0.0:
-        raise ValueError("expected_rejections must be nonnegative")
     if expected_rejections == 0.0:
         return float(horizon)
     return horizon / expected_rejections
@@ -259,14 +246,14 @@ def limit_rejections(pair: ModelPair) -> float:
 
 
 def batch_improvement_uniform(ratio: float, batch_size: int) -> float:
-    """Batch improvement for p = Unif(V), q = Unif(V'), one step, ratio = V / V'.
+    """Batch improvement for p = Unif(V), q = Unif(V'), one step, ratio = V / V' >= 1.
 
-    Every residual iterate is Unif(V') again, so each root response rejects
-    with probability 1 - 1/ratio and the improvement telescopes to
+    The draft's support contains the target's, hence the floor. Every
+    residual iterate is Unif(V') again, so each root response rejects with
+    probability 1 - 1/ratio and the improvement telescopes to
     (1 - 1/ratio) - (1 - 1/ratio)**M.
     """
-    if _real_arg("ratio", ratio) < 1.0:
-        raise ValueError("ratio must be >= 1 (the draft support contains the target's)")
+    ratio = _real_arg("ratio", ratio, 1.0)
     batch_size = _int_arg("batch_size", batch_size, 1)
     base = 1.0 - 1.0 / ratio
     return base - base**batch_size

@@ -28,9 +28,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dist import NORMALIZE_TOL, Dist, _as_int, _float_array, _int_arg, _normalized_rows, _token
+from .dist import NORMALIZE_TOL, Dist, _float_array, _int_arg, _normalized_rows, _token
 
 FULL_TABLE_CAP = 1_000_000
+
+
+def _check_table_size(vocab_size: int, horizon: int) -> None:
+    """ValueError unless V**T, the number of trajectories x_{1:T}, is within FULL_TABLE_CAP."""
+    if vocab_size**horizon > FULL_TABLE_CAP:
+        raise ValueError(f"V**T = {vocab_size**horizon} exceeds the table cap {FULL_TABLE_CAP}")
 
 
 class CondDist:
@@ -219,11 +225,10 @@ class FullModel:
     __slots__ = ("_prompt", "_horizon", "_table", "_cumsum_cache")
 
     def __init__(self, prompt: Dist, horizon: int, table: dict) -> None:
-        v = len(prompt)
+        v, horizon = len(prompt), _int_arg("horizon", horizon)
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if v**horizon > FULL_TABLE_CAP:
-            raise ValueError(f"V**T = {v**horizon} exceeds the table cap {FULL_TABLE_CAP}")
+        _check_table_size(v, horizon)
         frozen: dict[tuple[int, ...], np.ndarray] = {}
         for key, row in table.items():
             key = tuple(_token(t, v) for t in key)
@@ -246,9 +251,8 @@ class FullModel:
     @classmethod
     def from_function(cls, prompt: Dist, horizon: int, fn) -> "FullModel":
         """Build a dense table by calling ``fn(n, history) -> row`` on every history."""
-        v = len(prompt)
-        if v**horizon > FULL_TABLE_CAP:
-            raise ValueError(f"V**T = {v**horizon} exceeds the table cap {FULL_TABLE_CAP}")
+        v, horizon = len(prompt), _int_arg("horizon", horizon)
+        _check_table_size(v, horizon)
         table = {}
 
         def expand(history: tuple[int, ...], n: int) -> None:
@@ -391,8 +395,7 @@ def joint_distribution(model) -> np.ndarray:
     index = sum_n x_n * V**(T-n). Enforces V**T <= FULL_TABLE_CAP.
     """
     v, t = model.vocab_size, model.horizon
-    if v**t > FULL_TABLE_CAP:
-        raise ValueError(f"V**T = {v**t} exceeds the enumeration cap {FULL_TABLE_CAP}")
+    _check_table_size(v, t)
     out = np.zeros(v**t)
 
     def expand(history: tuple[int, ...], n: int, index: int, mass: float) -> None:
@@ -437,12 +440,13 @@ def random_markov_model(
 ) -> MarkovModel:
     """Seeded random chain: uniform prompt, transition rows = normalized uniforms.
 
-    Raises TypeError unless ``vocab_size`` and ``horizon`` are integers and
-    ValueError unless both are >= 1, before anything is drawn.
+    Raises TypeError unless ``vocab_size``, ``horizon`` and a ``seed`` other
+    than None (OS entropy) are integers, and ValueError unless the sizes are
+    >= 1 and the seed >= 0, before anything is drawn.
     """
     vocab_size, horizon = _int_arg("vocab_size", vocab_size, 1), _int_arg("horizon", horizon, 1)
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed if seed is None else _int_arg("seed", seed, 0))
     # random() is uniform(0, 1) bit for bit on the same stream, and fills faster.
     raw = rng.random(size=(horizon, vocab_size, vocab_size))
     raw /= raw.sum(axis=2, keepdims=True)
@@ -451,8 +455,8 @@ def random_markov_model(
 
 
 def random_model_pair(vocab_size: int, horizon: int, seed) -> ModelPair:
-    """Draft/target pair drawn from two child streams of one master seed."""
-    child_p, child_q = np.random.SeedSequence(seed).spawn(2)
+    """Draft/target pair drawn from two child streams of one master seed, an integer >= 0."""
+    child_p, child_q = np.random.SeedSequence(_int_arg("seed", seed, 0)).spawn(2)
     p = random_markov_model(vocab_size, horizon, rng=np.random.default_rng(child_p))
     q = random_markov_model(vocab_size, horizon, rng=np.random.default_rng(child_q))
     return ModelPair(p, q)
@@ -469,42 +473,35 @@ def model_to_descriptor(model: MarkovModel) -> dict:
 
 
 def _real_array(value, depth: int, what: str) -> np.ndarray:
-    """A config value nested ``depth`` lists deep around real numbers, as a float array.
+    """A config value of ``depth`` nested lists around real numbers, as a float array.
 
-    Raises ValueError naming ``what`` for anything else, bools and numeric
-    strings included, so config values are never coerced.
+    The lists are checked here and the numbers by ``dist._float_array``;
+    anything else, bools and numeric strings included, raises ValueError
+    naming ``what``, so config values are never coerced.
     """
 
     def check(item, level: int) -> None:
-        if level:
-            if not isinstance(item, list):
-                raise ValueError(f"{what} must be {depth}-deep nested lists of numbers")
+        if not isinstance(item, list):
+            raise ValueError(f"{what} must be {depth}-deep nested lists of numbers")
+        if level > 1:
             for entry in item:
                 check(entry, level - 1)
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ValueError(f"{what} must contain only numbers, got {item!r}")
 
     check(value, depth)
     try:
-        return np.asarray(value, dtype=np.float64)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{what} is not a regular array of floats: {exc}") from None
+        return _float_array(value)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
-def _require_int(desc: dict, key: str) -> int:
+def _descriptor_int(desc: dict, key: str, minimum: int) -> int:
+    """Descriptor field ``key`` as an integer >= ``minimum``; ValueError naming the field if not."""
+    if key not in desc:
+        raise ValueError(f"model descriptor is missing {key!r}")
     try:
-        return _as_int(desc[key])
-    except KeyError:
-        raise ValueError(f"model descriptor is missing {key!r}") from None
+        return _int_arg(f"model descriptor field {key!r}", desc[key], minimum)
     except TypeError:
         raise ValueError(f"model descriptor field {key!r} must be an integer") from None
-
-
-def _require_positive_int(desc: dict, key: str) -> int:
-    value = _require_int(desc, key)
-    if value < 1:
-        raise ValueError(f"model descriptor field {key!r} must be >= 1")
-    return value
 
 
 def _generator_form(desc: dict) -> bool:
@@ -522,10 +519,10 @@ def model_from_descriptor(desc: dict) -> MarkovModel:
     """Build a MarkovModel from an explicit or generator-form descriptor."""
     if not isinstance(desc, dict):
         raise ValueError("model descriptor must be a JSON object")
-    vocab_size = _require_positive_int(desc, "vocab_size")
-    horizon = _require_positive_int(desc, "horizon")
+    vocab_size = _descriptor_int(desc, "vocab_size", 1)
+    horizon = _descriptor_int(desc, "horizon", 1)
     if _generator_form(desc):
-        return random_markov_model(vocab_size, horizon, seed=_require_int(desc, "seed"))
+        return random_markov_model(vocab_size, horizon, seed=_descriptor_int(desc, "seed", 0))
     try:
         prompt = Dist(_real_array(desc["prompt"], 1, "model descriptor field 'prompt'"))
         tables = _real_array(desc["steps"], 3, "model descriptor field 'steps'")
@@ -549,9 +546,9 @@ def pair_from_descriptor(desc: dict) -> ModelPair:
         raise ValueError("pair descriptor must be a JSON object")
     if _generator_form(desc):
         return random_model_pair(
-            _require_positive_int(desc, "vocab_size"),
-            _require_positive_int(desc, "horizon"),
-            _require_int(desc, "seed"),
+            _descriptor_int(desc, "vocab_size", 1),
+            _descriptor_int(desc, "horizon", 1),
+            _descriptor_int(desc, "seed", 0),
         )
     if "p" not in desc or "q" not in desc:
         raise ValueError('pair descriptor requires "p" and "q" models')

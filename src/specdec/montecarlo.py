@@ -30,7 +30,7 @@ from .decoding import (
     autoregressive_decode,
     decode_markov_runs,
 )
-from .dist import _int_arg
+from .dist import _int_arg, _real_arg
 from .enumeration import enumerate_expected_rejections
 from .exact import expected_rejections_batch, expected_rejections_sd, limit_rejections
 from .models import FULL_TABLE_CAP, ModelPair, _is_markov_pair, joint_distribution
@@ -199,8 +199,9 @@ def unbiasedness_check(
 
     Tabulates all V**T sequences (capped at TABULATION_CAP) over ``runs``
     decoding runs and passes iff the L1 distance to the target joint law is
-    at most ``l1_threshold``.
+    at most ``l1_threshold``, a finite real >= 0.
     """
+    l1_threshold = _real_arg("l1_threshold", l1_threshold, 0.0)
     size = pair.vocab_size**pair.horizon
     if size > TABULATION_CAP:
         raise ValueError(f"V**T = {size} exceeds the tabulation cap {TABULATION_CAP}")

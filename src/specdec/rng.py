@@ -77,8 +77,22 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def split_rng(master_seed, index: int) -> np.random.Generator:
-    """Independent child stream number ``index`` of ``master_seed``."""
+def _indices(names: str, *values) -> list[int]:
+    """``values`` as ints >= 0 by numpy's index rule, which refuses floats, 2.0 included.
+
+    TypeError for a bool or a non-integer, ValueError naming ``names`` if one is negative.
+    """
+    if any(isinstance(value, bool) for value in values):
+        raise TypeError(f"{names}: a bool is not an integer")
+    values = [operator.index(value) for value in values]
+    if min(values) < 0:
+        raise ValueError(f"{names} must be >= 0")
+    return values
+
+
+def split_rng(master_seed: int, index: int) -> np.random.Generator:
+    """Independent child stream number ``index`` of ``master_seed``, both integers >= 0."""
+    master_seed, index = _indices("master_seed and index", master_seed, index)
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
@@ -100,17 +114,38 @@ def _word_count(value: int) -> int:
     return max(1, -(-value.bit_length() // 32))
 
 
-def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    """SeedSequence's hashmix on one Python int word: (hashed word, next hash constant)."""
-    value ^= hash_const
-    hash_const = (hash_const * MULT_A) & MASK32
+def _hashmix(value, hash_const: int, mult: int = MULT_A):
+    """SeedSequence's hashmix: (hashed word, next hash constant).
+
+    ``value`` is a Python int word or a uint32 array of words, and the hash
+    constant always a Python int. Masking keeps a Python int to 32 bits and
+    changes nothing in a uint32 array, whose arithmetic wraps; under NEP 50
+    the Python-int constants stay uint32 against an array.
+    """
+    value = value ^ hash_const
+    hash_const = (hash_const * mult) & MASK32
     value = (value * hash_const) & MASK32
     return value ^ (value >> 16), hash_const
 
 
-def _mix(x: int, y: int) -> int:
+def _mix(x, y):
+    """SeedSequence's mix of two words, Python ints or uint32 arrays as in ``_hashmix``."""
     result = (MIX_MULT_L * x - MIX_MULT_R * y) & MASK32
     return result ^ (result >> 16)
+
+
+def _mix_in(pool: list, words, hash_const: int) -> int:
+    """Mix every word of ``words`` into every pool word in place; returns the hash constant.
+
+    The words are the seed's words past POOL_SIZE (Python ints) or spawn-key
+    columns (uint32 arrays). A Python int times a uint32 array overflows, so
+    a pool that meets columns must hold uint32 arrays.
+    """
+    for word in words:
+        for dst in range(POOL_SIZE):
+            hashed, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], hashed)
+    return hash_const
 
 
 def _seed_pool(seed_words: list[int]) -> tuple[list[int], int]:
@@ -129,10 +164,7 @@ def _seed_pool(seed_words: list[int]) -> tuple[list[int], int]:
             if src != dst:
                 word, hash_const = _hashmix(pool[src], hash_const)
                 pool[dst] = _mix(pool[dst], word)
-    for word in seed_words[POOL_SIZE:]:
-        for dst in range(POOL_SIZE):
-            hashed, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], hashed)
+    hash_const = _mix_in(pool, seed_words[POOL_SIZE:], hash_const)
     return pool, hash_const
 
 
@@ -142,26 +174,15 @@ def _pcg64_seeds(seed_pool: tuple[list[int], int], keys: np.ndarray) -> np.ndarr
     ``seed_pool`` is ``_seed_pool`` of the seed's words and ``keys`` a
     (count, L) uint32 array of spawn-key words. Only the key words and the
     output words are hashed over columns; the seed's pool words are length-1
-    columns that broadcast against them.
+    uint32 columns that broadcast against them.
     """
     words, hash_const = seed_pool
     pool = [np.array([word], dtype=np.uint32) for word in words]
-    for column in keys.T:
-        for dst in range(POOL_SIZE):
-            value = column ^ np.uint32(hash_const)
-            hash_const = (hash_const * MULT_A) & MASK32
-            value = value * np.uint32(hash_const)
-            value ^= value >> np.uint32(16)
-            mixed = np.uint32(MIX_MULT_L) * pool[dst] - np.uint32(MIX_MULT_R) * value
-            pool[dst] = mixed ^ (mixed >> np.uint32(16))
-
+    _mix_in(pool, keys.T, hash_const)
     hash_const = INIT_B
     state = np.empty((keys.shape[0], 2 * POOL_SIZE), dtype="<u4")
     for i in range(2 * POOL_SIZE):
-        value = pool[i % POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * MULT_B) & MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> np.uint32(16))
+        state[:, i], hash_const = _hashmix(pool[i % POOL_SIZE], hash_const, MULT_B)
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
@@ -170,9 +191,7 @@ def _split_seed_words(master_seed: int, start: int, count: int) -> np.ndarray:
 
     ``master_seed``, ``start`` and ``count`` are nonnegative integers.
     """
-    master_seed, start, count = (operator.index(v) for v in (master_seed, start, count))
-    if master_seed < 0 or start < 0 or count < 0:
-        raise ValueError("master_seed, start and count must be >= 0")
+    master_seed, start, count = _indices("master_seed, start and count", master_seed, start, count)
     seed_words = [(master_seed >> (32 * j)) & MASK32 for j in range(_word_count(master_seed))]
     seed_pool = _seed_pool(seed_words + [0] * (POOL_SIZE - len(seed_words)))
     out = np.empty((count, 4), dtype=np.uint64)
@@ -243,9 +262,7 @@ def split_uniforms(master_seed: int, start: int, count: int, width: int) -> np.n
     Bit for bit, by numpy's PCG64 arithmetic run over the whole block (see
     the module docstring). The arguments are nonnegative integers.
     """
-    width = operator.index(width)
-    if width < 0:
-        raise ValueError("width must be >= 0")
+    (width,) = _indices("width", width)
     hi, lo, inc_hi, inc_lo = _seeded_states(_split_seed_words(master_seed, start, count))
     out = np.empty((len(hi), width))
     for column in out.T:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Dist, _float_array, _residual_rows, _tv_arrays, _vector_pair
+from .dist import Dist, _float_array, _real_arg, _residual_rows, _tv_arrays, _vector_pair
 
 DEGENERATE_TOL = 1e-15
 MEMBERSHIP_TOL = 1e-9
@@ -62,9 +62,12 @@ def _validate_acceptance(b, size: int) -> np.ndarray:
 
 
 def epsilon_acceptance(p, q, eps: float) -> np.ndarray:
-    """Over-acceptance rule b(x) = min{1, (q(x) + eps) / p(x)}, b = 1 off p's support."""
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    """Over-acceptance rule b(x) = min{1, (q(x) + eps) / p(x)}, b = 1 off p's support.
+
+    ``eps`` is a finite real >= 0: TypeError for a bool or a non-real,
+    ValueError otherwise.
+    """
+    eps = _real_arg("eps", eps, 0.0)
     pv, qv = _float_array(p), _float_array(q)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(pv > 0.0, (qv + eps) / pv, np.inf)
@@ -111,17 +114,17 @@ def optimal_residual(b, p, q) -> ResidualCharacterization:
     )
 
 
-def is_optimal_residual(candidate, b, p, q, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether a distribution attains loss*(b), via the A-coefficient test."""
+def is_optimal_residual(candidate, b, p, q) -> bool:
+    """Whether a distribution attains loss*(b): the A-coefficient test, within MEMBERSHIP_TOL."""
     char = optimal_residual(b, p, q)
     rv = _float_array(candidate)
     if rv.shape != char.coefficients.shape:
         raise ValueError("residual length does not match the vocabulary")
-    if np.any(rv < -tol) or abs(float(rv.sum()) - 1.0) > max(tol, 1e-9):
+    if np.any(rv < -MEMBERSHIP_TOL) or abs(float(rv.sum()) - 1.0) > MEMBERSHIP_TOL:
         return False
-    if any(rv[x] > tol for x in char.minus_set):
+    if any(rv[x] > MEMBERSHIP_TOL for x in char.minus_set):
         return False
-    return all(rv[x] <= char.coefficients[x] + tol for x in char.plus_set)
+    return all(rv[x] <= char.coefficients[x] + MEMBERSHIP_TOL for x in char.plus_set)
 
 
 def induced_output_distribution(b, residual, p) -> Dist:
@@ -138,12 +141,13 @@ def pareto_front(p, q, eps_grid) -> list[ParetoPoint]:
     """Rejection/bias curve of the over-acceptance family along an eps grid.
 
     Each point satisfies reject_prob + loss_star = tv(p, q) exactly; eps = 0
-    gives (tv, 0) and saturating eps gives (0, tv).
+    gives (tv, 0) and saturating eps gives (0, tv). Each eps is checked by
+    :func:`epsilon_acceptance` before it is read.
     """
     pv, qv = _float_array(p), _float_array(q)
     points = []
     for eps in eps_grid:
-        b = epsilon_acceptance(pv, qv, float(eps))
+        b = epsilon_acceptance(pv, qv, eps)
         points.append(
             ParetoPoint(
                 epsilon=float(eps),

@@ -242,7 +242,8 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "grid",
-        [[float("nan")], [0.1, float("inf")], [True, "0.5"], [0.5, "0.5"], [False], [10**400]],
+        [[float("nan")], [0.1, float("inf")], [True, "0.5"], [0.5, "0.5"], [False], [10**400],
+         [0.5, -0.25]],
     )
     def test_pareto_eps_grid_must_be_finite_numbers(self, tmp_path, capsys, grid):
         path = tmp_path / "cfg.json"

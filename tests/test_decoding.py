@@ -553,6 +553,11 @@ class TestLockstepEngine:
             decode_markov_runs(pair, 1, 0, -1, 4)
         with pytest.raises(TypeError):
             decode_markov_runs(pair, True, 0, 0, 4)
+        for name, args in (("seed", (-1, 0, 4)), ("start", (0, -1, 4)), ("count", (0, 0, -1))):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+                decode_markov_runs(pair, 1, *args)
+        with pytest.raises(TypeError, match="^seed True is not an integer$"):
+            decode_markov_runs(pair, 1, True, 0, 4)
 
 
 def history_policy(pair) -> Policy:

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdec import CondDist, Dist, ZeroResidual, rejection_iterate, residual_plus, tv_distance
+from specdec import (
+    CondDist,
+    Dist,
+    Policy,
+    ZeroResidual,
+    rejection_iterate,
+    rejection_probability,
+    residual_plus,
+    tv_distance,
+)
 from specdec.dist import _normalized_rows, _residual_rows
 
 # Ground truth evaluated by hand:
@@ -55,6 +64,13 @@ class TestDist:
     def test_from_weights_rejects_zero_mass(self):
         with pytest.raises(ValueError, match="zero total mass"):
             Dist.from_weights([0.0, 0.0])
+
+    @pytest.mark.parametrize("weights", [[np.inf, 0.5], [np.nan, 0.5], [np.inf, -np.inf],
+                                         [1e308, 1e308]])
+    def test_from_weights_rejects_a_non_finite_total(self, weights):
+        # inf / inf once surfaced as a RuntimeWarning from the division.
+        with pytest.raises(ValueError, match="not a finite total"):
+            Dist.from_weights(weights)
 
     def test_uniform_point_support(self):
         assert Dist.uniform(4)[2] == 0.25
@@ -129,9 +145,10 @@ class TestNoCoercion:
         assert tv_distance([1, 0], [0.5, 0.5]) == 0.5
         assert residual_plus([0, 1], Dist([0.5, 0.5])) == Dist([0.0, 1.0])
 
-    def test_mixed_bool_and_float_lists_become_floats(self):
-        # numpy gives [True, 0.5] a float dtype, so the bool reads as 1.0.
-        assert Dist.from_weights([True, 0.5, 0.5]) == Dist([0.5, 0.25, 0.25])
+    def test_mixed_bool_and_float_lists_are_refused(self):
+        # numpy gives [True, 0.5] a float dtype, which would read the bool as 1.0.
+        with pytest.raises(ValueError, match="real numbers"):
+            Dist.from_weights([True, 0.5, 0.5])
 
 
 class TestTvDistance:
@@ -320,3 +337,23 @@ class TestOneRowRule:
         same = arr.copy()
         assert _normalized_rows(same, out=same) is same
         assert same.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("true", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_a_bool_anywhere_in_nested_lists_is_refused(self, true):
+        # numpy gives these lists an integer or float dtype, which would read the bool as 1.
+        uniform = [[0.5, 0.5], [0.5, 0.5]]
+        calls = [
+            lambda: Dist([true, 0.0]),
+            lambda: Dist((0.0, true)),
+            lambda: Dist.from_weights([true, 2]),
+            lambda: CondDist([[0.5, 0.5], [true, 0]]),
+            lambda: CondDist([[0.5, 0.5], np.array([True, False])]),
+            lambda: Policy.from_tables([[[true, 1.0], [1.0, 1.0]]], [uniform]),
+            lambda: Policy.from_tables([uniform], [[[true, 0.0], [0.5, 0.5]]]),
+            lambda: tv_distance([true, 0.0], [0.5, 0.5]),
+            lambda: tv_distance([0.5, 0.5], [[true, 0.0]]),
+            lambda: rejection_probability([true, 0.5], [0.5, 0.5]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="real numbers"):
+                call()

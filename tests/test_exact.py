@@ -163,7 +163,11 @@ class TestScalarArguments:
             lambda: batch_improvement_bernoulli(0.9, value, 2),
         ]
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, np.float64("nan"),
+         pytest.param(10**400, id="int-too-large"), pytest.param(-(10**400), id="-int-too-large")],
+    )
     def test_non_finite_values_are_refused(self, value):
         for call in self.calls(value):
             with pytest.raises(ValueError, match="must be finite"):

@@ -456,6 +456,20 @@ class TestUnreachedBranches:
         with pytest.raises(ValueError, match=message):
             FullModel(Dist.uniform(2), horizon, table)
 
+    def test_full_model_horizon_is_an_integer(self):
+        # A bool horizon was kept as True, and 1.0 failed inside range().
+        table = {(0,): [0.5, 0.5], (1,): [0.5, 0.5]}
+        prompt = Dist.uniform(2)
+        for horizon in (True, 1.5, "1"):
+            with pytest.raises(TypeError, match="horizon"):
+                FullModel(prompt, horizon, table)
+            with pytest.raises(TypeError, match="horizon"):
+                FullModel.from_function(prompt, horizon, lambda n, h: [0.5, 0.5])
+        for model in (FullModel(prompt, 1.0, table),
+                      FullModel.from_function(prompt, 1.0, lambda n, h: [0.5, 0.5])):
+            assert type(model.horizon) is int and model.horizon == 1
+            np.testing.assert_array_equal(joint_distribution(model), [0.5, 0.5])
+
 
 class TestOneTokenRule:
     """Tokens are integers in 0..V-1 wherever a model or a trajectory takes them."""

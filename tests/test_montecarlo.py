@@ -124,6 +124,12 @@ class TestStrictInputs:
             unbiasedness_check(pair, "sd", runs=10, seed=-1)
         with pytest.raises(TypeError, match="batch_size"):
             unbiasedness_check(pair, "batch", runs=10, batch_size=True)
+        with pytest.raises(TypeError, match="l1_threshold"):
+            unbiasedness_check(pair, "sd", runs=10, l1_threshold=True)
+        with pytest.raises(ValueError, match="l1_threshold"):
+            unbiasedness_check(pair, "sd", runs=10, l1_threshold=float("nan"))
+        with pytest.raises(ValueError, match="l1_threshold"):
+            unbiasedness_check(pair, "sd", runs=10, l1_threshold=-0.1)
 
 
 class TestDispatch:

@@ -48,6 +48,10 @@ def test_input_validation():
         split_rngs(0, 0, -1)
     with pytest.raises(TypeError):
         split_rngs(0, 1.5, 3)
+    for call in (lambda: split_rng(True, 0), lambda: split_rng(0, True),
+                 lambda: split_rngs(True, 0, 2), lambda: split_rngs(0, 0, True)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_split_uniforms_input_validation():
@@ -56,7 +60,8 @@ def test_split_uniforms_input_validation():
             split_uniforms(*args)
     with pytest.raises(ValueError, match="width must be >= 0"):
         split_uniforms(0, 0, 3, -1)
-    for args in [(0, 1.5, 3, 2), (2.0, 0, 3, 2), (0, 0, 3.0, 2), (0, 0, 3, 2.5)]:
+    for args in [(0, 1.5, 3, 2), (2.0, 0, 3, 2), (0, 0, 3.0, 2), (0, 0, 3, 2.5),
+                 (0, 0, 2, True), (True, 0, 2, 2), (0, False, 2, 2)]:
         with pytest.raises(TypeError):
             split_uniforms(*args)
 

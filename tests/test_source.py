@@ -91,6 +91,27 @@ def test_one_row_check():
     assert found.count("models.py") == 1
 
 
+def test_one_value_rule():
+    # "This is an integer, a real, an array of reals" is decided in dist.py.
+    # decoding.py keeps its policy-callback check, which raises InvalidPolicy,
+    # and rng.py numpy's index rule, which also refuses bools there.
+    numbers_importers = {
+        str(path) for path, node in source_nodes() if "numbers" in _imported_modules(node)
+    }
+    assert numbers_importers == {"dist.py", "decoding.py"}
+    bool_tests = {
+        str(path)
+        for path, node in source_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and any(isinstance(kind, ast.Name) and kind.id == "bool"
+                for kind in ast.walk(node.args[1]))
+    }
+    assert bool_tests == {"dist.py", "rng.py", "decoding.py"}
+
+
 def test_one_sd_record():
     # A Markov pair's SD record lives in a ModelPair slot that exact.py alone
     # reads and writes; models.py only declares the slot.

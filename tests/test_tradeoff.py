@@ -6,6 +6,7 @@ loss* = 0.1, and tv(p, q) = 0.3 splits as 0.2 + 0.1 on the Pareto line.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -88,6 +89,24 @@ class TestEpsilonAcceptance:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
             epsilon_acceptance(P_HAND, Q_HAND, -0.1)
+
+    @pytest.mark.parametrize(
+        "eps, error",
+        [(True, TypeError), (False, TypeError), ("0.5", TypeError), (None, TypeError),
+         (math.nan, ValueError), (math.inf, ValueError),
+         pytest.param(10**400, ValueError, id="int-too-large")],
+    )
+    def test_eps_is_a_finite_real(self, eps, error):
+        # True once acted as eps 1 and nan gave nan acceptances.
+        pair = random_model_pair(2, 2, seed=0)
+        calls = [
+            lambda: epsilon_acceptance(P_HAND, Q_HAND, eps),
+            lambda: over_acceptance_policy(pair, eps),
+            lambda: pareto_front(P_HAND, Q_HAND, [0.1, eps]),
+        ]
+        for call in calls:
+            with pytest.raises(error, match="eps"):
+                call()
 
 
 class TestLossStar:
@@ -185,6 +204,7 @@ NOT_REAL = {
     "str": ["0.5", "0.5"],
     "object": np.array([0.5, 0.5], dtype=object),
     "complex": [0.5 + 0j, 0.5],
+    "mixed-bool": [True, 0.5],
 }
 
 
