@@ -15,15 +15,20 @@ zero-residual rule: a row whose weights max(q - p, 0) sum to zero (however
 small a positive sum is, it is not zero) has no residual, and the kernel
 returns it as a row of zeros with normalizer 0.
 
-Values have one rule too. Next to the row rule, ``_normalized_rows``, which
-decides "this row is a distribution", the value rule below decides "this is
-an integer, a real, an array of reals", and every module asks it rather than
-deciding for itself:
+Values have one rule too. Next to the row rule, ``_row_totals``, which
+decides "this row is a distribution" (``_normalized_rows`` applies it and
+then divides), the value rule below decides "this is an integer, a real, an
+array of reals", and every module asks it rather than deciding for itself:
 
 * ``_float_array``: an array of reals is a Dist, an ndarray of integer or
   float dtype, or nested lists and tuples of real numbers. A bool anywhere,
   a string, None or a complex number is refused with ValueError; it is
   never coerced, so ``[True, 0.0]`` is not a distribution.
+* ``_dist_vector``: a distribution vector is an array of reals that is
+  nonempty, 1-D and passes the row rule. The single-token functions
+  (``tv_distance``, the residuals, the tradeoff curve) read their p and q
+  through it, undivided, so a valid vector keeps its exact values and a
+  NaN, a negative entry or a vector off total 1 is a ValueError.
 * ``_as_int`` and ``_int_arg``: an integer is an int, a numpy integer or an
   integral float such as 4.0 (JSON writers emit them), never a bool; TypeError
   otherwise, and ValueError below a given minimum.
@@ -128,18 +133,17 @@ def _token(token, vocab_size: int) -> int:
     return token
 
 
-def _normalized_rows(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Every row of the float64 ``arr`` along its last axis, checked and divided by its total.
+def _row_totals(arr: np.ndarray) -> np.ndarray:
+    """The totals of every row of the float64 ``arr`` along its last axis, each row checked.
 
     The package's one rule for "this row is a distribution", used by Dist,
-    CondDist, chain step stacks and policy residual rows: its entries are
-    finite and nonnegative and sum to 1 within NORMALIZE_TOL. Rows are checked
-    in C order, and the first bad row raises ValueError for its first failing
-    check: a non-finite entry, then a negative entry, then a total off 1. A
-    total within NORMALIZE_TOL of 1 is finite only if every entry is, so the
-    totals and one sign test over the whole array pass a valid ``arr``. Each
-    row is divided by its own total, so a row is stored bit for bit as if it
-    were normalised alone; ``out=arr`` normalises in place.
+    CondDist, chain step stacks, policy residual rows and the vectors the
+    single-token functions read: its entries are finite and nonnegative and
+    sum to 1 within NORMALIZE_TOL. Rows are checked in C order, and the first
+    bad row raises ValueError for its first failing check: a non-finite entry,
+    then a negative entry, then a total off 1. A total within NORMALIZE_TOL of
+    1 is finite only if every entry is, so the totals and one sign test over
+    the whole array pass a valid ``arr``.
     """
     with np.errstate(all="ignore"):
         totals = arr.sum(axis=-1)
@@ -153,7 +157,31 @@ def _normalized_rows(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
             raise ValueError("distribution entries must be nonnegative")
         total = float(totals.reshape(-1)[first])
         raise ValueError(f"distribution sums to {total!r}, outside tolerance {NORMALIZE_TOL}")
-    return np.divide(arr, totals[..., None], out=out)
+    return totals
+
+
+def _normalized_rows(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Every row of the float64 ``arr``, checked by ``_row_totals`` and divided by its total.
+
+    Each row is divided by its own total, so a row is stored bit for bit as
+    if it were normalised alone; ``out=arr`` normalises in place.
+    """
+    return np.divide(arr, _row_totals(arr)[..., None], out=out)
+
+
+def _dist_vector(values, normalize: bool = False) -> np.ndarray:
+    """``values`` as a distribution vector: ``_float_array``, nonempty and 1-D, the row rule.
+
+    The vector is divided by its total only when ``normalize``, so by default
+    a valid vector keeps its exact values.
+    """
+    arr = _float_array(values)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("a distribution must be a nonempty 1-D vector")
+    if normalize:
+        return _normalized_rows(arr)
+    _row_totals(arr)
+    return arr
 
 
 class Dist:
@@ -167,10 +195,7 @@ class Dist:
     __slots__ = ("_probs",)
 
     def __init__(self, probs) -> None:
-        arr = _float_array(probs)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("a distribution must be a nonempty 1-D vector")
-        arr = _normalized_rows(arr)
+        arr = _dist_vector(probs, normalize=True)
         arr.flags.writeable = False
         self._probs = arr
 
@@ -260,8 +285,8 @@ def _residual_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _vector_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Two Dists or real vectors as float64 arrays of one shape; ValueError otherwise."""
-    av, bv = _float_array(a), _float_array(b)
+    """Two distribution vectors of one length, each read by ``_dist_vector``; ValueError otherwise."""
+    av, bv = _dist_vector(a), _dist_vector(b)
     if av.shape != bv.shape:
         raise ValueError(f"length mismatch: {av.shape} vs {bv.shape}")
     return av, bv
@@ -270,7 +295,9 @@ def _vector_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 def tv_distance(a, b) -> float:
     """Total variation distance (1/2) sum_x |a(x) - b(x)|.
 
-    Accepts Dist objects or raw vectors of equal length.
+    Accepts Dist objects or vectors of equal length that pass the row rule,
+    read as they are: finite, nonnegative entries summing to 1 within
+    NORMALIZE_TOL (ValueError otherwise).
     """
     return _tv_arrays(*_vector_pair(a, b))
 

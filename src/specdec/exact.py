@@ -43,24 +43,32 @@ a history-level recursion over explicit prefixes (any model) and an O(T V^2)
 state-marginalized recursion that works on all V states at once (Markov
 chains). Tests require them to agree.
 
-Position blocks and the SD record. On a Markov pair the recursions read the
-models' (T, V, V) row stacks in blocks of B = max(1, BLOCK_FLOATS // V^2)
-positions. A block's tv, root iterates and (q - p)_+ are computed at once as
+Position blocks and the closed-form record. On a Markov pair the recursions
+read the models' (T, V, V) row stacks in blocks of
+B = max(1, BLOCK_FLOATS // V^2) positions. A block's tv, root iterates and (q - p)_+ are computed at once as
 (B, V, V) arrays; only the mat-vec that carries g from one position to the
 next runs position by position, and mu is read from the target's
 ``marginals``. Every closed form contains the same SD part: the (T, V) tv
 table and SD's total sum_n E_q[tv]. The first walk on a pair computes it,
-fused into that walk, and keeps it on the pair as its SD record. After that,
+fused into that walk, and keeps it on the pair as its record. After that,
 SD and its per-position terms make no walk, and a batch or limit walk
-computes only (q - p)_+, the root iterates and g. Every term is the value the
-position-by-position recursion computes, and ``math.fsum`` is exact, so the
-results depend neither on B nor on which closed form a pair meets first.
+computes only (q - p)_+, the root iterates and g. The record also keeps the
+deepest root level a batch walk has reached, (K, S_K, P_K) as two (T, V)
+tables. A walk at M >= K resumes the S/P recursion there and stores M's
+level; a walk at M < K starts at m = 1 and leaves the record alone. So a
+scan over batch sizes costs max M - 1 root iterations per position in all,
+and a repeated M forms only its tail W_{M+1}. Every term is the value the
+position-by-position recursion computes, from the same float operations in
+the same order, and ``math.fsum`` is exact, so the results depend neither on
+B nor on the order in which a pair meets its closed forms. The history-level
+recursion, the samplers and the oracle never read the record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,23 +87,46 @@ class BatchRejections:
     improvement: float
 
 
+class _Record(NamedTuple):
+    """A Markov pair's closed-form record, kept in its ``_sd_record`` slot.
+
+    ``tv`` is the read-only (T, V) tv table and ``total`` SD's E[rejections].
+    ``depth`` is K, the deepest root level a batch walk has reached, and
+    ``level`` and ``prod`` are the read-only (T, V) tables S_K and P_K; at
+    K = 1 they are None, since S_1 = 1 and P_1 = tv.
+    """
+
+    tv: np.ndarray
+    total: float
+    depth: int = 1
+    level: np.ndarray | None = None
+    prod: np.ndarray | None = None
+
+
 def _markov_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = False):
     """The (T, V) batch gain table of a Markov pair when ``gain``, else None.
 
     Row n - 1 of the gain table is g_n(s) * (tv - P_M) over states s, with
     tv = tv(p_n(.|s), q_n(.|s)) and g_n as in ``_sd_and_gain``. The first walk
-    on a pair also fills its SD record: the read-only (T, V) tv table and SD's
-    total, the fsum of mu_{n-1}(s) * tv, mu_{n-1} the target's law of x_{n-1}.
-    Later walks read tv from the record. Positions are walked in blocks of
-    about BLOCK_FLOATS floats per (B, V, V) array: tv, the root iterates and
-    (q - p)_+ of a block are computed at once, and only the g mat-vecs run
-    position by position.
+    on a pair also fills its record: the tv table and SD's total, the fsum of
+    mu_{n-1}(s) * tv, mu_{n-1} the target's law of x_{n-1}. Later walks read
+    tv from the record. A batch walk at M >= K resumes the root recursion at
+    the record's depth K, and at M > K stores S_M and P_M as its new deepest
+    level. Positions are walked in blocks of about BLOCK_FLOATS floats per
+    (B, V, V) array: tv, the root iterates and (q - p)_+ of a block are
+    computed at once, and only the g mat-vecs run position by position.
     """
     p_rows, q_rows = pair.p.step_rows, pair.q.step_rows
     horizon, v = q_rows.shape[:2]
     mu = pair.q.marginals
     record = getattr(pair, "_sd_record", None)
-    tv = np.empty((horizon, v)) if record is None else record[0]
+    tv = np.empty((horizon, v)) if record is None else record.tv
+    depth = 1 if record is None else record.depth
+    finite = gain and batch_size is not None
+    resume = finite and batch_size >= depth > 1
+    deeper = finite and batch_size > depth
+    levels = np.empty((horizon, v)) if deeper else None
+    prods = np.empty((horizon, v)) if deeper else None
     g = np.empty((horizon, v)) if gain else None
     drop = np.empty((horizon, v)) if gain else None
     g_n = pair.q.prompt.probs
@@ -108,19 +139,28 @@ def _markov_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = Fals
         if gain:
             plus = q - p
             np.maximum(plus, 0.0, out=plus)
-            prod, tail = _root_iterates(q, p, tv[block], batch_size, plus)
+            if resume:
+                prod, tail, level = _root_iterates(
+                    q, p, record.prod[block], batch_size, level=record.level[block], depth=depth)
+            else:
+                prod, tail, level = _root_iterates(q, p, tv[block], batch_size, plus)
+            if deeper:
+                levels[block], prods[block] = level, prod
             drop[block] = tv[block] - prod
             for k in range(len(q)):
                 g[start + k] = g_n
                 g_n = (mu[start + k] - g_n) @ plus[k] + g_n @ tail[k]
     if record is None:
         tv.flags.writeable = False
-        pair._sd_record = (tv, _fsum(mu[:-1] * tv))
+        record = pair._sd_record = _Record(tv, _fsum(mu[:-1] * tv))
+    if deeper:
+        levels.flags.writeable = prods.flags.writeable = False
+        pair._sd_record = record._replace(depth=batch_size, level=levels, prod=prods)
     return g * drop if gain else None
 
 
-def _sd_part(pair: ModelPair) -> tuple[np.ndarray, float]:
-    """(tv table, SD's total) of a Markov pair, walked for only if the pair has no record yet."""
+def _sd_part(pair: ModelPair) -> _Record:
+    """The record of a Markov pair, walked for only if the pair has none yet."""
     if getattr(pair, "_sd_record", None) is None:
         _markov_terms(pair)
     return pair._sd_record
@@ -139,7 +179,7 @@ def _pair_arg(pair) -> ModelPair:
 def expected_rejections_sd(pair: ModelPair) -> float:
     """Exact E[rejections] of speculative decoding: sum_n E_q[tv(p_n, q_n)]."""
     if _is_markov_pair(_pair_arg(pair)):
-        return _sd_part(pair)[1]
+        return _sd_part(pair).total
     return _fsum(_history_terms(pair)[0])
 
 
@@ -156,24 +196,31 @@ def acceleration_rate(expected_rejections: float, horizon: int) -> float:
     return horizon / expected_rejections
 
 
-def _root_iterates(q, p, tv, batch_size: int | None, plus=None):
-    """(P_M, W_{M+1}) over the last axis of q and p, for one row or a block of rows.
+def _root_iterates(q, p, prod, batch_size: int | None, tail=None, level=1.0, depth: int = 1):
+    """(P_M, W_{M+1}, S_M) over the last axis of q and p, for one row or a block of rows.
 
-    ``tv`` is tv(q, p) per row and becomes P_1 unchanged; ``plus``, when the
-    caller has it, is (q - p)_+ and becomes W_2 unchanged. batch_size None
-    gives the M -> inf limit (q(p = 0), q restricted to {p = 0}).
+    The recursion starts at root level K = ``depth`` <= M from S_K = ``level``
+    and P_K = ``prod``: by default at K = 1, where S_1 = 1 and ``prod`` is
+    tv(q, p), returned unchanged at M = 1. ``tail``, when the caller has it,
+    is W_{K+1}; otherwise it is formed. batch_size None gives the M -> inf
+    limit (q(p = 0), q restricted to {p = 0}, None).
     """
     if batch_size is None:
         tail = np.where(p == 0.0, q, 0.0)
-        return tail.sum(axis=-1), tail
-    prod, level = tv, 1.0
-    tail = np.maximum(q - p, 0.0) if plus is None else plus
-    for _ in range(batch_size - 1):
+        return tail.sum(axis=-1), tail, None
+    for _ in range(batch_size - depth):
         level = level + prod
-        tail = np.expand_dims(level, -1) * p
-        np.maximum(np.subtract(q, tail, out=tail), 0.0, out=tail)
+        tail = _level_tail(q, p, level)
         prod = tail.sum(axis=-1)
-    return prod, tail
+    if tail is None:
+        tail = _level_tail(q, p, level)
+    return prod, tail, level
+
+
+def _level_tail(q, p, level):
+    """W = (q - S p)_+ at root level S: a scalar, or one value per row of q and p."""
+    tail = np.asarray(level)[..., None] * p
+    return np.maximum(np.subtract(q, tail, out=tail), 0.0, out=tail)
 
 
 def _history_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = False):
@@ -198,7 +245,7 @@ def _history_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = Fal
             sd_terms.append(qh * tv)
             if gain:
                 fh = f_mass[history]
-                prod, tail = _root_iterates(q_row, p_row, tv, batch_size)
+                prod, tail, _ = _root_iterates(q_row, p_row, tv, batch_size)
                 gain_terms.append(fh * (tv - float(prod)))
                 f_row = np.maximum(q_row - p_row, 0.0) * (qh - fh) + fh * tail
             for token in range(v):
@@ -214,16 +261,16 @@ def _sd_and_gain(pair: ModelPair, batch_size: int | None) -> tuple[float, float]
     """(SD's E[rejections], the batch improvement) at M = batch_size (None: the limit).
 
     A Markov pair's improvement is the marginalized recursion over all V
-    states at once, and its SD value is its record, filled by that walk if it
-    was the pair's first. g(s) is the probability that position n is a round
-    root and x_{n-1} = s. A root contributes
-    tv - P_M; the next position is a root after a rejection within a round,
-    (mu - g) @ (q - p)_+, or after a root fails all M responses, g @ W_{M+1}.
-    Other pairs take the history-level recursion.
+    states at once, and its SD value is its record's total, filled by that
+    walk if it was the pair's first. g(s) is the probability that position n
+    is a round root and x_{n-1} = s. A root contributes tv - P_M; the next
+    position is a root after a rejection within a round, (mu - g) @ (q - p)_+,
+    or after a root fails all M responses, g @ W_{M+1}. Other pairs take the
+    history-level recursion.
     """
     if _is_markov_pair(_pair_arg(pair)):
         gain = _markov_terms(pair, batch_size, gain=True)
-        return _sd_part(pair)[1], _fsum(gain)
+        return _sd_part(pair).total, _fsum(gain)
     sd, gain = _history_terms(pair, batch_size, gain=True)
     return _fsum(sd), _fsum(gain)
 
@@ -276,5 +323,5 @@ def sd_marginal_terms(pair: ModelPair) -> list[float]:
     """Per-position speculative rejection probabilities E_q[tv(p_n, q_n)] (Markov)."""
     if not _is_markov_pair(_pair_arg(pair)):
         raise TypeError("sd_marginal_terms requires a Markov pair")
-    tv, _ = _sd_part(pair)
+    tv = _sd_part(pair).tv
     return [math.fsum(terms) for terms in (pair.q.marginals[:-1] * tv).tolist()]

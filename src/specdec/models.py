@@ -323,7 +323,9 @@ class ModelPair:
 
     Decoding draws a single x_0 that conditions both models, so the prompts
     must agree (within the Dist normalization tolerance). The last slot holds
-    a Markov pair's SD record once ``exact`` has walked it; nothing else reads it.
+    a Markov pair's closed-form record once ``exact`` has walked it: the tv
+    table, SD's total and the deepest root level a batch walk has reached.
+    Nothing else reads it.
     """
 
     __slots__ = ("_p", "_q", "_sd_record")

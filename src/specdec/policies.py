@@ -28,9 +28,9 @@ import itertools
 import numpy as np
 
 from .decoding import Policy
-from .dist import _residual_rows
+from .dist import _real_arg, _residual_rows
 from .models import ModelPair, _is_markov_pair
-from .tradeoff import DEGENERATE_TOL, epsilon_acceptance
+from .tradeoff import DEGENERATE_TOL, _over_acceptance
 
 
 def _rows_policy(pair: ModelPair, rule) -> Policy:
@@ -82,9 +82,10 @@ def over_acceptance_policy(pair: ModelPair, eps: float, residual_kind: str = "op
     """
     if residual_kind not in ("opt", "uno"):
         raise ValueError("residual_kind must be 'opt' or 'uno'")
+    eps = _real_arg("eps", eps, 0.0)
 
     def rule(p, q):
-        acceptance = epsilon_acceptance(p, q, eps)
+        acceptance = _over_acceptance(p, q, eps)
         if residual_kind == "uno":
             return acceptance, q
         return acceptance, _rejectable_or_q(_residual_rows(q, acceptance * p)[0], q, acceptance, p)

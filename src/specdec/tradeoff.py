@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Dist, _float_array, _real_arg, _residual_rows, _tv_arrays, _vector_pair
+from .dist import Dist, _dist_vector, _float_array, _real_arg, _residual_rows, _tv_arrays, _vector_pair
 
 DEGENERATE_TOL = 1e-15
 MEMBERSHIP_TOL = 1e-9
@@ -68,17 +68,20 @@ def epsilon_acceptance(p, q, eps: float) -> np.ndarray:
     ValueError otherwise.
     """
     eps = _real_arg("eps", eps, 0.0)
-    pv, qv = _float_array(p), _float_array(q)
+    return _over_acceptance(*_vector_pair(p, q), eps)
+
+
+def _over_acceptance(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
+    """min{1, (q + eps) / p} elementwise, 1 where p = 0, for rows or stacks of one shape."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(pv > 0.0, (qv + eps) / pv, np.inf)
+        ratio = np.where(p > 0.0, (q + eps) / p, np.inf)
     return np.minimum(1.0, ratio)
 
 
 def rejection_probability(b, p) -> float:
     """Probability sum_x (1 - b(x)) p(x) that a draft from p is rejected."""
-    pv = _float_array(p)
-    bv = _validate_acceptance(b, pv.size)
-    return float(((1.0 - bv) * pv).sum())
+    pv = _dist_vector(p)
+    return _rejection(_validate_acceptance(b, pv.size), pv)
 
 
 def loss_tv_star(b, p, q) -> float:
@@ -87,8 +90,17 @@ def loss_tv_star(b, p, q) -> float:
     Zero exactly when b <= min{1, q/p} pointwise; equals tv(p, q) at b = 1.
     """
     pv, qv = _vector_pair(p, q)
-    bv = _validate_acceptance(b, pv.size)
-    return 0.5 * float(np.abs(qv - bv * pv).sum()) - 0.5 * float(((1.0 - bv) * pv).sum())
+    return _loss(_validate_acceptance(b, pv.size), pv, qv)
+
+
+def _rejection(b: np.ndarray, p: np.ndarray) -> float:
+    """sum_x (1 - b(x)) p(x) for an acceptance vector and a draft already checked."""
+    return float(((1.0 - b) * p).sum())
+
+
+def _loss(b: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    """loss*(b) for an acceptance vector, draft and target already checked."""
+    return 0.5 * float(np.abs(q - b * p).sum()) - 0.5 * _rejection(b, p)
 
 
 def optimal_residual(b, p, q) -> ResidualCharacterization:
@@ -99,7 +111,7 @@ def optimal_residual(b, p, q) -> ResidualCharacterization:
     """
     pv, qv = _vector_pair(p, q)
     bv = _validate_acceptance(b, pv.size)
-    denom = float(((1.0 - bv) * pv).sum())
+    denom = _rejection(bv, pv)
     if denom <= DEGENERATE_TOL:
         raise DegenerateRejection("rejection probability is zero under this acceptance rule")
     coeff = (qv - bv * pv) / denom
@@ -129,35 +141,31 @@ def is_optimal_residual(candidate, b, p, q) -> bool:
 
 def induced_output_distribution(b, residual, p) -> Dist:
     """Single-token law of accept-or-replace decoding: b p + P * sum (1 - b) p."""
-    pv = _float_array(p)
+    pv = _dist_vector(p)
     bv = _validate_acceptance(b, pv.size)
     rv = _float_array(residual)
     if rv.shape != pv.shape:
         raise ValueError("residual length does not match the vocabulary")
-    return Dist(bv * pv + rv * float(((1.0 - bv) * pv).sum()))
+    return Dist(bv * pv + rv * _rejection(bv, pv))
 
 
 def pareto_front(p, q, eps_grid) -> list[ParetoPoint]:
     """Rejection/bias curve of the over-acceptance family along an eps grid.
 
     Each point satisfies reject_prob + loss_star = tv(p, q) exactly; eps = 0
-    gives (tv, 0) and saturating eps gives (0, tv). Each eps is checked by
-    :func:`epsilon_acceptance` before it is read.
+    gives (tv, 0) and saturating eps gives (0, tv). p and q are checked once,
+    and each eps, as :func:`epsilon_acceptance` checks it, before it is read.
     """
-    pv, qv = _float_array(p), _float_array(q)
+    pv, qv = _vector_pair(p, q)
     points = []
     for eps in eps_grid:
-        b = epsilon_acceptance(pv, qv, eps)
+        b = _over_acceptance(pv, qv, _real_arg("eps", eps, 0.0))
         points.append(
-            ParetoPoint(
-                epsilon=float(eps),
-                reject_prob=rejection_probability(b, pv),
-                loss_star=loss_tv_star(b, pv, qv),
-            )
+            ParetoPoint(epsilon=float(eps), reject_prob=_rejection(b, pv), loss_star=_loss(b, pv, qv))
         )
     return points
 
 
 def tradeoff_identity_gap(point: ParetoPoint, p, q) -> float:
     """|reject_prob + loss_star - tv(p, q)| for one Pareto point (a guard value)."""
-    return abs(point.reject_prob + point.loss_star - _tv_arrays(_float_array(p), _float_array(q)))
+    return abs(point.reject_prob + point.loss_star - _tv_arrays(*_vector_pair(p, q)))

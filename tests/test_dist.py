@@ -52,6 +52,19 @@ class TestDist:
         with pytest.raises(ValueError, match="finite"):
             Dist([np.nan, 1.0])
 
+    def test_iteration_hash_and_repr(self):
+        d = Dist([0.25, 0.75])
+        assert list(d) == [0.25, 0.75]
+        assert hash(d) == hash(Dist([0.25, 0.75])) and d == Dist([0.25, 0.75])
+        assert len({d, Dist([0.25, 0.75]), Dist([0.75, 0.25])}) == 2
+        assert repr(d) == "Dist([0.25, 0.75])"
+        assert eval(repr(d), {"Dist": Dist}) == d
+
+    def test_equality_with_a_non_dist_is_not_implemented(self):
+        d = Dist([0.25, 0.75])
+        assert d.__eq__([0.25, 0.75]) is NotImplemented
+        assert d != [0.25, 0.75] and d != "Dist([0.25, 0.75])" and d != None  # noqa: E711
+
     def test_immutable(self):
         d = Dist([0.25, 0.75])
         with pytest.raises(ValueError):

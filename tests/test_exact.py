@@ -276,10 +276,10 @@ class TestRootIterateClosedForm:
             tv = _tv_rows(q, p)
             assert np.all(tv[:10] < 1e-12)
             for m in range(1, 9):
-                prods, tails = _root_iterates(q, p, tv, m)
+                prods, tails, _ = _root_iterates(q, p, tv, m)
                 for i in range(len(q)):
                     want_prod, want_tail = iterated_root(q[i], p[i], m)
-                    prod, tail = _root_iterates(q[i], p[i], _tv_arrays(q[i], p[i]), m)
+                    prod, tail, _ = _root_iterates(q[i], p[i], _tv_arrays(q[i], p[i]), m)
                     for got_prod, got_tail in ((prods[i], tails[i]), (prod, tail)):
                         assert abs(got_prod - want_prod) <= 1e-14
                         np.testing.assert_allclose(got_tail, want_tail, rtol=0.0, atol=1e-14)
@@ -299,6 +299,19 @@ class TestRootIterateClosedForm:
         for m in (2, 3):
             want = enumerate_expected_rejections(pair, "batch", batch_size=m)
             assert abs(expected_rejections_batch(pair, m).total - want) <= 1e-12
+
+    def test_scalar_rows_equal_block_rows(self):
+        # The history walk passes one row and a float tv; the Markov walk a (B, V) block.
+        rng = np.random.default_rng(43)
+        q, p = sparse_rows(rng, 6, 30), sparse_rows(rng, 6, 30)
+        p[:5] = q[:5]
+        tv = _tv_rows(q, p)
+        for m in (1, 2, 3, 5, 8, None):
+            prods, tails, levels = _root_iterates(q, p, tv, m)
+            for i in range(len(q)):
+                prod, tail, level = _root_iterates(q[i], p[i], _tv_arrays(q[i], p[i]), m)
+                assert prod == prods[i] and np.array_equal(tail, tails[i])
+                assert level == (levels if m in (1, None) else levels[i])
 
     def test_first_factor_is_the_sd_tv_bit_for_bit(self):
         rng = np.random.default_rng(42)
@@ -450,7 +463,7 @@ def stepwise_closed_forms(pair: ModelPair, batch_size):
     for p_step, q_step in zip(pair.p.steps, pair.q.steps):
         p_rows, q_rows = p_step.rows.copy(), q_step.rows.copy()
         tv = _tv_rows(q_rows, p_rows)
-        prod, tail = _root_iterates(q_rows, p_rows, tv, batch_size)
+        prod, tail, _ = _root_iterates(q_rows, p_rows, tv, batch_size)
         sd_terms.append(mu * tv)
         gain_terms.append(g * (tv - prod))
         g = (mu - g) @ np.maximum(q_rows - p_rows, 0.0) + g @ tail
@@ -520,23 +533,38 @@ def fresh(pair: ModelPair) -> ModelPair:
 
 
 def closed_forms(pair: ModelPair, order) -> dict:
-    """The named closed forms of ``pair``, called in ``order``."""
+    """The named closed forms of ``pair``, called in ``order``: sd, terms, limit and batch<M>."""
     calls = {
         "sd": lambda: expected_rejections_sd(pair),
         "terms": lambda: sd_marginal_terms(pair),
-        "batch8": lambda: expected_rejections_batch(pair, 8),
         "limit": lambda: limit_rejections(pair),
     }
-    return {name: calls[name]() for name in order}
+
+    def call(name):
+        if name.startswith("batch"):
+            return expected_rejections_batch(pair, int(name[len("batch"):]))
+        return calls[name]()
+
+    return {name: call(name) for name in order}
 
 
 RECORD_PAIRS = [pair for pair, _ in TestPositionBlocks.CASES] + [sparse_pair(30, 7, seed=8)]
 
 
 class TestSdRecord:
-    """SD's part is walked once per Markov pair and read by every later closed form."""
+    """SD's part is walked once per Markov pair and read by every later closed form.
+
+    The record also keeps the deepest root level (K, S_K, P_K) a batch walk
+    has reached, and a walk at M >= K resumes there.
+    """
 
     NAMES = ["sd", "terms", "batch8", "limit"]
+    SCAN_ORDERS = {
+        "ascending": ["batch1", "limit", "batch2", "batch3", "sd", "batch5", "batch8", "terms"],
+        "descending": ["batch8", "batch5", "sd", "batch3", "limit", "batch2", "batch1", "terms"],
+        "interleaved": ["batch3", "batch8", "limit", "batch1", "batch5", "sd", "batch2",
+                        "batch8", "batch3", "terms", "batch5"],
+    }
 
     @pytest.mark.parametrize("pair", RECORD_PAIRS)
     def test_call_order_changes_no_value(self, pair):
@@ -545,6 +573,54 @@ class TestSdRecord:
         for first in ("batch8", "limit"):
             order = [first] + [name for name in self.NAMES if name != first]
             assert closed_forms(fresh(pair), order) == want
+
+    @pytest.mark.parametrize("order", sorted(SCAN_ORDERS))
+    @pytest.mark.parametrize("pair", RECORD_PAIRS)
+    def test_any_order_of_batch_sizes_gives_the_fresh_values(self, pair, order):
+        names = set(self.SCAN_ORDERS[order])
+        want = {name: closed_forms(fresh(pair), [name])[name] for name in names}
+        scanned = fresh(pair)
+        for name in self.SCAN_ORDERS[order]:
+            assert closed_forms(scanned, [name])[name] == want[name], name
+
+    @pytest.mark.parametrize("pair, blocks", TestPositionBlocks.CASES)
+    def test_an_ascending_scan_forms_each_level_once(self, monkeypatch, pair, blocks):
+        pair = fresh(pair)
+        formed = []
+        level_tail = exact._level_tail
+
+        def counted(q, p, level):
+            formed.append(level)
+            return level_tail(q, p, level)
+
+        monkeypatch.setattr(exact, "_level_tail", counted)
+        for m in range(2, 9):
+            formed.clear()
+            expected_rejections_batch(pair, m)
+            # One new level per block: S_m, resumed from S_{m-1} and kept as the deepest.
+            record = exact._sd_part(pair)
+            assert len(formed) == blocks and record.depth == m
+            assert np.array_equal(np.concatenate(formed), record.level)
+        # A repeat at K forms only its tail W_{K+1}; a walk at M < K starts at m = 1.
+        formed.clear()
+        expected_rejections_batch(pair, 8)
+        assert len(formed) == blocks
+        formed.clear()
+        expected_rejections_batch(pair, 4)
+        assert len(formed) == 3 * blocks
+
+    @pytest.mark.parametrize("pair", RECORD_PAIRS)
+    def test_a_shallower_walk_leaves_the_record_alone(self, pair):
+        pair = fresh(pair)
+        expected_rejections_batch(pair, 5)
+        record = exact._sd_part(pair)
+        copies = [table.copy() for table in (record.tv, record.level, record.prod)]
+        for m in (4, 2, 1):
+            expected_rejections_batch(pair, m)
+        limit_rejections(pair)
+        assert exact._sd_part(pair) is record and record.depth == 5
+        for table, copy in zip((record.tv, record.level, record.prod), copies):
+            assert np.array_equal(table, copy)
 
     @pytest.mark.parametrize("pair", RECORD_PAIRS)
     def test_only_the_first_walk_computes_tv(self, monkeypatch, pair):
@@ -576,12 +652,19 @@ class TestSdRecord:
     def test_record_and_marginals_are_read_only(self, pair):
         pair = fresh(pair)
         limit_rejections(pair)
-        tv, total = exact._sd_part(pair)
-        assert tv.shape == (pair.horizon, pair.vocab_size)
-        assert total == expected_rejections_sd(pair)
+        record = exact._sd_part(pair)
+        assert record.depth == 1 and record.level is None and record.prod is None
+        assert record.total == expected_rejections_sd(pair)
+        expected_rejections_batch(pair, 3)
+        expected_rejections_batch(pair, 8)
+        record = exact._sd_part(pair)
+        assert record.depth == 8
+        # Two (T, V) tables beyond tv, whatever the depth.
+        tables = [field for field in record if isinstance(field, np.ndarray)]
+        assert [table.shape for table in tables] == [(pair.horizon, pair.vocab_size)] * 3
         marginals = pair.q.marginals
         assert marginals.shape == (pair.horizon + 1, pair.vocab_size)
-        for table in (tv, marginals):
+        for table in (*tables, marginals):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0.5

@@ -470,6 +470,34 @@ class TestUnreachedBranches:
             assert type(model.horizon) is int and model.horizon == 1
             np.testing.assert_array_equal(joint_distribution(model), [0.5, 0.5])
 
+    def test_full_model_step_without_a_table_entry(self):
+        # The history has length n, but its token lies outside the vocabulary.
+        model = FullModel(Dist.uniform(2), 1, {(0,): [0.5, 0.5], (1,): [0.5, 0.5]})
+        with pytest.raises(KeyError, match="no table entry for history"):
+            model.step(1, (2,))
+
+    def test_joint_probability_skips_zero_mass(self):
+        # A zero-mass prompt token is never stepped, and a trajectory stops
+        # being stepped once its mass reaches zero.
+        chain = MarkovModel(Dist([1.0, 0.0]), [CondDist([[0.0, 1.0], [0.5, 0.5]])] * 3)
+        calls = []
+
+        class Counted:
+            vocab_size, horizon, prompt = chain.vocab_size, chain.horizon, chain.prompt
+
+            def step(self, n, history):
+                calls.append(history)
+                return chain.step(n, history)
+
+        assert joint_probability(Counted(), (0, 1, 1)) == 0.0
+        assert calls == [(0,)]
+        calls.clear()
+        assert joint_probability(Counted(), (1, 0, 1)) == 0.5
+        assert calls == [(0,), (0, 1), (0, 1, 0)]
+        law = joint_distribution(chain)
+        assert law[trajectory_index((0, 1, 1), 2)] == 0.0
+        assert law[trajectory_index((1, 0, 1), 2)] == 0.5
+
 
 class TestOneTokenRule:
     """Tokens are integers in 0..V-1 wherever a model or a trajectory takes them."""

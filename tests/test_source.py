@@ -80,8 +80,9 @@ def test_only_the_cli_knows_output_formats():
 
 
 def test_one_row_check():
-    # Every "this row is a distribution" check is dist._normalized_rows. The
-    # one other reader of NORMALIZE_TOL is ModelPair's prompt agreement.
+    # Every "this row is a distribution" check is dist._row_totals, behind
+    # _normalized_rows and _dist_vector. The one other reader of
+    # NORMALIZE_TOL is ModelPair's prompt agreement.
     found = [
         str(path)
         for path, node in source_nodes()
@@ -113,8 +114,10 @@ def test_one_value_rule():
 
 
 def test_one_sd_record():
-    # A Markov pair's SD record lives in a ModelPair slot that exact.py alone
-    # reads and writes; models.py only declares the slot.
+    # A Markov pair's whole closed-form record (the tv table, SD's total and
+    # the deepest root level) is one ModelPair slot that exact.py alone reads
+    # and writes; models.py only declares the slot. The samplers and the
+    # oracle never name it, so the three routes stay independent.
     found = [
         str(path)
         for path, node in source_nodes()
@@ -124,6 +127,20 @@ def test_one_sd_record():
     assert "exact.py" in found
     assert set(found) == {"exact.py", "models.py"}
     assert found.count("models.py") == 1
+    assert not set(found) & {"enumeration.py", "decoding.py", "montecarlo.py"}
+    assert specdec.ModelPair.__slots__ == ("_p", "_q", "_sd_record")
+    # exact.py gives the pair no other attribute: every attribute it assigns
+    # on a pair is the record.
+    assigned = {
+        target.attr
+        for path, node in source_nodes()
+        if path == Path("exact.py") and isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "pair"
+    }
+    assert assigned == {"_sd_record"}
 
 
 def test_one_marginal_recursion():

@@ -1,13 +1,14 @@
 """The value rule: every public numeric parameter refuses what is not a value of its kind.
 
 Kinds: an integer (``dist._int_arg``: integral floats pass), a stream index
-(``rng``: numpy's index rule, no float at all), a real (``dist._real_arg``),
-an entry of an array of reals that must also be finite (``dist._float_array``
-and then the row or acceptance rule) and an entry of a vector of any reals
-(``dist._float_array`` alone). Each parameter is swept with bools, numeric
-strings, nan and infinities, non-integral floats and values below its floor,
-as far as its kind refuses them, and must raise TypeError or ValueError,
-never return a result.
+(``rng``: numpy's index rule, no float at all), a real (``dist._real_arg``)
+and an entry of an array of reals that must also be finite
+(``dist._float_array`` and then the row or acceptance rule). Each parameter
+is swept with bools, numeric strings, nan and infinities, non-integral floats
+and values below its floor, as far as its kind refuses them, and must raise
+TypeError or ValueError, never return a result. The single-token functions'
+distribution arguments are also given NaN, negative, unnormalised and
+wrong-length vectors.
 """
 
 import math
@@ -33,11 +34,15 @@ from specdec import (
     epsilon_acceptance,
     expected_rejections_batch,
     joint_probability,
+    loss_tv_star,
+    optimal_residual,
     over_acceptance_policy,
     pareto_front,
     random_markov_model,
     random_model_pair,
+    rejection_iterate,
     rejection_probability,
+    residual_plus,
     split_rng,
     split_rngs,
     split_uniforms,
@@ -45,7 +50,7 @@ from specdec import (
     unbiasedness_check,
 )
 
-INT, INDEX, REAL, ENTRY, VECTOR = "integer", "index", "real", "entry", "vector"
+INT, INDEX, REAL, ENTRY = "integer", "index", "real", "entry"
 
 PAIR = random_model_pair(2, 2, seed=0)
 P, Q = [0.7, 0.3], [0.4, 0.6]
@@ -65,9 +70,21 @@ PARAMETERS = {
         ENTRY, None, 0.5, lambda v: Policy.from_tables([[[v, 1.0], [1.0, 1.0]]], [UNIFORM])),
     "Policy.from_tables residual": (
         ENTRY, 0, 0.5, lambda v: Policy.from_tables([UNIFORM], [[[v, 0.5], [0.5, 0.5]]])),
-    "tv_distance entries": (VECTOR, None, 0.5, lambda v: tv_distance([v, 0.5], [0.5, 0.5])),
+    "tv_distance entries": (ENTRY, 0, 0.5, lambda v: tv_distance([v, 0.5], [0.5, 0.5])),
+    "residual_plus q entries": (ENTRY, 0, 0.5, lambda v: residual_plus([v, 0.5], [0.2, 0.8])),
+    "rejection_iterate p entries": (
+        ENTRY, 0, 0.5, lambda v: rejection_iterate([0.8, 0.2], [v, 0.5])),
     "rejection_probability acceptance": (  # within 1e-12 of [0, 1]
         ENTRY, -1e-12, 0.5, lambda v: rejection_probability([v, 0.5], [0.5, 0.5])),
+    "rejection_probability p entries": (
+        ENTRY, 0, 0.5, lambda v: rejection_probability([0.5, 0.5], [v, 0.5])),
+    "loss_tv_star p entries": (ENTRY, 0, 0.5, lambda v: loss_tv_star([1.0, 1.0], [v, 0.5], Q)),
+    "optimal_residual q entries": (
+        ENTRY, 0, 0.5, lambda v: optimal_residual([0.5, 0.5], P, [v, 0.5])),
+    "epsilon_acceptance p entries": (ENTRY, 0, 0.5, lambda v: epsilon_acceptance([v, 0.5], Q, 0.1)),
+    "epsilon_acceptance q entries": (ENTRY, 0, 0.5, lambda v: epsilon_acceptance(P, [v, 0.5], 0.1)),
+    "pareto_front p entries": (ENTRY, 0, 0.5, lambda v: pareto_front([v, 0.5], Q, [0.0, 0.1])),
+    "pareto_front q entries": (ENTRY, 0, 0.5, lambda v: pareto_front(P, [v, 0.5], [0.0, 0.1])),
     "random_markov_model vocab_size": (INT, 1, 2, lambda v: random_markov_model(v, 2, seed=0)),
     "random_markov_model horizon": (INT, 1, 2, lambda v: random_markov_model(2, v, seed=0)),
     "random_markov_model seed": (INT, 0, 3, lambda v: random_markov_model(2, 2, seed=v)),
@@ -139,8 +156,6 @@ def below(floor):
 def bad_values(kind: str, floor):
     drawn = [st.booleans(), st.just(np.True_), numeric_strings]
     too_large = st.sampled_from([10**400, -(10**400)])
-    if kind == VECTOR:
-        return st.one_of(*drawn, too_large)
     drawn += [not_finite, fractional if kind in (INT, INDEX) else too_large]
     if floor is not None:
         drawn.append(below(floor))
@@ -161,3 +176,50 @@ def test_every_numeric_parameter_refuses_what_is_not_its_kind(name, data):
     value = data.draw(bad_values(kind, floor), label="value")
     with pytest.raises((TypeError, ValueError)):
         call(value)
+
+
+# Each single-token function with one distribution argument left open.
+DISTRIBUTION_ARGUMENTS = {
+    "tv_distance a": lambda v: tv_distance(v, Q),
+    "tv_distance b": lambda v: tv_distance(P, v),
+    "residual_plus q": lambda v: residual_plus(v, Q),
+    "residual_plus p": lambda v: residual_plus(P, v),
+    "rejection_iterate q_m": lambda v: rejection_iterate(v, Q),
+    "rejection_iterate p": lambda v: rejection_iterate(P, v),
+    "loss_tv_star p": lambda v: loss_tv_star([0.5, 0.5], v, Q),
+    "loss_tv_star q": lambda v: loss_tv_star([0.5, 0.5], P, v),
+    "optimal_residual p": lambda v: optimal_residual([0.5, 0.5], v, Q),
+    "optimal_residual q": lambda v: optimal_residual([0.5, 0.5], P, v),
+    "rejection_probability p": lambda v: rejection_probability([0.5, 0.5], v),
+    "epsilon_acceptance p": lambda v: epsilon_acceptance(v, Q, 0.1),
+    "epsilon_acceptance q": lambda v: epsilon_acceptance(P, v, 0.1),
+    "pareto_front p": lambda v: pareto_front(v, Q, [0.0, 0.1]),
+    "pareto_front q": lambda v: pareto_front(P, v, [0.0, 0.1]),
+}
+
+# name: (vector, the error's message, or None where the functions word it differently)
+BAD_DISTRIBUTIONS = {
+    "nan": ([math.nan, 0.5], "must be finite"),
+    "infinite": ([math.inf, 0.5], "must be finite"),
+    "negative": ([-3.0, 0.5], "must be nonnegative"),
+    "negative summing to 1": ([-0.5, 1.5], "must be nonnegative"),
+    "unnormalised": ([1.0, 1.0], "sums to 2.0"),
+    "empty": ([], "nonempty 1-D"),
+    "2-D": ([[0.7, 0.3]], "nonempty 1-D"),
+    "wrong length": ([0.2, 0.3, 0.5], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DISTRIBUTIONS))
+@pytest.mark.parametrize("name", sorted(DISTRIBUTION_ARGUMENTS))
+def test_distribution_arguments_follow_the_row_rule(name, case):
+    vector, message = BAD_DISTRIBUTIONS[case]
+    with pytest.raises(ValueError, match=message):
+        DISTRIBUTION_ARGUMENTS[name](vector)
+
+
+def test_valid_distribution_vectors_are_read_as_they_are():
+    # Within NORMALIZE_TOL of total 1, a vector is not divided by its total.
+    a, b = [0.3, 0.7 + 4e-10], [0.6, 0.4]
+    assert tv_distance(a, b) == 0.5 * (abs(0.3 - 0.6) + abs(0.7 + 4e-10 - 0.4))
+    assert rejection_probability([0.5, 1.0], a) == 0.5 * 0.3
