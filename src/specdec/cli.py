@@ -233,12 +233,8 @@ def _pareto_dists(config: dict) -> tuple[Dist, Dist, list[float]]:
         state = _int_field(section, "state", minimum=0)
         if step > pair.horizon or state >= pair.vocab_size:
             raise ConfigError("pareto step/state outside the model")
-        history = (state,)
-        return (
-            Dist(pair.p.step(step, history)),
-            Dist(pair.q.step(step, history)),
-            grid,
-        )
+        # The model's rows as it holds them: Dist(...) would divide them again.
+        return (*(Dist._view(model.step(step, (state,))) for model in (pair.p, pair.q)), grid)
     raise ConfigError('config key "pareto" needs either "p"/"q" vectors or a "pair" selection')
 
 

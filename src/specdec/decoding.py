@@ -47,16 +47,22 @@ zero-residual checks run only at the positions (and iterates) where the
 call's tables show they can fire (see :class:`_Lockstep`).
 
 Stream sources. No run reads more than S(M, T) = 1 + M*T(T+1)/2 + (M+1)*T
-uniforms (proved in :func:`decode_markov_runs`). Where S fits the engine's
-top-up window of 2*(M*T + M + T) uniforms, that is for T <= 2, or T = 3 with
-M <= 2, a block of max(BLOCK_RUNS, STREAM_BUDGET // S) runs draws its runs'
-whole streams at once with ``rng.split_uniforms``: about STREAM_BUDGET = 2**16
-uniforms, 512 KB, whatever S is, so the fixed numpy cost of seeding and of
-each position is shared by thousands of short runs. Longer runs advance in
-blocks of BLOCK_RUNS, build one generator per run with ``rng.split_rngs`` and
-top their windows up from it. Both give every run the uniforms of
-``split_rng(seed, index)``, so neither the source nor the block size changes
-a result.
+uniforms (proved in :func:`decode_markov_runs`), and no round more than
+R = M*T + M + T. Where S fits the engine's narrowest top-up window, 2R
+uniforms, that is for T <= 2, or T = 3 with M <= 2, a block of
+max(BLOCK_RUNS, STREAM_BUDGET // S) runs draws its runs' whole streams at once
+with ``rng.split_uniforms``: about STREAM_BUDGET = 2**16 uniforms, 512 KB,
+whatever S is, so the fixed numpy cost of seeding and of each position is
+shared by thousands of short runs. Longer runs advance in blocks of at most
+BLOCK_RUNS, build one generator per run with ``rng.split_rngs`` and fill a
+window of W = min(S, max(2R, WINDOW_BUDGET // count)) uniforms per run from
+it, WINDOW_BUDGET = 2**17 (1 MB) and count the block's runs. A block's window
+thus holds at most max(2R*count, WINDOW_BUDGET) uniforms: a full block of
+BLOCK_RUNS keeps 2R wherever 2R >= 128, and a smaller one holds more of each
+stream, so its runs top up less often, or, where W = S, never and keep no
+generators. Every source gives every run the uniforms of
+``split_rng(seed, index)``, so neither the source, the window nor the block
+size changes a result.
 """
 
 from __future__ import annotations
@@ -74,6 +80,7 @@ from .rng import split_rngs, split_uniforms
 
 BLOCK_RUNS = 1024
 STREAM_BUDGET = 2**16
+WINDOW_BUDGET = 2 * STREAM_BUDGET
 
 
 class InvalidPolicy(ValueError):
@@ -501,10 +508,11 @@ class _Lockstep:
     ``_block_streams`` makes them) by absolute index: ``next[i]`` is run i's
     next unread uniform, and ``cursor`` the same index relative to its row.
     With ``rngs`` None the row holds every uniform a run can read. Otherwise
-    it holds twice the most one round can read (M*L drafts, M root tests,
-    L - 1 verifies, one replacement), and a run whose row is short at a round
-    opening slides it down and tops it up from its own generator ``rngs[i]``,
-    so the working memory is fixed per block.
+    it holds at least twice the most one round can read (M*L drafts, M root
+    tests, L - 1 verifies, one replacement; ``_block_streams`` sets the width),
+    and a run whose row is short at a round opening slides it down and tops
+    it up from its own generator ``rngs[i]``, so the working memory is fixed
+    per block.
 
     Draft pointers. A run opens a round at position 1 and after each
     replacement (its flag at t - 1). At an opening, ``draft[i]`` is set to
@@ -660,7 +668,7 @@ def _stream_length(batch_size: int, horizon: int) -> int:
 
 
 def _window_width(batch_size: int, horizon: int) -> int:
-    """Twice the most one round can read: the width of a window that tops up."""
+    """2R = 2*(M*T + M + T), twice the most one round reads: the narrowest top-up window."""
     return 2 * (batch_size * horizon + batch_size + horizon)
 
 
@@ -677,14 +685,22 @@ def _block_runs(batch_size: int, horizon: int) -> int:
 
 
 def _block_streams(seed: int, start: int, count: int, batch_size: int, horizon: int):
-    """Filled windows of runs start, ..., start + count - 1, and their generators if they top up."""
+    """Filled windows of runs start, ..., start + count - 1, and their generators if they top up.
+
+    Whole-stream blocks (see ``_whole_streams``) come from ``split_uniforms``.
+    A long-stream block of count >= 1 runs fills windows of
+    W = min(S, max(2R, WINDOW_BUDGET // count)) uniforms from its runs'
+    generators and keeps them only where W < S.
+    """
+    length = _stream_length(batch_size, horizon)
     if _whole_streams(batch_size, horizon):
-        return split_uniforms(seed, start, count, _stream_length(batch_size, horizon)), None
+        return split_uniforms(seed, start, count, length), None
     rngs = split_rngs(seed, start, count)
-    window = np.empty((count, _window_width(batch_size, horizon)))
+    budget_share = max(_window_width(batch_size, horizon), WINDOW_BUDGET // count)
+    window = np.empty((count, min(length, budget_share)))
     for row, rng in zip(window, rngs):
         rng.random(out=row)
-    return window, rngs
+    return window, (None if window.shape[1] == length else rngs)
 
 
 def decode_markov_runs(
@@ -720,14 +736,18 @@ def decode_markov_runs(
     sum_{t=1..T} M*(T - t + 2) = M*T(T+1)/2 + M*T, and the bound is S. A run
     in which every round rejects all M root tests reads exactly S.
 
-    When S is at most the top-up window width 2*(M*T + M + T) (T <= 2, or
-    T = 3 with M <= 2), blocks hold max(BLOCK_RUNS, STREAM_BUDGET // S) runs
-    (5041 at (M, T) = (1, 3), 2978 at (2, 3)). A block's windows are
-    ``split_uniforms(seed, start + lo, n, S)``, its runs' whole streams drawn
-    at once, and never top up. Otherwise blocks hold BLOCK_RUNS runs, and
-    each builds its runs' generators with ``split_rngs`` and tops windows of
-    that width up from them. Both sources give every run the same uniforms,
-    so the choice, which depends only on (M, T), changes no result.
+    When S is at most the narrowest top-up window width 2R = 2*(M*T + M + T)
+    (T <= 2, or T = 3 with M <= 2), blocks hold max(BLOCK_RUNS,
+    STREAM_BUDGET // S) runs (5041 at (M, T) = (1, 3), 2978 at (2, 3)). A
+    block's windows are ``split_uniforms(seed, start + lo, n, S)``, its runs'
+    whole streams drawn at once, and never top up. Otherwise blocks hold at
+    most BLOCK_RUNS runs, and a block of n runs builds their generators with
+    ``split_rngs`` and fills windows of W = min(S, max(2R, WINDOW_BUDGET // n))
+    uniforms from them: at most max(2R*n, WINDOW_BUDGET) uniforms per block.
+    Windows with W < S top up from the generators; with W = S they hold
+    whole streams and the generators are dropped. Every source gives every
+    run the same uniforms, so the choice, which depends only on (M, T, n),
+    changes no result.
 
     Raises RuntimeError on a draft outside p's support and ZeroResidual where
     the scalar samplers do, TypeError for a policy that is not a Policy or has

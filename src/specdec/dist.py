@@ -26,9 +26,10 @@ array of reals", and every module asks it rather than deciding for itself:
   never coerced, so ``[True, 0.0]`` is not a distribution.
 * ``_dist_vector``: a distribution vector is an array of reals that is
   nonempty, 1-D and passes the row rule. The single-token functions
-  (``tv_distance``, the residuals, the tradeoff curve) read their p and q
-  through it, undivided, so a valid vector keeps its exact values and a
-  NaN, a negative entry or a vector off total 1 is a ValueError.
+  (``tv_distance``, the residuals, the tradeoff curve) read their p, q and
+  residual arguments through it alone, undivided, so a valid vector keeps
+  its exact values and a NaN, a negative entry or a vector off total 1 is a
+  ValueError.
 * ``_as_int`` and ``_int_arg``: an integer is an int, a numpy integer or an
   integral float such as 4.0 (JSON writers emit them), never a bool; TypeError
   otherwise, and ValueError below a given minimum.

@@ -140,10 +140,13 @@ def is_optimal_residual(candidate, b, p, q) -> bool:
 
 
 def induced_output_distribution(b, residual, p) -> Dist:
-    """Single-token law of accept-or-replace decoding: b p + P * sum (1 - b) p."""
+    """Single-token law of accept-or-replace decoding: b p + P * sum (1 - b) p.
+
+    The residual P, like p, must pass the row rule, read as it is.
+    """
     pv = _dist_vector(p)
     bv = _validate_acceptance(b, pv.size)
-    rv = _float_array(residual)
+    rv = _dist_vector(residual)
     if rv.shape != pv.shape:
         raise ValueError("residual length does not match the vocabulary")
     return Dist(bv * pv + rv * _rejection(bv, pv))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdec import ParetoPoint, cli, exact
+from specdec import Dist, ParetoPoint, cli, exact, random_model_pair, tv_distance
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -80,6 +80,29 @@ class TestExactJob:
             outputs.append(capsys.readouterr().out)
         if batch_size is not None:
             assert outputs == [(GOLDEN / f"exact_out.{fmt}").read_text() for fmt in ("csv", "json")]
+
+
+class TestParetoJob:
+    def test_pair_rows_are_read_as_the_model_holds_them(self):
+        # Dist(row) divides a model row by its total again, which changes the
+        # last bit of some rows of this pair and so, at some (step, state), tv.
+        descriptor = {"generator": "random", "seed": 10, "vocab_size": 7, "horizon": 50}
+        pair = random_model_pair(7, 50, seed=10)
+        moved = [
+            (step, state)
+            for step in range(1, 51)
+            for state in range(7)
+            if tv_distance(*(Dist(m.step(step, (state,))) for m in (pair.p, pair.q)))
+            != tv_distance(pair.p.step(step, (state,)), pair.q.step(step, (state,)))
+        ]
+        assert moved
+        for step, state in moved[:5]:
+            config = {"pair": descriptor, "step": step, "state": state, "eps_grid": [0.0, 0.5]}
+            results, columns, rows = cli.cmd_pareto({"pareto": config})
+            tv = tv_distance(pair.p.step(step, (state,)), pair.q.step(step, (state,)))
+            tv_column = columns.index("tv")
+            assert [result["tv"] for result in results] == [tv, tv]
+            assert [row[tv_column] for row in rows] == [tv, tv]
 
 
 class TestOutputHandling:

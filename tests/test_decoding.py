@@ -30,12 +30,14 @@ from specdec import (
 from specdec.decoding import (
     BLOCK_RUNS,
     STREAM_BUDGET,
+    WINDOW_BUDGET,
     _block_runs,
     _block_streams,
     _Lockstep,
     _stream_length,
     _tables,
     _validated_tables,
+    _whole_streams,
     _window_width,
     decode_markov_runs,
     policy_acceptance,
@@ -389,7 +391,9 @@ class TestLockstepEngine:
         assert_path_identical(pair, batch_size, seed=3, start=0, count=200)
 
     @pytest.mark.parametrize("batch_size", [1, 2, 4, 8])
-    def test_long_runs_that_refill_their_windows(self, batch_size):
+    def test_long_runs_that_refill_their_windows(self, batch_size, monkeypatch):
+        # With no window budget a block of 20 runs keeps 2R-uniform windows and tops them up.
+        monkeypatch.setattr("specdec.decoding.WINDOW_BUDGET", 0)
         pair = random_model_pair(7, 50, seed=10)
         runs = assert_path_identical(pair, batch_size, seed=2024, start=0, count=20)
         window = 2 * (batch_size * 50 + batch_size + 50)
@@ -407,13 +411,16 @@ class TestLockstepEngine:
     @pytest.mark.parametrize(
         "batch_size, reads, width, cursor",
         # (1, 3) and (2, 3) read whole streams of S uniforms; at (3, 3),
-        # S = 31 > 30 and every run tops up once, before the round at t = 3,
-        # whose 7 uniforms are then read from a refilled window.
+        # S = 31 > 30 and, in a 2R-uniform window, every run tops up once,
+        # before the round at t = 3, whose 7 uniforms are then read from a
+        # refilled window.
         [(1, 13, 13, 13), (2, 22, 22, 22), (3, 31, 30, 7)],
     )
-    def test_stream_source_boundary(self, batch_size, reads, width, cursor):
+    def test_stream_source_boundary(self, batch_size, reads, width, cursor, monkeypatch):
+        monkeypatch.setattr("specdec.decoding.WINDOW_BUDGET", 0)
         pair = disjoint_pair(3)
         assert _stream_length(batch_size, 3) == reads
+        assert _whole_streams(batch_size, 3) == (reads <= width)
         window, rngs = _block_streams(5, 2, 50, batch_size, 3)
         assert window.shape == (50, width) and (rngs is None) == (reads <= width)
         block = _Lockstep(pair, batch_size, _tables(pair, batch_size, None), window, rngs)
@@ -441,7 +448,7 @@ class TestLockstepEngine:
             (batch_size, horizon)
             for batch_size in range(1, 65)
             for horizon in range(1, 65)
-            if _block_streams(0, 0, 0, batch_size, horizon)[1] is None
+            if _whole_streams(batch_size, horizon)
         ]
         assert {(m, t) for m, t in fast if t > 2} == {(1, 3), (2, 3)}
         for batch_size, horizon in fast:
@@ -501,7 +508,8 @@ class TestLockstepEngine:
         # than a round at t = 1 reads (13 uniforms at (3, 3)).
         [(1, 12), (2, 21), (3, 12)],
     )
-    def test_a_window_short_of_the_reads_raises(self, batch_size, width):
+    def test_a_window_short_of_the_reads_raises(self, batch_size, width, monkeypatch):
+        monkeypatch.setattr("specdec.decoding.WINDOW_BUDGET", 0)  # (3, 3) tops up
         pair = disjoint_pair(3)  # every run reads as much as it can
         window, rngs = _block_streams(5, 2, 50, batch_size, 3)
         tables = _tables(pair, batch_size, None)
@@ -558,6 +566,73 @@ class TestLockstepEngine:
                 decode_markov_runs(pair, 1, *args)
         with pytest.raises(TypeError, match="^seed True is not an integer$"):
             decode_markov_runs(pair, 1, True, 0, 4)
+
+
+class TestWindowBudget:
+    """Long-stream blocks hold W = min(S, max(2R, WINDOW_BUDGET // count)) uniforms per run."""
+
+    @pytest.mark.parametrize(
+        "batch_size, widths",
+        # At T = 50, S = 1376, 2701, 5351 and 2R = 202, 304, 508 for M = 1, 2, 4;
+        # WINDOW_BUDGET // count is 131072, 1638, 327 and 128 at counts 1, 80, 400, 1024.
+        [(1, (1376, 1376, 327, 202)), (2, (2701, 1638, 327, 304)), (4, (5351, 1638, 508, 508))],
+    )
+    def test_width_is_the_budget_share_between_2r_and_s(self, batch_size, widths):
+        assert WINDOW_BUDGET == 2 * STREAM_BUDGET
+        length, narrowest = _stream_length(batch_size, 50), _window_width(batch_size, 50)
+        for count, width in zip((1, 80, 400, BLOCK_RUNS), widths):
+            window, rngs = _block_streams(3, 7, count, batch_size, 50)
+            assert window.shape == (count, width)
+            assert width == min(length, max(narrowest, WINDOW_BUDGET // count))
+            assert window.size <= max(narrowest * count, WINDOW_BUDGET)
+            # A window that holds whole streams keeps no generators to top up from.
+            assert (rngs is None) == (width == length)
+            for i in (0, count - 1):
+                assert np.array_equal(window[i], split_rng(3, 7 + i).random(width))
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4])
+    @pytest.mark.parametrize("regime", ["2R", "between", "S"])
+    def test_every_regime_matches_scalar_samplers(self, regime, batch_size, monkeypatch):
+        count, length = 12, _stream_length(batch_size, 50)
+        narrowest = _window_width(batch_size, 50)
+        width = {"2R": narrowest, "between": narrowest + (length - narrowest) // 8, "S": length}
+        if regime != "S":  # the default budget gives whole streams to 12 runs
+            monkeypatch.setattr("specdec.decoding.WINDOW_BUDGET", width[regime] * count)
+        assert _block_streams(0, 0, count, batch_size, 50)[0].shape == (count, width[regime])
+        topped, top_up = [], _Lockstep._top_up
+
+        def counting(self, runs, need):
+            topped.append(int((self.next[runs] + need > self.row_ends[runs]).sum()))
+            top_up(self, runs, need)
+
+        monkeypatch.setattr(_Lockstep, "_top_up", counting)
+        pair = random_model_pair(7, 50, seed=10)
+        assert_path_identical(pair, batch_size, seed=2024, start=0, count=count)
+        if regime == "S":
+            assert topped == []
+        else:
+            assert sum(topped) > 0
+
+    def test_the_window_guard_still_raises(self, monkeypatch):
+        pair = disjoint_pair(5)  # at M = 2 every run reads S = 46 uniforms; 2R = 34
+        tables = _tables(pair, 2, None)
+        window, rngs = _block_streams(5, 0, 50, 2, 5)
+        assert window.shape == (50, 46) and rngs is None
+        assert_path_identical(pair, 2, seed=5, start=0, count=50)
+        block = _Lockstep(pair, 2, tables, window[:, :45], None)
+        with pytest.raises(RuntimeError, match="past the end of its 45-uniform window"):
+            for t in range(1, 6):
+                block.advance(t)
+        monkeypatch.setattr("specdec.decoding.WINDOW_BUDGET", 40 * 50)
+        window, rngs = _block_streams(5, 0, 50, 2, 5)
+        assert window.shape == (50, 40) and rngs is not None
+        assert_path_identical(pair, 2, seed=5, start=0, count=50)
+        # Here a round opened at t = 1 reads 10 drafts, 2 root tests and a
+        # replacement, one uniform more than the row holds.
+        block = _Lockstep(pair, 2, tables, window[:, :12], rngs)
+        with pytest.raises(RuntimeError, match="past the end of its 12-uniform window"):
+            for t in range(1, 6):
+                block.advance(t)
 
 
 def history_policy(pair) -> Policy:
@@ -627,7 +702,9 @@ class TestLockstepPolicies:
         assert_generic_identical(pair, POLICIES[name](pair), seed=3, start=0, count=200)
 
     @pytest.mark.parametrize("name", ["random-unbiased", "over-acceptance-opt"])
-    def test_long_runs_that_refill_their_windows(self, name):
+    def test_long_runs_that_refill_their_windows(self, name, monkeypatch):
+        # With no window budget a block of 20 runs keeps 2R-uniform windows and tops them up.
+        monkeypatch.setattr("specdec.decoding.WINDOW_BUDGET", 0)
         pair = random_model_pair(7, 50, seed=10)
         runs = assert_generic_identical(pair, POLICIES[name](pair), seed=2024, start=0, count=20)
         assert max(drafted_tokens(f.tolist(), 50, 1) for f in runs.flags) > 2 * (50 + 1 + 50)

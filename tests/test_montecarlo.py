@@ -22,7 +22,7 @@ from specdec import (
 
 from specdec import exact, montecarlo
 from specdec.cli import report_header
-from specdec.decoding import _block_runs
+from specdec.decoding import BLOCK_RUNS, WINDOW_BUDGET, _block_runs
 
 from helpers import constant_chain
 
@@ -282,6 +282,25 @@ class TestUnbiasednessCheck:
             tracemalloc.stop()
         assert report.passed
         assert peak < 2.5 * 2**20
+
+    @pytest.mark.parametrize("algorithm, batch_size", [("sd", 1), ("batch", 4)])
+    def test_long_run_memory_is_bounded_by_the_window_budget(self, algorithm, batch_size):
+        # c2's pair (T = 50). A block of BLOCK_RUNS runs holds 2R uniforms per
+        # run (1.6 MB at M = 1, 4.2 MB at M = 4) and the last block, of 100
+        # runs, WINDOW_BUDGET of them (1 MB); the block's generators and token
+        # arrays add about 1.9 MB. Windows of whole streams at every block
+        # would take 11 MB at M = 1 and 44 MB at M = 4.
+        pair = random_model_pair(7, 50, seed=10)
+        run_campaign(Campaign(pair, "sd", 10, 1))  # warm caches outside the trace
+        narrowest = 2 * (batch_size * 50 + batch_size + 50)
+        window = 8 * max(narrowest * BLOCK_RUNS, WINDOW_BUDGET)
+        tracemalloc.start()
+        try:
+            run_campaign(Campaign(pair, algorithm, BLOCK_RUNS + 100, 1, batch_size=batch_size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < window + 2.5 * 2**20
 
     def test_tabulation_cap(self):
         pair = random_model_pair(10, 5, seed=1)  # 10**5 tables exceed the cap

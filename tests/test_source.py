@@ -113,6 +113,63 @@ def test_one_value_rule():
     assert bool_tests == {"dist.py", "rng.py", "decoding.py"}
 
 
+# The distribution arguments of dist's and tradeoff's public functions, by
+# module. tradeoff's b is an acceptance vector, and is_optimal_residual's
+# candidate is what that predicate judges, so neither is read as a
+# distribution.
+DISTRIBUTION_PARAMETERS = {
+    "dist.py": {"a", "b", "p", "q", "q_m"},
+    "tradeoff.py": {"p", "q", "residual"},
+}
+
+
+def _module_functions(name: str) -> dict[str, ast.FunctionDef]:
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _unread_arguments(function: ast.FunctionDef, params: set, readers: set) -> list:
+    """Uses of ``params`` in ``function`` other than as direct arguments of calls to ``readers``."""
+    passed = {
+        id(arg)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in readers
+        for arg in node.args
+    }
+    return [
+        f"{function.name}:{node.lineno} {node.id}"
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id in params and id(node) not in passed
+    ]
+
+
+def test_one_distribution_reader():
+    # dist's and tradeoff's public functions read p, q and residual arguments
+    # only through dist._dist_vector: directly, through _vector_pair, which
+    # reads both of its vectors by it, or by handing them unread to another
+    # such function.
+    functions = {name: _module_functions(name) for name in DISTRIBUTION_PARAMETERS}
+    pair_reader = functions["dist.py"]["_vector_pair"]
+    assert _unread_arguments(pair_reader, {"a", "b"}, {"_dist_vector"}) == []
+    public = {name for module in functions.values() for name in module if not name.startswith("_")}
+    readers = {"_dist_vector", "_vector_pair"} | public
+    checked, unread = set(), []
+    for module, params in DISTRIBUTION_PARAMETERS.items():
+        for name, function in functions[module].items():
+            taken = {arg.arg for arg in function.args.args} & params
+            if name.startswith("_") or not taken:
+                continue
+            checked.add(name)
+            unread += _unread_arguments(function, taken, readers)
+    assert unread == []
+    assert checked >= {
+        "tv_distance", "residual_plus", "rejection_iterate", "epsilon_acceptance",
+        "rejection_probability", "loss_tv_star", "optimal_residual", "is_optimal_residual",
+        "induced_output_distribution", "pareto_front", "tradeoff_identity_gap",
+    }
+
+
 def test_one_sd_record():
     # A Markov pair's whole closed-form record (the tv table, SD's total and
     # the deepest root level) is one ModelPair slot that exact.py alone reads

@@ -33,6 +33,7 @@ from specdec import (
     enumerate_law_and_rejections,
     epsilon_acceptance,
     expected_rejections_batch,
+    induced_output_distribution,
     joint_probability,
     loss_tv_star,
     optimal_residual,
@@ -195,6 +196,8 @@ DISTRIBUTION_ARGUMENTS = {
     "epsilon_acceptance q": lambda v: epsilon_acceptance(P, v, 0.1),
     "pareto_front p": lambda v: pareto_front(v, Q, [0.0, 0.1]),
     "pareto_front q": lambda v: pareto_front(P, v, [0.0, 0.1]),
+    "induced_output_distribution residual": lambda v: induced_output_distribution([0.5, 0.5], v, P),
+    "induced_output_distribution p": lambda v: induced_output_distribution([0.5, 0.5], Q, v),
 }
 
 # name: (vector, the error's message, or None where the functions word it differently)
