@@ -30,7 +30,7 @@ from .dist import Dist, _int_arg, _real_arg, tv_distance
 from .exact import acceleration_rate, expected_rejections_batch, expected_rejections_sd
 from .models import ModelPair, _real_array, pair_from_descriptor
 from .montecarlo import Campaign, batch_scan, run_campaign
-from .tradeoff import pareto_front, tradeoff_identity_gap
+from .tradeoff import pareto_front
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -243,7 +243,8 @@ def cmd_pareto(config: dict) -> tuple:
     tv = tv_distance(p, q)
     points = pareto_front(p, q, grid)
     for point in points:
-        if tradeoff_identity_gap(point, p, q) > GUARD_TOL:
+        # tradeoff_identity_gap's value, against the tv read once above.
+        if abs(point.reject_prob + point.loss_star - tv) > GUARD_TOL:
             raise GuardViolation(
                 f"pareto identity violated at eps={point.epsilon!r}: "
                 f"reject={point.reject_prob!r} loss={point.loss_star!r} tv={tv!r}"

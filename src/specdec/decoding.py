@@ -63,6 +63,19 @@ stream, so its runs top up less often, or, where W = S, never and keep no
 generators. Every source gives every run the uniforms of
 ``split_rng(seed, index)``, so neither the source, the window nor the block
 size changes a result.
+
+Batch sizes per row. A block's rows may have different batch sizes M_i,
+ordered by size; the engine's tables are built once, for the largest, since
+q's iterates q^m do not depend on M, and a block of one size is the case
+where every M_i is equal. One generator, ``_lockstep_blocks``, builds the
+tables once per call and runs every block, for ``decode_markov_runs`` and
+the campaigns alike. Packing rule: k batch sizes over the same runs share
+one block when their k*count rows fit the block limit of the largest size;
+otherwise each size decodes in its own blocks, exactly as alone. In a shared
+block the k rows of run i read the same stream, drawn once and copied, in
+windows as wide as the largest size needs (W computed over the k*count
+rows); a row keeps a generator of its own only where W is short of its own
+size's S.
 """
 
 from __future__ import annotations
@@ -503,23 +516,29 @@ def _overrun(width: int) -> RuntimeError:
 class _Lockstep:
     """One block of runs advanced together, one position at a time.
 
-    Each run keeps a row of a (runs, width) window of its uniform stream, read
-    through the flat ``uniforms`` (a view of a C-contiguous window, as
-    ``_block_streams`` makes them) by absolute index: ``next[i]`` is run i's
-    next unread uniform, and ``cursor`` the same index relative to its row.
+    ``batch_sizes`` is one batch size for every row or a nondecreasing array
+    of one per row, M_i; ``tables`` must serve the largest. Each run keeps a
+    row of a (runs, width) window of its uniform stream, read through the
+    flat ``uniforms`` (a view of a C-contiguous window, as ``_block_streams``
+    makes them) by absolute index: ``next[i]`` is run i's next unread
+    uniform, and ``cursor`` the same index relative to its row.
     With ``rngs`` None the row holds every uniform a run can read. Otherwise
-    it holds at least twice the most one round can read (M*L drafts, M root
-    tests, L - 1 verifies, one replacement; ``_block_streams`` sets the width),
-    and a run whose row is short at a round opening slides it down and tops
-    it up from its own generator ``rngs[i]``, so the working memory is fixed
-    per block.
+    it holds at least twice the most one round of the largest size can read
+    (M*L drafts, M root tests, L - 1 verifies, one replacement;
+    ``_block_streams`` sets the width), and a run whose row is short at a
+    round opening, of the (M_i + 1)(L + 1) - 1 uniforms its round can read,
+    slides it down and tops it up from its own generator ``rngs[i]``, so the
+    working memory is fixed per block. A row with ``rngs[i]`` None holds its
+    whole stream.
 
     Draft pointers. A run opens a round at position 1 and after each
     replacement (its flag at t - 1). At an opening, ``draft[i]`` is set to
-    the cursor, the M*L draft uniforms are reserved, and it then moves
+    the cursor, the M_i*L draft uniforms are reserved, and it then moves
     forward one per emitted position, so it always points at the followed
     response's draft uniform for the current position; when a root accepts
     response m, it becomes ``base + m*L`` (base being the opening cursor).
+    A run whose M_i root tests all fail draws its token from iterate
+    M_i + 1; at M_i = 1 that is the replacement after response 0.
 
     Checks. Thresholds, replacement rows and check tables come from ``tables``
     (see :class:`_Tables`); each check runs only where its table asks.
@@ -539,10 +558,19 @@ class _Lockstep:
     covers every read.
     """
 
-    def __init__(self, pair: ModelPair, batch_size: int, tables: _Tables, window, rngs) -> None:
-        self.horizon, self.batch_size, self.vocab = pair.horizon, batch_size, pair.vocab_size
-        self.tables, self.rngs, self.uniforms = tables, rngs, window.reshape(-1)
+    def __init__(self, pair: ModelPair, batch_sizes, tables: _Tables, window, rngs) -> None:
         count, self.width = window.shape
+        sizes = np.asarray(batch_sizes, dtype=np.int64)
+        if sizes.ndim and np.any(sizes[1:] < sizes[:-1]):
+            raise ValueError("a block's rows must be ordered by batch size")
+        held = sorted(set(sizes.reshape(-1).tolist())) or [1]
+        self.largest = held[-1]
+        # The rows of sizes <= m end at row ends[m], for each size m held below the largest.
+        self.ends = {m: int(np.searchsorted(sizes, m, side="right")) for m in held[:-1]}
+        # One size is held as a scalar, which broadcasts where a row's size is read.
+        self.sizes = sizes if len(held) > 1 else self.largest
+        self.horizon, self.vocab = pair.horizon, pair.vocab_size
+        self.tables, self.rngs, self.uniforms = tables, rngs, window.reshape(-1)
         self.row_starts = np.arange(count) * self.width
         self.row_ends = self.row_starts + self.width
         self.next = self.row_starts.copy()
@@ -550,6 +578,10 @@ class _Lockstep:
         self.draft = np.zeros(count, dtype=np.int64)
         self.tokens = np.empty((count, self.horizon), dtype=np.int64)
         self.flags = np.zeros((count, self.horizon), dtype=bool)
+
+    def _sizes_of(self, runs) -> np.ndarray | int:
+        """The batch sizes of ``runs``: the block's one size, or one per run."""
+        return self.sizes if isinstance(self.sizes, int) else self.sizes[runs]
 
     @property
     def cursor(self) -> np.ndarray:
@@ -566,8 +598,11 @@ class _Lockstep:
         self.next[runs] += 1
         return us
 
-    def _top_up(self, runs: np.ndarray, need: int) -> None:
-        """Slide down and refill each row of ``runs`` with fewer than ``need`` unread uniforms."""
+    def _top_up(self, runs: np.ndarray, need) -> None:
+        """Slide down and refill each row of ``runs`` with fewer than ``need`` unread uniforms.
+
+        ``need`` is one count for all of ``runs`` or one per run.
+        """
         width = self.width
         for i in runs[self.next[runs] + need > self.row_ends[runs]].tolist():
             start = i * width
@@ -608,11 +643,21 @@ class _Lockstep:
         self.flags[runs, t - 1] = True
 
     def _respond(self, t, span, pending, states) -> None:
-        """Test responses 1, ..., M - 1 for the opening runs ``pending`` that rejected response 0.
+        """Test responses 1, 2, ... for the opening runs ``pending`` that rejected response 0.
 
-        Their draft pointers are at base + 1; response m's draft at t is base + m*L.
+        Their draft pointers are at base + 1; response m's draft at t is
+        base + m*L. A run of batch size M_i whose M_i root tests have all
+        failed draws its token from iterate M_i + 1. Rows are ordered by
+        batch size, so at response m those runs are the first of ``pending``.
         """
-        for m in range(1, self.batch_size):
+        for m in range(1, self.largest):
+            if m in self.ends:
+                cut = int(np.searchsorted(pending, self.ends[m]))
+                if cut:
+                    self._replace(pending[:cut], t, m, states[:cut])
+                    pending, states = pending[cut:], states[cut:]
+                    if not pending.size:
+                        return
             self._check_residual(t, m, states)
             pointers = self.draft[pending] + (m * span - 1)
             candidates, keys = self._draft(t, states, pointers)
@@ -623,7 +668,7 @@ class _Lockstep:
             pending, states = pending[~accept], states[~accept]
             if not pending.size:
                 return
-        self._replace(pending, t, self.batch_size, states)
+        self._replace(pending, t, self.largest, states)
 
     def advance(self, t: int) -> None:
         """Emit every run's token at position t.
@@ -631,17 +676,18 @@ class _Lockstep:
         Every run tests one candidate against q at t: a run inside a round
         its followed response's token, a run that opens a round response 0's.
         So one draft/verify pass covers all runs, and only the opening runs
-        that reject it go on to test responses 1, ..., M - 1.
+        that reject it go on to ``_respond``.
         """
-        span, batch_size = self.horizon - t + 1, self.batch_size
+        span = self.horizon - t + 1
         opening = self.flags[:, t - 2] if t > 1 else np.ones(len(self.draft), dtype=bool)
         opened = opening.nonzero()[0]
         if opened.size:
+            sizes = self._sizes_of(opened)
             if self.rngs is not None:
-                self._top_up(opened, (batch_size + 1) * (span + 1) - 1)
+                self._top_up(opened, (sizes + 1) * (span + 1) - 1)
             cursor = self.next[opened]
             self.draft[opened] = cursor
-            self.next[opened] = cursor + batch_size * span
+            self.next[opened] = cursor + sizes * span
 
         states = self.tokens[:, t - 2] if t > 1 else self.prompt_tokens
         candidates, keys = self._draft(t, states, self.draft)
@@ -650,8 +696,8 @@ class _Lockstep:
         self.tokens[:, t - 1] = candidates
         rejected = (~accept).nonzero()[0]
         pending = rejected[:0]
-        if batch_size > 1 and rejected.size:
-            # Opening runs that reject response 0 test response 1.
+        if self.largest > 1 and rejected.size:
+            # Opening runs that reject response 0 go on to response 1.
             first = opening[rejected]
             pending, rejected = rejected[first], rejected[~first]
         if rejected.size:
@@ -684,23 +730,88 @@ def _block_runs(batch_size: int, horizon: int) -> int:
     return BLOCK_RUNS
 
 
-def _block_streams(seed: int, start: int, count: int, batch_size: int, horizon: int):
+def _block_streams(seed: int, start: int, count: int, batch_sizes, horizon: int):
     """Filled windows of runs start, ..., start + count - 1, and their generators if they top up.
 
-    Whole-stream blocks (see ``_whole_streams``) come from ``split_uniforms``.
-    A long-stream block of count >= 1 runs fills windows of
-    W = min(S, max(2R, WINDOW_BUDGET // count)) uniforms from its runs'
-    generators and keeps them only where W < S.
+    ``batch_sizes`` is one batch size or a sequence of k of them: the window
+    then has k*count rows, size-major, and the k rows of run i hold the same
+    stream, drawn once and copied. Its source and width are set by the
+    largest size, M. Whole-stream blocks (see ``_whole_streams``) come from
+    ``split_uniforms``. A long-stream block of count >= 1 runs fills windows
+    of W = min(S, max(2R, WINDOW_BUDGET // (k*count))) uniforms, S and 2R at
+    M, from its runs' generators. A row keeps a generator only where W is
+    short of the S of its own size: the first such size takes the ones the
+    window was filled from, any later one copies from ``split_rngs``
+    advanced past W. The generators are None where no row keeps one.
     """
-    length = _stream_length(batch_size, horizon)
-    if _whole_streams(batch_size, horizon):
-        return split_uniforms(seed, start, count, length), None
+    sizes = np.atleast_1d(batch_sizes).tolist()
+    largest, k = max(sizes), len(sizes)
+    length = _stream_length(largest, horizon)
+    if _whole_streams(largest, horizon):
+        streams = split_uniforms(seed, start, count, length)
+        return (streams if k == 1 else np.tile(streams, (k, 1))), None
     rngs = split_rngs(seed, start, count)
-    budget_share = max(_window_width(batch_size, horizon), WINDOW_BUDGET // count)
-    window = np.empty((count, min(length, budget_share)))
+    budget_share = max(_window_width(largest, horizon), WINDOW_BUDGET // (k * count))
+    window = np.empty((k * count, min(length, budget_share)))
     for row, rng in zip(window, rngs):
         rng.random(out=row)
-    return window, (None if window.shape[1] == length else rngs)
+    for j in range(1, k):
+        window[j * count : (j + 1) * count] = window[:count]
+    width, kept, spare = window.shape[1], [], rngs
+    for m in sizes:
+        if width >= _stream_length(m, horizon):
+            kept += [None] * count
+            continue
+        if spare is None:
+            spare = split_rngs(seed, start, count)
+            for rng in spare:
+                rng.bit_generator.advance(width)
+        kept += spare
+        spare = None
+    return window, (None if spare is rngs else kept)
+
+
+def _decoded_block(pair, batch_sizes, tables, seed, start, count) -> MarkovRuns:
+    """Runs start, ..., start + count - 1 at each of ``batch_sizes`` in one block, size-major."""
+    window, rngs = _block_streams(seed, start, count, batch_sizes, pair.horizon)
+    sizes = batch_sizes[0] if len(batch_sizes) == 1 else np.repeat(batch_sizes, count)
+    block = _Lockstep(pair, sizes, tables, window, rngs)
+    for t in range(1, pair.horizon + 1):
+        block.advance(t)
+    return MarkovRuns(block.prompt_tokens, block.tokens, block.flags.sum(axis=1), block.flags)
+
+
+def _lockstep_blocks(pair: ModelPair, batch_sizes, policy, seed: int, start: int, count: int):
+    """Yield (j, lo, runs): runs start + lo, ... of the engine at ``batch_sizes[j]``.
+
+    The one block loop, for checked arguments: the tables are built once,
+    for the largest size, and every block reads them. Packing rule: k > 1
+    sizes whose k*count rows fit one block (``_block_runs`` of the largest
+    size) share one block, yielded one size at a time with lo = 0;
+    otherwise each size decodes in its own blocks of ``_block_runs`` runs,
+    in the order of ``batch_sizes``. Either way, row for row the runs are
+    the same. If a shared block raises, the sizes are decoded again one at a
+    time, so the error raised is that of the first size that fails, as when
+    each size is decoded alone.
+    """
+    tables, horizon, k = _tables(pair, max(batch_sizes), policy), pair.horizon, len(batch_sizes)
+    if 1 < k and 0 < k * count <= _block_runs(max(batch_sizes), horizon):
+        # The block's rows go in order of batch size, as _Lockstep needs them.
+        order = sorted(range(k), key=batch_sizes.__getitem__)
+        try:
+            runs = _decoded_block(pair, [batch_sizes[j] for j in order], tables, seed, start, count)
+        except (RuntimeError, ZeroResidual):
+            pass
+        else:
+            for position, j in enumerate(order):
+                rows = slice(position * count, (position + 1) * count)
+                yield j, 0, MarkovRuns(*(column[rows] for column in runs))
+            return
+    for j, batch_size in enumerate(batch_sizes):
+        step = _block_runs(batch_size, horizon)
+        for lo in range(0, count, step):
+            hi = min(count, lo + step)
+            yield j, lo, _decoded_block(pair, (batch_size,), tables, seed, start + lo, hi - lo)
 
 
 def decode_markov_runs(
@@ -747,7 +858,10 @@ def decode_markov_runs(
     Windows with W < S top up from the generators; with W = S they hold
     whole streams and the generators are dropped. Every source gives every
     run the same uniforms, so the choice, which depends only on (M, T, n),
-    changes no result.
+    changes no result. This is the one-size case of the block loop that
+    campaigns share (see "Batch sizes per row" in the module docstring): a
+    batch scan may decode these runs in one block with its other sizes,
+    with the same result row for row.
 
     Raises RuntimeError on a draft outside p's support and ZeroResidual where
     the scalar samplers do, TypeError for a policy that is not a Policy or has
@@ -773,16 +887,7 @@ def decode_markov_runs(
         np.empty(count, dtype=np.int64),
         np.empty((count, horizon), dtype=np.int8),
     )
-    tables = _tables(pair, batch_size, policy)
-    step = _block_runs(batch_size, horizon)
-    for lo in range(0, count, step):
-        hi = min(count, lo + step)
-        streams = _block_streams(seed, start + lo, hi - lo, batch_size, horizon)
-        block = _Lockstep(pair, batch_size, tables, *streams)
-        for t in range(1, horizon + 1):
-            block.advance(t)
-        out.prompt_tokens[lo:hi] = block.prompt_tokens
-        out.tokens[lo:hi] = block.tokens
-        out.flags[lo:hi] = block.flags
-        out.rejections[lo:hi] = block.flags.sum(axis=1)
+    for _, lo, runs in _lockstep_blocks(pair, (batch_size,), policy, seed, start, count):
+        for column, block in zip(out, runs):
+            column[lo : lo + len(block)] = block
     return out

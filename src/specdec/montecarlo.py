@@ -4,11 +4,16 @@ Run i of a campaign decodes on its own child stream ``split_rng(seed, i)``, so
 campaigns are reproducible run-for-run and any run can be replayed alone.
 Runs are decoded in blocks, in run order. Dispatch rule: sd, batch and
 generic runs on a pair of MarkovModels, under no policy or one with tables,
-take the lockstep engine ``decode_markov_runs`` in blocks of its own size;
-every other run is one call of the scalar loop ``_decode`` (of
-``autoregressive_decode`` for autoregressive runs), in blocks of BLOCK_RUNS.
-Both routes give the same runs, so the choice changes speed and not results,
-and working memory is set by the block size, not by the number of runs.
+take the lockstep engine through its block loop
+``decoding._lockstep_blocks``, in blocks of the engine's size, with the
+tables built once per campaign; every other run is one call of the scalar
+loop ``_decode`` (of ``autoregressive_decode`` for autoregressive runs), in
+blocks of BLOCK_RUNS. A batch scan hands the engine all its batch sizes at
+once: when the sizes' rows together fit one engine block they are decoded
+in that one block, otherwise size by size as single campaigns are; on the
+scalar loop it always goes size by size. Every route gives the same runs,
+so the choice changes speed and not results, and working memory is set by
+the block size, not by the number of runs.
 Reports carry the matching closed-form reference value so empirical means can
 be judged against their standard errors at every checkpoint.
 """
@@ -24,11 +29,10 @@ from . import enumeration
 from .decoding import (
     BLOCK_RUNS,
     Policy,
-    _block_runs,
     _decode,
+    _lockstep_blocks,
     _run_args,
     autoregressive_decode,
-    decode_markov_runs,
 )
 from .dist import _int_arg, _real_arg
 from .enumeration import enumerate_expected_rejections
@@ -107,36 +111,38 @@ class BatchScanRow:
     stderr: float | None
 
 
-def _decode_blocks(campaign: Campaign):
-    """Yield (tokens, rejections) arrays for the campaign's runs, block by block in run order.
+def _decode_blocks(campaign: Campaign, batch_sizes=None):
+    """Yield (j, tokens, rejections) arrays for the campaign's runs at ``batch_sizes[j]``.
 
-    The engine or the scalar loop, by the dispatch rule in the module
-    docstring; both read run i from ``split_rng(seed, i)``.
+    ``batch_sizes`` defaults to the campaign's own. The engine or the scalar
+    loop, by the dispatch rule in the module docstring; both read run i from
+    ``split_rng(seed, i)`` at every size. Blocks come in run order within a
+    size, and the sizes in turn unless the engine packs them into one block.
     """
-    pair, algorithm = campaign.pair, campaign.algorithm
-    batch_size, policy = campaign.batch_size, campaign.policy
-    lockstep = (
+    pair, algorithm, policy = campaign.pair, campaign.algorithm, campaign.policy
+    sizes = (campaign.batch_size,) if batch_sizes is None else tuple(batch_sizes)
+    if (
         algorithm != "autoregressive"
         and _is_markov_pair(pair)
         and (policy is None or policy.tables is not None)
-    )
-    step = _block_runs(batch_size, pair.horizon) if lockstep else BLOCK_RUNS
-    for start in range(0, campaign.runs, step):
-        count = min(step, campaign.runs - start)
-        if lockstep:
-            runs = decode_markov_runs(pair, batch_size, campaign.seed, start, count, policy)
-            yield runs.tokens, runs.rejections
-            continue
-        tokens = np.empty((count, pair.horizon), dtype=np.int64)
-        rejections = np.zeros(count, dtype=np.int64)
-        for i in range(count):
-            rng = split_rng(campaign.seed, start + i)
-            if algorithm == "autoregressive":
-                tokens[i] = autoregressive_decode(pair.q, rng).tokens
-                continue
-            trajectory, stats = _decode(pair, batch_size, policy, rng)
-            tokens[i], rejections[i] = trajectory.tokens, stats.rejections
-        yield tokens, rejections
+    ):
+        blocks = _lockstep_blocks(pair, sizes, policy, campaign.seed, 0, campaign.runs)
+        for j, _, runs in blocks:
+            yield j, runs.tokens, runs.rejections
+        return
+    for j, batch_size in enumerate(sizes):
+        for start in range(0, campaign.runs, BLOCK_RUNS):
+            count = min(BLOCK_RUNS, campaign.runs - start)
+            tokens = np.empty((count, pair.horizon), dtype=np.int64)
+            rejections = np.zeros(count, dtype=np.int64)
+            for i in range(count):
+                rng = split_rng(campaign.seed, start + i)
+                if algorithm == "autoregressive":
+                    tokens[i] = autoregressive_decode(pair.q, rng).tokens
+                    continue
+                trajectory, stats = _decode(pair, batch_size, policy, rng)
+                tokens[i], rejections[i] = trajectory.tokens, stats.rejections
+            yield j, tokens, rejections
 
 
 def _exact_reference(campaign: Campaign) -> float | None:
@@ -171,7 +177,7 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
     if campaign.algorithm == "autoregressive":
         counts = np.zeros(campaign.runs, dtype=np.int64)  # never rejects, nothing to sample
     else:
-        counts = np.concatenate([rejections for _, rejections in _decode_blocks(campaign)])
+        counts = np.concatenate([rejections for _, _, rejections in _decode_blocks(campaign)])
     marks = list(range(campaign.checkpoint_every, campaign.runs + 1, campaign.checkpoint_every))
     if not marks or marks[-1] != campaign.runs:
         marks.append(campaign.runs)
@@ -211,7 +217,7 @@ def unbiasedness_check(
     )
     place = pair.vocab_size ** np.arange(pair.horizon - 1, -1, -1, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
-    for tokens, _ in _decode_blocks(campaign):
+    for _, tokens, _ in _decode_blocks(campaign):
         counts += np.bincount(tokens @ place, minlength=size)
     l1 = float(np.abs(counts / campaign.runs - joint_distribution(pair.q)).sum())
     return UnbiasednessReport(
@@ -224,17 +230,22 @@ def batch_scan(pair: ModelPair, batch_sizes, runs: int, seed: int) -> list[Batch
     """Exact and empirical rejections per batch size, closed by the limit row.
 
     Every batch size reuses the same master seed, so scans are reproducible
-    and positively paired across rows.
+    and positively paired across rows: run i reads ``split_rng(seed, i)`` at
+    every size. The sizes' runs are decoded together (see the module
+    docstring), and each row equals the final checkpoint of that size's own
+    campaign.
     """
     sizes = [_int_arg("batch size", m, 1) for m in batch_sizes]
     rows = []
-    for m in sizes:
-        report = run_campaign(
-            Campaign(pair=pair, algorithm="batch", runs=runs, seed=seed, batch_size=m,
-                     checkpoint_every=runs)
-        )
-        final = report.checkpoints[-1]
-        rows.append(BatchScanRow(m, report.exact, final.mean, final.stderr))
+    if sizes:
+        campaign = Campaign(pair=pair, algorithm="batch", runs=runs, seed=seed,
+                            batch_size=sizes[0])
+        exacts = [expected_rejections_batch(pair, m).total for m in sizes]
+        counts = [[] for _ in sizes]
+        for j, _, rejections in _decode_blocks(campaign, sizes):
+            counts[j].append(rejections)
+        for m, exact, blocks in zip(sizes, exacts, counts):
+            final = _checkpoint(np.concatenate(blocks), campaign.runs, exact)
+            rows.append(BatchScanRow(m, exact, final.mean, final.stderr))
     rows.append(BatchScanRow(None, limit_rejections(pair), None, None))
     return rows
-

@@ -15,6 +15,7 @@ from specdec import (
     always_accept_policy,
     autoregressive_decode,
     batch_decode,
+    batch_scan,
     generic_decode,
     joint_distribution,
     make_rng,
@@ -33,7 +34,9 @@ from specdec.decoding import (
     WINDOW_BUDGET,
     _block_runs,
     _block_streams,
+    _decoded_block,
     _Lockstep,
+    _lockstep_blocks,
     _stream_length,
     _tables,
     _validated_tables,
@@ -633,6 +636,104 @@ class TestWindowBudget:
         with pytest.raises(RuntimeError, match="past the end of its 12-uniform window"):
             for t in range(1, 6):
                 block.advance(t)
+
+
+def positions_apart_pair() -> ModelPair:
+    """empty_third_iterate_pair with q's rows below p's at position 3.
+
+    So M = 1 runs fail at position 3 only, where every rejection finds
+    max(q - p, 0) = 0, and M = 2 runs already at position 2, where opening
+    runs that reject both root tests find q^3 empty.
+    """
+    base = empty_third_iterate_pair()
+    q = MarkovModel(base.q.prompt, [*base.q.steps[:2], unnormalized_step([[0.3, 0.3, 0.3]] * 3)])
+    return ModelPair(base.p, q)
+
+
+class TestSharedBlocks:
+    """Rows of several batch sizes in one block decode as each size alone."""
+
+    @pytest.mark.parametrize(
+        "vocab, horizon, budget",
+        # Whole streams; W = S(8, 7) = 288 over 45 rows; and, with no
+        # budget, top-up windows of 2R(8, 7) = 142 uniforms.
+        [(3, 2, None), (4, 7, None), (4, 7, 0)],
+    )
+    @pytest.mark.parametrize("sizes", [(1, 2, 8), (8, 1, 3), (2, 2, 1), (5,)])
+    def test_rows_equal_one_size_decodes(self, sizes, vocab, horizon, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr("specdec.decoding.WINDOW_BUDGET", budget)
+        for pair in (random_model_pair(vocab, horizon, seed=8),
+                     sparse_draft_pair(vocab, horizon, seed=41)):
+            blocks = list(_lockstep_blocks(pair, sizes, None, 4, 6, 15))
+            assert sorted(j for j, _, _ in blocks) == list(range(len(sizes)))
+            for j, lo, runs in blocks:
+                alone = decode_markov_runs(pair, sizes[j], 4, 6, 15)
+                assert lo == 0
+                for column, expected in zip(runs, alone):
+                    assert np.array_equal(column, expected)
+
+    def test_rows_equal_the_scalar_samplers(self):
+        pair = random_model_pair(5, 6, seed=3)
+        for j, _, runs in _lockstep_blocks(pair, (3, 1, 2), None, 2, 0, 20):
+            for i in range(20):
+                trajectory, stats = scalar_run(pair, (3, 1, 2)[j], split_rng(2, i))
+                assert runs.tokens[i].tolist() == list(trajectory.tokens)
+                assert runs.flags[i].tolist() == list(map(bool, stats.flags))
+
+    def test_copies_share_a_stream_and_keep_generators_only_where_short(self):
+        # At T = 50 the budget's share of 3 * 8 rows, 131072 // 24 = 5461
+        # uniforms, exceeds S(4) = 5351: every row holds its whole stream.
+        window, rngs = _block_streams(3, 7, 8, (1, 2, 4), 50)
+        assert window.shape == (24, 5351) and rngs is None
+        for j in range(3):
+            assert np.array_equal(window[8 * j : 8 * j + 8], window[:8])
+        assert np.array_equal(window[5], split_rng(3, 12).random(5351))
+
+    def test_copies_top_up_from_their_own_generators(self, monkeypatch):
+        # With 2**12 uniforms over 3 * 8 rows, W = max(2R(4) = 508, 170): M = 1
+        # and M = 2 rows (S = 1376, 2701) and M = 4 rows all top up, each
+        # from a generator that continues its stream past the window.
+        monkeypatch.setattr("specdec.decoding.WINDOW_BUDGET", 2**12)
+        window, rngs = _block_streams(3, 7, 8, (1, 2, 4), 50)
+        assert window.shape == (24, 508) and len(rngs) == 24
+        assert len({id(rng) for rng in rngs}) == 24
+        for row in (0, 9, 23):
+            stream = split_rng(3, 7 + row % 8).random(508 + 20)
+            assert np.array_equal(window[row], stream[:508])
+            assert np.array_equal(rngs[row].random(20), stream[508:])
+        # At T = 8 a window of 2R(4, 8) = 88 uniforms holds S(1, 8) = 53:
+        # the M = 1 rows keep no generator.
+        monkeypatch.setattr("specdec.decoding.WINDOW_BUDGET", 0)
+        window, rngs = _block_streams(3, 7, 8, (1, 4), 8)
+        assert window.shape == (16, 88)
+        assert rngs[:8] == [None] * 8 and None not in rngs[8:]
+
+    def test_a_block_must_order_its_rows_by_size(self):
+        pair = random_model_pair(2, 3, seed=1)
+        window, _ = _block_streams(0, 0, 2, (1, 2), 3)
+        with pytest.raises(ValueError, match="ordered by batch size"):
+            _Lockstep(pair, np.array([2, 2, 1, 1]), _tables(pair, 2, None), window, None)
+
+    @pytest.mark.parametrize("sizes", [[1, 2], [2, 1], [1, 1, 2]])
+    def test_a_failing_scan_raises_the_first_failing_sizes_error(self, sizes):
+        pair, runs = positions_apart_pair(), 200
+        errors = {}
+        for m in (1, 2):
+            with pytest.raises(ZeroResidual) as caught:
+                decode_markov_runs(pair, m, 9, 0, runs)
+            errors[m] = str(caught.value)
+        assert errors == {
+            1: "rejection at position 3 with tv(q^1, p) = 0",
+            2: "rejection at position 2 with tv(q^2, p) = 0",
+        }
+        # One shared block would stop at position 2, whatever the order.
+        with pytest.raises(ZeroResidual) as caught:
+            _decoded_block(pair, sorted(sizes), _tables(pair, 2, None), 9, 0, runs)
+        assert str(caught.value) == errors[2]
+        with pytest.raises(ZeroResidual) as caught:
+            batch_scan(pair, sizes, runs, 9)
+        assert str(caught.value) == errors[sizes[0]]
 
 
 def history_policy(pair) -> Policy:

@@ -20,9 +20,9 @@ from specdec import (
     unbiasedness_check,
 )
 
-from specdec import exact, montecarlo
+from specdec import decoding, exact, montecarlo
 from specdec.cli import report_header
-from specdec.decoding import BLOCK_RUNS, WINDOW_BUDGET, _block_runs
+from specdec.decoding import BLOCK_RUNS, WINDOW_BUDGET, _block_runs, _stream_length, _whole_streams
 
 from helpers import constant_chain
 
@@ -339,6 +339,131 @@ class TestBatchScan:
         assert batch_scan(pair, [1, 3], runs=100, seed=7) == batch_scan(
             pair, [1, 3], runs=100, seed=7
         )
+
+
+@pytest.fixture
+def engine_blocks(monkeypatch):
+    """(rows, window width, keeps generators) of every lockstep block built, in order."""
+    built = []
+
+    class Counted(decoding._Lockstep):
+        def __init__(self, pair, batch_sizes, tables, window, rngs):
+            built.append((window.shape[0], window.shape[1], rngs is not None))
+            super().__init__(pair, batch_sizes, tables, window, rngs)
+
+    monkeypatch.setattr(decoding, "_Lockstep", Counted)
+    return built
+
+
+def scan_by_campaigns(pair, sizes, runs, seed):
+    """batch_scan's finite rows as one campaign per size makes them."""
+    rows = []
+    for m in sizes:
+        report = run_campaign(Campaign(pair, "batch", runs, seed, batch_size=m,
+                                       checkpoint_every=runs))
+        final = report.checkpoints[-1]
+        rows.append(montecarlo.BatchScanRow(m, report.exact, final.mean, final.stderr))
+    return rows
+
+
+class TestMergedScan:
+    """A small scan decodes all its batch sizes in one lockstep block, row for row as alone."""
+
+    @pytest.mark.parametrize("sizes", [[1, 2, 4], [4, 1, 2], [2, 1, 2, 2], [8, 3, 1, 8]])
+    @pytest.mark.parametrize("regime", ["whole", "W=S", "W<S"])
+    def test_rows_equal_each_sizes_own_campaign(self, regime, sizes, engine_blocks,
+                                                monkeypatch):
+        # T = 2 streams fit the narrowest window whole at every M. At T = 8
+        # the budget's share of k*runs <= 80 rows is >= 1638 uniforms, more
+        # than S(8, 8) = 361; with no budget the windows are 2R(M) wide and
+        # every row tops up from its own generator.
+        horizon, runs = (2, 40) if regime == "whole" else (8, 20)
+        if regime == "W<S":
+            monkeypatch.setattr("specdec.decoding.WINDOW_BUDGET", 0)
+        pair = random_model_pair(3, horizon, seed=31)
+        rows = batch_scan(pair, sizes, runs, seed=5)
+        largest, k = max(sizes), len(sizes)
+        width = _stream_length(largest, horizon)
+        if regime == "W<S":
+            width = 2 * (largest * horizon + largest + horizon)
+        assert _whole_streams(largest, horizon) == (regime == "whole")
+        assert engine_blocks == [(k * runs, width, regime == "W<S")]
+        engine_blocks.clear()
+        assert rows[:-1] == scan_by_campaigns(pair, sizes, runs, seed=5)
+        assert len(engine_blocks) == k
+
+    def test_full_model_pairs_scan_size_by_size(self, engine_blocks):
+        markov = random_model_pair(2, 3, seed=24)
+        pair = ModelPair(markov_to_full(markov.p), markov_to_full(markov.q))
+        rows = batch_scan(pair, [3, 1, 2], runs=60, seed=7)
+        assert rows[:-1] == scan_by_campaigns(pair, [3, 1, 2], runs=60, seed=7)
+        assert engine_blocks == []
+        # The scalar loop's runs are the engine's, on the same streams.
+        merged = batch_scan(markov, [3, 1, 2], runs=60, seed=7)
+        assert [row.mean for row in rows] == [row.mean for row in merged]
+        assert engine_blocks == [(180, 31, False)]
+
+    def test_a_scan_too_large_for_one_block_decodes_size_by_size(self, engine_blocks):
+        # 3 * 2000 rows exceed _block_runs(3, 3) = 1024: the sizes take the
+        # blocks they take alone, (1, 3) and (2, 3) whole streams, (3, 3) two.
+        pair = random_model_pair(2, 3, seed=2024)
+        rows = batch_scan(pair, [1, 2, 3], runs=2000, seed=3)
+        scanned = list(engine_blocks)
+        engine_blocks.clear()
+        assert rows[:-1] == scan_by_campaigns(pair, [1, 2, 3], runs=2000, seed=3)
+        assert scanned == engine_blocks
+        assert [rows for rows, _, _ in scanned] == [2000, 2000, 1024, 976]
+
+    def test_a_shared_block_is_bounded_by_the_window_budget(self, engine_blocks):
+        # c2's pair (T = 50). 900 rows of sizes 1, 2 and 4 share one block of
+        # 2R(4) = 508 uniforms per row (3.5 MB); its 900 generators and token
+        # arrays add about 1.4 MB.
+        pair = random_model_pair(7, 50, seed=10)
+        batch_scan(pair, [1], 10, 1)  # warm caches outside the trace
+        engine_blocks.clear()
+        tracemalloc.start()
+        try:
+            batch_scan(pair, [1, 2, 4], 300, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert engine_blocks == [(900, 508, True)]
+        assert peak < 8 * max(508 * 900, WINDOW_BUDGET) + 2.5 * 2**20
+
+
+class TestTablesPerCampaign:
+    """The engine's tables are built once per campaign, however many blocks it decodes."""
+
+    @pytest.fixture
+    def table_calls(self, monkeypatch):
+        calls, tables = [], decoding._tables
+
+        def counted(pair, batch_size, policy):
+            calls.append(batch_size)
+            return tables(pair, batch_size, policy)
+
+        monkeypatch.setattr(decoding, "_tables", counted)
+        return calls
+
+    # At T = 4, S(1, 4) = 19 > 2R = 18: blocks of BLOCK_RUNS runs.
+    RUNS = 2 * BLOCK_RUNS + 5
+
+    def test_run_campaign(self, table_calls, engine_blocks):
+        pair = random_model_pair(2, 4, seed=3)
+        run_campaign(Campaign(pair, "batch", self.RUNS, 1, batch_size=2))
+        assert table_calls == [2] and len(engine_blocks) == 3
+
+    def test_unbiasedness_check(self, table_calls, engine_blocks):
+        pair = random_model_pair(2, 4, seed=3)
+        unbiasedness_check(pair, "sd", runs=self.RUNS, seed=1, l1_threshold=1.0)
+        assert table_calls == [1] and len(engine_blocks) == 3
+
+    @pytest.mark.parametrize("sizes, blocks", [([1, 3], 6), ([3, 2], 1)])
+    def test_batch_scan(self, table_calls, engine_blocks, sizes, blocks):
+        pair = random_model_pair(2, 4, seed=3)
+        runs = self.RUNS if blocks > 1 else 100
+        batch_scan(pair, sizes, runs, seed=2)
+        assert table_calls == [max(sizes)] and len(engine_blocks) == blocks
 
 
 class TestReportHeader:

@@ -216,3 +216,17 @@ def test_one_marginal_recursion():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     }
     assert not calls & {"dot", "matmul", "einsum", "tensordot", "vdot", "inner"}
+
+
+def test_one_engine_path():
+    # The lockstep engine is built at one site, in the block loop, so a
+    # one-size decode and a scan's shared block of several sizes run the
+    # same engine code.
+    found = [
+        f"{path}:{node.lineno}"
+        for path, node in source_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_Lockstep"
+    ]
+    assert len(found) == 1 and found[0].startswith("decoding.py:")
