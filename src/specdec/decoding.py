@@ -255,13 +255,22 @@ def policy_residual_rows(policy: Policy, n: int, histories, vocab_size: int) -> 
     Calls ``policy.residual`` once per history; raises InvalidPolicy unless
     every row is a length-V vector of reals (no bools or strings) that
     ``dist._normalized_rows`` takes, with its error for the first bad row
-    prefixed ``residual at position n:``.
+    prefixed ``residual at position n:``. Each row is checked for reals as it
+    is returned: an ndarray of integers or floats by its type and dtype, any
+    other value by ``dist._float_array``, so the first row that cannot be
+    read is named before any shape is checked. The rows are then stacked as
+    float64, so a float32 row is held to the row rule at its float64 values.
     """
-    rows = [_residual_check(n, _float_array, policy.residual(n, h)) for h in histories]
+    rows = [
+        row if type(row := policy.residual(n, h)) is np.ndarray and row.dtype.kind in "iuf"
+        else _residual_check(n, _float_array, row)
+        for h in histories
+    ]
     for row in rows:
         if row.shape != (vocab_size,):
             raise _bad_shape(n, row.shape)
-    return _residual_check(n, _normalized_rows, np.array(rows).reshape(len(rows), vocab_size))
+    rows = np.array(rows, dtype=np.float64).reshape(len(rows), vocab_size)
+    return _residual_check(n, _normalized_rows, rows)
 
 
 def policy_residual_row(policy: Policy, n: int, history: tuple[int, ...], vocab_size: int):

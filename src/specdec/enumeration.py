@@ -38,8 +38,14 @@ fsum of the level sums. Model rows and policy callbacks are read once per
 MarkovModel's rows are read from its (T, V, V) stack by the last digit of
 each live code, with no per-history call; history tuples are built only for
 the callbacks that take them, a FullModel's ``step`` and a policy's
-acceptance and residual. A policy's acceptance values are clamped to [0, 1]
-over the whole level at once, as the samplers clamp each one. Each of the at
+acceptance and residual. A level makes all of its acceptance calls, in
+(history, token) order, before it checks any value: one test of the values'
+types passes a level of floats as they are, and only a level with some other
+type is read value by value by the samplers' rule, so a bad value raises the
+samplers' InvalidPolicy after the level's last call, and the first bad value
+in that order is the one named. The values are then clamped to [0, 1] over
+the whole level at once, as the samplers clamp each one. Residual rows are
+checked as ``policy_residual_rows`` returns them. Each of the at
 most V**n histories at position n is built once, so a walk costs
 O((T + M * V) * V**T) against (2V)**T branch paths for a path-by-path
 expansion, and holds O(min(V, B) * V**T) floats per phase.
@@ -82,11 +88,13 @@ def _histories(codes: np.ndarray, v: int, length: int) -> list[tuple[int, ...]]:
 class _Live:
     """The histories with positive mass before position n, by code.
 
-    Their tuples are built on first use, for callbacks only.
+    Their last tokens x_{n-1}, which p's and q's Markov rows share, are
+    computed once; their tuples are built on first use, for callbacks only.
     """
 
     def __init__(self, n: int, codes: np.ndarray, vocab_size: int) -> None:
         self.n, self.codes, self.vocab_size = n, codes, vocab_size
+        self.last_tokens = codes % vocab_size
 
     @functools.cached_property
     def histories(self) -> list[tuple[int, ...]]:
@@ -95,7 +103,7 @@ class _Live:
     def rows(self, model) -> np.ndarray:
         """Rows of x_n, shape (len(codes), V): a Markov chain's by last digit, else ``step``'s."""
         if isinstance(model, MarkovModel):
-            return model.step_rows[self.n - 1, self.codes % self.vocab_size]
+            return model.step_rows[self.n - 1, self.last_tokens]
         rows = [model.step(self.n, h) for h in self.histories]
         return np.array(rows).reshape(-1, self.vocab_size)
 
@@ -120,16 +128,18 @@ def _walk(pair: ModelPair, phases: int, level) -> tuple[np.ndarray, float]:
         mass[0] = prompt
         for n in range(1, horizon + 1):
             size = mass.shape[1]
-            live = np.flatnonzero((mass > 0.0).any(axis=0))
+            live = np.flatnonzero(mass[0] > 0.0 if phases == 1 else (mass > 0.0).any(axis=0))
             held = mass[:, live, None] if live.size < size else mass[:, :, None]
             child = np.zeros((phases, live.size, v))
             rejecting = []
-            for src, dst, rejects, table in level(_Live(n, live + lo * v ** (n - 1), v)):
+            codes = live + lo * v ** (n - 1) if lo else live
+            for src, dst, rejects, table in level(_Live(n, codes, v)):
                 branch = held[src] * table
                 child[dst] += branch
                 if rejects:
                     rejecting.append(branch[branch != 0.0])
-            rejected.append(math.fsum(np.concatenate(rejecting).tolist()))
+            nonzero = rejecting[0] if len(rejecting) == 1 else np.concatenate(rejecting)
+            rejected.append(math.fsum(nonzero.tolist()))
             if live.size < size:
                 full = np.zeros((phases, size, v))
                 full[:, live] = child
@@ -140,20 +150,23 @@ def _walk(pair: ModelPair, phases: int, level) -> tuple[np.ndarray, float]:
 
 
 def _generic_level(pair: ModelPair, policy: Policy):
+    """Branches of the generic accept/replace round under ``policy``'s callbacks.
+
+    A level gathers the acceptance values of every live history and token
+    with one call each and checks them together: a level whose values are
+    all float or np.float64 is taken as it is, and any other goes through
+    ``decoding._acceptance_value`` value by value in (history, token) order,
+    so its first bad value raises. Residual rows are read only at histories
+    that can reject, by ``policy_residual_rows``.
+    """
     v = pair.vocab_size
 
     def level(live: _Live):
         n, histories = live.n, live.histories
         p = live.rows(pair.p)
-        # A float (np.float64 is one) is taken as it is, without a call.
-        b = [
-            [
-                value if isinstance(value := policy.acceptance(n, h, x), float)
-                else _acceptance_value(value, n)
-                for x in range(v)
-            ]
-            for h in histories
-        ]
+        b = [policy.acceptance(n, h, x) for h in histories for x in range(v)]
+        if not set(map(type, b)) <= {float, np.float64}:
+            b = [_acceptance_value(value, n) for value in b]
         b = _acceptances(np.array(b).reshape(1, -1, v), (n,))[0]
         reject = (p * (1.0 - b)).sum(axis=1)
         replacement = np.zeros_like(p)

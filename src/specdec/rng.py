@@ -36,7 +36,9 @@ C code operation for operation:
   lo * MULT_lo, which comes from 32-bit limbs so no partial product
   overflows; adding inc carries from the low half into the high;
 * each output steps first, then takes XSL-RR, hi ^ lo rotated right by the
-  state's top six bits;
+  state's top six bits r, as (x >> r) | (x << (64 - r)): at r = 0 the left
+  shift is by 64, which numpy defines as 0 for uint64 (C leaves it
+  undefined), so the rotation needs no mask;
 * ``random()`` maps a 64-bit output x to (x >> 11) * 2**-53, exactly as
   numpy's ``next_double``: x >> 11 < 2**53 converts to float64 exactly, and
   the scaling is by a power of two.
@@ -267,8 +269,9 @@ def split_uniforms(master_seed: int, start: int, count: int, width: int) -> np.n
     out = np.empty((len(hi), width))
     for column in out.T:
         hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        # XSL-RR: rotate hi ^ lo right by the state's top six bits.
+        # XSL-RR: rotate hi ^ lo right by the state's top six bits; at
+        # rotation 0 the left shift is by 64, which numpy defines as 0.
         value, rotation = hi ^ lo, hi >> U58
-        value = (value >> rotation) | (value << ((U64 - rotation) & U63))
+        value = (value >> rotation) | (value << (U64 - rotation))
         np.multiply(value >> U11, 2.0**-53, out=column)
     return out

@@ -1,14 +1,20 @@
-"""The three routes held to each other on fuzzed Markov pairs.
+"""The three routes held to each other on fuzzed pairs.
 
-A derandomized Hypothesis strategy builds pairs with V <= 4 and T <= 6 whose
-rows mix dense draws, sparse supports, p = q, and p within about 1e-12 of q in
-total variation, the rows where a tolerance on "zero residual" would show.
-Prompts are dense or sparse, so the oracle's pruning of prompt tokens with
-no mass is checked too.
+A derandomized Hypothesis strategy builds Markov pairs with V <= 4 and T <= 6
+whose rows mix dense draws, sparse supports, p = q, and p within about 1e-12
+of q in total variation, the rows where a tolerance on "zero residual" would
+show. Prompts are dense or sparse, so the oracle's pruning of prompt tokens
+with no mass is checked too.
 On each pair the closed forms must match the enumeration oracle to 1e-12, the
 batch limit must sit at or below the M = 8 total, and the lockstep engine must
 return the scalar samplers' runs, for sd, batch and every table policy.
+Callback-only copies of the table policies must give the engine's runs on the
+scalar route and the table policy's oracle law and E[rejections] exactly.
+History-dependent pairs, whose every history draws its own row kind, hold the
+closed forms to the oracle and the oracle's laws to the target's joint.
 """
+
+import itertools
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,14 +23,18 @@ from hypothesis import strategies as st
 from specdec import (
     CondDist,
     Dist,
+    FullModel,
     MarkovModel,
     ModelPair,
+    Policy,
     always_accept_policy,
     batch_decode,
     enumerate_expected_rejections,
+    enumerate_law_and_rejections,
     expected_rejections_batch,
     expected_rejections_sd,
     generic_decode,
+    joint_distribution,
     limit_rejections,
     make_rng,
     over_acceptance_policy,
@@ -65,22 +75,49 @@ def _rows(rng: np.random.Generator, vocab: int, kind: str) -> tuple[np.ndarray, 
     return p, q
 
 
+def _kind(rng: np.random.Generator) -> str:
+    return ROW_KINDS[rng.integers(len(ROW_KINDS))]
+
+
 @st.composite
-def markov_pairs(draw) -> ModelPair:
+def markov_pairs(draw, max_vocab: int = 4, max_horizon: int = 6) -> ModelPair:
     """Each position's rows share one kind, or with "mixed" draw their own."""
-    vocab = draw(st.integers(2, 4))
-    horizon = draw(st.integers(1, 6))
+    vocab = draw(st.integers(2, max_vocab))
+    horizon = draw(st.integers(1, max_horizon))
     kinds = draw(st.lists(st.sampled_from((*ROW_KINDS, "mixed")), min_size=horizon,
                           max_size=horizon))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p_steps, q_steps = [], []
     for kind in kinds:
-        rows = [_rows(rng, vocab, ROW_KINDS[rng.integers(len(ROW_KINDS))] if kind == "mixed"
-                      else kind) for _ in range(vocab)]
+        rows = [_rows(rng, vocab, _kind(rng) if kind == "mixed" else kind) for _ in range(vocab)]
         p_steps.append(CondDist([p for p, _ in rows]))
         q_steps.append(CondDist([q for _, q in rows]))
     prompt = Dist(_unit(rng, vocab, sparse=rng.random() < 0.5))
     return ModelPair(MarkovModel(prompt, p_steps), MarkovModel(prompt, q_steps))
+
+
+@st.composite
+def full_pairs(draw) -> ModelPair:
+    """History-dependent pairs with V <= 3 and T <= 4: each history draws its own row kind."""
+    vocab = draw(st.integers(2, 3))
+    horizon = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_table, q_table = {}, {}
+    for n in range(1, horizon + 1):
+        for history in itertools.product(range(vocab), repeat=n):
+            p_table[history], q_table[history] = _rows(rng, vocab, _kind(rng))
+    prompt = Dist(_unit(rng, vocab, sparse=rng.random() < 0.5))
+    return ModelPair(FullModel(prompt, horizon, p_table), FullModel(prompt, horizon, q_table))
+
+
+def _table_policies(pair: ModelPair) -> list[Policy]:
+    return [
+        sd_policy(pair),
+        random_unbiased_policy(pair, make_rng(3)),
+        always_accept_policy(pair),
+        over_acceptance_policy(pair, 0.05, "opt"),
+        over_acceptance_policy(pair, 0.05, "uno"),
+    ]
 
 
 def _assert_runs_equal(runs, scalar_runs):
@@ -104,16 +141,50 @@ def test_closed_forms_enumeration_and_engine_agree(pair):
     for m in (1, 2, 4):
         runs = decode_markov_runs(pair, m, seed, 0, count)
         _assert_runs_equal(runs, [batch_decode(pair, m, split_rng(seed, i)) for i in range(count)])
-    policies = [
-        sd_policy(pair),
-        random_unbiased_policy(pair, make_rng(3)),
-        always_accept_policy(pair),
-        over_acceptance_policy(pair, 0.05, "opt"),
-        over_acceptance_policy(pair, 0.05, "uno"),
-    ]
-    for policy in policies:
+    for policy in _table_policies(pair):
         assert policy.tables is not None
         runs = decode_markov_runs(pair, 1, seed, 0, count, policy)
         _assert_runs_equal(
             runs, [generic_decode(pair, policy, split_rng(seed, i)) for i in range(count)]
         )
+
+
+@given(markov_pairs(max_vocab=3, max_horizon=4))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_callback_copies_match_their_table_policies(pair):
+    # A copy built from the callbacks alone has no tables, so campaigns run it
+    # on the scalar route, and the oracle reads every policy by its callbacks.
+    seed, count = 11, 12
+    for policy in _table_policies(pair):
+        copy = Policy(policy.acceptance, policy.residual)
+        assert copy.tables is None
+        runs = decode_markov_runs(pair, 1, seed, 0, count, policy)
+        _assert_runs_equal(
+            runs, [generic_decode(pair, copy, split_rng(seed, i)) for i in range(count)]
+        )
+        law, rejections = enumerate_law_and_rejections(pair, "generic", policy=copy)
+        want_law, want_rejections = enumerate_law_and_rejections(pair, "generic", policy=policy)
+        assert law.tobytes() == want_law.tobytes()
+        assert rejections == want_rejections
+
+
+@given(full_pairs())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_history_dependent_pairs_agree(pair):
+    joint = joint_distribution(pair.q)
+    sd = expected_rejections_sd(pair)
+    runs = [("sd", {}, sd)]
+    runs += [
+        ("batch", {"batch_size": m}, expected_rejections_batch(pair, m).total) for m in (1, 2, 3)
+    ]
+    for algorithm, kwargs, closed_form in runs:
+        law, rejections = enumerate_law_and_rejections(pair, algorithm, **kwargs)
+        assert np.abs(law - joint).sum() <= 1e-12
+        assert abs(rejections - closed_form) <= 1e-12
+    assert limit_rejections(pair) <= expected_rejections_batch(pair, 8).total + 1e-12
+    # A random unbiased policy on such a pair has callbacks only.
+    policy = random_unbiased_policy(pair, make_rng(3))
+    assert policy.tables is None
+    law, rejections = enumerate_law_and_rejections(pair, "generic", policy=policy)
+    assert np.abs(law - joint).sum() <= 1e-12
+    assert rejections >= sd - 1e-12

@@ -288,6 +288,7 @@ class TestCallbacks:
         "string-acceptance": "0.5",
         "bool-acceptance": True,
         "numpy-bool-acceptance": np.True_,
+        "float32-nan-acceptance": np.float32("nan"),
     }
     BAD_RESIDUALS = {
         "shape": lambda pair, n, h: np.array([0.5, 0.3, 0.2]),
@@ -317,11 +318,34 @@ class TestCallbacks:
                 enumerate_fn(pair, "generic", policy=policy)
             assert str(enum.value) == str(scalar.value)
 
+    def test_a_level_makes_all_its_calls_before_a_bad_value_raises(self):
+        # The second acceptance value of level 1, in (history, token) order, is
+        # True: the level's other calls still run, then generic_decode's error.
+        pair = random_model_pair(2, 3, seed=4)
+        bad = (1, (0,), 1)
+        rule = Policy(lambda n, h, c: True if (n, h, c) == bad else 0.5, pair.q.step)
+        policy, accepts, residuals = _counting(rule)
+        assert pair.prompt.probs.all()
+        with pytest.raises(InvalidPolicy) as enum:
+            enumerate_law_and_rejections(pair, "generic", policy=policy)
+        assert list(accepts) == [(1, (x0,), x) for x0 in range(2) for x in range(2)]
+        assert set(accepts.values()) == {1}
+        assert not residuals
+        messages = set()
+        for i in range(20):
+            try:
+                generic_decode(pair, rule, split_rng(8, i))
+            except InvalidPolicy as exc:
+                messages.add(str(exc))
+        assert messages == {str(enum.value)}
+
     # Residual rows of other real types are taken as their float64 values.
     RESIDUAL_ROWS = {
         "float32": np.array([0.25, 0.75], dtype=np.float32),
         "int": np.array([0, 1]),
+        "int32": np.array([0, 1], dtype=np.int32),
         "list": [0.25, 0.75],
+        "tuple": (0.25, 0.75),
     }
 
     @pytest.mark.parametrize("kind", RESIDUAL_ROWS)
@@ -381,7 +405,8 @@ class TestMarkovRows:
 
     def test_acceptance_values_are_clamped_as_the_sampler_clamps_them(self):
         pair = random_model_pair(3, 3, seed=6)
-        values = [-0.0, 1.5, -2, np.float32(0.3), 1]
+        real = type("Real", (float,), {})
+        values = [-0.0, 1.5, -2, np.float32(0.3), 1, np.int64(3), real(0.25)]
 
         def raw(n, history, candidate):
             return values[(n + sum(history) + candidate) % len(values)]

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdec.rng import split_rng, split_rngs, split_uniforms
+from specdec.rng import (
+    _lcg_step,
+    _seeded_states,
+    _split_seed_words,
+    split_rng,
+    split_rngs,
+    split_uniforms,
+)
 
 
 def assert_same_streams(seed: int, start: int, count: int) -> None:
@@ -96,3 +103,21 @@ def test_split_uniforms_empty_blocks():
 )
 def test_split_uniforms_property(seed, start, count, width):
     assert_same_uniforms(seed, start, count, width)
+
+
+def test_uint64_shift_by_64_is_zero():
+    # split_uniforms rotates without a mask: at rotation 0 its left shift is
+    # by 64, which numpy defines as 0 for uint64 at every array length.
+    for size in (1, 3, 8, 17, 64, 1000):
+        x = np.random.default_rng(size).integers(1, 2**63, size=size, dtype=np.uint64)
+        assert (x << np.uint64(64) == 0).all()
+        assert (x << np.full(size, 64, dtype=np.uint64) == 0).all()
+
+
+def test_split_uniforms_at_a_zero_rotation():
+    # Run 1 of seed 0 rotates its second output by 0 bits.
+    hi, lo, inc_hi, inc_lo = _seeded_states(_split_seed_words(0, 1, 1))
+    for _ in range(2):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    assert (hi >> np.uint64(58)).tolist() == [0]
+    assert_same_uniforms(0, 1, 1, 2)
