@@ -13,7 +13,8 @@ column names and rows. ``main`` alone writes one of the two, through
 ``_json_document`` or ``csv_document``, so the output formats live here and
 nowhere else.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical guard violation.
+Exit codes: 0 success, 2 configuration error or an output path that cannot be
+written, 3 numerical guard violation.
 Floats are printed with 12 significant digits and outputs carry the effective
 config in their header, so identical configs yield byte-identical files.
 """
@@ -294,7 +295,11 @@ def main(argv=None) -> int:
         text = _json_document(args.command, config, results)
     else:
         text = csv_document(report_header(args.command, config), columns, rows)
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        print(f"specdec: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

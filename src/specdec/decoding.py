@@ -67,15 +67,26 @@ size changes a result.
 Batch sizes per row. A block's rows may have different batch sizes M_i,
 ordered by size; the engine's tables are built once, for the largest, since
 q's iterates q^m do not depend on M, and a block of one size is the case
-where every M_i is equal. One generator, ``_lockstep_blocks``, builds the
-tables once per call and runs every block, for ``decode_markov_runs`` and
-the campaigns alike. Packing rule: k batch sizes over the same runs share
-one block when their k*count rows fit the block limit of the largest size;
-otherwise each size decodes in its own blocks, exactly as alone. In a shared
-block the k rows of run i read the same stream, drawn once and copied, in
-windows as wide as the largest size needs (W computed over the k*count
+where every M_i is equal. Packing rule: k batch sizes over the same runs
+share one block when their k*count rows fit the block limit of the largest
+size; otherwise each size decodes in its own blocks, exactly as alone. In a
+shared block the k rows of run i read the same stream, drawn once and copied,
+in windows as wide as the largest size needs (W computed over the k*count
 rows); a row keeps a generator of its own only where W is short of its own
 size's S.
+
+Routes. One generator, ``_run_blocks``, decodes every run that
+``decode_markov_runs`` and the campaigns ask for, in blocks, in run order,
+and it alone chooses the route, the block size and the stream source. sd,
+batch and generic runs on a pair of MarkovModels, under no policy or one
+with tables, take the engine, in blocks of ``_block_runs`` runs, with the
+tables built once per call. Every other run (a pair with a FullModel, a
+policy without tables, an autoregressive run) is one call of the scalar
+loop ``_decode`` (of ``autoregressive_decode`` for autoregressive runs) on
+``split_rng(seed, i)``, in blocks of BLOCK_RUNS. A call with several batch
+sizes goes size by size on the scalar loop and by the packing rule on the
+engine. Both routes yield :class:`MarkovRuns` blocks and give the same runs,
+so the route changes speed and not results.
 """
 
 from __future__ import annotations
@@ -89,7 +100,7 @@ import numpy as np
 
 from .dist import ZeroResidual, _float_array, _int_arg, _normalized_rows, _residual_rows
 from .models import ModelPair, _is_markov_pair
-from .rng import split_rngs, split_uniforms
+from .rng import split_rng, split_rngs, split_uniforms
 
 BLOCK_RUNS = 1024
 STREAM_BUDGET = 2**16
@@ -396,14 +407,16 @@ def generic_decode(
     A missing policy raises ValueError and a non-Policy TypeError, as for
     campaigns and the enumeration oracle.
     """
-    return _decode(pair, *_run_args("generic", 1, policy), rng)
+    return _decode(pair, *_run_args(pair, "generic", 1, policy), rng)
 
 
-def _run_args(algorithm: str, batch_size, policy) -> tuple[int, Policy | None]:
-    """The (batch_size, policy) that ``_decode`` takes for a run of ``algorithm``.
+def _run_args(pair: ModelPair, algorithm: str, batch_size, policy) -> tuple[int, Policy | None]:
+    """The (batch_size, policy) that ``_decode`` takes for a run of ``algorithm`` on ``pair``.
 
     Only batch runs take a batch_size other than 1, and generic runs, and
-    only they, take a policy, which must be a Policy (else TypeError).
+    only they, take a policy, which must be a Policy (else TypeError). A
+    policy's tables, where it has them, must be (T, V, V) for ``pair``
+    (else InvalidPolicy), whichever route reads the policy.
     """
     batch_size = _int_arg("batch_size", batch_size)
     if algorithm != "batch" and batch_size != 1:
@@ -416,6 +429,10 @@ def _run_args(algorithm: str, batch_size, policy) -> tuple[int, Policy | None]:
         raise ValueError("algorithm 'generic' requires a policy")
     if policy is not None and not isinstance(policy, Policy):
         raise TypeError(f"{policy!r} is not a Policy")
+    if policy is not None and policy.tables is not None:
+        shape, got = (pair.horizon, pair.vocab_size, pair.vocab_size), policy.tables[0].shape
+        if got != shape:
+            raise InvalidPolicy(f"policy tables have shape {got}, expected {shape}")
     return batch_size, policy
 
 
@@ -427,14 +444,17 @@ def batch_decode(
     Rounds are as described in ``_decode``. With batch_size=1 this is
     speculative decoding exactly.
     """
-    return _decode(pair, *_run_args("batch", batch_size, None), rng)
+    return _decode(pair, *_run_args(pair, "batch", batch_size, None), rng)
 
 
 class MarkovRuns(NamedTuple):
     """Runs of :func:`decode_markov_runs`, one row per run in run order.
 
     ``tokens[i]`` and ``flags[i]`` have length T and ``flags.sum(axis=1)``
-    equals ``rejections``, as in :class:`RunStats`.
+    equals ``rejections``, as in :class:`RunStats`. It is also the block type
+    of both routes of ``_run_blocks``: a scalar-route block fills its rows
+    from each run's :class:`Trajectory` and :class:`RunStats` (an
+    autoregressive run's flags and rejections are zero).
     """
 
     prompt_tokens: np.ndarray
@@ -790,21 +810,46 @@ def _decoded_block(pair, batch_sizes, tables, seed, start, count) -> MarkovRuns:
     return MarkovRuns(block.prompt_tokens, block.tokens, block.flags.sum(axis=1), block.flags)
 
 
-def _lockstep_blocks(pair: ModelPair, batch_sizes, policy, seed: int, start: int, count: int):
-    """Yield (j, lo, runs): runs start + lo, ... of the engine at ``batch_sizes[j]``.
+def _zero_runs(count: int, horizon: int, flag_type) -> MarkovRuns:
+    """``count`` rows of zeros, flags of ``flag_type``, for a block or a call's result."""
+    per_run, per_token = np.zeros(count, dtype=np.int64), np.zeros((count, horizon), dtype=np.int64)
+    return MarkovRuns(per_run, per_token, per_run.copy(), per_token.astype(flag_type))
 
-    The one block loop, for checked arguments: the tables are built once,
-    for the largest size, and every block reads them. Packing rule: k > 1
-    sizes whose k*count rows fit one block (``_block_runs`` of the largest
-    size) share one block, yielded one size at a time with lo = 0;
-    otherwise each size decodes in its own blocks of ``_block_runs`` runs,
-    in the order of ``batch_sizes``. Either way, row for row the runs are
-    the same. If a shared block raises, the sizes are decoded again one at a
-    time, so the error raised is that of the first size that fails, as when
-    each size is decoded alone.
+
+def _scalar_block(pair, algorithm, batch_size, policy, seed, start, count) -> MarkovRuns:
+    """Runs start, ..., start + count - 1 on the scalar loop, run i on ``split_rng(seed, i)``."""
+    runs = _zero_runs(count, pair.horizon, bool)
+    for i in range(count):
+        rng = split_rng(seed, start + i)
+        if algorithm == "autoregressive":
+            trajectory = autoregressive_decode(pair.q, rng)
+        else:
+            trajectory, stats = _decode(pair, batch_size, policy, rng)
+            runs.rejections[i], runs.flags[i] = stats.rejections, stats.flags
+        runs.prompt_tokens[i], runs.tokens[i] = trajectory.prompt_token, trajectory.tokens
+    return runs
+
+
+def _run_blocks(pair: ModelPair, algorithm: str, batch_sizes, policy, seed: int, start: int,
+                count: int):
+    """Yield (j, lo, runs): runs start + lo, ... of ``algorithm`` at ``batch_sizes[j]``.
+
+    The one block loop, for arguments ``_run_args`` has checked, and the one
+    place a run's route is chosen (see "Routes" in the module docstring). On
+    the engine the tables are built once, for the largest size, and every
+    block reads them. Packing rule: k > 1 sizes whose k*count rows fit one
+    engine block (``_block_runs`` of the largest size) share one block,
+    yielded one size at a time with lo = 0; otherwise each size decodes in
+    its own blocks, ``_block_runs`` runs on the engine and BLOCK_RUNS on the
+    scalar loop, in the order of ``batch_sizes``. Either way, row for row
+    the runs are the same. If a shared block raises, the sizes are decoded
+    again one at a time, so the error raised is that of the first size that
+    fails, as when each size is decoded alone.
     """
-    tables, horizon, k = _tables(pair, max(batch_sizes), policy), pair.horizon, len(batch_sizes)
-    if 1 < k and 0 < k * count <= _block_runs(max(batch_sizes), horizon):
+    engine = algorithm != "autoregressive" and _is_markov_pair(pair) and (
+        policy is None or policy.tables is not None)
+    tables, k = _tables(pair, max(batch_sizes), policy) if engine else None, len(batch_sizes)
+    if engine and 1 < k and 0 < k * count <= _block_runs(max(batch_sizes), pair.horizon):
         # The block's rows go in order of batch size, as _Lockstep needs them.
         order = sorted(range(k), key=batch_sizes.__getitem__)
         try:
@@ -817,10 +862,13 @@ def _lockstep_blocks(pair: ModelPair, batch_sizes, policy, seed: int, start: int
                 yield j, 0, MarkovRuns(*(column[rows] for column in runs))
             return
     for j, batch_size in enumerate(batch_sizes):
-        step = _block_runs(batch_size, horizon)
+        step = _block_runs(batch_size, pair.horizon) if engine else BLOCK_RUNS
         for lo in range(0, count, step):
-            hi = min(count, lo + step)
-            yield j, lo, _decoded_block(pair, (batch_size,), tables, seed, start + lo, hi - lo)
+            n = min(step, count - lo)
+            if engine:
+                yield j, lo, _decoded_block(pair, (batch_size,), tables, seed, start + lo, n)
+            else:
+                yield j, lo, _scalar_block(pair, algorithm, batch_size, policy, seed, start + lo, n)
 
 
 def decode_markov_runs(
@@ -867,36 +915,27 @@ def decode_markov_runs(
     Windows with W < S top up from the generators; with W = S they hold
     whole streams and the generators are dropped. Every source gives every
     run the same uniforms, so the choice, which depends only on (M, T, n),
-    changes no result. This is the one-size case of the block loop that
-    campaigns share (see "Batch sizes per row" in the module docstring): a
-    batch scan may decode these runs in one block with its other sizes,
-    with the same result row for row.
+    changes no result. This is the one-size engine case of the block loop
+    that campaigns share, ``_run_blocks`` (see "Batch sizes per row" in the
+    module docstring): a batch scan may decode these runs in one block with
+    its other sizes, with the same result row for row.
 
     Raises RuntimeError on a draft outside p's support and ZeroResidual where
     the scalar samplers do, TypeError for a policy that is not a Policy or has
-    no tables, and InvalidPolicy when its tables are not (T, V, V) for this
-    pair.
+    no tables, and InvalidPolicy, by ``_run_args``' rule, when its tables are
+    not (T, V, V) for this pair.
     """
     if not _is_markov_pair(pair):
         raise TypeError("decode_markov_runs requires a pair of MarkovModels")
     algorithm = "batch" if policy is None else "generic"
-    batch_size, policy = _run_args(algorithm, batch_size, policy)
+    batch_size, policy = _run_args(pair, algorithm, batch_size, policy)
     if policy is not None and policy.tables is None:
         raise TypeError("decode_markov_runs reads policy tables; this policy has none")
     seed = _int_arg("seed", seed, 0)
     start = _int_arg("start", start, 0)
     count = _int_arg("count", count, 0)
-    horizon = pair.horizon
-    shape = (horizon, pair.vocab_size, pair.vocab_size)
-    if policy is not None and policy.tables[0].shape != shape:
-        raise InvalidPolicy(f"policy tables have shape {policy.tables[0].shape}, expected {shape}")
-    out = MarkovRuns(
-        np.empty(count, dtype=np.int64),
-        np.empty((count, horizon), dtype=np.int64),
-        np.empty(count, dtype=np.int64),
-        np.empty((count, horizon), dtype=np.int8),
-    )
-    for _, lo, runs in _lockstep_blocks(pair, (batch_size,), policy, seed, start, count):
+    out = _zero_runs(count, pair.horizon, np.int8)
+    for _, lo, runs in _run_blocks(pair, algorithm, (batch_size,), policy, seed, start, count):
         for column, block in zip(out, runs):
             column[lo : lo + len(block)] = block
     return out

@@ -226,7 +226,7 @@ def enumerate_law_and_rejections(
     _check_table_size(pair.vocab_size, pair.horizon)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    batch_size, policy = _run_args(algorithm, batch_size, policy)
+    batch_size, policy = _run_args(pair, algorithm, batch_size, policy)
     if policy is not None:
         return _walk(pair, 1, _generic_level(pair, policy))
     return _walk(pair, 1 if batch_size == 1 else 2, _batch_level(pair, batch_size))

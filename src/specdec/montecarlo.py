@@ -2,18 +2,12 @@
 
 Run i of a campaign decodes on its own child stream ``split_rng(seed, i)``, so
 campaigns are reproducible run-for-run and any run can be replayed alone.
-Runs are decoded in blocks, in run order. Dispatch rule: sd, batch and
-generic runs on a pair of MarkovModels, under no policy or one with tables,
-take the lockstep engine through its block loop
-``decoding._lockstep_blocks``, in blocks of the engine's size, with the
-tables built once per campaign; every other run is one call of the scalar
-loop ``_decode`` (of ``autoregressive_decode`` for autoregressive runs), in
-blocks of BLOCK_RUNS. A batch scan hands the engine all its batch sizes at
-once: when the sizes' rows together fit one engine block they are decoded
-in that one block, otherwise size by size as single campaigns are; on the
-scalar loop it always goes size by size. Every route gives the same runs,
-so the choice changes speed and not results, and working memory is set by
-the block size, not by the number of runs.
+Campaigns decode nothing themselves: ``decoding._run_blocks`` decodes their
+runs in blocks, in run order, on the route it chooses, and each campaign
+statistic is a fold over those blocks. A batch scan hands the block loop all
+its batch sizes at once. Every route gives the same runs, so the choice
+changes speed and not results, and working memory is set by the block size,
+not by the number of runs.
 Reports carry the matching closed-form reference value so empirical means can
 be judged against their standard errors at every checkpoint.
 """
@@ -26,19 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import enumeration
-from .decoding import (
-    BLOCK_RUNS,
-    Policy,
-    _decode,
-    _lockstep_blocks,
-    _run_args,
-    autoregressive_decode,
-)
+from .decoding import Policy, _run_args, _run_blocks
 from .dist import _int_arg, _real_arg
 from .enumeration import enumerate_expected_rejections
 from .exact import expected_rejections_batch, expected_rejections_sd, limit_rejections
-from .models import FULL_TABLE_CAP, ModelPair, _is_markov_pair, joint_distribution
-from .rng import split_rng
+from .models import FULL_TABLE_CAP, ModelPair, joint_distribution
 
 ALGORITHMS = (*enumeration.ALGORITHMS, "autoregressive")
 TABULATION_CAP = 10_000
@@ -51,7 +37,8 @@ class Campaign:
     ``checkpoint_every`` sets the reporting cadence in runs; a final
     checkpoint at ``runs`` is always included. Only batch campaigns take a
     ``batch_size`` other than 1 and only generic ones a ``policy``; other
-    algorithms refuse them by the rule the engine and the oracle share.
+    algorithms refuse them by the rule the engine and the oracle share, which
+    also refuses a policy whose tables are not (T, V, V) for ``pair``.
     """
 
     pair: ModelPair
@@ -67,7 +54,7 @@ class Campaign:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         for name, minimum in (("runs", 1), ("seed", 0), ("checkpoint_every", 1)):
             object.__setattr__(self, name, _int_arg(name, getattr(self, name), minimum))
-        batch_size, _ = _run_args(self.algorithm, self.batch_size, self.policy)
+        batch_size, _ = _run_args(self.pair, self.algorithm, self.batch_size, self.policy)
         object.__setattr__(self, "batch_size", batch_size)
 
 
@@ -111,40 +98,6 @@ class BatchScanRow:
     stderr: float | None
 
 
-def _decode_blocks(campaign: Campaign, batch_sizes=None):
-    """Yield (j, tokens, rejections) arrays for the campaign's runs at ``batch_sizes[j]``.
-
-    ``batch_sizes`` defaults to the campaign's own. The engine or the scalar
-    loop, by the dispatch rule in the module docstring; both read run i from
-    ``split_rng(seed, i)`` at every size. Blocks come in run order within a
-    size, and the sizes in turn unless the engine packs them into one block.
-    """
-    pair, algorithm, policy = campaign.pair, campaign.algorithm, campaign.policy
-    sizes = (campaign.batch_size,) if batch_sizes is None else tuple(batch_sizes)
-    if (
-        algorithm != "autoregressive"
-        and _is_markov_pair(pair)
-        and (policy is None or policy.tables is not None)
-    ):
-        blocks = _lockstep_blocks(pair, sizes, policy, campaign.seed, 0, campaign.runs)
-        for j, _, runs in blocks:
-            yield j, runs.tokens, runs.rejections
-        return
-    for j, batch_size in enumerate(sizes):
-        for start in range(0, campaign.runs, BLOCK_RUNS):
-            count = min(BLOCK_RUNS, campaign.runs - start)
-            tokens = np.empty((count, pair.horizon), dtype=np.int64)
-            rejections = np.zeros(count, dtype=np.int64)
-            for i in range(count):
-                rng = split_rng(campaign.seed, start + i)
-                if algorithm == "autoregressive":
-                    tokens[i] = autoregressive_decode(pair.q, rng).tokens
-                    continue
-                trajectory, stats = _decode(pair, batch_size, policy, rng)
-                tokens[i], rejections[i] = trajectory.tokens, stats.rejections
-            yield j, tokens, rejections
-
-
 def _exact_reference(campaign: Campaign) -> float | None:
     pair = campaign.pair
     if campaign.algorithm == "sd":
@@ -177,7 +130,9 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
     if campaign.algorithm == "autoregressive":
         counts = np.zeros(campaign.runs, dtype=np.int64)  # never rejects, nothing to sample
     else:
-        counts = np.concatenate([rejections for _, _, rejections in _decode_blocks(campaign)])
+        blocks = _run_blocks(campaign.pair, campaign.algorithm, (campaign.batch_size,),
+                             campaign.policy, campaign.seed, 0, campaign.runs)
+        counts = np.concatenate([runs.rejections for _, _, runs in blocks])
     marks = list(range(campaign.checkpoint_every, campaign.runs + 1, campaign.checkpoint_every))
     if not marks or marks[-1] != campaign.runs:
         marks.append(campaign.runs)
@@ -217,8 +172,10 @@ def unbiasedness_check(
     )
     place = pair.vocab_size ** np.arange(pair.horizon - 1, -1, -1, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
-    for _, tokens, _ in _decode_blocks(campaign):
-        counts += np.bincount(tokens @ place, minlength=size)
+    blocks = _run_blocks(pair, campaign.algorithm, (campaign.batch_size,), campaign.policy,
+                         campaign.seed, 0, campaign.runs)
+    for _, _, runs in blocks:
+        counts += np.bincount(runs.tokens @ place, minlength=size)
     l1 = float(np.abs(counts / campaign.runs - joint_distribution(pair.q)).sum())
     return UnbiasednessReport(
         algorithm=algorithm, runs=campaign.runs, l1=l1, threshold=l1_threshold,
@@ -231,9 +188,9 @@ def batch_scan(pair: ModelPair, batch_sizes, runs: int, seed: int) -> list[Batch
 
     Every batch size reuses the same master seed, so scans are reproducible
     and positively paired across rows: run i reads ``split_rng(seed, i)`` at
-    every size. The sizes' runs are decoded together (see the module
-    docstring), and each row equals the final checkpoint of that size's own
-    campaign.
+    every size. The sizes' runs are decoded together (see the packing rule
+    of ``decoding._run_blocks``), and each row equals the final checkpoint of
+    that size's own campaign.
     """
     sizes = [_int_arg("batch size", m, 1) for m in batch_sizes]
     rows = []
@@ -242,8 +199,8 @@ def batch_scan(pair: ModelPair, batch_sizes, runs: int, seed: int) -> list[Batch
                             batch_size=sizes[0])
         exacts = [expected_rejections_batch(pair, m).total for m in sizes]
         counts = [[] for _ in sizes]
-        for j, _, rejections in _decode_blocks(campaign, sizes):
-            counts[j].append(rejections)
+        for j, _, runs in _run_blocks(pair, "batch", sizes, None, campaign.seed, 0, campaign.runs):
+            counts[j].append(runs.rejections)
         for m, exact, blocks in zip(sizes, exacts, counts):
             final = _checkpoint(np.concatenate(blocks), campaign.runs, exact)
             rows.append(BatchScanRow(m, exact, final.mean, final.stderr))

@@ -169,6 +169,16 @@ class TestConfigErrors:
         assert proc.returncode == 2
         assert "cannot read config" in proc.stderr
 
+    @pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+    def test_unwritable_out(self, tmp_path, capsys, target):
+        # A missing parent directory, or a path that names a directory.
+        out = tmp_path / "missing" / "out.csv" if target == "missing-dir" else tmp_path
+        config = str(GOLDEN / "exact_config.json")
+        assert cli.main(["exact", "--config", config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("specdec: cannot write output: ")
+        assert str(out) in captured.err and captured.out == ""
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

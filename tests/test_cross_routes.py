@@ -12,6 +12,9 @@ Callback-only copies of the table policies must give the engine's runs on the
 scalar route and the table policy's oracle law and E[rejections] exactly.
 History-dependent pairs, whose every history draws its own row kind, hold the
 closed forms to the oracle and the oracle's laws to the target's joint.
+Mixed pairs, a Markov model beside a FullModel in either role, are held the
+same way, and their campaigns' blocks, decoded on the scalar route, to the
+scalar samplers' runs.
 """
 
 import itertools
@@ -42,7 +45,9 @@ from specdec import (
     sd_policy,
     split_rng,
 )
-from specdec.decoding import decode_markov_runs
+from specdec.decoding import _run_blocks, decode_markov_runs
+
+from helpers import random_full_pair
 
 ROW_KINDS = ("dense", "sparse", "equal", "near", "disjoint")
 
@@ -188,3 +193,33 @@ def test_history_dependent_pairs_agree(pair):
     law, rejections = enumerate_law_and_rejections(pair, "generic", policy=policy)
     assert np.abs(law - joint).sum() <= 1e-12
     assert rejections >= sd - 1e-12
+
+
+@st.composite
+def mixed_pairs(draw) -> ModelPair:
+    """A Markov model and a FullModel on its prompt, V <= 3 and T <= 4, in either role."""
+    markov = draw(markov_pairs(max_vocab=3, max_horizon=4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    full = random_full_pair(markov.vocab_size, markov.horizon, seed,
+                            prompt=markov.p.prompt.probs)
+    return ModelPair(markov.p, full.q) if draw(st.booleans()) else ModelPair(full.p, markov.q)
+
+
+@given(mixed_pairs())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_mixed_pairs_agree(pair):
+    joint = joint_distribution(pair.q)
+    runs = [("sd", 1, expected_rejections_sd(pair))]
+    runs += [("batch", m, expected_rejections_batch(pair, m).total) for m in (1, 2, 3)]
+    for algorithm, m, closed_form in runs:
+        law, rejections = enumerate_law_and_rejections(pair, algorithm, batch_size=m)
+        assert np.abs(law - joint).sum() <= 1e-12
+        assert abs(rejections - closed_form) <= 1e-12
+    # The engine refuses a pair with a FullModel, so these blocks are the scalar route's.
+    seed, count = 11, 12
+    for algorithm, sizes in (("sd", (1,)), ("batch", (1, 2, 3))):
+        for j, lo, block in _run_blocks(pair, algorithm, sizes, None, seed, 0, count):
+            scalar = [batch_decode(pair, sizes[j], split_rng(seed, i)) for i in range(count)]
+            assert lo == 0
+            _assert_runs_equal(block, scalar)
+            assert block.rejections.tolist() == [stats.rejections for _, stats in scalar]

@@ -1,11 +1,13 @@
 """Sampler contracts: determinism, path equivalences, rejection accounting."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from specdec import (
+    Campaign,
     CondDist,
     Dist,
     InvalidPolicy,
@@ -16,6 +18,9 @@ from specdec import (
     autoregressive_decode,
     batch_decode,
     batch_scan,
+    enumerate_expected_rejections,
+    enumerate_law_and_rejections,
+    enumerate_output_distribution,
     generic_decode,
     joint_distribution,
     make_rng,
@@ -24,9 +29,11 @@ from specdec import (
     over_acceptance_policy,
     random_model_pair,
     random_unbiased_policy,
+    run_campaign,
     sd_policy,
     speculative_decode,
     split_rng,
+    unbiasedness_check,
 )
 from specdec.decoding import (
     BLOCK_RUNS,
@@ -36,7 +43,7 @@ from specdec.decoding import (
     _block_streams,
     _decoded_block,
     _Lockstep,
-    _lockstep_blocks,
+    _run_blocks,
     _stream_length,
     _tables,
     _validated_tables,
@@ -665,7 +672,7 @@ class TestSharedBlocks:
             monkeypatch.setattr("specdec.decoding.WINDOW_BUDGET", budget)
         for pair in (random_model_pair(vocab, horizon, seed=8),
                      sparse_draft_pair(vocab, horizon, seed=41)):
-            blocks = list(_lockstep_blocks(pair, sizes, None, 4, 6, 15))
+            blocks = list(_run_blocks(pair, "batch", sizes, None, 4, 6, 15))
             assert sorted(j for j, _, _ in blocks) == list(range(len(sizes)))
             for j, lo, runs in blocks:
                 alone = decode_markov_runs(pair, sizes[j], 4, 6, 15)
@@ -675,7 +682,7 @@ class TestSharedBlocks:
 
     def test_rows_equal_the_scalar_samplers(self):
         pair = random_model_pair(5, 6, seed=3)
-        for j, _, runs in _lockstep_blocks(pair, (3, 1, 2), None, 2, 0, 20):
+        for j, _, runs in _run_blocks(pair, "batch", (3, 1, 2), None, 2, 0, 20):
             for i in range(20):
                 trajectory, stats = scalar_run(pair, (3, 1, 2)[j], split_rng(2, i))
                 assert runs.tokens[i].tolist() == list(trajectory.tokens)
@@ -864,6 +871,45 @@ def table_reader(acceptance, residual) -> Policy:
     return Policy(
         lambda n, h, x: acceptance[n - 1, h[-1], x], lambda n, h: residual[n - 1, h[-1]]
     )
+
+
+# (pair, a table policy built for another shape): its tables are longer or
+# shorter in T, or over more or fewer tokens, than the pair's (T, V, V).
+MISFITS = {
+    "longer T": (random_model_pair(2, 2, seed=1), sd_policy(random_model_pair(2, 3, seed=2))),
+    "shorter T": (random_model_pair(2, 3, seed=1), sd_policy(random_model_pair(2, 2, seed=2))),
+    "more tokens": (random_model_pair(2, 2, seed=1), sd_policy(random_model_pair(3, 2, seed=2))),
+    "fewer tokens": (random_model_pair(4, 1, seed=1), sd_policy(random_model_pair(2, 4, seed=2))),
+}
+ENTRY_POINTS = {
+    "Campaign": lambda pair, policy: Campaign(pair, "generic", 5, 0, policy=policy),
+    "run_campaign": lambda pair, policy: run_campaign(
+        Campaign(pair, "generic", 5, 0, policy=policy)),
+    "unbiasedness_check": lambda pair, policy: unbiasedness_check(
+        pair, "generic", runs=5, policy=policy),
+    "decode_markov_runs": lambda pair, policy: decode_markov_runs(pair, 1, 0, 0, 5, policy),
+    "generic_decode": lambda pair, policy: generic_decode(pair, policy, split_rng(0, 0)),
+    "enumerate_law_and_rejections": lambda pair, policy: enumerate_law_and_rejections(
+        pair, "generic", policy=policy),
+    "enumerate_output_distribution": lambda pair, policy: enumerate_output_distribution(
+        pair, "generic", policy=policy),
+    "enumerate_expected_rejections": lambda pair, policy: enumerate_expected_rejections(
+        pair, "generic", policy=policy),
+}
+
+
+@pytest.mark.parametrize("misfit", MISFITS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_refuses_tables_of_another_shape(entry, misfit):
+    # One rule, whichever route would read the policy: the engine, the scalar
+    # loop (the same pair as history tables) or the oracle.
+    pair, policy = MISFITS[misfit]
+    shape = (pair.horizon, pair.vocab_size, pair.vocab_size)
+    message = re.escape(f"policy tables have shape {policy.tables[0].shape}, expected {shape}")
+    full = ModelPair(markov_to_full(pair.p), markov_to_full(pair.q))
+    for target in (pair, full) if entry != "decode_markov_runs" else (pair,):
+        with pytest.raises(InvalidPolicy, match=f"^{message}$"):
+            ENTRY_POINTS[entry](target, policy)
 
 
 class TestPolicyTables:

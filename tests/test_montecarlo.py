@@ -112,7 +112,7 @@ class TestStrictInputs:
         policy = Policy(lambda n, h, c: value, pair.q.step)
         campaign = Campaign(pair=pair, algorithm="generic", runs=5, seed=0, policy=policy)
         with pytest.raises(InvalidPolicy, match="not a real number"):
-            next(montecarlo._decode_blocks(campaign))  # the runs alone, without the oracle
+            next(decoding._run_blocks(pair, "generic", (1,), policy, 0, 0, 5))  # the runs alone
         with pytest.raises(InvalidPolicy, match="not a real number"):
             run_campaign(campaign)
 
@@ -165,7 +165,7 @@ class TestDispatch:
         def fail(*args):
             raise AssertionError("autoregressive campaigns need no samples")
 
-        monkeypatch.setattr(montecarlo, "autoregressive_decode", fail)
+        monkeypatch.setattr(decoding, "autoregressive_decode", fail)
         report = run_campaign(Campaign(pair=PAIR, algorithm="autoregressive", runs=50, seed=1))
         final = report.checkpoints[-1]
         assert (final.runs, final.mean, final.stderr, final.rel_dev) == (50, 0.0, 0.0, 0.0)

@@ -230,3 +230,35 @@ def test_one_engine_path():
         and node.func.id == "_Lockstep"
     ]
     assert len(found) == 1 and found[0].startswith("decoding.py:")
+
+
+def test_campaigns_only_fold_blocks():
+    # decoding._run_blocks alone chooses a run's route, its block size and its
+    # stream, so montecarlo imports no decoder, stream splitter or block
+    # constant, and nothing else builds an engine or a scalar-loop block.
+    nodes = [node for path, node in source_nodes() if path == Path("montecarlo.py")]
+    imported = {
+        (node.module, alias.name)
+        for node in nodes
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {name for module, name in imported if module == "decoding"} == {
+        "Policy", "_run_args", "_run_blocks"}
+    assert not [
+        name for _, name in imported
+        if "decode" in name or name.startswith("split_") or name == "BLOCK_RUNS"
+    ]
+    assert not {part for node in nodes for name in _imported_modules(node)
+                for part in name.split(".")} & {"rng"}
+    builders = {"_decoded_block", "_scalar_block"}
+    loop = _module_functions("decoding.py")["_run_blocks"]
+    inside = [
+        node.id for node in ast.walk(loop) if isinstance(node, ast.Name) and node.id in builders
+    ]
+    everywhere = [
+        f"{path}:{node.lineno}" for path, node in source_nodes()
+        if isinstance(node, ast.Name) and node.id in builders
+    ]
+    assert sorted(set(inside)) == sorted(builders)
+    assert len(everywhere) == len(inside)
