@@ -34,10 +34,11 @@ every branch into a (phases, live, V) array and scatters that into the child
 table once; when every history is live it does neither. One ``math.fsum``
 sums the level's nonzero rejecting-branch masses, and E[rejections] is the
 fsum of the level sums. Model rows and policy callbacks are read once per
-(n, history) with positive mass, the histories the algorithm can reach. A
-MarkovModel's rows are read from its (T, V, V) stack by the last digit of
-each live code, with no per-history call; history tuples are built only for
-the callbacks that take them, a FullModel's ``step`` and a policy's
+(n, history) with positive mass, the histories the algorithm can reach.
+Model rows are read for all live codes at once by ``models._level_rows``, a
+MarkovModel's from its (T, V, V) stack by each code's last digit and a
+FullModel's from its level stack by code, with no per-history call; history
+tuples are built only for the callbacks that take them, a policy's
 acceptance and residual. A level makes all of its acceptance calls, in
 (history, token) order, before it checks any value: one test of the values'
 types passes a level of floats as they are, and only a level with some other
@@ -58,9 +59,9 @@ samplers form their replacement rows.
 
 These oracles are the ground truth the closed-form recursions are tested
 against, so they share nothing with exact.py beyond the distribution helpers:
-they keep full histories (FullModel pairs run unchanged), never aggregate by
-Markov state, and build the batch root by chaining the M rejection iterates
-rather than by a closed form.
+they keep full history codes (FullModel pairs run unchanged), never
+aggregate by Markov state, and build the batch root by chaining the M
+rejection iterates rather than by a closed form.
 """
 
 from __future__ import annotations
@@ -72,40 +73,32 @@ import numpy as np
 
 from .decoding import Policy, _acceptance_value, _acceptances, _run_args, policy_residual_rows
 from .dist import _residual_rows
-from .models import FULL_TABLE_CAP, MarkovModel, ModelPair, _check_table_size
+from .models import FULL_TABLE_CAP, ModelPair, _check_table_size, _level_rows
 
 ALGORITHMS = ("sd", "batch", "generic")
 
 ROOT, WITHIN = 0, 1
 
 
-def _histories(codes: np.ndarray, v: int, length: int) -> list[tuple[int, ...]]:
-    """History (x_0, ..., x_{length-1}) for each code, x_0 the most significant digit."""
-    digits = codes[:, None] // v ** np.arange(length - 1, -1, -1) % v
-    return [tuple(row) for row in digits.tolist()]
-
-
 class _Live:
     """The histories with positive mass before position n, by code.
 
-    Their last tokens x_{n-1}, which p's and q's Markov rows share, are
-    computed once; their tuples are built on first use, for callbacks only.
+    Their tuples are built on first use, for callbacks only.
     """
 
     def __init__(self, n: int, codes: np.ndarray, vocab_size: int) -> None:
         self.n, self.codes, self.vocab_size = n, codes, vocab_size
-        self.last_tokens = codes % vocab_size
 
     @functools.cached_property
     def histories(self) -> list[tuple[int, ...]]:
-        return _histories(self.codes, self.vocab_size, self.n)
+        """History (x_0, ..., x_{n-1}) of each code, x_0 the most significant digit."""
+        v = self.vocab_size
+        digits = self.codes[:, None] // v ** np.arange(self.n - 1, -1, -1) % v
+        return [tuple(row) for row in digits.tolist()]
 
     def rows(self, model) -> np.ndarray:
-        """Rows of x_n, shape (len(codes), V): a Markov chain's by last digit, else ``step``'s."""
-        if isinstance(model, MarkovModel):
-            return model.step_rows[self.n - 1, self.last_tokens]
-        rows = [model.step(self.n, h) for h in self.histories]
-        return np.array(rows).reshape(-1, self.vocab_size)
+        """Rows of x_n, shape (len(codes), V), read by ``_level_rows``."""
+        return _level_rows(model, self.n, self.codes)
 
 
 def _walk(pair: ModelPair, phases: int, level) -> tuple[np.ndarray, float]:

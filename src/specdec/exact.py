@@ -39,9 +39,10 @@ r_1 is the very tv value the SD term uses, so M = 1 reproduces speculative
 decoding with improvement exactly zero.
 
 Two implementations of the batch formula are kept deliberately separate:
-a history-level recursion over explicit prefixes (any model) and an O(T V^2)
-state-marginalized recursion that works on all V states at once (Markov
-chains). Tests require them to agree.
+a history-level recursion over the codes of every prefix (any model), which
+walks level by level as (V^n,) mass vectors and (V^n, V) row arrays read by
+``models._level_rows``, and an O(T V^2) state-marginalized recursion that
+works on all V states at once (Markov chains). Tests require them to agree.
 
 Position blocks and the closed-form record. On a Markov pair the recursions
 read the models' (T, V, V) row stacks in blocks of
@@ -72,8 +73,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import _int_arg, _real_arg, _tv_arrays, _tv_rows
-from .models import ModelPair, _is_markov_pair
+from .dist import _int_arg, _real_arg, _tv_rows
+from .models import ModelPair, _is_markov_pair, _level_rows, _pair_arg
 
 # Floats per (B, V, V) array of a position block: B = max(1, BLOCK_FLOATS // V^2).
 BLOCK_FLOATS = 2**14
@@ -170,12 +171,6 @@ def _fsum(terms: np.ndarray) -> float:
     return math.fsum(terms.ravel().tolist())
 
 
-def _pair_arg(pair) -> ModelPair:
-    if not isinstance(pair, ModelPair):
-        raise TypeError(f"the closed forms take a ModelPair, not {type(pair).__name__}")
-    return pair
-
-
 def expected_rejections_sd(pair: ModelPair) -> float:
     """Exact E[rejections] of speculative decoding: sum_n E_q[tv(p_n, q_n)]."""
     if _is_markov_pair(_pair_arg(pair)):
@@ -224,37 +219,28 @@ def _level_tail(q, p, level):
 
 
 def _history_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = False):
-    """SD and (when ``gain``) batch gain terms of any pair, walked over explicit histories.
+    """SD and (when ``gain``) batch gain terms of any pair, walked level by level over history codes.
 
-    The history-level twin of ``_markov_terms``: one walk over every prefix
-    (x_0, ..., x_{n-1}) with its target mass q_h and its round-root mass f_h.
+    The history-level twin of ``_markov_terms``: level n holds, per code of a
+    prefix (x_0, ..., x_{n-1}), its target mass q_h and its round-root mass
+    f_h, and reads p's and q's rows of that level once, by ``_level_rows``.
     The SD term is q_h * tv(p_n, q_n) and the gain term f_h * (tv - P_M).
     """
     v = pair.vocab_size
-    q_mass = {(x0,): pair.prompt[x0] for x0 in range(v)}
-    f_mass = dict(q_mass)
-    sd_terms: list[float] = []
-    gain_terms: list[float] = []
+    q_mass = f_mass = pair.prompt.probs
+    sd_terms, gain_terms = [], []
     for n in range(1, pair.horizon + 1):
-        q_next: dict[tuple[int, ...], float] = {}
-        f_next: dict[tuple[int, ...], float] = {}
-        for history, qh in q_mass.items():
-            p_row = pair.p.step(n, history)
-            q_row = pair.q.step(n, history)
-            tv = _tv_arrays(q_row, p_row)
-            sd_terms.append(qh * tv)
-            if gain:
-                fh = f_mass[history]
-                prod, tail, _ = _root_iterates(q_row, p_row, tv, batch_size)
-                gain_terms.append(fh * (tv - float(prod)))
-                f_row = np.maximum(q_row - p_row, 0.0) * (qh - fh) + fh * tail
-            for token in range(v):
-                key = history + (token,)
-                q_next[key] = qh * float(q_row[token])
-                if gain:
-                    f_next[key] = float(f_row[token])
-        q_mass, f_mass = q_next, f_next
-    return np.array(sd_terms), np.array(gain_terms) if gain else None
+        codes = np.arange(v**n)
+        p, q = _level_rows(pair.p, n, codes), _level_rows(pair.q, n, codes)
+        tv = _tv_rows(q, p)
+        sd_terms.append(q_mass * tv)
+        if gain:
+            prod, tail, _ = _root_iterates(q, p, tv, batch_size)
+            gain_terms.append(f_mass * (tv - prod))
+            plus = np.maximum(q - p, 0.0)
+            f_mass = (plus * (q_mass - f_mass)[:, None] + f_mass[:, None] * tail).ravel()
+        q_mass = (q_mass[:, None] * q).ravel()
+    return np.concatenate(sd_terms), np.concatenate(gain_terms) if gain else None
 
 
 def _sd_and_gain(pair: ModelPair, batch_size: int | None) -> tuple[float, float]:

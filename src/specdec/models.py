@@ -22,6 +22,15 @@ Every row, of a CondDist or of a generated or descriptor-built stack, is
 checked and renormalised by ``dist._normalized_rows``, so a bad stack raises
 the error of its first bad row in C order, the one that T CondDist tables
 would raise.
+
+A FullModel is the chain over histories, the history's code its state. It
+holds T read-only level stacks, level n of shape (V**n, V) with the history
+(x_0, ..., x_{n-1}) at row ``_history_code``, x_0 the most significant digit;
+a code's child at token x is code * V + x, the layout of the oracle's
+frontier. This module alone knows that layout: the oracle, the history-level
+closed form, the policies and ``joint_distribution`` read rows of either
+model a level at a time through ``_level_rows``, a chain's by each code's
+last digit and a FullModel's by code.
 """
 
 from __future__ import annotations
@@ -217,19 +226,23 @@ class FullModel:
     """General conditional model stored as explicit history tables.
 
     The table maps every history (x_0, ..., x_{n-1}) for 1 <= n <= horizon to
-    the law of x_n. Intended for brute-force oracles; construction enforces
-    V**horizon <= FULL_TABLE_CAP, and a history's tokens must be integers
+    the law of x_n. The model is the Markov chain over histories: it holds the
+    rows as T read-only level stacks, level n of shape (V**n, V) with each
+    history at the row of its code (``_history_code``, x_0 the most
+    significant digit), the layout of the oracle's frontier. Construction
+    enforces V**horizon <= FULL_TABLE_CAP, and a key's tokens must be integers
     (TypeError) in 0..V-1 (ValueError), as :meth:`Dist.point` takes a token.
     """
 
-    __slots__ = ("_prompt", "_horizon", "_table", "_cumsum_cache")
+    __slots__ = ("_prompt", "_levels", "_cumsums")
 
     def __init__(self, prompt: Dist, horizon: int, table: dict) -> None:
         v, horizon = len(prompt), _int_arg("horizon", horizon)
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
         _check_table_size(v, horizon)
-        frozen: dict[tuple[int, ...], np.ndarray] = {}
+        levels = [np.empty((v**n, v)) for n in range(1, horizon + 1)]
+        filled = set()
         for key, row in table.items():
             key = tuple(_token(t, v) for t in key)
             if not 1 <= len(key) <= horizon:
@@ -237,16 +250,26 @@ class FullModel:
             probs = row.probs if isinstance(row, Dist) else Dist(row).probs
             if probs.size != v:
                 raise ValueError("table rows must match the vocabulary size")
-            frozen[key] = probs
+            levels[len(key) - 1][_history_code(len(key), key, v)] = probs
+            filled.add(key)
         expected = sum(v**n for n in range(1, horizon + 1))
-        if len(frozen) != expected:
+        if len(filled) != expected:
             raise ValueError(
-                f"table must cover every history once: got {len(frozen)} entries, need {expected}"
+                f"table must cover every history once: got {len(filled)} entries, need {expected}"
             )
-        self._prompt = prompt
-        self._horizon = horizon
-        self._table = frozen
-        self._cumsum_cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._hold(prompt, levels)
+
+    @classmethod
+    def _from_levels(cls, prompt: Dist, levels) -> "FullModel":
+        """Model over level stacks already laid out by history code and checked."""
+        model = cls.__new__(cls)
+        model._hold(prompt, levels)
+        return model
+
+    def _hold(self, prompt: Dist, levels) -> None:
+        for level in levels:
+            level.flags.writeable = False
+        self._prompt, self._levels, self._cumsums = prompt, tuple(levels), None
 
     @classmethod
     def from_function(cls, prompt: Dist, horizon: int, fn) -> "FullModel":
@@ -276,41 +299,67 @@ class FullModel:
 
     @property
     def horizon(self) -> int:
-        return self._horizon
+        return len(self._levels)
+
+    def _row(self, stacks, n: int, history: tuple[int, ...]) -> np.ndarray:
+        code = _history_code(n, history, stacks[0].shape[1])
+        if not 1 <= n <= len(stacks):
+            raise KeyError(f"no table entry for history {history}")
+        return stacks[n - 1][code]
 
     def step(self, n: int, history: tuple[int, ...]) -> np.ndarray:
-        """Probability row of x_n given history (x_0, ..., x_{n-1}); KeyError unless len is n."""
-        if len(history) != n:
-            raise KeyError(f"position {n} needs a history of length {n}, got {history}")
-        row = self._table.get(history)
-        if row is None:
-            raise KeyError(f"no table entry for history {history}")
-        return row
+        """Probability row of x_n given history (x_0, ..., x_{n-1}).
+
+        KeyError unless 1 <= n <= horizon and the history has length n and
+        integer tokens in 0..V-1.
+        """
+        return self._row(self._levels, n, history)
 
     def step_cumsum(self, n: int, history: tuple[int, ...]) -> np.ndarray:
-        cached = self._cumsum_cache.get(history)
-        if cached is None:
-            cached = np.cumsum(self.step(n, history))
-            self._cumsum_cache[history] = cached
-        return cached
-
-    def histories(self, n: int):
-        """All conditioning histories of x_n, in deterministic (sorted) order."""
-        return (key for key in sorted(self._table) if len(key) == n)
+        if self._cumsums is None:
+            self._cumsums = tuple(np.cumsum(level, axis=1) for level in self._levels)
+            for level in self._cumsums:
+                level.flags.writeable = False
+        return self._row(self._cumsums, n, history)
 
     @property
     def prompt_cumsum(self) -> np.ndarray:
         return np.cumsum(self._prompt.probs)
 
 
+def _history_code(n: int, history: tuple[int, ...], vocab_size: int) -> int:
+    """Row of ``history`` in level n: its tokens as base-V digits, x_0 the most significant.
+
+    KeyError unless the history has length n and integer tokens in 0..V-1.
+    """
+    if len(history) != n:
+        raise KeyError(f"position {n} needs a history of length {n}, got {history}")
+    code = 0
+    for token in history:
+        integral = token.__class__ is int or isinstance(token, np.integer)
+        if not (integral and 0 <= token < vocab_size):
+            raise KeyError(f"no table entry for history {history}")
+        code = code * vocab_size + token
+    return code
+
+
+def _level_rows(model, n: int, codes: np.ndarray) -> np.ndarray:
+    """Rows of x_n at the histories of ``codes``: a chain's by last digit, a FullModel's by code."""
+    if isinstance(model, MarkovModel):
+        return model.step_rows[n - 1, codes % model.vocab_size]
+    return model._levels[n - 1][codes]
+
+
 def markov_to_full(model: MarkovModel) -> FullModel:
     """Expand a Markov chain into explicit history tables (oracle cross-checks).
 
-    Each history's row is the chain's own read-only row, bit for bit.
+    Level n tiles the chain's step n rows V**(n-1) times, so each history's
+    row is the chain's row for its last token, bit for bit.
     """
-    return FullModel.from_function(
-        model.prompt, model.horizon, lambda n, h: Dist._view(model.step(n, h))
-    )
+    v = model.vocab_size
+    _check_table_size(v, model.horizon)
+    levels = [np.tile(rows, (v**k, 1)) for k, rows in enumerate(model.step_rows)]
+    return FullModel._from_levels(model.prompt, levels)
 
 
 def _is_markov_pair(pair) -> bool:
@@ -361,6 +410,13 @@ class ModelPair:
         return self._q.prompt
 
 
+def _pair_arg(pair) -> ModelPair:
+    """``pair`` itself; TypeError unless it is a ModelPair."""
+    if not isinstance(pair, ModelPair):
+        raise TypeError(f"expected a ModelPair, not {type(pair).__name__}")
+    return pair
+
+
 def joint_probability(model, tokens) -> float:
     """Probability of the trajectory x_{1:T} with the prompt token marginalized out.
 
@@ -394,24 +450,19 @@ def joint_distribution(model) -> np.ndarray:
     """Exact law of x_{1:T} as a flat array of length V**T.
 
     Trajectories are indexed lexicographically, x_1 most significant:
-    index = sum_n x_n * V**(T-n). Enforces V**T <= FULL_TABLE_CAP.
+    index = sum_n x_n * V**(T-n). Enforces V**T <= FULL_TABLE_CAP. Each prompt
+    token with mass walks the levels alone, its histories' masses a vector
+    over their codes, so the walk holds O(V**T) floats.
     """
     v, t = model.vocab_size, model.horizon
     _check_table_size(v, t)
     out = np.zeros(v**t)
-
-    def expand(history: tuple[int, ...], n: int, index: int, mass: float) -> None:
-        if mass == 0.0:
-            return
-        if n > t:
-            out[index] += mass
-            return
-        row = model.step(n, history)
-        for token in range(v):
-            expand(history + (token,), n + 1, index * v + token, mass * float(row[token]))
-
-    for x0 in range(v):
-        expand((x0,), 1, 0, model.prompt[x0])
+    for x0 in np.flatnonzero(model.prompt.probs):
+        mass = model.prompt.probs[x0 : x0 + 1]
+        for n in range(1, t + 1):
+            codes = np.arange(x0 * v ** (n - 1), (x0 + 1) * v ** (n - 1))
+            mass = (mass[:, None] * _level_rows(model, n, codes)).ravel()
+        out += mass
     return out
 
 

@@ -24,7 +24,7 @@ from .decoding import Policy, _run_args, _run_blocks
 from .dist import _int_arg, _real_arg
 from .enumeration import enumerate_expected_rejections
 from .exact import expected_rejections_batch, expected_rejections_sd, limit_rejections
-from .models import FULL_TABLE_CAP, ModelPair, joint_distribution
+from .models import FULL_TABLE_CAP, ModelPair, _pair_arg, joint_distribution
 
 ALGORITHMS = (*enumeration.ALGORITHMS, "autoregressive")
 TABULATION_CAP = 10_000
@@ -50,6 +50,7 @@ class Campaign:
     checkpoint_every: int = 100
 
     def __post_init__(self) -> None:
+        _pair_arg(self.pair)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         for name, minimum in (("runs", 1), ("seed", 0), ("checkpoint_every", 1)):
@@ -163,7 +164,7 @@ def unbiasedness_check(
     at most ``l1_threshold``, a finite real >= 0.
     """
     l1_threshold = _real_arg("l1_threshold", l1_threshold, 0.0)
-    size = pair.vocab_size**pair.horizon
+    size = _pair_arg(pair).vocab_size ** pair.horizon
     if size > TABULATION_CAP:
         raise ValueError(f"V**T = {size} exceeds the tabulation cap {TABULATION_CAP}")
     campaign = Campaign(

@@ -12,24 +12,24 @@ once, as arrays over (context, x). On a Markov pair the contexts are the
 (position, x_{n-1}) pairs, so the rows are (T, V, V) tables and the factory
 returns :meth:`Policy.from_tables`, which the lockstep engine reads without
 calling back. On other pairs the contexts are the histories
-(x_0, ..., x_{n-1}), n = 1..T, in lexicographic order, and the callbacks look
-the rows up by history, raising KeyError, as ``FullModel.step`` does, for a
-history whose length is not n. Every residual row comes from the package's one
-residual kernel, ``dist._residual_rows``: the speculative rule's is
-[q - p]_+, opt's and random-unbiased's [q - b p]_+. A context where rejection
-has probability sum_x (1 - b(x)) p(x) <= DEGENERATE_TOL gets q's row as its
-residual: it is never sampled, and any distribution serves.
+(x_0, ..., x_{n-1}), n = 1..T, level by level and in code order within a
+level, read a level at a time by ``models._level_rows``; the callbacks find a
+history's row by its code, raising KeyError, as ``FullModel.step`` does, for
+a history whose length is not n or whose tokens are not in 0..V-1. Every
+residual row comes from the package's one residual kernel,
+``dist._residual_rows``: the speculative rule's is [q - p]_+, opt's and
+random-unbiased's [q - b p]_+. A context where rejection has probability
+sum_x (1 - b(x)) p(x) <= DEGENERATE_TOL gets q's row as its residual: it is
+never sampled, and any distribution serves.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
 from .decoding import Policy
 from .dist import _real_arg, _residual_rows
-from .models import ModelPair, _is_markov_pair
+from .models import ModelPair, _history_code, _is_markov_pair, _level_rows
 from .tradeoff import DEGENERATE_TOL, _over_acceptance
 
 
@@ -37,19 +37,16 @@ def _rows_policy(pair: ModelPair, rule) -> Policy:
     """Policy whose rows over every context are ``rule(p_rows, q_rows)`` -> (b, residual)."""
     if _is_markov_pair(pair):
         return Policy.from_tables(*rule(pair.p.step_rows, pair.q.step_rows))
-    histories = [
-        history
-        for n in range(1, pair.horizon + 1)
-        for history in itertools.product(range(pair.vocab_size), repeat=n)
-    ]
-    p, q = (np.array([model.step(len(h), h) for h in histories]) for model in (pair.p, pair.q))
+    v, positions = pair.vocab_size, range(1, pair.horizon + 1)
+    p, q = (
+        np.concatenate([_level_rows(model, n, np.arange(v**n)) for n in positions])
+        for model in (pair.p, pair.q)
+    )
     acceptance, residual = rule(p, q)
-    slots = {history: i for i, history in enumerate(histories)}
+    starts = dict(zip(positions, np.cumsum([0, *(v**n for n in positions)]).tolist()))
 
     def slot(n, history):
-        if len(history) != n:
-            raise KeyError(f"position {n} needs a history of length {n}, got {history}")
-        return slots[history]
+        return _history_code(n, history, v) + starts[n]
 
     return Policy(
         lambda n, history, candidate: acceptance[slot(n, history), candidate],

@@ -20,10 +20,54 @@ from specdec import Dist, ParetoPoint, cli, exact, random_model_pair, tv_distanc
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_process(*args: str) -> subprocess.CompletedProcess:
+    """``python -m specdec`` in a child process, for what only a real process shows."""
     return subprocess.run(
         [sys.executable, "-m", "specdec", *args], capture_output=True, text=True
     )
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``cli.main`` in this process, returning its exit code and output as run_process does."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(["specdec", *args], code, stdout.getvalue(), stderr.getvalue())
+
+
+class TestProcess:
+    """``python -m specdec`` as a child process: one smoke test per exit code."""
+
+    def test_exit_0_writes_the_golden_output(self):
+        proc = run_process("pareto", "--config", str(GOLDEN / "pareto_config.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / "pareto_out.csv").read_text()
+
+    def test_exit_2_on_a_config_error(self):
+        proc = run_process("exact", "--config", "/nonexistent/config.json")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("specdec: config error: cannot read config")
+
+    def test_exit_3_on_a_guard_violation(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pareto": {"p": [0.7, 0.3], "q": [0.4, 0.6]}}))
+        # No real front breaks the identity guard, so the child rigs one and
+        # then runs the package as ``python -m specdec`` does.
+        rig = (
+            "import runpy; from specdec import ParetoPoint, cli; "
+            "cli.pareto_front = lambda p, q, grid: [ParetoPoint(0.0, 0.5, 0.5)]; "
+            "runpy.run_module('specdec', run_name='__main__', alter_sys=True)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", rig, "pareto", "--config", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("specdec: numerical guard violation: pareto identity")
+        assert proc.stdout == ""
 
 
 class TestGoldenOutputs:
@@ -170,14 +214,15 @@ class TestConfigErrors:
         assert "cannot read config" in proc.stderr
 
     @pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
-    def test_unwritable_out(self, tmp_path, capsys, target):
-        # A missing parent directory, or a path that names a directory.
+    def test_unwritable_out(self, tmp_path, target):
+        # A missing parent directory, or a path that names a directory; a
+        # child process, so the exit status is the process's own.
         out = tmp_path / "missing" / "out.csv" if target == "missing-dir" else tmp_path
         config = str(GOLDEN / "exact_config.json")
-        assert cli.main(["exact", "--config", config, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("specdec: cannot write output: ")
-        assert str(out) in captured.err and captured.out == ""
+        proc = run_process("exact", "--config", config, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("specdec: cannot write output: ")
+        assert str(out) in proc.stderr and proc.stdout == ""
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -383,7 +383,7 @@ def _sparse_prompt(vocab: int, dead: list[int]) -> np.ndarray:
 
 class TestMarkovRows:
     # A Markov pair's rows are read by the last digit of each live code; its
-    # markov_to_full copy holds the same rows and is read history by history.
+    # markov_to_full copy holds the same rows tiled into level stacks, read by code.
     PAIRS = {
         "dense": random_model_pair(4, 3, seed=8),
         "sparse": with_prompt(

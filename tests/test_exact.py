@@ -212,15 +212,25 @@ class TestBatchRecursions:
             assert expected_rejections_batch(pair, m).total == pytest.approx(enum, abs=1e-12)
 
     def test_history_recursion_walks_once(self, monkeypatch):
-        # The SD and gain terms of a non-Markov pair come from one walk that
-        # reads p's and q's row once per history: 2 * sum_n V**n step calls.
+        # The SD and gain terms of a non-Markov pair come from one level walk
+        # that reads p's and q's rows of each level once, every code at once,
+        # through _level_rows, and makes no per-history step call.
         pair = full_pair(random_model_pair(2, 4, seed=3))
-        calls, step = [], FullModel.step
-        monkeypatch.setattr(
-            FullModel, "step", lambda model, n, history: calls.append(n) or step(model, n, history)
-        )
+        reads, level_rows = [], exact._level_rows
+
+        def counted(model, n, codes):
+            reads.append((id(model), n, codes.tolist()))
+            return level_rows(model, n, codes)
+
+        def step(model, n, history):
+            raise AssertionError(f"step({n}, {history}) called")
+
+        monkeypatch.setattr(exact, "_level_rows", counted)
+        monkeypatch.setattr(FullModel, "step", step)
         expected_rejections_batch(pair, 2)
-        assert len(calls) == 2 * sum(2**n for n in range(1, 5))
+        assert sorted(reads) == sorted(
+            (id(model), n, list(range(2**n))) for model in (pair.p, pair.q) for n in range(1, 5)
+        )
 
     def test_single_response_is_sd_exactly(self):
         for pair in PAIRS:

@@ -23,7 +23,7 @@ from specdec import (
     random_model_pair,
     target_marginals,
 )
-from specdec.models import trajectory_index
+from specdec.models import _history_code, trajectory_index
 
 from helpers import random_full_pair
 
@@ -306,10 +306,41 @@ class TestFullModel:
         with pytest.raises(ValueError, match="cap"):
             FullModel.from_function(Dist.uniform(10), 7, lambda n, h: np.full(10, 0.1))
 
-    def test_histories_enumeration(self):
-        full = markov_to_full(random_markov_model(2, 2, seed=7))
-        assert list(full.histories(1)) == [(0,), (1,)]
-        assert len(list(full.histories(2))) == 4
+    def test_levels_hold_each_history_at_its_code(self):
+        # Level n is one read-only (V**n, V) stack, and step(n, h) is its row
+        # _history_code(n, h, V), x_0 the most significant digit; the cumsum
+        # stacks are laid out the same way.
+        chain = random_markov_model(3, 3, seed=7)
+        for full in (markov_to_full(chain), random_full_pair(3, 3, seed=7).q):
+            assert len(full._levels) == full.horizon == 3
+            for n, level in enumerate(full._levels, start=1):
+                assert level.shape == (3**n, 3) and not level.flags.writeable
+                for history in itertools.product(range(3), repeat=n):
+                    row = level[_history_code(n, history, 3)]
+                    assert full.step(n, history).tobytes() == row.tobytes()
+                    assert full.step_cumsum(n, history).tobytes() == np.cumsum(row).tobytes()
+            assert not any(cums.flags.writeable for cums in full._cumsums)
+            with pytest.raises(ValueError, match="read-only"):
+                full._levels[0][0, 0] = 0.5
+
+    def test_markov_expansion_tiles_the_chain_rows(self):
+        chain = random_markov_model(3, 4, seed=7)
+        full = markov_to_full(chain)
+        for n, level in enumerate(full._levels, start=1):
+            assert level.tobytes() == np.tile(chain.step_rows[n - 1], (3 ** (n - 1), 1)).tobytes()
+
+    def test_step_takes_integer_tokens_inside_the_vocabulary(self):
+        # A negative token must not index a row from the level's end, and a
+        # token >= V must not alias another history's code.
+        full = markov_to_full(random_markov_model(3, 2, seed=6))
+        row = full.step(2, (1, 2))
+        assert full.step(2, (np.int64(1), np.int64(2))).tobytes() == row.tobytes()
+        assert full.step_cumsum(2, (np.int64(1), np.int64(2))).tobytes() == np.cumsum(row).tobytes()
+        for n, history in [(2, (1, -1)), (2, (1, 3)), (2, (-1, 2)), (2, (0, 5)), (2, (1, 0.5)),
+                           (0, ()), (3, (0, 0, 0))]:
+            for read in (full.step, full.step_cumsum):
+                with pytest.raises(KeyError, match="no table entry for history"):
+                    read(n, history)
 
     def test_non_markov_pair_buildable(self):
         pair = random_full_pair(2, 3, seed=8)

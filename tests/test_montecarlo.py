@@ -51,6 +51,22 @@ class TestCampaignValidation:
             with pytest.raises(TypeError, match="not a Policy"):
                 unbiasedness_check(PAIR, "generic", runs=10, policy=policy)
 
+    @pytest.mark.parametrize("value", ["x", None, PAIR.q])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda pair: Campaign(pair=pair, algorithm="sd", runs=3, seed=0),
+            lambda pair: unbiasedness_check(pair, "sd", runs=3),
+            lambda pair: batch_scan(pair, [1, 2], runs=3, seed=0),
+        ],
+        ids=["Campaign", "unbiasedness_check", "batch_scan"],
+    )
+    def test_refuses_anything_but_a_model_pair(self, entry, value):
+        # Every campaign entry point refuses a non-pair with the closed forms'
+        # TypeError before it reads any attribute of it.
+        with pytest.raises(TypeError, match=f"^expected a ModelPair, not {type(value).__name__}$"):
+            entry(value)
+
     @pytest.mark.parametrize("algorithm", ["sd", "generic", "autoregressive"])
     def test_only_batch_takes_a_batch_size(self, algorithm):
         policy = sd_policy(PAIR) if algorithm == "generic" else None

@@ -262,3 +262,31 @@ def test_campaigns_only_fold_blocks():
     ]
     assert sorted(set(inside)) == sorted(builders)
     assert len(everywhere) == len(inside)
+
+
+def test_one_history_layout():
+    # A FullModel is the chain over histories: T level stacks in history-code
+    # order, a layout models.py alone knows. The oracle, the history closed
+    # form and the policies read its rows, and a chain's, through
+    # models._level_rows, a whole level or frontier at once, never history by
+    # history through step; no module enumerates histories with itertools.
+    nodes = list(source_nodes())
+    slot = {
+        str(path)
+        for path, node in nodes
+        if (isinstance(node, ast.Attribute) and node.attr == "_levels")
+        or (isinstance(node, ast.Constant) and node.value == "_levels")
+    }
+    assert slot == {"models.py"}
+    for module in ("enumeration.py", "exact.py", "policies.py"):
+        names = {node.id for path, node in nodes if path == Path(module) and isinstance(node, ast.Name)}
+        calls = {
+            node.func.attr
+            for path, node in nodes
+            if path == Path(module)
+            and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "_level_rows" in names, module
+        assert not calls & {"step", "step_cumsum"}, module
+    importers = {str(path) for path, node in nodes if "itertools" in _imported_modules(node)}
+    assert importers <= {"models.py"}
