@@ -99,7 +99,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dist import ZeroResidual, _float_array, _int_arg, _normalized_rows, _residual_rows
-from .models import ModelPair, _is_markov_pair
+from .models import ModelPair, _chain_key, _is_markov_pair
 from .rng import split_rng, split_rngs, split_uniforms
 
 BLOCK_RUNS = 1024
@@ -167,8 +167,9 @@ class Policy:
         The callbacks read read-only copies of the two (T, V, V) arrays.
         """
         acceptance, residual = (_frozen(table) for table in (acceptance, residual))
+        tables = _validated_tables(acceptance, residual)
         policy = cls(*_table_readers(acceptance, residual))
-        object.__setattr__(policy, "tables", _validated_tables(acceptance, residual))
+        object.__setattr__(policy, "tables", tables)
         return policy
 
 
@@ -179,10 +180,15 @@ def _frozen(values) -> np.ndarray:
 
 
 def _table_readers(acceptance: np.ndarray, residual: np.ndarray):
-    """Policy callbacks that look up history[-1]'s entries of the (T, V, V) tables."""
+    """Policy callbacks that read (T, V, V) tables of checked shape at x_{n-1}, a chain's rule.
+
+    ``models._chain_key`` finds the entries, so a position outside 1..T or a
+    history a chain does not take raises its KeyError.
+    """
+    horizon, v = acceptance.shape[:2]
     return (
-        lambda n, history, candidate: acceptance[n - 1, history[-1], candidate],
-        lambda n, history: residual[n - 1, history[-1]],
+        lambda n, history, candidate: acceptance[_chain_key(n, history, horizon, v) + (candidate,)],
+        lambda n, history: residual[_chain_key(n, history, horizon, v)],
     )
 
 

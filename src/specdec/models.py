@@ -23,14 +23,26 @@ checked and renormalised by ``dist._normalized_rows``, so a bad stack raises
 the error of its first bad row in C order, the one that T CondDist tables
 would raise.
 
+MarkovModel and FullModel extend one chain, ``_Chain``, which holds the
+prompt, its cumsum (built once), per-position row stacks ("levels", level n
+the rows of x_n, one per state) and their row cumsums (built on first use),
+all read-only. One rule, ``_Chain._key``, maps (n, history) to (level, row),
+and ``step`` and ``step_cumsum`` read only through it: a chain's state is
+x_{n-1}, the last token of any nonempty history (``_chain_key``); a
+FullModel's is the history's code (``_table_key``). Either raises KeyError
+for a position outside 1..T or a token that is not an integer in 0..V-1,
+and a FullModel for a history whose length is not n. Policy tables read
+their entries by the same two keys.
+
 A FullModel is the chain over histories, the history's code its state. It
-holds T read-only level stacks, level n of shape (V**n, V) with the history
+holds T level stacks, level n of shape (V**n, V) with the history
 (x_0, ..., x_{n-1}) at row ``_history_code``, x_0 the most significant digit;
 a code's child at token x is code * V + x, the layout of the oracle's
 frontier. This module alone knows that layout: the oracle, the history-level
 closed form, the policies and ``joint_distribution`` read rows of either
-model a level at a time through ``_level_rows``, a chain's by each code's
-last digit and a FullModel's by code.
+model a level at a time through ``_level_rows``, which applies the rule to
+codes: a code's row is the code modulo the level's row count, a chain's
+code's last digit and a FullModel's code itself.
 """
 
 from __future__ import annotations
@@ -48,6 +60,11 @@ def _check_table_size(vocab_size: int, horizon: int) -> None:
         raise ValueError(f"V**T = {vocab_size**horizon} exceeds the table cap {FULL_TABLE_CAP}")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 class CondDist:
     """One decoding step: a V x V table whose row s is the law of x_n given s.
 
@@ -63,9 +80,7 @@ class CondDist:
             raise ValueError("a conditional table must be square")
         if arr.size == 0:
             raise ValueError("a distribution must be a nonempty 1-D vector")
-        normalized = _normalized_rows(arr)
-        normalized.flags.writeable = False
-        self._rows = normalized
+        self._rows = _read_only(_normalized_rows(arr))
         self._stack = self._index = None
 
     @property
@@ -113,18 +128,122 @@ def _stack_of(steps: tuple[CondDist, ...]) -> np.ndarray | None:
     return stack
 
 
-class MarkovModel:
+def _row_cumsums(rows: np.ndarray) -> np.ndarray:
+    """Read-only cumsums along the last axis: a stack of rows' cumsums, row by row."""
+    return _read_only(np.cumsum(rows, axis=-1))
+
+
+def _history_code(n: int, history: tuple[int, ...], vocab_size: int) -> int:
+    """Row of ``history`` in level n: its tokens as base-V digits, x_0 the most significant.
+
+    KeyError unless the history has length n and integer tokens in 0..V-1, a
+    Python or numpy integer but not a bool.
+    """
+    if len(history) != n:
+        raise KeyError(f"position {n} needs a history of length {n}, got {history}")
+    code = 0
+    for token in history:
+        integral = token.__class__ is int or isinstance(token, np.integer)
+        if not (integral and 0 <= token < vocab_size):
+            raise KeyError(f"no table entry for history {history}")
+        code = code * vocab_size + token
+    return code
+
+
+def _chain_key(n: int, history: tuple[int, ...], horizon: int, vocab_size: int) -> tuple:
+    """(n - 1, x_{n-1}): where a chain's (T, V, V) rows hold x_n's row at ``history``.
+
+    A chain takes any nonempty history. KeyError unless 1 <= n <= T and the
+    last token is an integer in 0..V-1, as ``_history_code`` takes a token.
+    """
+    if history:
+        token = history[-1]
+        integral = token.__class__ is int or isinstance(token, np.integer)
+        if integral and 1 <= n <= horizon and 0 <= token < vocab_size:
+            return n - 1, token
+    raise KeyError(f"no table entry for history {history} at position {n}")
+
+
+def _table_key(n: int, history: tuple[int, ...], horizon: int, vocab_size: int) -> tuple:
+    """(n - 1, code): where a table over histories holds x_n's row at ``history``.
+
+    KeyError unless 1 <= n <= T and ``_history_code`` takes the history.
+    """
+    if 1 <= n <= horizon:
+        return n - 1, _history_code(n, history, vocab_size)
+    raise KeyError(f"no table entry for history {history} at position {n}")
+
+
+class _Chain:
+    """The Markov chain both models are: x_0 ~ prompt, then x_n ~ a row of level n.
+
+    Level n - 1 of ``_levels`` holds the rows of x_n, one per state, and the
+    row cumsums are laid out alike, all read-only. ``_key`` is the one rule
+    that maps (n, history) to (level, row): ``_table_key``, the history's
+    code, by default, and ``_chain_key``, x_{n-1}, for a chain. ``step`` and
+    ``step_cumsum`` read through it, and ``_level_rows`` applies it to
+    history codes.
+    """
+
+    __slots__ = ("_prompt", "_prompt_cumsum", "_levels", "_cumsum_levels")
+    _key = staticmethod(_table_key)
+
+    def _hold(self, prompt: Dist, levels) -> None:
+        self._prompt, self._levels, self._cumsum_levels = prompt, levels, None
+        self._prompt_cumsum = _read_only(np.cumsum(prompt.probs))
+
+    @staticmethod
+    def _cumsums_of(levels):
+        return tuple(map(_row_cumsums, levels))
+
+    def _cumsums(self):
+        if self._cumsum_levels is None:
+            self._cumsum_levels = self._cumsums_of(self._levels)
+        return self._cumsum_levels
+
+    @property
+    def prompt(self) -> Dist:
+        return self._prompt
+
+    @property
+    def vocab_size(self) -> int:
+        return len(self._prompt)
+
+    @property
+    def horizon(self) -> int:
+        return len(self._levels)
+
+    @property
+    def prompt_cumsum(self) -> np.ndarray:
+        """Read-only cumsum of the prompt, built once."""
+        return self._prompt_cumsum
+
+    def step(self, n: int, history: tuple[int, ...]) -> np.ndarray:
+        """Probability row of x_n given history (x_0, ..., x_{n-1}).
+
+        KeyError unless ``_key`` takes (n, history).
+        """
+        level, row = self._key(n, history, len(self._levels), len(self._prompt_cumsum))
+        return self._levels[level][row]
+
+    def step_cumsum(self, n: int, history: tuple[int, ...]) -> np.ndarray:
+        level, row = self._key(n, history, len(self._levels), len(self._prompt_cumsum))
+        return self._cumsums()[level][row]
+
+
+class MarkovModel(_Chain):
     """Nonstationary Markov chain: x_0 ~ prompt, x_n ~ steps[n-1].row(x_{n-1}).
 
     The rows of all T steps are one read-only (T, V, V) stack, ``step_rows``;
     each of ``steps`` is a CondDist view into it. A chain built from the T
     views of one stack, in order, such as another chain's ``steps``, holds
-    that stack rather than a copy.
+    that stack rather than a copy. ``step`` reads any nonempty history by its
+    last token.
     """
 
-    __slots__ = (
-        "_prompt", "_steps", "_step_rows", "_prompt_cumsum", "_step_cumsums", "_marginals"
-    )
+    __slots__ = ("_steps", "_marginals")
+    _key = staticmethod(_chain_key)
+    _cumsums_of = staticmethod(_row_cumsums)
 
     def __init__(self, prompt: Dist, steps) -> None:
         steps = tuple(steps)
@@ -149,57 +268,27 @@ class MarkovModel:
         return model
 
     def _hold(self, prompt: Dist, rows: np.ndarray) -> None:
-        rows.flags.writeable = False
-        self._prompt = prompt
-        self._step_rows = rows
+        super()._hold(prompt, _read_only(rows))
         self._steps = tuple(CondDist._view(rows, k) for k in range(len(rows)))
-        self._prompt_cumsum = np.cumsum(prompt.probs)
-        self._step_cumsums = self._marginals = None
-
-    def _cumsums(self) -> np.ndarray:
-        if self._step_cumsums is None:
-            cums = np.cumsum(self._step_rows, axis=2)
-            cums.flags.writeable = False
-            self._step_cumsums = cums
-        return self._step_cumsums
+        self._marginals = None
 
     def _laws(self) -> np.ndarray:
         if self._marginals is None:
-            laws = np.empty((len(self._step_rows) + 1, self.vocab_size))
+            laws = np.empty((len(self._levels) + 1, self.vocab_size))
             laws[0] = self._prompt.probs
-            for n, rows in enumerate(self._step_rows):
+            for n, rows in enumerate(self._levels):
                 laws[n + 1] = laws[n] @ rows
-            laws.flags.writeable = False
-            self._marginals = laws
+            self._marginals = _read_only(laws)
         return self._marginals
-
-    @property
-    def prompt(self) -> Dist:
-        return self._prompt
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self._prompt)
-
-    @property
-    def horizon(self) -> int:
-        return len(self._steps)
 
     @property
     def steps(self) -> tuple[CondDist, ...]:
         return self._steps
 
-    def step(self, n: int, history: tuple[int, ...]) -> np.ndarray:
-        """Probability row of x_n given history (x_0, ..., x_{n-1})."""
-        return self._step_rows[n - 1, history[-1]]
-
-    def step_cumsum(self, n: int, history: tuple[int, ...]) -> np.ndarray:
-        return self._cumsums()[n - 1, history[-1]]
-
     @property
     def step_rows(self) -> np.ndarray:
         """Read-only (T, V, V) transition rows; ``[n - 1, s]`` is ``step(n, (.., s))``."""
-        return self._step_rows
+        return self._levels
 
     @property
     def step_cumsums(self) -> np.ndarray:
@@ -217,12 +306,8 @@ class MarkovModel:
         """
         return self._laws()
 
-    @property
-    def prompt_cumsum(self) -> np.ndarray:
-        return self._prompt_cumsum
 
-
-class FullModel:
+class FullModel(_Chain):
     """General conditional model stored as explicit history tables.
 
     The table maps every history (x_0, ..., x_{n-1}) for 1 <= n <= horizon to
@@ -232,9 +317,10 @@ class FullModel:
     significant digit), the layout of the oracle's frontier. Construction
     enforces V**horizon <= FULL_TABLE_CAP, and a key's tokens must be integers
     (TypeError) in 0..V-1 (ValueError), as :meth:`Dist.point` takes a token.
+    ``step`` reads only a history of length n.
     """
 
-    __slots__ = ("_prompt", "_levels", "_cumsums")
+    __slots__ = ()
 
     def __init__(self, prompt: Dist, horizon: int, table: dict) -> None:
         v, horizon = len(prompt), _int_arg("horizon", horizon)
@@ -257,19 +343,14 @@ class FullModel:
             raise ValueError(
                 f"table must cover every history once: got {len(filled)} entries, need {expected}"
             )
-        self._hold(prompt, levels)
+        self._hold(prompt, tuple(map(_read_only, levels)))
 
     @classmethod
     def _from_levels(cls, prompt: Dist, levels) -> "FullModel":
         """Model over level stacks already laid out by history code and checked."""
         model = cls.__new__(cls)
-        model._hold(prompt, levels)
+        model._hold(prompt, tuple(map(_read_only, levels)))
         return model
-
-    def _hold(self, prompt: Dist, levels) -> None:
-        for level in levels:
-            level.flags.writeable = False
-        self._prompt, self._levels, self._cumsums = prompt, tuple(levels), None
 
     @classmethod
     def from_function(cls, prompt: Dist, horizon: int, fn) -> "FullModel":
@@ -289,65 +370,15 @@ class FullModel:
             expand((x0,), 1)
         return cls(prompt, horizon, table)
 
-    @property
-    def prompt(self) -> Dist:
-        return self._prompt
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self._prompt)
-
-    @property
-    def horizon(self) -> int:
-        return len(self._levels)
-
-    def _row(self, stacks, n: int, history: tuple[int, ...]) -> np.ndarray:
-        code = _history_code(n, history, stacks[0].shape[1])
-        if not 1 <= n <= len(stacks):
-            raise KeyError(f"no table entry for history {history}")
-        return stacks[n - 1][code]
-
-    def step(self, n: int, history: tuple[int, ...]) -> np.ndarray:
-        """Probability row of x_n given history (x_0, ..., x_{n-1}).
-
-        KeyError unless 1 <= n <= horizon and the history has length n and
-        integer tokens in 0..V-1.
-        """
-        return self._row(self._levels, n, history)
-
-    def step_cumsum(self, n: int, history: tuple[int, ...]) -> np.ndarray:
-        if self._cumsums is None:
-            self._cumsums = tuple(np.cumsum(level, axis=1) for level in self._levels)
-            for level in self._cumsums:
-                level.flags.writeable = False
-        return self._row(self._cumsums, n, history)
-
-    @property
-    def prompt_cumsum(self) -> np.ndarray:
-        return np.cumsum(self._prompt.probs)
-
-
-def _history_code(n: int, history: tuple[int, ...], vocab_size: int) -> int:
-    """Row of ``history`` in level n: its tokens as base-V digits, x_0 the most significant.
-
-    KeyError unless the history has length n and integer tokens in 0..V-1.
-    """
-    if len(history) != n:
-        raise KeyError(f"position {n} needs a history of length {n}, got {history}")
-    code = 0
-    for token in history:
-        integral = token.__class__ is int or isinstance(token, np.integer)
-        if not (integral and 0 <= token < vocab_size):
-            raise KeyError(f"no table entry for history {history}")
-        code = code * vocab_size + token
-    return code
-
 
 def _level_rows(model, n: int, codes: np.ndarray) -> np.ndarray:
-    """Rows of x_n at the histories of ``codes``: a chain's by last digit, a FullModel's by code."""
-    if isinstance(model, MarkovModel):
-        return model.step_rows[n - 1, codes % model.vocab_size]
-    return model._levels[n - 1][codes]
+    """Rows of x_n at the histories of ``codes``, by ``_key``'s rule on codes.
+
+    A history's row is its code modulo the level's row count: the last digit
+    in a chain's V-row level, the code itself in a table's V**n-row level.
+    """
+    level = model._levels[n - 1]
+    return level[codes % len(level)]
 
 
 def markov_to_full(model: MarkovModel) -> FullModel:
@@ -356,6 +387,8 @@ def markov_to_full(model: MarkovModel) -> FullModel:
     Level n tiles the chain's step n rows V**(n-1) times, so each history's
     row is the chain's row for its last token, bit for bit.
     """
+    if not isinstance(model, MarkovModel):
+        raise TypeError("markov_to_full requires a MarkovModel")
     v = model.vocab_size
     _check_table_size(v, model.horizon)
     levels = [np.tile(rows, (v**k, 1)) for k, rows in enumerate(model.step_rows)]
@@ -380,6 +413,9 @@ class ModelPair:
     __slots__ = ("_p", "_q", "_sd_record")
 
     def __init__(self, p, q) -> None:
+        for model in (p, q):
+            if not isinstance(model, _Chain):
+                raise TypeError(f"expected a MarkovModel or FullModel, not {type(model).__name__}")
         if p.vocab_size != q.vocab_size:
             raise ValueError("draft and target must share the vocabulary size")
         if p.horizon != q.horizon:

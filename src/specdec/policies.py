@@ -7,15 +7,16 @@ the speculative rule, its unique-unbiased relaxations with b below min{1,q/p},
 and the over-acceptance family with either the bias-minimizing residual
 ("opt") or the target itself ("uno").
 
-Each factory computes its acceptance and residual rows for every context at
-once, as arrays over (context, x). On a Markov pair the contexts are the
-(position, x_{n-1}) pairs, so the rows are (T, V, V) tables and the factory
+Each factory computes its acceptance and residual rows as arrays over
+(context, x). On a Markov pair the contexts are the (position, x_{n-1})
+pairs, so the rows are (T, V, V) tables, computed at once, and the factory
 returns :meth:`Policy.from_tables`, which the lockstep engine reads without
 calling back. On other pairs the contexts are the histories
-(x_0, ..., x_{n-1}), n = 1..T, level by level and in code order within a
-level, read a level at a time by ``models._level_rows``; the callbacks find a
-history's row by its code, raising KeyError, as ``FullModel.step`` does, for
-a history whose length is not n or whose tokens are not in 0..V-1. Every
+(x_0, ..., x_{n-1}), n = 1..T, a level at a time in position order, over the
+rows ``models._level_rows`` reads in code order. Either way the callbacks
+find a context's row by the models' rule, ``models._chain_key`` or
+``_table_key``, and raise its KeyError, as ``step`` does, for a position
+outside 1..T or a history the rule does not take. Every
 residual row comes from the package's one residual kernel,
 ``dist._residual_rows``: the speculative rule's is [q - p]_+, opt's and
 random-unbiased's [q - b p]_+. A context where rejection has probability
@@ -29,7 +30,7 @@ import numpy as np
 
 from .decoding import Policy
 from .dist import _real_arg, _residual_rows
-from .models import ModelPair, _history_code, _is_markov_pair, _level_rows
+from .models import ModelPair, _is_markov_pair, _level_rows, _table_key
 from .tradeoff import DEGENERATE_TOL, _over_acceptance
 
 
@@ -37,21 +38,18 @@ def _rows_policy(pair: ModelPair, rule) -> Policy:
     """Policy whose rows over every context are ``rule(p_rows, q_rows)`` -> (b, residual)."""
     if _is_markov_pair(pair):
         return Policy.from_tables(*rule(pair.p.step_rows, pair.q.step_rows))
-    v, positions = pair.vocab_size, range(1, pair.horizon + 1)
-    p, q = (
-        np.concatenate([_level_rows(model, n, np.arange(v**n)) for n in positions])
-        for model in (pair.p, pair.q)
-    )
-    acceptance, residual = rule(p, q)
-    starts = dict(zip(positions, np.cumsum([0, *(v**n for n in positions)]).tolist()))
+    v = pair.vocab_size
+    acceptance, residual = zip(*(
+        rule(*(_level_rows(model, n, np.arange(v**n)) for model in (pair.p, pair.q)))
+        for n in range(1, pair.horizon + 1)
+    ))
 
-    def slot(n, history):
-        return _history_code(n, history, v) + starts[n]
+    def row(levels, n, history):
+        level, code = _table_key(n, history, len(levels), v)
+        return levels[level][code]
 
-    return Policy(
-        lambda n, history, candidate: acceptance[slot(n, history), candidate],
-        lambda n, history: residual[slot(n, history)],
-    )
+    return Policy(lambda n, history, candidate: row(acceptance, n, history)[candidate],
+                  lambda n, history: row(residual, n, history))
 
 
 def _rejectable_or_q(rows: np.ndarray, q: np.ndarray, b: np.ndarray, p: np.ndarray):

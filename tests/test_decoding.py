@@ -958,6 +958,23 @@ class TestPolicyTables:
                 assert residual[n - 1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", TABLE_POLICIES)
+    @pytest.mark.parametrize(
+        "n, history", [(0, (1,)), (4, (1,)), (1, (-1,)), (1, (2,)), (1, (True,)), (1, (1.0,)),
+                       (1, ())],
+    )
+    def test_table_callbacks_refuse_what_a_chain_refuses(self, name, n, history):
+        # They once read acceptance(0, (1,), 0) at position T and
+        # residual(1, (-1,)) at row V - 1; now they take a chain's rule.
+        pair = random_model_pair(2, 3, seed=1)
+        policy = POLICIES[name](pair)
+        with pytest.raises(KeyError):
+            policy.acceptance(n, history, 0)
+        with pytest.raises(KeyError):
+            policy.residual(n, history)
+        with pytest.raises(KeyError):
+            pair.p.step(n, history)
+
+    @pytest.mark.parametrize("name", TABLE_POLICIES)
     def test_full_model_pairs_keep_callbacks_only(self, name):
         assert POLICIES[name](random_full_pair(3, 3, seed=5)).tables is None
 

@@ -318,8 +318,9 @@ class TestFullModel:
                 for history in itertools.product(range(3), repeat=n):
                     row = level[_history_code(n, history, 3)]
                     assert full.step(n, history).tobytes() == row.tobytes()
-                    assert full.step_cumsum(n, history).tobytes() == np.cumsum(row).tobytes()
-            assert not any(cums.flags.writeable for cums in full._cumsums)
+                    cums = full.step_cumsum(n, history)
+                    assert cums.tobytes() == np.cumsum(row).tobytes()
+                    assert not cums.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 full._levels[0][0, 0] = 0.5
 
@@ -574,3 +575,74 @@ class TestOneTokenRule:
         # (1, 2, 1) both map to 16 over V = 3.
         with pytest.raises(error):
             trajectory_index(tokens, 3)
+
+
+def rule_model(kind: str):
+    """A V = 3, T = 3 model of each kind that the one history-to-row rule serves."""
+    chain = random_markov_model(3, 3, seed=6)
+    if kind == "markov":
+        return chain
+    if kind == "full":
+        return random_full_pair(3, 3, seed=6).q
+    return markov_to_full(chain)
+
+
+class TestOneHistoryRule:
+    """step and step_cumsum map (n, history) to a row by one rule, on every model.
+
+    A position outside 1..T, a last token that is not an integer in 0..V-1,
+    and an empty history raise KeyError, where a chain once wrapped n = 0 and
+    token -1 to the last level or row and read token True as a mask.
+    """
+
+    KINDS = ("markov", "full", "markov_to_full")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("read", ["step", "step_cumsum"])
+    @pytest.mark.parametrize(
+        "n, history",
+        [(0, (1,)), (4, (0, 1, 2, 1)), (2, (0, -1)), (2, (0, 3)), (2, (0, True)),
+         (2, (0, 1.0)), (2, ())],
+    )
+    def test_refuses_what_the_rule_does_not_take(self, kind, read, n, history):
+        with pytest.raises(KeyError):
+            getattr(rule_model(kind), read)(n, history)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("read", ["step", "step_cumsum"])
+    def test_numpy_integer_tokens_pass(self, kind, read):
+        read = getattr(rule_model(kind), read)
+        want = read(3, (0, 2, 1)).tobytes()
+        assert read(3, (np.int64(0), np.int64(2), np.int64(1))).tobytes() == want
+
+    def test_a_chain_reads_its_state_at_any_position(self):
+        # cli's pareto job reads a chain's row at (state,) whatever the step.
+        chain = rule_model("markov")
+        for n, s in itertools.product(range(1, 4), range(3)):
+            assert chain.step(n, (s,)).tobytes() == chain.step_rows[n - 1, s].tobytes()
+            assert chain.step_cumsum(n, (s,)).tobytes() == chain.step_cumsums[n - 1, s].tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_prompt_cumsum_is_built_once_read_only(self, kind):
+        model = rule_model(kind)
+        cums = model.prompt_cumsum
+        assert model.prompt_cumsum is cums
+        assert cums.tobytes() == np.cumsum(model.prompt.probs).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            cums[0] = 0.0
+
+
+class TestRefusesNonModels:
+    def test_model_pair(self):
+        chain = random_markov_model(2, 2, seed=0)
+        for p, q in [(chain, "x"), ("x", chain), (chain, None)]:
+            with pytest.raises(TypeError, match="expected a MarkovModel or FullModel"):
+                ModelPair(p, q)
+
+    def test_markov_to_full_of_a_full_model(self):
+        with pytest.raises(TypeError, match="requires a MarkovModel"):
+            markov_to_full(rule_model("full"))
+
+    def test_markov_to_full_of_a_string(self):
+        with pytest.raises(TypeError, match="requires a MarkovModel"):
+            markov_to_full("x")

@@ -290,3 +290,30 @@ def test_one_history_layout():
         assert not calls & {"step", "step_cumsum"}, module
     importers = {str(path) for path, node in nodes if "itertools" in _imported_modules(node)}
     assert importers <= {"models.py"}
+
+
+def test_one_model_core():
+    # MarkovModel and FullModel extend one chain core, models._Chain, the one
+    # holder of the prompt, the level stacks and the history-to-row rule:
+    # neither model defines a read or a shared property of its own, and
+    # _level_rows reads either model's rows without a type test.
+    tree = ast.parse((PACKAGE / "models.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def defined(name: str) -> set:
+        names = set()
+        for item in classes[name].body:
+            if isinstance(item, ast.FunctionDef):
+                names.add(item.name)
+            elif isinstance(item, ast.Assign):
+                names.update(target.id for target in item.targets if isinstance(target, ast.Name))
+        return names
+
+    shared = {"step", "step_cumsum", "prompt", "vocab_size", "horizon", "prompt_cumsum"}
+    assert shared <= defined("_Chain")
+    for name in ("MarkovModel", "FullModel"):
+        assert [base.id for base in classes[name].bases] == ["_Chain"], name
+        assert not defined(name) & shared, name
+    level_rows = _module_functions("models.py")["_level_rows"]
+    names = {node.id for node in ast.walk(level_rows) if isinstance(node, ast.Name)}
+    assert "isinstance" not in names
