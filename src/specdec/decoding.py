@@ -37,14 +37,16 @@ rows, q's root iterates for sd and batch or a Markov policy's tables (see
 :class:`Policy`). A policy without tables, such as one that reads more of the
 history than x_{n-1}, runs through generic_decode. At each position every run
 tests one candidate against q, the token of the response it follows or, when
-it opens a round, response 0's, so one verify pass covers all runs; only
-opening runs that reject it go on to responses 1, ..., M - 1. A run's state
-between positions is its next-uniform index and a draft pointer to the
-followed response's next draft uniform; a run opens a round where its last
-token was a replacement. Uniforms are read by flat index into the block's
-window and table entries by x_{n-1}*V + x, and the off-support and
-zero-residual checks run only at the positions (and iterates) where the
-call's tables show they can fire (see :class:`_Lockstep`).
+it opens a round, response 0's, so one verify pass covers all runs; the
+opening runs that reject it test responses 1, ..., M - 1 in one more
+pass, over the grid of (response, run), and follow the first they accept. A
+run's state between positions is its next-uniform index and a draft pointer
+to the followed response's next draft uniform; a run opens a round where its
+last token was a replacement. Uniforms are read by flat index into the
+block's window and table entries by (m*V + x_{n-1})*V + x for a test against
+iterate m + 1, and the off-support and zero-residual checks run only at the
+positions (and iterates) where the call's tables show they can fire (see
+:class:`_Lockstep`).
 
 Stream sources. No run reads more than S(M, T) = 1 + M*T(T+1)/2 + (M+1)*T
 uniforms (proved in :func:`decode_markov_runs`), and no round more than
@@ -91,6 +93,7 @@ so the route changes speed and not results.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -99,7 +102,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dist import ZeroResidual, _float_array, _int_arg, _normalized_rows, _residual_rows
-from .models import ModelPair, _chain_key, _is_markov_pair
+from .models import ModelPair, _chain_entry, _chain_key, _is_markov_pair
 from .rng import split_rng, split_rngs, split_uniforms
 
 BLOCK_RUNS = 1024
@@ -183,11 +186,12 @@ def _table_readers(acceptance: np.ndarray, residual: np.ndarray):
     """Policy callbacks that read (T, V, V) tables of checked shape at x_{n-1}, a chain's rule.
 
     ``models._chain_key`` finds the entries, so a position outside 1..T or a
-    history a chain does not take raises its KeyError.
+    history a chain does not take raises its KeyError; ``models._chain_entry``
+    raises one for a candidate outside 0..V-1 too.
     """
     horizon, v = acceptance.shape[:2]
     return (
-        lambda n, history, candidate: acceptance[_chain_key(n, history, horizon, v) + (candidate,)],
+        lambda n, history, candidate: acceptance[_chain_entry(n, history, candidate, horizon, v)],
         lambda n, history: residual[_chain_key(n, history, horizon, v)],
     )
 
@@ -481,8 +485,14 @@ def _sample_rows(columns: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 
 def _cum_columns(cums: np.ndarray) -> np.ndarray:
-    """(T, V, V) row cumsums as (T, V - 1, V) columns for ``_sample_rows``: ``[n - 1, k, s]``."""
-    return np.ascontiguousarray(cums[..., :-1].swapaxes(1, 2))
+    """(T, ..., V, V) row cumsums as (T, V - 1, ...*V) columns for ``_sample_rows``.
+
+    Column j of position n holds the row that is j-th in C order over the
+    axes between n and the tokens: ``[n - 1, k, s]`` of a (T, V, V) stack,
+    ``[n - 1, k, m*V + s]`` of a (T, M, V, V) one.
+    """
+    columns = np.moveaxis(cums[..., :-1], -1, 1)
+    return np.ascontiguousarray(columns).reshape(len(cums), cums.shape[-1] - 1, -1)
 
 
 def _where_needed(masks, needed: np.ndarray) -> list:
@@ -493,12 +503,14 @@ def _where_needed(masks, needed: np.ndarray) -> list:
 class _Tables(NamedTuple):
     """Every position's tables for one :func:`decode_markov_runs` call, stacked over n.
 
-    A table over (x_{n-1}, x) = (s, x) is a (T, V*V) array keyed s*V + x, and
-    a table of rows to sample is a stack of (V - 1, V) cumsum columns (see
-    ``_cum_columns``). ``p_cums`` are p's. ``thresholds[m]`` is the acceptance
-    threshold of a candidate tested against iterate m + 1, and
-    ``residual_cums[m]`` the replacement row drawn after that test fails.
-    Without a policy they come from the root iterates of q, q^1 = q and
+    A table is keyed by the iterate m + 1 a token is tested against (m = 0
+    for q, the one iterate of a policy) and by (x_{n-1}, x) = (s, x):
+    ``thresholds`` is a (T, M*V*V) array keyed (m*V + s)*V + x, the
+    acceptance threshold of candidate x, and ``residual_cums`` a (T, V - 1,
+    M*V) stack of cumsum columns (see ``_cum_columns``) keyed m*V + s, the
+    replacement row drawn after that test fails. So one gather serves the
+    tests of every response. ``p_cums`` are p's columns, keyed s.
+    Without a policy the tables come from the root iterates of q, q^1 = q and
     q^{m+1} = [q^m - p]_+, formed row by row by the scalar loop's own kernel,
     so they are bit-equal to the iterates ``_decode`` tests a round's first
     tokens against. With a tabular policy (M = 1) they come from its tables.
@@ -507,14 +519,14 @@ class _Tables(NamedTuple):
     ``off_support[n - 1]`` is the (V*V,) mask of p_n(x | s) <= 0 at a
     position n where some row of p has no mass on token V - 1, and None
     elsewhere.
-    ``empty_residuals[m - 1][n - 1]`` is the (V,) mask of the states s whose
-    max(q^m - p, 0) sums to <= 0, at an (m, n) with such a state, and None
-    elsewhere; it is always None for a policy.
+    ``empty_residuals[n - 1]`` is the (M*V,) mask, keyed m*V + s, of the
+    states s whose max(q^{m+1} - p, 0) sums to <= 0, at a position n with
+    such a state, and None elsewhere; it is always None for a policy.
     """
 
     p_cums: np.ndarray
-    thresholds: list
-    residual_cums: list
+    thresholds: np.ndarray
+    residual_cums: np.ndarray
     off_support: list
     empty_residuals: list
 
@@ -534,13 +546,13 @@ def _tables(pair: ModelPair, batch_size: int, policy: Policy | None) -> _Tables:
         with np.errstate(divide="ignore", invalid="ignore"):
             thresholds = [iterate / p_rows for iterate in iterates[:-1]]
         residuals = iterates[1:]
-    keyed, off = (horizon, vocab * vocab), p_rows <= 0.0
+    empty, off = np.stack(empty, axis=1).reshape(horizon, -1), p_rows <= 0.0
     return _Tables(
         _cum_columns(pair.p.step_cumsums),
-        [threshold.reshape(keyed) for threshold in thresholds],
-        [_cum_columns(np.cumsum(rows, axis=-1)) for rows in residuals],
-        _where_needed(off.reshape(keyed), off[:, :, -1].any(axis=1)),
-        [_where_needed(mask, mask.any(axis=1)) for mask in empty],
+        np.stack(thresholds, axis=1).reshape(horizon, -1),
+        _cum_columns(np.cumsum(np.stack(residuals, axis=1), axis=-1)),
+        _where_needed(off.reshape(horizon, vocab * vocab), off[:, :, -1].any(axis=1)),
+        _where_needed(empty, empty.any(axis=1)),
     )
 
 
@@ -552,8 +564,8 @@ class _Lockstep:
     """One block of runs advanced together, one position at a time.
 
     ``batch_sizes`` is one batch size for every row or a nondecreasing array
-    of one per row, M_i; ``tables`` must serve the largest. Each run keeps a
-    row of a (runs, width) window of its uniform stream, read through the
+    of one per row, M_i; ``tables`` must serve the largest, M. Each run keeps
+    a row of a (runs, width) window of its uniform stream, read through the
     flat ``uniforms`` (a view of a C-contiguous window, as ``_block_streams``
     makes them) by absolute index: ``next[i]`` is run i's next unread
     uniform, and ``cursor`` the same index relative to its row.
@@ -570,10 +582,14 @@ class _Lockstep:
     replacement (its flag at t - 1). At an opening, ``draft[i]`` is set to
     the cursor, the M_i*L draft uniforms are reserved, and it then moves
     forward one per emitted position, so it always points at the followed
-    response's draft uniform for the current position; when a root accepts
-    response m, it becomes ``base + m*L`` (base being the opening cursor).
-    A run whose M_i root tests all fail draws its token from iterate
-    M_i + 1; at M_i = 1 that is the replacement after response 0.
+    response's draft uniform for the current position. An opening run that
+    rejects response 0 tests responses 1, ..., M_i - 1 in one pass
+    (``_respond``): response m's candidate is drawn at base + m*L (base
+    being the opening cursor) and its test reads the m-th uniform after
+    response 0's. The run follows its first accepted response m, with its
+    pointer at base + m*L + 1 and its cursor past its m tests; a run whose
+    M_i root tests all fail draws its token from iterate M_i + 1, with the
+    next uniform; at M_i = 1 that is the replacement after response 0.
 
     Checks. Thresholds, replacement rows and check tables come from ``tables``
     (see :class:`_Tables`); each check runs only where its table asks.
@@ -583,14 +599,20 @@ class _Lockstep:
     without mass, so the check is needed only at positions where some p row
     has no mass on token V - 1. Zero residual: a rejection against iterate m
     at state s needs [q^m - p]_+ there, which is empty only where its
-    normaliser is <= 0. Both raise the scalar loop's errors, in its order.
+    normaliser is <= 0. Both raise the scalar loop's errors, in its order:
+    in one pass, only the tests a run makes count, response by response,
+    and at each response the residual of the test that failed before its
+    draft (see ``_check_responses``).
 
     Window guard. A read past a row's end would read the next run's stream
     (or be clipped to the block's last uniform) rather than fail, so a
     RuntimeError is raised when a run's cursor has passed the window width.
-    Every read index is below the cursor, and a cursor only moves back at a
-    top-up, so checking at each top-up and at the block's last position
-    covers every read.
+    A pass over responses also reads, and discards, the uniforms a row does
+    not use: drafts and tests after its accepted response or past its own
+    M_i, and the replacement's where it accepts one; those may lie past its
+    row. Every read that is used is below the cursor,
+    and a cursor only moves back at a top-up, so checking at each top-up and
+    at the block's last position covers every read.
     """
 
     def __init__(self, pair: ModelPair, batch_sizes, tables: _Tables, window, rngs) -> None:
@@ -598,13 +620,12 @@ class _Lockstep:
         sizes = np.asarray(batch_sizes, dtype=np.int64)
         if sizes.ndim and np.any(sizes[1:] < sizes[:-1]):
             raise ValueError("a block's rows must be ordered by batch size")
-        held = sorted(set(sizes.reshape(-1).tolist())) or [1]
-        self.largest = held[-1]
-        # The rows of sizes <= m end at row ends[m], for each size m held below the largest.
-        self.ends = {m: int(np.searchsorted(sizes, m, side="right")) for m in held[:-1]}
+        self.largest = int(sizes.max(initial=1))
         # One size is held as a scalar, which broadcasts where a row's size is read.
-        self.sizes = sizes if len(held) > 1 else self.largest
+        self.sizes = sizes if sizes.min(initial=self.largest) < self.largest else self.largest
         self.horizon, self.vocab = pair.horizon, pair.vocab_size
+        self.responses, self.response_keys, self.offsets = _response_grid(
+            self.largest, self.horizon, self.vocab)
         self.tables, self.rngs, self.uniforms = tables, rngs, window.reshape(-1)
         self.row_starts = np.arange(count) * self.width
         self.row_ends = self.row_starts + self.width
@@ -649,61 +670,78 @@ class _Lockstep:
             self.rngs[i].random(out=row[width - used:])
             self.next[i] = start
 
-    def _draft(self, t, states, pointers):
-        """Draft tokens at position t from ``states``, drawn at ``pointers``, and their keys."""
+    def _draft(self, t, states, us):
+        """Draft tokens at position t from ``states``, drawn with uniforms ``us``, and their keys.
+
+        ``states`` is one per run, or a row of them against a (responses,
+        runs) grid of ``us``.
+        """
         columns = self.tables.p_cums[t - 1].take(states, axis=1)
-        candidates = _sample_rows(columns, self._read(pointers))
-        keys = states * self.vocab + candidates
-        off = self.tables.off_support[t - 1]
-        if off is not None and off[keys].any():
-            token = int(candidates[np.argmax(off[keys])])
-            raise RuntimeError(f"draft token {token} outside p's support at position {t}")
-        return candidates, keys
+        candidates = _sample_rows(columns, us)
+        return candidates, states * self.vocab + candidates
 
-    def _verify(self, runs, t, m, keys) -> np.ndarray:
-        """Which of ``runs``' candidates at t pass the test against iterate m + 1 (q at m = 0)."""
-        return self._take(runs) <= self.tables.thresholds[m][t - 1][keys]
+    def _check_responses(self, t, states, sizes, accept, candidates, keys) -> None:
+        """Raise the scalar loop's first error among the tests ``_respond`` counts.
 
-    def _check_residual(self, t, m, states) -> None:
-        """Raise the scalar loop's ZeroResidual if a row of iterate m + 1 at ``states`` is empty."""
-        empty = self.tables.empty_residuals[m - 1][t - 1]
-        if empty is not None and empty[states].any():
-            raise _no_residual(t, m)
-
-    def _replace(self, runs, t, m, states) -> None:
-        """Emit the tokens of ``runs`` rejected at t by the test against iterate m."""
-        self._check_residual(t, m, states)
-        columns = self.tables.residual_cums[m - 1][t - 1].take(states, axis=1)
-        self.tokens[runs, t - 1] = _sample_rows(columns, self._take(runs))
-        self.flags[runs, t - 1] = True
+        Response by response, as the scalar loop meets them: a run reaches
+        the residual check of iterate m if its tests 1, ..., m - 1 all
+        failed and m <= M_i, and then the draft of response m if m < M_i.
+        An off-support draft names the first such run's token.
+        """
+        empty, off = self.tables.empty_residuals[t - 1], self.tables.off_support[t - 1]
+        if empty is None and off is None:
+            return
+        reached = np.ones(len(states), dtype=bool)
+        for m in range(1, self.largest + 1):
+            if empty is not None and (reached & empty[(m - 1) * self.vocab + states]).any():
+                raise _no_residual(t, m)
+            if m < self.largest:
+                reached &= m < sizes
+                if off is not None:
+                    _raise_off_support(t, candidates[m - 1], reached & off[keys[m - 1]])
+                reached &= ~accept[m - 1]
 
     def _respond(self, t, span, pending, states) -> None:
-        """Test responses 1, 2, ... for the opening runs ``pending`` that rejected response 0.
+        """Test responses 1, ..., M_i - 1 of the opening runs ``pending`` that rejected response 0.
 
-        Their draft pointers are at base + 1; response m's draft at t is
-        base + m*L. A run of batch size M_i whose M_i root tests have all
-        failed draws its token from iterate M_i + 1. Rows are ordered by
-        batch size, so at response m those runs are the first of ``pending``.
+        One pass over the grid of (response m, run), m = 1, ..., M - 1, row
+        m - 1 for response m. The cursor is past response 0's test, at
+        base + M_i*L + 1, so test m reads cursor + m - 1, against iterate
+        m + 1, and response m's draft, at base + m*L, lies (M_i - m)*L + 1
+        before it. Tests past a run's M_i are masked. A run follows its
+        first accepted response m, its draft pointer moved from base + 1 to
+        base + m*L + 1; a run with none draws its token from iterate
+        M_i + 1 at cursor + M_i - 1.
         """
-        for m in range(1, self.largest):
-            if m in self.ends:
-                cut = int(np.searchsorted(pending, self.ends[m]))
-                if cut:
-                    self._replace(pending[:cut], t, m, states[:cut])
-                    pending, states = pending[cut:], states[cut:]
-                    if not pending.size:
-                        return
-            self._check_residual(t, m, states)
-            pointers = self.draft[pending] + (m * span - 1)
-            candidates, keys = self._draft(t, states, pointers)
-            accept = self._verify(pending, t, m, keys)
-            accepted = pending[accept]
-            self.tokens[accepted, t - 1] = candidates[accept]
-            self.draft[accepted] = pointers[accept] + 1
-            pending, states = pending[~accept], states[~accept]
-            if not pending.size:
-                return
-        self._replace(pending, t, self.largest, states)
+        sizes, cursor, largest = self._sizes_of(pending), self.next[pending], self.largest
+        # Row m - 1 is test m's uniform, and at m = M_i the replacement's; row
+        # M - 1 + m is response m's draft uniform, at base + m*L.
+        index = cursor + self.offsets[span]
+        mixed = not isinstance(sizes, int)
+        if mixed:
+            index[largest:] += (largest - sizes) * span
+        us = self._read(index)
+        candidates, keys = self._draft(t, states[None], us[largest:])
+        accept = us[:largest - 1] <= self.tables.thresholds[t - 1].take(keys + self.response_keys)
+        if mixed:
+            accept &= self.responses < sizes
+        self._check_responses(t, states, sizes, accept, candidates, keys)
+        # Each run's token: the draft of its first accepted response, at row
+        # ``first`` (row 0 when only response 1 follows response 0), or else a
+        # replacement from iterate M_i + 1, drawn for every run and kept where
+        # none is accepted. A replaced run opens a round at t + 1, so its
+        # draft pointer is reset there.
+        if largest == 2:
+            won, first, drafted = accept[0], 0, candidates[0]
+        else:
+            won, first = accept.any(axis=0), accept.argmax(axis=0)
+            drafted = candidates[first, np.arange(len(pending))]
+        drawn = us[sizes - 1, np.arange(len(pending))] if mixed else us[sizes - 1]
+        columns = self.tables.residual_cums[t - 1].take((sizes - 1) * self.vocab + states, axis=1)
+        self.tokens[pending, t - 1] = np.where(won, drafted, _sample_rows(columns, drawn))
+        self.flags[pending, t - 1] = ~won
+        self.draft[pending] += (first + 1) * span
+        self.next[pending] = cursor + np.where(won, first + 1, sizes)
 
     def advance(self, t: int) -> None:
         """Emit every run's token at position t.
@@ -725,22 +763,57 @@ class _Lockstep:
             self.next[opened] = cursor + sizes * span
 
         states = self.tokens[:, t - 2] if t > 1 else self.prompt_tokens
-        candidates, keys = self._draft(t, states, self.draft)
-        accept = self._verify(slice(None), t, 0, keys)
+        candidates, keys = self._draft(t, states, self._read(self.draft))
+        off = self.tables.off_support[t - 1]
+        if off is not None:
+            _raise_off_support(t, candidates, off[keys])
+        accept = self._take(slice(None)) <= self.tables.thresholds[t - 1].take(keys)
         self.draft += 1
         self.tokens[:, t - 1] = candidates
         rejected = (~accept).nonzero()[0]
         pending = rejected[:0]
         if self.largest > 1 and rejected.size:
-            # Opening runs that reject response 0 go on to response 1.
+            # Opening runs that reject response 0 go on to responses 1, ..., M_i - 1.
             first = opening[rejected]
             pending, rejected = rejected[first], rejected[~first]
         if rejected.size:
-            self._replace(rejected, t, 1, states[rejected])
+            # A rejection inside a round draws from [q - p]_+ = q^2, keyed s.
+            keys, empty = states[rejected], self.tables.empty_residuals[t - 1]
+            if empty is not None and empty[keys].any():
+                raise _no_residual(t, 1)
+            columns = self.tables.residual_cums[t - 1].take(keys, axis=1)
+            self.tokens[rejected, t - 1] = _sample_rows(columns, self._take(rejected))
+            self.flags[rejected, t - 1] = True
         if pending.size:
             self._respond(t, span, pending, states[pending])
         if t == self.horizon and np.any(self.next > self.row_ends):
             raise _overrun(self.width)
+
+
+@functools.lru_cache(maxsize=None)
+def _response_grid(largest: int, horizon: int, vocab: int):
+    """Read-only columns over responses m = 1, ..., M - 1 for ``_Lockstep._respond``.
+
+    Returns the responses, their offsets m*V*V into threshold keys, and, per
+    span L, the offsets from an opening run's cursor after response 0's test
+    to the uniforms it may read: 0, ..., M - 1 for its tests and its
+    replacement, then -1 - (M - m)*L for response m's draft.
+    """
+    responses = np.arange(1, largest)[:, None]
+    spans = np.arange(horizon + 1)[:, None, None]
+    reads = np.broadcast_to(np.arange(largest)[:, None], (horizon + 1, largest, 1))
+    grid = responses, responses * vocab**2, np.concatenate(
+        [reads, -1 - (largest - responses) * spans], axis=1)
+    for column in grid:
+        column.flags.writeable = False
+    return grid
+
+
+def _raise_off_support(t: int, candidates: np.ndarray, off: np.ndarray) -> None:
+    """The scalar loop's error for the first of ``candidates`` that ``off`` marks, if any."""
+    if off.any():
+        token = int(candidates[np.argmax(off)])
+        raise RuntimeError(f"draft token {token} outside p's support at position {t}")
 
 
 def _stream_length(batch_size: int, horizon: int) -> int:

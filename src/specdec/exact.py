@@ -252,8 +252,12 @@ def _sd_and_gain(pair: ModelPair, batch_size: int | None) -> tuple[float, float]
     is a round root and x_{n-1} = s. A root contributes tv - P_M; the next
     position is a root after a rejection within a round, (mu - g) @ (q - p)_+,
     or after a root fails all M responses, g @ W_{M+1}. Other pairs take the
-    history-level recursion.
+    history-level recursion. At M = 1 every root's drop is tv - P_1 = 0, so
+    the improvement is 0.0, SD's total is returned as it is, and no gain is
+    walked.
     """
+    if batch_size == 1:
+        return expected_rejections_sd(pair), 0.0
     if _is_markov_pair(_pair_arg(pair)):
         gain = _markov_terms(pair, batch_size, gain=True)
         return _sd_part(pair).total, _fsum(gain)

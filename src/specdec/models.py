@@ -32,7 +32,8 @@ x_{n-1}, the last token of any nonempty history (``_chain_key``); a
 FullModel's is the history's code (``_table_key``). Either raises KeyError
 for a position outside 1..T or a token that is not an integer in 0..V-1,
 and a FullModel for a history whose length is not n. Policy tables read
-their entries by the same two keys.
+their entries by the same two keys, and an acceptance entry's candidate is
+held to the token rule too (``_chain_entry``, ``_table_entry``).
 
 A FullModel is the chain over histories, the history's code its state. It
 holds T level stacks, level n of shape (V**n, V) with the history
@@ -162,6 +163,38 @@ def _chain_key(n: int, history: tuple[int, ...], horizon: int, vocab_size: int) 
         if integral and 1 <= n <= horizon and 0 <= token < vocab_size:
             return n - 1, token
     raise KeyError(f"no table entry for history {history} at position {n}")
+
+
+def _chain_entry(n: int, history: tuple[int, ...], candidate, horizon: int,
+                 vocab_size: int) -> tuple:
+    """(n - 1, x_{n-1}, candidate): where a chain's (T, V, V) tables hold a candidate's entry.
+
+    ``_chain_key``'s rule, and its KeyError, with the candidate held to the
+    rule for a token as well: KeyError unless it is an integer in 0..V-1.
+    """
+    if history:
+        token = history[-1]
+        integral = (token.__class__ is int or isinstance(token, np.integer)) and (
+            candidate.__class__ is int or isinstance(candidate, np.integer))
+        if (integral and 1 <= n <= horizon and 0 <= token < vocab_size
+                and 0 <= candidate < vocab_size):
+            return n - 1, token, candidate
+    _chain_key(n, history, horizon, vocab_size)
+    raise _no_candidate(n, candidate)
+
+
+def _table_entry(n: int, history: tuple[int, ...], candidate, horizon: int,
+                 vocab_size: int) -> tuple:
+    """(n - 1, code, candidate): ``_table_key``'s rule, the candidate held to the token rule."""
+    level, code = _table_key(n, history, horizon, vocab_size)
+    integral = candidate.__class__ is int or isinstance(candidate, np.integer)
+    if integral and 0 <= candidate < vocab_size:
+        return level, code, candidate
+    raise _no_candidate(n, candidate)
+
+
+def _no_candidate(n: int, candidate) -> KeyError:
+    return KeyError(f"no table entry for candidate {candidate!r} at position {n}")
 
 
 def _table_key(n: int, history: tuple[int, ...], horizon: int, vocab_size: int) -> tuple:

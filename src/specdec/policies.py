@@ -16,7 +16,9 @@ calling back. On other pairs the contexts are the histories
 rows ``models._level_rows`` reads in code order. Either way the callbacks
 find a context's row by the models' rule, ``models._chain_key`` or
 ``_table_key``, and raise its KeyError, as ``step`` does, for a position
-outside 1..T or a history the rule does not take. Every
+outside 1..T or a history the rule does not take, and the acceptance
+callback for a candidate that is not a token in 0..V-1. The rows are
+read-only. Every
 residual row comes from the package's one residual kernel,
 ``dist._residual_rows``: the speculative rule's is [q - p]_+, opt's and
 random-unbiased's [q - b p]_+. A context where rejection has probability
@@ -30,7 +32,7 @@ import numpy as np
 
 from .decoding import Policy
 from .dist import _real_arg, _residual_rows
-from .models import ModelPair, _is_markov_pair, _level_rows, _table_key
+from .models import ModelPair, _is_markov_pair, _level_rows, _read_only, _table_entry, _table_key
 from .tradeoff import DEGENERATE_TOL, _over_acceptance
 
 
@@ -38,18 +40,21 @@ def _rows_policy(pair: ModelPair, rule) -> Policy:
     """Policy whose rows over every context are ``rule(p_rows, q_rows)`` -> (b, residual)."""
     if _is_markov_pair(pair):
         return Policy.from_tables(*rule(pair.p.step_rows, pair.q.step_rows))
-    v = pair.vocab_size
-    acceptance, residual = zip(*(
+    v, horizon = pair.vocab_size, pair.horizon
+    acceptance, residual = ([_read_only(level) for level in levels] for levels in zip(*(
         rule(*(_level_rows(model, n, np.arange(v**n)) for model in (pair.p, pair.q)))
-        for n in range(1, pair.horizon + 1)
-    ))
+        for n in range(1, horizon + 1)
+    )))
 
-    def row(levels, n, history):
-        level, code = _table_key(n, history, len(levels), v)
-        return levels[level][code]
+    def accept(n, history, candidate):
+        level, code, token = _table_entry(n, history, candidate, horizon, v)
+        return acceptance[level][code, token]
 
-    return Policy(lambda n, history, candidate: row(acceptance, n, history)[candidate],
-                  lambda n, history: row(residual, n, history))
+    def replace(n, history):
+        level, code = _table_key(n, history, horizon, v)
+        return residual[level][code]
+
+    return Policy(accept, replace)
 
 
 def _rejectable_or_q(rows: np.ndarray, q: np.ndarray, b: np.ndarray, p: np.ndarray):

@@ -363,6 +363,19 @@ def partly_off_support_pair() -> ModelPair:
     return ModelPair(MarkovModel(base.p.prompt, steps), base.q)
 
 
+def empty_and_off_support_pair() -> ModelPair:
+    """At T = 1, p's rows (0.9, 0) lose a draft off its support when its uniform is >= 0.9.
+
+    q's rows (0.5, 0) lie below p's, so every rejection finds max(q - p, 0)
+    = 0: a run that rejects response 0 meets the empty residual before it
+    would draft response 1, off p's support or not.
+    """
+    prompt = Dist.uniform(2)
+    p = MarkovModel(prompt, [unnormalized_step([[0.9, 0.0]] * 2)])
+    q = MarkovModel(prompt, [unnormalized_step([[0.5, 0.0]] * 2)])
+    return ModelPair(p, q)
+
+
 def interior_zeros_pair() -> ModelPair:
     """p has zero mass only on interior tokens 1 and 2 of V = 4, in about a third of its rows."""
     base = random_model_pair(4, 6, seed=12)
@@ -464,7 +477,7 @@ class TestLockstepEngine:
         for batch_size, horizon in fast:
             assert _stream_length(batch_size, horizon) <= _window_width(batch_size, horizon)
 
-    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize(
         "kind, error", [("zero-residual", ZeroResidual), ("off-support", RuntimeError)]
     )
@@ -502,6 +515,15 @@ class TestLockstepEngine:
         errors = assert_outcomes_identical(pair, batch_size, seed=4, count=60)
         off = (RuntimeError, "draft token 2 outside p's support at position 2")
         assert set(errors) == {None, off}
+
+    @pytest.mark.parametrize("batch_size", [2, 3, 5])
+    def test_an_empty_residual_is_met_before_the_next_draft(self, batch_size):
+        errors = assert_outcomes_identical(empty_and_off_support_pair(), batch_size, 2, 60)
+        assert set(errors) == {
+            None,
+            (RuntimeError, "draft token 1 outside p's support at position 1"),
+            (ZeroResidual, "rejection at position 1 with tv(q^1, p) = 0"),
+        }
 
     @pytest.mark.parametrize("batch_size", [1, 2, 3])
     def test_zero_mass_on_interior_tokens_needs_no_support_check(self, batch_size):
@@ -657,6 +679,21 @@ def positions_apart_pair() -> ModelPair:
     return ModelPair(base.p, q)
 
 
+def late_draft_pair() -> ModelPair:
+    """At T = 1, a draft leaves p's support with probability 0.1, at whichever response it drafts.
+
+    p's rows are (0.45, 0.45, 0) and sum to 0.9, so a draft lands on token 2
+    through the sampler's clamp when its uniform is >= 0.9. q = (0.6, 0.1,
+    0.3): response 0 may accept token 0 or 1, response 1, tested against
+    q^2 = (1/3, 0, 2/3), token 0 only, and from response 2 on every iterate
+    is (0, 0, 1), so no draft on p's support is accepted.
+    """
+    prompt = Dist.uniform(3)
+    p = MarkovModel(prompt, [unnormalized_step([[0.45, 0.45, 0.0]] * 3)])
+    q = MarkovModel(prompt, [CondDist([[0.6, 0.1, 0.3]] * 3)])
+    return ModelPair(p, q)
+
+
 class TestSharedBlocks:
     """Rows of several batch sizes in one block decode as each size alone."""
 
@@ -722,25 +759,77 @@ class TestSharedBlocks:
         with pytest.raises(ValueError, match="ordered by batch size"):
             _Lockstep(pair, np.array([2, 2, 1, 1]), _tables(pair, 2, None), window, None)
 
-    @pytest.mark.parametrize("sizes", [[1, 2], [2, 1], [1, 1, 2]])
+    @pytest.mark.parametrize(
+        "sizes", [[1, 2], [2, 1], [1, 1, 2], [1, 4], [5, 1], [1, 2, 5], [4, 5, 1]])
     def test_a_failing_scan_raises_the_first_failing_sizes_error(self, sizes):
         pair, runs = positions_apart_pair(), 200
         errors = {}
-        for m in (1, 2):
+        for m in (1, 2, 4, 5):
             with pytest.raises(ZeroResidual) as caught:
                 decode_markov_runs(pair, m, 9, 0, runs)
             errors[m] = str(caught.value)
+        # From M = 2 on, an opening run that fails two root tests meets the empty q^3.
         assert errors == {
             1: "rejection at position 3 with tv(q^1, p) = 0",
             2: "rejection at position 2 with tv(q^2, p) = 0",
+            4: "rejection at position 2 with tv(q^2, p) = 0",
+            5: "rejection at position 2 with tv(q^2, p) = 0",
         }
         # One shared block would stop at position 2, whatever the order.
         with pytest.raises(ZeroResidual) as caught:
-            _decoded_block(pair, sorted(sizes), _tables(pair, 2, None), 9, 0, runs)
+            _decoded_block(pair, sorted(sizes), _tables(pair, max(sizes), None), 9, 0, runs)
         assert str(caught.value) == errors[2]
         with pytest.raises(ZeroResidual) as caught:
             batch_scan(pair, sizes, runs, 9)
         assert str(caught.value) == errors[sizes[0]]
+
+    def test_rows_meet_no_iterate_past_their_own_size(self):
+        # Runs 42..47 of seed 9 complete at M = 2 and, at M = 1, some fail at
+        # position 3. In a shared block, an M = 1 row that opens at position
+        # 2 and rejects response 0 draws from q^2 there; only an M = 2 row
+        # that fails both root tests meets the empty q^3.
+        pair, seed, start, count = positions_apart_pair(), 9, 42, 6
+        assert_path_identical(pair, 2, seed, start, count)
+        with pytest.raises(ZeroResidual) as caught:
+            decode_markov_runs(pair, 1, seed, start, count)
+        assert str(caught.value) == "rejection at position 3 with tv(q^1, p) = 0"
+        with pytest.raises(ZeroResidual) as shared:
+            _decoded_block(pair, [1, 2], _tables(pair, 2, None), seed, start, count)
+        assert str(shared.value) == str(caught.value)
+
+    def test_an_error_first_met_at_response_3_is_the_scalar_loops(self):
+        # Runs 0..7 of seed 1 draw no draft off p's support at responses 0,
+        # 1 and 2 that a test reaches, but some at response 3, tested against
+        # q^4: sizes 1 to 3 decode them, 4 and 5 fail as the scalar loop does.
+        pair, seed, count = late_draft_pair(), 1, 8
+        for m in (1, 2, 3):
+            assert_path_identical(pair, m, seed, 0, count)
+        failing = {
+            outcome(lambda: scalar_run(pair, m, split_rng(seed, i)))[1]
+            for m in (4, 5) for i in range(count)
+        }
+        message = "draft token 2 outside p's support at position 1"
+        assert failing == {None, (RuntimeError, message)}
+        for sizes in ([4], [5], [1, 2, 5], [2, 4, 5], [1, 3, 4]):
+            with pytest.raises(RuntimeError) as caught:
+                _decoded_block(pair, sizes, _tables(pair, max(sizes), None), seed, 0, count)
+            assert str(caught.value) == message, sizes
+        with pytest.raises(RuntimeError) as caught:
+            batch_scan(pair, [1, 2, 5], count, seed)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("start", [120, 616])
+    def test_drafts_past_a_rows_own_tests_raise_nothing(self, start):
+        # Runs start, ..., start + 7 of seed 1 complete at sizes 1, 2 and 5.
+        # A pass over responses also drafts responses a row never tests,
+        # after its accepted one, or past its own M_i (at 616), and some of
+        # those leave p's support: the shared block must not raise.
+        pair, seed, count = late_draft_pair(), 1, 8
+        block = _decoded_block(pair, [1, 2, 5], _tables(pair, 5, None), seed, start, count)
+        for j, m in enumerate((1, 2, 5)):
+            alone = assert_path_identical(pair, m, seed, start, count)
+            for column, expected in zip(block, alone):
+                assert np.array_equal(column[j * count : (j + 1) * count], expected)
 
 
 def history_policy(pair) -> Policy:
@@ -973,6 +1062,30 @@ class TestPolicyTables:
             policy.residual(n, history)
         with pytest.raises(KeyError):
             pair.p.step(n, history)
+
+    @pytest.mark.parametrize("name", TABLE_POLICIES)
+    @pytest.mark.parametrize("candidate", [-1, np.int64(-1), 2, True, 1.0])
+    def test_acceptance_refuses_a_candidate_a_chain_would_refuse(self, name, candidate):
+        # acceptance(1, (0,), -1) once wrapped to token 1's entry, on tables
+        # and on history levels alike.
+        for pair in (random_model_pair(2, 3, seed=1), random_full_pair(2, 3, seed=5)):
+            policy = POLICIES[name](pair)
+            message = re.escape(f"candidate {candidate!r} at position 1")
+            with pytest.raises(KeyError, match=message):
+                policy.acceptance(1, (0,), candidate)
+            assert policy.acceptance(1, (0,), np.int64(1)) == policy.acceptance(1, (0,), 1)
+            with pytest.raises(KeyError, match="no table entry for history"):
+                policy.acceptance(1, (2,), candidate)
+
+    @pytest.mark.parametrize("name", TABLE_POLICIES)
+    def test_history_policy_rows_are_read_only(self, name):
+        # A caller once wrote a returned residual row into the policy.
+        policy = POLICIES[name](random_full_pair(3, 3, seed=5))
+        row = policy.residual(2, (0, 1))
+        before = row.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            row[:] = [1.0, 0.0, 0.0]
+        assert np.array_equal(policy.residual(2, (0, 1)), before)
 
     @pytest.mark.parametrize("name", TABLE_POLICIES)
     def test_full_model_pairs_keep_callbacks_only(self, name):

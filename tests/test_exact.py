@@ -658,6 +658,30 @@ class TestSdRecord:
         expected_rejections_batch(pair, 8)
         assert len(walks) == 3 and tv_blocks == []
 
+    @pytest.mark.parametrize(
+        "pair", [*RECORD_PAIRS, full_pair(PAIRS[0]), random_full_pair(2, 3, seed=10)])
+    def test_a_single_response_walks_no_gain(self, monkeypatch, pair):
+        # At M = 1 every root drops tv - P_1 = tv - tv = 0, so batch(1) is
+        # SD's total with improvement 0.0, the walked values bit for bit.
+        markov = isinstance(pair.p, MarkovModel) and isinstance(pair.q, MarkovModel)
+        if markov:
+            walked = fresh(pair)
+            gain = exact._fsum(exact._markov_terms(walked, 1, gain=True))
+            sd = exact._sd_part(walked).total
+        else:
+            sd, gain = map(exact._fsum, exact._history_terms(pair, 1, gain=True))
+        want = BatchRejections(total=sd - gain, improvement=gain)
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("batch(1) walked the root iterates")
+
+        monkeypatch.setattr(exact, "_root_iterates", no_walk)
+        pair = fresh(pair) if markov else pair
+        got = expected_rejections_batch(pair, 1)
+        assert got == want and repr(got) == repr(want)
+        if markov:
+            assert exact._sd_part(pair).total == sd and pair._sd_record.depth == 1
+
     @pytest.mark.parametrize("pair", RECORD_PAIRS)
     def test_record_and_marginals_are_read_only(self, pair):
         pair = fresh(pair)

@@ -317,3 +317,18 @@ def test_one_model_core():
     level_rows = _module_functions("models.py")["_level_rows"]
     names = {node.id for node in ast.walk(level_rows) if isinstance(node, ast.Name)}
     assert "isinstance" not in names
+
+
+def test_one_response_pass():
+    # An opening run that rejects response 0 tests its responses 1, ...,
+    # M_i - 1 in one pass over a (response, run) grid, masked by its own
+    # batch size: _Lockstep._respond has no loop, and the engine keeps no
+    # cut points of the rows by size.
+    tree = ast.parse((PACKAGE / "decoding.py").read_text(encoding="utf-8"))
+    lockstep = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Lockstep")
+    methods = {node.name: node for node in lockstep.body if isinstance(node, ast.FunctionDef)}
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not [node.lineno for node in ast.walk(methods["_respond"]) if isinstance(node, loops)]
+    attributes = {node.attr for node in ast.walk(lockstep) if isinstance(node, ast.Attribute)}
+    assert "ends" not in attributes
