@@ -44,9 +44,11 @@ run's state between positions is its next-uniform index and a draft pointer
 to the followed response's next draft uniform; a run opens a round where its
 last token was a replacement. Uniforms are read by flat index into the
 block's window and table entries by (m*V + x_{n-1})*V + x for a test against
-iterate m + 1, and the off-support and zero-residual checks run only at the
-positions (and iterates) where the call's tables show they can fire (see
-:class:`_Lockstep`).
+iterate m + 1. The engine raises no sampler error: at the positions (and
+iterates) where the call's tables show that a draft can leave p's support or
+a residual be empty, it marks the runs that meet one and decodes on, and the
+block's first marked run is decoded again on the scalar loop, which raises
+its error (see :class:`_Lockstep` and ``_decoded_block``).
 
 Stream sources. No run reads more than S(M, T) = 1 + M*T(T+1)/2 + (M+1)*T
 uniforms (proved in :func:`decode_markov_runs`), and no round more than
@@ -66,16 +68,16 @@ generators. Every source gives every run the uniforms of
 ``split_rng(seed, index)``, so neither the source, the window nor the block
 size changes a result.
 
-Batch sizes per row. A block's rows may have different batch sizes M_i,
-ordered by size; the engine's tables are built once, for the largest, since
-q's iterates q^m do not depend on M, and a block of one size is the case
-where every M_i is equal. Packing rule: k batch sizes over the same runs
-share one block when their k*count rows fit the block limit of the largest
-size; otherwise each size decodes in its own blocks, exactly as alone. In a
-shared block the k rows of run i read the same stream, drawn once and copied,
-in windows as wide as the largest size needs (W computed over the k*count
-rows); a row keeps a generator of its own only where W is short of its own
-size's S.
+Batch sizes per row. A block's rows may have different batch sizes M_i, in
+any order; the engine's tables are built once, for the largest, since q's
+iterates q^m do not depend on M, and a block of one size is the case where
+every M_i is equal. Packing rule: k batch sizes over the same runs share one
+block, size-major in the order given, when their k*count rows fit the block
+limit of the largest size; otherwise each size decodes in its own blocks,
+exactly as alone. In a shared block the k rows of run i read the same
+stream, drawn once and copied, in windows as wide as the largest size needs
+(W computed over the k*count rows); a row keeps a generator of its own only
+where W is short of its own size's S.
 
 Routes. One generator, ``_run_blocks``, decodes every run that
 ``decode_markov_runs`` and the campaigns ask for, in blocks, in run order,
@@ -88,7 +90,9 @@ loop ``_decode`` (of ``autoregressive_decode`` for autoregressive runs) on
 ``split_rng(seed, i)``, in blocks of BLOCK_RUNS. A call with several batch
 sizes goes size by size on the scalar loop and by the packing rule on the
 engine. Both routes yield :class:`MarkovRuns` blocks and give the same runs,
-so the route changes speed and not results.
+and both take runs size by size, then run by run, and raise the scalar
+loop's error for the first that fails, so the route changes speed and not
+results: the same runs and the same errors.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dist import ZeroResidual, _float_array, _int_arg, _normalized_rows, _residual_rows
-from .models import ModelPair, _chain_entry, _chain_key, _is_markov_pair
+from .models import ModelPair, _chain_entry, _chain_key, _is_markov_pair, _pair_arg
 from .rng import split_rng, split_rngs, split_uniforms
 
 BLOCK_RUNS = 1024
@@ -329,11 +333,6 @@ def autoregressive_decode(model, rng: np.random.Generator) -> Trajectory:
     return Trajectory(x0, history[1:])
 
 
-def _no_residual(t: int, m: int) -> ZeroResidual:
-    """The error for a rejection at position t by the test against iterate q^m (q^1 = q)."""
-    return ZeroResidual(f"rejection at position {t} with tv(q^{m}, p) = 0")
-
-
 def _decode(
     pair: ModelPair, batch_size: int, policy: Policy | None, rng
 ) -> tuple[Trajectory, RunStats]:
@@ -386,7 +385,7 @@ def _decode(
                 if policy is None:
                     target, total = _residual_rows(target, p_row)
                     if total <= 0.0:
-                        raise _no_residual(t, m)
+                        raise ZeroResidual(f"rejection at position {t} with tv(q^{m}, p) = 0")
                 else:
                     target = policy_residual_row(policy, t, history, pair.vocab_size)
             else:
@@ -404,7 +403,7 @@ def speculative_decode(pair: ModelPair, rng: np.random.Generator) -> tuple[Traje
     probability min(1, q(x)/p(x)), and on the first rejection replaces the
     token with a draw from [q - p]_+ before re-drafting.
     """
-    return _decode(pair, 1, None, rng)
+    return _decode(pair, *_run_args(pair, "sd", 1, None), rng)
 
 
 def generic_decode(
@@ -423,11 +422,14 @@ def generic_decode(
 def _run_args(pair: ModelPair, algorithm: str, batch_size, policy) -> tuple[int, Policy | None]:
     """The (batch_size, policy) that ``_decode`` takes for a run of ``algorithm`` on ``pair``.
 
-    Only batch runs take a batch_size other than 1, and generic runs, and
-    only they, take a policy, which must be a Policy (else TypeError). A
-    policy's tables, where it has them, must be (T, V, V) for ``pair``
-    (else InvalidPolicy), whichever route reads the policy.
+    ``pair`` must be a ModelPair (else ``models._pair_arg``'s TypeError),
+    checked before anything reads it. Only batch runs take a batch_size
+    other than 1, and generic runs, and only they, take a policy, which must
+    be a Policy (else TypeError). A policy's tables, where it has them, must
+    be (T, V, V) for ``pair`` (else InvalidPolicy), whichever route reads
+    the policy.
     """
+    _pair_arg(pair)
     batch_size = _int_arg("batch_size", batch_size)
     if algorithm != "batch" and batch_size != 1:
         raise ValueError(f"{algorithm} runs need batch_size 1")
@@ -515,13 +517,14 @@ class _Tables(NamedTuple):
     so they are bit-equal to the iterates ``_decode`` tests a round's first
     tokens against. With a tabular policy (M = 1) they come from its tables.
 
-    The check tables say where :class:`_Lockstep` must check.
+    The check tables say where :class:`_Lockstep` must mark failing runs.
     ``off_support[n - 1]`` is the (V*V,) mask of p_n(x | s) <= 0 at a
     position n where some row of p has no mass on token V - 1, and None
     elsewhere.
     ``empty_residuals[n - 1]`` is the (M*V,) mask, keyed m*V + s, of the
     states s whose max(q^{m+1} - p, 0) sums to <= 0, at a position n with
-    such a state, and None elsewhere; it is always None for a policy.
+    such a state, and None elsewhere; it is always None for a policy. Its
+    iterate axis is that of the tables' M, which may exceed a block's own.
     """
 
     p_cums: np.ndarray
@@ -563,12 +566,12 @@ def _overrun(width: int) -> RuntimeError:
 class _Lockstep:
     """One block of runs advanced together, one position at a time.
 
-    ``batch_sizes`` is one batch size for every row or a nondecreasing array
-    of one per row, M_i; ``tables`` must serve the largest, M. Each run keeps
-    a row of a (runs, width) window of its uniform stream, read through the
-    flat ``uniforms`` (a view of a C-contiguous window, as ``_block_streams``
-    makes them) by absolute index: ``next[i]`` is run i's next unread
-    uniform, and ``cursor`` the same index relative to its row.
+    ``batch_sizes`` is one batch size for every row or an array of one per
+    row, M_i, in any order; ``tables`` must serve the largest, M. Each run
+    keeps a row of a (runs, width) window of its uniform stream, read
+    through the flat ``uniforms`` (a view of a C-contiguous window, as
+    ``_block_streams`` makes them) by absolute index: ``next[i]`` is run i's
+    next unread uniform, and ``cursor`` the same index relative to its row.
     With ``rngs`` None the row holds every uniform a run can read. Otherwise
     it holds at least twice the most one round of the largest size can read
     (M*L drafts, M root tests, L - 1 verifies, one replacement;
@@ -592,17 +595,20 @@ class _Lockstep:
     next uniform; at M_i = 1 that is the replacement after response 0.
 
     Checks. Thresholds, replacement rows and check tables come from ``tables``
-    (see :class:`_Tables`); each check runs only where its table asks.
+    (see :class:`_Tables`); a run is checked only where a check table asks.
     Off-support: ``_sample_rows`` lands on a token k < V - 1 only when
     cums[k - 1] <= u < cums[k], so cums[k] > cums[k - 1] and p[k] > 0 (for
     k = 0, u < cums[0] = p[0]); only its clamp to V - 1 can land on a token
     without mass, so the check is needed only at positions where some p row
     has no mass on token V - 1. Zero residual: a rejection against iterate m
     at state s needs [q^m - p]_+ there, which is empty only where its
-    normaliser is <= 0. Both raise the scalar loop's errors, in its order:
-    in one pass, only the tests a run makes count, response by response,
-    and at each response the residual of the test that failed before its
-    draft (see ``_check_responses``).
+    normaliser is <= 0. Neither raises: a run that meets one is marked in
+    ``failed``, one flag per row, and decodes on, reading its stream as any
+    run does. A run is marked exactly where the scalar loop raises: only
+    the drafts and failed tests a run makes count, so in ``_respond`` a
+    mask over the (response, run) grid keeps the cells before each run's
+    first accepted response and within its M_i. ``_decoded_block`` raises
+    the scalar loop's error for the first marked row.
 
     Window guard. A read past a row's end would read the next run's stream
     (or be clipped to the block's last uniform) rather than fail, so a
@@ -618,8 +624,6 @@ class _Lockstep:
     def __init__(self, pair: ModelPair, batch_sizes, tables: _Tables, window, rngs) -> None:
         count, self.width = window.shape
         sizes = np.asarray(batch_sizes, dtype=np.int64)
-        if sizes.ndim and np.any(sizes[1:] < sizes[:-1]):
-            raise ValueError("a block's rows must be ordered by batch size")
         self.largest = int(sizes.max(initial=1))
         # One size is held as a scalar, which broadcasts where a row's size is read.
         self.sizes = sizes if sizes.min(initial=self.largest) < self.largest else self.largest
@@ -634,6 +638,7 @@ class _Lockstep:
         self.draft = np.zeros(count, dtype=np.int64)
         self.tokens = np.empty((count, self.horizon), dtype=np.int64)
         self.flags = np.zeros((count, self.horizon), dtype=bool)
+        self.failed = np.zeros(count, dtype=bool)
 
     def _sizes_of(self, runs) -> np.ndarray | int:
         """The batch sizes of ``runs``: the block's one size, or one per run."""
@@ -680,27 +685,6 @@ class _Lockstep:
         candidates = _sample_rows(columns, us)
         return candidates, states * self.vocab + candidates
 
-    def _check_responses(self, t, states, sizes, accept, candidates, keys) -> None:
-        """Raise the scalar loop's first error among the tests ``_respond`` counts.
-
-        Response by response, as the scalar loop meets them: a run reaches
-        the residual check of iterate m if its tests 1, ..., m - 1 all
-        failed and m <= M_i, and then the draft of response m if m < M_i.
-        An off-support draft names the first such run's token.
-        """
-        empty, off = self.tables.empty_residuals[t - 1], self.tables.off_support[t - 1]
-        if empty is None and off is None:
-            return
-        reached = np.ones(len(states), dtype=bool)
-        for m in range(1, self.largest + 1):
-            if empty is not None and (reached & empty[(m - 1) * self.vocab + states]).any():
-                raise _no_residual(t, m)
-            if m < self.largest:
-                reached &= m < sizes
-                if off is not None:
-                    _raise_off_support(t, candidates[m - 1], reached & off[keys[m - 1]])
-                reached &= ~accept[m - 1]
-
     def _respond(self, t, span, pending, states) -> None:
         """Test responses 1, ..., M_i - 1 of the opening runs ``pending`` that rejected response 0.
 
@@ -725,7 +709,18 @@ class _Lockstep:
         accept = us[:largest - 1] <= self.tables.thresholds[t - 1].take(keys + self.response_keys)
         if mixed:
             accept &= self.responses < sizes
-        self._check_responses(t, states, sizes, accept, candidates, keys)
+        off, empty = self.tables.off_support[t - 1], self.tables.empty_residuals[t - 1]
+        if off is not None or empty is not None:
+            # A run drafts and tests response m where m < M_i and its tests
+            # 1, ..., m - 1 failed. It fails there on a draft off p's support,
+            # or on a failed test whose residual, q^{m+2} keyed m*V + s, is empty.
+            made = np.ones(accept.shape, dtype=bool)
+            np.logical_and.accumulate(~accept[:-1], axis=0, out=made[1:])
+            fails = np.zeros_like(made) if empty is None else (
+                ~accept & empty[self.responses * self.vocab + states])
+            if off is not None:
+                fails |= off[keys]
+            self.failed[pending] |= (made & fails & (self.responses < sizes)).any(axis=0)
         # Each run's token: the draft of its first accepted response, at row
         # ``first`` (row 0 when only response 1 follows response 0), or else a
         # replacement from iterate M_i + 1, drawn for every run and kept where
@@ -764,24 +759,23 @@ class _Lockstep:
 
         states = self.tokens[:, t - 2] if t > 1 else self.prompt_tokens
         candidates, keys = self._draft(t, states, self._read(self.draft))
-        off = self.tables.off_support[t - 1]
+        off, empty = self.tables.off_support[t - 1], self.tables.empty_residuals[t - 1]
         if off is not None:
-            _raise_off_support(t, candidates, off[keys])
+            self.failed |= off[keys]
         accept = self._take(slice(None)) <= self.tables.thresholds[t - 1].take(keys)
         self.draft += 1
         self.tokens[:, t - 1] = candidates
         rejected = (~accept).nonzero()[0]
+        if empty is not None:
+            # A failed test against q draws from [q - p]_+ = q^2, keyed s.
+            self.failed[rejected] |= empty[states[rejected]]
         pending = rejected[:0]
         if self.largest > 1 and rejected.size:
             # Opening runs that reject response 0 go on to responses 1, ..., M_i - 1.
             first = opening[rejected]
             pending, rejected = rejected[first], rejected[~first]
         if rejected.size:
-            # A rejection inside a round draws from [q - p]_+ = q^2, keyed s.
-            keys, empty = states[rejected], self.tables.empty_residuals[t - 1]
-            if empty is not None and empty[keys].any():
-                raise _no_residual(t, 1)
-            columns = self.tables.residual_cums[t - 1].take(keys, axis=1)
+            columns = self.tables.residual_cums[t - 1].take(states[rejected], axis=1)
             self.tokens[rejected, t - 1] = _sample_rows(columns, self._take(rejected))
             self.flags[rejected, t - 1] = True
         if pending.size:
@@ -807,13 +801,6 @@ def _response_grid(largest: int, horizon: int, vocab: int):
     for column in grid:
         column.flags.writeable = False
     return grid
-
-
-def _raise_off_support(t: int, candidates: np.ndarray, off: np.ndarray) -> None:
-    """The scalar loop's error for the first of ``candidates`` that ``off`` marks, if any."""
-    if off.any():
-        token = int(candidates[np.argmax(off)])
-        raise RuntimeError(f"draft token {token} outside p's support at position {t}")
 
 
 def _stream_length(batch_size: int, horizon: int) -> int:
@@ -879,13 +866,24 @@ def _block_streams(seed: int, start: int, count: int, batch_sizes, horizon: int)
     return window, (None if spare is rngs else kept)
 
 
-def _decoded_block(pair, batch_sizes, tables, seed, start, count) -> MarkovRuns:
-    """Runs start, ..., start + count - 1 at each of ``batch_sizes`` in one block, size-major."""
+def _decoded_block(pair, batch_sizes, policy, tables, seed, start, count) -> MarkovRuns:
+    """Runs start, ..., start + count - 1 at each of ``batch_sizes`` in one block, size-major.
+
+    The engine raises no sampler error: the block's first row that it marks
+    failed is decoded again on the scalar loop, at that row's batch size and
+    on its run's stream, and that call raises the scalar loop's own error.
+    A marked row that decodes cleanly is an internal fault.
+    """
     window, rngs = _block_streams(seed, start, count, batch_sizes, pair.horizon)
     sizes = batch_sizes[0] if len(batch_sizes) == 1 else np.repeat(batch_sizes, count)
     block = _Lockstep(pair, sizes, tables, window, rngs)
     for t in range(1, pair.horizon + 1):
         block.advance(t)
+    if block.failed.any():
+        j, i = divmod(int(block.failed.argmax()), count)
+        _decode(pair, batch_sizes[j], policy, split_rng(seed, start + i))
+        raise RuntimeError(f"the engine marked run {start + i} at batch size "
+                           f"{batch_sizes[j]} failed, but the scalar loop decodes it")
     return MarkovRuns(block.prompt_tokens, block.tokens, block.flags.sum(axis=1), block.flags)
 
 
@@ -921,33 +919,27 @@ def _run_blocks(pair: ModelPair, algorithm: str, batch_sizes, policy, seed: int,
     yielded one size at a time with lo = 0; otherwise each size decodes in
     its own blocks, ``_block_runs`` runs on the engine and BLOCK_RUNS on the
     scalar loop, in the order of ``batch_sizes``. Either way, row for row
-    the runs are the same. If a shared block raises, the sizes are decoded
-    again one at a time, so the error raised is that of the first size that
-    fails, as when each size is decoded alone.
+    the runs are the same, and they go size by size in that order, then run
+    by run, so the first run that fails, and so the error raised, is the
+    same on both routes (see ``_decoded_block``).
     """
     engine = algorithm != "autoregressive" and _is_markov_pair(pair) and (
         policy is None or policy.tables is not None)
     tables, k = _tables(pair, max(batch_sizes), policy) if engine else None, len(batch_sizes)
     if engine and 1 < k and 0 < k * count <= _block_runs(max(batch_sizes), pair.horizon):
-        # The block's rows go in order of batch size, as _Lockstep needs them.
-        order = sorted(range(k), key=batch_sizes.__getitem__)
-        try:
-            runs = _decoded_block(pair, [batch_sizes[j] for j in order], tables, seed, start, count)
-        except (RuntimeError, ZeroResidual):
-            pass
-        else:
-            for position, j in enumerate(order):
-                rows = slice(position * count, (position + 1) * count)
-                yield j, 0, MarkovRuns(*(column[rows] for column in runs))
-            return
+        runs = _decoded_block(pair, batch_sizes, policy, tables, seed, start, count)
+        for j in range(k):
+            yield j, 0, MarkovRuns(*(column[j * count : (j + 1) * count] for column in runs))
+        return
     for j, batch_size in enumerate(batch_sizes):
         step = _block_runs(batch_size, pair.horizon) if engine else BLOCK_RUNS
         for lo in range(0, count, step):
             n = min(step, count - lo)
             if engine:
-                yield j, lo, _decoded_block(pair, (batch_size,), tables, seed, start + lo, n)
+                runs = _decoded_block(pair, (batch_size,), policy, tables, seed, start + lo, n)
             else:
-                yield j, lo, _scalar_block(pair, algorithm, batch_size, policy, seed, start + lo, n)
+                runs = _scalar_block(pair, algorithm, batch_size, policy, seed, start + lo, n)
+            yield j, lo, runs
 
 
 def decode_markov_runs(
@@ -999,15 +991,18 @@ def decode_markov_runs(
     module docstring): a batch scan may decode these runs in one block with
     its other sizes, with the same result row for row.
 
-    Raises RuntimeError on a draft outside p's support and ZeroResidual where
-    the scalar samplers do, TypeError for a policy that is not a Policy or has
-    no tables, and InvalidPolicy, by ``_run_args``' rule, when its tables are
-    not (T, V, V) for this pair.
+    Raises the scalar samplers' error for the first run that fails, a
+    RuntimeError on a draft outside p's support or a ZeroResidual, by decoding
+    that run again on the scalar loop; so the error is that of the runs
+    decoded one by one. Raises TypeError for a pair that is not a ModelPair
+    of MarkovModels or a policy that is not a Policy or has no tables, and
+    InvalidPolicy, by ``_run_args``' rule, when its tables are not (T, V, V)
+    for this pair.
     """
-    if not _is_markov_pair(pair):
-        raise TypeError("decode_markov_runs requires a pair of MarkovModels")
     algorithm = "batch" if policy is None else "generic"
     batch_size, policy = _run_args(pair, algorithm, batch_size, policy)
+    if not _is_markov_pair(pair):
+        raise TypeError("decode_markov_runs requires a pair of MarkovModels")
     if policy is not None and policy.tables is None:
         raise TypeError("decode_markov_runs reads policy tables; this policy has none")
     seed = _int_arg("seed", seed, 0)

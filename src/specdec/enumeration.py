@@ -216,10 +216,10 @@ def enumerate_law_and_rejections(
     joint_distribution indexing (x_1 most significant digit). Requires
     V**T <= FULL_TABLE_CAP.
     """
-    _check_table_size(pair.vocab_size, pair.horizon)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     batch_size, policy = _run_args(pair, algorithm, batch_size, policy)
+    _check_table_size(pair.vocab_size, pair.horizon)
     if policy is not None:
         return _walk(pair, 1, _generic_level(pair, policy))
     return _walk(pair, 1 if batch_size == 1 else 2, _batch_level(pair, batch_size))

@@ -194,10 +194,10 @@ def batch_scan(pair: ModelPair, batch_sizes, runs: int, seed: int) -> list[Batch
     that size's own campaign.
     """
     sizes = [_int_arg("batch size", m, 1) for m in batch_sizes]
+    campaign = Campaign(pair=pair, algorithm="batch", runs=runs, seed=seed,
+                        batch_size=max(sizes, default=1))
     rows = []
     if sizes:
-        campaign = Campaign(pair=pair, algorithm="batch", runs=runs, seed=seed,
-                            batch_size=sizes[0])
         exacts = [expected_rejections_batch(pair, m).total for m in sizes]
         counts = [[] for _ in sizes]
         for j, _, runs in _run_blocks(pair, "batch", sizes, None, campaign.seed, 0, campaign.runs):

@@ -15,11 +15,16 @@ closed forms to the oracle and the oracle's laws to the target's joint.
 Mixed pairs, a Markov model beside a FullModel in either role, are held the
 same way, and their campaigns' blocks, decoded on the scalar route, to the
 scalar samplers' runs.
+On degenerate pairs, where some runs fail, a Markov pair (the engine) and its
+markov_to_full copy (the scalar loop) must give the same runs or raise the
+same error, and the engine must mark as failed exactly the runs on which the
+scalar loop raises.
 """
 
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,14 +45,31 @@ from specdec import (
     joint_distribution,
     limit_rejections,
     make_rng,
+    markov_to_full,
     over_acceptance_policy,
     random_unbiased_policy,
     sd_policy,
     split_rng,
 )
-from specdec.decoding import _run_blocks, decode_markov_runs
+from specdec.decoding import (
+    _block_streams,
+    _decode,
+    _Lockstep,
+    _run_blocks,
+    _tables,
+    decode_markov_runs,
+)
+from specdec.dist import ZeroResidual
 
-from helpers import random_full_pair
+from helpers import (
+    empty_and_off_support_pair,
+    empty_third_iterate_pair,
+    late_draft_pair,
+    partly_off_support_pair,
+    positions_apart_pair,
+    random_full_pair,
+    zero_residual_pair,
+)
 
 ROW_KINDS = ("dense", "sparse", "equal", "near", "disjoint")
 
@@ -223,3 +245,62 @@ def test_mixed_pairs_agree(pair):
             assert lo == 0
             _assert_runs_equal(block, scalar)
             assert block.rejections.tolist() == [stats.rejections for _, stats in scalar]
+
+
+# Markov pairs on which some runs fail. Pairs whose draft model overrides its
+# sampler are left out: markov_to_full keeps the rows, not the override.
+DEGENERATE = {
+    fixture.__name__: fixture
+    for fixture in (positions_apart_pair, zero_residual_pair, empty_and_off_support_pair,
+                    empty_third_iterate_pair, late_draft_pair, partly_off_support_pair)
+}
+SCAN_SIZES = ([1], [2], [5], [1, 2], [2, 1], [4, 5, 1])
+
+
+def _outcome(pair, sizes, seed, count):
+    """Every run of the block loop keyed (size index, run), or the (type, message) it raises."""
+    runs = {}
+    try:
+        for j, lo, block in _run_blocks(pair, "batch", sizes, None, seed, 0, count):
+            for i in range(len(block.tokens)):
+                runs[j, lo + i] = tuple(column[i].tolist() for column in block)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return runs
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_both_routes_give_the_same_runs_and_errors(name):
+    # 1500 runs span more than one engine block at sizes 4 and 5.
+    pair = DEGENERATE[name]()
+    full = ModelPair(markov_to_full(pair.p), markov_to_full(pair.q))
+    errors = set()
+    for sizes, seed, count in itertools.product(SCAN_SIZES, range(4), (8, 60, 1500)):
+        engine = _outcome(pair, sizes, seed, count)
+        assert engine == _outcome(full, sizes, seed, count), (sizes, seed, count)
+        if isinstance(engine, tuple):
+            errors.add(engine)
+    assert errors
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_the_engine_marks_exactly_the_runs_the_scalar_loop_fails(name):
+    # Tables for M = 5 serve every block, as a scan's largest size serves its
+    # per-size blocks, so iterates past a row's own size are in the tables.
+    pair, count = DEGENERATE[name](), 60
+    tables, marks = _tables(pair, 5, None), []
+    for sizes, seed in itertools.product(SCAN_SIZES, range(4)):
+        window, rngs = _block_streams(seed, 0, count, sizes, pair.horizon)
+        block = _Lockstep(pair, np.repeat(sizes, count), tables, window, rngs)
+        for t in range(1, pair.horizon + 1):
+            block.advance(t)
+        failing = []
+        for m, i in itertools.product(sizes, range(count)):
+            try:
+                _decode(pair, m, None, split_rng(seed, i))
+                failing.append(False)
+            except (RuntimeError, ZeroResidual):
+                failing.append(True)
+        assert block.failed.tolist() == failing, (sizes, seed)
+        marks += failing
+    assert any(marks) and not all(marks)

@@ -57,7 +57,19 @@ from specdec.dist import ZeroResidual, _residual_rows
 from specdec.models import trajectory_index
 from specdec.tradeoff import DEGENERATE_TOL
 
-from helpers import constant_chain, random_full_pair, seeded_small_pairs, sparse_draft_pair
+from helpers import (
+    constant_chain,
+    empty_and_off_support_pair,
+    empty_third_iterate_pair,
+    late_draft_pair,
+    partly_off_support_pair,
+    positions_apart_pair,
+    random_full_pair,
+    seeded_small_pairs,
+    sparse_draft_pair,
+    unnormalized_step,
+    zero_residual_pair,
+)
 
 
 def disjoint_pair(horizon: int) -> ModelPair:
@@ -250,21 +262,6 @@ class TestSupportInvariant:
             decode(off_support_pair(start), make_rng(0))
 
 
-def unnormalized_step(rows) -> CondDist:
-    """A step table that skips CondDist's validation, to reach float-rounding guards on purpose."""
-    step = CondDist.__new__(CondDist)
-    step._rows = np.asarray(rows, dtype=np.float64)
-    return step
-
-
-def zero_residual_pair() -> ModelPair:
-    """q's rows sum to 0.8 and lie below p's, so every rejection finds max(q - p, 0) = 0."""
-    prompt = Dist([0.5, 0.5])
-    p = MarkovModel(prompt, [CondDist([[0.5, 0.5], [0.5, 0.5]])] * 2)
-    q = MarkovModel(prompt, [unnormalized_step([[0.4, 0.4], [0.4, 0.4]])] * 2)
-    return ModelPair(p, q)
-
-
 def mixed_rounds_pair(kind: str) -> ModelPair:
     """Runs that reject at position 1 open a round at 2 while the rest verify inside theirs.
 
@@ -282,24 +279,6 @@ def mixed_rounds_pair(kind: str) -> ModelPair:
         point = CondDist([[1.0, 0.0], [1.0, 0.0]])
         p = OffSupportDraft(MarkovModel(prompt, [first, point, point]), 2)
         q = MarkovModel(prompt, [half] * 3)
-    return ModelPair(p, q)
-
-
-def empty_third_iterate_pair() -> ModelPair:
-    """The first empty iterate is q^3 = [q^2 - p]_+, at position 2 only.
-
-    There p's rows sum to 1.8 and q's to 2.2, so q's residual is
-    q^2 = [0, 0.5, 0.5] <= p: an opening run that rejects response 0 (tested
-    against q) and then token 0 of response 1 (against q^2) finds
-    max(q^2 - p, 0) = 0. Runs inside a round test against q only.
-    """
-    prompt, uniform = Dist.uniform(3), CondDist(np.full((3, 3), 1 / 3))
-    p = MarkovModel(prompt, [
-        CondDist([[0.9, 0.05, 0.05]] * 3), unnormalized_step([[0.8, 0.5, 0.5]] * 3), uniform,
-    ])
-    q = MarkovModel(prompt, [
-        uniform, unnormalized_step([[0.2, 1.0, 1.0]] * 3), CondDist([[0.2, 0.3, 0.5]] * 3),
-    ])
     return ModelPair(p, q)
 
 
@@ -348,32 +327,6 @@ def assert_outcomes_identical(pair, batch_size, seed, count):
             assert tuple(runs.flags[0].tolist()) == stats.flags, f"run {i}"
         errors.append(error)
     return errors
-
-
-def partly_off_support_pair() -> ModelPair:
-    """p has no mass on token V - 1 = 2 in one row only: state 0 at position 2.
-
-    That row sums to 0.9, so a draft from it lands on token 2 through the
-    sampler's clamp when u >= 0.9; every other p row puts mass on token 2.
-    """
-    base = random_model_pair(3, 3, seed=5)
-    rows = base.p.step_rows[1].copy()
-    rows[0] = [0.45, 0.45, 0.0]
-    steps = [base.p.steps[0], unnormalized_step(rows), base.p.steps[2]]
-    return ModelPair(MarkovModel(base.p.prompt, steps), base.q)
-
-
-def empty_and_off_support_pair() -> ModelPair:
-    """At T = 1, p's rows (0.9, 0) lose a draft off its support when its uniform is >= 0.9.
-
-    q's rows (0.5, 0) lie below p's, so every rejection finds max(q - p, 0)
-    = 0: a run that rejects response 0 meets the empty residual before it
-    would draft response 1, off p's support or not.
-    """
-    prompt = Dist.uniform(2)
-    p = MarkovModel(prompt, [unnormalized_step([[0.9, 0.0]] * 2)])
-    q = MarkovModel(prompt, [unnormalized_step([[0.5, 0.0]] * 2)])
-    return ModelPair(p, q)
 
 
 def interior_zeros_pair() -> ModelPair:
@@ -502,9 +455,11 @@ class TestLockstepEngine:
             assert opening.any() and not opening.all()  # both kinds of run fail at position 2
         assert {message for _, message in failing} == {failing[0][1]}
         assert "position 2" in failing[0][1]
-        with pytest.raises(error) as caught:
-            block.advance(2)
-        assert type(caught.value) is error and str(caught.value) == failing[0][1]
+        # The engine raises nothing: it marks exactly the failing runs and decodes on.
+        block.advance(2)
+        assert block.failed.nonzero()[0].tolist() == [i for i, _ in failing]
+        block.advance(3)
+        assert block.failed.nonzero()[0].tolist() == [i for i, _ in failing]
         with pytest.raises(error) as caught:
             decode_markov_runs(pair, batch_size, 9, 0, count)
         assert type(caught.value) is error and str(caught.value) == failing[0][1]
@@ -524,6 +479,17 @@ class TestLockstepEngine:
             (RuntimeError, "draft token 1 outside p's support at position 1"),
             (ZeroResidual, "rejection at position 1 with tv(q^1, p) = 0"),
         }
+
+    def test_a_marked_run_that_decodes_is_an_internal_fault(self):
+        # A check table that marks every draft at position 1 marks runs the
+        # scalar loop decodes: the block names the first, and raises no sampler error.
+        pair = random_model_pair(3, 3, seed=1)
+        tables = _tables(pair, 2, None)
+        assert tables.off_support == [None] * 3
+        marking = tables._replace(off_support=[np.ones(9, dtype=bool), None, None])
+        message = "^the engine marked run 5 at batch size 2 failed, but the scalar loop decodes it$"
+        with pytest.raises(RuntimeError, match=message):
+            _decoded_block(pair, [2, 1], None, marking, 0, 5, 20)
 
     @pytest.mark.parametrize("batch_size", [1, 2, 3])
     def test_zero_mass_on_interior_tokens_needs_no_support_check(self, batch_size):
@@ -667,33 +633,6 @@ class TestWindowBudget:
                 block.advance(t)
 
 
-def positions_apart_pair() -> ModelPair:
-    """empty_third_iterate_pair with q's rows below p's at position 3.
-
-    So M = 1 runs fail at position 3 only, where every rejection finds
-    max(q - p, 0) = 0, and M = 2 runs already at position 2, where opening
-    runs that reject both root tests find q^3 empty.
-    """
-    base = empty_third_iterate_pair()
-    q = MarkovModel(base.q.prompt, [*base.q.steps[:2], unnormalized_step([[0.3, 0.3, 0.3]] * 3)])
-    return ModelPair(base.p, q)
-
-
-def late_draft_pair() -> ModelPair:
-    """At T = 1, a draft leaves p's support with probability 0.1, at whichever response it drafts.
-
-    p's rows are (0.45, 0.45, 0) and sum to 0.9, so a draft lands on token 2
-    through the sampler's clamp when its uniform is >= 0.9. q = (0.6, 0.1,
-    0.3): response 0 may accept token 0 or 1, response 1, tested against
-    q^2 = (1/3, 0, 2/3), token 0 only, and from response 2 on every iterate
-    is (0, 0, 1), so no draft on p's support is accepted.
-    """
-    prompt = Dist.uniform(3)
-    p = MarkovModel(prompt, [unnormalized_step([[0.45, 0.45, 0.0]] * 3)])
-    q = MarkovModel(prompt, [CondDist([[0.6, 0.1, 0.3]] * 3)])
-    return ModelPair(p, q)
-
-
 class TestSharedBlocks:
     """Rows of several batch sizes in one block decode as each size alone."""
 
@@ -753,12 +692,6 @@ class TestSharedBlocks:
         assert window.shape == (16, 88)
         assert rngs[:8] == [None] * 8 and None not in rngs[8:]
 
-    def test_a_block_must_order_its_rows_by_size(self):
-        pair = random_model_pair(2, 3, seed=1)
-        window, _ = _block_streams(0, 0, 2, (1, 2), 3)
-        with pytest.raises(ValueError, match="ordered by batch size"):
-            _Lockstep(pair, np.array([2, 2, 1, 1]), _tables(pair, 2, None), window, None)
-
     @pytest.mark.parametrize(
         "sizes", [[1, 2], [2, 1], [1, 1, 2], [1, 4], [5, 1], [1, 2, 5], [4, 5, 1]])
     def test_a_failing_scan_raises_the_first_failing_sizes_error(self, sizes):
@@ -775,10 +708,11 @@ class TestSharedBlocks:
             4: "rejection at position 2 with tv(q^2, p) = 0",
             5: "rejection at position 2 with tv(q^2, p) = 0",
         }
-        # One shared block would stop at position 2, whatever the order.
+        # A shared block raises the error of its first failing row, and its
+        # rows go size by size in the order given.
         with pytest.raises(ZeroResidual) as caught:
-            _decoded_block(pair, sorted(sizes), _tables(pair, max(sizes), None), 9, 0, runs)
-        assert str(caught.value) == errors[2]
+            _decoded_block(pair, sizes, None, _tables(pair, max(sizes), None), 9, 0, runs)
+        assert str(caught.value) == errors[sizes[0]]
         with pytest.raises(ZeroResidual) as caught:
             batch_scan(pair, sizes, runs, 9)
         assert str(caught.value) == errors[sizes[0]]
@@ -794,7 +728,7 @@ class TestSharedBlocks:
             decode_markov_runs(pair, 1, seed, start, count)
         assert str(caught.value) == "rejection at position 3 with tv(q^1, p) = 0"
         with pytest.raises(ZeroResidual) as shared:
-            _decoded_block(pair, [1, 2], _tables(pair, 2, None), seed, start, count)
+            _decoded_block(pair, [1, 2], None, _tables(pair, 2, None), seed, start, count)
         assert str(shared.value) == str(caught.value)
 
     def test_an_error_first_met_at_response_3_is_the_scalar_loops(self):
@@ -812,7 +746,7 @@ class TestSharedBlocks:
         assert failing == {None, (RuntimeError, message)}
         for sizes in ([4], [5], [1, 2, 5], [2, 4, 5], [1, 3, 4]):
             with pytest.raises(RuntimeError) as caught:
-                _decoded_block(pair, sizes, _tables(pair, max(sizes), None), seed, 0, count)
+                _decoded_block(pair, sizes, None, _tables(pair, max(sizes), None), seed, 0, count)
             assert str(caught.value) == message, sizes
         with pytest.raises(RuntimeError) as caught:
             batch_scan(pair, [1, 2, 5], count, seed)
@@ -825,7 +759,7 @@ class TestSharedBlocks:
         # after its accepted one, or past its own M_i (at 616), and some of
         # those leave p's support: the shared block must not raise.
         pair, seed, count = late_draft_pair(), 1, 8
-        block = _decoded_block(pair, [1, 2, 5], _tables(pair, 5, None), seed, start, count)
+        block = _decoded_block(pair, [1, 2, 5], None, _tables(pair, 5, None), seed, start, count)
         for j, m in enumerate((1, 2, 5)):
             alone = assert_path_identical(pair, m, seed, start, count)
             for column, expected in zip(block, alone):
@@ -999,6 +933,27 @@ def test_every_entry_point_refuses_tables_of_another_shape(entry, misfit):
     for target in (pair, full) if entry != "decode_markov_runs" else (pair,):
         with pytest.raises(InvalidPolicy, match=f"^{message}$"):
             ENTRY_POINTS[entry](target, policy)
+
+
+POLICY_PAIR = random_model_pair(2, 2, seed=1)
+PAIR_ENTRY_POINTS = {
+    "speculative_decode": lambda pair: speculative_decode(pair, split_rng(0, 0)),
+    "batch_decode": lambda pair: batch_decode(pair, 2, split_rng(0, 0)),
+    "decode_markov_runs": lambda pair: decode_markov_runs(pair, 2, 0, 0, 5),
+    "enumerate_law_and_rejections": enumerate_law_and_rejections,
+    **{f"{name}-generic": lambda pair, name=name: ENTRY_POINTS[name](pair, sd_policy(POLICY_PAIR))
+       for name in ("generic_decode", "decode_markov_runs", "enumerate_law_and_rejections",
+                    "enumerate_output_distribution", "enumerate_expected_rejections")},
+}
+
+
+@pytest.mark.parametrize("value", ["x", None, POLICY_PAIR.q])
+@pytest.mark.parametrize("entry", PAIR_ENTRY_POINTS)
+def test_decoding_entry_points_refuse_anything_but_a_model_pair(entry, value):
+    # The campaigns' and closed forms' TypeError, raised before any attribute
+    # of the value is read.
+    with pytest.raises(TypeError, match=f"^expected a ModelPair, not {type(value).__name__}$"):
+        PAIR_ENTRY_POINTS[entry](value)
 
 
 class TestPolicyTables:

@@ -1,6 +1,7 @@
 """Campaign harness: reproducibility, checkpoint math, statistical agreement."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,16 @@ class TestStrictInputs:
             batch_scan(PAIR, [True, 2.0], runs=10, seed=0)
         with pytest.raises(TypeError, match="batch size"):
             batch_scan(PAIR, [2, 1.5], runs=10, seed=0)
+
+    @pytest.mark.parametrize("runs, seed", [(-5, "x"), (0, 0), (2.5, 0), (3, -1), (3, "x")])
+    def test_batch_scan_checks_runs_and_seed_without_sizes(self, runs, seed):
+        # With no batch sizes only the limit row is left, but the arguments
+        # are checked as they are with sizes.
+        with pytest.raises((TypeError, ValueError)) as expected:
+            batch_scan(PAIR, [1], runs, seed)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            batch_scan(PAIR, [], runs, seed)
+        assert [row.batch_size for row in batch_scan(PAIR, [], 3, 0)] == [None]
 
     @pytest.mark.parametrize("value", ["0.5", True])
     def test_scalar_route_refuses_policy_values_that_are_not_real(self, value):

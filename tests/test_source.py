@@ -332,3 +332,45 @@ def test_one_response_pass():
     assert not [node.lineno for node in ast.walk(methods["_respond"]) if isinstance(node, loops)]
     attributes = {node.attr for node in ast.walk(lockstep) if isinstance(node, ast.Attribute)}
     assert "ends" not in attributes
+
+
+def test_one_error_path():
+    # The scalar loop is the one place a sampler error is raised: only
+    # _decode builds a ZeroResidual or the error for a draft outside p's
+    # support. The engine marks the runs that fail and raises nothing but its
+    # window guard; _decoded_block decodes a marked run again on the scalar
+    # loop, so the block loop neither retries a block nor reorders its sizes.
+    tree = ast.parse((PACKAGE / "decoding.py").read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    builders = {
+        function.name
+        for function in functions
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call)
+        and (
+            (isinstance(call.func, ast.Name) and call.func.id == "ZeroResidual")
+            or any(isinstance(part, ast.Constant) and "outside p's support" in str(part.value)
+                   for part in ast.walk(call))
+        )
+    }
+    assert builders == {"_decode"}
+    lockstep = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Lockstep")
+    raised = [ast.unparse(node.exc) for node in ast.walk(lockstep) if isinstance(node, ast.Raise)]
+    assert raised and all(text.startswith("_overrun(") for text in raised)
+    gone = {"_check_responses", "_raise_off_support"}
+    assert not [
+        f"{path}:{node.lineno}"
+        for path, node in source_nodes()
+        if (isinstance(node, ast.Name) and node.id in gone)
+        or (isinstance(node, ast.Attribute) and node.attr in gone)
+        or (isinstance(node, ast.FunctionDef) and node.name in gone)
+    ]
+    loop = _module_functions("decoding.py")["_run_blocks"]
+    assert not [node for node in ast.walk(loop) if isinstance(node, ast.Try)]
+    calls = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+    }
+    assert not calls & {"sorted", "sort", "argsort"}
