@@ -27,24 +27,31 @@ replacement then read u[base + M*L], u[base + M*L + 1], ... in turn, and the
 next round starts where they stop. Speculative decoding is the case M = 1.
 A draft token is needed only where it is verified, and it is drawn from the
 same index whether that happens eagerly or lazily, so
-:func:`decode_markov_runs` advances many Markov runs in lockstep, one position
-at a time, and returns exactly the scalar samplers' trajectories, rejections
-and flags. generic_decode reads its stream exactly as speculative decoding
-does, so the engine also runs generic policies as the M = 1 round. The engine
+:func:`decode_markov_runs` advances many runs in lockstep, one position at a
+time, and returns exactly the scalar samplers' trajectories, rejections and
+flags. generic_decode reads its stream exactly as speculative decoding does,
+so the engine also runs generic policies as the M = 1 round. The engine
 reads tables only: the acceptance thresholds and replacement cumsums of every
-position come from one source, built once per call over the stacked (T, V, V)
-rows, q's root iterates for sd and batch or a Markov policy's tables (see
-:class:`Policy`). A policy without tables, such as one that reads more of the
-history than x_{n-1}, runs through generic_decode. At each position every run
+position come from one source, built once per call, q's root iterates for sd
+and batch or a policy's tables (see :class:`Policy`). Any model is a Markov
+chain over its histories, so the tables are keyed by a run's state, as
+``models._level_rows`` reads a row: at position n, the code of the history
+(x_0, ..., x_{n-1}) modulo R_n, the most rows a level n of p, q or the
+policy's tables has. That is x_{n-1} where all are chains (R_n = V) and the
+whole code where one is over histories (R_n = V**n), and a run carries it
+forward as (s*V + x_n) % R_{n+1}. The tables hold one flat layout of
+(position, state) rows, level after level (see :class:`_Tables`). A policy
+without tables runs through generic_decode. At each position every run
 tests one candidate against q, the token of the response it follows or, when
 it opens a round, response 0's, so one verify pass covers all runs; the
 opening runs that reject it test responses 1, ..., M - 1 in one more
 pass, over the grid of (response, run), and follow the first they accept. A
-run's state between positions is its next-uniform index and a draft pointer
-to the followed response's next draft uniform; a run opens a round where its
-last token was a replacement. Uniforms are read by flat index into the
-block's window and table entries by (m*V + x_{n-1})*V + x for a test against
-iterate m + 1. The engine raises no sampler error: at the positions (and
+run's state between positions is its row in the layout, its next-uniform
+index and a draft pointer to the followed response's next draft uniform; a
+run opens a round where its last token was a replacement. Uniforms are read
+by flat index into the block's window and table entries by (m*R + r)*V + x
+for a test of candidate x at layout row r against iterate m + 1, R the
+layout's row count. The engine raises no sampler error: at the positions (and
 iterates) where the call's tables show that a draft can leave p's support or
 a residual be empty, it marks the runs that meet one and decodes on, and the
 block's first marked run is decoded again on the scalar loop, which raises
@@ -71,28 +78,35 @@ size changes a result.
 Batch sizes per row. A block's rows may have different batch sizes M_i, in
 any order; the engine's tables are built once, for the largest, since q's
 iterates q^m do not depend on M, and a block of one size is the case where
-every M_i is equal. Packing rule: k batch sizes over the same runs share one
-block, size-major in the order given, when their k*count rows fit the block
-limit of the largest size; otherwise each size decodes in its own blocks,
-exactly as alone. In a shared block the k rows of run i read the same
+every M_i is equal. A row's size picks which of the tables' iterates it
+reads, never their layout, which is the same on every kind of pair.
+Packing rule: k batch sizes over the same runs share one block, size-major
+in the order given, when their k*count rows fit the block limit of the
+largest size; otherwise each size decodes in its own blocks, exactly as
+alone. In a shared block the k rows of run i read the same
 stream, drawn once and copied, in windows as wide as the largest size needs
 (W computed over the k*count rows); a row keeps a generator of its own only
 where W is short of its own size's S.
 
 Routes. One generator, ``_run_blocks``, decodes every run that
 ``decode_markov_runs`` and the campaigns ask for, in blocks, in run order,
-and it alone chooses the route, the block size and the stream source. sd,
-batch and generic runs on a pair of MarkovModels, under no policy or one
-with tables, take the engine, in blocks of ``_block_runs`` runs, with the
-tables built once per call. Every other run (a pair with a FullModel, a
-policy without tables, an autoregressive run) is one call of the scalar
-loop ``_decode`` (of ``autoregressive_decode`` for autoregressive runs) on
-``split_rng(seed, i)``, in blocks of BLOCK_RUNS. A call with several batch
-sizes goes size by size on the scalar loop and by the packing rule on the
-engine. Both routes yield :class:`MarkovRuns` blocks and give the same runs,
-and both take runs size by size, then run by run, and raise the scalar
-loop's error for the first that fails, so the route changes speed and not
-results: the same runs and the same errors.
+and it alone chooses the route, the block size and the stream source, from
+the algorithm, whether the policy has tables and the table budget only. sd,
+batch and generic runs on any pair (MarkovModels, FullModels or one of
+each), under no policy or one with tables, take the engine, in blocks of
+``_block_runs`` runs, with the tables built once per call, as long as those
+tables fit TABLE_BUDGET = 2**28 bytes (256 MiB): 8 bytes for each of p's
+cumsums, M thresholds and M residual rows' entries, (2M + 1)*V per
+(position, state) row. Every other run (a policy without tables, an
+autoregressive run, a call past the budget) is one call of the scalar loop
+``_decode`` (of ``autoregressive_decode`` for autoregressive runs) on
+``split_rng(seed, i)``, in blocks of BLOCK_RUNS; the scalar loop is also
+the reference the engine is held to on every kind of pair. A call with
+several batch sizes goes size by size on the scalar loop and by the packing
+rule on the engine. Both routes yield :class:`MarkovRuns` blocks and give
+the same runs, and both take runs size by size, then run by run, and raise
+the scalar loop's error for the first that fails, so the route changes speed
+and not results: the same runs and the same errors.
 """
 
 from __future__ import annotations
@@ -105,13 +119,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dist import ZeroResidual, _float_array, _int_arg, _normalized_rows, _residual_rows
-from .models import ModelPair, _chain_entry, _chain_key, _is_markov_pair, _pair_arg
+from .dist import (ZeroResidual, _capped_ratios, _float_array, _int_arg, _normalized_rows,
+                   _residual_rows)
+from .models import (ModelPair, _chain_entry, _chain_key, _flat_rows, _pair_arg, _read_only,
+                     _state_counts, _table_entry, _table_key)
 from .rng import split_rng, split_rngs, split_uniforms
 
 BLOCK_RUNS = 1024
 STREAM_BUDGET = 2**16
 WINDOW_BUDGET = 2 * STREAM_BUDGET
+TABLE_BUDGET = 2**28
 
 
 class InvalidPolicy(ValueError):
@@ -150,80 +167,109 @@ class Policy:
     A residual row is held to Dist's rule, ``dist._normalized_rows``, and an
     InvalidPolicy names the position of the first bad row.
 
-    ``tables``, for a policy that depends on the history through x_{n-1} only,
-    is the pair of (T, V, V) arrays (acceptance, residual) with
+    ``tables`` is the pair (acceptance, residual) of the policy's values over
+    every context, in one of two layouts. A policy that depends on the
+    history through x_{n-1} only has two (T, V, V) arrays, with
     ``acceptance[n - 1, s, x]`` and ``residual[n - 1, s]`` what the callbacks
-    return at a history ending in s. They are stored as policy_acceptance and
-    policy_residual_rows return those values, so invalid tables raise
-    InvalidPolicy, with generic_decode's messages. decode_markov_runs reads the
-    tables and refuses a policy without them; generic_decode and the
-    enumeration oracle call the callbacks. Only :meth:`from_tables` sets
-    ``tables``, with callbacks that read them, so both routes decode the same
-    runs for one policy.
+    return at a history ending in s; the policy factories build these on a
+    pair of MarkovModels. A policy over histories has two tuples of T
+    levels, level n of shape (V**n, V) with a history's values at the row of
+    its code (``models._table_key``), the layout of a FullModel's rows; the
+    factories build these on a pair that holds a FullModel. They are stored
+    as policy_acceptance and policy_residual_rows return those values, so
+    invalid tables raise InvalidPolicy, with generic_decode's messages. The
+    lockstep engine reads either layout on any pair, each at a run's state
+    by ``models._level_rows``' rule, and decode_markov_runs refuses a policy
+    without tables; generic_decode and the enumeration oracle call the
+    callbacks. Only :meth:`from_tables` sets ``tables``, with callbacks that
+    read them, so both routes decode the same runs for one policy.
     """
 
     acceptance: Callable[[int, tuple[int, ...], int], float]
     residual: Callable[[int, tuple[int, ...]], np.ndarray]
-    tables: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, compare=False, repr=False)
+    tables: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_tables(cls, acceptance, residual) -> "Policy":
-        """Markov policy b_n(x | s) = acceptance[n - 1, s, x], P_n(. | s) = residual[n - 1, s].
+        """Policy b_n(x | h) and P_n(. | h) read from tables over every context h.
 
-        The callbacks read read-only copies of the two (T, V, V) arrays.
+        Two tuples of T numpy arrays, level n of shape (V**n, V), are a
+        policy over histories, read only at a history of length n, at the row
+        of its code. Anything else, arrays or nested lists or tuples of
+        numbers, is read as two (T, V, V) arrays, a Markov policy:
+        b_n(x | s) = acceptance[n - 1, s, x] and P_n(. | s) =
+        residual[n - 1, s] at any history ending in s. The callbacks read
+        read-only copies of the tables, and raise the KeyError of the
+        matching model's rule, a FullModel's or a MarkovModel's ``step``, for
+        a context it does not take.
         """
-        acceptance, residual = (_frozen(table) for table in (acceptance, residual))
-        tables = _validated_tables(acceptance, residual)
-        policy = cls(*_table_readers(acceptance, residual))
-        object.__setattr__(policy, "tables", tables)
+        levels = isinstance(acceptance, tuple) and all(isinstance(a, np.ndarray) for a in acceptance)
+        tables = [tuple(map(_frozen, table)) if levels else _frozen(table)
+                  for table in (acceptance, residual)]
+        checked = _validated_tables(*tables)
+        policy = cls(*_table_readers(*tables))
+        object.__setattr__(policy, "tables", checked)
         return policy
 
 
 def _frozen(values) -> np.ndarray:
-    arr = _float_array(values).copy()
-    arr.flags.writeable = False
-    return arr
+    return _read_only(_float_array(values).copy())
 
 
-def _table_readers(acceptance: np.ndarray, residual: np.ndarray):
-    """Policy callbacks that read (T, V, V) tables of checked shape at x_{n-1}, a chain's rule.
+def _table_readers(acceptance, residual):
+    """Policy callbacks that read tables of checked shape by a model's rule.
 
-    ``models._chain_key`` finds the entries, so a position outside 1..T or a
-    history a chain does not take raises its KeyError; ``models._chain_entry``
-    raises one for a candidate outside 0..V-1 too.
+    (T, V, V) tables are read at x_{n-1} by ``models._chain_key``, levels over
+    histories at the history's code by ``models._table_key``, so a position
+    outside 1..T or a history the rule does not take raises its KeyError;
+    ``_chain_entry`` and ``_table_entry`` raise one for a candidate outside
+    0..V-1 too.
     """
-    horizon, v = acceptance.shape[:2]
+    horizon, v = len(acceptance), np.shape(acceptance[:1])[-1]
+    if not isinstance(acceptance, tuple):
+        return (
+            lambda n, history, candidate: acceptance[_chain_entry(n, history, candidate, horizon, v)],
+            lambda n, history: residual[_chain_key(n, history, horizon, v)],
+        )
     return (
-        lambda n, history, candidate: acceptance[_chain_entry(n, history, candidate, horizon, v)],
-        lambda n, history: residual[_chain_key(n, history, horizon, v)],
+        lambda n, history, x: _entry(acceptance, *_table_entry(n, history, x, horizon, v)),
+        lambda n, history: _entry(residual, *_table_key(n, history, horizon, v)),
     )
 
 
-def _validated_tables(acceptance, residual) -> tuple[np.ndarray, np.ndarray]:
-    """(T, V, V) tables as policy_acceptance and policy_residual_rows return their entries.
+def _entry(levels, level: int, *index):
+    """``levels[level][index]``: an entry or a row of one level of tables over histories."""
+    return levels[level][index]
 
-    Checked and stored over whole tables, but entry for entry as those two
-    validators check and return them at history (s,): every acceptance entry
-    first, then the residual rows, each position by position. So the stored
-    values, signed zeros included, are what generic_decode reads, and an
-    InvalidPolicy raised has the validators' message for the first bad
-    position.
+
+def _validated_tables(acceptance, residual) -> tuple:
+    """Tables as policy_acceptance and policy_residual_rows return their entries.
+
+    Checked and stored over whole tables (a level at a time for levels over
+    histories, which must have shape (V**n, V) at level n), but entry for
+    entry as those two validators check and return them at one history:
+    every acceptance entry first, then the residual rows, each position by
+    position. So the stored values, signed zeros included, are what
+    generic_decode reads, and an InvalidPolicy raised has the validators'
+    message for the first bad position.
     """
-    acceptance, residual = _float_array(acceptance), _float_array(residual)
+    if isinstance(acceptance, tuple):
+        shapes = [[level.shape for level in table] for table in (acceptance, residual)]
+        v = shapes[0][0][-1] if shapes[0] and shapes[0][0] else -1
+        if v < 0 or shapes != [[(v**n, v) for n in range(1, len(acceptance) + 1)]] * 2:
+            raise InvalidPolicy(f"policy table levels have shapes {shapes[0]} and {shapes[1]}, "
+                                "expected (V**n, V) at level n")
+        return tuple(tuple(_read_only(check(rows[None], [n])[0]) for n, rows in enumerate(table, 1))
+                     for check, table in ((_acceptances, acceptance), (_distributions, residual)))
     shape = acceptance.shape
     if len(shape) != 3 or shape[1] != shape[2] or residual.shape[:2] != shape[:2]:
         raise InvalidPolicy(
-            f"policy tables have shapes {shape} and {residual.shape}, expected (T, V, V)"
-        )
+            f"policy tables have shapes {shape} and {residual.shape}, expected (T, V, V)")
     positions = range(1, shape[0] + 1)
-    acceptance = _acceptances(acceptance, positions)
+    acceptance = _read_only(_acceptances(acceptance, positions))
     if residual.shape[2:] != shape[2:] and shape[0] and shape[1]:
         raise _bad_shape(1, residual.shape[2:])
-    tables = (acceptance, _distributions(np.ascontiguousarray(residual), positions))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return acceptance, _read_only(_distributions(np.ascontiguousarray(residual), positions))
 
 
 def _sample_index(cumsum: np.ndarray, u: float) -> int:
@@ -286,11 +332,8 @@ def policy_residual_rows(policy: Policy, n: int, histories, vocab_size: int) -> 
     read is named before any shape is checked. The rows are then stacked as
     float64, so a float32 row is held to the row rule at its float64 values.
     """
-    rows = [
-        row if type(row := policy.residual(n, h)) is np.ndarray and row.dtype.kind in "iuf"
-        else _residual_check(n, _float_array, row)
-        for h in histories
-    ]
+    rows = [row if type(row := policy.residual(n, h)) is np.ndarray and row.dtype.kind in "iuf"
+            else _residual_check(n, _float_array, row) for h in histories]
     for row in rows:
         if row.shape != (vocab_size,):
             raise _bad_shape(n, row.shape)
@@ -333,9 +376,8 @@ def autoregressive_decode(model, rng: np.random.Generator) -> Trajectory:
     return Trajectory(x0, history[1:])
 
 
-def _decode(
-    pair: ModelPair, batch_size: int, policy: Policy | None, rng
-) -> tuple[Trajectory, RunStats]:
+def _decode(pair: ModelPair, batch_size: int, policy: Policy | None,
+            rng) -> tuple[Trajectory, RunStats]:
     """One run of batch speculative sampling, or of a policy's rejection rule at M = 1.
 
     Round structure at position n0 with prefix h:
@@ -406,9 +448,8 @@ def speculative_decode(pair: ModelPair, rng: np.random.Generator) -> tuple[Traje
     return _decode(pair, *_run_args(pair, "sd", 1, None), rng)
 
 
-def generic_decode(
-    pair: ModelPair, policy: Policy, rng: np.random.Generator
-) -> tuple[Trajectory, RunStats]:
+def generic_decode(pair: ModelPair, policy: Policy,
+                   rng: np.random.Generator) -> tuple[Trajectory, RunStats]:
     """Rejection decoding with caller-supplied acceptance and residual rules.
 
     Draws uniforms in the same order as speculative_decode, so the speculative
@@ -426,8 +467,9 @@ def _run_args(pair: ModelPair, algorithm: str, batch_size, policy) -> tuple[int,
     checked before anything reads it. Only batch runs take a batch_size
     other than 1, and generic runs, and only they, take a policy, which must
     be a Policy (else TypeError). A policy's tables, where it has them, must
-    be (T, V, V) for ``pair`` (else InvalidPolicy), whichever route reads
-    the policy.
+    be (T, V, V) for ``pair``, or T levels whose first is (V, V) (else
+    InvalidPolicy), whichever route reads the policy and whichever kind of
+    pair it is.
     """
     _pair_arg(pair)
     batch_size = _int_arg("batch_size", batch_size)
@@ -442,15 +484,14 @@ def _run_args(pair: ModelPair, algorithm: str, batch_size, policy) -> tuple[int,
     if policy is not None and not isinstance(policy, Policy):
         raise TypeError(f"{policy!r} is not a Policy")
     if policy is not None and policy.tables is not None:
-        shape, got = (pair.horizon, pair.vocab_size, pair.vocab_size), policy.tables[0].shape
-        if got != shape:
+        table, shape = policy.tables[0], (pair.horizon, pair.vocab_size, pair.vocab_size)
+        if (got := (len(table), *np.shape(table[:1])[1:])) != shape:
             raise InvalidPolicy(f"policy tables have shape {got}, expected {shape}")
     return batch_size, policy
 
 
-def batch_decode(
-    pair: ModelPair, batch_size: int, rng: np.random.Generator
-) -> tuple[Trajectory, RunStats]:
+def batch_decode(pair: ModelPair, batch_size: int,
+                 rng: np.random.Generator) -> tuple[Trajectory, RunStats]:
     """Batch speculative sampling with M = batch_size draft responses per round.
 
     Rounds are as described in ``_decode``. With batch_size=1 this is
@@ -487,46 +528,58 @@ def _sample_rows(columns: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 
 def _cum_columns(cums: np.ndarray) -> np.ndarray:
-    """(T, ..., V, V) row cumsums as (T, V - 1, ...*V) columns for ``_sample_rows``.
+    """(..., V) row cumsums as (V - 1, K) columns for ``_sample_rows``, K the rows.
 
-    Column j of position n holds the row that is j-th in C order over the
-    axes between n and the tokens: ``[n - 1, k, s]`` of a (T, V, V) stack,
-    ``[n - 1, k, m*V + s]`` of a (T, M, V, V) one.
+    Column j holds the row that is j-th in C order: ``[k, r]`` of an (R, V)
+    stack, ``[k, m*R + r]`` of an (M, R, V) one.
     """
-    columns = np.moveaxis(cums[..., :-1], -1, 1)
-    return np.ascontiguousarray(columns).reshape(len(cums), cums.shape[-1] - 1, -1)
+    columns = np.moveaxis(cums[..., :-1], -1, 0)
+    return np.ascontiguousarray(columns).reshape(len(columns), -1)
 
 
-def _where_needed(masks, needed: np.ndarray) -> list:
-    """``masks[n - 1]`` at each position n with ``needed[n - 1]``, None at the others."""
-    return [mask if need else None for mask, need in zip(masks, needed.tolist())]
+def _where_needed(mask: np.ndarray, rows: np.ndarray, starts) -> list:
+    """``mask`` at each position n whose level has a True entry of ``rows``, None at the others.
+
+    ``rows`` holds one entry per row of the flat layout, level n's from
+    ``starts[n - 1]`` on.
+    """
+    needed = np.logical_or.reduceat(rows, starts[:-1])
+    return [mask if need else None for need in needed.tolist()]
 
 
 class _Tables(NamedTuple):
-    """Every position's tables for one :func:`decode_markov_runs` call, stacked over n.
+    """Every position's tables for one engine call, over one flat layout of rows.
 
+    At position n a run's state is its history's code modulo R_n, the most
+    rows a level n of p, q or the policy's tables has
+    (``models._state_counts``): x_{n-1} where all are chains, the code where
+    one is over histories. The layout holds the (position, state) rows level
+    after level, each read by ``models._flat_rows``: row r = starts[n - 1] +
+    state at position n, and ``starts[T]`` = R, the layout's row count.
     A table is keyed by the iterate m + 1 a token is tested against (m = 0
-    for q, the one iterate of a policy) and by (x_{n-1}, x) = (s, x):
-    ``thresholds`` is a (T, M*V*V) array keyed (m*V + s)*V + x, the
-    acceptance threshold of candidate x, and ``residual_cums`` a (T, V - 1,
-    M*V) stack of cumsum columns (see ``_cum_columns``) keyed m*V + s, the
-    replacement row drawn after that test fails. So one gather serves the
-    tests of every response. ``p_cums`` are p's columns, keyed s.
-    Without a policy the tables come from the root iterates of q, q^1 = q and
-    q^{m+1} = [q^m - p]_+, formed row by row by the scalar loop's own kernel,
-    so they are bit-equal to the iterates ``_decode`` tests a round's first
-    tokens against. With a tabular policy (M = 1) they come from its tables.
+    for q, the one iterate of a policy), the row r and the candidate x:
+    ``thresholds`` is a flat array keyed (m*R + r)*V + x, the acceptance
+    threshold min(1, q^{m+1}(x)/p(x)) or the policy's, and ``residual_cums``
+    a (V - 1, M*R) array of cumsum columns (see ``_cum_columns``) keyed
+    m*R + r, the replacement row drawn after that test fails. So one gather
+    serves the tests of every response. ``p_cums`` are p's columns, keyed r,
+    from the cumsums ``step_cumsum`` reads. Without a policy the tables come
+    from the root iterates of q, q^1 = q and q^{m+1} = [q^m - p]_+, formed
+    row by row by the scalar loop's own kernel, so they are bit-equal to the
+    iterates ``_decode`` tests a round's first tokens against. With a tabular
+    policy (M = 1) they come from its tables.
 
     The check tables say where :class:`_Lockstep` must mark failing runs.
-    ``off_support[n - 1]`` is the (V*V,) mask of p_n(x | s) <= 0 at a
-    position n where some row of p has no mass on token V - 1, and None
-    elsewhere.
-    ``empty_residuals[n - 1]`` is the (M*V,) mask, keyed m*V + s, of the
-    states s whose max(q^{m+1} - p, 0) sums to <= 0, at a position n with
-    such a state, and None elsewhere; it is always None for a policy. Its
-    iterate axis is that of the tables' M, which may exceed a block's own.
+    ``off_support[n - 1]`` is the (R*V,) mask of p(x | r) <= 0, keyed
+    r*V + x, at a position n where some row of p has no mass on token V - 1,
+    and None elsewhere.
+    ``empty_residuals[n - 1]`` is the (M*R,) mask, keyed m*R + r, of the rows
+    whose max(q^{m+1} - p, 0) sums to <= 0, at a position n with such a row,
+    and None elsewhere; it is always None for a policy. Its iterate axis is
+    that of the tables' M, which may exceed a block's own.
     """
 
+    starts: list
     p_cums: np.ndarray
     thresholds: np.ndarray
     residual_cums: np.ndarray
@@ -534,28 +587,36 @@ class _Tables(NamedTuple):
     empty_residuals: list
 
 
-def _tables(pair: ModelPair, batch_size: int, policy: Policy | None) -> _Tables:
-    p_rows = pair.p.step_rows
-    horizon, vocab = p_rows.shape[:2]
+def _tables(pair: ModelPair, batch_size: int, policy: Policy | None) -> _Tables | None:
+    """The engine's tables for ``pair`` at the largest batch size, or None past TABLE_BUDGET.
+
+    The budget counts the float tables kept, 8 bytes for each entry of p's
+    cumsums, M thresholds and M residual rows: (2M + 1)*V per layout row.
+    Nothing is built when they would not fit.
+    """
+    counts = _state_counts(pair.p, pair.q, *(() if policy is None else policy.tables))
+    if 8 * (2 * batch_size + 1) * sum(counts) * pair.vocab_size > TABLE_BUDGET:
+        return None
+    p_rows = _flat_rows(pair.p, counts)
     if policy is not None:
-        thresholds, residuals = ([table] for table in policy.tables)
-        empty = [np.zeros((horizon, vocab), dtype=bool)]
+        thresholds, residuals = ([_flat_rows(table, counts)] for table in policy.tables)
+        empty = [np.zeros(len(p_rows), dtype=bool)]
     else:
-        iterates, empty = [pair.q.step_rows], []
+        iterates, empty = [_flat_rows(pair.q, counts)], []
         for _ in range(batch_size):
             iterate, total = _residual_rows(iterates[-1], p_rows)
             iterates.append(iterate)
             empty.append(total <= 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            thresholds = [iterate / p_rows for iterate in iterates[:-1]]
+        thresholds = [_capped_ratios(iterate, p_rows) for iterate in iterates[:-1]]
         residuals = iterates[1:]
-    empty, off = np.stack(empty, axis=1).reshape(horizon, -1), p_rows <= 0.0
+    starts, empty, off = np.cumsum([0, *counts]), np.concatenate(empty), p_rows <= 0.0
     return _Tables(
-        _cum_columns(pair.p.step_cumsums),
-        np.stack(thresholds, axis=1).reshape(horizon, -1),
-        _cum_columns(np.cumsum(np.stack(residuals, axis=1), axis=-1)),
-        _where_needed(off.reshape(horizon, vocab * vocab), off[:, :, -1].any(axis=1)),
-        _where_needed(empty, empty.any(axis=1)),
+        starts.tolist(),
+        _cum_columns(_flat_rows(pair.p._cumsums(), counts)),
+        np.concatenate(thresholds, axis=None),
+        _cum_columns(np.cumsum(np.stack(residuals), axis=-1)),
+        _where_needed(off.reshape(-1), off[:, -1], starts),
+        _where_needed(empty, empty.reshape(-1, len(p_rows)).any(axis=0), starts),
     )
 
 
@@ -594,6 +655,11 @@ class _Lockstep:
     M_i root tests all fail draws its token from iterate M_i + 1, with the
     next uniform; at M_i = 1 that is the replacement after response 0.
 
+    States. ``rows`` holds each run's row in the tables' layout at the
+    current position: x_0's at position 1, then after each position t the
+    row of its state (s*V + x_t) % R_{t+1} in level t + 1, which is x_t where
+    that level holds V rows and the history's code where it holds V**(t+1).
+
     Checks. Thresholds, replacement rows and check tables come from ``tables``
     (see :class:`_Tables`); a run is checked only where a check table asks.
     Off-support: ``_sample_rows`` lands on a token k < V - 1 only when
@@ -628,13 +694,17 @@ class _Lockstep:
         # One size is held as a scalar, which broadcasts where a row's size is read.
         self.sizes = sizes if sizes.min(initial=self.largest) < self.largest else self.largest
         self.horizon, self.vocab = pair.horizon, pair.vocab_size
-        self.responses, self.response_keys, self.offsets = _response_grid(
-            self.largest, self.horizon, self.vocab)
+        self.responses, self.offsets = _response_grid(self.largest, self.horizon)
+        # Iterate m's rows start at m*R in the layout, its threshold keys at m*R*V.
+        self.response_rows = self.responses * tables.starts[-1]
+        self.response_keys = self.response_rows * self.vocab
         self.tables, self.rngs, self.uniforms = tables, rngs, window.reshape(-1)
         self.row_starts = np.arange(count) * self.width
         self.row_ends = self.row_starts + self.width
         self.next = self.row_starts.copy()
         self.prompt_tokens = _sample_rows(pair.q.prompt_cumsum[:-1, None], self._take(slice(None)))
+        # Each run's row at the current position; at position 1 the state is x_0.
+        self.rows = self.prompt_tokens
         self.draft = np.zeros(count, dtype=np.int64)
         self.tokens = np.empty((count, self.horizon), dtype=np.int64)
         self.flags = np.zeros((count, self.horizon), dtype=bool)
@@ -675,18 +745,21 @@ class _Lockstep:
             self.rngs[i].random(out=row[width - used:])
             self.next[i] = start
 
-    def _draft(self, t, states, us):
-        """Draft tokens at position t from ``states``, drawn with uniforms ``us``, and their keys.
+    def _draft(self, rows, us):
+        """Draft tokens from layout ``rows``, drawn with uniforms ``us``, and their keys.
 
-        ``states`` is one per run, or a row of them against a (responses,
-        runs) grid of ``us``.
+        ``rows`` is one per run, or a row of them against a (responses, runs)
+        grid of ``us``.
         """
-        columns = self.tables.p_cums[t - 1].take(states, axis=1)
+        columns = self.tables.p_cums.take(rows, axis=1)
         candidates = _sample_rows(columns, us)
-        return candidates, states * self.vocab + candidates
+        return candidates, rows * self.vocab + candidates
 
-    def _respond(self, t, span, pending, states) -> None:
+    def _respond(self, t, span, pending, rows, off, empty) -> None:
         """Test responses 1, ..., M_i - 1 of the opening runs ``pending`` that rejected response 0.
+
+        ``rows`` are their layout rows at position t, and ``off`` and
+        ``empty`` position t's check tables (see :class:`_Tables`).
 
         One pass over the grid of (response m, run), m = 1, ..., M - 1, row
         m - 1 for response m. The cursor is past response 0's test, at
@@ -698,6 +771,7 @@ class _Lockstep:
         M_i + 1 at cursor + M_i - 1.
         """
         sizes, cursor, largest = self._sizes_of(pending), self.next[pending], self.largest
+        stride = self.tables.starts[-1]
         # Row m - 1 is test m's uniform, and at m = M_i the replacement's; row
         # M - 1 + m is response m's draft uniform, at base + m*L.
         index = cursor + self.offsets[span]
@@ -705,19 +779,18 @@ class _Lockstep:
         if mixed:
             index[largest:] += (largest - sizes) * span
         us = self._read(index)
-        candidates, keys = self._draft(t, states[None], us[largest:])
-        accept = us[:largest - 1] <= self.tables.thresholds[t - 1].take(keys + self.response_keys)
+        candidates, keys = self._draft(rows[None], us[largest:])
+        accept = us[:largest - 1] <= self.tables.thresholds.take(keys + self.response_keys)
         if mixed:
             accept &= self.responses < sizes
-        off, empty = self.tables.off_support[t - 1], self.tables.empty_residuals[t - 1]
         if off is not None or empty is not None:
             # A run drafts and tests response m where m < M_i and its tests
             # 1, ..., m - 1 failed. It fails there on a draft off p's support,
-            # or on a failed test whose residual, q^{m+2} keyed m*V + s, is empty.
+            # or on a failed test whose residual, q^{m+2} keyed m*R + r, is empty.
             made = np.ones(accept.shape, dtype=bool)
             np.logical_and.accumulate(~accept[:-1], axis=0, out=made[1:])
             fails = np.zeros_like(made) if empty is None else (
-                ~accept & empty[self.responses * self.vocab + states])
+                ~accept & empty[self.response_rows + rows])
             if off is not None:
                 fails |= off[keys]
             self.failed[pending] |= (made & fails & (self.responses < sizes)).any(axis=0)
@@ -732,7 +805,7 @@ class _Lockstep:
             won, first = accept.any(axis=0), accept.argmax(axis=0)
             drafted = candidates[first, np.arange(len(pending))]
         drawn = us[sizes - 1, np.arange(len(pending))] if mixed else us[sizes - 1]
-        columns = self.tables.residual_cums[t - 1].take((sizes - 1) * self.vocab + states, axis=1)
+        columns = self.tables.residual_cums.take((sizes - 1) * stride + rows, axis=1)
         self.tokens[pending, t - 1] = np.where(won, drafted, _sample_rows(columns, drawn))
         self.flags[pending, t - 1] = ~won
         self.draft[pending] += (first + 1) * span
@@ -757,50 +830,53 @@ class _Lockstep:
             self.draft[opened] = cursor
             self.next[opened] = cursor + sizes * span
 
-        states = self.tokens[:, t - 2] if t > 1 else self.prompt_tokens
-        candidates, keys = self._draft(t, states, self._read(self.draft))
+        candidates, keys = self._draft(self.rows, self._read(self.draft))
         off, empty = self.tables.off_support[t - 1], self.tables.empty_residuals[t - 1]
         if off is not None:
             self.failed |= off[keys]
-        accept = self._take(slice(None)) <= self.tables.thresholds[t - 1].take(keys)
+        accept = self._take(slice(None)) <= self.tables.thresholds.take(keys)
         self.draft += 1
         self.tokens[:, t - 1] = candidates
         rejected = (~accept).nonzero()[0]
         if empty is not None:
-            # A failed test against q draws from [q - p]_+ = q^2, keyed s.
-            self.failed[rejected] |= empty[states[rejected]]
+            # A failed test against q draws from [q - p]_+ = q^2, keyed r.
+            self.failed[rejected] |= empty[self.rows[rejected]]
         pending = rejected[:0]
         if self.largest > 1 and rejected.size:
             # Opening runs that reject response 0 go on to responses 1, ..., M_i - 1.
             first = opening[rejected]
             pending, rejected = rejected[first], rejected[~first]
         if rejected.size:
-            columns = self.tables.residual_cums[t - 1].take(states[rejected], axis=1)
+            columns = self.tables.residual_cums.take(self.rows[rejected], axis=1)
             self.tokens[rejected, t - 1] = _sample_rows(columns, self._take(rejected))
             self.flags[rejected, t - 1] = True
         if pending.size:
-            self._respond(t, span, pending, states[pending])
-        if t == self.horizon and np.any(self.next > self.row_ends):
+            self._respond(t, span, pending, self.rows[pending], off, empty)
+        if t < self.horizon:
+            # Each run's row at t + 1: its state there, (s*V + x_t) % R_{t+1}, past
+            # the level's start. That is x_t where R_{t+1} = V, and else the code.
+            starts, tokens = self.tables.starts, self.tokens[:, t - 1]
+            count = starts[t + 1] - starts[t]
+            self.rows = tokens + starts[t] if count == self.vocab else (
+                (self.rows - starts[t - 1]) * self.vocab + tokens) % count + starts[t]
+        elif np.any(self.next > self.row_ends):
             raise _overrun(self.width)
 
 
 @functools.lru_cache(maxsize=None)
-def _response_grid(largest: int, horizon: int, vocab: int):
+def _response_grid(largest: int, horizon: int):
     """Read-only columns over responses m = 1, ..., M - 1 for ``_Lockstep._respond``.
 
-    Returns the responses, their offsets m*V*V into threshold keys, and, per
-    span L, the offsets from an opening run's cursor after response 0's test
-    to the uniforms it may read: 0, ..., M - 1 for its tests and its
-    replacement, then -1 - (M - m)*L for response m's draft.
+    Returns the responses and, per span L, the offsets from an opening run's
+    cursor after response 0's test to the uniforms it may read: 0, ..., M - 1
+    for its tests and its replacement, then -1 - (M - m)*L for response m's
+    draft.
     """
     responses = np.arange(1, largest)[:, None]
     spans = np.arange(horizon + 1)[:, None, None]
     reads = np.broadcast_to(np.arange(largest)[:, None], (horizon + 1, largest, 1))
-    grid = responses, responses * vocab**2, np.concatenate(
-        [reads, -1 - (largest - responses) * spans], axis=1)
-    for column in grid:
-        column.flags.writeable = False
-    return grid
+    offsets = np.concatenate([reads, -1 - (largest - responses) * spans], axis=1)
+    return _read_only(responses), _read_only(offsets)
 
 
 def _stream_length(batch_size: int, horizon: int) -> int:
@@ -923,34 +999,26 @@ def _run_blocks(pair: ModelPair, algorithm: str, batch_sizes, policy, seed: int,
     by run, so the first run that fails, and so the error raised, is the
     same on both routes (see ``_decoded_block``).
     """
-    engine = algorithm != "autoregressive" and _is_markov_pair(pair) and (
-        policy is None or policy.tables is not None)
-    tables, k = _tables(pair, max(batch_sizes), policy) if engine else None, len(batch_sizes)
-    if engine and 1 < k and 0 < k * count <= _block_runs(max(batch_sizes), pair.horizon):
+    largest, k = max(batch_sizes), len(batch_sizes)
+    tabled = algorithm != "autoregressive" and (policy is None or policy.tables is not None)
+    tables = _tables(pair, largest, policy) if tabled else None
+    if tables is not None and 1 < k and 0 < k * count <= _block_runs(largest, pair.horizon):
         runs = _decoded_block(pair, batch_sizes, policy, tables, seed, start, count)
         for j in range(k):
             yield j, 0, MarkovRuns(*(column[j * count : (j + 1) * count] for column in runs))
         return
     for j, batch_size in enumerate(batch_sizes):
-        step = _block_runs(batch_size, pair.horizon) if engine else BLOCK_RUNS
+        step = BLOCK_RUNS if tables is None else _block_runs(batch_size, pair.horizon)
         for lo in range(0, count, step):
             n = min(step, count - lo)
-            if engine:
-                runs = _decoded_block(pair, (batch_size,), policy, tables, seed, start + lo, n)
-            else:
-                runs = _scalar_block(pair, algorithm, batch_size, policy, seed, start + lo, n)
-            yield j, lo, runs
+            yield j, lo, (_scalar_block(pair, algorithm, batch_size, policy, seed, start + lo, n)
+                          if tables is None else
+                          _decoded_block(pair, (batch_size,), policy, tables, seed, start + lo, n))
 
 
-def decode_markov_runs(
-    pair: ModelPair,
-    batch_size: int,
-    seed: int,
-    start: int,
-    count: int,
-    policy: Policy | None = None,
-) -> MarkovRuns:
-    """Runs start, ..., start + count - 1 of a campaign on a Markov pair, in lockstep.
+def decode_markov_runs(pair: ModelPair, batch_size: int, seed: int, start: int, count: int,
+                       policy: Policy | None = None) -> MarkovRuns:
+    """Runs start, ..., start + count - 1 of a campaign, in lockstep.
 
     Run i uses the stream ``split_rng(seed, start + i)`` and, by the
     stream-index contract in the module docstring, returns bit-for-bit what
@@ -959,10 +1027,14 @@ def decode_markov_runs(
     ``generic_decode(pair, policy, split_rng(seed, start + i))`` returns
     (batch_size must then be 1, and the policy must have tables). Runs
     advance in blocks (see below), so working memory does not grow with
-    ``count``. Every position's threshold, residual-cumsum and normaliser
-    tables are built once per call, over the stacked (T, V, V) rows, and each
-    position makes one verify pass over the block's runs (see the module
-    docstring).
+    ``count``. Every position's threshold, residual-cumsum and check tables
+    are built once per call, over one flat layout of every position's rows,
+    and each position makes one verify pass over the block's runs (see the
+    module docstring). The pair may hold MarkovModels, FullModels or one of
+    each, and the policy either layout of tables: the tables are keyed by
+    each run's state, its history code modulo the level's row count. A call
+    whose tables would pass TABLE_BUDGET decodes on the scalar loop instead,
+    with the same result.
 
     Stream source. No run reads more than S(M, T) = 1 + M*T(T+1)/2 + (M+1)*T
     uniforms. Proof: take a round that opens at position t, with
@@ -995,14 +1067,11 @@ def decode_markov_runs(
     RuntimeError on a draft outside p's support or a ZeroResidual, by decoding
     that run again on the scalar loop; so the error is that of the runs
     decoded one by one. Raises TypeError for a pair that is not a ModelPair
-    of MarkovModels or a policy that is not a Policy or has no tables, and
-    InvalidPolicy, by ``_run_args``' rule, when its tables are not (T, V, V)
-    for this pair.
+    or a policy that is not a Policy or has no tables, and InvalidPolicy, by
+    ``_run_args``' rule, when its tables do not fit this pair.
     """
     algorithm = "batch" if policy is None else "generic"
     batch_size, policy = _run_args(pair, algorithm, batch_size, policy)
-    if not _is_markov_pair(pair):
-        raise TypeError("decode_markov_runs requires a pair of MarkovModels")
     if policy is not None and policy.tables is None:
         raise TypeError("decode_markov_runs reads policy tables; this policy has none")
     seed = _int_arg("seed", seed, 0)

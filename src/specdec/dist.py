@@ -285,6 +285,18 @@ def _residual_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return weights, totals[..., 0]
 
 
+def _capped_ratios(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """min{1, a/p} elementwise, 1 where p = 0: the speculative acceptance rule.
+
+    A ratio that overflows (p tiny, as 5e-324) or is undefined (p = 0) is inf
+    or nan, which ``fmin`` takes to 1, with every floating-point warning off.
+    Where p > 0 each entry is the scalar loop's ``min(1.0, a / p)``, whose
+    Python division also gives inf, without a warning, where it overflows.
+    """
+    with np.errstate(all="ignore"):
+        return np.fmin(a / p, 1.0)
+
+
 def _vector_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Two distribution vectors of one length, each read by ``_dist_vector``; ValueError otherwise."""
     av, bv = _dist_vector(a), _dist_vector(b)

@@ -404,14 +404,37 @@ class FullModel(_Chain):
         return cls(prompt, horizon, table)
 
 
-def _level_rows(model, n: int, codes: np.ndarray) -> np.ndarray:
+def _level_rows(source, n: int, codes: np.ndarray) -> np.ndarray:
     """Rows of x_n at the histories of ``codes``, by ``_key``'s rule on codes.
 
     A history's row is its code modulo the level's row count: the last digit
     in a chain's V-row level, the code itself in a table's V**n-row level.
+    ``source`` is a model or a sequence of T row stacks laid out alike, such
+    as a policy's tables.
     """
-    level = model._levels[n - 1]
+    level = getattr(source, "_levels", source)[n - 1]
     return level[codes % len(level)]
+
+
+def _state_counts(*sources) -> list[int]:
+    """R_n at each level n of ``sources`` together: the most rows a level n of one of them has.
+
+    That is V**n where one is over histories, since a chain's levels hold V
+    rows and a table's level n V**n, and V where all are chains.
+    """
+    return [max(map(len, levels)) for levels in zip(*(getattr(s, "_levels", s) for s in sources))]
+
+
+def _flat_rows(source, counts) -> np.ndarray:
+    """Level n's rows at states 0, ..., counts[n - 1] - 1, level after level, in one array.
+
+    Rows are read by ``_level_rows``, so a chain's V rows repeat over a
+    table's V**n states; a chain's stack read at V states is only reshaped.
+    """
+    if counts[0] == counts[-1]:
+        return np.reshape(getattr(source, "_levels", source), (-1, counts[0]))
+    return np.concatenate([_level_rows(source, n, np.arange(count))
+                           for n, count in enumerate(counts, start=1)])
 
 
 def markov_to_full(model: MarkovModel) -> FullModel:

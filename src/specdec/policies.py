@@ -8,18 +8,18 @@ and the over-acceptance family with either the bias-minimizing residual
 ("opt") or the target itself ("uno").
 
 Each factory computes its acceptance and residual rows as arrays over
-(context, x). On a Markov pair the contexts are the (position, x_{n-1})
-pairs, so the rows are (T, V, V) tables, computed at once, and the factory
-returns :meth:`Policy.from_tables`, which the lockstep engine reads without
-calling back. On other pairs the contexts are the histories
-(x_0, ..., x_{n-1}), n = 1..T, a level at a time in position order, over the
-rows ``models._level_rows`` reads in code order. Either way the callbacks
-find a context's row by the models' rule, ``models._chain_key`` or
+(context, x) and returns :meth:`Policy.from_tables` of them, which the
+lockstep engine reads without calling back, on any pair. On a Markov pair
+the contexts are the (position, x_{n-1}) pairs, so the rows are (T, V, V)
+tables, computed at once. On a pair that holds a FullModel the contexts are
+the histories (x_0, ..., x_{n-1}), n = 1..T, a level at a time in position
+order, over the rows ``models._level_rows`` reads in code order, so the
+tables are T levels of shape (V**n, V). Either way the callbacks find a
+context's row by the models' rule, ``models._chain_key`` or
 ``_table_key``, and raise its KeyError, as ``step`` does, for a position
 outside 1..T or a history the rule does not take, and the acceptance
 callback for a candidate that is not a token in 0..V-1. The rows are
-read-only. Every
-residual row comes from the package's one residual kernel,
+read-only. Every residual row comes from the package's one residual kernel,
 ``dist._residual_rows``: the speculative rule's is [q - p]_+, opt's and
 random-unbiased's [q - b p]_+. A context where rejection has probability
 sum_x (1 - b(x)) p(x) <= DEGENERATE_TOL gets q's row as its residual: it is
@@ -31,30 +31,19 @@ from __future__ import annotations
 import numpy as np
 
 from .decoding import Policy
-from .dist import _real_arg, _residual_rows
-from .models import ModelPair, _is_markov_pair, _level_rows, _read_only, _table_entry, _table_key
-from .tradeoff import DEGENERATE_TOL, _over_acceptance
+from .dist import _capped_ratios, _real_arg, _residual_rows
+from .models import ModelPair, _is_markov_pair, _level_rows
+from .tradeoff import DEGENERATE_TOL
 
 
 def _rows_policy(pair: ModelPair, rule) -> Policy:
-    """Policy whose rows over every context are ``rule(p_rows, q_rows)`` -> (b, residual)."""
+    """``Policy.from_tables`` of ``rule(p_rows, q_rows)`` -> (b, residual) over every context."""
     if _is_markov_pair(pair):
         return Policy.from_tables(*rule(pair.p.step_rows, pair.q.step_rows))
-    v, horizon = pair.vocab_size, pair.horizon
-    acceptance, residual = ([_read_only(level) for level in levels] for levels in zip(*(
-        rule(*(_level_rows(model, n, np.arange(v**n)) for model in (pair.p, pair.q)))
-        for n in range(1, horizon + 1)
-    )))
-
-    def accept(n, history, candidate):
-        level, code, token = _table_entry(n, history, candidate, horizon, v)
-        return acceptance[level][code, token]
-
-    def replace(n, history):
-        level, code = _table_key(n, history, horizon, v)
-        return residual[level][code]
-
-    return Policy(accept, replace)
+    v = pair.vocab_size
+    levels = [rule(*(_level_rows(model, n, np.arange(v**n)) for model in (pair.p, pair.q)))
+              for n in range(1, pair.horizon + 1)]
+    return Policy.from_tables(*map(tuple, zip(*levels)))
 
 
 def _rejectable_or_q(rows: np.ndarray, q: np.ndarray, b: np.ndarray, p: np.ndarray):
@@ -67,8 +56,7 @@ def sd_policy(pair: ModelPair) -> Policy:
     """Speculative decoding as a generic policy: b = min{1, q/p}, P = [q - p]_+."""
 
     def rule(p, q):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            acceptance = np.where(p > 0.0, np.minimum(1.0, q / p), 1.0)
+        acceptance = _capped_ratios(q, p)
         return acceptance, _rejectable_or_q(_residual_rows(q, p)[0], q, acceptance, p)
 
     return _rows_policy(pair, rule)
@@ -85,7 +73,7 @@ def over_acceptance_policy(pair: ModelPair, eps: float, residual_kind: str = "op
     eps = _real_arg("eps", eps, 0.0)
 
     def rule(p, q):
-        acceptance = _over_acceptance(p, q, eps)
+        acceptance = _capped_ratios(q + eps, p)
         if residual_kind == "uno":
             return acceptance, q
         return acceptance, _rejectable_or_q(_residual_rows(q, acceptance * p)[0], q, acceptance, p)
@@ -109,9 +97,7 @@ def random_unbiased_policy(pair: ModelPair, rng: np.random.Generator) -> Policy:
     """
 
     def rule(p, q):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cap = np.minimum(1.0, np.where(p > 0.0, q / p, np.inf))
-        acceptance = rng.uniform(size=p.shape) * cap
+        acceptance = rng.uniform(size=p.shape) * _capped_ratios(q, p)
         return acceptance, _rejectable_or_q(_residual_rows(q, acceptance * p)[0], q, acceptance, p)
 
     return _rows_policy(pair, rule)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Dist, _dist_vector, _float_array, _real_arg, _residual_rows, _tv_arrays, _vector_pair
+from .dist import (Dist, _capped_ratios, _dist_vector, _float_array, _real_arg, _residual_rows,
+                   _tv_arrays, _vector_pair)
 
 DEGENERATE_TOL = 1e-15
 MEMBERSHIP_TOL = 1e-9
@@ -68,14 +69,8 @@ def epsilon_acceptance(p, q, eps: float) -> np.ndarray:
     ValueError otherwise.
     """
     eps = _real_arg("eps", eps, 0.0)
-    return _over_acceptance(*_vector_pair(p, q), eps)
-
-
-def _over_acceptance(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
-    """min{1, (q + eps) / p} elementwise, 1 where p = 0, for rows or stacks of one shape."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(p > 0.0, (q + eps) / p, np.inf)
-    return np.minimum(1.0, ratio)
+    pv, qv = _vector_pair(p, q)
+    return _capped_ratios(qv + eps, pv)
 
 
 def rejection_probability(b, p) -> float:
@@ -162,7 +157,7 @@ def pareto_front(p, q, eps_grid) -> list[ParetoPoint]:
     pv, qv = _vector_pair(p, q)
     points = []
     for eps in eps_grid:
-        b = _over_acceptance(pv, qv, _real_arg("eps", eps, 0.0))
+        b = _capped_ratios(qv + _real_arg("eps", eps, 0.0), pv)
         points.append(
             ParetoPoint(epsilon=float(eps), reject_prob=_rejection(b, pv), loss_star=_loss(b, pv, qv))
         )

@@ -1,10 +1,11 @@
 """The three routes held to each other on fuzzed pairs.
 
 A derandomized Hypothesis strategy builds Markov pairs with V <= 4 and T <= 6
-whose rows mix dense draws, sparse supports, p = q, and p within about 1e-12
-of q in total variation, the rows where a tolerance on "zero residual" would
-show. Prompts are dense or sparse, so the oracle's pruning of prompt tokens
-with no mass is checked too.
+whose rows mix dense draws, sparse supports, p = q, p within about 1e-12 of q
+in total variation, the rows where a tolerance on "zero residual" would show,
+and "tiny" rows, with an entry at 1e-300 or 5e-324 where the other model has
+mass, so that q/p passes the float range. Prompts are dense or sparse, so the
+oracle's pruning of prompt tokens with no mass is checked too.
 On each pair the closed forms must match the enumeration oracle to 1e-12, the
 batch limit must sit at or below the M = 8 total, and the lockstep engine must
 return the scalar samplers' runs, for sd, batch and every table policy.
@@ -13,15 +14,17 @@ scalar route and the table policy's oracle law and E[rejections] exactly.
 History-dependent pairs, whose every history draws its own row kind, hold the
 closed forms to the oracle and the oracle's laws to the target's joint.
 Mixed pairs, a Markov model beside a FullModel in either role, are held the
-same way, and their campaigns' blocks, decoded on the scalar route, to the
-scalar samplers' runs.
-On degenerate pairs, where some runs fail, a Markov pair (the engine) and its
-markov_to_full copy (the scalar loop) must give the same runs or raise the
-same error, and the engine must mark as failed exactly the runs on which the
-scalar loop raises.
+same way. On both, the engine's blocks for sd, a batch scan and every table
+policy must be the scalar loop's runs.
+On degenerate pairs, where some runs fail, a Markov pair, its markov_to_full
+copy (both on the engine) and the scalar loop must give the same runs or
+raise the same error, and the engine must mark as failed exactly the runs on
+which the scalar loop raises.
 """
 
 import itertools
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,6 +54,7 @@ from specdec import (
     sd_policy,
     split_rng,
 )
+from specdec import decoding
 from specdec.decoding import (
     _block_streams,
     _decode,
@@ -59,6 +63,7 @@ from specdec.decoding import (
     _tables,
     decode_markov_runs,
 )
+from specdec.montecarlo import Campaign, run_campaign
 from specdec.dist import ZeroResidual
 
 from helpers import (
@@ -71,7 +76,7 @@ from helpers import (
     zero_residual_pair,
 )
 
-ROW_KINDS = ("dense", "sparse", "equal", "near", "disjoint")
+ROW_KINDS = ("dense", "sparse", "equal", "near", "disjoint", "tiny")
 
 
 def _unit(rng: np.random.Generator, vocab: int, sparse: bool) -> np.ndarray:
@@ -88,6 +93,15 @@ def _rows(rng: np.random.Generator, vocab: int, kind: str) -> tuple[np.ndarray, 
         p, q = np.zeros(vocab), np.zeros(vocab)
         tokens = rng.permutation(vocab)
         p[tokens[0]], q[tokens[1]] = 1.0, 1.0
+        return p, q
+    if kind == "tiny":
+        # One entry of p or q at 1e-300 or 5e-324, its mass moved to the next
+        # token, where the other model's dense row has mass.
+        p, q = _unit(rng, vocab, False), _unit(rng, vocab, False)
+        row, token = (p, q)[rng.integers(2)], rng.integers(vocab)
+        tiny = (1e-300, 5e-324)[rng.integers(2)]
+        row[(token + 1) % vocab] += row[token] - tiny
+        row[token] = tiny
         return p, q
     q = _unit(rng, vocab, sparse=kind == "sparse")
     if kind in ("dense", "sparse"):
@@ -152,6 +166,20 @@ def _assert_runs_equal(runs, scalar_runs):
         assert runs.prompt_tokens[i] == trajectory.prompt_token
         assert tuple(runs.tokens[i].tolist()) == trajectory.tokens
         assert tuple(runs.flags[i].tolist()) == stats.flags
+        assert runs.rejections[i] == stats.rejections
+
+
+def _assert_engine_is_the_scalar_loop(pair, seed=11, count=12):
+    """The engine's blocks are the scalar loop's runs: sd, a (1, 2, 3) scan, each table policy."""
+    jobs = [("sd", (1,), None), ("batch", (1, 2, 3), None)]
+    jobs += [("generic", (1,), policy) for policy in _table_policies(pair)]
+    for algorithm, sizes, policy in jobs:
+        with mock.patch.object(decoding, "_scalar_block", side_effect=AssertionError("scalar")):
+            blocks = list(_run_blocks(pair, algorithm, sizes, policy, seed, 0, count))
+        assert [(j, lo) for j, lo, _ in blocks] == [(j, 0) for j in range(len(sizes))]
+        for j, _, runs in blocks:
+            _assert_runs_equal(
+                runs, [_decode(pair, sizes[j], policy, split_rng(seed, i)) for i in range(count)])
 
 
 @given(markov_pairs())
@@ -209,12 +237,14 @@ def test_history_dependent_pairs_agree(pair):
         assert np.abs(law - joint).sum() <= 1e-12
         assert abs(rejections - closed_form) <= 1e-12
     assert limit_rejections(pair) <= expected_rejections_batch(pair, 8).total + 1e-12
-    # A random unbiased policy on such a pair has callbacks only.
+    # A random unbiased policy on such a pair is a table policy over histories.
     policy = random_unbiased_policy(pair, make_rng(3))
-    assert policy.tables is None
+    assert [level.shape for level in policy.tables[0]] == [
+        (pair.vocab_size**n, pair.vocab_size) for n in range(1, pair.horizon + 1)]
     law, rejections = enumerate_law_and_rejections(pair, "generic", policy=policy)
     assert np.abs(law - joint).sum() <= 1e-12
     assert rejections >= sd - 1e-12
+    _assert_engine_is_the_scalar_loop(pair)
 
 
 @st.composite
@@ -237,18 +267,12 @@ def test_mixed_pairs_agree(pair):
         law, rejections = enumerate_law_and_rejections(pair, algorithm, batch_size=m)
         assert np.abs(law - joint).sum() <= 1e-12
         assert abs(rejections - closed_form) <= 1e-12
-    # The engine refuses a pair with a FullModel, so these blocks are the scalar route's.
-    seed, count = 11, 12
-    for algorithm, sizes in (("sd", (1,)), ("batch", (1, 2, 3))):
-        for j, lo, block in _run_blocks(pair, algorithm, sizes, None, seed, 0, count):
-            scalar = [batch_decode(pair, sizes[j], split_rng(seed, i)) for i in range(count)]
-            assert lo == 0
-            _assert_runs_equal(block, scalar)
-            assert block.rejections.tolist() == [stats.rejections for _, stats in scalar]
+    # The engine reads the Markov model's rows at every history's state.
+    _assert_engine_is_the_scalar_loop(pair)
 
 
 # Markov pairs on which some runs fail. Pairs whose draft model overrides its
-# sampler are left out: markov_to_full keeps the rows, not the override.
+# cumsums are left out: markov_to_full keeps the rows, not the override.
 DEGENERATE = {
     fixture.__name__: fixture
     for fixture in (positions_apart_pair, zero_residual_pair, empty_and_off_support_pair,
@@ -263,7 +287,20 @@ def _outcome(pair, sizes, seed, count):
     try:
         for j, lo, block in _run_blocks(pair, "batch", sizes, None, seed, 0, count):
             for i in range(len(block.tokens)):
-                runs[j, lo + i] = tuple(column[i].tolist() for column in block)
+                runs[j, lo + i] = (int(block.prompt_tokens[i]), tuple(block.tokens[i].tolist()),
+                                   int(block.rejections[i]), tuple(block.flags[i].tolist()))
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return runs
+
+
+def _scalar_outcome(pair, sizes, seed, count):
+    """``_outcome`` of the scalar loop, run i on split_rng(seed, i), size by size, run by run."""
+    runs = {}
+    try:
+        for j, i in itertools.product(range(len(sizes)), range(count)):
+            trajectory, stats = _decode(pair, sizes[j], None, split_rng(seed, i))
+            runs[j, i] = trajectory.prompt_token, trajectory.tokens, stats.rejections, stats.flags
     except (RuntimeError, ValueError) as exc:
         return type(exc), str(exc)
     return runs
@@ -271,16 +308,38 @@ def _outcome(pair, sizes, seed, count):
 
 @pytest.mark.parametrize("name", DEGENERATE)
 def test_both_routes_give_the_same_runs_and_errors(name):
-    # 1500 runs span more than one engine block at sizes 4 and 5.
+    # 1500 runs span more than one engine block at sizes 4 and 5. The Markov
+    # pair and its markov_to_full copy both take the engine.
     pair = DEGENERATE[name]()
     full = ModelPair(markov_to_full(pair.p), markov_to_full(pair.q))
     errors = set()
     for sizes, seed, count in itertools.product(SCAN_SIZES, range(4), (8, 60, 1500)):
         engine = _outcome(pair, sizes, seed, count)
         assert engine == _outcome(full, sizes, seed, count), (sizes, seed, count)
+        assert engine == _scalar_outcome(pair, sizes, seed, count), (sizes, seed, count)
         if isinstance(engine, tuple):
             errors.add(engine)
     assert errors
+
+
+def tiny_draft_pair() -> ModelPair:
+    """V = 2, T = 1: p's row [5e-324, 1] at state 0 under a uniform q, so q/p passes 1.8e308."""
+    prompt = Dist([0.5, 0.5])
+    p = MarkovModel(prompt, [CondDist([[5e-324, 1.0], [0.5, 0.5]])])
+    return ModelPair(p, MarkovModel(prompt, [CondDist([[0.5, 0.5], [0.5, 0.5]])]))
+
+
+def test_a_ratio_past_the_float_range_warns_nowhere():
+    # The engine's thresholds once divided q by p with overflow warnings on,
+    # so a campaign on this pair raised under -W error::RuntimeWarning; so did
+    # sd_policy and random_unbiased_policy building their tables.
+    pair = tiny_draft_pair()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for model_pair in (pair, ModelPair(markov_to_full(pair.p), markov_to_full(pair.q))):
+            run_campaign(Campaign(pair=model_pair, algorithm="sd", runs=100, seed=0))
+            _assert_engine_is_the_scalar_loop(model_pair, count=200)
+        assert sd_policy(pair).tables[0][0, 0].tolist() == [1.0, 0.5]
 
 
 @pytest.mark.parametrize("name", DEGENERATE)

@@ -1,5 +1,6 @@
 """Sampler contracts: determinism, path equivalences, rejection accounting."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from specdec import (
     split_rng,
     unbiasedness_check,
 )
+from specdec import decoding
 from specdec.decoding import (
     BLOCK_RUNS,
     STREAM_BUDGET,
@@ -54,7 +56,7 @@ from specdec.decoding import (
     policy_residual_rows,
 )
 from specdec.dist import ZeroResidual, _residual_rows
-from specdec.models import trajectory_index
+from specdec.models import _level_rows, trajectory_index
 from specdec.tradeoff import DEGENERATE_TOL
 
 from helpers import (
@@ -91,22 +93,16 @@ class OffSupportDraft(MarkovModel):
 
     Its probability rows there put no mass on token 1, so the verifier must
     refuse the drafted token; the check has to hold under ``python -O`` too.
-    Both the scalar samplers' ``step_cumsum`` and the lockstep engine's
-    ``step_cumsums`` table are overridden.
+    The one override is of the cumsum store that the scalar samplers'
+    ``step_cumsum`` and the lockstep engine both read.
     """
 
     def __init__(self, model: MarkovModel, start: int) -> None:
         super().__init__(model.prompt, model.steps)
         self._start = start
 
-    def step_cumsum(self, n, history):
-        if n >= self._start:
-            return np.zeros(2)
-        return super().step_cumsum(n, history)
-
-    @property
-    def step_cumsums(self):
-        cums = super().step_cumsums.copy()
+    def _cumsums(self):
+        cums = super()._cumsums().copy()
         cums[self._start - 1:] = 0.0
         return cums
 
@@ -550,8 +546,10 @@ class TestLockstepEngine:
         }
 
     def test_input_validation(self):
-        with pytest.raises(TypeError, match="MarkovModel"):
-            decode_markov_runs(random_full_pair(2, 2, seed=0), 1, 0, 0, 4)
+        # A pair with a FullModel was once refused with a TypeError; the engine
+        # now decodes any pair, with the scalar samplers' runs.
+        for m in (1, 2):
+            assert_path_identical(random_full_pair(2, 2, seed=0), m, seed=0, start=0, count=40)
         pair = random_model_pair(2, 2, seed=0)
         with pytest.raises(ValueError, match="batch_size"):
             decode_markov_runs(pair, 0, 0, 0, 4)
@@ -1043,8 +1041,24 @@ class TestPolicyTables:
         assert np.array_equal(policy.residual(2, (0, 1)), before)
 
     @pytest.mark.parametrize("name", TABLE_POLICIES)
-    def test_full_model_pairs_keep_callbacks_only(self, name):
-        assert POLICIES[name](random_full_pair(3, 3, seed=5)).tables is None
+    def test_full_model_pairs_get_level_tables(self, name):
+        # A history pair's policy once had callbacks only. Its tables are now
+        # T read-only levels over histories, stored as the validators return
+        # the callbacks' values, and the engine reads them.
+        pair = random_full_pair(3, 3, seed=5)
+        policy = POLICIES[name](pair)
+        acceptance, residual = policy.tables
+        for table in policy.tables:
+            assert [level.shape for level in table] == [(3, 3), (9, 3), (27, 3)]
+            assert not any(level.flags.writeable for level in table)
+        for n in (1, 2, 3):
+            histories = list(itertools.product(range(3), repeat=n))  # in code order
+            want = np.array([[policy_acceptance(policy, n, h, x) for x in range(3)]
+                             for h in histories])
+            assert acceptance[n - 1].tobytes() == want.tobytes()
+            want = policy_residual_rows(policy, n, histories, 3)
+            assert residual[n - 1].tobytes() == want.tobytes()
+        assert_generic_identical(pair, policy, seed=3, start=2, count=200)
 
     @pytest.mark.parametrize("name", TABLE_POLICIES)
     def test_history_callbacks_refuse_a_history_of_another_position(self, name):
@@ -1192,6 +1206,157 @@ class TestPolicyTables:
         acceptance[:] = 0.0
         assert policy.acceptance(1, (0,), 0) == 0.5
         assert not any(table.flags.writeable for table in policy.tables)
+
+
+def full_copy(pair: ModelPair) -> ModelPair:
+    """The pair as history tables, by ``markov_to_full``."""
+    return ModelPair(markov_to_full(pair.p), markov_to_full(pair.q))
+
+
+def same_runs(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def routed(monkeypatch):
+    """Counters of the tables, flat rows, engine and scalar-loop blocks built from here on."""
+    built = {"tables": 0, "rows": 0, "engine": 0, "scalar": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            built[name] += name != "tables"
+            result = function(*args)
+            built[name] += name == "tables" and result is not None  # None: nothing built
+            return result
+        return wrapper
+
+    for name, attr in (("tables", "_tables"), ("rows", "_flat_rows"), ("engine", "_decoded_block"),
+                       ("scalar", "_scalar_block")):
+        monkeypatch.setattr(decoding, attr, counted(name, getattr(decoding, attr)))
+    return built
+
+
+def table_bytes(pair, batch_size: int, histories: bool) -> int:
+    """8 bytes for each entry of p's cumsums, M thresholds and M residuals, per layout row."""
+    v, horizon = pair.vocab_size, pair.horizon
+    states = sum(v**n for n in range(1, horizon + 1)) if histories else v * horizon
+    return 8 * (2 * batch_size + 1) * states * v
+
+
+class TestAnyPairOnTheEngine:
+    """The engine reads any pair's rows at a run's state, its code modulo the level's rows."""
+
+    def test_markov_to_full_copies_give_the_markov_engines_runs(self, monkeypatch):
+        built = routed(monkeypatch)
+        for v, t in ((2, 3), (3, 4), (4, 3)):
+            markov = random_model_pair(v, t, seed=v + t)
+            full = full_copy(markov)
+            for m in (1, 2, 3):
+                assert same_runs(decode_markov_runs(full, m, 5, 3, 300),
+                                 decode_markov_runs(markov, m, 5, 3, 300))
+            # Deterministic factories give the chain's tables, tiled over histories.
+            for name in ("sd", "always-accept", "over-acceptance-opt", "over-acceptance-uno"):
+                chain, tiled = POLICIES[name](markov), POLICIES[name](full)
+                for levels, table in zip(tiled.tables, chain.tables):
+                    for n, level in enumerate(levels, 1):
+                        assert level.tobytes() == np.tile(table[n - 1], (v ** (n - 1), 1)).tobytes()
+                assert same_runs(decode_markov_runs(full, 1, 5, 3, 300, tiled),
+                                 decode_markov_runs(markov, 1, 5, 3, 300, chain))
+        assert built["scalar"] == 0 and built["engine"] > 0
+
+    def test_a_chain_policy_decodes_on_a_history_pair(self):
+        # (T, V, V) tables on a history pair are read at x_{n-1}, the engine's
+        # state taken modulo V, as the callbacks read them by _chain_key.
+        markov = random_model_pair(3, 3, seed=8)
+        full = full_copy(markov)
+        policy = random_unbiased_policy(markov, make_rng(4))
+        want = decode_markov_runs(markov, 1, 6, 0, 400, policy)
+        assert same_runs(assert_generic_identical(full, policy, seed=6, start=0, count=400), want)
+        history = random_full_pair(3, 3, seed=9)
+        for pair in (history, ModelPair(markov.p, history.q), ModelPair(history.p, markov.q)):
+            assert_generic_identical(pair, policy, seed=6, start=0, count=400)
+
+    @pytest.mark.parametrize("kind", ["markov", "history", "failing-history"])
+    def test_the_table_budget_changes_the_route_not_the_runs(self, kind, monkeypatch):
+        # At the budget the tables are built and the engine decodes; one byte
+        # below it nothing is tabled and the scalar loop gives the same runs,
+        # or raises the same error.
+        pair = {
+            "markov": lambda: random_model_pair(3, 3, seed=2),
+            "history": lambda: random_full_pair(3, 3, seed=2),
+            "failing-history": lambda: full_copy(zero_residual_pair()),
+        }[kind]()
+        sizes = (1, 2, 3)
+        need = table_bytes(pair, 3, kind != "markov")
+
+        def outcome_of_scan():
+            runs, errors = [], []
+            try:
+                for j, lo, block in _run_blocks(pair, "batch", sizes, None, 4, 0, 300):
+                    runs.append((j, lo, tuple(column.tolist() for column in block)))
+            except (RuntimeError, ValueError) as exc:
+                errors.append((type(exc), str(exc)))
+            return runs, errors
+
+        built = routed(monkeypatch)
+        monkeypatch.setattr(decoding, "TABLE_BUDGET", need)
+        engine = outcome_of_scan()
+        assert built["tables"] == 1 and built["engine"] > 0 and built["scalar"] == 0
+        built.update(tables=0, rows=0, engine=0)
+        monkeypatch.setattr(decoding, "TABLE_BUDGET", need - 1)
+        scalar = outcome_of_scan()
+        assert built["tables"] == built["rows"] == built["engine"] == 0 and built["scalar"] > 0
+        # A failing scan's blocks end at the error, which comes block by block.
+        assert scalar[1] == engine[1] and (kind == "failing-history") == bool(engine[1])
+        assert engine[1] or scalar == engine
+
+    @pytest.mark.parametrize("name", TABLE_POLICIES)
+    def test_history_readers_raise_the_models_key_errors(self, name):
+        # The callbacks read levels over histories by _table_key, the rule a
+        # FullModel's step reads by, and refuse a candidate that is not a token.
+        pair = random_full_pair(2, 3, seed=5)
+        policy = POLICIES[name](pair)
+        for n, history in [(0, (1,)), (4, (1, 0, 1, 0)), (1, (2,)), (1, (-1,)), (1, (True,)),
+                           (1, (1.0,)), (1, ()), (2, (0,)), (2, (0, 1, 1))]:
+            with pytest.raises(KeyError) as want:
+                pair.q.step(n, history)
+            for call in (lambda: policy.residual(n, history),
+                         lambda: policy.acceptance(n, history, 0)):
+                with pytest.raises(KeyError) as got:
+                    call()
+                assert got.value.args == want.value.args
+        for candidate in (-1, 2, True, 1.0, np.int64(2)):
+            with pytest.raises(KeyError, match=re.escape(f"candidate {candidate!r} at position 2")):
+                policy.acceptance(2, (0, 1), candidate)
+
+    def test_only_a_tuple_of_arrays_is_read_as_levels(self):
+        # Nested tuples of numbers stay (T, V, V) tables, read at any history
+        # ending in s; a tuple of arrays is levels, read only at length n.
+        pair = random_model_pair(2, 2, seed=3)
+        acceptance, residual = sd_policy(pair).tables
+        nested = Policy.from_tables(*(tuple(tuple(map(tuple, step)) for step in table)
+                                      for table in (acceptance, residual)))
+        for table, want in zip(nested.tables, (acceptance, residual)):
+            assert table.tobytes() == want.tobytes()
+        assert nested.acceptance(2, (0, 1, 1), 0) == acceptance[1, 1, 0]
+        levels = sd_policy(full_copy(pair))
+        assert isinstance(levels.tables[0], tuple)
+        with pytest.raises(KeyError, match="position 2 needs a history of length 2"):
+            levels.acceptance(2, (0, 1, 1), 0)
+        with pytest.raises(InvalidPolicy, match="expected \\(V\\*\\*n, V\\) at level n"):
+            Policy.from_tables(tuple(acceptance), tuple(residual))
+
+    def test_history_factories_draw_their_uniforms_level_by_level(self):
+        # The factories run their rule a level at a time over histories, as
+        # they did when such policies had callbacks only, so a random unbiased
+        # policy takes the same uniforms, in the same order, from its rng.
+        pair = random_full_pair(3, 3, seed=5)
+        rng, replay = make_rng(7), make_rng(7)
+        acceptance, _ = random_unbiased_policy(pair, rng).tables
+        for n, level in enumerate(acceptance, 1):
+            p, q = (_level_rows(model, n, np.arange(3**n)) for model in (pair.p, pair.q))
+            want = replay.uniform(size=(3**n, 3)) * np.minimum(1.0, q / p)
+            assert level.tobytes() == want.tobytes()
+        assert rng.random() == replay.random()
 
 
 class TestBatch:

@@ -23,7 +23,8 @@ from specdec import (
 
 from specdec import decoding, exact, montecarlo
 from specdec.cli import report_header
-from specdec.decoding import BLOCK_RUNS, WINDOW_BUDGET, _block_runs, _stream_length, _whole_streams
+from specdec.decoding import (BLOCK_RUNS, WINDOW_BUDGET, _block_runs, _run_blocks, _scalar_block,
+                              _stream_length, _whole_streams)
 
 from helpers import constant_chain
 
@@ -160,9 +161,9 @@ class TestStrictInputs:
 
 
 class TestDispatch:
-    """sd, batch and generic on Markov pairs take the lockstep engine; the same
-    pair as history tables, or a policy without tables, takes the scalar loop.
-    Both read the same streams."""
+    """sd, batch and generic runs with tables take the lockstep engine, on a
+    Markov pair and on the same pair as history tables; a policy without
+    tables takes the scalar loop. Both read the same streams."""
 
     @pytest.mark.parametrize("algorithm, batch_size", [("sd", 1), ("batch", 3), ("generic", 1)])
     def test_engine_and_scalar_paths_agree(self, algorithm, batch_size):
@@ -175,6 +176,15 @@ class TestDispatch:
             assert policy.tables is not None
             inputs.append((pair, Policy(policy.acceptance, policy.residual)))
         runs = _block_runs(batch_size, 3) + 40  # crosses an engine block boundary
+        # The history copy takes the engine too, so the scalar side is decoded
+        # explicitly: the scalar loop, run i on split_rng(4, i), the campaigns'
+        # streams below. A callback copy's campaign runs the scalar loop.
+        scalar = _scalar_block(full, algorithm, batch_size, policy, 4, 0, runs)
+        for p, pol in inputs[:2]:
+            blocks = [block for _, _, block in
+                      _run_blocks(p, algorithm, (batch_size,), pol, 4, 0, runs)]
+            for column, want in zip(zip(*blocks), scalar):
+                assert np.concatenate(column).tolist() == want.tolist()
 
         def summary(p, pol):
             report = run_campaign(Campaign(pair=p, algorithm=algorithm, runs=runs,
@@ -419,16 +429,21 @@ class TestMergedScan:
         assert rows[:-1] == scan_by_campaigns(pair, sizes, runs, seed=5)
         assert len(engine_blocks) == k
 
-    def test_full_model_pairs_scan_size_by_size(self, engine_blocks):
+    def test_full_model_pairs_share_one_block_too(self, engine_blocks, monkeypatch):
+        # A history pair's scan is one shared engine block, as its Markov
+        # original's is, with the Markov runs; past the table budget it goes
+        # size by size on the scalar loop, with the same rows.
         markov = random_model_pair(2, 3, seed=24)
         pair = ModelPair(markov_to_full(markov.p), markov_to_full(markov.q))
         rows = batch_scan(pair, [3, 1, 2], runs=60, seed=7)
+        assert engine_blocks == [(180, 31, False)]
         assert rows[:-1] == scan_by_campaigns(pair, [3, 1, 2], runs=60, seed=7)
-        assert engine_blocks == []
-        # The scalar loop's runs are the engine's, on the same streams.
         merged = batch_scan(markov, [3, 1, 2], runs=60, seed=7)
         assert [row.mean for row in rows] == [row.mean for row in merged]
-        assert engine_blocks == [(180, 31, False)]
+        engine_blocks.clear()
+        monkeypatch.setattr(decoding, "TABLE_BUDGET", 0)
+        assert batch_scan(pair, [3, 1, 2], runs=60, seed=7) == rows
+        assert engine_blocks == []
 
     def test_a_scan_too_large_for_one_block_decodes_size_by_size(self, engine_blocks):
         # 3 * 2000 rows exceed _block_runs(3, 3) = 1024: the sizes take the

@@ -374,3 +374,22 @@ def test_one_error_path():
         if isinstance(node, ast.Call)
     }
     assert not calls & {"sorted", "sort", "argsort"}
+
+
+def test_routes_ignore_the_models_type():
+    # The engine reads any pair's level rows, so a run's route depends on its
+    # algorithm, its policy's tables and the table budget, never on which
+    # kind of model the pair holds: decoding never names _is_markov_pair.
+    # Every policy factory returns Policy.from_tables, so _rows_policy keeps
+    # no callbacks of its own.
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for path, node in source_nodes()
+        if path == Path("decoding.py") and isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert "_is_markov_pair" not in names
+    rows_policy = _module_functions("policies.py")["_rows_policy"]
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    assert not [node.lineno for node in ast.walk(rows_policy)
+                if isinstance(node, nested) and node is not rows_policy]
