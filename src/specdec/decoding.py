@@ -121,8 +121,8 @@ import numpy as np
 
 from .dist import (ZeroResidual, _capped_ratios, _float_array, _int_arg, _normalized_rows,
                    _residual_rows)
-from .models import (ModelPair, _chain_entry, _chain_key, _flat_rows, _pair_arg, _read_only,
-                     _state_counts, _table_entry, _table_key)
+from .models import (ModelPair, _chain_key, _flat_rows, _pair_arg, _read_only, _state_counts,
+                     _table_key)
 from .rng import split_rng, split_rngs, split_uniforms
 
 BLOCK_RUNS = 1024
@@ -221,18 +221,18 @@ def _table_readers(acceptance, residual):
 
     (T, V, V) tables are read at x_{n-1} by ``models._chain_key``, levels over
     histories at the history's code by ``models._table_key``, so a position
-    outside 1..T or a history the rule does not take raises its KeyError;
-    ``_chain_entry`` and ``_table_entry`` raise one for a candidate outside
-    0..V-1 too.
+    outside 1..T or a history the rule does not take raises its KeyError.
+    An acceptance read hands the key its candidate, which then raises one,
+    after the history's, for a candidate that is not an integer in 0..V-1.
     """
     horizon, v = len(acceptance), np.shape(acceptance[:1])[-1]
     if not isinstance(acceptance, tuple):
         return (
-            lambda n, history, candidate: acceptance[_chain_entry(n, history, candidate, horizon, v)],
+            lambda n, history, candidate: acceptance[_chain_key(n, history, horizon, v, candidate)],
             lambda n, history: residual[_chain_key(n, history, horizon, v)],
         )
     return (
-        lambda n, history, x: _entry(acceptance, *_table_entry(n, history, x, horizon, v)),
+        lambda n, history, x: _entry(acceptance, *_table_key(n, history, horizon, v, x)),
         lambda n, history: _entry(residual, *_table_key(n, history, horizon, v)),
     )
 

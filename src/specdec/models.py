@@ -15,7 +15,8 @@ The generator form draws every transition row as normalized uniform variates
 from a seeded stream and uses a uniform prompt.
 
 A MarkovModel holds its transition rows once, as one read-only (T, V, V) stack
-``step_rows``; its ``steps`` are CondDist views into that stack, and the row
+``step_rows`` of its own, built from CondDist tables by stacking their rows;
+its ``steps`` are CondDist views into that stack, and the row
 cumsums ``step_cumsums`` and the (T + 1, V) target laws ``marginals`` are built
 when a sampler or a closed form first asks for them.
 Every row, of a CondDist or of a generated or descriptor-built stack, is
@@ -32,8 +33,9 @@ x_{n-1}, the last token of any nonempty history (``_chain_key``); a
 FullModel's is the history's code (``_table_key``). Either raises KeyError
 for a position outside 1..T or a token that is not an integer in 0..V-1,
 and a FullModel for a history whose length is not n. Policy tables read
-their entries by the same two keys, and an acceptance entry's candidate is
-held to the token rule too (``_chain_entry``, ``_table_entry``).
+their rows by the same two keys, and their acceptance entries too: given a
+candidate, a key holds it to the token rule, after the history, and adds
+it to the index it returns.
 
 A FullModel is the chain over histories, the history's code its state. It
 holds T level stacks, level n of shape (V**n, V) with the history
@@ -73,7 +75,7 @@ class CondDist:
     :class:`Dist` is.
     """
 
-    __slots__ = ("_rows", "_stack", "_index")
+    __slots__ = ("_rows",)
 
     def __init__(self, rows) -> None:
         arr = _float_array(rows)
@@ -82,7 +84,6 @@ class CondDist:
         if arr.size == 0:
             raise ValueError("a distribution must be a nonempty 1-D vector")
         self._rows = _read_only(_normalized_rows(arr))
-        self._stack = self._index = None
 
     @property
     def rows(self) -> np.ndarray:
@@ -96,10 +97,10 @@ class CondDist:
         return self._rows[state]
 
     @classmethod
-    def _view(cls, stack: np.ndarray, index: int) -> "CondDist":
-        """Step ``stack[index]`` of an already checked, read-only stack, held without a copy."""
+    def _view(cls, rows: np.ndarray) -> "CondDist":
+        """Step over already checked, read-only ``rows``, held without a copy."""
         step = cls.__new__(cls)
-        step._rows, step._stack, step._index = stack[index], stack, index
+        step._rows = rows
         return step
 
 
@@ -116,17 +117,6 @@ def _normalized_stack(arr: np.ndarray) -> np.ndarray:
             CondDist(step)
         return arr
     return _normalized_rows(arr, out=arr)
-
-
-def _stack_of(steps: tuple[CondDist, ...]) -> np.ndarray | None:
-    """The stack whose views ``steps`` are, one per step in order; None if there is none."""
-    stack = getattr(steps[0], "_stack", None)
-    if stack is None or len(stack) != len(steps):
-        return None
-    for k, step in enumerate(steps):
-        if getattr(step, "_stack", None) is not stack or step._index != k:
-            return None
-    return stack
 
 
 def _row_cumsums(rows: np.ndarray) -> np.ndarray:
@@ -151,59 +141,43 @@ def _history_code(n: int, history: tuple[int, ...], vocab_size: int) -> int:
     return code
 
 
-def _chain_key(n: int, history: tuple[int, ...], horizon: int, vocab_size: int) -> tuple:
+def _chain_key(n: int, history: tuple[int, ...], horizon: int, vocab_size: int,
+               candidate=...) -> tuple:
     """(n - 1, x_{n-1}): where a chain's (T, V, V) rows hold x_n's row at ``history``.
 
     A chain takes any nonempty history. KeyError unless 1 <= n <= T and the
     last token is an integer in 0..V-1, as ``_history_code`` takes a token.
+    Given a candidate other than ``...`` (the default, the whole row, as in
+    a numpy index), (n - 1, x_{n-1}, candidate), where (T, V, V) tables hold
+    its entry: KeyError, after the history's, unless the candidate is a
+    token by the same rule.
     """
     if history:
         token = history[-1]
         integral = token.__class__ is int or isinstance(token, np.integer)
         if integral and 1 <= n <= horizon and 0 <= token < vocab_size:
-            return n - 1, token
+            if candidate is ...:
+                return n - 1, token
+            if ((candidate.__class__ is int or isinstance(candidate, np.integer))
+                    and 0 <= candidate < vocab_size):
+                return n - 1, token, candidate
+            raise KeyError(f"no table entry for candidate {candidate!r} at position {n}")
     raise KeyError(f"no table entry for history {history} at position {n}")
 
 
-def _chain_entry(n: int, history: tuple[int, ...], candidate, horizon: int,
-                 vocab_size: int) -> tuple:
-    """(n - 1, x_{n-1}, candidate): where a chain's (T, V, V) tables hold a candidate's entry.
-
-    ``_chain_key``'s rule, and its KeyError, with the candidate held to the
-    rule for a token as well: KeyError unless it is an integer in 0..V-1.
-    """
-    if history:
-        token = history[-1]
-        integral = (token.__class__ is int or isinstance(token, np.integer)) and (
-            candidate.__class__ is int or isinstance(candidate, np.integer))
-        if (integral and 1 <= n <= horizon and 0 <= token < vocab_size
-                and 0 <= candidate < vocab_size):
-            return n - 1, token, candidate
-    _chain_key(n, history, horizon, vocab_size)
-    raise _no_candidate(n, candidate)
-
-
-def _table_entry(n: int, history: tuple[int, ...], candidate, horizon: int,
-                 vocab_size: int) -> tuple:
-    """(n - 1, code, candidate): ``_table_key``'s rule, the candidate held to the token rule."""
-    level, code = _table_key(n, history, horizon, vocab_size)
-    integral = candidate.__class__ is int or isinstance(candidate, np.integer)
-    if integral and 0 <= candidate < vocab_size:
-        return level, code, candidate
-    raise _no_candidate(n, candidate)
-
-
-def _no_candidate(n: int, candidate) -> KeyError:
-    return KeyError(f"no table entry for candidate {candidate!r} at position {n}")
-
-
-def _table_key(n: int, history: tuple[int, ...], horizon: int, vocab_size: int) -> tuple:
+def _table_key(n: int, history: tuple[int, ...], horizon: int, vocab_size: int,
+               candidate=...) -> tuple:
     """(n - 1, code): where a table over histories holds x_n's row at ``history``.
 
     KeyError unless 1 <= n <= T and ``_history_code`` takes the history.
+    Given a candidate, (n - 1, code, candidate), the candidate held to the
+    token rule by ``_chain_key``.
     """
     if 1 <= n <= horizon:
-        return n - 1, _history_code(n, history, vocab_size)
+        code = _history_code(n, history, vocab_size)
+        if candidate is ...:
+            return n - 1, code
+        return n - 1, code, _chain_key(n, history, horizon, vocab_size, candidate)[2]
     raise KeyError(f"no table entry for history {history} at position {n}")
 
 
@@ -268,10 +242,9 @@ class MarkovModel(_Chain):
     """Nonstationary Markov chain: x_0 ~ prompt, x_n ~ steps[n-1].row(x_{n-1}).
 
     The rows of all T steps are one read-only (T, V, V) stack, ``step_rows``;
-    each of ``steps`` is a CondDist view into it. A chain built from the T
-    views of one stack, in order, such as another chain's ``steps``, holds
-    that stack rather than a copy. ``step`` reads any nonempty history by its
-    last token.
+    each of ``steps`` is a CondDist view into it. A chain built from CondDist
+    tables, even another chain's ``steps``, stacks their rows into a stack
+    of its own. ``step`` reads any nonempty history by its last token.
     """
 
     __slots__ = ("_steps", "_marginals")
@@ -288,8 +261,7 @@ class MarkovModel(_Chain):
                 raise TypeError("steps must be CondDist tables")
             if step.vocab_size != v:
                 raise ValueError("all steps must share the prompt's vocabulary size")
-        stack = _stack_of(steps)
-        self._hold(prompt, np.stack([step.rows for step in steps]) if stack is None else stack)
+        self._hold(prompt, np.stack([step.rows for step in steps]))
 
     @classmethod
     def _from_stack(cls, prompt: Dist, rows: np.ndarray) -> "MarkovModel":
@@ -302,7 +274,7 @@ class MarkovModel(_Chain):
 
     def _hold(self, prompt: Dist, rows: np.ndarray) -> None:
         super()._hold(prompt, _read_only(rows))
-        self._steps = tuple(CondDist._view(rows, k) for k in range(len(rows)))
+        self._steps = tuple(map(CondDist._view, rows))
         self._marginals = None
 
     def _laws(self) -> np.ndarray:
@@ -420,9 +392,16 @@ def _state_counts(*sources) -> list[int]:
     """R_n at each level n of ``sources`` together: the most rows a level n of one of them has.
 
     That is V**n where one is over histories, since a chain's levels hold V
-    rows and a table's level n V**n, and V where all are chains.
+    rows and a table's level n V**n, and V where all are chains. A stack's
+    counts come from its shape, so no level is read, and a source whose
+    counts equal those so far is not compared level by level.
     """
-    return [max(map(len, levels)) for levels in zip(*(getattr(s, "_levels", s) for s in sources))]
+    counts = None
+    for levels in (getattr(s, "_levels", s) for s in sources):
+        rows = ([levels.shape[1]] * len(levels) if isinstance(levels, np.ndarray)
+                else list(map(len, levels)))
+        counts = rows if counts is None or counts == rows else list(map(max, counts, rows))
+    return counts
 
 
 def _flat_rows(source, counts) -> np.ndarray:

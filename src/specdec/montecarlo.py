@@ -112,17 +112,30 @@ def _exact_reference(campaign: Campaign) -> float | None:
     return None
 
 
-def _checkpoint(counts: np.ndarray, k: int, exact: float | None) -> Checkpoint:
-    sample = counts[:k]
-    mean = float(sample.mean())
-    stderr = 0.0 if k < 2 else float(sample.std(ddof=1) / math.sqrt(k))
-    if exact is None:
-        rel = None
-    elif exact != 0.0:
-        rel = (mean - exact) / exact
-    else:
-        rel = mean - exact  # absolute fallback at a zero reference
-    return Checkpoint(runs=k, mean=mean, stderr=stderr, exact=exact, rel_dev=rel)
+def _checkpoints(counts: np.ndarray, marks: list[int], exact: float | None) -> list[Checkpoint]:
+    """Summaries of the first k runs' rejection ``counts`` at each k of ``marks``, in one pass.
+
+    One cumulative pass gives every prefix's sum of counts and of their
+    squares, exact in int64; each mean and variance is then one correctly
+    rounded division of Python integers, the variance k*S2 - S1**2 over
+    k*(k - 1).
+    """
+    at = np.asarray(marks) - 1
+    sums = np.cumsum(counts)[at].tolist()
+    squares = np.cumsum(counts * counts)[at].tolist()
+    checkpoints = []
+    for k, total, square in zip(marks, sums, squares):
+        mean = total / k
+        variance = 0.0 if k < 2 else (k * square - total * total) / (k * (k - 1))
+        stderr = math.sqrt(variance) / math.sqrt(k)
+        if exact is None:
+            rel = None
+        elif exact != 0.0:
+            rel = (mean - exact) / exact
+        else:
+            rel = mean - exact  # absolute fallback at a zero reference
+        checkpoints.append(Checkpoint(runs=k, mean=mean, stderr=stderr, exact=exact, rel_dev=rel))
+    return checkpoints
 
 
 def run_campaign(campaign: Campaign) -> CampaignReport:
@@ -143,7 +156,7 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
         seed=campaign.seed,
         batch_size=campaign.batch_size,
         exact=exact,
-        checkpoints=tuple(_checkpoint(counts, k, exact) for k in marks),
+        checkpoints=tuple(_checkpoints(counts, marks, exact)),
     )
 
 
@@ -203,7 +216,7 @@ def batch_scan(pair: ModelPair, batch_sizes, runs: int, seed: int) -> list[Batch
         for j, _, runs in _run_blocks(pair, "batch", sizes, None, campaign.seed, 0, campaign.runs):
             counts[j].append(runs.rejections)
         for m, exact, blocks in zip(sizes, exacts, counts):
-            final = _checkpoint(np.concatenate(blocks), campaign.runs, exact)
+            [final] = _checkpoints(np.concatenate(blocks), [campaign.runs], exact)
             rows.append(BatchScanRow(m, exact, final.mean, final.stderr))
     rows.append(BatchScanRow(None, limit_rejections(pair), None, None))
     return rows

@@ -1017,7 +1017,7 @@ class TestPolicyTables:
             pair.p.step(n, history)
 
     @pytest.mark.parametrize("name", TABLE_POLICIES)
-    @pytest.mark.parametrize("candidate", [-1, np.int64(-1), 2, True, 1.0])
+    @pytest.mark.parametrize("candidate", [-1, np.int64(-1), 2, True, 1.0, None, np.int64(2)])
     def test_acceptance_refuses_a_candidate_a_chain_would_refuse(self, name, candidate):
         # acceptance(1, (0,), -1) once wrapped to token 1's entry, on tables
         # and on history levels alike.
@@ -1324,7 +1324,7 @@ class TestAnyPairOnTheEngine:
                 with pytest.raises(KeyError) as got:
                     call()
                 assert got.value.args == want.value.args
-        for candidate in (-1, 2, True, 1.0, np.int64(2)):
+        for candidate in (None, -1, 2, True, 1.0, np.int64(2)):
             with pytest.raises(KeyError, match=re.escape(f"candidate {candidate!r} at position 2")):
                 policy.acceptance(2, (0, 1), candidate)
 

@@ -21,9 +21,10 @@ from specdec import (
     pair_from_descriptor,
     random_markov_model,
     random_model_pair,
+    sd_policy,
     target_marginals,
 )
-from specdec.models import _history_code, trajectory_index
+from specdec.models import _history_code, _state_counts, trajectory_index
 
 from helpers import random_full_pair
 
@@ -197,18 +198,18 @@ class TestStepRows:
         assert not np.shares_memory(models[2].step_rows, steps[0].rows)
 
     def test_a_chain_over_another_chains_steps_holds_its_stack(self):
+        # Every chain stacks its steps' rows into a read-only stack of its
+        # own, even over another chain's steps, whatever their order or mix,
+        # and its steps are views into that stack.
         model = random_markov_model(3, 4, seed=2)
-        for steps in (model.steps, list(model.steps)):
-            chain = MarkovModel(Dist.uniform(3), steps)
-            assert np.shares_memory(chain.step_rows, model.step_rows)
-            assert not chain.step_rows.flags.writeable
         other = random_markov_model(3, 4, seed=3)
-        # other orders, subsets and mixtures of steps are stacked anew
-        for steps in (model.steps[::-1], model.steps[:2], model.steps[1:],
-                      (*model.steps[:3], other.steps[3])):
+        for steps in (model.steps, list(model.steps), model.steps[::-1], model.steps[:2],
+                      model.steps[1:], (*model.steps[:3], other.steps[3])):
             chain = MarkovModel(model.prompt, steps)
             assert not np.shares_memory(chain.step_rows, model.step_rows)
             assert np.array_equal(chain.step_rows, np.stack([step.rows for step in steps]))
+            assert not chain.step_rows.flags.writeable
+            assert all(np.shares_memory(step.rows, chain.step_rows) for step in chain.steps)
         with pytest.raises(ValueError, match="vocabulary size"):
             MarkovModel(Dist.uniform(2), model.steps)
 
@@ -630,6 +631,33 @@ class TestOneHistoryRule:
         assert cums.tobytes() == np.cumsum(model.prompt.probs).tobytes()
         with pytest.raises(ValueError, match="read-only"):
             cums[0] = 0.0
+
+
+class TestStateCounts:
+    """R_n, the most rows a level n of any source has, read without a view per level."""
+
+    @staticmethod
+    def level_by_level(*sources):
+        return [max(map(len, levels))
+                for levels in zip(*(getattr(s, "_levels", s) for s in sources))]
+
+    def test_counts_of_chains_histories_and_policy_tables(self):
+        chains = random_model_pair(3, 4, seed=2)
+        histories = random_full_pair(3, 4, seed=2)
+        groups = [
+            (chains.p, chains.q),
+            (histories.p, histories.q),
+            (chains.p, histories.q),
+            (histories.p, chains.q, chains.p),
+            (chains.p, chains.q, *sd_policy(chains).tables),
+            (histories.p, histories.q, *sd_policy(histories).tables),
+            (chains.p, chains.q, *sd_policy(histories).tables),
+            (histories.p, chains.q, *sd_policy(chains).tables),
+        ]
+        for sources in groups:
+            assert _state_counts(*sources) == self.level_by_level(*sources)
+        assert _state_counts(chains.p, chains.q) == [3] * 4
+        assert _state_counts(chains.p, histories.q) == [3, 9, 27, 81]
 
 
 class TestRefusesNonModels:

@@ -393,3 +393,20 @@ def test_routes_ignore_the_models_type():
     nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     assert not [node.lineno for node in ast.walk(rows_policy)
                 if isinstance(node, nested) and node is not rows_policy]
+
+
+def test_one_key_rule_per_model_kind():
+    # models._chain_key and models._table_key read a policy table's entries
+    # as well as a model's rows, so no second copy of either rule reads the
+    # entries, and a chain holds a stack of its own: no step remembers the
+    # stack it views, and no chain looks for one to share.
+    gone = {"_chain_entry", "_table_entry", "_no_candidate", "_stack_of"}
+    assert not [
+        f"{path}:{node.lineno}"
+        for path, node in source_nodes()
+        if (isinstance(node, ast.Name) and node.id in gone)
+        or (isinstance(node, ast.Attribute) and node.attr in gone)
+        or (isinstance(node, ast.FunctionDef) and node.name in gone)
+        or (isinstance(node, ast.alias) and node.name in gone)
+    ]
+    assert specdec.CondDist.__slots__ == ("_rows",)
