@@ -54,11 +54,13 @@ table and SD's total sum_n E_q[tv]. The first walk on a pair computes it,
 fused into that walk, and keeps it on the pair as its record. After that,
 SD and its per-position terms make no walk, and a batch or limit walk
 computes only (q - p)_+, the root iterates and g. The record also keeps the
-deepest root level a batch walk has reached, (K, S_K, P_K) as two (T, V)
-tables. A walk at M >= K resumes the S/P recursion there and stores M's
-level; a walk at M < K starts at m = 1 and leaves the record alone. So a
-scan over batch sizes costs max M - 1 root iterations per position in all,
-and a repeated M forms only its tail W_{M+1}. Every term is the value the
+products P_2, ..., P_K of every root level a batch walk has reached, as K - 1
+read-only (T, V) tables beside tv = P_1. Every batch walk starts at level
+min(M, K), rebuilding S_m = 1 + P_1 + ... + P_{m-1} block by block with the
+recursion's own additions: at M <= K it forms only its tail W_{M+1}, and at
+M > K it forms levels K + 1, ..., M and appends their products. So a scan over
+batch sizes, in any order, costs max M - 1 root iterations per position in
+all, and every later walk one tail. Every term is the value the
 position-by-position recursion computes, from the same float operations in
 the same order, and ``math.fsum`` is exact, so the results depend neither on
 B nor on the order in which a pair meets its closed forms. The history-level
@@ -91,17 +93,14 @@ class BatchRejections:
 class _Record(NamedTuple):
     """A Markov pair's closed-form record, kept in its ``_sd_record`` slot.
 
-    ``tv`` is the read-only (T, V) tv table and ``total`` SD's E[rejections].
-    ``depth`` is K, the deepest root level a batch walk has reached, and
-    ``level`` and ``prod`` are the read-only (T, V) tables S_K and P_K; at
-    K = 1 they are None, since S_1 = 1 and P_1 = tv.
+    ``tv`` is the read-only (T, V) tv table, P_1, and ``total`` SD's
+    E[rejections]. ``prods`` holds the read-only (T, V) tables P_2, ..., P_K
+    of every root level a batch walk has reached, K - 1 of them.
     """
 
     tv: np.ndarray
     total: float
-    depth: int = 1
-    level: np.ndarray | None = None
-    prod: np.ndarray | None = None
+    prods: tuple = ()
 
 
 def _markov_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = False):
@@ -111,23 +110,22 @@ def _markov_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = Fals
     tv = tv(p_n(.|s), q_n(.|s)) and g_n as in ``_sd_and_gain``. The first walk
     on a pair also fills its record: the tv table and SD's total, the fsum of
     mu_{n-1}(s) * tv, mu_{n-1} the target's law of x_{n-1}. Later walks read
-    tv from the record. A batch walk at M >= K resumes the root recursion at
-    the record's depth K, and at M > K stores S_M and P_M as its new deepest
-    level. Positions are walked in blocks of about BLOCK_FLOATS floats per
-    (B, V, V) array: tv, the root iterates and (q - p)_+ of a block are
-    computed at once, and only the g mat-vecs run position by position.
+    tv from the record. A batch walk starts the root recursion at level
+    min(M, K) from the record's products P_2, ..., P_K, and at M > K appends
+    P_{K+1}, ..., P_M to them. Positions are walked in blocks of about
+    BLOCK_FLOATS floats per (B, V, V) array: tv, the root iterates and
+    (q - p)_+ of a block are computed at once, and only the g mat-vecs run
+    position by position.
     """
     p_rows, q_rows = pair.p.step_rows, pair.q.step_rows
     horizon, v = q_rows.shape[:2]
     mu = pair.q.marginals
     record = getattr(pair, "_sd_record", None)
     tv = np.empty((horizon, v)) if record is None else record.tv
-    depth = 1 if record is None else record.depth
-    finite = gain and batch_size is not None
-    resume = finite and batch_size >= depth > 1
-    deeper = finite and batch_size > depth
-    levels = np.empty((horizon, v)) if deeper else None
-    prods = np.empty((horizon, v)) if deeper else None
+    known = () if record is None else record.prods
+    # P_2, ..., P_min(M, K) are read, and tables are made for levels K + 1, ..., M.
+    reads = known[:(batch_size or 1) - 1]
+    fresh = [np.empty((horizon, v)) for _ in range(len(known) + 1, batch_size or 1)]
     g = np.empty((horizon, v)) if gain else None
     drop = np.empty((horizon, v)) if gain else None
     g_n = pair.q.prompt.probs
@@ -140,13 +138,10 @@ def _markov_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = Fals
         if gain:
             plus = q - p
             np.maximum(plus, 0.0, out=plus)
-            if resume:
-                prod, tail, level = _root_iterates(
-                    q, p, record.prod[block], batch_size, level=record.level[block], depth=depth)
-            else:
-                prod, tail, level = _root_iterates(q, p, tv[block], batch_size, plus)
-            if deeper:
-                levels[block], prods[block] = level, prod
+            prods = [table[block] for table in reads]
+            prod, tail, _ = _root_iterates(q, p, tv[block], batch_size, prods)
+            for table, new in zip(fresh, prods[len(reads):]):
+                table[block] = new
             drop[block] = tv[block] - prod
             for k in range(len(q)):
                 g[start + k] = g_n
@@ -154,9 +149,10 @@ def _markov_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = Fals
     if record is None:
         tv.flags.writeable = False
         record = pair._sd_record = _Record(tv, _fsum(mu[:-1] * tv))
-    if deeper:
-        levels.flags.writeable = prods.flags.writeable = False
-        pair._sd_record = record._replace(depth=batch_size, level=levels, prod=prods)
+    if fresh:
+        for table in fresh:
+            table.flags.writeable = False
+        pair._sd_record = record._replace(prods=known + tuple(fresh))
     return g * drop if gain else None
 
 
@@ -191,22 +187,27 @@ def acceleration_rate(expected_rejections: float, horizon: int) -> float:
     return horizon / expected_rejections
 
 
-def _root_iterates(q, p, prod, batch_size: int | None, tail=None, level=1.0, depth: int = 1):
+def _root_iterates(q, p, tv, batch_size: int | None, prods=None):
     """(P_M, W_{M+1}, S_M) over the last axis of q and p, for one row or a block of rows.
 
-    The recursion starts at root level K = ``depth`` <= M from S_K = ``level``
-    and P_K = ``prod``: by default at K = 1, where S_1 = 1 and ``prod`` is
-    tv(q, p), returned unchanged at M = 1. ``tail``, when the caller has it,
-    is W_{K+1}; otherwise it is formed. batch_size None gives the M -> inf
-    limit (q(p = 0), q restricted to {p = 0}, None).
+    P_1 = ``tv`` = tv(q, p), and the list ``prods`` holds P_2, ..., P_K of
+    these rows where the caller has them (K = 1 without). The recursion
+    rebuilds S_m = 1 + P_1 + ... + P_{m-1} up to level min(M, K), so at
+    M <= K it forms only the tail W_{M+1}; at M > K it forms levels
+    K + 1, ..., M and appends their P to ``prods``. batch_size None gives the
+    M -> inf limit (q(p = 0), q restricted to {p = 0}, None).
     """
     if batch_size is None:
         tail = np.where(p == 0.0, q, 0.0)
         return tail.sum(axis=-1), tail, None
-    for _ in range(batch_size - depth):
+    prods = [] if prods is None else prods
+    level, prod, tail = 1.0, tv, None
+    for m in range(1, batch_size):
         level = level + prod
-        tail = _level_tail(q, p, level)
-        prod = tail.sum(axis=-1)
+        if m > len(prods):
+            tail = _level_tail(q, p, level)
+            prods.append(tail.sum(axis=-1))
+        prod = prods[m - 1]
     if tail is None:
         tail = _level_tail(q, p, level)
     return prod, tail, level
@@ -225,21 +226,26 @@ def _history_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = Fal
     prefix (x_0, ..., x_{n-1}), its target mass q_h and its round-root mass
     f_h, and reads p's and q's rows of that level once, by ``_level_rows``.
     The SD term is q_h * tv(p_n, q_n) and the gain term f_h * (tv - P_M).
+    Each prompt token x_0's codes are walked on their own, as the oracle
+    walks them, so a level's arrays hold V**(n - 1) rows, not V**n; every
+    term is computed row by row and ``math.fsum`` is exact, so the totals do
+    not depend on the order of the terms.
     """
     v = pair.vocab_size
-    q_mass = f_mass = pair.prompt.probs
     sd_terms, gain_terms = [], []
-    for n in range(1, pair.horizon + 1):
-        codes = np.arange(v**n)
-        p, q = _level_rows(pair.p, n, codes), _level_rows(pair.q, n, codes)
-        tv = _tv_rows(q, p)
-        sd_terms.append(q_mass * tv)
-        if gain:
-            prod, tail, _ = _root_iterates(q, p, tv, batch_size)
-            gain_terms.append(f_mass * (tv - prod))
-            plus = np.maximum(q - p, 0.0)
-            f_mass = (plus * (q_mass - f_mass)[:, None] + f_mass[:, None] * tail).ravel()
-        q_mass = (q_mass[:, None] * q).ravel()
+    for x_0 in range(v):
+        q_mass = f_mass = pair.prompt.probs[x_0:x_0 + 1]
+        for n in range(1, pair.horizon + 1):
+            codes = np.arange(x_0 * v ** (n - 1), (x_0 + 1) * v ** (n - 1))
+            p, q = _level_rows(pair.p, n, codes), _level_rows(pair.q, n, codes)
+            tv = _tv_rows(q, p)
+            sd_terms.append(q_mass * tv)
+            if gain:
+                prod, tail, _ = _root_iterates(q, p, tv, batch_size)
+                gain_terms.append(f_mass * (tv - prod))
+                plus = np.maximum(q - p, 0.0)
+                f_mass = (plus * (q_mass - f_mass)[:, None] + f_mass[:, None] * tail).ravel()
+            q_mass = (q_mass[:, None] * q).ravel()
     return np.concatenate(sd_terms), np.concatenate(gain_terms) if gain else None
 
 

@@ -6,6 +6,7 @@ hand closed forms, or constructed instances whose value is known outright.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,8 +214,9 @@ class TestBatchRecursions:
 
     def test_history_recursion_walks_once(self, monkeypatch):
         # The SD and gain terms of a non-Markov pair come from one level walk
-        # that reads p's and q's rows of each level once, every code at once,
-        # through _level_rows, and makes no per-history step call.
+        # that reads p's and q's rows of each level once, one prompt token's
+        # block of codes at a time, through _level_rows, and makes no
+        # per-history step call.
         pair = full_pair(random_model_pair(2, 4, seed=3))
         reads, level_rows = [], exact._level_rows
 
@@ -229,7 +231,8 @@ class TestBatchRecursions:
         monkeypatch.setattr(FullModel, "step", step)
         expected_rejections_batch(pair, 2)
         assert sorted(reads) == sorted(
-            (id(model), n, list(range(2**n))) for model in (pair.p, pair.q) for n in range(1, 5)
+            (id(model), n, list(range(x_0 * 2 ** (n - 1), (x_0 + 1) * 2 ** (n - 1))))
+            for model in (pair.p, pair.q) for n in range(1, 5) for x_0 in range(2)
         )
 
     def test_single_response_is_sd_exactly(self):
@@ -269,6 +272,32 @@ class TestBatchRecursions:
             with pytest.raises(TypeError, match=f"^batch_size {bad!r} is not an integer$"):
                 expected_rejections_batch(PAIRS[0], bad)
         assert expected_rejections_batch(PAIRS[0], 2.0) == expected_rejections_batch(PAIRS[0], 2)
+
+
+class TestHistoryWalkMemory:
+    """The history-level walk holds one prompt token's codes of a level at a time.
+
+    Measured with tracemalloc on this V = 10, T = 5 history pair, above the
+    live pair: batch(2) and the limit peak at 8.7 MB and SD at 4.4 MB, most
+    of it the final fsum's term lists; a walk over all V**n codes of a level
+    at once peaked at 54.8, 54.0 and 33.8 MB.
+    """
+
+    PAIR = full_pair(random_model_pair(10, 5, seed=3))
+
+    @pytest.mark.parametrize("call, bound", [
+        (lambda pair: expected_rejections_batch(pair, 2), 10e6),
+        (limit_rejections, 10e6),
+        (expected_rejections_sd, 5.5e6),
+    ], ids=["batch2", "limit", "sd"])
+    def test_peak_stays_within_its_measured_bound(self, call, bound):
+        tracemalloc.start()
+        try:
+            call(self.PAIR)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestRootIterateClosedForm:
@@ -564,8 +593,8 @@ RECORD_PAIRS = [pair for pair, _ in TestPositionBlocks.CASES] + [sparse_pair(30,
 class TestSdRecord:
     """SD's part is walked once per Markov pair and read by every later closed form.
 
-    The record also keeps the deepest root level (K, S_K, P_K) a batch walk
-    has reached, and a walk at M >= K resumes there.
+    The record also keeps the products P_2, ..., P_K of every root level a
+    batch walk has reached, and every walk starts at level min(M, K).
     """
 
     NAMES = ["sd", "terms", "batch8", "limit"]
@@ -593,9 +622,9 @@ class TestSdRecord:
         for name in self.SCAN_ORDERS[order]:
             assert closed_forms(scanned, [name])[name] == want[name], name
 
-    @pytest.mark.parametrize("pair, blocks", TestPositionBlocks.CASES)
-    def test_an_ascending_scan_forms_each_level_once(self, monkeypatch, pair, blocks):
-        pair = fresh(pair)
+    @staticmethod
+    def count_level_tails(monkeypatch) -> list:
+        """The root levels S passed to every ``_level_tail`` call from now on, in call order."""
         formed = []
         level_tail = exact._level_tail
 
@@ -604,32 +633,52 @@ class TestSdRecord:
             return level_tail(q, p, level)
 
         monkeypatch.setattr(exact, "_level_tail", counted)
+        return formed
+
+    @pytest.mark.parametrize("pair, blocks", TestPositionBlocks.CASES)
+    def test_an_ascending_scan_forms_each_level_once(self, monkeypatch, pair, blocks):
+        pair = fresh(pair)
+        formed = self.count_level_tails(monkeypatch)
         for m in range(2, 9):
             formed.clear()
             expected_rejections_batch(pair, m)
-            # One new level per block: S_m, resumed from S_{m-1} and kept as the deepest.
+            # One new level per block: S_m = 1 + P_1 + ... + P_{m-1}, whose P_m is appended.
             record = exact._sd_part(pair)
-            assert len(formed) == blocks and record.depth == m
-            assert np.array_equal(np.concatenate(formed), record.level)
-        # A repeat at K forms only its tail W_{K+1}; a walk at M < K starts at m = 1.
-        formed.clear()
-        expected_rejections_batch(pair, 8)
-        assert len(formed) == blocks
-        formed.clear()
-        expected_rejections_batch(pair, 4)
-        assert len(formed) == 3 * blocks
+            assert len(formed) == blocks and len(record.prods) == m - 1
+            level = 1.0
+            for prod in (record.tv, *record.prods[:-1]):
+                level = level + prod
+            assert np.array_equal(np.concatenate(formed), level)
+        # Any walk at M <= K forms only its tail W_{M+1}, one per block.
+        for m in (8, 4, 2, 7, 3):
+            formed.clear()
+            expected_rejections_batch(pair, m)
+            assert len(formed) == blocks and exact._sd_part(pair) is record
+
+    @pytest.mark.parametrize("pair, blocks", TestPositionBlocks.CASES)
+    def test_a_descending_scan_forms_one_tail_per_block_per_call(self, monkeypatch, pair, blocks):
+        want = {m: expected_rejections_batch(fresh(pair), m) for m in (8, 5, 3, 2)}
+        pair = fresh(pair)
+        formed = self.count_level_tails(monkeypatch)
+        assert expected_rejections_batch(pair, 8) == want[8]
+        assert len(formed) == 7 * blocks
+        for m in (5, 3, 2):
+            formed.clear()
+            assert expected_rejections_batch(pair, m) == want[m]
+            assert len(formed) == blocks and len(exact._sd_part(pair).prods) == 7
 
     @pytest.mark.parametrize("pair", RECORD_PAIRS)
     def test_a_shallower_walk_leaves_the_record_alone(self, pair):
         pair = fresh(pair)
         expected_rejections_batch(pair, 5)
         record = exact._sd_part(pair)
-        copies = [table.copy() for table in (record.tv, record.level, record.prod)]
+        tables = (record.tv, *record.prods)
+        copies = [table.copy() for table in tables]
         for m in (4, 2, 1):
             expected_rejections_batch(pair, m)
         limit_rejections(pair)
-        assert exact._sd_part(pair) is record and record.depth == 5
-        for table, copy in zip((record.tv, record.level, record.prod), copies):
+        assert exact._sd_part(pair) is record and len(record.prods) == 4
+        for table, copy in zip(tables, copies):
             assert np.array_equal(table, copy)
 
     @pytest.mark.parametrize("pair", RECORD_PAIRS)
@@ -680,22 +729,22 @@ class TestSdRecord:
         got = expected_rejections_batch(pair, 1)
         assert got == want and repr(got) == repr(want)
         if markov:
-            assert exact._sd_part(pair).total == sd and pair._sd_record.depth == 1
+            assert exact._sd_part(pair).total == sd and pair._sd_record.prods == ()
 
     @pytest.mark.parametrize("pair", RECORD_PAIRS)
     def test_record_and_marginals_are_read_only(self, pair):
         pair = fresh(pair)
         limit_rejections(pair)
         record = exact._sd_part(pair)
-        assert record.depth == 1 and record.level is None and record.prod is None
+        assert record.prods == ()
         assert record.total == expected_rejections_sd(pair)
         expected_rejections_batch(pair, 3)
         expected_rejections_batch(pair, 8)
         record = exact._sd_part(pair)
-        assert record.depth == 8
-        # Two (T, V) tables beyond tv, whatever the depth.
-        tables = [field for field in record if isinstance(field, np.ndarray)]
-        assert [table.shape for table in tables] == [(pair.horizon, pair.vocab_size)] * 3
+        # K - 1 = 7 (T, V) products beside tv at depth K = 8, and no other table.
+        tables = [record.tv, *record.prods]
+        assert [table.shape for table in tables] == [(pair.horizon, pair.vocab_size)] * 8
+        assert [type(field) for field in record] == [np.ndarray, float, tuple]
         marginals = pair.q.marginals
         assert marginals.shape == (pair.horizon + 1, pair.vocab_size)
         for table in (*tables, marginals):
