@@ -592,31 +592,37 @@ def _tables(pair: ModelPair, batch_size: int, policy: Policy | None) -> _Tables 
 
     The budget counts the float tables kept, 8 bytes for each entry of p's
     cumsums, M thresholds and M residual rows: (2M + 1)*V per layout row.
-    Nothing is built when they would not fit.
+    Nothing is built when they would not fit. The kept tables are made first
+    and each iterate's thresholds and cumsum columns are written into them in
+    turn, so a build holds at most two iterates besides p's rows.
     """
     counts = _state_counts(pair.p, pair.q, *(() if policy is None else policy.tables))
     if 8 * (2 * batch_size + 1) * sum(counts) * pair.vocab_size > TABLE_BUDGET:
         return None
+    p_cums = _cum_columns(_flat_rows(pair.p._cumsums(), counts))
     p_rows = _flat_rows(pair.p, counts)
+    rows, v = p_rows.shape
+    thresholds = np.empty((batch_size, rows, v))
+    residual_cums = np.empty((v - 1, batch_size, rows))
+    empty = np.zeros((batch_size, rows), dtype=bool)
     if policy is not None:
-        thresholds, residuals = ([_flat_rows(table, counts)] for table in policy.tables)
-        empty = [np.zeros(len(p_rows), dtype=bool)]
+        thresholds[0], residual = (_flat_rows(table, counts) for table in policy.tables)
+        residual_cums[:, 0] = np.cumsum(residual, axis=-1)[:, :-1].T
     else:
-        iterates, empty = [_flat_rows(pair.q, counts)], []
-        for _ in range(batch_size):
-            iterate, total = _residual_rows(iterates[-1], p_rows)
-            iterates.append(iterate)
-            empty.append(total <= 0.0)
-        thresholds = [_capped_ratios(iterate, p_rows) for iterate in iterates[:-1]]
-        residuals = iterates[1:]
-    starts, empty, off = np.cumsum([0, *counts]), np.concatenate(empty), p_rows <= 0.0
+        iterate = _flat_rows(pair.q, counts)
+        for m in range(batch_size):
+            _capped_ratios(iterate, p_rows, out=thresholds[m])
+            iterate, total = _residual_rows(iterate, p_rows)
+            empty[m] = total <= 0.0
+            residual_cums[:, m] = np.cumsum(iterate, axis=-1)[:, :-1].T
+    starts, off = np.cumsum([0, *counts]), p_rows <= 0.0
     return _Tables(
         starts.tolist(),
-        _cum_columns(_flat_rows(pair.p._cumsums(), counts)),
-        np.concatenate(thresholds, axis=None),
-        _cum_columns(np.cumsum(np.stack(residuals), axis=-1)),
+        p_cums,
+        thresholds.reshape(-1),
+        residual_cums.reshape(v - 1, -1),
         _where_needed(off.reshape(-1), off[:, -1], starts),
-        _where_needed(empty, empty.reshape(-1, len(p_rows)).any(axis=0), starts),
+        _where_needed(empty.reshape(-1), empty.any(axis=0), starts),
     )
 
 

@@ -279,22 +279,24 @@ def _residual_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
     A row whose normalizer is zero has no residual and comes back as zeros, so
     callers can weight every row by its normalizer.
     """
-    weights = np.maximum(q - p, 0.0)
+    weights = np.subtract(q, p)
+    np.maximum(weights, 0.0, out=weights)
     totals = weights.sum(axis=-1, keepdims=True)
     np.divide(weights, totals, out=weights, where=totals > 0.0)
     return weights, totals[..., 0]
 
 
-def _capped_ratios(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _capped_ratios(a: np.ndarray, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """min{1, a/p} elementwise, 1 where p = 0: the speculative acceptance rule.
 
     A ratio that overflows (p tiny, as 5e-324) or is undefined (p = 0) is inf
     or nan, which ``fmin`` takes to 1, with every floating-point warning off.
     Where p > 0 each entry is the scalar loop's ``min(1.0, a / p)``, whose
     Python division also gives inf, without a warning, where it overflows.
+    ``out``, when given, receives the ratios and then their caps.
     """
     with np.errstate(all="ignore"):
-        return np.fmin(a / p, 1.0)
+        return np.fmin(np.divide(a, p, out=out), 1.0, out=out)
 
 
 def _vector_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
