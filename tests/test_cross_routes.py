@@ -3,12 +3,18 @@
 A derandomized Hypothesis strategy builds Markov pairs with V <= 4 and T <= 6
 whose rows mix dense draws, sparse supports, p = q, p within about 1e-12 of q
 in total variation, the rows where a tolerance on "zero residual" would show,
-and "tiny" rows, with an entry at 1e-300 or 5e-324 where the other model has
-mass, so that q/p passes the float range. Prompts are dense or sparse, so the
-oracle's pruning of prompt tokens with no mass is checked too.
+"tiny" rows, with an entry at 1e-300 or 5e-324 where the other model has
+mass, so that q/p passes the float range, and "short" rows, whose cumsum ends
+below 1 by rounding. Prompts are dense or sparse, so the oracle's pruning of
+prompt tokens with no mass is checked too. A second strategy draws sparse
+pairs at V >= 64 and T <= 2, within the oracle's FULL_TABLE_CAP.
 On each pair the closed forms must match the enumeration oracle to 1e-12, the
 batch limit must sit at or below the M = 8 total, and the lockstep engine must
-return the scalar samplers' runs, for sd, batch and every table policy.
+return the scalar samplers' runs, for sd, batch and every table policy. On
+streams whose every uniform ties a cumsum entry or a threshold, so that a
+draw on a short row can take the clamp to token V - 1, the engine must
+return the scalar loop's runs too, and its column draws must give
+searchsorted's token at every tie.
 Callback-only copies of the table policies must give the engine's runs on the
 scalar route and the table policy's oracle law and E[rejections] exactly.
 History-dependent pairs, whose every history draws its own row kind, hold the
@@ -57,14 +63,18 @@ from specdec import (
 from specdec import decoding
 from specdec.decoding import (
     _block_streams,
+    _cum_columns,
     _decode,
     _Lockstep,
     _run_blocks,
+    _sample_index,
+    _sample_rows,
+    _stream_length,
     _tables,
     decode_markov_runs,
 )
 from specdec.montecarlo import Campaign, run_campaign
-from specdec.dist import ZeroResidual
+from specdec.dist import ZeroResidual, _normalized_rows
 
 from helpers import (
     empty_and_off_support_pair,
@@ -76,7 +86,7 @@ from helpers import (
     zero_residual_pair,
 )
 
-ROW_KINDS = ("dense", "sparse", "equal", "near", "disjoint", "tiny")
+ROW_KINDS = ("dense", "sparse", "equal", "near", "disjoint", "tiny", "short")
 
 
 def _unit(rng: np.random.Generator, vocab: int, sparse: bool) -> np.ndarray:
@@ -87,8 +97,19 @@ def _unit(rng: np.random.Generator, vocab: int, sparse: bool) -> np.ndarray:
     return raw / raw.sum()
 
 
+def _short_unit(rng: np.random.Generator, vocab: int) -> np.ndarray:
+    """A dense row whose cumsum, once a model has normalised the row, ends below 1 by rounding."""
+    while True:
+        row = _unit(rng, vocab, False)
+        if np.cumsum(_normalized_rows(row))[-1] < 1.0:
+            return row
+
+
 def _rows(rng: np.random.Generator, vocab: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """One (p, q) row pair of the given kind."""
+    if kind == "short":
+        # A uniform at or past the last cumsum entry takes the clamp to V - 1.
+        return _short_unit(rng, vocab), _short_unit(rng, vocab)
     if kind == "disjoint":
         p, q = np.zeros(vocab), np.zeros(vocab)
         tokens = rng.permutation(vocab)
@@ -121,12 +142,12 @@ def _kind(rng: np.random.Generator) -> str:
 
 
 @st.composite
-def markov_pairs(draw, max_vocab: int = 4, max_horizon: int = 6) -> ModelPair:
-    """Each position's rows share one kind, or with "mixed" draw their own."""
-    vocab = draw(st.integers(2, max_vocab))
+def markov_pairs(draw, max_vocab: int = 4, max_horizon: int = 6, min_vocab: int = 2,
+                 kinds=(*ROW_KINDS, "mixed")) -> ModelPair:
+    """Each position's rows share one of ``kinds``, or with "mixed" draw their own."""
+    vocab = draw(st.integers(min_vocab, max_vocab))
     horizon = draw(st.integers(1, max_horizon))
-    kinds = draw(st.lists(st.sampled_from((*ROW_KINDS, "mixed")), min_size=horizon,
-                          max_size=horizon))
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=horizon, max_size=horizon))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p_steps, q_steps = [], []
     for kind in kinds:
@@ -245,6 +266,85 @@ def test_history_dependent_pairs_agree(pair):
     assert np.abs(law - joint).sum() <= 1e-12
     assert rejections >= sd - 1e-12
     _assert_engine_is_the_scalar_loop(pair)
+
+
+@given(markov_pairs(min_vocab=64, max_vocab=96, max_horizon=2, kinds=("sparse", "mixed")))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+def test_wide_sparse_pairs_agree(pair):
+    # V >= 64 at T <= 2 keeps V**T within FULL_TABLE_CAP, so the oracle walks them.
+    assert abs(expected_rejections_sd(pair) - enumerate_expected_rejections(pair, "sd")) <= 1e-12
+    for m in (2, 3):
+        want = enumerate_expected_rejections(pair, "batch", batch_size=m)
+        assert abs(expected_rejections_batch(pair, m).total - want) <= 1e-12
+    assert limit_rejections(pair) <= expected_rejections_batch(pair, 8).total + 1e-12
+    _assert_engine_is_the_scalar_loop(pair)
+
+
+class _Stream:
+    """A stand-in generator whose ``random`` hands out a fixed stream of uniforms in order."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self._values, self._next = values, 0
+
+    def random(self, size=None):
+        start, self._next = self._next, self._next + (1 if size is None else size)
+        return float(self._values[start]) if size is None else self._values[start:self._next]
+
+
+def _tie_values(pair: ModelPair, tables) -> np.ndarray:
+    """Every value a uniform can tie with: cumsum entries of p, q's prompt and the residuals, thresholds."""
+    values = np.concatenate([pair.q.prompt_cumsum, tables.p_cums.ravel(),
+                             tables.residual_cums.ravel(), tables.thresholds])
+    return np.unique(values[(values >= 0.0) & (values < 1.0)])
+
+
+@given(markov_pairs(max_vocab=4, max_horizon=4))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_uniforms_tied_to_table_entries_give_the_scalar_runs(pair):
+    # Every uniform equals a cumsum entry or a threshold, so each draw and
+    # test meets its tie; on a "short" row a draw at its last cumsum entry
+    # takes the clamp to token V - 1. The engine must decode the scalar
+    # loop's runs, and mark failed exactly the runs on which it raises.
+    rng, count = np.random.default_rng(5), 16
+    for m in (1, 2, 3):
+        tables = _tables(pair, m, None)
+        values = _tie_values(pair, tables)
+        window = rng.choice(values, size=(count, _stream_length(m, pair.horizon)))
+        block = _Lockstep(pair, m, tables, window, None)
+        for t in range(1, pair.horizon + 1):
+            block.advance(t)
+        for i, stream in enumerate(window):
+            try:
+                trajectory, stats = _decode(pair, m, None, _Stream(stream))
+            except (RuntimeError, ZeroResidual):
+                assert block.failed[i]
+                continue
+            assert not block.failed[i]
+            assert block.prompt_tokens[i] == trajectory.prompt_token
+            assert tuple(block.tokens[i].tolist()) == trajectory.tokens
+            assert tuple(block.flags[i].tolist()) == stats.flags
+
+
+def test_tied_uniforms_draw_the_same_token_on_both_samplers():
+    # u equal to a cumsum entry, or one float either side of it: searchsorted
+    # on the scalar loop against the engine's count of column entries <= u.
+    rng = np.random.default_rng(8)
+    for vocab in (2, 3, 7, 64):
+        rows = [row for kind in ("short", "sparse", "tiny", "disjoint") for _ in range(4)
+                for row in _rows(rng, vocab, kind)]
+        cums = np.cumsum(_normalized_rows(np.array(rows)), axis=-1)
+        assert (cums[:, -1] < 1.0).any()
+        for row_cums in cums:
+            us = np.concatenate([[0.0], row_cums, np.nextafter(row_cums, 0.0),
+                                 np.nextafter(row_cums, 2.0)])
+            us = np.unique(us[us < 1.0])
+            want = [_sample_index(row_cums, u) for u in us.tolist()]
+            shared = _cum_columns(row_cums[None])
+            own = _cum_columns(np.repeat(row_cums[None], len(us), axis=0))
+            assert _sample_rows(shared, us).tolist() == want
+            assert _sample_rows(own, us).tolist() == want
+            if row_cums[-1] < 1.0:
+                assert want[-1] == vocab - 1 and us[-1] >= row_cums[-1]
 
 
 @st.composite
