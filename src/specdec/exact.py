@@ -76,7 +76,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import _int_arg, _real_arg, _tv_rows
-from .models import ModelPair, _is_markov_pair, _level_rows, _pair_arg
+from .models import FULL_TABLE_CAP, ModelPair, _is_markov_pair, _level_rows, _pair_arg
 
 # Floats per (B, V, V) array of a position block: B = max(1, BLOCK_FLOATS // V^2).
 BLOCK_FLOATS = 2**14
@@ -226,17 +226,19 @@ def _history_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = Fal
     prefix (x_0, ..., x_{n-1}), its target mass q_h and its round-root mass
     f_h, and reads p's and q's rows of that level once, by ``_level_rows``.
     The SD term is q_h * tv(p_n, q_n) and the gain term f_h * (tv - P_M).
-    Each prompt token x_0's codes are walked on their own, as the oracle
-    walks them, so a level's arrays hold V**(n - 1) rows, not V**n; every
-    term is computed row by row and ``math.fsum`` is exact, so the totals do
-    not depend on the order of the terms.
+    The prompt tokens x_0 walk in the oracle's blocks of
+    B = max(1, FULL_TABLE_CAP // V**(T + 1)) consecutive tokens, so a level's
+    (rows, V) arrays hold at most FULL_TABLE_CAP entries where B > 1 and
+    V**n where B = 1. Every term is computed row by row and ``math.fsum`` is
+    exact, so the totals do not depend on B.
     """
     v = pair.vocab_size
+    block = max(1, FULL_TABLE_CAP // v ** (pair.horizon + 1))
     sd_terms, gain_terms = [], []
-    for x_0 in range(v):
-        q_mass = f_mass = pair.prompt.probs[x_0:x_0 + 1]
+    for lo in range(0, v, block):
+        q_mass = f_mass = pair.prompt.probs[lo:lo + block]
         for n in range(1, pair.horizon + 1):
-            codes = np.arange(x_0 * v ** (n - 1), (x_0 + 1) * v ** (n - 1))
+            codes = np.arange(q_mass.size) + lo * v ** (n - 1)
             p, q = _level_rows(pair.p, n, codes), _level_rows(pair.q, n, codes)
             tv = _tv_rows(q, p)
             sd_terms.append(q_mass * tv)

@@ -214,9 +214,8 @@ class TestBatchRecursions:
 
     def test_history_recursion_walks_once(self, monkeypatch):
         # The SD and gain terms of a non-Markov pair come from one level walk
-        # that reads p's and q's rows of each level once, one prompt token's
-        # block of codes at a time, through _level_rows, and makes no
-        # per-history step call.
+        # that reads p's and q's rows of each level once, every code at once,
+        # through _level_rows, and makes no per-history step call.
         pair = full_pair(random_model_pair(2, 4, seed=3))
         reads, level_rows = [], exact._level_rows
 
@@ -231,9 +230,27 @@ class TestBatchRecursions:
         monkeypatch.setattr(FullModel, "step", step)
         expected_rejections_batch(pair, 2)
         assert sorted(reads) == sorted(
-            (id(model), n, list(range(x_0 * 2 ** (n - 1), (x_0 + 1) * 2 ** (n - 1))))
-            for model in (pair.p, pair.q) for n in range(1, 5) for x_0 in range(2)
+            (id(model), n, list(range(2**n))) for model in (pair.p, pair.q) for n in range(1, 5)
         )
+
+    @pytest.mark.parametrize("cap, block", [(3**4 - 1, 1), (2 * 3**4, 2), (3**4 * 3, 3)])
+    def test_prompt_blocks_change_no_value(self, monkeypatch, cap, block):
+        # B = max(1, FULL_TABLE_CAP // V**(T + 1)) prompt tokens walk together,
+        # and the totals are the same at every B.
+        pair = random_full_pair(3, 3, seed=12)
+        want = closed_forms(pair, ["sd", "batch2", "batch5", "limit"])
+        reads, level_rows = [], exact._level_rows
+
+        def counted(model, n, codes):
+            reads.append((n, codes.tolist()))
+            return level_rows(model, n, codes)
+
+        monkeypatch.setattr(exact, "FULL_TABLE_CAP", cap)
+        monkeypatch.setattr(exact, "_level_rows", counted)
+        assert closed_forms(pair, ["sd", "batch2", "batch5", "limit"]) == want
+        del reads[6 * -(-3 // block):]  # the SD walk's: p's and q's rows, level by level, per block
+        assert reads == [(n, list(range(lo * 3 ** (n - 1), min(lo + block, 3) * 3 ** (n - 1))))
+                         for lo in range(0, 3, block) for n in (1, 2, 3) for _ in "pq"]
 
     def test_single_response_is_sd_exactly(self):
         for pair in PAIRS:
