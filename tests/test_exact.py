@@ -237,18 +237,18 @@ class TestBatchRecursions:
     def test_prompt_blocks_change_no_value(self, monkeypatch, cap, block):
         # B = max(1, FULL_TABLE_CAP // V**(T + 1)) prompt tokens walk together,
         # and the totals are the same at every B.
-        pair = random_full_pair(3, 3, seed=12)
-        want = closed_forms(pair, ["sd", "batch2", "batch5", "limit"])
+        pair, names = random_full_pair(3, 3, seed=12), ["sd", "batch2", "batch5", "limit"]
+        want = closed_forms(pair, names)
+        monkeypatch.setattr(exact, "FULL_TABLE_CAP", cap)
+        assert closed_forms(pair, names) == want
         reads, level_rows = [], exact._level_rows
 
         def counted(model, n, codes):
             reads.append((n, codes.tolist()))
             return level_rows(model, n, codes)
 
-        monkeypatch.setattr(exact, "FULL_TABLE_CAP", cap)
         monkeypatch.setattr(exact, "_level_rows", counted)
-        assert closed_forms(pair, ["sd", "batch2", "batch5", "limit"]) == want
-        del reads[6 * -(-3 // block):]  # the SD walk's: p's and q's rows, level by level, per block
+        expected_rejections_sd(pair)
         assert reads == [(n, list(range(lo * 3 ** (n - 1), min(lo + block, 3) * 3 ** (n - 1))))
                          for lo in range(0, 3, block) for n in (1, 2, 3) for _ in "pq"]
 
