@@ -67,9 +67,9 @@ whatever S is, so the fixed numpy cost of seeding and of each position is
 shared by thousands of short runs. Longer runs advance in blocks of at most
 BLOCK_RUNS, build one generator per run with ``rng.split_rngs`` and fill a
 window of W = min(S, max(2R, WINDOW_BUDGET // count)) uniforms per run from
-it, WINDOW_BUDGET = 2**17 (1 MB) and count the block's runs. A block's window
+it, WINDOW_BUDGET = 2**18 (2 MB) and count the block's runs. A block's window
 thus holds at most max(2R*count, WINDOW_BUDGET) uniforms: a full block of
-BLOCK_RUNS keeps 2R wherever 2R >= 128, and a smaller one holds more of each
+BLOCK_RUNS keeps 2R wherever 2R >= 256, and a smaller one holds more of each
 stream, so its runs top up less often, or, where W = S, never and keep no
 generators. Every source gives every run the uniforms of
 ``split_rng(seed, index)``, so neither the source, the window nor the block
@@ -127,7 +127,7 @@ from .rng import split_rng, split_rngs, split_uniforms
 
 BLOCK_RUNS = 1024
 STREAM_BUDGET = 2**16
-WINDOW_BUDGET = 2 * STREAM_BUDGET
+WINDOW_BUDGET = 4 * STREAM_BUDGET
 TABLE_BUDGET = 2**28
 
 

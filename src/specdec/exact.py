@@ -163,7 +163,10 @@ def _sd_part(pair: ModelPair) -> _Record:
     return pair._sd_record
 
 
-def _fsum(terms: np.ndarray) -> float:
+def _fsum(terms) -> float:
+    """The exact sum of ``terms``, an array or a list of arrays, one array's list alive at a time."""
+    if isinstance(terms, list):
+        return math.fsum(term for array in terms for term in array.tolist())
     return math.fsum(terms.ravel().tolist())
 
 
@@ -220,7 +223,7 @@ def _level_tail(q, p, level):
 
 
 def _history_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = False):
-    """SD and (when ``gain``) batch gain terms of any pair, walked level by level over history codes.
+    """Lists of SD and (when ``gain``) batch gain terms of any pair, one array per level and block.
 
     The history-level twin of ``_markov_terms``: level n holds, per code of a
     prefix (x_0, ..., x_{n-1}), its target mass q_h and its round-root mass
@@ -248,7 +251,7 @@ def _history_terms(pair: ModelPair, batch_size: int | None = 1, gain: bool = Fal
                 plus = np.maximum(q - p, 0.0)
                 f_mass = (plus * (q_mass - f_mass)[:, None] + f_mass[:, None] * tail).ravel()
             q_mass = (q_mass[:, None] * q).ravel()
-    return np.concatenate(sd_terms), np.concatenate(gain_terms) if gain else None
+    return sd_terms, gain_terms if gain else None
 
 
 def _sd_and_gain(pair: ModelPair, batch_size: int | None) -> tuple[float, float]:

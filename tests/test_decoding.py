@@ -571,11 +571,11 @@ class TestWindowBudget:
     @pytest.mark.parametrize(
         "batch_size, widths",
         # At T = 50, S = 1376, 2701, 5351 and 2R = 202, 304, 508 for M = 1, 2, 4;
-        # WINDOW_BUDGET // count is 131072, 1638, 327 and 128 at counts 1, 80, 400, 1024.
-        [(1, (1376, 1376, 327, 202)), (2, (2701, 1638, 327, 304)), (4, (5351, 1638, 508, 508))],
+        # WINDOW_BUDGET // count is 262144, 3276, 655 and 256 at counts 1, 80, 400, 1024.
+        [(1, (1376, 1376, 655, 256)), (2, (2701, 2701, 655, 304)), (4, (5351, 3276, 655, 508))],
     )
     def test_width_is_the_budget_share_between_2r_and_s(self, batch_size, widths):
-        assert WINDOW_BUDGET == 2 * STREAM_BUDGET
+        assert WINDOW_BUDGET == 4 * STREAM_BUDGET
         length, narrowest = _stream_length(batch_size, 50), _window_width(batch_size, 50)
         for count, width in zip((1, 80, 400, BLOCK_RUNS), widths):
             window, rngs = _block_streams(3, 7, count, batch_size, 50)
@@ -609,6 +609,21 @@ class TestWindowBudget:
             assert topped == []
         else:
             assert sum(topped) > 0
+
+    @pytest.mark.parametrize("batch_size, count, most", [(1, 400, 30), (4, 120, 6)])
+    def test_campaign_blocks_seldom_top_up(self, batch_size, count, most, monkeypatch):
+        # c2's pair. Windows of 655 (M = 1) and 2184 (M = 4) uniforms per run
+        # top up 30 and 6 rows here; at half the budget, 327 and 1092 wide,
+        # they topped up 497 and 126.
+        topped, top_up = [], _Lockstep._top_up
+
+        def counting(self, runs, need):
+            topped.append(int((self.next[runs] + need > self.row_ends[runs]).sum()))
+            top_up(self, runs, need)
+
+        monkeypatch.setattr(_Lockstep, "_top_up", counting)
+        decode_markov_runs(random_model_pair(7, 50, seed=10), batch_size, 0, 0, count)
+        assert sum(topped) <= most
 
     def test_the_window_guard_still_raises(self, monkeypatch):
         pair = disjoint_pair(5)  # at M = 2 every run reads S = 46 uniforms; 2R = 34

@@ -350,11 +350,12 @@ class TestUnbiasednessCheck:
 
     @pytest.mark.parametrize("algorithm, batch_size", [("sd", 1), ("batch", 4)])
     def test_long_run_memory_is_bounded_by_the_window_budget(self, algorithm, batch_size):
-        # c2's pair (T = 50). A block of BLOCK_RUNS runs holds 2R uniforms per
-        # run (1.6 MB at M = 1, 4.2 MB at M = 4) and the last block, of 100
-        # runs, WINDOW_BUDGET of them (1 MB); the block's generators and token
-        # arrays add about 1.9 MB. Windows of whole streams at every block
-        # would take 11 MB at M = 1 and 44 MB at M = 4.
+        # c2's pair (T = 50). A block of BLOCK_RUNS runs holds
+        # max(2R, WINDOW_BUDGET // BLOCK_RUNS) uniforms per run (2 MB at M = 1,
+        # 4.2 MB at M = 4) and the last block, of 100 runs, WINDOW_BUDGET of
+        # them (2 MB); the block's generators and token arrays add about
+        # 1.9 MB. Windows of whole streams at every block would take 11 MB at
+        # M = 1 and 44 MB at M = 4.
         pair = random_model_pair(7, 50, seed=10)
         run_campaign(Campaign(pair, "sd", 10, 1))  # warm caches outside the trace
         narrowest = 2 * (batch_size * 50 + batch_size + 50)

@@ -12,8 +12,9 @@ median over rounds (``workloads.normalized_round_seconds`` of that op alone),
 so times are at the benchmark's reference host speed. Prints, per op, the
 median over runs in ms for each tree and, with two trees, their ratio
 TREE2 / TREE; then per tree the median and quartiles over runs of the
-normalised round time (the sum over ops, perfbench's ``wall_s``) and the
-count of failed ops.
+normalised round time (the sum over ops, perfbench's ``wall_s``), the median
+over runs of the interpreter's peak resident memory (``ru_maxrss``, as
+perfbench's ``peak_rss_mb``) and the count of failed ops.
 
 The trees are only read: the workload's CLI outputs and configs go to a
 temporary directory, and no bytecode is written. Standard library and numpy
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -53,6 +55,7 @@ def child(tree: Path, workload: str, seed: int, seconds: float, out_dir: Path) -
         "op_seconds": [workloads.normalized_round_seconds(rounds, mask) for mask in alone],
         "rounds": len(rounds),
         "failed": sum(len(r.failures) for r in rounds),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
 
@@ -111,10 +114,11 @@ def main(argv: list[str]) -> int:
     for j, tree in enumerate(trees):
         rounds = [sum(run["op_seconds"]) for run in runs[tree]]
         q1, q3 = quartiles(rounds)
+        peak = statistics.median(run["peak_rss_mb"] for run in runs[tree])
         failed = sum(run["failed"] for run in runs[tree])
         print(f"tree{j + 1} {tree}: round median {statistics.median(rounds) * 1e3:.3f} ms, "
               f"quartiles {q1 * 1e3:.3f}..{q3 * 1e3:.3f} ms over {len(rounds)} runs, "
-              f"{failed} failed ops")
+              f"peak {peak:.2f} MB, {failed} failed ops")
     return 0
 
 
